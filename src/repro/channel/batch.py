@@ -3,8 +3,9 @@
 Pattern measurement campaigns and the evaluation experiments need the
 true SNR of every sector for hundreds of rotation-head poses.  Walking
 the frame-level protocol for each pose would repeat identical gain
-computations; this module batches them: one antenna-gain evaluation per
-(sector, ray) over all poses at once.
+computations; this module batches them: the weight-independent
+direction terms are built once for all (pose, ray) pairs, then each
+sector costs one weighted gain evaluation over all of them.
 """
 
 from __future__ import annotations
@@ -94,10 +95,11 @@ def sweep_snr_matrix(
         )
         phases[index] = -2.0 * np.pi * ray.path_length_m / wavelength
 
+    tx_terms = tx_antenna.direction_terms(tx_az, tx_el)
     snr = np.empty((n_orientations, len(sector_ids)))
     for column, sector_id in enumerate(sector_ids):
         weights = codebook[sector_id].weights
-        tx_gain_db = tx_antenna.gain_db(weights, tx_az, tx_el)  # (n_orient, n_rays)
+        tx_gain_db = tx_antenna.gain_db_at(weights, tx_terms)  # (n_orient, n_rays)
         amplitude_db = tx_gain_db + fixed_db[np.newaxis, :] - shadowing_db
         field = 10.0 ** (amplitude_db / 20.0) * np.exp(1j * phases[np.newaxis, :])
         power = np.maximum(np.abs(field.sum(axis=1)) ** 2, 1e-30)

@@ -9,7 +9,7 @@ makes conference-room measurements noisier than chamber ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +81,7 @@ class LinkSimulator:
         )
         self._rays = environment.rays_between(tx_position, rx_position)
         self._wavelength_m = wavelength_m(self.budget.carrier_hz)
+        self._pose_memo: Optional[Tuple[Tuple[Orientation, Orientation], list]] = None
 
     @property
     def rays(self) -> List[Ray]:
@@ -125,28 +126,57 @@ class LinkSimulator:
             raise ValueError("shadowing vector must have one entry per ray")
 
         field_sum = 0.0 + 0.0j
-        for ray, shadow_db in zip(self._rays, shadowing_db):
+        ray_terms = self._pose_terms(tx_orientation, rx_orientation)
+        for (tx_terms, rx_terms, loss_db, extra_loss_db, phasor), shadow_db in zip(
+            ray_terms, shadowing_db
+        ):
+            gain_tx_db = self.tx_antenna.gain_db_at(tx_weights, tx_terms)
+            gain_rx_db = self.rx_antenna.gain_db_at(rx_weights, rx_terms)
+            amplitude_db = (
+                self.budget.tx_power_dbm
+                + gain_tx_db
+                + gain_rx_db
+                - loss_db
+                - extra_loss_db
+                - shadow_db
+            )
+            field_sum += 10.0 ** (amplitude_db / 20.0) * phasor
+
+        power_linear = max(abs(field_sum) ** 2, 1e-30)
+        return float(10.0 * np.log10(power_linear))
+
+    def _pose_terms(self, tx_orientation: Orientation, rx_orientation: Orientation) -> list:
+        """Per-ray terms that depend on the pose pair but on no weight.
+
+        One entry per ray: both antennas' direction terms, path loss,
+        extra loss and carrier phasor.  Only the most recent pose pair
+        is kept — a sector sweep holds the pose fixed for every sector —
+        so the memo never grows.
+        """
+        key = (tx_orientation, rx_orientation)
+        memo = self._pose_memo  # one read: safe if threads share a simulator
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        ray_terms = []
+        for ray in self._rays:
             tx_az, tx_el = tx_orientation.world_direction_in_device_frame(
                 *ray.departure_direction()
             )
             rx_az, rx_el = rx_orientation.world_direction_in_device_frame(
                 *ray.arrival_direction()
             )
-            gain_tx_db = self.tx_antenna.gain_db(tx_weights, tx_az, tx_el)
-            gain_rx_db = self.rx_antenna.gain_db(rx_weights, rx_az, rx_el)
-            amplitude_db = (
-                self.budget.tx_power_dbm
-                + gain_tx_db
-                + gain_rx_db
-                - path_loss_db(ray.path_length_m, self.budget.carrier_hz)
-                - ray.extra_loss_db
-                - shadow_db
-            )
             phase = -2.0 * np.pi * ray.path_length_m / self._wavelength_m
-            field_sum += 10.0 ** (amplitude_db / 20.0) * np.exp(1j * phase)
-
-        power_linear = max(abs(field_sum) ** 2, 1e-30)
-        return float(10.0 * np.log10(power_linear))
+            ray_terms.append(
+                (
+                    self.tx_antenna.direction_terms(tx_az, tx_el),
+                    self.rx_antenna.direction_terms(rx_az, rx_el),
+                    path_loss_db(ray.path_length_m, self.budget.carrier_hz),
+                    ray.extra_loss_db,
+                    np.exp(1j * phase),
+                )
+            )
+        self._pose_memo = (key, ray_terms)
+        return ray_terms
 
     def true_snr_db(
         self,

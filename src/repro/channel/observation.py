@@ -144,10 +144,10 @@ class MeasurementModel:
 
         noise_std = self._noise_std_db(true_snr_db)
         snr_reading = true_snr_db + rng.normal(0.0, noise_std) + self._maybe_outlier(rng)
+        # min/max is np.clip on a scalar, without the array round trip.
         snr_reading = float(
-            np.clip(
-                quantize_to_step(snr_reading, self.snr_step_db),
-                self.snr_min_db,
+            min(
+                max(quantize_to_step(snr_reading, self.snr_step_db), self.snr_min_db),
                 self.snr_max_db,
             )
         )
@@ -186,8 +186,8 @@ class MeasurementModel:
         (the pinned regression test asserts this).  For larger blocks
         the draws are regrouped, so the *stream* differs from a scalar
         loop even though the per-frame distribution is identical —
-        which is why the recording reference path keeps the scalar
-        model (see ``experiments.common.record_directions``).
+        which is why ``experiments.common.record_directions`` keeps the
+        scalar model its pinned outputs were recorded with.
         """
         true_snr = np.asarray(true_snr_db, dtype=float)
         if true_snr.ndim != 1:

@@ -227,29 +227,16 @@ def record_directions(
     elevations_deg: Sequence[float],
     n_sweeps: int,
     rng: np.random.Generator,
-    observe_mode: str = "reference",
 ) -> List[RecordedDirection]:
     """Record full 34-sector sweeps over a grid of path directions.
 
     The DUT rides the rotation head (with its mechanical tilt errors),
     the reference device listens quasi-omni at the environment's far
     endpoint.  Per-sweep slow fading is modelled as a common SNR offset
-    drawn from the environment's shadowing spread.
-
-    ``observe_mode`` picks the firmware-report path: ``"reference"``
-    (default) makes one scalar ``observe`` call per sector per sweep —
-    the random stream every committed experiment output is pinned to —
-    while ``"batched"`` drives ``observe_batch`` over whole
-    (sweeps × sectors) blocks per direction.  Both are deterministic
-    given the generator and draw from identical per-frame
-    distributions, but they consume the stream in a different order,
-    so the two modes produce different (equally valid) recordings for
-    the same seed.  Switching the default would silently re-roll every
-    pinned experiment value; keep ``"reference"`` unless throughput is
-    the point.
+    drawn from the environment's shadowing spread.  Each sector of each
+    sweep gets one scalar ``observe`` call — the random stream every
+    committed experiment output is pinned to.
     """
-    if observe_mode not in ("reference", "batched"):
-        raise ValueError("observe_mode must be 'reference' or 'batched'")
     head = RotationHead(np.random.default_rng(rng.integers(2**31)))
     tx_ids = testbed.tx_sector_ids
     noise_floor = testbed.budget.noise_floor_dbm
@@ -279,19 +266,14 @@ def record_directions(
                 elevation_deg=float(elevation),
                 true_snr_db=true_matrix[az_index].copy(),
             )
-            if observe_mode == "batched":
-                _record_sweeps_batched(
-                    recording, testbed, environment, tx_ids, noise_floor, n_sweeps, rng
-                )
-            else:
-                _record_sweeps_reference(
-                    recording, testbed, environment, tx_ids, noise_floor, n_sweeps, rng
-                )
+            _record_sweeps(
+                recording, testbed, environment, tx_ids, noise_floor, n_sweeps, rng
+            )
             recordings.append(recording)
     return recordings
 
 
-def _record_sweeps_reference(
+def _record_sweeps(
     recording: RecordedDirection,
     testbed: Testbed,
     environment: Environment,
@@ -318,38 +300,6 @@ def _record_sweeps_reference(
                     snr_db=observation.snr_db,
                     rssi_dbm=observation.rssi_dbm,
                 )
-        recording.sweeps.append(sweep)
-
-
-def _record_sweeps_batched(
-    recording: RecordedDirection,
-    testbed: Testbed,
-    environment: Environment,
-    tx_ids: Sequence[int],
-    noise_floor: float,
-    n_sweeps: int,
-    rng: np.random.Generator,
-) -> None:
-    """One ``observe_batch`` over the whole (sweeps x sectors) block."""
-    n_sectors = len(tx_ids)
-    if environment.shadowing_std_db > 0:
-        fades = rng.normal(0.0, environment.shadowing_std_db, n_sweeps)
-    else:
-        fades = np.zeros(n_sweeps)
-    block = (recording.true_snr_db[np.newaxis, :] + fades[:, np.newaxis]).ravel()
-    batch = testbed.measurement_model.observe_batch(block, noise_floor, rng)
-    reported = batch.reported.reshape(n_sweeps, n_sectors)
-    snr = batch.snr_db.reshape(n_sweeps, n_sectors)
-    rssi = batch.rssi_dbm.reshape(n_sweeps, n_sectors)
-    for row in range(n_sweeps):
-        sweep: Dict[int, ProbeMeasurement] = {}
-        for column in np.flatnonzero(reported[row]):
-            sector_id = tx_ids[column]
-            sweep[sector_id] = ProbeMeasurement(
-                sector_id=sector_id,
-                snr_db=float(snr[row, column]),
-                rssi_dbm=float(rssi[row, column]),
-            )
         recording.sweeps.append(sweep)
 
 

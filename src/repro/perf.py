@@ -255,7 +255,9 @@ def measure_metrics(
     """
     from .channel.environment import conference_room
     from .core.compressive import CompressiveSectorSelector
-    from .experiments.common import build_testbed, record_directions
+    from .core.probes import clear_design_cache
+    from .experiments.common import build_testbed, pack_probe_trials, record_directions
+    from .runtime.registry import available_probe_designers, build_probe_designer
 
     testbed = build_testbed()
     metrics: Dict[str, float] = {}
@@ -284,68 +286,50 @@ def measure_metrics(
         [lambda t=t: estimator.estimate(t) for t in trials], repeats
     )
 
-    # -- batched throughput (absent before the batched engine) ---------
-    if hasattr(selector, "select_batch"):
-        from .experiments.common import pack_probe_trials
+    # -- batched and fused throughput ----------------------------------
+    batch = pack_probe_trials(trials)
+    selector.reset()
+    start = time.perf_counter()
+    batch_repeats = max(repeats, 1)
+    for _ in range(batch_repeats):
+        selector.select_batch(*batch)
+    elapsed = time.perf_counter() - start
+    metrics["select_batch_per_s"] = len(trials) * batch_repeats / elapsed
+    start = time.perf_counter()
+    for _ in range(batch_repeats):
+        estimator.estimate_batch(*batch)
+    elapsed = time.perf_counter() - start
+    metrics["estimate_batch_per_s"] = len(trials) * batch_repeats / elapsed
+    # Same trials, same batch layout, so the fused/batched ratio is
+    # directly the win of skipping the intermediate estimate pass.
+    selector.reset()
+    start = time.perf_counter()
+    for _ in range(batch_repeats):
+        selector.select_fused_batch(*batch)
+    elapsed = time.perf_counter() - start
+    metrics["select_fused_per_s"] = len(trials) * batch_repeats / elapsed
 
-        batch = pack_probe_trials(trials)
-        selector.reset()
-        start = time.perf_counter()
-        batch_repeats = max(repeats, 1)
-        for _ in range(batch_repeats):
-            selector.select_batch(*batch)
-        elapsed = time.perf_counter() - start
-        metrics["select_batch_per_s"] = len(trials) * batch_repeats / elapsed
-        start = time.perf_counter()
-        for _ in range(batch_repeats):
-            estimator.estimate_batch(*batch)
-        elapsed = time.perf_counter() - start
-        metrics["estimate_batch_per_s"] = len(trials) * batch_repeats / elapsed
-        # Fused single-pass kernel (absent before the fused engine):
-        # same trials, same batch layout, so the fused/batched ratio is
-        # directly the win of skipping the intermediate estimate pass.
-        if hasattr(selector, "select_fused_batch"):
-            selector.reset()
-            start = time.perf_counter()
-            for _ in range(batch_repeats):
-                selector.select_fused_batch(*batch)
-            elapsed = time.perf_counter() - start
-            metrics["select_fused_per_s"] = len(trials) * batch_repeats / elapsed
-
-    # -- probe-design throughput (absent before the designer stage) ----
-    try:
-        from .core.probes import clear_design_cache
-        from .runtime.registry import available_probe_designers, build_probe_designer
-    except ImportError:
-        build_probe_designer = None
-    if build_probe_designer is not None:
-        # Cold-cache design cost: every deterministic designer solves
-        # the full pool at two budgets per pass.  The cache is cleared
-        # between passes — the steady state is one design per (table,
-        # M, params) forever, so the interesting number is how fast a
-        # *new* design point is, not the memo hit.
-        design_names = [
-            name for name in available_probe_designers() if name != "random"
-        ]
-        designers = [
-            build_probe_designer(name, testbed.pattern_table)
-            for name in design_names
-        ]
-        pool = list(testbed.tx_sector_ids)
-        design_rng = np.random.default_rng(seed + 5)
-        budgets = (8, 20)
-        design_passes = 3
-        start = time.perf_counter()
-        for _ in range(design_passes):
-            clear_design_cache()
-            for designer in designers:
-                for budget in budgets:
-                    designer.design(budget, pool, design_rng)
-        elapsed = time.perf_counter() - start
+    # -- probe-design throughput ---------------------------------------
+    # Cold-cache design cost: every deterministic designer solves the
+    # full pool at two budgets per pass.  The cache is cleared between
+    # passes — the steady state is one design per (table, M, params)
+    # forever, so the interesting number is how fast a *new* design
+    # point is, not the memo hit.
+    design_names = [name for name in available_probe_designers() if name != "random"]
+    designers = [build_probe_designer(name, testbed.pattern_table) for name in design_names]
+    pool = list(testbed.tx_sector_ids)
+    design_rng = np.random.default_rng(seed + 5)
+    budgets = (8, 20)
+    design_passes = 3
+    start = time.perf_counter()
+    for _ in range(design_passes):
         clear_design_cache()
-        metrics["probe_design_per_s"] = (
-            len(designers) * len(budgets) * design_passes / elapsed
-        )
+        for designer in designers:
+            for budget in budgets:
+                designer.design(budget, pool, design_rng)
+    elapsed = time.perf_counter() - start
+    clear_design_cache()
+    metrics["probe_design_per_s"] = len(designers) * len(budgets) * design_passes / elapsed
 
     # -- observe kernel throughput -------------------------------------
     model = testbed.measurement_model
@@ -356,14 +340,13 @@ def measure_metrics(
     for value in true_snr[:512]:
         model.observe(float(value), noise_floor, scalar_rng)
     metrics["observe_scalar_per_s"] = 512 / (time.perf_counter() - start)
-    if hasattr(model, "observe_batch"):
-        batch_rng = np.random.default_rng(seed + 3)
-        start = time.perf_counter()
-        batch_repeats = 20
-        for _ in range(batch_repeats):
-            model.observe_batch(true_snr, noise_floor, batch_rng)
-        elapsed = time.perf_counter() - start
-        metrics["observe_batch_per_s"] = true_snr.size * batch_repeats / elapsed
+    batch_rng = np.random.default_rng(seed + 3)
+    start = time.perf_counter()
+    batch_repeats = 20
+    for _ in range(batch_repeats):
+        model.observe_batch(true_snr, noise_floor, batch_rng)
+    elapsed = time.perf_counter() - start
+    metrics["observe_batch_per_s"] = true_snr.size * batch_repeats / elapsed
 
     # -- campaign build (reduced grid, the build_testbed hot path) -----
     from .measurement.campaign import CampaignConfig, PatternMeasurementCampaign

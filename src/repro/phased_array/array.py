@@ -21,11 +21,29 @@ from .weights import WeightVector
 
 ArrayLike = Union[float, np.ndarray]
 
-__all__ = ["PhasedArray"]
+__all__ = ["DirectionTerms", "PhasedArray"]
 
 #: Residual power that leaks behind the array plane, relative to an
 #: isotropic element (linear).  Keeps rear-hemisphere gains finite.
 _BACK_LEAKAGE_LINEAR = 10.0 ** (-18.0 / 10.0)
+
+
+@dataclass(frozen=True)
+class DirectionTerms:
+    """Everything :meth:`PhasedArray.gain_db` needs that no weight touches.
+
+    Attributes:
+        shape: broadcast shape of the requested directions.
+        steering: steering matrix, ``(k, n_elements)`` over the
+            flattened directions.
+        element_power: per-element power pattern, ``(k,)`` linear.
+        attenuation_db: chassis attenuation, ``(k,)``.
+    """
+
+    shape: tuple
+    steering: np.ndarray
+    element_power: np.ndarray
+    attenuation_db: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,47 @@ class PhasedArray:
         front = peak * np.clip(cos_psi, 0.0, 1.0) ** self.element_exponent
         return np.maximum(front, peak * _BACK_LEAKAGE_LINEAR)
 
+    def direction_terms(
+        self, azimuth_deg: ArrayLike, elevation_deg: ArrayLike
+    ) -> DirectionTerms:
+        """The weight-independent half of :meth:`gain_db`.
+
+        Compute once per set of directions, then evaluate any number of
+        weight vectors with :meth:`gain_db_at`.
+        """
+        azimuths = np.asarray(azimuth_deg, dtype=float)
+        elevations = np.asarray(elevation_deg, dtype=float)
+        azimuths_b, elevations_b = np.broadcast_arrays(azimuths, elevations)
+        flat_azimuths = azimuths_b.ravel()
+        flat_elevations = elevations_b.ravel()
+        return DirectionTerms(
+            shape=azimuths_b.shape,
+            steering=steering_matrix(self.layout, flat_azimuths, flat_elevations),
+            element_power=self.element_power_pattern(azimuths_b, elevations_b).ravel(),
+            attenuation_db=self.impairments.blockage.attenuation_db(
+                flat_azimuths, flat_elevations
+            ),
+        )
+
+    def gain_db_at(self, weights: WeightVector, terms: DirectionTerms) -> ArrayLike:
+        """The per-weight-vector half of :meth:`gain_db`.
+
+        ``terms`` must come from this array's :meth:`direction_terms`:
+        the element pattern and chassis attenuation are per device.
+        """
+        if weights.n_elements != self.n_elements:
+            raise ValueError("weight vector length must match the array")
+        effective = weights.weights * self.impairments.element_response()
+        array_factor = terms.steering @ effective  # (k,)
+        array_power = np.abs(array_factor) ** 2
+        power = np.maximum(array_power * terms.element_power, 1e-12)
+        gain = 10.0 * np.log10(power)
+        gain = gain - terms.attenuation_db
+        gain = gain.reshape(terms.shape)
+        if gain.ndim == 0:
+            return float(gain)
+        return gain
+
     def gain_db(
         self,
         weights: WeightVector,
@@ -105,28 +164,7 @@ class PhasedArray:
 
         Broadcasts over directions; scalar inputs return a float.
         """
-        if weights.n_elements != self.n_elements:
-            raise ValueError("weight vector length must match the array")
-        azimuths = np.asarray(azimuth_deg, dtype=float)
-        elevations = np.asarray(elevation_deg, dtype=float)
-        azimuths_b, elevations_b = np.broadcast_arrays(azimuths, elevations)
-        shape = azimuths_b.shape
-
-        steering = steering_matrix(self.layout, azimuths_b.ravel(), elevations_b.ravel())
-        effective = weights.weights * self.impairments.element_response()
-        array_factor = steering @ effective  # (k,)
-        array_power = np.abs(array_factor) ** 2
-
-        element_power = self.element_power_pattern(azimuths_b, elevations_b).ravel()
-        power = np.maximum(array_power * element_power, 1e-12)
-        gain = 10.0 * np.log10(power)
-        gain = gain - self.impairments.blockage.attenuation_db(
-            azimuths_b.ravel(), elevations_b.ravel()
-        )
-        gain = gain.reshape(shape)
-        if gain.ndim == 0:
-            return float(gain)
-        return gain
+        return self.gain_db_at(weights, self.direction_terms(azimuth_deg, elevation_deg))
 
     def peak_gain_db(self, weights: WeightVector, grid_step_deg: float = 2.0) -> float:
         """Maximum gain over a coarse hemisphere scan (diagnostic)."""

@@ -106,7 +106,8 @@ class Codebook:
         """Ground-truth gain of each sector in the given directions."""
         if sector_ids is None:
             sector_ids = self.sector_ids
+        terms = antenna.direction_terms(azimuth_deg, elevation_deg)
         return {
-            sector_id: antenna.gain_db(self[sector_id].weights, azimuth_deg, elevation_deg)
+            sector_id: antenna.gain_db_at(self[sector_id].weights, terms)
             for sector_id in sector_ids
         }

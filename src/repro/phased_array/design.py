@@ -91,6 +91,7 @@ def design_codebook(
         raise ValueError("candidate grid is coarser than the requested codebook")
 
     # Precompute each candidate's gain over the service region.
+    region_terms = antenna.direction_terms(azimuths, elevations)
     candidate_weights: List[WeightVector] = []
     candidate_gains: List[np.ndarray] = []
     for azimuth, elevation in candidates:
@@ -102,7 +103,7 @@ def design_codebook(
             .normalized()
         )
         candidate_weights.append(weights)
-        candidate_gains.append(antenna.gain_db(weights, azimuths, elevations))
+        candidate_gains.append(antenna.gain_db_at(weights, region_terms))
 
     gains_matrix = np.stack(candidate_gains)  # (n_candidates, n_points)
     chosen: List[int] = []

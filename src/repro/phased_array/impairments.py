@@ -31,6 +31,15 @@ class ChassisBlockage:
     max_attenuation_db: float = 25.0
     ripple_db: float = 4.0
     seed: int = 0
+    _ripple_terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Deterministic ripple: a fixed random Fourier series in angle,
+        # drawn once per instance from ``seed``.
+        rng = np.random.default_rng(self.seed)
+        coefficients = rng.normal(size=4)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
+        object.__setattr__(self, "_ripple_terms", (coefficients, phases))
 
     def attenuation_db(self, azimuth_deg: np.ndarray, elevation_deg: np.ndarray) -> np.ndarray:
         """Attenuation (>= 0 dB) for the given directions."""
@@ -40,10 +49,7 @@ class ChassisBlockage:
         # Smooth ramp from the onset azimuth to the full back direction.
         ramp = np.clip((azimuth - self.onset_deg) / (180.0 - self.onset_deg), 0.0, 1.0)
         attenuation = self.max_attenuation_db * ramp**2
-        # Deterministic ripple: a fixed random Fourier series in angle.
-        rng = np.random.default_rng(self.seed)
-        coefficients = rng.normal(size=4)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
+        coefficients, phases = self._ripple_terms
         angle_rad = np.deg2rad(azimuth + 0.3 * elevation)
         ripple = np.zeros_like(attenuation)
         for order, (coefficient, phase) in enumerate(zip(coefficients, phases), start=2):
@@ -67,6 +73,7 @@ class HardwareImpairments:
     gain_error_db: np.ndarray
     element_failed: np.ndarray
     blockage: ChassisBlockage = field(default_factory=ChassisBlockage)
+    _response: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         phase = np.asarray(self.phase_error_rad, dtype=float)
@@ -77,6 +84,10 @@ class HardwareImpairments:
         object.__setattr__(self, "phase_error_rad", phase)
         object.__setattr__(self, "gain_error_db", gain)
         object.__setattr__(self, "element_failed", failed)
+        gain_linear = 10.0 ** (gain / 20.0)
+        response = np.where(failed, 0.0, gain_linear * np.exp(1j * phase))
+        response.setflags(write=False)
+        object.__setattr__(self, "_response", response)
 
     @property
     def n_elements(self) -> int:
@@ -112,7 +123,8 @@ class HardwareImpairments:
         )
 
     def element_response(self) -> np.ndarray:
-        """Complex per-element multiplier combining all element errors."""
-        gain_linear = 10.0 ** (self.gain_error_db / 20.0)
-        response = gain_linear * np.exp(1j * self.phase_error_rad)
-        return np.where(self.element_failed, 0.0, response)
+        """Complex per-element multiplier combining all element errors.
+
+        Computed once per device; the returned array is read-only.
+        """
+        return self._response

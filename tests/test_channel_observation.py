@@ -1,5 +1,8 @@
 """Unit tests for the firmware measurement model (§5 quirks)."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,36 @@ class TestMeasurementModel:
         low_std = np.std([r.snr_db for r in low if r is not None])
         high_std = np.std([r.snr_db for r in high if r is not None])
         assert low_std > high_std
+
+    def test_pinned_scalar_stream(self):
+        """Frozen scalar stream: 5,000 reports from one generator.
+
+        Every recording is built from this stream, so any change to the
+        per-frame arithmetic or draw order shows up here first.  A NaN
+        and a +inf input raise inside the quarter-dB quantizer (after
+        their draws); -inf never decodes.  The digest was recorded
+        before ``observe`` swapped ``np.clip`` for ``min``/``max``.
+        """
+        model = MeasurementModel()
+        values = np.random.default_rng(20171212).uniform(-15.0, 20.0, 5000)
+        values[1000] = np.nan
+        values[2000] = np.inf
+        values[3000] = -np.inf
+        rng = np.random.default_rng(0xC0FFEE)
+        digest = hashlib.sha256()
+        for value in values:
+            try:
+                observation = model.observe(value, -71.5, rng)
+            except (ValueError, OverflowError) as error:
+                digest.update(type(error).__name__.encode())
+                continue
+            if observation is None:
+                digest.update(b"none")
+            else:
+                digest.update(struct.pack("<dd", observation.snr_db, observation.rssi_dbm))
+        assert digest.hexdigest() == (
+            "8e55e8cd281f1e5382b1d6d730d45fcfc0ffdf6fa4369e999a166a7cc66ebf68"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
