@@ -22,7 +22,7 @@ from .. import obs as _obs
 from ..obs import quality as _quality
 from ..geometry.grid import AngularGrid
 from ..measurement.patterns import PatternTable
-from .estimator import AngleEstimate, AngleEstimator
+from .estimator import AngleEstimator, _one_row_arrays
 from .measurements import ProbeMeasurement
 from .selector import SelectionResult
 
@@ -30,7 +30,7 @@ __all__ = ["CompressiveSectorSelector"]
 
 
 class _FusedBatch(NamedTuple):
-    """Per-row arrays from the stateless half of the fused select pass.
+    """Per-row arrays from the stateless half of :meth:`select_batch`.
 
     Everything the stateful result builder needs, with no reference to
     selector state — rows are independent, so batches from several
@@ -158,54 +158,14 @@ class CompressiveSectorSelector:
         )
         return int(self.candidate_sector_ids[int(np.argmax(gains))])
 
-    def _fallback(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
-        _obs.inc("selector_fallbacks_total")
-        if measurements:
-            best = max(measurements, key=lambda m: m.snr_db)
-            self._last_selection = best.sector_id
-            return SelectionResult(sector_id=best.sector_id, fallback=True)
-        return SelectionResult(sector_id=self._last_selection, fallback=True)
+    def _fallback(self, sub_ids: np.ndarray, sub_snr: np.ndarray) -> SelectionResult:
+        """Fall back to the plain argmax of the usable probes' SNR.
 
-    def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
-        """Run both steps on one sweep's measurements."""
-        _obs.inc("selector_calls_total", path="scalar")
-        usable = [m for m in measurements if self.estimator.has_sector(m.sector_id)]
-        if len(usable) < self.min_probes:
-            return self._fallback(usable)
-        estimate = self.estimator.estimate(usable)
-        if estimate.correlation < self.fallback_correlation:
-            return self._fallback(usable)
-        # Eq. 4 via the precomputed grid matrix: column at the argmax
-        # grid point, maximized over candidates.  The estimate carries
-        # its own flat grid index (same search grid the candidate
-        # matrix was sampled on); estimators that interpolate off-grid
-        # leave it None and pay the nearest-point lookup.
-        grid_index = estimate.grid_index
-        if grid_index is None:
-            grid_index = self.estimator.search_grid.nearest_index(
-                estimate.azimuth_deg, estimate.elevation_deg
-            )
-        candidate_gains = self._candidate_matrix[:, grid_index]
-        sector_id = int(self.candidate_sector_ids[int(candidate_gains.argmax())])
-        if _quality.quality_context() is not None:
-            _quality.record_selection_margin(candidate_gains, estimate.n_probes_used)
-        self._last_selection = sector_id
-        return SelectionResult(sector_id=sector_id, estimate=estimate)
-
-    # ------------------------------------------------------------------
-    # Batched throughput path.
-    # ------------------------------------------------------------------
-
-    def _fallback_from_arrays(
-        self, sub_ids: np.ndarray, sub_snr: np.ndarray
-    ) -> SelectionResult:
-        """Array twin of :meth:`_fallback` with Python ``max`` semantics.
-
-        ``max(..., key=snr)`` keeps the first element and replaces it
-        only on a strictly greater key, so ties — and NaN keys, which
-        never compare greater — resolve to the earliest candidate.  A
+        ``max(..., key=snr)`` semantics: the first element is kept and
+        replaced only on a strictly greater key, so ties — and NaN keys,
+        which never compare greater — resolve to the earliest probe.  A
         plain ``np.argmax`` would resolve NaN differently, so the loop
-        is explicit.
+        is explicit.  With no usable probe the last choice stands.
         """
         _obs.inc("selector_fallbacks_total")
         if sub_ids.size:
@@ -218,6 +178,10 @@ class CompressiveSectorSelector:
             return SelectionResult(sector_id=sector_id, fallback=True)
         return SelectionResult(sector_id=self._last_selection, fallback=True)
 
+    def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
+        """Run both steps on one sweep's measurements (a one-row batch)."""
+        return self.select_batch(*_one_row_arrays(measurements))[0]
+
     def select_batch(
         self,
         sector_ids: np.ndarray,
@@ -225,105 +189,26 @@ class CompressiveSectorSelector:
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> List[SelectionResult]:
-        """Run :meth:`select` over a padded batch of sweeps at once.
+        """Both steps over a padded batch of sweeps (correlate → argmax → Eq. 4).
 
         Row ``t`` holds one sweep's probes in slot order (``mask[t]``
         flags slots carrying a report; padded slots may hold anything).
+        Probes of sectors without a measured pattern are ignored.
         ``snr_db`` is always required — the fallback ranks probes by
         SNR regardless of the fusion mode — while ``rssi_dbm`` is only
-        needed when the estimator's fusion uses it.  Rows are processed
-        in order and update the selection state sequentially, so the
-        result list is element-for-element identical to calling
-        :meth:`select` on each sweep, including fallback decisions and
-        the Eq. 4 lookup.
+        needed when the estimator's fusion uses it.  Rows update the
+        selection state in order, so the result list is the sequence of
+        one-sweep selections.
 
         Raises:
             ValueError: a row had enough known-sector probes to attempt
-                estimation but fewer than two finite ones — exactly the
-                case where the scalar path raises mid-sequence.
+                estimation but fewer than two finite ones.
         """
-        ids = np.asarray(sector_ids)
-        if ids.ndim != 2:
-            raise ValueError("sector_ids must be 2-D (trials x probe slots)")
-        _obs.inc("selector_calls_total", path="batched")
-        _obs.inc("selector_batch_rows_total", ids.shape[0])
-        ids = ids.astype(np.intp, copy=False)
-        snr = np.asarray(snr_db, dtype=float)
-        if snr.shape != ids.shape:
-            raise ValueError(
-                f"snr_db shape {snr.shape} does not match sector_ids shape {ids.shape}"
-            )
-        if mask is None:
-            valid = np.ones(ids.shape, dtype=bool)
-        else:
-            valid = np.asarray(mask, dtype=bool)
-            if valid.shape != ids.shape:
-                raise ValueError(
-                    f"mask shape {valid.shape} does not match sector_ids "
-                    f"shape {ids.shape}"
-                )
+        return self._fused_build(self._fused_arrays(sector_ids, snr_db, rssi_dbm, mask))
 
-        lookup = self.estimator._row_lookup
-        in_range = (ids >= 0) & (ids < lookup.size)
-        known = np.zeros(ids.shape, dtype=bool)
-        known[in_range] = lookup[ids[in_range]] >= 0
-        usable = valid & known
-        counts = usable.sum(axis=1)
-
-        estimate_rows = np.flatnonzero(counts >= self.min_probes)
-        estimates: List[Optional[object]] = []
-        if estimate_rows.size:
-            rssi_sub = (
-                None
-                if rssi_dbm is None
-                else np.asarray(rssi_dbm, dtype=float)[estimate_rows]
-            )
-            estimates = self.estimator.estimate_batch(
-                ids[estimate_rows],
-                snr_db=snr[estimate_rows],
-                rssi_dbm=rssi_sub,
-                mask=usable[estimate_rows],
-            )
-        estimate_of_row = dict(zip(estimate_rows.tolist(), estimates))
-
-        quality_on = _quality.quality_context() is not None
-        results: List[SelectionResult] = []
-        for trial in range(ids.shape[0]):
-            row_usable = usable[trial]
-            if counts[trial] < self.min_probes:
-                results.append(
-                    self._fallback_from_arrays(ids[trial, row_usable], snr[trial, row_usable])
-                )
-                continue
-            estimate = estimate_of_row[trial]
-            if estimate is None:
-                raise ValueError(
-                    f"trial {trial}: need at least two finite probe "
-                    f"measurements to correlate"
-                )
-            if estimate.correlation < self.fallback_correlation:
-                results.append(
-                    self._fallback_from_arrays(ids[trial, row_usable], snr[trial, row_usable])
-                )
-                continue
-            grid_index = estimate.grid_index
-            if grid_index is None:
-                grid_index = self.estimator.search_grid.nearest_index(
-                    estimate.azimuth_deg, estimate.elevation_deg
-                )
-            candidate_gains = self._candidate_matrix[:, grid_index]
-            sector_id = int(self.candidate_sector_ids[int(candidate_gains.argmax())])
-            if quality_on:
-                _quality.record_selection_margin(
-                    candidate_gains, estimate.n_probes_used
-                )
-            self._last_selection = sector_id
-            results.append(SelectionResult(sector_id=sector_id, estimate=estimate))
-        return results
-
-    # ------------------------------------------------------------------
-    # Fused single-pass path (correlate → finite-argmax → Eq. 4).
-    # ------------------------------------------------------------------
+    # The repo benchmark's per-layer wrappers (bench/layers.py) time
+    # the kernel under this older name as well, so it stays an alias.
+    select_fused_batch = select_batch
 
     def _fused_arrays(
         self,
@@ -332,10 +217,10 @@ class CompressiveSectorSelector:
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> _FusedBatch:
-        """Stateless array half of :meth:`select_fused_batch`.
+        """Stateless array half of :meth:`select_batch`.
 
-        Validates the padded batch, runs the estimator's fused
-        correlate→argmax pass, and resolves Eq. 4 for every estimated
+        Validates the padded batch, runs the estimator's kernel
+        (correlate → finite argmax), and resolves Eq. 4 for every estimated
         row in one vectorized column gather.  Touches no selector state
         (``_last_selection`` is only read/written by the builder), so
         several blocks' batches may be stacked row-wise and evaluated
@@ -344,7 +229,7 @@ class CompressiveSectorSelector:
         ids = np.asarray(sector_ids)
         if ids.ndim != 2:
             raise ValueError("sector_ids must be 2-D (trials x probe slots)")
-        _obs.inc("selector_calls_total", path="fused")
+        _obs.inc("selector_calls_total")
         _obs.inc("selector_batch_rows_total", ids.shape[0])
         ids = ids.astype(np.intp, copy=False)
         snr = np.asarray(snr_db, dtype=float)
@@ -370,17 +255,16 @@ class CompressiveSectorSelector:
         counts = sel_usable.sum(axis=1)
         need = counts >= self.min_probes
 
-        # The estimator only sees rows that met min_probes (matching
-        # select_batch's estimate_rows subset); zeroing short rows'
-        # masks instead of slicing keeps the batch layout intact for
-        # the single-nonzero compaction.
+        # The estimator only sees rows that met min_probes; zeroing
+        # short rows' masks instead of slicing keeps the batch layout
+        # intact for the kernel's single-nonzero compaction.
         estimate_mask = sel_usable if bool(need.all()) else sel_usable & need[:, None]
         n_probes, best_index, best_corr = self.estimator.estimate_fused_arrays(
             ids, snr_db=snr, rssi_dbm=rssi_dbm, mask=estimate_mask
         )
 
-        # Eq. 4, vectorized: per gathered column, argmax over candidate
-        # gains — identical to the scalar per-row 1-D argmax.
+        # Eq. 4, vectorized: per gathered column, the first argmax over
+        # candidate gains.
         sector_of = np.full(ids.shape[0], -1, dtype=np.intp)
         have = best_index >= 0
         if have.any():
@@ -393,15 +277,14 @@ class CompressiveSectorSelector:
         )
 
     def _fused_build(self, fused: _FusedBatch) -> List[SelectionResult]:
-        """Stateful result-building half of :meth:`select_fused_batch`.
+        """Stateful result-building half of :meth:`select_batch`.
 
         Rows are visited in order, threading ``_last_selection`` and
-        resolving fallbacks exactly like :meth:`select_batch`'s result
-        loop — the only part of the fused path that must run per block
-        in submission order.
+        resolving fallbacks — the only part of the selection that must
+        run per block in submission order.
         """
         results: List[SelectionResult] = []
-        index_to_angles = self.estimator.search_grid.index_to_angles
+        estimate_at = self.estimator._estimate_at
         fallback_correlation = self.fallback_correlation
         quality_on = _quality.quality_context() is not None
         ids = fused.ids
@@ -410,35 +293,29 @@ class CompressiveSectorSelector:
             if not fused.need[trial]:
                 row_usable = fused.sel_usable[trial]
                 results.append(
-                    self._fallback_from_arrays(ids[trial, row_usable], snr[trial, row_usable])
+                    self._fallback(ids[trial, row_usable], snr[trial, row_usable])
                 )
                 continue
             if fused.best_index[trial] < 0:
+                known = int(fused.sel_usable[trial].sum())
                 raise ValueError(
-                    f"trial {trial}: need at least two finite probe "
-                    f"measurements to correlate"
+                    f"trial {trial}: need at least two finite probe measurements "
+                    f"to correlate ({known - int(fused.n_probes[trial])} of "
+                    f"{known} were non-finite)"
                 )
             correlation = float(fused.best_corr[trial])
             if correlation < fallback_correlation:
                 row_usable = fused.sel_usable[trial]
                 results.append(
-                    self._fallback_from_arrays(ids[trial, row_usable], snr[trial, row_usable])
+                    self._fallback(ids[trial, row_usable], snr[trial, row_usable])
                 )
                 continue
             grid_index = int(fused.best_index[trial])
-            azimuth, elevation = index_to_angles(grid_index)
-            estimate = AngleEstimate(
-                azimuth_deg=azimuth,
-                elevation_deg=elevation,
-                correlation=correlation,
-                n_probes_used=int(fused.n_probes[trial]),
-                grid_index=grid_index,
-            )
+            estimate = estimate_at(grid_index, correlation, int(fused.n_probes[trial]))
             if quality_on:
                 # Re-gather the Eq. 4 column (the stateless half does
                 # not retain it) so the margin is recorded only for
-                # rows that actually selected — the same rows
-                # select_batch records.
+                # rows that actually selected.
                 _quality.record_selection_margin(
                     self._candidate_matrix[:, grid_index],
                     estimate.n_probes_used,
@@ -448,35 +325,14 @@ class CompressiveSectorSelector:
             results.append(SelectionResult(sector_id=sector_id, estimate=estimate))
         return results
 
-    def select_fused_batch(
-        self,
-        sector_ids: np.ndarray,
-        snr_db: np.ndarray,
-        rssi_dbm: Optional[np.ndarray] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
-        """Single-pass twin of :meth:`select_batch` (correlate → argmax → Eq. 4).
-
-        Same contract and **bit-for-bit** the same results as
-        :meth:`select_batch`; the difference is purely mechanical — one
-        ``nonzero`` compacts the whole batch up front, each row goes
-        straight from its correlation vector to its finite-aware argmax
-        (no per-row fancy indexing, no full correlation-map
-        materialization), and the Eq. 4 candidate argmax runs as one
-        vectorized column gather.  Raises the same ``ValueError`` as
-        :meth:`select_batch` when a row had enough known-sector probes
-        to attempt estimation but fewer than two finite ones.
-        """
-        return self._fused_build(self._fused_arrays(sector_ids, snr_db, rssi_dbm, mask))
-
     def select_fused_stacked(
         self, parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     ) -> List[List[SelectionResult]]:
-        """Fused evaluation of several independent batches in one pass.
+        """:meth:`select_batch` on several independent batches in one pass.
 
         ``parts`` is a sequence of ``(sector_ids, snr_db, rssi_dbm,
         mask)`` tuples with equal probe widths.  Bit-for-bit equivalent
-        to ``reset(); select_fused_batch(*part)`` per part: the
+        to ``reset(); select_batch(*part)`` per part: the
         stateless half (:meth:`_fused_arrays`) is row-independent, so
         the stacked rows produce exactly the per-part values, and the
         stateful builder then runs per part against freshly reset

@@ -11,33 +11,24 @@ break the scale-invariant normalized inner product, whereas in linear
 power the shift becomes a pure scale that normalization removes.  The
 dB domain remains available for the ablation study.
 
-Two call paths share one arithmetic core (:func:`_correlate`):
-
-* :func:`correlation_map` is the **reference implementation** — it
-  transforms probes and patterns on every call.
-* :func:`prepare_pattern_matrix` + :func:`correlation_map_prepared`
-  and :func:`correlation_map_batch` form the **throughput path**: the
-  (fixed) pattern matrix is converted to the correlation domain once,
-  so per-call work is limited to the M probe values.  Both paths
-  produce bit-for-bit identical results because the domain transform
-  is elementwise (transform-then-gather equals gather-then-transform)
-  and the core runs the same operations in the same order on the same
-  compacted operands.
+Two callers share one arithmetic core (:func:`_correlate_core`):
+:func:`correlation_map`, the public reference helper, which transforms
+probes and patterns on every call, and the selection kernel
+(:meth:`repro.core.estimator.AngleEstimator.estimate_fused_arrays`),
+which converts the fixed pattern matrix once at construction and
+correlates every row of a padded batch against it.  The domain
+transform is elementwise (transform-then-gather equals
+gather-then-transform), so both produce the same bits.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "to_linear_power",
     "normalize_rows",
-    "prepare_pattern_matrix",
     "correlation_map",
-    "correlation_map_prepared",
-    "correlation_map_batch",
 ]
 
 _EPSILON = 1e-12
@@ -79,21 +70,6 @@ def _to_domain(values_db: np.ndarray, domain: str) -> np.ndarray:
     return np.asarray(values_db, dtype=float)
 
 
-def prepare_pattern_matrix(pattern_matrix_db: np.ndarray, domain: str = "linear") -> np.ndarray:
-    """Convert a pattern matrix into the correlation domain **once**.
-
-    The result feeds :func:`correlation_map_prepared` /
-    :func:`correlation_map_batch` (with ``prepared=True``) and any
-    row-gathered slice of it is bitwise identical to transforming the
-    slice directly — the transform is elementwise.
-    """
-    _check_domain(domain)
-    patterns = np.asarray(pattern_matrix_db, dtype=float)
-    if patterns.ndim != 2:
-        raise ValueError("pattern matrix must be 2-D")
-    return _to_domain(patterns, domain)
-
-
 def _unit_columns(patterns: np.ndarray) -> np.ndarray:
     """Normalize each grid point's pattern vector (a column) to unit norm.
 
@@ -108,29 +84,18 @@ def _unit_columns(patterns: np.ndarray) -> np.ndarray:
 
 
 def _correlate_core(probes: np.ndarray, pattern_unit: np.ndarray) -> np.ndarray:
-    """Eq. 2 arithmetic with no errstate guard of its own.
+    """Eq. 2 on domain-transformed probes and unit-column patterns.
 
     ``sqrt(x.dot(x))`` is ``np.linalg.norm``'s own 1-D real-input
     branch, inlined for the same reason as in :func:`_unit_columns`.
-    Callers that evaluate many probe vectors in one pass (the fused
-    selection kernel) enter a single ``np.errstate`` block around their
-    whole loop instead of paying the context-manager entry per row;
-    everyone else goes through :func:`_correlate`.  The guard only
-    masks warnings — it never changes a computed value — so both entry
-    points are bit-for-bit identical.
+    No ``np.errstate`` guard of its own: NaN-padded or zero-norm
+    operands propagate NaN by design, and callers enter one guard
+    around their whole loop (the guard only masks warnings — it never
+    changes a computed value).
     """
     probe_unit = probes / max(np.sqrt(probes.dot(probes)), _EPSILON)
     correlation = probe_unit @ pattern_unit
     return correlation**2
-
-
-def _correlate(probes: np.ndarray, pattern_unit: np.ndarray) -> np.ndarray:
-    """Eq. 2 core on domain-transformed probes and unit-column patterns."""
-    # NaN-padded probe rows (masked-out slots) propagate NaN through the
-    # dot products by design; silence the spurious invalid-divide signal
-    # here rather than in every caller (warnings dedupe by source line).
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _correlate_core(probes, pattern_unit)
 
 
 def correlation_map(
@@ -138,7 +103,7 @@ def correlation_map(
     pattern_matrix_db: np.ndarray,
     domain: str = "linear",
 ) -> np.ndarray:
-    """Eq. 2 evaluated on every grid point at once (reference path).
+    """Eq. 2 evaluated on every grid point at once.
 
     Args:
         probe_values_db: received signal strengths, shape ``(M,)`` — one
@@ -160,92 +125,7 @@ def correlation_map(
             f"{probes.size} probe values"
         )
     _check_domain(domain)
-    return _correlate(_to_domain(probes, domain), _unit_columns(_to_domain(patterns, domain)))
-
-
-def correlation_map_prepared(
-    probe_values_db: np.ndarray,
-    prepared_patterns: np.ndarray,
-    domain: str = "linear",
-) -> np.ndarray:
-    """Eq. 2 against a matrix already converted by :func:`prepare_pattern_matrix`.
-
-    Only the ``M`` probe values are transformed per call; the result is
-    bitwise identical to :func:`correlation_map` on the dB matrix.
-    """
-    probes = np.asarray(probe_values_db, dtype=float)
-    patterns = np.asarray(prepared_patterns, dtype=float)
-    if probes.ndim != 1:
-        raise ValueError("probe values must be a 1-D vector")
-    if patterns.ndim != 2 or patterns.shape[0] != probes.size:
-        raise ValueError(
-            f"pattern matrix shape {patterns.shape} does not match "
-            f"{probes.size} probe values"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _correlate_core(
+            _to_domain(probes, domain), _unit_columns(_to_domain(patterns, domain))
         )
-    _check_domain(domain)
-    return _correlate(_to_domain(probes, domain), _unit_columns(patterns))
-
-
-def correlation_map_batch(
-    probe_matrix_db: np.ndarray,
-    mask: Optional[np.ndarray],
-    pattern_matrix_db: np.ndarray,
-    domain: str = "linear",
-    prepared: bool = False,
-) -> np.ndarray:
-    """Eq. 2 over a padded batch of probe vectors.
-
-    Row ``t`` of the result equals ``correlation_map(probes[t][mask[t]],
-    patterns[mask[t]], domain)`` **bit for bit**: the probe transform is
-    applied to the whole padded matrix (elementwise, so padding cannot
-    leak into valid entries) and each row's valid entries are compacted
-    before entering the same arithmetic core as the scalar kernel.
-
-    Args:
-        probe_matrix_db: padded probe values, shape ``(T, M)``.
-        mask: boolean validity mask, shape ``(T, M)``; ``None`` means
-            every entry is valid.  Invalid entries may hold any float
-            (NaN padding is conventional).
-        pattern_matrix_db: patterns of the ``M`` probe slots on the
-            search grid, shape ``(M, K)``, shared by every row.
-        domain: correlation domain.
-        prepared: when True, ``pattern_matrix_db`` was already converted
-            by :func:`prepare_pattern_matrix` and is used as-is.
-
-    Returns:
-        Correlation surface per row, shape ``(T, K)``.  Rows with no
-        valid entry are all-NaN.
-    """
-    probes = np.asarray(probe_matrix_db, dtype=float)
-    if probes.ndim != 2:
-        raise ValueError("probe matrix must be 2-D (trials x probes)")
-    patterns = np.asarray(pattern_matrix_db, dtype=float)
-    if patterns.ndim != 2 or patterns.shape[0] != probes.shape[1]:
-        raise ValueError(
-            f"pattern matrix shape {patterns.shape} does not match "
-            f"{probes.shape[1]} probe slots"
-        )
-    _check_domain(domain)
-    if mask is None:
-        valid = np.ones(probes.shape, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool)
-        if valid.shape != probes.shape:
-            raise ValueError(
-                f"mask shape {valid.shape} does not match probe matrix "
-                f"shape {probes.shape}"
-            )
-    if not prepared:
-        patterns = _to_domain(patterns, domain)
-    with np.errstate(invalid="ignore", over="ignore"):
-        probes_domain = _to_domain(probes, domain)
-
-    surfaces = np.full((probes.shape[0], patterns.shape[1]), np.nan)
-    for row in range(probes.shape[0]):
-        index = np.flatnonzero(valid[row])
-        if index.size == 0:
-            continue
-        surfaces[row] = _correlate(
-            probes_domain[row, index], _unit_columns(patterns[index])
-        )
-    return surfaces

@@ -7,18 +7,17 @@ firmware, so an outlier in one rarely coincides with an outlier in the
 other, and the product suppresses it.
 
 Hot-path layout: the pattern matrix is sampled on the search grid
-*and* converted to the correlation domain once at construction, so a
-scalar :meth:`AngleEstimator.estimate` only transforms the ``M`` probe
-values per call, and :meth:`AngleEstimator.estimate_batch` amortizes
-the Python overhead over a whole padded trial matrix.  Both paths are
-bit-for-bit identical to the reference scalar semantics (see
-:mod:`.correlation`).
+*and* converted to the correlation domain once at construction.  One
+array kernel (:meth:`AngleEstimator.estimate_fused_arrays`) evaluates a
+whole padded (trials × probes) batch; :meth:`AngleEstimator.estimate`,
+:meth:`AngleEstimator.estimate_batch` and
+:meth:`AngleEstimator.correlation_surface` are adapters over it with no
+arithmetic of their own.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,13 +27,7 @@ from .. import obs as _obs
 from ..obs import quality as _quality
 from ..geometry.grid import AngularGrid
 from ..measurement.patterns import PatternTable
-from .correlation import (
-    _correlate,
-    _correlate_core,
-    _to_domain,
-    _unit_columns,
-    prepare_pattern_matrix,
-)
+from .correlation import _check_domain, _correlate_core, _to_domain, _unit_columns
 from .measurements import ProbeMeasurement
 
 __all__ = ["AngleEstimate", "AngleEstimator"]
@@ -73,6 +66,31 @@ def _finite_argmax(surface: np.ndarray) -> int:
     if valid.size == 0:
         return best
     return int(valid[surface[valid].argmax()])
+
+
+def _fused_surface(
+    pattern_unit: np.ndarray, channels: Sequence[np.ndarray]
+) -> np.ndarray:
+    """One row's correlation map: Eq. 3 for one channel, Eq. 5 for two.
+
+    ``channels`` are the row's domain-transformed probe values, SNR
+    first; the fused map is their per-channel maps multiplied.
+    """
+    surface = None
+    for values in channels:
+        channel_surface = _correlate_core(values, pattern_unit)
+        surface = channel_surface if surface is None else surface * channel_surface
+    return surface
+
+
+def _one_row_arrays(
+    measurements: Sequence[ProbeMeasurement],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sweep's ``(sector_ids, snr_db, rssi_dbm)`` as a 1-row batch."""
+    ids = np.array([[m.sector_id for m in measurements]], dtype=np.intp)
+    snr = np.array([[m.snr_db for m in measurements]], dtype=float)
+    rssi = np.array([[m.rssi_dbm for m in measurements]], dtype=float)
+    return ids, snr, rssi
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,7 @@ class AngleEstimator:
         """
         if fusion not in ("product", "snr", "rssi"):
             raise ValueError("fusion must be 'product', 'snr' or 'rssi'")
+        _check_domain(domain)
         self.pattern_table = pattern_table
         self.search_grid = search_grid if search_grid is not None else pattern_table.grid
         self.domain = domain
@@ -144,12 +163,12 @@ class AngleEstimator:
             self._prepared = prepared
         else:
             self._matrix = pattern_table.sample_matrix(self.search_grid)
-            self._prepared = prepare_pattern_matrix(self._matrix, domain)
+            self._prepared = _to_domain(self._matrix, domain)
         self._row_of_sector: Dict[int, int] = {
             sector_id: row for row, sector_id in enumerate(pattern_table.sector_ids)
         }
         self._known_sectors = frozenset(self._row_of_sector)
-        # Dense sector-id -> row lookup for the batched path (-1 = unknown).
+        # Dense sector-id -> row lookup for the kernel (-1 = unknown).
         max_id = max(self._row_of_sector, default=0)
         lookup = np.full(max_id + 1, -1, dtype=np.intp)
         for sector_id, row in self._row_of_sector.items():
@@ -166,64 +185,6 @@ class AngleEstimator:
     def has_sector(self, sector_id: int) -> bool:
         """O(1): does this sector have a measured pattern?"""
         return sector_id in self._known_sectors
-
-    def _row_indices(self, measurements: Sequence[ProbeMeasurement]) -> List[int]:
-        try:
-            return [self._row_of_sector[m.sector_id] for m in measurements]
-        except KeyError as error:
-            raise KeyError(f"no measured pattern for probed sector {error.args[0]}") from None
-
-    def _usable_measurements(
-        self, measurements: Sequence[ProbeMeasurement]
-    ) -> List[ProbeMeasurement]:
-        """Drop probes whose reported values are non-finite.
-
-        Firmware reports occasionally carry NaN/inf after parse bugs or
-        truncated ring-buffer reads; left alone they poison the whole
-        correlation map (and :func:`_finite_argmax` would then have to
-        discard most of the surface).
-        Only the channels the fusion mode actually uses are checked;
-        kept and dropped are partitioned in a single pass.
-
-        Raises:
-            ValueError: fewer than two finite measurements remain.
-        """
-        kept: List[ProbeMeasurement] = []
-        dropped_sectors: List[int] = []
-        for measurement in measurements:
-            if (self._needs_snr and not math.isfinite(measurement.snr_db)) or (
-                self._needs_rssi and not math.isfinite(measurement.rssi_dbm)
-            ):
-                dropped_sectors.append(measurement.sector_id)
-            else:
-                kept.append(measurement)
-        if dropped_sectors:
-            _LOGGER.warning(
-                "dropped %d of %d probe measurements with non-finite "
-                "snr/rssi values (sectors %s)",
-                len(dropped_sectors),
-                len(measurements),
-                sorted(dropped_sectors),
-            )
-        if len(kept) < 2:
-            if dropped_sectors:
-                raise ValueError(
-                    f"need at least two finite probe measurements to correlate "
-                    f"({len(dropped_sectors)} of {len(measurements)} were non-finite)"
-                )
-            raise ValueError("need at least two probe measurements to correlate")
-        return kept
-
-    def correlation_surface(
-        self, measurements: Sequence[ProbeMeasurement]
-    ) -> np.ndarray:
-        """The fused correlation map over the search grid, flattened.
-
-        Shape ``(grid.n_points,)``; reshape to ``grid.shape`` to plot.
-        Non-finite probe values are dropped (with a logged count)
-        before correlating.
-        """
-        return self._surface(self._usable_measurements(measurements))
 
     def _pattern_unit(self, rows) -> np.ndarray:
         """Unit-column pattern sub-matrix for these rows, memoized.
@@ -245,61 +206,24 @@ class AngleEstimator:
             _obs.inc("estimator_unit_cache_total", result="hit")
         return unit
 
-    def _surface(self, measurements: Sequence[ProbeMeasurement]) -> np.ndarray:
-        """Correlate already-validated measurements against the grid."""
-        rows = self._row_indices(measurements)
-        pattern_unit = self._pattern_unit(rows)
-        surface = None
-        if self._needs_snr:
-            snr_values = np.array([m.snr_db for m in measurements])
-            surface = _correlate(_to_domain(snr_values, self.domain), pattern_unit)
-        if self._needs_rssi:
-            rssi_values = np.array(
-                [m.rssi_dbm - _RSSI_REFERENCE_DBM for m in measurements]
-            )
-            rssi_surface = _correlate(_to_domain(rssi_values, self.domain), pattern_unit)
-            surface = rssi_surface if surface is None else surface * rssi_surface
-        return surface
-
-    def estimate(self, measurements: Sequence[ProbeMeasurement]) -> AngleEstimate:
-        """Eq. 3 / Eq. 5: the grid direction with maximum correlation.
-
-        ``n_probes_used`` counts only the finite measurements that
-        actually entered the correlation.
-        """
-        _obs.inc("estimator_calls_total", path="scalar")
-        measurements = self._usable_measurements(measurements)
-        surface = self._surface(measurements)
-        best_index = _finite_argmax(surface)
-        if _quality.quality_context() is not None:
-            _quality.record_peak_ratio(surface, best_index, len(measurements))
-        azimuth, elevation = self.search_grid.index_to_angles(best_index)
-        return AngleEstimate(
-            azimuth_deg=azimuth,
-            elevation_deg=elevation,
-            correlation=float(surface[best_index]),
-            n_probes_used=len(measurements),
-            grid_index=best_index,
-        )
-
-    # ------------------------------------------------------------------
-    # Batched throughput path.
-    # ------------------------------------------------------------------
-
     def _batch_arrays(
         self,
         sector_ids: np.ndarray,
         snr_db: Optional[np.ndarray],
         rssi_dbm: Optional[np.ndarray],
         mask: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Validate a padded batch and return (rows, usable, snr_t, rssi_t).
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Validate a padded batch and return ``(rows, usable, channels)``.
 
         ``usable`` marks entries that are both valid (per ``mask``) and
-        finite in every channel the fusion mode uses — the batched
-        analogue of :meth:`_usable_measurements`.  ``snr_t``/``rssi_t``
-        are the padded channels already transformed into the correlation
-        domain (garbage in masked-out slots, which is never gathered).
+        finite in every channel the fusion mode uses.  ``channels``
+        holds those channels — SNR first, then RSSI — already
+        transformed into the correlation domain (garbage in masked-out
+        slots, which is never gathered).
+
+        Raises:
+            KeyError: a usable entry names a sector without a measured
+                pattern.
         """
         ids = np.asarray(sector_ids)
         if ids.ndim != 2:
@@ -343,14 +267,94 @@ class AngleEstimator:
             first = int(ids[unknown][0])
             raise KeyError(f"no measured pattern for probed sector {first}")
 
+        channels = []
         with np.errstate(invalid="ignore", over="ignore"):
-            snr_t = None if snr is None else _to_domain(snr, self.domain)
-            rssi_t = (
-                None
-                if rssi is None
-                else _to_domain(rssi - _RSSI_REFERENCE_DBM, self.domain)
+            if snr is not None:
+                channels.append(_to_domain(snr, self.domain))
+            if rssi is not None:
+                channels.append(_to_domain(rssi - _RSSI_REFERENCE_DBM, self.domain))
+        return rows, usable, channels
+
+    def _one_row(
+        self, measurements: Sequence[ProbeMeasurement]
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """:meth:`_batch_arrays` on one sweep's measurements as a 1-row batch.
+
+        Firmware reports occasionally carry NaN/inf after parse bugs or
+        truncated ring-buffer reads.  The kernel skips such probes in
+        every row; for a single sweep the drop is also logged, and a
+        sweep left with fewer than two finite probes raises instead of
+        yielding no estimate.
+
+        Raises:
+            ValueError: fewer than two finite measurements remain.
+        """
+        count = len(measurements)
+        ids, snr, rssi = _one_row_arrays(measurements)
+        arrays = self._batch_arrays(ids, snr, rssi, None)
+        usable = arrays[1][0]
+        kept = int(usable.sum())
+        if kept < count:
+            _LOGGER.warning(
+                "dropped %d of %d probe measurements with non-finite "
+                "snr/rssi values (sectors %s)",
+                count - kept,
+                count,
+                sorted(ids[0, ~usable].tolist()),
             )
-        return rows, usable, snr_t, rssi_t
+        if kept < 2:
+            if kept < count:
+                raise ValueError(
+                    f"need at least two finite probe measurements to correlate "
+                    f"({count - kept} of {count} were non-finite)"
+                )
+            raise ValueError("need at least two probe measurements to correlate")
+        return arrays
+
+    def _estimate_at(
+        self, grid_index: int, correlation: float, n_probes: int
+    ) -> AngleEstimate:
+        azimuth, elevation = self.search_grid.index_to_angles(grid_index)
+        return AngleEstimate(
+            azimuth_deg=azimuth,
+            elevation_deg=elevation,
+            correlation=correlation,
+            n_probes_used=n_probes,
+            grid_index=grid_index,
+        )
+
+    def _row_surface(
+        self, measurements: Sequence[ProbeMeasurement]
+    ) -> Tuple[np.ndarray, int]:
+        """One sweep's fused correlation map and the probe count behind it."""
+        rows, usable, channels = self._one_row(measurements)
+        index = np.flatnonzero(usable[0])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            surface = _fused_surface(
+                self._pattern_unit(rows[0, index]),
+                [values[0, index] for values in channels],
+            )
+        return surface, int(index.size)
+
+    def correlation_surface(
+        self, measurements: Sequence[ProbeMeasurement]
+    ) -> np.ndarray:
+        """The fused correlation map over the search grid, flattened.
+
+        Shape ``(grid.n_points,)``; reshape to ``grid.shape`` to plot.
+        Non-finite probe values are dropped (with a logged count)
+        before correlating.
+        """
+        return self._row_surface(measurements)[0]
+
+    def estimate(self, measurements: Sequence[ProbeMeasurement]) -> AngleEstimate:
+        """Eq. 3 / Eq. 5 on one sweep: a one-row call of the kernel.
+
+        ``n_probes_used`` counts only the finite measurements that
+        actually entered the correlation.
+        """
+        n_probes, best_index, best_corr = self._argmax_rows(*self._one_row(measurements))
+        return self._estimate_at(int(best_index[0]), float(best_corr[0]), int(n_probes[0]))
 
     def estimate_batch(
         self,
@@ -359,54 +363,19 @@ class AngleEstimator:
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> List[Optional[AngleEstimate]]:
-        """Eq. 3 / Eq. 5 over a padded batch of probe sweeps.
+        """:meth:`estimate_fused_arrays` as one estimate (or ``None``) per row.
 
-        Row ``t`` describes one sweep's probes in slot order: sector ids
-        in ``sector_ids[t]``, their reported values in ``snr_db[t]`` /
-        ``rssi_dbm[t]`` (whichever channels the fusion mode uses), and
-        ``mask[t]`` flagging slots that actually carry a report (padded
-        slots may hold anything).  Each row reproduces
-        ``estimate([...])`` on its valid, finite measurements **bit for
-        bit**; rows with fewer than two such measurements yield ``None``
+        Rows with fewer than two usable measurements yield ``None``
         instead of raising, because padded batches legitimately contain
         under-filled trials that callers want to skip.
-
-        Returns:
-            One :class:`AngleEstimate` (or ``None``) per row.
         """
-        rows, usable, snr_t, rssi_t = self._batch_arrays(
+        n_probes, best_index, best_corr = self.estimate_fused_arrays(
             sector_ids, snr_db, rssi_dbm, mask
         )
-        _obs.inc("estimator_calls_total", path="batched")
-        _obs.inc("estimator_batch_rows_total", rows.shape[0])
-        quality_on = _quality.quality_context() is not None
-        estimates: List[Optional[AngleEstimate]] = []
-        for trial in range(rows.shape[0]):
-            index = np.flatnonzero(usable[trial])
-            if index.size < 2:
-                estimates.append(None)
-                continue
-            pattern_unit = self._pattern_unit(rows[trial, index])
-            surface = None
-            if snr_t is not None:
-                surface = _correlate(snr_t[trial, index], pattern_unit)
-            if rssi_t is not None:
-                rssi_surface = _correlate(rssi_t[trial, index], pattern_unit)
-                surface = rssi_surface if surface is None else surface * rssi_surface
-            best_index = _finite_argmax(surface)
-            if quality_on:
-                _quality.record_peak_ratio(surface, best_index, int(index.size))
-            azimuth, elevation = self.search_grid.index_to_angles(best_index)
-            estimates.append(
-                AngleEstimate(
-                    azimuth_deg=azimuth,
-                    elevation_deg=elevation,
-                    correlation=float(surface[best_index]),
-                    n_probes_used=int(index.size),
-                    grid_index=best_index,
-                )
-            )
-        return estimates
+        return [
+            self._estimate_at(int(index), float(corr), int(count)) if index >= 0 else None
+            for count, index, corr in zip(n_probes, best_index, best_corr)
+        ]
 
     def estimate_fused_arrays(
         self,
@@ -415,43 +384,49 @@ class AngleEstimator:
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused correlate→finite-argmax pass over a padded batch.
+        """Eq. 3 / Eq. 5 over a padded batch of probe sweeps.
 
-        The array-level core of :meth:`estimate_batch`: one ``nonzero``
-        compacts every usable (valid **and** finite) entry of the batch
-        into flat arrays up front, then each row's slice is correlated
-        against its memoized unit sub-matrix and reduced to its
-        finite-aware argmax immediately — no per-row fancy indexing, no
-        ``(T, K)`` correlation-surface materialization, and a single
-        ``np.errstate`` entry for the whole batch.  Every row computes
-        exactly the values :meth:`estimate_batch` would (same compacted
-        operands, same arithmetic core, same argmax), so downstream
-        consumers are bit-for-bit identical.
+        Row ``t`` describes one sweep's probes in slot order: sector ids
+        in ``sector_ids[t]``, their reported values in ``snr_db[t]`` /
+        ``rssi_dbm[t]`` (whichever channels the fusion mode uses), and
+        ``mask[t]`` flagging slots that actually carry a report (padded
+        slots may hold anything).  Non-finite values in a used channel
+        are skipped like padding.
 
         Returns:
             ``(n_probes, best_index, best_corr)`` arrays of length
-            ``T``.  Rows with fewer than two usable measurements — the
-            rows :meth:`estimate_batch` maps to ``None`` — carry
-            ``best_index == -1`` and ``best_corr == NaN``.
+            ``T``: usable probes, flat search-grid index of the argmax
+            and the correlation there.  Rows with fewer than two usable
+            measurements carry ``best_index == -1`` and
+            ``best_corr == NaN``.
         """
-        rows, usable, snr_t, rssi_t = self._batch_arrays(
-            sector_ids, snr_db, rssi_dbm, mask
-        )
-        _obs.inc("estimator_calls_total", path="fused")
+        return self._argmax_rows(*self._batch_arrays(sector_ids, snr_db, rssi_dbm, mask))
+
+    def _argmax_rows(
+        self, rows: np.ndarray, usable: np.ndarray, channels: List[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel: compact, correlate and take the finite argmax per row.
+
+        One ``nonzero`` compacts every usable entry of the batch into
+        flat arrays up front; each row's slice is then correlated
+        against its memoized unit sub-matrix and reduced to its
+        finite-aware argmax immediately — no per-row fancy indexing, no
+        ``(T, K)`` surface materialization, and a single
+        ``np.errstate`` entry for the whole batch.
+        """
+        _obs.inc("estimator_calls_total")
         _obs.inc("estimator_batch_rows_total", rows.shape[0])
         n_trials = rows.shape[0]
         n_probes = usable.sum(axis=1)
         best_index = np.full(n_trials, -1, dtype=np.intp)
         best_corr = np.full(n_trials, np.nan)
-        # Single compaction pass: row-major nonzero visits each row's
-        # usable columns in ascending order — the same order
-        # ``np.flatnonzero(usable[trial])`` yields — so basic slices of
-        # the flat gathers are bitwise the per-row gathers.
+        # Row-major nonzero visits each row's usable columns in
+        # ascending order, so basic slices of the flat gathers are each
+        # row's probes in slot order.
         row_idx, col_idx = np.nonzero(usable)
         ends = np.cumsum(n_probes)
         rows_c = rows[row_idx, col_idx]
-        snr_c = None if snr_t is None else snr_t[row_idx, col_idx]
-        rssi_c = None if rssi_t is None else rssi_t[row_idx, col_idx]
+        channels_c = [values[row_idx, col_idx] for values in channels]
         pattern_unit_of = self._pattern_unit
         quality_on = _quality.quality_context() is not None
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -461,15 +436,10 @@ class AngleEstimator:
                 if end - start < 2:
                     start = end
                     continue
-                pattern_unit = pattern_unit_of(rows_c[start:end])
-                surface = None
-                if snr_c is not None:
-                    surface = _correlate_core(snr_c[start:end], pattern_unit)
-                if rssi_c is not None:
-                    rssi_surface = _correlate_core(rssi_c[start:end], pattern_unit)
-                    surface = (
-                        rssi_surface if surface is None else surface * rssi_surface
-                    )
+                surface = _fused_surface(
+                    pattern_unit_of(rows_c[start:end]),
+                    [values[start:end] for values in channels_c],
+                )
                 found = _finite_argmax(surface)
                 best_index[trial] = found
                 best_corr[trial] = surface[found]

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..geometry.angles import azimuth_difference
 from ..geometry.grid import AngularGrid
-from .estimator import AngleEstimate, AngleEstimator
+from .estimator import AngleEstimate, AngleEstimator, _finite_argmax
 from .measurements import ProbeMeasurement
 
 __all__ = ["OutOfBandPrior", "PriorAidedEstimator"]
@@ -74,15 +74,16 @@ class PriorAidedEstimator:
         measurements: Sequence[ProbeMeasurement],
         prior: Optional[OutOfBandPrior] = None,
     ) -> AngleEstimate:
-        """Eq. 3/5 argmax over the prior-weighted correlation map."""
-        surface = self.estimator.correlation_surface(measurements)
+        """Eq. 3/5 argmax over the prior-weighted correlation map.
+
+        Validation and the argmax are the plain estimator's: non-finite
+        probes are dropped (and not counted in ``n_probes_used``), and
+        a NaN grid point never wins.
+        """
+        surface, n_probes = self.estimator._row_surface(measurements)
         if prior is not None:
             surface = surface * prior.weights_on(self.search_grid)
-        best_index = int(np.argmax(surface))
-        azimuth, elevation = self.search_grid.index_to_angles(best_index)
-        return AngleEstimate(
-            azimuth_deg=azimuth,
-            elevation_deg=elevation,
-            correlation=float(surface[best_index]),
-            n_probes_used=len(measurements),
+        best_index = _finite_argmax(surface)
+        return self.estimator._estimate_at(
+            best_index, float(surface[best_index]), n_probes
         )

@@ -42,7 +42,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: the name alone) so every process of a run bins identically and
 #: cross-process merges stay an elementwise sum.
 BUCKETS_BY_METRIC: Dict[str, Tuple[float, ...]] = {
-    "runner_block_seconds": DEFAULT_BUCKETS,
     "runner_retry_wait_seconds": (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5),
     "planner_probes_requested": (2, 4, 8, 12, 16, 20, 24, 28, 34),
     # Whole-run service latency: runs span milliseconds (tiny smoke

@@ -5,15 +5,16 @@ exhaustive sweep because the math is cheap (§6.4) — so this repo
 tracks the latency of its own hot kernels over time.  ``repro-bench
 perf`` times four workloads:
 
-* scalar ``CompressiveSectorSelector.select`` latency (M=14 probes on
-  the default 91×9 search grid — the profiled workload),
-* batched ``select_batch`` throughput over the same trials,
+* one-sweep ``CompressiveSectorSelector.select`` and
+  ``AngleEstimator.estimate`` latency (M=14 probes on the default 91×9
+  search grid — one-row calls of the selection kernel),
+* the selection kernel's throughput (``select_fused_per_s``, the name
+  it carries across the trajectory) over the same trials as one batch,
 * a reduced chamber campaign build (the ``build_testbed`` hot path),
 * ``record_directions`` recording throughput, plus the vectorized
   ``MeasurementModel.observe_batch`` kernel.
 
-Later layers add their own points when present: the fused single-pass
-selection kernel (``select_fused_per_s``), and the scenario engine
+Later layers add their own points when present: the scenario engine
 measured at ``jobs=1`` vs ``jobs=4`` against persistent warm runners —
 the sharded executor keeps its fork pool and published shared-memory
 kernels alive between runs, so the timed passes see the steady state
@@ -275,7 +276,7 @@ def measure_metrics(
         )
     )
 
-    # -- scalar select / estimate latency ------------------------------
+    # -- one-sweep select / estimate latency ---------------------------
     _, trials = _perf_trials(testbed, n_directions, n_sweeps, n_probes, seed)
     selector = CompressiveSectorSelector(testbed.pattern_table)
     metrics["select_scalar_ms_median"] = 1e3 * _median_latency_s(
@@ -286,26 +287,13 @@ def measure_metrics(
         [lambda t=t: estimator.estimate(t) for t in trials], repeats
     )
 
-    # -- batched and fused throughput ----------------------------------
+    # -- selection-kernel throughput -----------------------------------
     batch = pack_probe_trials(trials)
     selector.reset()
     start = time.perf_counter()
     batch_repeats = max(repeats, 1)
     for _ in range(batch_repeats):
         selector.select_batch(*batch)
-    elapsed = time.perf_counter() - start
-    metrics["select_batch_per_s"] = len(trials) * batch_repeats / elapsed
-    start = time.perf_counter()
-    for _ in range(batch_repeats):
-        estimator.estimate_batch(*batch)
-    elapsed = time.perf_counter() - start
-    metrics["estimate_batch_per_s"] = len(trials) * batch_repeats / elapsed
-    # Same trials, same batch layout, so the fused/batched ratio is
-    # directly the win of skipping the intermediate estimate pass.
-    selector.reset()
-    start = time.perf_counter()
-    for _ in range(batch_repeats):
-        selector.select_fused_batch(*batch)
     elapsed = time.perf_counter() - start
     metrics["select_fused_per_s"] = len(trials) * batch_repeats / elapsed
 

@@ -16,12 +16,12 @@ for degraded *infrastructure*.  This module is the vocabulary:
   :class:`~.spec.ScenarioSpec` (``repro-bench run --inject``) so every
   degradation path is exercised in CI, not just claimed.
 * :class:`RunHealth` — the observable outcome: attempts, retries,
-  timeouts, pool replacements, scalar fallbacks and checkpoint hits,
+  timeouts, pool replacements and checkpoint hits,
   surfaced through :class:`~.manifest.RunManifest`.
 
 Invariant (pinned in tests): because randomness is consumed only during
 planning and block evaluation is pure, recovery — retries, pool
-replacement, checkpoint resume, scalar fallback — is **bit-invisible**
+replacement, checkpoint resume — is **bit-invisible**
 in the records.  A fault plan changes a run's health section, never its
 results, which is why :meth:`~.spec.ScenarioSpec.digest` excludes it.
 """
@@ -86,8 +86,8 @@ class RunAbortedError(BaseException):
     """A run was stopped on purpose, not by a fault.
 
     Subclasses ``BaseException`` deliberately: the runner's supervision
-    layers absorb ``Exception`` (retry, pool replacement, scalar
-    fallback — that is their job), but an abort is an *instruction*,
+    layers absorb ``Exception`` (retry, pool replacement — that is
+    their job), but an abort is an *instruction*,
     not a failure, and must pierce every retry loop the way
     ``KeyboardInterrupt`` does.  Nothing is charged to health counters
     on the way out; completed blocks stay journaled so a later
@@ -300,8 +300,6 @@ class RunHealth:
         pool_replacements: process pools torn down and rebuilt after a
             worker death or a hung block.
         injected: fault-plan directives issued.
-        fallbacks: blocks whose batched kernel failed and were
-            recomputed on the scalar reference path.
         attempts: attempts per block that needed more than one, keyed
             ``"label[index]"``.
     """
@@ -313,7 +311,6 @@ class RunHealth:
     timeouts: int = 0
     pool_replacements: int = 0
     injected: int = 0
-    fallbacks: int = 0
     attempts: Dict[str, int] = field(default_factory=dict)
 
     # The note_* methods below are the one place supervision outcomes
@@ -352,12 +349,6 @@ class RunHealth:
         self.pool_replacements += 1
         _obs.event("pool.replaced")
         _obs.inc("runner_pool_replacements_total")
-
-    def note_fallback(self, label: str, block_index: int) -> None:
-        """A block's batched kernel failed; the scalar path recomputed it."""
-        self.fallbacks += 1
-        _obs.event("kernel.fallback", policy=label, block=int(block_index))
-        _obs.inc("runner_fallbacks_total")
 
     def note_checkpoint_hit(self, label: str, block_index: int, call_index: int) -> None:
         """A block was restored from the checkpoint journal, not executed."""
@@ -400,6 +391,5 @@ class RunHealth:
             "timeouts": self.timeouts,
             "pool_replacements": self.pool_replacements,
             "injected": self.injected,
-            "fallbacks": self.fallbacks,
             "attempts": dict(self.attempts),
         }

@@ -120,7 +120,6 @@ class RunManifest:
                 "timeouts",
                 "pool_replacements",
                 "injected",
-                "fallbacks",
             )
             if health.get(key)
         )

@@ -8,8 +8,9 @@ beams, the oracle) answers the same three questions per training:
 2. *Given those measurements, which sector?* — ``select``
 3. *What did the training cost in airtime?* — ``training_time_us``
 
-A policy that additionally implements ``select_batch`` gets the
-engine's vectorized fast path (whole recordings per call).  Policies
+A policy that additionally implements ``select_batch`` is evaluated a
+whole recording per call; the runner calls ``select`` per row only for
+policies without one.  Policies
 are constructed from a :class:`~.spec.PolicySpec` through the registry
 (:mod:`.registry`), receiving a :class:`PolicyContext` with the shared
 testbed and a cache for expensive intermediates (pattern matrices,
@@ -96,14 +97,17 @@ class SelectionPolicy(Protocol):
         """Mutual training airtime for a trial of this shape."""
         ...
 
-    # Optional fast path (not part of the Protocol's required surface):
+    # Optional (not part of the Protocol's required surface):
     #
     # def select_batch(self, sector_ids, snr_db, rssi_dbm=None, mask=None)
     #     -> List[SelectionResult]
     #
-    # Row-sequential batched twin of `select` over padded trial arrays,
-    # element-for-element identical to scalar calls (the PR-2 batched
-    # engine contract).
+    # `select` over padded (trials x probes) arrays, rows threading the
+    # selection state in order: element-for-element the results of
+    # calling `select` on each row's measurements.  When both exist,
+    # the runner calls only `select_batch`; a raising call is a failed
+    # block attempt (retried, then failed), never silently redone
+    # through `select`.
 
 
 @dataclass(frozen=True)

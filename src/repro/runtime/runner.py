@@ -7,19 +7,19 @@ strategies.  :class:`ScenarioRunner` owns that shape once:
 * **plan_trials** replays each policy's probe draws in the exact
   scalar order (one draw per recording × sweep × subsample) and packs
   them into per-recording :class:`TrialBlock` arrays;
-* **execute** evaluates the blocks through the policy's batched fast
-  path (or a scalar fallback for policies without one), resetting
-  selection state per recording or per plan;
+* **execute** evaluates each block with one ``select_batch`` call (or
+  ``select`` per row for policies without one, e.g. the oracle),
+  resetting selection state per recording or per plan;
 * **run_interactive** drives multi-round policies (hierarchical
   search) against a measure callable, round by round;
 * **run** resolves a :class:`~.spec.ScenarioSpec` through the registry,
   times every policy, and emits a :class:`~.manifest.RunManifest`.
 
-Bit-exactness: randomness is consumed *only* during planning, batched
-kernels are row-sequential twins of the scalar paths (PR-2), and reset
-boundaries reproduce each legacy loop's selector lifetimes — so every
-experiment's output is bit-identical to its pre-runtime version, at
-any ``jobs`` count.
+Bit-exactness: randomness is consumed *only* during planning, a batch
+call threads selection state row by row exactly like one-sweep calls,
+and reset boundaries reproduce each legacy loop's selector lifetimes —
+so every experiment's output is bit-identical to its pre-runtime
+version, at any ``jobs`` count.
 
 Sharding (``jobs > 1``) fans per-recording blocks out to a process
 pool.  It engages only when state resets per recording (blocks are
@@ -31,9 +31,11 @@ Supervision (DESIGN.md §9): every ``reset="recording"`` block runs
 under a :class:`~.faults.RetryPolicy` — bounded attempts, seeded
 backoff, optional per-block timeout.  A dead worker
 (``BrokenProcessPool``) or a hung block costs one pool replacement and
-a re-execution of only the lost blocks; a failing batched kernel falls
-back to the scalar reference path; a :class:`~.checkpoint.CheckpointStore`
-journals finished blocks so a killed campaign resumes where it died.
+a re-execution of only the lost blocks; a raising kernel is a failed
+attempt like any other (retried, then a structured
+:class:`~.faults.RetryExhaustedError`); a
+:class:`~.checkpoint.CheckpointStore` journals finished blocks so a
+killed campaign resumes where it died.
 Because block evaluation is pure, every recovery path is bit-invisible
 in the records, and :attr:`ScenarioRunner.health` accounts for all of
 it in the run manifest.
@@ -332,8 +334,25 @@ def _apply_worker_directive(directive: Dict[str, Any], testbed_key: str) -> None
         _reset_worker_caches()
 
 
-def _eval_block_scalar(policy, block: TrialBlock) -> List:
-    """The scalar reference path: rebuild each row's measurement list."""
+def _eval_block(policy, block: TrialBlock) -> List:
+    """Evaluate one block against the policy's current selection state.
+
+    A policy with ``select_batch`` evaluates the whole block in one
+    call; any other (the oracle, plugins) gets its ``select`` called
+    per row on the row's measurement list.  A raising kernel is a
+    failed block attempt like any other error: it goes through the
+    supervisor's retry/fail path.
+    """
+    select_batch = getattr(policy, "select_batch", None)
+    if select_batch is not None:
+        results = select_batch(
+            block.sector_ids,
+            snr_db=block.snr_db,
+            rssi_dbm=block.rssi_dbm,
+            mask=block.mask,
+        )
+        _obs.inc("runner_kernel_path_total", path="batched")
+        return results
     from ..core.measurements import ProbeMeasurement
 
     results = []
@@ -347,64 +366,8 @@ def _eval_block_scalar(policy, block: TrialBlock) -> List:
             for column in np.flatnonzero(block.mask[row])
         ]
         results.append(policy.select(measurements))
-    return results
-
-
-def _batched_entry(policy) -> Tuple[Optional[Callable], str]:
-    """The fastest batched entry point a policy offers.
-
-    Preference order: the fused single-pass kernel
-    (``select_fused_batch``, bit-identical to ``select_batch`` by
-    contract), then the plain batched kernel, then none (scalar).  The
-    returned label feeds the ``runner_kernel_path_total`` metric.
-    """
-    entry = getattr(policy, "select_fused_batch", None)
-    if entry is not None:
-        return entry, "fused"
-    entry = getattr(policy, "select_batch", None)
-    if entry is not None:
-        return entry, "batched"
-    return None, "scalar"
-
-
-def _eval_block_guarded(policy, block: TrialBlock) -> Tuple[List, Dict[str, Any]]:
-    """Evaluate one fresh-state block, degrading fused/batched → scalar.
-
-    A failing batched kernel is not fatal: the block is recomputed on
-    the scalar reference path (bit-identical by the PR-2 equivalence
-    contract) after a state reset, and the degradation is reported in
-    the returned info dict so the run's health section can surface it.
-    """
-    begin = time.perf_counter()
-    entry, path = _batched_entry(policy)
-    if entry is not None:
-        try:
-            results = entry(
-                block.sector_ids,
-                snr_db=block.snr_db,
-                rssi_dbm=block.rssi_dbm,
-                mask=block.mask,
-            )
-            _obs.inc("runner_kernel_path_total", path=path)
-            _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-            return results, {"fallback": False}
-        except Exception as error:
-            _LOGGER.warning(
-                "batched kernel failed on recording %d (%s: %s); "
-                "falling back to the scalar reference path",
-                block.recording_index,
-                type(error).__name__,
-                error,
-            )
-            policy.reset()
-            results = _eval_block_scalar(policy, block)
-            _obs.inc("runner_kernel_path_total", path="scalar")
-            _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-            return results, {"fallback": True}
-    results = _eval_block_scalar(policy, block)
     _obs.inc("runner_kernel_path_total", path="scalar")
-    _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-    return results, {"fallback": False}
+    return results
 
 
 def _worker_run_block(
@@ -431,7 +394,7 @@ def _worker_run_block(
             _apply_worker_directive(directive, testbed_key)
         policy = _worker_policy(testbed_key, policy_key, manifest)
         policy.reset()
-        return _eval_block_guarded(policy, block)
+        return _eval_block(policy, block), {}
     # The quality context rides inside obs_meta but is not a span
     # attribute — pop it so worker spans stay attr-identical to the
     # local path's.  It scopes only the evaluation (not the policy
@@ -447,23 +410,21 @@ def _worker_run_block(
                 _apply_worker_directive(directive, testbed_key)
             policy = _worker_policy(testbed_key, policy_key, manifest)
             policy.reset()
-            results, info = _eval_block_quality(policy, block, quality_meta)
-        info = dict(info)
-        info["obs"] = session.drain_payload()
-        return results, info
+            results = _eval_block_quality(policy, block, quality_meta)
+        return results, {"obs": session.drain_payload()}
     finally:
         _obs.deactivate(previous)
 
 
 def _eval_block_quality(
     policy, block: TrialBlock, quality_meta: Optional[Mapping[str, Any]]
-):
-    """``_eval_block_guarded`` under the shipped quality context, if any."""
+) -> List:
+    """:func:`_eval_block` under the shipped quality context, if any."""
     if quality_meta is None:
-        return _eval_block_guarded(policy, block)
+        return _eval_block(policy, block)
     token = _quality.activate_quality(_quality.QualityContext.from_meta(quality_meta))
     try:
-        return _eval_block_guarded(policy, block)
+        return _eval_block(policy, block)
     finally:
         _quality.deactivate_quality(token)
 
@@ -480,9 +441,8 @@ def _eval_chunk_stacked(
     Only taken untraced: per-block observability (counter increments,
     payload attribution) needs per-block evaluation, and obs calls are
     no-ops here anyway.  Returns None when the policy has no stacked
-    kernel, blocks' widths differ, or anything raises — callers fall
-    back to the per-block loop, which reproduces exact per-block error
-    and fallback behavior.
+    kernel, blocks' widths differ, or anything raises — callers then
+    run the per-block loop, which attributes the error to its block.
     """
     stacked_entry = getattr(policy, "select_fused_stacked", None)
     if stacked_entry is None or len(indexed_blocks) < 2:
@@ -490,7 +450,6 @@ def _eval_chunk_stacked(
     width = indexed_blocks[0][1].sector_ids.shape[1]
     if any(block.sector_ids.shape[1] != width for _, block in indexed_blocks):
         return None
-    begin = time.perf_counter()
     try:
         results = stacked_entry(
             [
@@ -500,9 +459,8 @@ def _eval_chunk_stacked(
         )
     except Exception:
         return None
-    _obs.observe("runner_block_seconds", time.perf_counter() - begin)
     return {
-        index: (block_results, {"fallback": False})
+        index: (block_results, {})
         for (index, _), block_results in zip(indexed_blocks, results)
     }
 
@@ -575,7 +533,7 @@ def _worker_run_chunk(
         try:
             if obs_meta is None:
                 policy.reset()
-                done[index] = _eval_block_guarded(policy, block)
+                done[index] = (_eval_block(policy, block), {})
                 continue
             obs_meta = dict(obs_meta)
             quality_meta = obs_meta.pop("quality", None)
@@ -584,10 +542,8 @@ def _worker_run_chunk(
             try:
                 with _obs.span("execute.block", **obs_meta):
                     policy.reset()
-                    results, info = _eval_block_quality(policy, block, quality_meta)
-                info = dict(info)
-                info["obs"] = session.drain_payload()
-                done[index] = (results, info)
+                    results = _eval_block_quality(policy, block, quality_meta)
+                done[index] = (results, {"obs": session.drain_payload()})
             finally:
                 _obs.deactivate(previous)
         except Exception as error:
@@ -1083,7 +1039,7 @@ class ScenarioRunner:
         records: List[TrialRecord] = []
         for block in blocks:
             self._check_abort()
-            records.extend(self._records_of(block, self._evaluate_block(policy, block)))
+            records.extend(self._records_of(block, _eval_block(policy, block)))
         return records
 
     def _execute_recording(
@@ -1169,8 +1125,6 @@ class ScenarioRunner:
                     session.absorb_payload(
                         payload, self._policy_span_id, f"c{call_index}b{index}"
                     )
-                if info.get("fallback"):
-                    self.health.note_fallback(label, index)
 
         records: List[TrialRecord] = []
         for index, block in enumerate(blocks):
@@ -1220,7 +1174,7 @@ class ScenarioRunner:
                                 directive, testbed_key, label, index, attempt
                             )
                         policy.reset()
-                        out[index] = _eval_block_guarded(policy, block)
+                        out[index] = (_eval_block(policy, block), {})
                     if store is not None:
                         store.put(policy_key, call_index, index, out[index][0])
                     self.health.note_attempts(label, index, attempt)
@@ -1286,24 +1240,6 @@ class ScenarioRunner:
             raise FaultInjectionError(f"injected transient fault ({kind}, local mode)")
         if kind == "hang":
             time.sleep(float(directive.get("hang_s", 30.0)))
-
-    def _evaluate_block(self, policy, block: TrialBlock) -> List:
-        """The unguarded evaluation used by the stateful plan path."""
-        begin = time.perf_counter()
-        entry, path = _batched_entry(policy)
-        if entry is not None:
-            results = entry(
-                block.sector_ids,
-                snr_db=block.snr_db,
-                rssi_dbm=block.rssi_dbm,
-                mask=block.mask,
-            )
-            _obs.inc("runner_kernel_path_total", path=path)
-        else:
-            results = _eval_block_scalar(policy, block)
-            _obs.inc("runner_kernel_path_total", path="scalar")
-        _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-        return results
 
     @staticmethod
     def _records_of(block: TrialBlock, results: Sequence) -> List[TrialRecord]:

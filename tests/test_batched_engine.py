@@ -1,14 +1,16 @@
-"""Scalar↔batched equivalence for the estimation engine (tier 1).
+"""The selection kernel against a naive Eq. 2–5 reference (tier 1).
 
-The batched kernels (`correlation_map_batch`, `estimate_batch`,
-`select_batch`) promise **bit-for-bit** agreement with the scalar
-reference path — not approximate agreement — because every experiment
-was rewritten on top of them with pinned expected outputs.  These tests
-drive both paths over hypothesis-generated ragged, NaN-ridden batches
-in every fusion mode and correlation domain and assert exact equality,
-plus the perf guards: the precomputed-matrix path must never transform
-the pattern matrix again per estimate, and `repro-bench perf --check`
-must fail on a latency regression.
+Every experiment runs on one array kernel over padded (trials × probes)
+batches (``AngleEstimator.estimate_fused_arrays`` plus the Eq. 4 gather
+and result builder of ``CompressiveSectorSelector.select_batch``); the
+one-sweep ``estimate`` / ``select`` / ``correlation_surface`` calls are
+adapters over it.  These tests drive the kernel and its adapters over
+hypothesis-generated ragged, NaN-ridden batches in every fusion mode
+and correlation domain and assert **exact** equality with the
+deliberately naive reference in :mod:`tests.reference_kernel` — the
+pinned experiment outputs depend on every bit.  Also here: the perf
+guards (the pattern matrix is never transformed per estimate, and
+``repro-bench perf --check`` fails on a latency regression).
 """
 
 import numpy as np
@@ -18,30 +20,26 @@ from hypothesis import strategies as st
 
 import repro.core.correlation as correlation
 from repro.core.compressive import CompressiveSectorSelector
-from repro.core.correlation import (
-    correlation_map,
-    correlation_map_batch,
-    correlation_map_prepared,
-    prepare_pattern_matrix,
-)
+from repro.core.correlation import correlation_map
 from repro.core.estimator import _UNIT_CACHE_LIMIT, AngleEstimator
 from repro.core.measurements import ProbeMeasurement
 from repro.experiments.common import pack_probe_trials, random_probe_columns
-from repro.geometry import AngularGrid
-from repro.measurement import PatternTable
 
-N_SECTORS = 6
+from tests.reference_kernel import (
+    N_SECTORS,
+    ReferenceEstimator,
+    ReferenceSelector,
+    any_sector,
+    batches,
+    eq2,
+    measurements_of,
+    outcome,
+    small_table,
+    unpack,
+    valid_slots,
+)
 
-
-def _small_table(seed: int = 7) -> PatternTable:
-    grid = AngularGrid(np.linspace(-20.0, 20.0, 5), np.array([0.0, 10.0]))
-    rng = np.random.default_rng(seed)
-    return PatternTable(
-        grid, {s: rng.uniform(-10.0, 12.0, grid.shape) for s in range(N_SECTORS)}
-    )
-
-
-TABLE = _small_table()
+TABLE = small_table()
 
 FUSIONS = ("product", "snr", "rssi")
 DOMAINS = ("linear", "db")
@@ -53,106 +51,69 @@ ESTIMATORS = {
     for fusion in FUSIONS
     for domain in DOMAINS
 }
-
-# A probe value: ordinary, NaN (dropped by the scalar path) or inf.
-probe_value = st.one_of(
-    st.floats(min_value=-30.0, max_value=30.0),
-    st.just(float("nan")),
-    st.just(float("inf")),
-)
-
-# One padded slot: (sector, snr, rssi, slot-carries-a-report).
-slot = st.tuples(
-    st.integers(min_value=0, max_value=N_SECTORS - 1),
-    probe_value,
-    probe_value,
-    st.booleans(),
-)
-
-# A ragged batch: trials share the padded width but not the valid count.
-batch = st.integers(min_value=2, max_value=5).flatmap(
-    lambda width: st.lists(
-        st.lists(slot, min_size=width, max_size=width), min_size=1, max_size=4
-    )
-)
-
-
-def _unpack(trials):
-    ids = np.array([[s[0] for s in trial] for trial in trials])
-    snr = np.array([[s[1] for s in trial] for trial in trials])
-    rssi = np.array([[s[2] for s in trial] for trial in trials])
-    mask = np.array([[s[3] for s in trial] for trial in trials])
-    return ids, snr, rssi, mask
-
-
-def _scalar_measurements(trial):
-    return [
-        ProbeMeasurement(sector_id=s[0], snr_db=s[1], rssi_dbm=s[2])
-        for s in trial
-        if s[3]
-    ]
+REFERENCES = {
+    (fusion, domain): ReferenceEstimator(TABLE, fusion=fusion, domain=domain)
+    for fusion in FUSIONS
+    for domain in DOMAINS
+}
 
 
 class TestCorrelationMapBatch:
     @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=60, deadline=None)
-    @given(batch=batch, data=st.data())
-    def test_rows_match_reference_bitwise(self, domain, batch, data):
-        ids, snr, _, mask = _unpack(batch)
-        probes, valid = snr, mask
-        patterns = TABLE.sample_matrix(TABLE.grid)[: probes.shape[1]]
-        surfaces = correlation_map_batch(probes, valid, patterns, domain=domain)
-        assert surfaces.shape == (probes.shape[0], patterns.shape[1])
-        for row in range(probes.shape[0]):
-            keep = valid[row]
+    @given(batch=batches(min_width=2))
+    def test_rows_match_reference_bitwise(self, domain, batch):
+        """The public Eq. 2 helper, row by row over a padded batch."""
+        _, snr, _, mask = unpack(batch)
+        patterns = TABLE.sample_matrix(TABLE.grid)[: snr.shape[1]]
+        for row in range(snr.shape[0]):
+            keep = mask[row]
             if not keep.any():
-                assert np.isnan(surfaces[row]).all()
                 continue
-            expected = correlation_map(probes[row][keep], patterns[keep], domain=domain)
-            assert np.array_equal(surfaces[row], expected, equal_nan=True)
-
-    @pytest.mark.parametrize("domain", DOMAINS)
-    def test_prepared_matches_unprepared(self, domain):
-        rng = np.random.default_rng(3)
-        patterns = TABLE.sample_matrix(TABLE.grid)
-        probes = rng.uniform(-10.0, 10.0, (4, patterns.shape[0]))
-        prepared = prepare_pattern_matrix(patterns, domain)
-        plain = correlation_map_batch(probes, None, patterns, domain=domain)
-        fast = correlation_map_batch(
-            probes, None, prepared, domain=domain, prepared=True
-        )
-        assert np.array_equal(plain, fast)
-        for row in range(probes.shape[0]):
-            assert np.array_equal(
-                plain[row], correlation_map_prepared(probes[row], prepared, domain)
-            )
-
-    def test_mask_shape_mismatch_rejected(self):
-        patterns = TABLE.sample_matrix(TABLE.grid)[:3]
-        with pytest.raises(ValueError, match="mask shape"):
-            correlation_map_batch(np.zeros((2, 3)), np.ones((2, 4), bool), patterns)
+            got = correlation_map(snr[row][keep], patterns[keep], domain=domain)
+            expected = eq2(snr[row][keep], patterns[keep], domain)
+            assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestEstimateBatch:
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=40, deadline=None)
-    @given(batch=batch)
+    @given(batch=batches(sectors=any_sector))
     def test_rows_match_scalar_bitwise(self, fusion, domain, batch):
+        """Batch rows and one-sweep calls both equal the reference."""
         estimator = ESTIMATORS[(fusion, domain)]
-        ids, snr, rssi, mask = _unpack(batch)
-        estimates = estimator.estimate_batch(
-            ids, snr_db=snr, rssi_dbm=rssi, mask=mask
-        )
-        assert len(estimates) == len(batch)
-        for trial, batched in zip(batch, estimates):
-            measurements = _scalar_measurements(trial)
-            try:
-                scalar = estimator.estimate(measurements)
-            except ValueError:
-                assert batched is None
+        reference = REFERENCES[(fusion, domain)]
+        ids, snr, rssi, mask = unpack(batch)
+        rows = [valid_slots(trial) for trial in batch]
+        assert outcome(
+            lambda: estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask)
+        ) == outcome(lambda: reference.estimate_rows(rows))
+        for slots in rows:
+            measurements = measurements_of(slots)
+            if measurements is None:
                 continue
-            assert batched == scalar  # dataclass equality: exact floats
+
+            def expected():
+                estimate = reference.estimate_rows([slots])[0]
+                if estimate is None:
+                    raise ValueError("under-filled")
+                return estimate
+
+            assert outcome(lambda: estimator.estimate(measurements)) == outcome(expected)
+            expected_surface = outcome(lambda: reference.surface(slots))
+            got_surface = outcome(lambda: estimator.correlation_surface(measurements))
+            if isinstance(expected_surface, type):
+                assert got_surface is expected_surface
+            else:
+                assert np.array_equal(got_surface, expected_surface[0], equal_nan=True)
+
+    def test_mask_shape_mismatch_rejected(self):
+        estimator = ESTIMATORS[("snr", "linear")]
+        with pytest.raises(ValueError, match="mask shape"):
+            estimator.estimate_batch(
+                np.zeros((2, 3), dtype=int), np.zeros((2, 3)), mask=np.ones((2, 4), bool)
+            )
 
     def test_underfilled_row_is_none_not_error(self):
         estimator = ESTIMATORS[("product", "linear")]
@@ -182,31 +143,33 @@ class TestEstimateBatch:
 
 
 class TestSelectBatch:
-    @settings(max_examples=40, deadline=None)
-    @given(batch=batch)
-    def test_sequence_matches_scalar_bitwise(self, batch):
-        ids, snr, rssi, mask = _unpack(batch)
-        scalar_selector = CompressiveSectorSelector(TABLE)
-        batch_selector = CompressiveSectorSelector(TABLE)
-        scalar_results = []
-        scalar_error = None
-        for trial in batch:
-            try:
-                scalar_results.append(
-                    scalar_selector.select(_scalar_measurements(trial))
-                )
-            except ValueError:
-                scalar_error = ValueError
-                break
-        if scalar_error is not None:
-            with pytest.raises(ValueError):
-                batch_selector.select_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=batches(sectors=any_sector),
+        min_probes=st.integers(min_value=2, max_value=4),
+        fallback_correlation=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_sequence_matches_scalar_bitwise(self, batch, min_probes, fallback_correlation):
+        """A batch call and a sequence of one-sweep calls both equal the
+        reference's sweep-by-sweep selections, state included."""
+        config = dict(min_probes=min_probes, fallback_correlation=fallback_correlation)
+        ids, snr, rssi, mask = unpack(batch)
+        rows = [valid_slots(trial) for trial in batch]
+        reference = ReferenceSelector(TABLE, **config)
+        expected = outcome(lambda: reference.select_rows(rows))
+
+        batched = CompressiveSectorSelector(TABLE, **config)
+        assert outcome(
+            lambda: batched.select_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask)
+        ) == expected
+        if not isinstance(expected, type):
+            assert batched.last_selection == reference.last_selection
+
+        measurements = [measurements_of(slots) for slots in rows]
+        if any(m is None for m in measurements):
             return
-        results = batch_selector.select_batch(
-            ids, snr_db=snr, rssi_dbm=rssi, mask=mask
-        )
-        assert results == scalar_results
-        assert batch_selector.last_selection == scalar_selector.last_selection
+        one_row = CompressiveSectorSelector(TABLE, **config)
+        assert outcome(lambda: [one_row.select(m) for m in measurements]) == expected
 
     def test_reset_restores_initial_selection(self):
         selector = CompressiveSectorSelector(TABLE, initial_sector_id=3)
@@ -281,8 +244,9 @@ class TestEstimatorHelpers:
 
 class TestPerfGuards:
     def test_estimate_never_transforms_pattern_matrix(self, monkeypatch):
-        """The precomputed path pays the (M, K) transform at construction
-        only; per-estimate calls may touch 1-D probe vectors at most."""
+        """The precomputed path pays the (N, K) transform at construction
+        only; per-estimate calls transform probe values, never anything
+        as wide as the (·, K) pattern matrix."""
         estimator = AngleEstimator(TABLE)  # construction transforms (N, K)
         selector = CompressiveSectorSelector(TABLE)
         grid_points = TABLE.grid.n_points
@@ -302,15 +266,13 @@ class TestPerfGuards:
             estimator.estimate(measurements)
             selector.select(measurements)
         assert seen, "the linear domain must still transform probe vectors"
-        assert all(len(shape) == 1 for shape in seen)
+        assert all(shape[-1] != grid_points for shape in seen)
 
         seen.clear()
         ids = np.array([[0, 1, 2, 3]] * 3)
         snr = np.full((3, 4), 5.0)
         rssi = np.full((3, 4), -60.0)
         estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi)
-        # The batch path transforms padded (T, M) channels — never
-        # anything as wide as the (·, K) pattern matrix.
         assert seen and all(shape[-1] != grid_points for shape in seen)
 
     def test_perf_check_exit_codes(self, tmp_path, monkeypatch):

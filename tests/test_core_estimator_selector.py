@@ -193,18 +193,20 @@ class TestAngleEstimator:
     ):
         """A NaN surface entry must not win the argmax (it beats every
         comparison inside ``np.argmax``)."""
+        import repro.core.estimator as estimator_module
+
         estimator = AngleEstimator(pattern_table)
         sector_ids = [s for s in pattern_table.sector_ids if s != 0][:14]
         measurements = synthetic_measurements(pattern_table, 20.0, 8.0, sector_ids)
         clean = estimator.estimate(measurements)
-        real_surface = estimator._surface
+        real_correlate = estimator_module._correlate_core
 
-        def poisoned(kept):
-            surface = real_surface(kept).copy()
+        def poisoned(values, unit):
+            surface = real_correlate(values, unit).copy()
             surface[0 if clean.grid_index != 0 else 1] = np.nan
             return surface
 
-        monkeypatch.setattr(estimator, "_surface", poisoned)
+        monkeypatch.setattr(estimator_module, "_correlate_core", poisoned)
         assert estimator.estimate(measurements) == clean
 
     def test_batched_estimate_routes_around_a_nan_grid_point(
@@ -218,14 +220,14 @@ class TestAngleEstimator:
         ids = np.array([[m.sector_id for m in measurements]])
         snr = np.array([[m.snr_db for m in measurements]])
         (clean,) = estimator.estimate_batch(ids, snr_db=snr)
-        real_correlate = estimator_module._correlate
+        real_correlate = estimator_module._correlate_core
 
         def poisoned(values, unit):
             surface = real_correlate(values, unit).copy()
             surface[0 if clean.grid_index != 0 else 1] = np.nan
             return surface
 
-        monkeypatch.setattr(estimator_module, "_correlate", poisoned)
+        monkeypatch.setattr(estimator_module, "_correlate_core", poisoned)
         (estimate,) = estimator.estimate_batch(ids, snr_db=snr)
         assert estimate == clean
 

@@ -65,6 +65,40 @@ class TestOutOfBandPrior:
         error_with = abs(with_prior.azimuth_deg - truth[0])
         assert error_with <= error_without + 1e-9
 
+    def test_without_a_prior_it_is_the_plain_estimate(self, pattern_table):
+        """Dropped non-finite probes are not counted, and the estimate
+        carries its grid index — exactly the plain estimator's."""
+        plain = AngleEstimator(pattern_table)
+        sector_ids = [s for s in pattern_table.sector_ids if s != 0][:8]
+        measurements = [
+            ProbeMeasurement(s, float(pattern_table.gain(s, 10.0, 0.0)), -60.0)
+            for s in sector_ids
+        ]
+        measurements[3] = ProbeMeasurement(sector_ids[3], float("nan"), -60.0)
+        estimate = PriorAidedEstimator(plain).estimate(measurements)
+        assert estimate.n_probes_used == 7
+        assert estimate == plain.estimate(measurements)
+
+    def test_a_nan_grid_point_never_wins(self, pattern_table, monkeypatch):
+        import repro.core.estimator as estimator_module
+
+        plain = AngleEstimator(pattern_table)
+        sector_ids = [s for s in pattern_table.sector_ids if s != 0][:8]
+        measurements = [
+            ProbeMeasurement(s, float(pattern_table.gain(s, 10.0, 0.0)), -60.0)
+            for s in sector_ids
+        ]
+        clean = plain.estimate(measurements)
+        real_correlate = estimator_module._correlate_core
+
+        def poisoned(values, unit):
+            surface = real_correlate(values, unit).copy()
+            surface[0 if clean.grid_index != 0 else 1] = np.nan
+            return surface
+
+        monkeypatch.setattr(estimator_module, "_correlate_core", poisoned)
+        assert PriorAidedEstimator(plain).estimate(measurements) == clean
+
 
 class TestBeamRefiner:
     def _quadratic_objective(self, target: np.ndarray):

@@ -2,8 +2,8 @@
 
 The contract under test (DESIGN.md §9): because randomness is consumed
 only during planning and block evaluation is pure, every recovery path
-— retry, pool replacement, timeout, checkpoint resume, scalar fallback
-— is bit-invisible in the records.  A fault plan may change a run's
+— retry, pool replacement, timeout, checkpoint resume — is
+bit-invisible in the records.  A fault plan may change a run's
 *health* section, never its *results*.
 
 The pinned acceptance test is ``TestRecoveryEquivalence``: a jobs=4
@@ -332,7 +332,6 @@ class TestRecoveryEquivalence:
         assert health["blocks"] == 10
         assert health["executed"] == 10
         assert health["checkpoint_hits"] == 0
-        assert health["fallbacks"] == 0
         # per batched policy: 2 exception retries + 1 crash + 1 timeout
         assert health["retries"] == 8
         assert health["timeouts"] == 2
@@ -533,12 +532,12 @@ class TestWorkerCacheCorruption:
         clean, info = runner_module._worker_run_block(
             testbed_key, policy_spec.key(), block
         )
-        assert info == {"fallback": False}
+        assert info == {}
         corrupted, info = runner_module._worker_run_block(
             testbed_key, policy_spec.key(), block,
             directive={"kind": "cache-corrupt"},
         )
-        assert info == {"fallback": False}
+        assert info == {}
         assert [r.sector_id for r in corrupted] == [r.sector_id for r in clean]
 
     def test_local_cache_corrupt_directive_truncates_the_memo(self, isolated_cache):
@@ -569,13 +568,14 @@ class TestWorkerCacheCorruption:
 
 
 class _BrokenBatch:
-    """A policy whose batched kernel always fails: forces the fallback."""
+    """A policy whose batched kernel always fails."""
 
     multi_round = False
 
     def __init__(self, inner):
         self._inner = inner
         self.name = "broken-batch"
+        self.select_calls = 0
 
     def reset(self):
         self._inner.reset()
@@ -584,6 +584,7 @@ class _BrokenBatch:
         return self._inner.probes_for_round(round_index, pool, rng)
 
     def select(self, measurements):
+        self.select_calls += 1
         return self._inner.select(measurements)
 
     def select_batch(self, *args, **kwargs):
@@ -593,8 +594,11 @@ class _BrokenBatch:
         return self._inner.training_time_us(probes_used, n_rounds)
 
 
-class TestScalarFallback:
-    def test_failing_batched_kernel_degrades_to_the_scalar_path(self, testbed):
+class TestKernelFailure:
+    def test_failing_kernel_is_retried_then_fails(self, testbed):
+        """A raising kernel is a failed block attempt: retried, then a
+        structured retry-exhaustion error — never silently redone
+        through the policy's per-row ``select``."""
         from repro.channel.environment import conference_room
         from repro.experiments.common import record_directions
 
@@ -603,33 +607,20 @@ class TestScalarFallback:
             testbed, conference_room(6.0), [-20.0, 0.0, 20.0], [0.0], 2,
             np.random.default_rng(5),
         )
-        with ScenarioRunner() as runner:
-            reference = build_policy(policy_spec, runner.context(testbed))
-            blocks = runner.plan_trials(
-                reference, recordings, testbed.tx_sector_ids,
-                np.random.default_rng(6),
-            )
-            wanted = runner.execute(reference, blocks, reset="recording")
-
+        retry = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
+        with ScenarioRunner(retry=retry) as runner:
             broken = _BrokenBatch(build_policy(policy_spec, runner.context(testbed)))
-            degraded = runner.execute(broken, blocks, reset="recording")
-            assert runner.health.fallbacks == len(blocks)
+            blocks = runner.plan_trials(
+                broken, recordings, testbed.tx_sector_ids, np.random.default_rng(6),
+            )
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                runner.execute(broken, blocks, reset="recording")
+            assert runner.health.retries == 1
 
-        assert [r.result for r in degraded] == [r.result for r in wanted]
-
-    def test_fallbacks_surface_in_the_manifest_health_section(self):
-        from repro.runtime.manifest import RunManifest
-
-        manifest = RunManifest(
-            scenario="policy-eval", spec_digest="ab" * 32, seed=1, jobs=2,
-            git_rev="deadbeef", started="now", wall_time_s=1.0,
-            health={"blocks": 4, "fallbacks": 2, "retries": 1,
-                    "attempts": {"css[0]": 2}},
-        )
-        assert manifest.to_json()["health"]["fallbacks"] == 2
-        rows = "\n".join(manifest.format_rows())
-        assert "fallbacks=2" in rows
-        assert "css[0] took 2 attempts" in rows
+        error = excinfo.value
+        assert (error.label, error.block_index, error.attempts) == ("broken-batch", 0, 2)
+        assert isinstance(error.cause, RuntimeError)
+        assert broken.select_calls == 0
 
 
 class TestCliFaultSurface:

@@ -2,10 +2,11 @@
 
 Two promises from the sharded-execution layer (DESIGN.md §12):
 
-* the fused single-pass kernel (``select_fused_batch`` and its stacked
-  multi-block twin) is **bit-for-bit** identical to the scalar and
-  batched reference paths, under NaN-ridden spectra, single-probe
-  rows and arbitrary probe subsets;
+* the single-pass selection kernel (``select_batch``, also reachable
+  as ``select_fused_batch``) and its stacked multi-block entry equal the
+  naive Eq. 2–5 reference in :mod:`tests.reference_kernel` **bit for
+  bit**, under NaN-ridden spectra, single-probe rows and arbitrary
+  probe subsets — and so do one-sweep ``select`` calls;
 * shared-memory segments published for pool workers never outlive
   their :class:`~repro.runtime.shm.KernelPublisher` — runner close,
   pool-crash replacement and eviction all leave ``/dev/shm`` clean,
@@ -24,101 +25,58 @@ import repro.runtime.shm as shm
 from repro.core.compressive import CompressiveSectorSelector
 from repro.core.measurements import ProbeMeasurement
 from repro.core.policy import CompressivePolicy, seed_shared_selector
-from repro.geometry import AngularGrid
-from repro.measurement import PatternTable
 from repro.runtime import FaultPlan, RetryPolicy, ScenarioRunner
 from repro.runtime.faults import FaultSpec
 from repro.runtime.policy import PolicyContext
 from repro.runtime.spec import PolicySpec, ScenarioSpec
 
-N_SECTORS = 6
+from tests.reference_kernel import (
+    N_SECTORS,
+    ReferenceSelector,
+    batches,
+    measurements_of,
+    outcome,
+    probe_value,
+    small_table,
+    unpack,
+    valid_slots,
+)
 
-
-def _small_table(seed: int = 7) -> PatternTable:
-    grid = AngularGrid(np.linspace(-20.0, 20.0, 5), np.array([0.0, 10.0]))
-    rng = np.random.default_rng(seed)
-    return PatternTable(
-        grid, {s: rng.uniform(-10.0, 12.0, grid.shape) for s in range(N_SECTORS)}
-    )
-
-
-TABLE = _small_table()
+TABLE = small_table()
 
 FUSIONS = ("product", "snr", "rssi")
 DOMAINS = ("linear", "db")
 
-# A probe value: ordinary, NaN (dropped by the scalar path) or inf.
-probe_value = st.one_of(
-    st.floats(min_value=-30.0, max_value=30.0),
-    st.just(float("nan")),
-    st.just(float("inf")),
-)
 
-# One padded slot: (sector, snr, rssi, slot-carries-a-report).
-slot = st.tuples(
-    st.integers(min_value=0, max_value=N_SECTORS - 1),
-    probe_value,
-    probe_value,
-    st.booleans(),
-)
-
-# A ragged batch: trials share the padded width but not the valid count.
-batch = st.integers(min_value=2, max_value=5).flatmap(
-    lambda width: st.lists(
-        st.lists(slot, min_size=width, max_size=width), min_size=1, max_size=4
-    )
-)
-
-
-def _unpack(trials):
-    ids = np.array([[s[0] for s in trial] for trial in trials])
-    snr = np.array([[s[1] for s in trial] for trial in trials])
-    rssi = np.array([[s[2] for s in trial] for trial in trials])
-    mask = np.array([[s[3] for s in trial] for trial in trials])
-    return ids, snr, rssi, mask
-
-
-def _scalar_measurements(trial):
-    return [
-        ProbeMeasurement(sector_id=s[0], snr_db=s[1], rssi_dbm=s[2])
-        for s in trial
-        if s[3]
+def _check_against_reference(ids, snr, rssi, mask, **config):
+    """select_batch and per-sweep select both reproduce the reference."""
+    trials = [
+        [(ids[r, c], snr[r, c], rssi[r, c], True if mask is None else mask[r, c])
+         for c in range(ids.shape[1])]
+        for r in range(ids.shape[0])
     ]
+    rows = [valid_slots(trial) for trial in trials]
+    reference = ReferenceSelector(TABLE, **config)
+    expected = outcome(lambda: reference.select_rows(rows))
+    fused = CompressiveSectorSelector(TABLE, **config)
+    assert outcome(lambda: fused.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)) == expected
+    if not isinstance(expected, type):
+        assert fused.last_selection == reference.last_selection
+    one_row = CompressiveSectorSelector(TABLE, **config)
+    measurements = [measurements_of(slots) for slots in rows]
+    assert outcome(lambda: [one_row.select(m) for m in measurements]) == expected
+    return expected
 
 
 class TestFusedEquality:
-    """scalar ↔ batched ↔ fused, bit for bit."""
+    """kernel (batched and one-sweep) ↔ reference, bit for bit."""
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=40, deadline=None)
-    @given(batch=batch)
+    @given(batch=batches(min_width=2))
     def test_fused_matches_scalar_and_batched_bitwise(self, fusion, domain, batch):
-        ids, snr, rssi, mask = _unpack(batch)
-        scalar = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
-        scalar_results = []
-        scalar_raises = False
-        for trial in batch:
-            try:
-                scalar_results.append(scalar.select(_scalar_measurements(trial)))
-            except ValueError:
-                scalar_raises = True
-                break
-        batched = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
-        fused = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
-        if scalar_raises:
-            # NaN drops left a row under two finite probes: every path
-            # must refuse identically.
-            with pytest.raises(ValueError):
-                batched.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-            with pytest.raises(ValueError):
-                fused.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-            return
-        batched_results = batched.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-        fused_results = fused.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-        assert fused_results == scalar_results
-        assert fused_results == batched_results
-        assert fused.last_selection == scalar.last_selection
+        _check_against_reference(*unpack(batch), fusion=fusion, domain=domain)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -129,22 +87,11 @@ class TestFusedEquality:
     )
     def test_single_probe_rows(self, sector, snr, rssi, valid):
         """One-probe trials exercise the underfilled-row fallback edge."""
-        ids = np.array([[sector]])
-        snr_a = np.array([[snr]])
-        rssi_a = np.array([[rssi]])
-        mask = np.array([[valid]])
-        scalar = CompressiveSectorSelector(TABLE)
-        fused = CompressiveSectorSelector(TABLE)
-        try:
-            expected = scalar.select(
-                _scalar_measurements([(sector, snr, rssi, valid)])
-            )
-        except ValueError:
-            with pytest.raises(ValueError):
-                fused.select_fused_batch(ids, snr_a, rssi_dbm=rssi_a, mask=mask)
-            return
-        (got,) = fused.select_fused_batch(ids, snr_a, rssi_dbm=rssi_a, mask=mask)
-        assert got == expected
+        result = _check_against_reference(
+            np.array([[sector]]), np.array([[snr]]), np.array([[rssi]]),
+            np.array([[valid]]),
+        )
+        assert result[0].fallback
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -153,22 +100,15 @@ class TestFusedEquality:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         n_rows = data.draw(st.integers(min_value=1, max_value=4))
         width = data.draw(st.integers(min_value=2, max_value=N_SECTORS))
-        rows = [
-            sorted(rng.choice(N_SECTORS, size=width, replace=False).tolist())
-            for _ in range(n_rows)
-        ]
-        ids = np.array(rows)
+        ids = np.array(
+            [
+                sorted(rng.choice(N_SECTORS, size=width, replace=False).tolist())
+                for _ in range(n_rows)
+            ]
+        )
         snr = rng.uniform(-15.0, 15.0, ids.shape)
-        rssi = snr - 60.0
-        trials = [
-            [(int(ids[r, c]), snr[r, c], rssi[r, c], True) for c in range(width)]
-            for r in range(n_rows)
-        ]
-        scalar = CompressiveSectorSelector(TABLE)
-        expected = [scalar.select(_scalar_measurements(t)) for t in trials]
-        fused = CompressiveSectorSelector(TABLE)
-        got = fused.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=None)
-        assert got == expected
+        results = _check_against_reference(ids, snr, snr - 60.0, None)
+        assert not any(result.fallback for result in results)
 
 
 class TestFusedStacked:
@@ -190,13 +130,13 @@ class TestFusedStacked:
 
     def test_stacked_matches_per_part_bitwise(self):
         parts = self._parts([4, 4, 4, 4])
-        reference = CompressiveSectorSelector(TABLE)
         expected = []
-        for ids, snr, rssi, mask in parts:
-            reference.reset()
-            expected.append(
-                reference.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-            )
+        for ids, snr, rssi, _ in parts:
+            rows = [
+                [(ids[r, c], snr[r, c], rssi[r, c]) for c in range(ids.shape[1])]
+                for r in range(ids.shape[0])
+            ]
+            expected.append(ReferenceSelector(TABLE).select_rows(rows))
         stacked = CompressiveSectorSelector(TABLE)
         got = stacked.select_fused_stacked(parts)
         assert got == expected

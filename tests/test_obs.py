@@ -107,17 +107,17 @@ class TestMetricsRegistry:
     def test_merge_adds_counters_and_buckets_gauge_takes_incoming(self):
         ours = MetricsRegistry()
         ours.inc("runner_retries_total", 2)
-        ours.observe("runner_block_seconds", 0.002)
+        ours.observe("example_latency_seconds", 0.002)
         ours.set_gauge("pool_size", 2)
         theirs = MetricsRegistry()
         theirs.inc("runner_retries_total", 3)
-        theirs.observe("runner_block_seconds", 0.002)
+        theirs.observe("example_latency_seconds", 0.002)
         theirs.set_gauge("pool_size", 4)
         ours.merge(theirs.snapshot())
         snapshot = ours.snapshot()
         assert snapshot["counters"]["runner_retries_total"] == 5
         assert snapshot["gauges"]["pool_size"] == 4.0
-        assert snapshot["histograms"]["runner_block_seconds"]["count"] == 2
+        assert snapshot["histograms"]["example_latency_seconds"]["count"] == 2
 
     def test_prometheus_rendering_is_cumulative(self):
         registry = MetricsRegistry()
@@ -166,7 +166,7 @@ class TestMetricsRegistry:
         theirs = MetricsRegistry()
         for registry in (ours, theirs):
             registry.inc("runs_total", scenario='a"b')
-            registry.observe("runner_block_seconds", 0.002, scenario="tricky\\")
+            registry.observe("example_latency_seconds", 0.002, scenario="tricky\\")
         ours.merge(theirs.snapshot())
         snapshot = ours.snapshot()
         assert snapshot["counters"]['runs_total{scenario="a\\"b"}'] == 2
@@ -285,7 +285,7 @@ class TestDisabledByDefault:
         with span:
             obs.event("tick")
             obs.inc("counter")
-            obs.observe("runner_block_seconds", 0.1)
+            obs.observe("example_latency_seconds", 0.1)
             obs.set_gauge("gauge", 1.0)
         assert span.id is None
         assert obs.active_session() is None
@@ -393,10 +393,8 @@ class TestTracedRunDeterminism:
         assert section["spans"]["scenario.run"]["count"] == 1
         assert len(section["slowest_blocks"]) == 5
         counters = section["metrics"]["counters"]
-        # css blocks ride the fused single-pass kernel; full-sweep has
-        # only the plain batched twin.
-        assert counters['runner_kernel_path_total{path="fused"}'] == 5
-        assert counters['runner_kernel_path_total{path="batched"}'] == 5
+        # css and full-sweep blocks both go through select_batch.
+        assert counters['runner_kernel_path_total{path="batched"}'] == 10
         assert len(session.tracer.events) > 0
 
     def test_jobs4_results_match_jobs1(self, traced, traced_jobs4):

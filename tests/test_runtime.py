@@ -166,7 +166,7 @@ class TestToyPolicyEndToEnd:
 
 class TestExecuteBatchScalarIdentity:
     class _ScalarOnly:
-        """Proxy hiding ``select_batch`` to force the scalar fallback."""
+        """Proxy hiding ``select_batch`` to force per-row ``select`` calls."""
 
         def __init__(self, inner):
             object.__setattr__(self, "_inner", inner)

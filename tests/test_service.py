@@ -153,7 +153,7 @@ class TestSubmission:
         assert 'service_runs_total{scenario="policy-eval",status="done"} 1' in text
         assert "service_queue_depth" in text
         # Data-plane metrics from the run's own ObsSession fold in too.
-        assert "runner_block_seconds_count" in text
+        assert "runner_kernel_path_total" in text
         health = harness.client.healthz()
         assert health["status"] == "ok"
         assert health["runs"]["done"] == 1
