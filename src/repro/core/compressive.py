@@ -14,7 +14,8 @@ is bounded by the pattern knowledge, not the probe count.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, ContextManager, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class _FusedBatch(NamedTuple):
     Everything the stateful result builder needs, with no reference to
     selector state — rows are independent, so batches from several
     blocks may be stacked, run through :meth:`_fused_arrays` once, and
-    rebuilt per block (see the chunked pool dispatch in the runner).
+    rebuilt per block (see the runner's chunked execution).
     """
 
     ids: np.ndarray          #: validated (T, M) intp sector ids
@@ -326,7 +327,9 @@ class CompressiveSectorSelector:
         return results
 
     def select_fused_stacked(
-        self, parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+        self,
+        parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        around: Optional[Callable[[int], ContextManager]] = None,
     ) -> List[List[SelectionResult]]:
         """:meth:`select_batch` on several independent batches in one pass.
 
@@ -338,8 +341,11 @@ class CompressiveSectorSelector:
         stateful builder then runs per part against freshly reset
         selection state.  Stacking amortizes the ~25 fixed-cost numpy
         dispatches of the stateless half over every part — the lever
-        that makes chunked pool dispatch cheaper than per-block local
-        evaluation on small blocks.
+        that makes chunked execution cheaper than one call per block.
+
+        ``around(i)``, when given, returns a context manager entered
+        around part ``i``'s reset and build — the runner opens each
+        block's ``execute.block`` span there.
 
         Raises on width mismatch or any per-row validation error;
         callers degrade to per-part evaluation (which reproduces the
@@ -354,13 +360,14 @@ class CompressiveSectorSelector:
         )
         results: List[List[SelectionResult]] = []
         start = 0
-        for count in counts:
+        for index, count in enumerate(counts):
             end = start + count
-            self.reset()
-            results.append(
-                self._fused_build(
-                    _FusedBatch(*(field[start:end] for field in fused))
+            with around(index) if around is not None else nullcontext():
+                self.reset()
+                results.append(
+                    self._fused_build(
+                        _FusedBatch(*(field[start:end] for field in fused))
+                    )
                 )
-            )
             start = end
         return results

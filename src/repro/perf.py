@@ -254,10 +254,20 @@ def measure_metrics(
     All workloads are deterministic in ``seed``; the only variance
     between runs is machine noise.
     """
+    from . import obs as _obs_module
     from .channel.environment import conference_room
     from .core.compressive import CompressiveSectorSelector
     from .core.probes import clear_design_cache
-    from .experiments.common import build_testbed, pack_probe_trials, record_directions
+    from .experiments.common import (
+        build_testbed,
+        pack_probe_trials,
+        record_directions,
+        testbed_table_cache_info,
+    )
+    from .experiments.fig7 import Fig7Config, fig7_spec
+    from .experiments.fig9 import Fig9Config, fig9_spec
+    from .obs import profile as _profile_module
+    from .runtime import FaultPlan, RetryPolicy, ScenarioRunner
     from .runtime.registry import available_probe_designers, build_probe_designer
 
     testbed = build_testbed()
@@ -356,225 +366,180 @@ def measure_metrics(
         lambda: campaign.run(config, np.random.default_rng(seed + 4))
     )
 
-    # -- scenario engine wall time (absent before the runtime landed) --
+    # -- scenario engine wall time -------------------------------------
+    scenario_specs = (
+        fig7_spec(
+            Fig7Config(
+                probe_counts=(8, 20),
+                lab_azimuth_step_deg=10.0,
+                lab_elevation_step_deg=15.0,
+                conference_azimuth_step_deg=10.0,
+                n_sweeps=1,
+                subsamples_per_sweep=1,
+            )
+        ),
+        fig9_spec(Fig9Config(probe_counts=(6, 14), azimuth_step_deg=10.0, n_sweeps=6)),
+    )
+    # One persistent runner per jobs level: the sharded executor
+    # keeps its fork pool and published shared-memory kernels warm
+    # between runs (the service's steady state), so a fresh runner
+    # per pass would charge pool spawn + kernel publication to
+    # jobs=4 only.  A throwaway warm-up pass per level pays those
+    # one-time costs off the clock, then the timed passes
+    # interleave the levels so machine drift hits both alike, with
+    # best-of across passes and the observed spread recorded for
+    # the noise-widened --check gate.
+    levels = ((1, "scenario_fig7_fig9_jobs1_s"), (4, "scenario_fig7_fig9_jobs4_s"))
+    runners = {name: ScenarioRunner(jobs=jobs) for jobs, name in levels}
+    level_times: Dict[str, List[float]] = {name: [] for _, name in levels}
     try:
-        from .experiments.fig7 import Fig7Config, fig7_spec
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import ScenarioRunner
-    except ImportError:
-        ScenarioRunner = None
-    if ScenarioRunner is not None:
-        scenario_specs = (
-            fig7_spec(
-                Fig7Config(
-                    probe_counts=(8, 20),
-                    lab_azimuth_step_deg=10.0,
-                    lab_elevation_step_deg=15.0,
-                    conference_azimuth_step_deg=10.0,
-                    n_sweeps=1,
-                    subsamples_per_sweep=1,
-                )
-            ),
-            fig9_spec(Fig9Config(probe_counts=(6, 14), azimuth_step_deg=10.0, n_sweeps=6)),
-        )
-        # One persistent runner per jobs level: the sharded executor
-        # keeps its fork pool and published shared-memory kernels warm
-        # between runs (the service's steady state), so a fresh runner
-        # per pass would charge pool spawn + kernel publication to
-        # jobs=4 only.  A throwaway warm-up pass per level pays those
-        # one-time costs off the clock, then the timed passes
-        # interleave the levels so machine drift hits both alike, with
-        # best-of across passes and the observed spread recorded for
-        # the noise-widened --check gate.
-        levels = ((1, "scenario_fig7_fig9_jobs1_s"), (4, "scenario_fig7_fig9_jobs4_s"))
-        runners = {name: ScenarioRunner(jobs=jobs) for jobs, name in levels}
-        level_times: Dict[str, List[float]] = {name: [] for _, name in levels}
-        try:
+        for _, name in levels:
+            for scenario_spec in scenario_specs:
+                runners[name].run(scenario_spec)
+        for _ in range(3):
             for _, name in levels:
+                start = time.perf_counter()
                 for scenario_spec in scenario_specs:
                     runners[name].run(scenario_spec)
-            for _ in range(3):
-                for _, name in levels:
-                    start = time.perf_counter()
-                    for scenario_spec in scenario_specs:
-                        runners[name].run(scenario_spec)
-                    level_times[name].append(time.perf_counter() - start)
+                level_times[name].append(time.perf_counter() - start)
+    finally:
+        for scenario_runner in runners.values():
+            scenario_runner.close()
+    for _, name in levels:
+        metrics[name] = float(min(level_times[name]))
+    jobs1 = metrics["scenario_fig7_fig9_jobs1_s"]
+    jobs4 = metrics["scenario_fig7_fig9_jobs4_s"]
+    metrics["scenario_jobs4_over_jobs1_ratio"] = jobs4 / jobs1
+    metrics["scenario_jobs_noise_pct"] = (
+        100.0
+        * float(
+            np.ptp(level_times["scenario_fig7_fig9_jobs1_s"])
+            + np.ptp(level_times["scenario_fig7_fig9_jobs4_s"])
+        )
+        / jobs1
+    )
+
+    # -- supervision overhead -------------------------------------------
+    # One small fig9 spec for the supervision, observability and
+    # profiler overheads below.
+    overhead_spec = fig9_spec(
+        Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
+    )
+
+    def _run_plain():
+        # The shared baseline: no supervision, tracing or profiling.
+        with ScenarioRunner(jobs=1) as runner:
+            runner.run(overhead_spec)
+
+    def _run_supervised():
+        # Full supervision machinery engaged — retry accounting,
+        # an (empty) injector consulted per dispatch — minus any
+        # actual fault, so the delta is pure bookkeeping overhead.
+        with ScenarioRunner(
+            jobs=1,
+            retry=RetryPolicy(max_attempts=3, timeout_s=60.0),
+            faults=FaultPlan(),
+        ) as runner:
+            runner.run(overhead_spec)
+
+    # Interleave the two workloads so slow drift on a shared runner
+    # (thermal throttling, a noisy neighbour arriving mid-measure)
+    # hits both sides alike, take medians rather than single best
+    # passes, and record the observed run-to-run spread so the
+    # --check gate can widen itself on noisy machines instead of
+    # flaking on a small absolute threshold.
+    unsupervised_times: List[float] = []
+    supervised_times: List[float] = []
+    for _ in range(5):
+        start = time.perf_counter()
+        _run_plain()
+        unsupervised_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        _run_supervised()
+        supervised_times.append(time.perf_counter() - start)
+    unsupervised = float(np.median(unsupervised_times))
+    supervised = float(np.median(supervised_times))
+    metrics["runner_unsupervised_s"] = unsupervised
+    metrics["runner_supervised_s"] = supervised
+    metrics["runner_supervision_overhead_pct"] = (
+        100.0 * (supervised - unsupervised) / unsupervised
+    )
+    metrics["runner_supervision_noise_pct"] = (
+        100.0
+        * float(np.ptp(unsupervised_times) + np.ptp(supervised_times))
+        / unsupervised
+    )
+
+    # -- observability overhead -----------------------------------------
+    def _run_traced():
+        # Full recording engaged — every span opened, every counter
+        # bumped, the rollup computed — but in memory only, so the
+        # delta is the cost of the observability layer itself, not
+        # of file I/O.
+        with ScenarioRunner(jobs=1, obs=_obs_module.ObsSession()) as runner:
+            runner.run(overhead_spec)
+
+    # Same interleaved-medians discipline as the supervision
+    # overhead above: drift hits both sides alike, and the observed
+    # spread widens the --check gate on noisy machines.
+    untraced_times: List[float] = []
+    traced_times: List[float] = []
+    for _ in range(5):
+        start = time.perf_counter()
+        _run_plain()
+        untraced_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        _run_traced()
+        traced_times.append(time.perf_counter() - start)
+    untraced = float(np.median(untraced_times))
+    traced = float(np.median(traced_times))
+    metrics["runner_untraced_s"] = untraced
+    metrics["runner_traced_s"] = traced
+    metrics["runner_obs_overhead_pct"] = 100.0 * (traced - untraced) / untraced
+    metrics["runner_obs_noise_pct"] = (
+        100.0 * float(np.ptp(untraced_times) + np.ptp(traced_times)) / untraced
+    )
+
+    # -- sampling-profiler overhead -------------------------------------
+    def _run_profiled():
+        # The profiler is armed exactly as `run --profile-sampling`
+        # arms it — SIGPROF at the default interval, every sample
+        # walking the live stacks — so the delta is the cost a user
+        # pays for leaving continuous profiling on.
+        _profile_module.start_profiling()
+        try:
+            with ScenarioRunner(jobs=1) as runner:
+                runner.run(overhead_spec)
         finally:
-            for scenario_runner in runners.values():
-                scenario_runner.close()
-        for _, name in levels:
-            metrics[name] = float(min(level_times[name]))
-        jobs1 = metrics["scenario_fig7_fig9_jobs1_s"]
-        jobs4 = metrics["scenario_fig7_fig9_jobs4_s"]
-        metrics["scenario_jobs4_over_jobs1_ratio"] = jobs4 / jobs1
-        metrics["scenario_jobs_noise_pct"] = (
-            100.0
-            * float(
-                np.ptp(level_times["scenario_fig7_fig9_jobs1_s"])
-                + np.ptp(level_times["scenario_fig7_fig9_jobs4_s"])
-            )
-            / jobs1
-        )
+            _profile_module.stop_profiling()
 
-    # -- supervision overhead (absent before the fault layer landed) ---
-    try:
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import FaultPlan, RetryPolicy, ScenarioRunner as _Runner
-    except ImportError:
-        _Runner = None
-    if _Runner is not None:
-        supervised_spec = fig9_spec(
-            Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-        )
+    # Same interleaved-medians discipline as the supervision and
+    # observability overheads above.
+    unprofiled_times: List[float] = []
+    profiled_times: List[float] = []
+    for _ in range(5):
+        start = time.perf_counter()
+        _run_plain()
+        unprofiled_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        _run_profiled()
+        profiled_times.append(time.perf_counter() - start)
+    unprofiled = float(np.median(unprofiled_times))
+    profiled = float(np.median(profiled_times))
+    metrics["runner_unprofiled_s"] = unprofiled
+    metrics["runner_profiled_s"] = profiled
+    metrics["runner_profile_overhead_pct"] = (
+        100.0 * (profiled - unprofiled) / unprofiled
+    )
+    metrics["runner_profile_noise_pct"] = (
+        100.0
+        * float(np.ptp(unprofiled_times) + np.ptp(profiled_times))
+        / unprofiled
+    )
 
-        def _run_unsupervised():
-            with _Runner(jobs=1) as runner:
-                runner.run(supervised_spec)
-
-        def _run_supervised():
-            # Full supervision machinery engaged — retry accounting,
-            # an (empty) injector consulted per dispatch — minus any
-            # actual fault, so the delta is pure bookkeeping overhead.
-            with _Runner(
-                jobs=1,
-                retry=RetryPolicy(max_attempts=3, timeout_s=60.0),
-                faults=FaultPlan(),
-            ) as runner:
-                runner.run(supervised_spec)
-
-        # Interleave the two workloads so slow drift on a shared runner
-        # (thermal throttling, a noisy neighbour arriving mid-measure)
-        # hits both sides alike, take medians rather than single best
-        # passes, and record the observed run-to-run spread so the
-        # --check gate can widen itself on noisy machines instead of
-        # flaking on a small absolute threshold.
-        unsupervised_times: List[float] = []
-        supervised_times: List[float] = []
-        for _ in range(5):
-            start = time.perf_counter()
-            _run_unsupervised()
-            unsupervised_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_supervised()
-            supervised_times.append(time.perf_counter() - start)
-        unsupervised = float(np.median(unsupervised_times))
-        supervised = float(np.median(supervised_times))
-        metrics["runner_unsupervised_s"] = unsupervised
-        metrics["runner_supervised_s"] = supervised
-        metrics["runner_supervision_overhead_pct"] = (
-            100.0 * (supervised - unsupervised) / unsupervised
-        )
-        metrics["runner_supervision_noise_pct"] = (
-            100.0
-            * float(np.ptp(unsupervised_times) + np.ptp(supervised_times))
-            / unsupervised
-        )
-
-    # -- observability overhead (absent before repro.obs landed) -------
-    try:
-        from . import obs as _obs_module
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import ScenarioRunner as _ObsRunner
-    except ImportError:
-        _ObsRunner = None
-    if _ObsRunner is not None:
-        obs_spec = fig9_spec(
-            Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-        )
-
-        def _run_untraced():
-            with _ObsRunner(jobs=1) as runner:
-                runner.run(obs_spec)
-
-        def _run_traced():
-            # Full recording engaged — every span opened, every counter
-            # bumped, the rollup computed — but in memory only, so the
-            # delta is the cost of the observability layer itself, not
-            # of file I/O.
-            with _ObsRunner(jobs=1, obs=_obs_module.ObsSession()) as runner:
-                runner.run(obs_spec)
-
-        # Same interleaved-medians discipline as the supervision
-        # overhead above: drift hits both sides alike, and the observed
-        # spread widens the --check gate on noisy machines.
-        untraced_times: List[float] = []
-        traced_times: List[float] = []
-        for _ in range(5):
-            start = time.perf_counter()
-            _run_untraced()
-            untraced_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_traced()
-            traced_times.append(time.perf_counter() - start)
-        untraced = float(np.median(untraced_times))
-        traced = float(np.median(traced_times))
-        metrics["runner_untraced_s"] = untraced
-        metrics["runner_traced_s"] = traced
-        metrics["runner_obs_overhead_pct"] = 100.0 * (traced - untraced) / untraced
-        metrics["runner_obs_noise_pct"] = (
-            100.0 * float(np.ptp(untraced_times) + np.ptp(traced_times)) / untraced
-        )
-
-    # -- sampling-profiler overhead (absent before obs.profile landed) -
-    try:
-        from .obs import profile as _profile_module
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import ScenarioRunner as _ProfRunner
-    except ImportError:
-        _ProfRunner = None
-    if _ProfRunner is not None:
-        profile_spec = fig9_spec(
-            Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-        )
-
-        def _run_unprofiled():
-            with _ProfRunner(jobs=1) as runner:
-                runner.run(profile_spec)
-
-        def _run_profiled():
-            # The profiler is armed exactly as `run --profile-sampling`
-            # arms it — SIGPROF at the default interval, every sample
-            # walking the live stacks — so the delta is the cost a user
-            # pays for leaving continuous profiling on.
-            _profile_module.start_profiling()
-            try:
-                with _ProfRunner(jobs=1) as runner:
-                    runner.run(profile_spec)
-            finally:
-                _profile_module.stop_profiling()
-
-        # Same interleaved-medians discipline as the supervision and
-        # observability overheads above.
-        unprofiled_times: List[float] = []
-        profiled_times: List[float] = []
-        for _ in range(5):
-            start = time.perf_counter()
-            _run_unprofiled()
-            unprofiled_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_profiled()
-            profiled_times.append(time.perf_counter() - start)
-        unprofiled = float(np.median(unprofiled_times))
-        profiled = float(np.median(profiled_times))
-        metrics["runner_unprofiled_s"] = unprofiled
-        metrics["runner_profiled_s"] = profiled
-        metrics["runner_profile_overhead_pct"] = (
-            100.0 * (profiled - unprofiled) / unprofiled
-        )
-        metrics["runner_profile_noise_pct"] = (
-            100.0
-            * float(np.ptp(unprofiled_times) + np.ptp(profiled_times))
-            / unprofiled
-        )
-
-    # -- testbed disk cache (absent before the cache landed) -----------
-    try:
-        from .experiments.common import testbed_table_cache_info
-
-        info = testbed_table_cache_info()
-    except ImportError:
-        info = None
-    if info is not None and info.get("path") and pathlib.Path(info["path"]).is_file():
+    # -- testbed disk cache ---------------------------------------------
+    info = testbed_table_cache_info()
+    if info.get("path") and pathlib.Path(info["path"]).is_file():
         from .measurement.patterns import PatternTable
 
         start = time.perf_counter()

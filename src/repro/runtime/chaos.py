@@ -298,13 +298,15 @@ class _Campaign:
     def client(self):
         return self.service.client
 
-    def spec(self, offset: int, n_sweeps: int = 4):
+    def spec(self, offset: int, n_sweeps: int = 4, probe_counts=(14,)):
         from .spec import PolicySpec, ScenarioSpec
 
         return ScenarioSpec(
             scenario="policy-eval",
             seed=self.config.seed + offset,
-            policies=(PolicySpec("css", {"n_probes": 14}),),
+            policies=tuple(
+                PolicySpec("css", {"n_probes": m}) for m in probe_counts
+            ),
             params={
                 "azimuth_step_deg": 30.0,
                 "distance_m": 6.0,
@@ -380,13 +382,17 @@ class _Campaign:
 
     def event_serve_restart(self) -> Dict[str, Any]:
         # Catch a run mid-flight: at least one block journaled, run
-        # still running.  Escalate the spec size if the run keeps
-        # finishing before the kill lands (fast machines).
+        # still running.  Blocks are journaled a chunk at a time, so a
+        # one-policy run this small commits once, at its very end;
+        # three policies are three execute calls, and the first call's
+        # commit lands while the other two still run.  Escalate the
+        # spec size if the run keeps finishing before the kill lands
+        # (fast machines).
         caught = False
         spec = None
         run_id = ""
         for attempt, sweeps in enumerate((4, 8, 16)):
-            spec = self.spec(30 + attempt, n_sweeps=sweeps)
+            spec = self.spec(30 + attempt, n_sweeps=sweeps, probe_counts=(14, 10, 6))
             run_id = self.client.submit(spec.to_json())["run"]
             journal = Path(self.client.status(run_id)["checkpoint"])
             deadline = time.monotonic() + self.config.run_timeout_s

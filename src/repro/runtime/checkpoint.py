@@ -27,6 +27,11 @@ File format (one JSON object per line):
   last intact entry — corruption degrades to recomputation, never to
   wrong data.
 
+The runner journals a whole chunk of blocks per :meth:`CheckpointStore.put`
+(a group commit: one flush, and one fsync when durable), so a crash
+loses at most the one unsynced chunk, which resume recomputes
+bit-identically.
+
 Opening an existing journal of the *same* spec+seed with
 ``resume=False`` raises :class:`FileExistsError` instead of truncating
 it: a journal the caller could have resumed is never destroyed by a
@@ -43,7 +48,7 @@ import logging
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .. import obs as _obs
 
@@ -96,11 +101,12 @@ class CheckpointStore:
     ):
         self.path = Path(path)
         # ``durable=True`` fsyncs the journal after the header and after
-        # every entry.  ``flush()`` alone only reaches the OS page
-        # cache; a power loss can tear entries a long-lived service
-        # already acknowledged as journaled.  CLI runs keep the cheap
-        # flush-only default (a torn tail degrades to recomputation via
-        # the corrupt-tail drop); the service path opts in.
+        # every ``put`` (one group commit per chunk of blocks).
+        # ``flush()`` alone only reaches the OS page cache; a power loss
+        # can tear entries a long-lived service already acknowledged as
+        # journaled.  CLI runs keep the cheap flush-only default (a torn
+        # tail degrades to recomputation via the corrupt-tail drop); the
+        # service path opts in.
         self.durable = bool(durable)
         self._header = {
             "format": _FORMAT,
@@ -258,22 +264,44 @@ class CheckpointStore:
         return results
 
     def put(
-        self, policy_key: str, call_index: int, block_index: int, results: Sequence[Any]
+        self,
+        policy_key: str,
+        call_index: int,
+        block_index: Union[int, Sequence[int]],
+        results: Sequence[Any],
     ) -> None:
-        """Journal one completed block (flushed immediately)."""
-        key = self.entry_key(policy_key, call_index, block_index)
-        if key in self._entries:
+        """Journal completed blocks with one flush (one fsync when durable).
+
+        ``block_index`` is one block's index and ``results`` its
+        results, or a sequence of indices and the matching sequence of
+        per-block results — a *group commit*: every entry is written,
+        then the journal is flushed and synced once.  Each entry still
+        carries its own digest, so a crash before the sync tears at
+        most this group, and resume recomputes it.  Blocks already
+        journaled are skipped.
+        """
+        if not isinstance(block_index, (list, tuple)):
+            block_index, results = [block_index], [results]
+        written: Dict[str, str] = {}
+        lines: List[str] = []
+        for index, block_results in zip(block_index, results):
+            key = self.entry_key(policy_key, call_index, index)
+            if key in self._entries or key in written:
+                continue
+            payload = base64.b64encode(pickle.dumps(block_results)).decode("ascii")
+            entry = {
+                "key": key,
+                "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+                "payload": payload,
+            }
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+            written[key] = payload
+        if not lines:
             return
-        payload = base64.b64encode(pickle.dumps(results)).decode("ascii")
-        entry = {
-            "key": key,
-            "sha256": hashlib.sha256(payload.encode()).hexdigest(),
-            "payload": payload,
-        }
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._handle.write("".join(lines))
         self._sync()
-        self._entries[key] = payload
-        _obs.inc("checkpoint_entries_journaled_total")
+        self._entries.update(written)
+        _obs.inc("checkpoint_entries_journaled_total", len(lines))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -108,6 +108,15 @@ class SelectionPolicy(Protocol):
     # the runner calls only `select_batch`; a raising call is a failed
     # block attempt (retried, then failed), never silently redone
     # through `select`.
+    #
+    # def select_fused_stacked(self, parts, around=None)
+    #     -> List[List[SelectionResult]]
+    #
+    # `reset(); select_batch(*part)` for each (ids, snr, rssi, mask)
+    # part in one pass, `around(i)` wrapping part i's build.  When it
+    # exists, the runner evaluates whole chunks of per-recording blocks
+    # through it; if it raises, the chunk is re-run per block through
+    # `select_batch`.
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ strategies.  :class:`ScenarioRunner` owns that shape once:
 * **plan_trials** replays each policy's probe draws in the exact
   scalar order (one draw per recording × sweep × subsample) and packs
   them into per-recording :class:`TrialBlock` arrays;
-* **execute** evaluates each block with one ``select_batch`` call (or
-  ``select`` per row for policies without one, e.g. the oracle),
-  resetting selection state per recording or per plan;
+* **execute** evaluates the blocks, resetting selection state per
+  recording or per plan.  Per-recording blocks are cut into chunks of
+  at most :data:`CHUNK_ROWS` rows, each evaluated in one stacked
+  kernel pass (``select_fused_stacked``) and journaled with one group
+  commit; policies without a stacked kernel get one ``select_batch``
+  call per block (or ``select`` per row, e.g. the oracle);
 * **run_interactive** drives multi-round policies (hierarchical
   search) against a measure callable, round by round;
 * **run** resolves a :class:`~.spec.ScenarioSpec` through the registry,
@@ -21,10 +24,11 @@ and reset boundaries reproduce each legacy loop's selector lifetimes —
 so every experiment's output is bit-identical to its pre-runtime
 version, at any ``jobs`` count.
 
-Sharding (``jobs > 1``) fans per-recording blocks out to a process
-pool.  It engages only when state resets per recording (blocks are
-then independent), the policy is batched, and both the testbed and the
-policy are spec-described (workers rebuild them from JSON); anything
+Sharding (``jobs > 1``) fans the same chunks out to a process pool.
+It engages only when state resets per recording (blocks are then
+independent), the policy is batched, both the testbed and the policy
+are spec-described (workers rebuild them from JSON), and the host has
+two or more cores (or supervision needs process isolation); anything
 else degrades to the sequential path, same results.
 
 Supervision (DESIGN.md §9): every ``reset="recording"`` block runs
@@ -32,9 +36,10 @@ under a :class:`~.faults.RetryPolicy` — bounded attempts, seeded
 backoff, optional per-block timeout.  A dead worker
 (``BrokenProcessPool``) or a hung block costs one pool replacement and
 a re-execution of only the lost blocks; a raising kernel is a failed
-attempt like any other (retried, then a structured
+attempt like any other (a raising stacked pass is re-run block by
+block, which retries the failing block, then raises a structured
 :class:`~.faults.RetryExhaustedError`); a
-:class:`~.checkpoint.CheckpointStore` journals finished blocks so a
+:class:`~.checkpoint.CheckpointStore` journals finished chunks so a
 killed campaign resumes where it died.
 Because block evaluation is pure, every recovery path is bit-invisible
 in the records, and :attr:`ScenarioRunner.health` accounts for all of
@@ -45,11 +50,12 @@ Observability (DESIGN.md §10): constructed with an
 duration of :meth:`ScenarioRunner.run` and wraps the run, every
 ``execute`` call and every block attempt in spans
 (``scenario.run`` → ``execute.policy`` → ``execute.block``), while the
-supervision counters mirror into metrics.  Pool workers record into
-their own per-block session and ship the drained buffer back
-piggybacked on the block result; the runner absorbs worker payloads in
-deterministic ``(call, block)`` order, so a ``--jobs 4`` trace is
-bit-reproducible in everything but timing values.  With no session the
+supervision counters mirror into metrics.  A stacked chunk records
+into its own session — in a pool worker or in-process alike — and
+ships the drained buffer back piggybacked on its first block's result;
+the runner absorbs payloads in deterministic ``(call, block)`` order,
+so a ``--jobs 4`` trace is bit-reproducible in everything but timing
+values.  With no session the
 instrumentation is a no-op (see ``runner_obs_overhead_pct`` in
 ``repro-bench perf``), and tracing never touches results: a traced run
 is bit-identical to an untraced one.
@@ -64,6 +70,7 @@ import os
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from concurrent.futures import CancelledError as _FuturesCancelled
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -74,6 +81,7 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     List,
     Mapping,
@@ -370,184 +378,257 @@ def _eval_block(policy, block: TrialBlock) -> List:
     return results
 
 
-def _worker_run_block(
-    testbed_key: str,
-    policy_key: str,
-    block: TrialBlock,
-    directive: Optional[Dict[str, Any]] = None,
-    obs_meta: Optional[Dict[str, Any]] = None,
-    manifest: Optional[SharedKernelManifest] = None,
-):
-    """Evaluate one block inside a pool worker.
+def _split_meta(
+    meta: Mapping[str, Any]
+) -> Tuple[Dict[str, Any], Optional[Mapping[str, Any]]]:
+    """``execute.block`` span attrs and the shipped quality context.
 
-    ``obs_meta`` doubles as the observability enable flag and the
-    ``execute.block`` span attributes (policy/call/block/attempt, plus
-    ``injected`` when a fault directive rides along).  When set, the
-    worker records into a fresh per-block session and ships the drained
-    payload back on the info dict — the runner absorbs payloads in
-    deterministic block order, so pool scheduling never shows in a
-    trace.  A failed attempt raises before draining, matching the local
-    path where only the supervising process records the failure.
+    The quality context rides inside obs_meta but is not a span
+    attribute — split off, worker spans stay attr-identical to the
+    local path's.  It scopes only evaluation (never a policy build):
+    designer diagnostics are the supervisor's to record, so job counts
+    never change what a worker contributes.
     """
-    if obs_meta is None:
-        if directive is not None:
-            _apply_worker_directive(directive, testbed_key)
-        policy = _worker_policy(testbed_key, policy_key, manifest)
-        policy.reset()
-        return _eval_block(policy, block), {}
-    # The quality context rides inside obs_meta but is not a span
-    # attribute — pop it so worker spans stay attr-identical to the
-    # local path's.  It scopes only the evaluation (not the policy
-    # build): designer diagnostics are the supervisor's to record, so
-    # job counts never change what a worker contributes.
-    obs_meta = dict(obs_meta)
-    quality_meta = obs_meta.pop("quality", None)
-    session = _obs.ObsSession()
-    previous = _obs.activate(session)
-    try:
-        with _obs.span("execute.block", **obs_meta):
-            if directive is not None:
-                _apply_worker_directive(directive, testbed_key)
-            policy = _worker_policy(testbed_key, policy_key, manifest)
-            policy.reset()
-            results = _eval_block_quality(policy, block, quality_meta)
-        return results, {"obs": session.drain_payload()}
-    finally:
-        _obs.deactivate(previous)
+    attrs = dict(meta)
+    return attrs, attrs.pop("quality", None)
 
 
-def _eval_block_quality(
-    policy, block: TrialBlock, quality_meta: Optional[Mapping[str, Any]]
-) -> List:
-    """:func:`_eval_block` under the shipped quality context, if any."""
+@contextmanager
+def _quality_scope(quality_meta: Optional[Mapping[str, Any]]):
+    """Activate a shipped quality context (if any) for the body."""
     if quality_meta is None:
-        return _eval_block(policy, block)
+        yield
+        return
     token = _quality.activate_quality(_quality.QualityContext.from_meta(quality_meta))
     try:
-        return _eval_block(policy, block)
+        yield
     finally:
         _quality.deactivate_quality(token)
 
 
-def _eval_chunk_stacked(
-    policy, indexed_blocks: Sequence[Tuple[int, TrialBlock]]
-) -> Optional[Dict[int, Tuple[Sequence, Dict[str, Any]]]]:
-    """Evaluate a whole chunk in one stacked fused pass, if possible.
-
-    Stacking runs the stateless correlate→argmax→Eq.4 half once over
-    every block's rows (bit-identical — rows are independent) and the
-    stateful builder per block against reset state, amortizing the
-    fixed numpy dispatch cost the per-block paths pay for each block.
-    Only taken untraced: per-block observability (counter increments,
-    payload attribution) needs per-block evaluation, and obs calls are
-    no-ops here anyway.  Returns None when the policy has no stacked
-    kernel, blocks' widths differ, or anything raises — callers then
-    run the per-block loop, which attributes the error to its block.
-    """
-    stacked_entry = getattr(policy, "select_fused_stacked", None)
-    if stacked_entry is None or len(indexed_blocks) < 2:
-        return None
-    width = indexed_blocks[0][1].sector_ids.shape[1]
-    if any(block.sector_ids.shape[1] != width for _, block in indexed_blocks):
-        return None
+@contextmanager
+def _fresh_session():
+    """Record the body into a fresh :class:`~repro.obs.ObsSession`."""
+    session = _obs.ObsSession()
+    previous = _obs.activate(session)
     try:
-        results = stacked_entry(
-            [
-                (block.sector_ids, block.snr_db, block.rssi_dbm, block.mask)
-                for _, block in indexed_blocks
-            ]
-        )
-    except Exception:
-        return None
-    return {
-        index: (block_results, {})
-        for (index, _), block_results in zip(indexed_blocks, results)
-    }
+        yield session
+    finally:
+        _obs.deactivate(previous)
 
 
-def _worker_run_chunk(
+#: Row budget of one stacked chunk (:func:`_plan_chunks`).  The stacked
+#: kernel's fixed cost is ~0.13 ms per call (2-vCPU Xeon VM), and a
+#: jobs=1 pass over every scenario spent the same kernel CPU time,
+#: within noise, with 64-, 128- and 256-row chunks (~3.7 s).  Smaller
+#: chunks balance the pool, which packs whole chunks into its lanes:
+#: fig7's 124-row conference-room calls need two chunks to fill two
+#: lanes, and with 256-row chunks fig7 at jobs=2 left a lane idle on
+#: those calls and ran ~6 % slower.  The budget also bounds how long a
+#: cancel or a deadline waits for the running chunk.
+CHUNK_ROWS = 64
+
+
+def _plan_chunks(
+    blocks: Sequence[TrialBlock],
+    indices: Sequence[int],
+    alone: Collection[int] = (),
+) -> List[List[int]]:
+    """Cut ``indices`` into contiguous chunks of at most ``CHUNK_ROWS`` rows.
+
+    A block over the budget is a chunk of its own, and so is every
+    block in ``alone`` (fault-directive carriers, which run singly); a
+    change of probe width starts a new chunk (stacked rows must share a
+    width).  The cut depends only on the blocks, so the local path and
+    the pool — at any ``jobs`` — evaluate the same chunks with the same
+    kernel calls, in block order.
+    """
+    chunks: List[List[int]] = []
+    rows = width = 0
+    extendable = False
+    for index in indices:
+        n_rows, n_cols = blocks[index].sector_ids.shape
+        single = index in alone
+        fits = n_cols == width and rows + n_rows <= CHUNK_ROWS
+        if extendable and fits and not single:
+            chunks[-1].append(index)
+            rows += n_rows
+        else:
+            chunks.append([index])
+            rows, width = n_rows, n_cols
+        extendable = not single
+    return chunks
+
+
+def _lane_groups(
+    blocks: Sequence[TrialBlock], chunks: Sequence[List[int]], lanes: int
+) -> List[List[List[int]]]:
+    """Deal contiguous runs of chunks to at most ``lanes`` pool tasks.
+
+    Each chunk goes to the lane its middle row falls in, so every
+    task's row count stays within one chunk of an even share.
+    """
+    rows = [sum(blocks[index].n_trials for index in chunk) for chunk in chunks]
+    total = max(1, sum(rows))
+    groups: List[List[List[int]]] = [[] for _ in range(lanes)]
+    before = 0
+    for chunk, n_rows in zip(chunks, rows):
+        lane = min(lanes - 1, int(lanes * (before + n_rows / 2) / total))
+        groups[lane].append(chunk)
+        before += n_rows
+    return [group for group in groups if group]
+
+
+def _eval_chunk(
+    policy,
+    chunk: Sequence[Tuple[int, TrialBlock]],
+    obs_metas: Optional[Mapping[int, Mapping[str, Any]]] = None,
+) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
+    """Evaluate one planned chunk in a single stacked kernel pass.
+
+    The one chunk evaluator of the local path and the pool workers.
+    ``chunk`` holds ``(index, TrialBlock)`` pairs; each block is
+    evaluated against freshly reset state (``select_fused_stacked``),
+    bit-identical to one ``select_batch`` per block.  Traced
+    (``obs_metas`` maps each index to its ``execute.block`` attrs), the
+    pass records into a fresh session — each block's build under its
+    own span — whose drained payload rides on the chunk's first block,
+    so the supervisor absorbs the same payloads at any ``jobs``.
+
+    Raises whatever the stacked pass raises, leaving no trace: callers
+    then evaluate the chunk block by block, which attributes the error
+    and charges the retry; the stacked attempt itself is never charged.
+    """
+    parts = [
+        (block.sector_ids, block.snr_db, block.rssi_dbm, block.mask)
+        for _, block in chunk
+    ]
+    if obs_metas is None:
+        results = policy.select_fused_stacked(parts)
+        return {index: (out, {}) for (index, _), out in zip(chunk, results)}
+    split = [_split_meta(obs_metas[index]) for index, _ in chunk]
+
+    @contextmanager
+    def block_span(part: int):
+        with _obs.span("execute.block", **split[part][0]):
+            yield
+        _obs.inc("runner_kernel_path_total", path="batched")
+
+    with _fresh_session() as session, _quality_scope(split[0][1]):
+        results = policy.select_fused_stacked(parts, around=block_span)
+    done = {index: (out, {}) for (index, _), out in zip(chunk, results)}
+    done[chunk[0][0]][1]["obs"] = session.drain_payload()
+    return done
+
+
+def _log_stacked_failure(first: int, n_blocks: int, error: Exception) -> None:
+    _LOGGER.warning(
+        "stacked pass over %d block(s) from block %d failed (%s: %s); "
+        "re-running them block by block",
+        n_blocks,
+        first,
+        type(error).__name__,
+        error,
+    )
+
+
+def _worker_run_chunks(
     testbed_key: str,
     policy_key: str,
-    chunk: Sequence[Tuple[int, Any]],
+    chunks: Sequence[Sequence[Tuple[int, Any]]],
     obs_metas: Optional[Dict[int, Dict[str, Any]]] = None,
     manifest: Optional[SharedKernelManifest] = None,
     blocks_manifest: Optional[SharedKernelManifest] = None,
+    directive: Optional[Dict[str, Any]] = None,
 ):
-    """Evaluate several independent blocks in one pool task.
+    """Evaluate whole planned chunks in one pool task.
 
-    Chunking amortizes the per-task IPC round-trip (submit + pickle +
-    result) over many blocks — on small recording blocks that overhead
-    dominates the actual numpy work and is what used to make ``--jobs``
-    slower than serial.  Only *clean* blocks (no fault directive) ride
-    in chunks; directive-carrying blocks keep their own single-block
-    task so crash/hang/exception attribution stays per-block exact.
+    A task carries several chunks to amortize the per-task IPC
+    round-trip (submit + pickle + result); each chunk is then one
+    stacked kernel pass (:func:`_eval_chunk`) — the same chunks and
+    calls the local path makes.  A block carrying a fault ``directive``
+    travels alone in its own task and runs through the per-block path,
+    the directive firing inside its attempt before the policy warm-up,
+    so crash/hang/exception attribution stays per-block exact.
 
-    ``chunk`` holds ``(index, TrialBlock)`` pairs, or — when
+    Chunks hold ``(index, TrialBlock)`` pairs, or — when
     ``blocks_manifest`` names a published block segment —
     ``(index, recording_index)`` pairs, and the trial arrays are
     read-only views mapped from shared memory instead of pickled
-    copies (byte-identical by construction).
+    copies (byte-identical by construction).  ``obs_metas`` doubles as
+    the observability enable flag and each block's ``execute.block``
+    attrs; per-block evaluation records every block into its own fresh
+    session, so the runner's ``(call, block)``-ordered absorption never
+    shows pool scheduling.
 
     Returns ``(done, failure)``: ``done`` maps block index → the
     ``(results, info)`` payload of every block that finished, and
     ``failure`` is ``(index, error)`` for the first block that raised
-    (or None).  Blocks after a failure are not attempted — the parent
-    treats them as collateral, exactly like blocks lost to a pool
-    death, so their retry budget is never charged for a chunkmate's
-    sins.  Each block records into its own fresh
-    :class:`~repro.obs.ObsSession` when traced, so the absorbed
-    ``(call, block)``-keyed payloads are indistinguishable from
-    single-block dispatch.
+    (or None).  A chunk whose stacked pass raises is re-run block by
+    block, which finds the failing block; blocks after it are not
+    attempted — the parent treats them as collateral, exactly like
+    blocks lost to a pool death, so their retry budget is never charged
+    for a chunkmate's sins.
     """
     done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
+
+    def evaluate(block: TrialBlock, quality_meta=None) -> List:
+        if directive is not None:
+            _apply_worker_directive(directive, testbed_key)
+        policy = _worker_policy(testbed_key, policy_key, manifest)
+        policy.reset()
+        with _quality_scope(quality_meta):
+            return _eval_block(policy, block)
+
     try:
         if blocks_manifest is not None:
             views = _shm_attach(blocks_manifest)
-            indexed_blocks: List[Tuple[int, TrialBlock]] = [
-                (
-                    index,
-                    TrialBlock(
-                        recording_index=recording_index,
-                        sector_ids=views[f"{index}.ids"],
-                        snr_db=views[f"{index}.snr"],
-                        rssi_dbm=views[f"{index}.rssi"],
-                        mask=views[f"{index}.mask"],
-                        sweep_indices=_EMPTY_INTP,
-                        subsample_indices=_EMPTY_INTP,
-                        probes_requested=_EMPTY_INTP,
-                    ),
-                )
-                for index, recording_index in chunk
+            chunks = [
+                [
+                    (
+                        index,
+                        TrialBlock(
+                            recording_index=recording_index,
+                            sector_ids=views[f"{index}.ids"],
+                            snr_db=views[f"{index}.snr"],
+                            rssi_dbm=views[f"{index}.rssi"],
+                            mask=views[f"{index}.mask"],
+                            sweep_indices=_EMPTY_INTP,
+                            subsample_indices=_EMPTY_INTP,
+                            probes_requested=_EMPTY_INTP,
+                        ),
+                    )
+                    for index, recording_index in chunk
+                ]
+                for chunk in chunks
             ]
-        else:
-            indexed_blocks = list(chunk)
-        policy = _worker_policy(testbed_key, policy_key, manifest)
+        policy = (
+            _worker_policy(testbed_key, policy_key, manifest)
+            if directive is None
+            else None
+        )
     except Exception as error:
-        return done, (chunk[0][0], error)
-    if obs_metas is None:
-        stacked = _eval_chunk_stacked(policy, indexed_blocks)
-        if stacked is not None:
-            return stacked, None
-    for index, block in indexed_blocks:
-        obs_meta = None if obs_metas is None else obs_metas.get(index)
-        try:
-            if obs_meta is None:
-                policy.reset()
-                done[index] = (_eval_block(policy, block), {})
-                continue
-            obs_meta = dict(obs_meta)
-            quality_meta = obs_meta.pop("quality", None)
-            session = _obs.ObsSession()
-            previous = _obs.activate(session)
+        return done, (chunks[0][0][0], error)
+    for chunk in chunks:
+        if hasattr(policy, "select_fused_stacked"):
             try:
-                with _obs.span("execute.block", **obs_meta):
-                    policy.reset()
-                    results = _eval_block_quality(policy, block, quality_meta)
-                done[index] = (results, {"obs": session.drain_payload()})
-            finally:
-                _obs.deactivate(previous)
-        except Exception as error:
-            return done, (index, error)
+                done.update(_eval_chunk(policy, chunk, obs_metas))
+                continue
+            except Exception as error:
+                # The per-block pass below attributes the error.
+                _log_stacked_failure(chunk[0][0], len(chunk), error)
+        for index, block in chunk:
+            try:
+                if obs_metas is None:
+                    done[index] = (evaluate(block), {})
+                    continue
+                attrs, quality_meta = _split_meta(obs_metas[index])
+                with _fresh_session() as session:
+                    with _obs.span("execute.block", **attrs):
+                        results = evaluate(block, quality_meta)
+                    done[index] = (results, {"obs": session.drain_payload()})
+            except Exception as error:
+                return done, (index, error)
     return done, None
 
 
@@ -581,9 +662,10 @@ class ScenarioRunner:
             disables checkpointing.
         resume: reuse a compatible existing checkpoint instead of
             starting it fresh.
-        durable: fsync the checkpoint journal after every entry (see
-            :class:`~.checkpoint.CheckpointStore`); the service front-end
-            turns this on so acknowledged progress survives power loss.
+        durable: fsync the checkpoint journal once per journaled chunk
+            (see :class:`~.checkpoint.CheckpointStore`); the service
+            front-end turns this on so acknowledged progress survives
+            power loss.
         obs: an :class:`~repro.obs.ObsSession` to record spans and
             metrics into; it is activated for the duration of each
             :meth:`run` and its rollup lands in the manifest's
@@ -633,9 +715,9 @@ class ScenarioRunner:
         # Cooperative abort plumbing: ``cancel()`` may be called from
         # any thread (the service's event loop) while ``run()`` executes
         # on a worker thread; the deadline is a monotonic instant set
-        # per run.  Both are checked between block attempts, never
-        # inside one — aborts land on whole-block boundaries, so the
-        # journal stays a set of complete, verified entries.
+        # per run.  Both are checked between chunks and block attempts,
+        # never inside one — aborts land on whole-chunk boundaries, so
+        # the journal stays a set of complete, verified entries.
         self._cancel = threading.Event()
         self._deadline_at: Optional[float] = None
 
@@ -676,7 +758,7 @@ class ScenarioRunner:
         """Request cooperative cancellation of the in-flight run.
 
         Thread-safe.  The run raises :class:`RunCancelledError` at the
-        next block boundary (or mid-wait on a pool future / backoff
+        next chunk boundary (or mid-wait on a pool future / backoff
         sleep); in-flight pool tasks are abandoned without charging
         anyone's attempt budget, and everything already finished stays
         journaled for a later retry-resume.
@@ -743,9 +825,9 @@ class ScenarioRunner:
         current settings, so existing single-run callers are unchanged.
 
         ``deadline_s`` is per-call: a wall-clock budget for this run.
-        No block attempt is scheduled past the deadline; when it passes,
-        the run raises :class:`~.faults.DeadlineExceededError` at the
-        next block boundary with all finished blocks journaled.
+        No chunk or block attempt is scheduled past the deadline; when it
+        passes, the run raises :class:`~.faults.DeadlineExceededError` at
+        the next chunk boundary with all finished blocks journaled.
         """
         from .registry import get_scenario
 
@@ -1074,13 +1156,12 @@ class ScenarioRunner:
                 pending.append(index)
 
         if pending:
-            # With fewer parallel lanes than 2 (a single-core host), the
-            # pool can only pay for its IPC through stacked chunk
-            # evaluation; a policy without a stacked kernel runs the
-            # same per-block work either way, so it stays local there —
-            # unless supervision semantics require process isolation
-            # (fault injection, or a retry timeout that must be able to
-            # terminate a hung worker).
+            # The local path stacks chunks just like the pool, so with
+            # fewer than 2 parallel lanes (a single-core host) the pool
+            # only adds IPC — it runs there only when supervision
+            # semantics require process isolation (fault injection, or a
+            # retry timeout that must be able to terminate a hung
+            # worker).
             lanes = max(1, min(self.jobs, os.cpu_count() or 1))
             retry = self.retry or _FAIL_FAST
             needs_isolation = (
@@ -1092,25 +1173,22 @@ class ScenarioRunner:
                 and policy_spec is not None
                 and testbed_spec is not None
                 and hasattr(policy, "select_batch")
-                and (
-                    lanes > 1
-                    or needs_isolation
-                    or hasattr(policy, "select_fused_stacked")
-                )
+                and (lanes > 1 or needs_isolation)
             )
-            # Completed blocks are journaled by the executors *as they
-            # finish*, not here: a killed or retry-exhausted campaign
-            # must leave every finished block behind for --resume.
+            # Completed blocks are journaled by the executors *as their
+            # chunk finishes*, not here: a killed or retry-exhausted
+            # campaign must leave every finished block behind for
+            # --resume.
+            self._journal = (store, policy_key, call_index)
             if use_pool:
                 executed = self._execute_pool(
                     policy, policy_spec, testbed_spec, blocks, pending, label,
-                    store=store, policy_key=policy_key, call_index=call_index,
+                    call_index=call_index,
                 )
             else:
                 executed = self._execute_supervised_local(
                     policy, blocks, pending, label,
-                    store=store, policy_key=policy_key, call_index=call_index,
-                    testbed_spec=testbed_spec,
+                    call_index=call_index, testbed_spec=testbed_spec,
                 )
             # Absorb in sorted block order — worker trace payloads merge
             # keyed by (call, block) like the checkpoint journal, so the
@@ -1139,62 +1217,129 @@ class ScenarioRunner:
         blocks: Sequence[TrialBlock],
         pending: Sequence[int],
         label: str,
-        store: Optional[CheckpointStore] = None,
-        policy_key: Optional[str] = None,
         call_index: int = 0,
         testbed_spec: Optional[TestbedSpec] = None,
     ) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
+        """Evaluate pending blocks in-process, one planned chunk at a time.
+
+        Blocks run in :func:`_plan_chunks` chunks, in block order:
+        fault-directive carriers alone (as in the pool), clean chunks
+        each in one stacked pass (:func:`_eval_chunk`) when the policy has a
+        stacked kernel.  A chunk that is not stacked, or whose stacked
+        pass raised, runs block by block under the retry policy.  Every
+        chunk is journaled with one commit, and cancel/deadline checks
+        land on chunk boundaries.
+        """
         retry = self.retry or _FAIL_FAST
         testbed_key = testbed_spec.key() if testbed_spec is not None else None
+        injector = self._injector
+        singles = {
+            index for index in pending
+            if injector is not None and injector.directive(index, 1) is not None
+        }
+        stackable = hasattr(policy, "select_fused_stacked")
+        traced = _obs.enabled()
         out: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
-        for index in pending:
-            block = blocks[index]
-            attempt = 0
-            while True:
-                self._check_abort()
-                attempt += 1
-                try:
-                    directive = (
-                        self._injector.directive(index, attempt)
-                        if self._injector is not None
-                        else None
-                    )
-                    span_attrs: Dict[str, Any] = {
-                        "policy": label, "call": call_index,
-                        "block": index, "attempt": attempt,
+        for chunk in _plan_chunks(blocks, pending, singles):
+            self._check_abort()
+            done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
+            if stackable and chunk[0] not in singles:
+                metas = (
+                    {
+                        index: {"policy": label, "call": call_index,
+                                "block": index, "attempt": 1}
+                        for index in chunk
                     }
-                    if directive is not None:
-                        span_attrs["injected"] = True
-                    # Same span name and attrs as the pool path emits
-                    # worker-side: jobs=1 and jobs=N traces carry the
-                    # same span set, differing only in timings.
-                    with _obs.span("execute.block", **span_attrs):
-                        if directive is not None:
-                            self._apply_local_directive(
-                                directive, testbed_key, label, index, attempt
-                            )
-                        policy.reset()
-                        out[index] = (_eval_block(policy, block), {})
-                    if store is not None:
-                        store.put(policy_key, call_index, index, out[index][0])
-                    self.health.note_attempts(label, index, attempt)
-                    break
-                except Exception as error:
-                    if attempt >= retry.max_attempts:
-                        raise RetryExhaustedError(label, index, attempt, error)
-                    _LOGGER.warning(
-                        "block %d of '%s' failed on attempt %d (%s: %s); retrying",
-                        index,
-                        label,
-                        attempt,
-                        type(error).__name__,
-                        error,
+                    if traced
+                    else None
+                )
+                try:
+                    done = _eval_chunk(
+                        policy, [(index, blocks[index]) for index in chunk], metas
                     )
-                    self.health.note_retry(label, index, error)
-                    wait = retry.backoff_s(index, attempt)
-                    _obs.observe("runner_retry_wait_seconds", wait)
-                    self._abort_wait(wait)
+                except Exception as error:
+                    # The per-block pass below attributes the error.
+                    _log_stacked_failure(chunk[0], len(chunk), error)
+                else:
+                    for index in chunk:
+                        self.health.note_attempts(label, index, 1)
+            try:
+                for index in chunk:
+                    if index not in done:
+                        done[index] = self._supervise_block(
+                            policy, blocks[index], index, label, call_index,
+                            testbed_key, retry,
+                        )
+            finally:
+                # Journal whatever finished, even when a block exhausts
+                # its retries or the run aborts mid-chunk.
+                self._commit(done)
+                out.update(done)
         return out
+
+    def _supervise_block(
+        self,
+        policy,
+        block: TrialBlock,
+        index: int,
+        label: str,
+        call_index: int,
+        testbed_key: Optional[str],
+        retry: RetryPolicy,
+    ) -> Tuple[Sequence, Dict[str, Any]]:
+        """One block in-process under the retry policy."""
+        attempt = 0
+        while True:
+            self._check_abort()
+            attempt += 1
+            try:
+                directive = (
+                    self._injector.directive(index, attempt)
+                    if self._injector is not None
+                    else None
+                )
+                span_attrs: Dict[str, Any] = {
+                    "policy": label, "call": call_index,
+                    "block": index, "attempt": attempt,
+                }
+                if directive is not None:
+                    span_attrs["injected"] = True
+                # Same span name and attrs as the pool path emits
+                # worker-side: jobs=1 and jobs=N traces carry the
+                # same span set, differing only in timings.
+                with _obs.span("execute.block", **span_attrs):
+                    if directive is not None:
+                        self._apply_local_directive(
+                            directive, testbed_key, label, index, attempt
+                        )
+                    policy.reset()
+                    results = _eval_block(policy, block)
+                self.health.note_attempts(label, index, attempt)
+                return results, {}
+            except Exception as error:
+                if attempt >= retry.max_attempts:
+                    raise RetryExhaustedError(label, index, attempt, error)
+                _LOGGER.warning(
+                    "block %d of '%s' failed on attempt %d (%s: %s); retrying",
+                    index,
+                    label,
+                    attempt,
+                    type(error).__name__,
+                    error,
+                )
+                self.health.note_retry(label, index, error)
+                wait = retry.backoff_s(index, attempt)
+                _obs.observe("runner_retry_wait_seconds", wait)
+                self._abort_wait(wait)
+
+    def _commit(self, done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]) -> None:
+        """Journal finished blocks of this execute call in one group commit."""
+        store, policy_key, call_index = self._journal
+        if store is not None and done:
+            indices = sorted(done)
+            store.put(
+                policy_key, call_index, indices, [done[index][0] for index in indices]
+            )
 
     def _note_injected(self, label: str, index: int, attempt: int, kind: str) -> None:
         """Count a directive once per (label, block, attempt).
@@ -1305,21 +1450,6 @@ class ScenarioRunner:
         key = f"blocks::{self._run_digest}::{policy_key}::c{call_index}"
         return self._shm.publish(key, arrays)
 
-    @staticmethod
-    def _chunks_of(indices: Sequence[int], jobs: int) -> List[List[int]]:
-        """Split clean blocks into contiguous chunks for dispatch.
-
-        At most ``min(jobs, cpu_count)`` chunks: a task per worker is
-        what parallel hardware can actually overlap, and every chunk
-        beyond the core count adds an IPC round-trip (and dilutes the
-        stacked-evaluation amortization) without adding parallelism.
-        """
-        if not indices:
-            return []
-        lanes = max(1, min(jobs, os.cpu_count() or 1))
-        size = -(-len(indices) // lanes)
-        return [list(indices[i : i + size]) for i in range(0, len(indices), size)]
-
     def _execute_pool(
         self,
         policy,
@@ -1328,8 +1458,6 @@ class ScenarioRunner:
         blocks: Sequence[TrialBlock],
         pending: Sequence[int],
         label: str,
-        store: Optional[CheckpointStore] = None,
-        policy_key: Optional[str] = None,
         call_index: int = 0,
     ) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
         """Dispatch blocks to the pool under the supervision policy.
@@ -1344,13 +1472,16 @@ class ScenarioRunner:
 
         Dispatch granularity: directive-carrying blocks are submitted
         one per task (fault attribution stays per-block exact); clean
-        blocks ride in at most ``jobs`` chunks per round
-        (:func:`_worker_run_chunk`), so a round costs O(jobs) IPC
-        round-trips instead of O(blocks).  A chunk's wall-clock budget
-        scales with its length; a timed-out or pool-breaking chunk
-        charges its first block (the crash-directive culprit search
-        still wins when the harness injected one), and a chunk's own
-        partial results are harvested from its return value.
+        blocks are cut into the local path's chunks (:func:`_plan_chunks`)
+        and whole chunks ride in at most ``min(jobs, cpu_count)`` tasks
+        per round (:func:`_worker_run_chunks`), so a round costs
+        O(lanes) IPC round-trips instead of O(blocks) — a task per
+        worker is what parallel hardware can actually overlap.  A task's
+        wall-clock budget scales with its block count; a timed-out or
+        pool-breaking task charges its first block (the crash-directive
+        culprit search still wins when the harness injected one), and a
+        task's own partial results are harvested from its return value
+        and journaled with one commit.
         """
         retry = self.retry or _FAIL_FAST
         testbed_key = testbed_spec.key()
@@ -1369,7 +1500,7 @@ class ScenarioRunner:
             if _quality.quality_context() is not None
             else None
         )
-        self._journal = (store, policy_key, call_index)
+        lanes = max(1, min(self.jobs, os.cpu_count() or 1))
         out: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
         attempts: Dict[int, int] = {index: 0 for index in pending}
         remaining = set(pending)
@@ -1385,7 +1516,7 @@ class ScenarioRunner:
             before = len(remaining)
             dispatch_attempt: Dict[int, int] = {}
             directives: Dict[int, Optional[Dict[str, Any]]] = {}
-            tasks: List[Tuple[str, List[int], Any]] = []
+            tasks: List[Tuple[List[int], Any]] = []
             failures: List[Tuple[int, BaseException]] = []
             dispatched = True
             try:
@@ -1413,43 +1544,39 @@ class ScenarioRunner:
                         if quality_meta is not None:
                             obs_meta["quality"] = quality_meta
                         obs_meta_of[index] = obs_meta
-                clean = [index for index in batch if directives[index] is None]
-                for index in batch:
-                    if directives[index] is None:
-                        continue
-                    future = pool.submit(
-                        _worker_run_block,
-                        testbed_key,
-                        worker_policy_key,
-                        blocks[index],
-                        directives[index],
-                        obs_meta_of.get(index),
-                        manifest,
-                    )
-                    tasks.append(("single", [index], future))
-                for chunk in self._chunks_of(clean, self.jobs):
-                    chunk_metas = (
-                        {index: obs_meta_of[index] for index in chunk}
-                        if traced
-                        else None
-                    )
-                    if blocks_manifest is not None:
-                        payload = [
+                singles = {index for index in batch if directives[index] is not None}
+                chunks = _plan_chunks(blocks, batch, singles)
+                # Directive carriers get a task each, submitted first;
+                # clean chunks share at most `lanes` tasks.
+                groups = [[chunk] for chunk in chunks if chunk[0] in singles]
+                groups += _lane_groups(
+                    blocks, [chunk for chunk in chunks if chunk[0] not in singles], lanes
+                )
+                for group in groups:
+                    indices = [index for chunk in group for index in chunk]
+                    # Shared-memory blocks travel as recording indices.
+                    payload = [
+                        [
                             (index, blocks[index].recording_index)
+                            if blocks_manifest is not None
+                            else (index, blocks[index])
                             for index in chunk
                         ]
-                    else:
-                        payload = [(index, blocks[index]) for index in chunk]
+                        for chunk in group
+                    ]
                     future = pool.submit(
-                        _worker_run_chunk,
+                        _worker_run_chunks,
                         testbed_key,
                         worker_policy_key,
                         payload,
-                        chunk_metas,
+                        {index: obs_meta_of[index] for index in indices}
+                        if traced
+                        else None,
                         manifest,
                         blocks_manifest,
+                        directives[indices[0]],
                     )
-                    tasks.append(("chunk", chunk, future))
+                    tasks.append((indices, future))
             except _POOL_FAULTS as error:
                 # A worker died between rounds (e.g. the straggling tail
                 # of a crash that broke the previous pool).  Nothing
@@ -1516,7 +1643,7 @@ class ScenarioRunner:
 
     def _collect_round(
         self,
-        tasks: List[Tuple[str, List[int], Any]],
+        tasks: List[Tuple[List[int], Any]],
         retry: RetryPolicy,
         batch: List[int],
         directives: Dict[int, Optional[Dict[str, Any]]],
@@ -1532,24 +1659,22 @@ class ScenarioRunner:
         for task in tasks:
             if abandoned:
                 break
-            kind, indices, future = task
+            indices, future = task
             budget = (
-                retry.timeout_s
-                if retry.timeout_s is None or kind == "single"
-                else retry.timeout_s * len(indices)
+                None if retry.timeout_s is None else retry.timeout_s * len(indices)
             )
             try:
                 payload = self._await_task(future, budget)
             except _FuturesTimeout:
-                # The hung block inside a chunk is unknowable
-                # from outside; charge the chunk's first block
-                # (singles charge themselves).
+                # The hung block inside a task is unknowable
+                # from outside; charge the task's first block
+                # (a single-block task charges itself).
                 charged = indices[0]
                 self.health.note_timeout(label, charged, budget)
                 attempts[charged] = dispatch_attempt[charged]
                 noun = (
                     f"block {charged}"
-                    if kind == "single"
+                    if len(indices) == 1
                     else f"chunk of {len(indices)} blocks at {charged}"
                 )
                 failures.append(
@@ -1609,52 +1734,36 @@ class ScenarioRunner:
                 attempts[charged] = dispatch_attempt[charged]
                 failures.append((charged, error))
             else:
-                if kind == "single":
-                    self._settle_success(
-                        indices[0], payload, dispatch_attempt,
-                        attempts, remaining, out, label,
-                    )
-                else:
-                    done, failure = payload
-                    for index in indices:
-                        block_payload = done.get(index)
-                        if block_payload is not None:
-                            self._settle_success(
-                                index, block_payload, dispatch_attempt,
-                                attempts, remaining, out, label,
-                            )
-                    if failure is not None:
-                        failed_index, error = failure
-                        attempts[failed_index] = dispatch_attempt[
-                            failed_index
-                        ]
-                        failures.append((failed_index, error))
-                    # Chunk blocks neither done nor failed are
-                    # collateral: untouched attempt budget.
+                done, failure = payload
+                self._settle(done, dispatch_attempt, attempts, remaining, out, label)
+                if failure is not None:
+                    failed_index, error = failure
+                    attempts[failed_index] = dispatch_attempt[failed_index]
+                    failures.append((failed_index, error))
+                # Task blocks neither done nor failed are collateral:
+                # untouched attempt budget.
 
-    def _settle_success(
+    def _settle(
         self,
-        index: int,
-        payload: Tuple[Sequence, Dict[str, Any]],
+        done: Mapping[int, Tuple[Sequence, Dict[str, Any]]],
         dispatch_attempt: Dict[int, int],
         attempts: Dict[int, int],
         remaining: set,
         out: Dict[int, Tuple[Sequence, Dict[str, Any]]],
         label: str,
     ) -> None:
-        """Record one finished block: journal it, settle its attempt."""
-        attempts[index] = dispatch_attempt[index]
-        out[index] = payload
-        remaining.discard(index)
-        store, policy_key, call_index = self._journal
-        if store is not None:
-            store.put(policy_key, call_index, index, payload[0])
-        self.health.note_attempts(label, index, attempts[index])
+        """Record one task's finished blocks: settle them, journal them once."""
+        for index, payload in done.items():
+            attempts[index] = dispatch_attempt[index]
+            out[index] = payload
+            remaining.discard(index)
+            self.health.note_attempts(label, index, attempts[index])
+        self._commit(done)
 
     def _harvest_done(
         self,
-        tasks: Sequence[Tuple[str, List[int], Any]],
-        skip_task: Optional[Tuple[str, List[int], Any]],
+        tasks: Sequence[Tuple[List[int], Any]],
+        skip_task: Optional[Tuple[List[int], Any]],
         dispatch_attempt: Dict[int, int],
         attempts: Dict[int, int],
         remaining: set,
@@ -1676,7 +1785,7 @@ class ScenarioRunner:
         for task in tasks:
             if task is skip_task:
                 continue
-            kind, indices, future = task
+            indices, future = task
             if future is None or not future.done():
                 continue
             try:
@@ -1697,26 +1806,15 @@ class ScenarioRunner:
                     failures.append((index, error))
                     already_failed.add(index)
             else:
-                if kind == "single":
-                    index = indices[0]
-                    if index in remaining and index not in already_failed:
-                        self._settle_success(
-                            index, payload, dispatch_attempt,
-                            attempts, remaining, out, label,
-                        )
-                    continue
                 done, failure = payload
-                for index in indices:
-                    block_payload = done.get(index)
-                    if (
-                        block_payload is not None
-                        and index in remaining
-                        and index not in already_failed
-                    ):
-                        self._settle_success(
-                            index, block_payload, dispatch_attempt,
-                            attempts, remaining, out, label,
-                        )
+                self._settle(
+                    {
+                        index: block_payload
+                        for index, block_payload in done.items()
+                        if index in remaining and index not in already_failed
+                    },
+                    dispatch_attempt, attempts, remaining, out, label,
+                )
                 if failure is not None:
                     failed_index, error = failure
                     if failed_index in remaining and failed_index not in already_failed:

@@ -503,7 +503,7 @@ class SelectionService:
             )
             for runner in list(self._running.values()):
                 runner.cancel()
-            # The cancel lands at the next block boundary; wait for the
+            # The cancel lands at the next chunk boundary; wait for the
             # workers to journal the interrupted runs back to queued.
             while self._inflight > 0:
                 await asyncio.sleep(0.05)
@@ -880,7 +880,7 @@ class SelectionService:
 
         A queued run is settled immediately (the worker skips its queue
         entry).  A running run's runner is signalled; the abort lands
-        at the next block boundary and the worker finalizes the record.
+        at the next chunk boundary and the worker finalizes the record.
         Either way the checkpoint journal is *kept* — ``POST
         /runs/<id>/retry`` resumes from exactly the blocks that
         finished before the cancel.

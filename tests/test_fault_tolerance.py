@@ -529,14 +529,18 @@ class TestWorkerCacheCorruption:
                 np.random.default_rng(4),
             )
 
-        clean, info = runner_module._worker_run_block(
-            testbed_key, policy_spec.key(), block
+        done, failure = runner_module._worker_run_chunks(
+            testbed_key, policy_spec.key(), [[(0, block)]]
         )
+        assert failure is None
+        clean, info = done[0]
         assert info == {}
-        corrupted, info = runner_module._worker_run_block(
-            testbed_key, policy_spec.key(), block,
+        done, failure = runner_module._worker_run_chunks(
+            testbed_key, policy_spec.key(), [[(0, block)]],
             directive={"kind": "cache-corrupt"},
         )
+        assert failure is None
+        corrupted, info = done[0]
         assert info == {}
         assert [r.sector_id for r in corrupted] == [r.sector_id for r in clean]
 
@@ -621,6 +625,35 @@ class TestKernelFailure:
         assert (error.label, error.block_index, error.attempts) == ("broken-batch", 0, 2)
         assert isinstance(error.cause, RuntimeError)
         assert broken.select_calls == 0
+
+
+class TestStackedPassFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_stacked_pass_reruns_blocks_uncharged(
+        self, clean_result, monkeypatch, jobs
+    ):
+        """A raising stacked pass falls back to per-block evaluation:
+        same records, no retry charged, and no trace of the failed
+        attempt — one ``execute.block`` span per block.  (Patched
+        before the fork pool starts, so workers inherit it.)"""
+        from repro import obs
+        from repro.core.policy import CompressivePolicy
+
+        def broken(self, parts, around=None):
+            # Fail after the first part's build, inside the pass.
+            if around is not None:
+                with around(0):
+                    pass
+            raise RuntimeError("stacked kernel rejected")
+
+        monkeypatch.setattr(CompressivePolicy, "select_fused_stacked", broken)
+        session = obs.ObsSession()
+        with ScenarioRunner(jobs=jobs, obs=session) as runner:
+            outcome = runner.run(_small_spec())
+        assert outcome.result.rows == clean_result.result.rows
+        assert outcome.manifest.health["retries"] == 0
+        spans = outcome.manifest.observability["spans"]
+        assert spans["execute.block"]["count"] == 10
 
 
 class TestCliFaultSurface:

@@ -14,6 +14,7 @@ Two promises from the sharded-execution layer (DESIGN.md §12):
   workers that rebuilt from the spec.
 """
 
+import contextlib
 import glob
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.runner as runner_module
 import repro.runtime.shm as shm
 from repro.core.compressive import CompressiveSectorSelector
 from repro.core.measurements import ProbeMeasurement
@@ -28,6 +30,7 @@ from repro.core.policy import CompressivePolicy, seed_shared_selector
 from repro.runtime import FaultPlan, RetryPolicy, ScenarioRunner
 from repro.runtime.faults import FaultSpec
 from repro.runtime.policy import PolicyContext
+from repro.runtime.runner import TrialBlock
 from repro.runtime.spec import PolicySpec, ScenarioSpec
 
 from tests.reference_kernel import (
@@ -146,6 +149,86 @@ class TestFusedStacked:
         selector = CompressiveSectorSelector(TABLE)
         with pytest.raises(ValueError):
             selector.select_fused_stacked(parts)
+
+    def test_around_wraps_each_part_build_in_order(self):
+        parts = self._parts([5, 5, 5])
+        plain = CompressiveSectorSelector(TABLE).select_fused_stacked(parts)
+        entered = []
+
+        @contextlib.contextmanager
+        def around(part):
+            entered.append(part)
+            yield
+
+        hooked = CompressiveSectorSelector(TABLE).select_fused_stacked(
+            parts, around=around
+        )
+        assert entered == [0, 1, 2]
+        assert hooked == plain
+
+
+def _blocks(shapes):
+    return [
+        TrialBlock(
+            recording_index=index,
+            sector_ids=np.zeros(shape, dtype=np.intp),
+            snr_db=np.zeros(shape),
+            rssi_dbm=np.zeros(shape),
+            mask=np.ones(shape, dtype=bool),
+            sweep_indices=np.zeros(shape[0], dtype=np.intp),
+            subsample_indices=np.zeros(shape[0], dtype=np.intp),
+            probes_requested=np.zeros(shape[0], dtype=np.intp),
+        )
+        for index, shape in enumerate(shapes)
+    ]
+
+
+_SHAPES = st.lists(
+    st.tuples(st.integers(1, 90), st.sampled_from([4, 14])), min_size=1, max_size=40
+)
+
+
+class TestChunkPlanner:
+    @settings(max_examples=80, deadline=None)
+    @given(shapes=_SHAPES, data=st.data())
+    def test_chunks_partition_in_order_under_the_budget(self, shapes, data):
+        blocks = _blocks(shapes)
+        indices = list(range(len(blocks)))
+        alone = set(data.draw(st.lists(st.sampled_from(indices), max_size=3)))
+        chunks = runner_module._plan_chunks(blocks, indices, alone)
+        assert [index for chunk in chunks for index in chunk] == indices
+        budget = runner_module.CHUNK_ROWS
+        for chunk in chunks:
+            rows = sum(blocks[index].n_trials for index in chunk)
+            assert len(chunk) == 1 or rows <= budget
+            assert len({blocks[index].sector_ids.shape[1] for index in chunk}) == 1
+            assert len(chunk) == 1 or not alone & set(chunk)
+        # Greedy: no chunk could have taken the next chunk's first block.
+        for chunk, following in zip(chunks, chunks[1:]):
+            head = following[0]
+            rows = sum(blocks[index].n_trials for index in chunk + [head])
+            assert (
+                rows > budget
+                or blocks[head].sector_ids.shape[1]
+                != blocks[chunk[0]].sector_ids.shape[1]
+                or alone & {chunk[-1], head}
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(shapes=_SHAPES, lanes=st.integers(1, 4))
+    def test_lane_groups_are_contiguous_and_balanced(self, shapes, lanes):
+        blocks = _blocks(shapes)
+        chunks = runner_module._plan_chunks(blocks, range(len(blocks)))
+        groups = runner_module._lane_groups(blocks, chunks, lanes)
+        assert 1 <= len(groups) <= lanes
+        assert [chunk for group in groups for chunk in group] == chunks
+        def rows(chunk):
+            return sum(blocks[index].n_trials for index in chunk)
+
+        share = sum(rows(chunk) for chunk in chunks) / lanes
+        largest = max(rows(chunk) for chunk in chunks)
+        for group in groups:
+            assert sum(rows(chunk) for chunk in group) <= share + largest
 
 
 def _kernel_segments():

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.runtime.runner as runner_module
 from repro.cli import main
 from repro.runtime import (
     DeadlineExceededError,
@@ -227,7 +228,8 @@ class TestRunnerAbort:
             thread = threading.Thread(target=target)
             thread.start()
             # Cancel as soon as the first block journals, so the run is
-            # provably mid-flight with hundreds of blocks still to go.
+            # provably mid-flight with most of its 5 blocks (500 rows
+            # each, one chunk apiece) still to go.
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 if journal.is_file() and journal.read_text().count("\n") > 1:
@@ -239,6 +241,50 @@ class TestRunnerAbort:
         assert caught and isinstance(caught[0], RunCancelledError)
         # Finished blocks stayed journaled for a later resume.
         assert journal_header(journal) is not None
+
+    def test_cancel_with_hundreds_of_one_row_blocks(self, tmp_path):
+        # One sweep per recording on a fine azimuth grid: hundreds of
+        # one-row blocks, which run as several stacked chunks.  The
+        # cancel lands on a chunk boundary, so only whole chunks are
+        # journaled and most blocks never run.
+        journal = tmp_path / "j.jsonl"
+        spec = ScenarioSpec(
+            scenario="policy-eval",
+            seed=78,
+            policies=(PolicySpec("css", {"n_probes": 14}),),
+            params={"azimuth_step_deg": 0.1, "distance_m": 6.0, "n_sweeps": 1},
+        )
+        caught = []
+        with ScenarioRunner(checkpoint=journal) as runner:
+            blocks = []
+            original = runner.execute
+
+            def execute(policy, planned, *args, **kwargs):
+                blocks.append(len(planned))
+                return original(policy, planned, *args, **kwargs)
+
+            runner.execute = execute
+
+            def target():
+                try:
+                    runner.run(spec)
+                except BaseException as error:  # noqa: BLE001 - test probe
+                    caught.append(error)
+
+            thread = threading.Thread(target=target)
+            thread.start()
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if journal.is_file() and journal.read_text().count("\n") > 1:
+                    break
+                time.sleep(0.002)
+            runner.cancel()
+            thread.join(60)
+            assert not thread.is_alive()
+        assert caught and isinstance(caught[0], RunCancelledError)
+        assert blocks and blocks[0] > 4 * runner_module.CHUNK_ROWS
+        journaled = journal.read_text().count("\n") - 1
+        assert 0 < journaled < sum(blocks)
 
     def test_deadline_survives_into_next_run_until_rebound(self, tmp_path):
         # deadline_s is per-call: the next run() without one is unbounded.
