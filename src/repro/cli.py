@@ -477,7 +477,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     """Operate on durable service state ('gc' sweeps orphans offline)."""
     from pathlib import Path
 
-    from .runtime.checkpoint import journal_header
+    from .runtime.checkpoint import sweep_orphaned_journals
     from .runtime.shm import sweep_leaked_segments
     from .service.registry import RunRegistry
 
@@ -501,19 +501,13 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             }
         finally:
             registry.close()
-    swept = 0
-    for path in sorted(state_dir.glob("*.jsonl")):
-        if path == registry_path or str(path) in referenced:
-            continue
-        if journal_header(path) is None:
-            continue  # not a checkpoint journal — leave it alone
-        path.unlink()
-        swept += 1
+    swept = sweep_orphaned_journals(state_dir, referenced)
+    for path in swept:
         print(f"gc: reclaimed orphaned checkpoint journal {path}")
     segments = sweep_leaked_segments() if args.sweep_shm else []
     for segment in segments:
         print(f"gc: reclaimed leaked shm segment {segment}")
-    print(f"gc: reclaimed {swept} journal(s), {len(segments)} shm segment(s)")
+    print(f"gc: reclaimed {len(swept)} journal(s), {len(segments)} shm segment(s)")
     return 0
 
 

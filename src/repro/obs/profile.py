@@ -8,10 +8,11 @@ A timer-signal statistical profiler with three properties the existing
   collapsed-stack counter; nothing is traced per call, so the cost is
   a bounded number of frame walks per second (priced by the perf
   gate ``runner_profile_overhead_pct``, budget <5 % + noise).
-* **Thread-safe** — every sample walks ``sys._current_frames()``, so
+* **Thread-safe** — every tick walks ``sys._current_frames()``, so
   executor threads (the service's run lane) are profiled alongside
-  the main thread; the counter dict is only mutated from the signal
-  handler, which the interpreter serializes on the main thread.
+  the main thread, one sample per live thread per tick; the counter
+  dict is only mutated from the signal handler, which the interpreter
+  serializes on the main thread.
 * **Fork-aware** — POSIX interval timers do **not** survive
   ``fork()``, so a pool worker forked from a profiling supervisor
   would silently stop sampling.  An ``os.register_at_fork`` hook
@@ -95,8 +96,8 @@ class StackSampler:
         self._sample(frame)
 
     def _sample(self, signal_frame) -> None:
-        """Fold every live thread's stack into the counter."""
-        self._samples += 1
+        """Fold every live thread's stack into the counter, one sample
+        each, so ``samples`` is the sum of the stack counts."""
         frames = sys._current_frames()
         # The frame passed to the handler is the main thread's *true*
         # interrupted frame; _current_frames sees the handler itself.
@@ -118,6 +119,7 @@ class StackSampler:
                 continue
             collapsed = ";".join(reversed(stack))
             self._counts[collapsed] = self._counts.get(collapsed, 0) + 1
+            self._samples += 1
 
     # -- lifecycle -----------------------------------------------------
 

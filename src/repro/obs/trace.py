@@ -235,7 +235,10 @@ class RotatingTraceWriter:
     ``trace.1.jsonl``, ``trace.2.jsonl`` … — the base path is always
     the oldest segment, so `--trace` keeps pointing at a valid file.
     Rotation happens *between* batches, never inside one, so a batch's
-    events (one service run's trace) always share a segment.
+    events (one service run's trace) always share a segment.  A new
+    writer starts at the first unused segment index, so a restarted
+    service appends after the segments of the process it replaces
+    instead of erasing them.
     """
 
     def __init__(
@@ -250,6 +253,8 @@ class RotatingTraceWriter:
         self._header = dict(header or {})
         self._max_bytes = int(max_bytes)
         self._index = 0
+        while self.segment_path(self._index).exists():
+            self._index += 1
         self._handle = None
         self._written: List[Path] = []
 

@@ -11,9 +11,11 @@ the recovery invariants the design promises (DESIGN.md §14):
   the same ``--state-dir``; the run registry re-admits the interrupted
   run, the checkpoint journal resumes it (``checkpoint_hits > 0``) and
   the final digest is bit-identical to an uninterrupted run.
-* ``torn-tail``      — append a torn (newline-less) line to the run
-  registry while the service is down; the restart truncates the tail
-  and retained history survives intact.
+* ``torn-tail``      — while the service is down, append a torn
+  (newline-less) line to the run registry and tear an interrupted
+  run's checkpoint journal mid-entry; the restart truncates both tails,
+  retained history survives intact and the resumed run's digest
+  matches a clean run.
 * ``shm-evict``      — plant a leaked ``/dev/shm/repro-kernels-*``
   segment; startup GC reclaims it.
 * ``deadline-storm`` — a burst of submissions with microscopic
@@ -380,19 +382,19 @@ class _Campaign:
             "pool_replacements": health.get("pool_replacements", 0),
         }
 
-    def event_serve_restart(self) -> Dict[str, Any]:
-        # Catch a run mid-flight: at least one block journaled, run
-        # still running.  Blocks are journaled a chunk at a time, so a
-        # one-policy run this small commits once, at its very end;
-        # three policies are three execute calls, and the first call's
-        # commit lands while the other two still run.  Escalate the
-        # spec size if the run keeps finishing before the kill lands
-        # (fast machines).
-        caught = False
-        spec = None
-        run_id = ""
+    def _catch_midrun(self, label: str, offset: int):
+        """Submit a run and return ``(spec, run_id, journal)`` once it is
+        running with at least one block journaled, or None.
+
+        Blocks are journaled a chunk at a time, so a one-policy run
+        this small commits once, at its very end; three policies are
+        three execute calls, and the first call's commit lands while
+        the other two still run.  The spec grows if the run keeps
+        finishing before it is caught (fast machines); every run that
+        finishes untouched must still match its clean digest.
+        """
         for attempt, sweeps in enumerate((4, 8, 16)):
-            spec = self.spec(30 + attempt, n_sweeps=sweeps, probe_counts=(14, 10, 6))
+            spec = self.spec(offset + attempt, n_sweeps=sweeps, probe_counts=(14, 10, 6))
             run_id = self.client.submit(spec.to_json())["run"]
             journal = Path(self.client.status(run_id)["checkpoint"])
             deadline = time.monotonic() + self.config.run_timeout_s
@@ -401,21 +403,22 @@ class _Campaign:
                 if payload["status"] in _TERMINAL:
                     break
                 if payload["status"] == "running" and _journal_entries(journal) >= 1:
-                    caught = True
-                    break
+                    return spec, run_id, journal
                 time.sleep(0.005)
-            if caught:
-                break
-            # The warm-up run completed untouched; it still must match.
             final = self.client.wait(run_id, timeout=self.config.run_timeout_s)
             self._expected["done"] += 1
             self.check(
-                f"serve_restart_warmup{attempt}_digest",
+                f"{label}_warmup{attempt}_digest",
                 final.get("result_sha256") == self.clean_digest(spec),
             )
-        self.check("serve_restart_caught_midrun", caught)
-        if not caught:
+        return None
+
+    def event_serve_restart(self) -> Dict[str, Any]:
+        caught = self._catch_midrun("serve_restart", 30)
+        self.check("serve_restart_caught_midrun", caught is not None)
+        if caught is None:
             return {"event": "serve-restart", "caught": 0}
+        spec, run_id, _journal = caught
         self.service.kill()
         begin = time.perf_counter()
         self.service.start()
@@ -457,10 +460,18 @@ class _Campaign:
             "torn_tail_precondition_done",
             final["status"] == "done" and digest == self.clean_digest(spec),
         )
+        caught = self._catch_midrun("torn_tail", 52)
+        self.check("torn_tail_caught_midrun", caught is not None)
         self.service.kill()
         registry = self.state_dir / "registry.jsonl"
         with registry.open("a", encoding="utf-8") as handle:
             handle.write('{"event": {"run": "r-torn", "to": "done"')
+        if caught is not None:
+            # Tear the interrupted run's journal mid-way through its
+            # last entry, as a crash inside a chunk's write would.
+            data = caught[2].read_bytes()
+            last = data.rstrip(b"\n").rfind(b"\n") + 1
+            caught[2].write_bytes(data[: last + (len(data) - last) // 2])
         self.service.start()
         payload = self.client.status(run_id)
         self.check(
@@ -468,7 +479,16 @@ class _Campaign:
             payload["status"] == "done"
             and payload.get("result_sha256") == digest,
         )
-        return {"event": "torn-tail", "run": run_id}
+        if caught is None:
+            return {"event": "torn-tail", "run": run_id, "caught": 0}
+        torn_spec, torn_run, _journal = caught
+        final = self.client.wait(torn_run, timeout=self.config.run_timeout_s)
+        self._expected["done"] += 1
+        self.check(
+            "torn_tail_resumed_digest_identical",
+            final.get("result_sha256") == self.clean_digest(torn_spec),
+        )
+        return {"event": "torn-tail", "run": run_id, "caught": 1, "resumed": torn_run}
 
     def event_shm_evict(self) -> Dict[str, Any]:
         self.service.kill()

@@ -72,7 +72,8 @@ _SEGMENT_PREFIX = "repro-kernels-"
 _MAX_SEGMENTS = 128
 
 #: Worker-side cap on cached attachments, bounding mapped pages when a
-#: long-lived pool serves many distinct specs.
+#: long-lived pool serves many distinct specs.  An evicted mapping is
+#: unmapped only once no view of it is alive (see ``_release``).
 _MAX_ATTACHED = 128
 
 
@@ -209,6 +210,29 @@ class KernelPublisher:
 #: mapped for the lifetime of the views.
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]] = {}
 
+#: Mappings dropped from ``_ATTACHED`` while some view of them was still
+#: alive — a cached worker policy, selector or probe design keeps the
+#: kernel views it was seeded with.  Each is unmapped once its last
+#: view is gone.
+_RETIRED: List[shared_memory.SharedMemory] = []
+
+
+def _release(segments: List[shared_memory.SharedMemory]) -> None:
+    """Unmap every dropped mapping no view still reads; retire the rest.
+
+    Views come from ``np.frombuffer``, which holds a buffer export on
+    the mapping, so ``close()`` raises ``BufferError`` instead of
+    unmapping memory a live view reads (``np.ndarray(buffer=...)``
+    holds no export, and ``close()`` would unmap under it).
+    """
+    live = []
+    for segment in [*_RETIRED, *segments]:
+        try:
+            segment.close()
+        except BufferError:
+            live.append(segment)
+    _RETIRED[:] = live
+
 
 def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
     """Map a published segment and return read-only array views.
@@ -224,17 +248,16 @@ def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
     segment = shared_memory.SharedMemory(name=manifest.segment, create=False)
     views: Dict[str, np.ndarray] = {}
     for name, (offset, shape, dtype) in manifest.entries.items():
-        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=offset)
+        count = int(np.prod(shape, dtype=np.int64))
+        view = np.frombuffer(segment.buf, dtype=dtype, count=count, offset=offset)
+        view = view.reshape(shape)
         view.flags.writeable = False
         views[name] = view
     _ATTACHED[manifest.segment] = (segment, views)
+    evicted = []
     while len(_ATTACHED) > _MAX_ATTACHED:
-        oldest = next(iter(_ATTACHED))
-        evicted, _views = _ATTACHED.pop(oldest)
-        try:
-            evicted.close()
-        except BufferError:  # pragma: no cover - live views still held
-            pass
+        evicted.append(_ATTACHED.pop(next(iter(_ATTACHED)))[0])
+    _release(evicted)
     return views
 
 
@@ -284,13 +307,9 @@ def detach_all() -> None:
     """Drop every cached attachment (worker cache-reset path).
 
     Mappings whose views are still referenced elsewhere stay mapped
-    (``close`` raises ``BufferError`` and the segment object is simply
-    dropped); a later :func:`attach` re-maps from scratch.
+    until those views are gone; a later :func:`attach` re-maps from
+    scratch.
     """
-    attached = dict(_ATTACHED)
+    segments = [segment for segment, _views in _ATTACHED.values()]
     _ATTACHED.clear()
-    for segment, _views in attached.values():
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - live views still held
-            pass
+    _release(segments)

@@ -10,35 +10,28 @@ to one JSONL write-ahead log under the service state dir, fsync'd in
 durable mode, and replayed on startup so a restarted service re-admits
 queued runs and resumes in-flight ones from their checkpoint journals.
 
-File format (one JSON object per line), borrowing the
-:class:`~repro.runtime.checkpoint.CheckpointStore` discipline:
-
-* line 1 — header: ``{"format": "repro-run-registry", "version": 1}``.
-* following lines — ``{"event": {...}, "sha256": <hex>}`` where the
-  digest covers the event's canonical JSON.  A torn or corrupt tail
-  (the expected outcome of SIGKILL mid-append) is dropped with a
-  warning and physically truncated before the next append, so the log
-  never grows a poisoned middle.
+File format: a :class:`~repro.runtime.journal.Journal` (the mechanism
+the checkpoint store uses too) with header ``{"format":
+"repro-run-registry", "version": 1}`` and one event body per
+transition.  A torn or corrupt tail (the expected outcome of SIGKILL
+mid-append) is dropped and truncated before the next append.
 
 Replay folds events per run id in append order: an event's extra
 fields merge into the run's state, ``to`` becomes its status, and an
-``evicted`` event deletes the run.  :meth:`RunRegistry.compact`
-rewrites the log as one snapshot event per live run — startup runs it
-so the WAL stays proportional to retained runs, not to service age.
+``evicted`` event deletes the run.  The registry keeps that fold
+current on every append, so reading it is free.
+:meth:`RunRegistry.compact` rewrites the log as one snapshot event per
+live run — startup runs it so the WAL stays proportional to retained
+runs, not to service age.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-import os
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
+
+from ..runtime.journal import Journal
 
 __all__ = ["RunRegistry"]
-
-_LOGGER = logging.getLogger(__name__)
 
 _FORMAT = "repro-run-registry"
 _VERSION = 1
@@ -60,107 +53,35 @@ TRANSITIONS = (
 _COMPACT_SLACK = 4096
 
 
-def _event_digest(event: Dict[str, Any]) -> str:
-    canonical = json.dumps(event, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 class RunRegistry:
     """Append-only, hash-verified journal of run state transitions."""
 
     def __init__(self, path, durable: bool = True):
-        self.path = Path(path)
-        self.durable = bool(durable)
-        self._header = {"format": _FORMAT, "version": _VERSION}
-        self._events: List[Dict[str, Any]] = []
-        self._valid_end = 0
-        self._tail_dropped = False
-        self.tail_dropped = False
-        loaded = self._load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if loaded:
-            self.tail_dropped = self._tail_dropped
-            if self._tail_dropped:
-                # Same rule as the checkpoint journal: appending after
-                # a torn line would corrupt the next entry too.
-                with self.path.open("rb+") as repair:
-                    repair.truncate(self._valid_end)
-                    if self.durable:
-                        os.fsync(repair.fileno())
-            self._handle = self.path.open("a", encoding="utf-8")
-        else:
-            self._handle = self.path.open("w", encoding="utf-8")
-            self._handle.write(json.dumps(self._header, sort_keys=True) + "\n")
-            self._sync()
+        self._journal = Journal(
+            path, {"format": _FORMAT, "version": _VERSION}, durable=durable
+        )
+        self.path = self._journal.path
+        self.durable = self._journal.durable
+        self.tail_dropped = self._journal.tail_dropped
+        self._runs: Dict[str, Dict[str, Any]] = {}
+        for event in self._journal.replayed:
+            self._fold(event)
+        self._events = len(self._journal.replayed)
 
-    # -- I/O -------------------------------------------------------------
-
-    def _sync(self) -> None:
-        self._handle.flush()
-        if self.durable:
-            os.fsync(self._handle.fileno())
-
-    def _load(self) -> bool:
-        """Read an existing registry; False means start fresh."""
-        if not self.path.is_file():
-            return False
-        try:
-            data = self.path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            _LOGGER.warning(
-                "unreadable run registry %s (%s); starting fresh", self.path, error
-            )
-            return False
-        lines = data.splitlines()
-        if not lines:
-            return False
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-        if header != self._header:
-            _LOGGER.warning(
-                "run registry %s has an unknown header; starting fresh", self.path
-            )
-            return False
-        if len(lines) == 1 and not data.endswith("\n"):
-            return False  # torn header alone
-        self._valid_end = len(lines[0].encode("utf-8")) + 1
-        size = len(data.encode("utf-8"))
-        for number, line in enumerate(lines[1:], start=2):
-            if self._valid_end + len(line.encode("utf-8")) + 1 > size:
-                _LOGGER.warning(
-                    "run registry %s: line %d is not newline-terminated; "
-                    "dropping tail",
-                    self.path,
-                    number,
-                )
-                self._tail_dropped = True
-                break
-            try:
-                entry = json.loads(line)
-                event = entry["event"]
-                digest = entry["sha256"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                _LOGGER.warning(
-                    "run registry %s: dropping corrupt tail from line %d",
-                    self.path,
-                    number,
-                )
-                self._tail_dropped = True
-                break
-            if not isinstance(event, dict) or _event_digest(event) != digest:
-                _LOGGER.warning(
-                    "run registry %s: entry at line %d fails its digest; "
-                    "dropping tail",
-                    self.path,
-                    number,
-                )
-                self._tail_dropped = True
-                break
-            self._events.append(event)
-            self._valid_end += len(line.encode("utf-8")) + 1
-        return True
+    def _fold(self, event: Dict[str, Any]) -> None:
+        """Apply one event to the per-run state."""
+        run_id = event.get("run")
+        to = event.get("to")
+        if not isinstance(run_id, str) or to not in TRANSITIONS:
+            return
+        if to == "evicted":
+            self._runs.pop(run_id, None)
+            return
+        state = self._runs.setdefault(run_id, {"id": run_id})
+        for key, value in event.items():
+            if key not in ("run", "to"):
+                state[key] = value
+        state["status"] = to
 
     # -- recording -------------------------------------------------------
 
@@ -174,54 +95,38 @@ class RunRegistry:
         if to not in TRANSITIONS:
             raise ValueError(f"unknown transition '{to}'")
         event = {"run": str(run_id), "to": to, **fields}
-        entry = {"event": event, "sha256": _event_digest(event)}
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._sync()
-        self._events.append(event)
+        self._journal.append([event])
+        self._fold(event)
+        self._events += 1
 
     # -- replay ----------------------------------------------------------
 
     @property
     def events(self) -> int:
         """Events currently held (post-truncation), excluding the header."""
-        return len(self._events)
+        return self._events
 
     def replay(self) -> Dict[str, Dict[str, Any]]:
-        """Fold the log into per-run state, in append order.
+        """The log folded into per-run state, in append order.
 
         Returns ``run id → state`` where state holds every field any
         event carried plus ``status`` (the last transition).  Evicted
         runs are absent.  Replaying twice gives the same answer —
         pinned by the chaos harness's registry-consistency invariant.
         """
-        runs: Dict[str, Dict[str, Any]] = {}
-        for event in self._events:
-            run_id = event.get("run")
-            to = event.get("to")
-            if not isinstance(run_id, str) or to not in TRANSITIONS:
-                continue
-            if to == "evicted":
-                runs.pop(run_id, None)
-                continue
-            state = runs.setdefault(run_id, {"id": run_id})
-            for key, value in event.items():
-                if key not in ("run", "to"):
-                    state[key] = value
-            state["status"] = to
-        return runs
+        return {run_id: dict(state) for run_id, state in self._runs.items()}
 
     # -- compaction ------------------------------------------------------
 
     def compact(self) -> int:
         """Rewrite the log as one snapshot event per live run.
 
-        Returns the number of events dropped.  The rewrite is atomic
-        (tmp file + ``os.replace``) so a crash mid-compaction leaves
-        either the old log or the new one, never a torn hybrid.
+        Returns the number of events dropped.  The rewrite is atomic, so
+        a crash mid-compaction leaves either the old log or the new one,
+        never a torn hybrid.
         """
-        runs = self.replay()
         snapshots: List[Dict[str, Any]] = []
-        for run_id, state in runs.items():
+        for run_id, state in self._runs.items():
             event = {
                 key: value
                 for key, value in state.items()
@@ -230,32 +135,18 @@ class RunRegistry:
             event["run"] = run_id
             event["to"] = state.get("status", "queued")
             snapshots.append(event)
-        dropped = len(self._events) - len(snapshots)
+        dropped = self._events - len(snapshots)
         if dropped <= 0:
             return 0
-        tmp = self.path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self._header, sort_keys=True) + "\n")
-            for event in snapshots:
-                entry = {"event": event, "sha256": _event_digest(event)}
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            if self.durable:
-                os.fsync(handle.fileno())
-        self._handle.close()
-        os.replace(tmp, self.path)
-        self._handle = self.path.open("a", encoding="utf-8")
-        self._sync()
-        self._events = snapshots
+        self._journal.rewrite(snapshots)
+        self._events = len(snapshots)
         return dropped
 
     def maybe_compact(self) -> int:
         """Compact when the log has grown well past one event per run."""
-        if len(self._events) > len(self.replay()) + _COMPACT_SLACK:
+        if self._events > len(self._runs) + _COMPACT_SLACK:
             return self.compact()
         return 0
 
     def close(self) -> None:
-        if getattr(self, "_handle", None) is not None:
-            self._handle.close()
-            self._handle = None
+        self._journal.close()

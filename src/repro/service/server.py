@@ -61,7 +61,7 @@ from ..obs import profile as _profile
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import RotatingTraceWriter
 from ..runtime import RetryPolicy, ScenarioRunner, ScenarioSpec
-from ..runtime.checkpoint import journal_header
+from ..runtime.checkpoint import sweep_orphaned_journals
 from ..runtime.faults import DeadlineExceededError, RunCancelledError
 from ..runtime.shm import sweep_leaked_segments
 from .registry import RunRegistry
@@ -596,23 +596,11 @@ class SelectionService:
         * leaked ``repro-kernels-*`` /dev/shm segments, when
           ``sweep_shm`` says this service owns the host.
         """
-        referenced = {
-            record.checkpoint_path for record in self._runs.values()
-        }
-        registry_path = self._registry.path if self._registry is not None else None
-        swept = 0
-        for path in sorted(self.config.resolved_checkpoint_dir().glob("*.jsonl")):
-            if registry_path is not None and path == registry_path:
-                continue
-            if str(path) in referenced:
-                continue
-            if journal_header(path) is None:
-                continue  # not a checkpoint journal — leave it alone
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent cleanup
-                continue
-            swept += 1
+        swept = sweep_orphaned_journals(
+            self.config.resolved_checkpoint_dir(),
+            (record.checkpoint_path for record in self._runs.values()),
+        )
+        for path in swept:
             self.metrics.inc("service_gc_total", kind="journal")
             _LOGGER.warning("gc: reclaimed orphaned checkpoint journal %s", path)
         segments = sweep_leaked_segments() if self.config.sweep_shm else []
@@ -621,7 +609,7 @@ class SelectionService:
         if swept or segments:
             _LOGGER.warning(
                 "startup gc reclaimed %d journal(s), %d shm segment(s)",
-                swept,
+                len(swept),
                 len(segments),
             )
 

@@ -199,6 +199,22 @@ class TestCheckpointStore:
         assert resumed.get("policy", 0, 1) is None
         resumed.close()
 
+    def test_a_flipped_key_digit_is_never_served_as_another_block(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        store = CheckpointStore(path, "digest-a", 7)
+        store.put("policy", 0, [0, 1, 2, 3], [["b0"], ["b1"], ["b2"], ["b3"]])
+        store.close()
+        key = CheckpointStore.entry_key("policy", 0, 3).encode()
+        data = bytearray(path.read_bytes())
+        data[data.index(key) + len(key) - 1] ^= 0x01  # block 3 -> block 2
+        path.write_bytes(bytes(data))
+        resumed = CheckpointStore(path, "digest-a", 7, resume=True)
+        assert resumed.restored == 3
+        assert [resumed.get("policy", 0, b) for b in range(4)] == [
+            ["b0"], ["b1"], ["b2"], None
+        ]
+        resumed.close()
+
     def test_durable_mode_fsyncs_header_and_every_put(self, tmp_path, monkeypatch):
         import os as os_module
 

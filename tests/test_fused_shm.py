@@ -16,6 +16,11 @@ Two promises from the sharded-execution layer (DESIGN.md §12):
 
 import contextlib
 import glob
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +295,47 @@ class TestShmModule:
         finally:
             publisher.close()
         assert _kernel_segments() == before
+
+    def test_eviction_never_unmaps_views_a_cached_policy_holds(self):
+        # Past the attachment cap, the oldest mapping is evicted.  A
+        # cached worker policy still reads the kernel views it was
+        # seeded with; unmapping them under it crashed the worker with
+        # SIGSEGV, so the check runs in a child process.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            import repro.runtime.shm as shm
+
+            shm._MAX_ATTACHED = 4
+            publisher = shm.KernelPublisher()
+            kernel = publisher.publish("kernel", {"m": np.arange(4096.0)})
+            held = shm.attach(kernel)["m"]
+            for index in range(12):
+                block = {"x": np.full(8, -1.0)}
+                shm.attach(publisher.publish(f"block{index}", block))
+            print(float(held.sum()), flush=True)
+            print(len(shm._RETIRED))
+            del held
+            shm.attach(publisher.publish("last", {"x": np.zeros(1)}))
+            print(len(shm._RETIRED))
+            shm.detach_all()
+            publisher.close()
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(Path(shm.__file__).parents[2]), env.get("PYTHONPATH"))
+            if part
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 0, (child.returncode, child.stderr)
+        assert child.stdout.split() == [str(float(np.arange(4096.0).sum())), "1", "0"]
 
     def test_detach_all_drops_worker_cache(self):
         publisher = shm.KernelPublisher()

@@ -187,7 +187,7 @@ class TestSyncsPerChunk:
             with ScenarioRunner(checkpoint=journal, durable=True) as runner:
                 outcome = runner.run(spec)
         entries = [
-            json.loads(line)["key"]
+            json.loads(line)["event"]["key"]
             for line in journal.read_text().splitlines()[1:]
         ]
         per_call = {}

@@ -127,6 +127,20 @@ class TestRunRegistry:
         assert reopened.replay()["r1"]["status"] == "queued"
         reopened.close()
 
+    def test_a_high_bit_flip_in_the_last_entry_drops_only_that_entry(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        registry = RunRegistry(path, durable=False)
+        for index in range(5):
+            registry.record(f"r{index}", "queued")
+        registry.close()
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x80  # the last line is no longer UTF-8
+        path.write_bytes(bytes(data))
+        reopened = RunRegistry(path, durable=False)
+        assert reopened.tail_dropped
+        assert sorted(reopened.replay()) == ["r0", "r1", "r2", "r3"]
+        reopened.close()
+
     def test_compaction_preserves_replay_and_shrinks_log(self, tmp_path):
         path = tmp_path / "registry.jsonl"
         registry = RunRegistry(path, durable=False)

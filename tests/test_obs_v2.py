@@ -132,6 +132,27 @@ class TestStackSampler:
         # Collapsed keys are frame labels joined by ';'.
         assert all(";" in key or key for key in snapshot["stacks"])
 
+    def test_samples_equal_the_stack_sum_with_a_parked_thread(self):
+        import threading
+
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait, daemon=True)
+        parked.start()
+        sampler = StackSampler(interval_s=0.002)
+        sampler.start()
+        try:
+            _burn_cpu()
+        finally:
+            sampler.stop()
+            release.set()
+            parked.join()
+        snapshot = sampler.snapshot()
+        assert snapshot["samples"] > 5
+        assert sum(snapshot["stacks"].values()) == snapshot["samples"]
+        assert sum(row["self_pct"] for row in hotspots(snapshot, top=1000)) == (
+            pytest.approx(100.0)
+        )
+
     def test_drain_resets_and_merge_accumulates(self):
         sampler = StackSampler()
         sampler.merge({"samples": 3, "stacks": {"a;b": 2, "a;c": 1}})
@@ -384,6 +405,23 @@ class TestRotatingTraceWriter:
                 by_run.setdefault(event["run"], 0)
                 by_run[event["run"]] += 1
             assert all(count == len(batch) for count in by_run.values())
+
+    def test_restarted_writer_keeps_the_previous_trace(self, tmp_path):
+        path = tmp_path / "svc.jsonl"
+        first = RotatingTraceWriter(path, max_bytes=1024)
+        first.write([{"type": "event", "name": "tick", "attrs": {}}], run="old")
+        first.close()  # the process dies; a restarted one traces on
+        second = RotatingTraceWriter(path, max_bytes=1024)
+        second.write([{"type": "event", "name": "tick", "attrs": {}}], run="new")
+        second.close()
+        assert first.segments == [path]
+        assert second.segments == [tmp_path / "svc.1.jsonl"]
+        runs = []
+        for segment in (path, *second.segments):
+            header, events = read_trace_jsonl(segment)
+            runs.extend(event["run"] for event in events)
+        assert runs == ["old", "new"]
+        assert read_trace_jsonl(second.segments[0])[0]["segment"] == 1
 
     def test_report_reads_rotated_segments_and_refuses_torn_ones(
         self, tmp_path, capsys
