@@ -14,7 +14,7 @@ from repro.core import (
     AdaptiveProbeController,
     CompressiveSectorSelector,
     ProbeMeasurement,
-    RandomProbeStrategy,
+    RandomProbeDesigner,
     SectorSweepSelector,
 )
 from repro.experiments.common import build_testbed
@@ -37,7 +37,7 @@ def _run_mobility():
         budget=testbed.budget,
     )
     tx_ids = testbed.tx_sector_ids
-    strategy = RandomProbeStrategy()
+    designer = RandomProbeDesigner()
     css = CompressiveSectorSelector(testbed.pattern_table)
     ssw = SectorSweepSelector()
     adaptive = AdaptiveProbeController(min_probes=10, max_probes=24)
@@ -66,13 +66,13 @@ def _run_mobility():
         losses["SSW"].append(optimal - truth[tx_ids.index(chosen)])
         airtime["SSW"] += mutual_training_time_us(34)
 
-        probe_ids = strategy.choose(14, tx_ids, rng)
+        probe_ids = sorted(designer.design(14, tx_ids, rng))
         chosen = css.select(observe(truth, probe_ids)).sector_id
         losses["CSS-14"].append(optimal - truth[tx_ids.index(chosen)])
         airtime["CSS-14"] += mutual_training_time_us(14)
 
         budget = min(adaptive.n_probes, len(tx_ids))
-        probe_ids = strategy.choose(budget, tx_ids, rng)
+        probe_ids = sorted(designer.design(budget, tx_ids, rng))
         selection = adaptive_css.select(observe(truth, probe_ids))
         adaptive.update(selection.estimate)
         losses["CSS adaptive"].append(

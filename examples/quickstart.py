@@ -18,7 +18,7 @@ from repro.channel.batch import sweep_snr_matrix
 from repro.core import (
     CompressiveSectorSelector,
     ProbeMeasurement,
-    RandomProbeStrategy,
+    RandomProbeDesigner,
     SectorSweepSelector,
 )
 from repro.geometry import Orientation
@@ -75,7 +75,7 @@ def main() -> None:
         return measurements
 
     css = CompressiveSectorSelector(patterns)
-    probe_ids = RandomProbeStrategy().choose(14, codebook.tx_sector_ids, rng)
+    probe_ids = sorted(RandomProbeDesigner().design(14, codebook.tx_sector_ids, rng))
     result = css.select(probe(probe_ids))
     estimate = result.estimate
     print(f"\ncompressive selection (14 probes): sector {result.sector_id}")

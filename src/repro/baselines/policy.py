@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.compressive import CompressiveSectorSelector
 from ..core.measurements import ProbeMeasurement
+from ..core.probes import RandomProbeDesigner
 from ..core.selector import SelectionResult
 from ..mac.timing import multi_round_training_time_us
 from ..runtime.policy import PolicyContext
@@ -197,10 +198,7 @@ class RandomBeamPolicy:
     ) -> Optional[List[int]]:
         if round_index > 0:
             return None
-        chosen = rng.choice(
-            len(self.probe_pool), size=self.n_probes, replace=False
-        )
-        return [self.probe_pool[index] for index in chosen]
+        return RandomProbeDesigner().design(self.n_probes, self.probe_pool, rng)
 
     def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
         return self.selector.select(measurements)

@@ -8,12 +8,7 @@ from .measurements import ProbeMeasurement, from_sweep_reports
 from .oob import OutOfBandPrior, PriorAidedEstimator
 from .paths import MultipathSelector, PathEstimate, extract_paths
 from .refinement import BeamRefiner, RefinementResult, RefinementStep
-from .probes import (
-    FixedProbeStrategy,
-    GainDiverseProbeStrategy,
-    ProbeStrategy,
-    RandomProbeStrategy,
-)
+from .probes import GainDiverseDesigner, ProbeDesigner, RandomProbeDesigner
 from .selector import SectorSelector, SectorSweepSelector, SelectionResult
 from .tracking import MeasureFn, SectorTracker, TrackStep
 
@@ -35,10 +30,9 @@ __all__ = [
     "BeamRefiner",
     "RefinementResult",
     "RefinementStep",
-    "FixedProbeStrategy",
-    "GainDiverseProbeStrategy",
-    "ProbeStrategy",
-    "RandomProbeStrategy",
+    "GainDiverseDesigner",
+    "ProbeDesigner",
+    "RandomProbeDesigner",
     "SectorSelector",
     "SectorSweepSelector",
     "SelectionResult",

@@ -38,8 +38,9 @@ __all__ = ["AngleEstimate", "AngleEstimator"]
 _RSSI_REFERENCE_DBM = -71.5
 
 #: Bound on the per-estimator memo of normalized pattern sub-matrices.
-#: Probe schedules repeat the same sector subset across sweeps (fixed
-#: probe-set strategies, the perf workload, tracking), so the memo turns
+#: Probe schedules repeat the same sector subset across sweeps
+#: (deterministic probe designers, the fine-codebook experiment's fixed
+#: probing sectors, the perf workload), so the memo turns
 #: the per-call normalization into a dict hit; FIFO eviction keeps the
 #: worst case (all-unique random subsets) at ~64 × M×K floats.
 _UNIT_CACHE_LIMIT = 64

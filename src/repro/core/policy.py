@@ -7,9 +7,11 @@ name them.
 
 Determinism notes (load-bearing — see DESIGN.md §7/§8):
 
-* ``CompressivePolicy.probes_for_round`` with the default (random)
-  strategy makes exactly one ``rng.choice(len(pool), size=n_probes,
-  replace=False)`` call — the same call as
+* ``CompressivePolicy.probes_for_round`` asks the policy's probe
+  designer — the ``random`` designer unless a ``probe_design`` block
+  names another — and nothing else.  The ``random`` designer makes
+  exactly one ``rng.choice(len(pool), size=n_probes, replace=False)``
+  call — the same call as
   :func:`repro.experiments.common.random_probe_columns` — so plans
   drawn through the policy consume the pinned stream identically to
   the legacy loops.
@@ -30,12 +32,7 @@ from ..runtime.policy import PolicyContext
 from ..runtime.registry import build_probe_designer, register_policy
 from .compressive import CompressiveSectorSelector
 from .measurements import ProbeMeasurement
-from .probes import (
-    GainDiverseProbeStrategy,
-    RandomProbeStrategy,
-    register_builtin_designers,
-    seed_designed_subsets,
-)
+from .probes import register_builtin_designers, seed_designed_subsets
 from .selector import SelectionResult
 
 __all__ = ["CompressivePolicy", "FullSweepPolicy", "seed_shared_selector"]
@@ -150,7 +147,6 @@ class CompressivePolicy:
         domain: str = "linear",
         search: str = "3d",
         patterns: str = "measured",
-        probe_strategy: Optional[str] = None,
         fallback_correlation: float = 0.0,
         pattern_table=None,
         probe_design=None,
@@ -164,25 +160,16 @@ class CompressivePolicy:
             search: ``"3d"`` (full table grid) or ``"2d"``
                 (azimuth-only — the ablation's degraded variant).
             patterns: ``"measured"`` or ``"theoretical"``.
-            probe_strategy: None (the paper's raw uniform draw),
-                ``"random"`` (uniform, sorted — RandomProbeStrategy) or
-                ``"gain-diverse"`` (§7's greedy max-min pre-selection).
             pattern_table: direct table override for in-process callers
                 (transfer experiment); not spec-serializable — policies
                 built with it cannot shard across processes.
-            probe_design: optional probe-designer stage — a registry
-                name or ``{"designer": name, "params": {...}}`` block
-                (the spec-serializable replacement for
-                ``probe_strategy``); resolved against this policy's
-                pattern table.  Mutually exclusive with
-                ``probe_strategy``.
+            probe_design: the probe-designer stage — a registry name
+                or ``{"designer": name, "params": {...}}`` block,
+                resolved against this policy's pattern table; None is
+                the paper's uniform draw (``"random"``).
         """
         if search not in ("3d", "2d"):
             raise ValueError("search must be '3d' or '2d'")
-        if probe_design is not None and probe_strategy is not None:
-            raise ValueError(
-                "probe_design and probe_strategy are mutually exclusive"
-            )
         table = pattern_table if pattern_table is not None else _resolve_table(
             context, patterns
         )
@@ -207,20 +194,8 @@ class CompressivePolicy:
             )
             context.cache[key] = selector
         self.selector = selector
-        if probe_strategy is None:
-            self._strategy = None
-        elif probe_strategy == "random":
-            self._strategy = RandomProbeStrategy()
-        elif probe_strategy == "gain-diverse":
-            self._strategy = GainDiverseProbeStrategy(table)
-        else:
-            raise ValueError(
-                "probe_strategy must be None, 'random' or 'gain-diverse'"
-            )
-        self._designer = (
-            build_probe_designer(probe_design, table)
-            if probe_design is not None
-            else None
+        self._designer = build_probe_designer(
+            probe_design if probe_design is not None else "random", table
         )
 
     def reset(self) -> None:
@@ -231,19 +206,7 @@ class CompressivePolicy:
     ) -> Optional[List[int]]:
         if round_index > 0:
             return None
-        # Pool-size validation covers every path (designer, strategy,
-        # legacy draw) — a too-small pool is a spec error, not a
-        # downstream shape error.
-        if self.n_probes > len(pool):
-            raise ValueError("cannot probe more sectors than exist")
-        if self._designer is not None:
-            return list(self._designer.design(self.n_probes, pool, rng))
-        if self._strategy is not None:
-            return list(self._strategy.choose(self.n_probes, pool, rng))
-        # One rng.choice with these exact arguments == the pinned draw
-        # of experiments.common.random_probe_columns.
-        chosen = rng.choice(len(pool), size=self.n_probes, replace=False)
-        return [pool[index] for index in chosen]
+        return self._designer.design(self.n_probes, pool, rng)
 
     def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
         return self.selector.select(measurements)

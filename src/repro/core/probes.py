@@ -1,21 +1,18 @@
-"""Probing-set strategies and designers: which ``M`` sectors to sweep.
+"""Probe designers: which ``M`` sectors to sweep.
 
 The paper probes a *random* subset per sweep (§2.2) and discusses
-smarter, context-specific choices in §7.  Two interfaces live here:
-
-* :class:`ProbeStrategy` — the original half-pluggable hook: an
-  in-process object with a ``choose`` method, constructed by hand.
-* :class:`ProbeDesigner` — the spec-addressable pipeline stage
-  (DESIGN.md §13): registered by name in
-  :mod:`repro.runtime.registry`, declared in a ``probe_design`` block
-  on a :class:`~repro.runtime.spec.PolicySpec`, and routed through
-  ``CompressivePolicy.probes_for_round``.  The ``random`` designer is
-  bit-identical to the legacy ``rng.choice`` draw; the deterministic
-  designers (``coherence-min``, ``in-sector``, ``greedy-submodular``)
-  compute a *structured sensing matrix* — a fixed M-of-N subset —
-  once per (table, M, params, pool) and memoize it in a module-level
-  cache keyed by the pattern-table digest, since design is expensive
-  and tables are immutable.
+smarter, context-specific choices in §7.  Every probe subset in the
+package comes from a :class:`ProbeDesigner` — the spec-addressable
+pipeline stage (DESIGN.md §13): registered by name in
+:mod:`repro.runtime.registry`, declared in a ``probe_design`` block on
+a :class:`~repro.runtime.spec.PolicySpec`, and routed through
+``CompressivePolicy.probes_for_round``.  The ``random`` designer is
+the paper's draw (one ``rng.choice`` call per design); the
+deterministic designers (``coherence-min``, ``in-sector``,
+``greedy-submodular``, ``gain-diverse``) compute a *structured sensing
+matrix* — a fixed M-of-N subset — once per (table, M, params, pool)
+and memoize it in a module-level cache keyed by the pattern-table
+digest, since design is expensive and tables are immutable.
 """
 
 from __future__ import annotations
@@ -29,31 +26,18 @@ from ..obs import quality as _quality
 from .correlation import normalize_rows, to_linear_power
 
 __all__ = [
-    "ProbeStrategy",
-    "RandomProbeStrategy",
-    "FixedProbeStrategy",
-    "GainDiverseProbeStrategy",
     "ProbeDesigner",
     "RandomProbeDesigner",
     "CoherenceMinDesigner",
     "InSectorDesigner",
     "GreedySubmodularDesigner",
+    "GainDiverseDesigner",
     "design_cache_key",
     "design_cache_size",
     "clear_design_cache",
     "seed_designed_subsets",
     "register_builtin_designers",
 ]
-
-
-class ProbeStrategy(Protocol):
-    """Chooses the probing subset for one sweep."""
-
-    def choose(
-        self, n_probes: int, available_ids: Sequence[int], rng: np.random.Generator
-    ) -> List[int]:
-        """Return ``n_probes`` distinct sector IDs to probe."""
-        ...
 
 
 def _validate(n_probes: int, available_ids: Sequence[int]) -> None:
@@ -65,97 +49,11 @@ def _validate(n_probes: int, available_ids: Sequence[int]) -> None:
         )
 
 
-class RandomProbeStrategy:
-    """The paper's choice: a fresh uniform random subset per sweep."""
-
-    def choose(
-        self, n_probes: int, available_ids: Sequence[int], rng: np.random.Generator
-    ) -> List[int]:
-        _validate(n_probes, available_ids)
-        chosen = rng.choice(len(available_ids), size=n_probes, replace=False)
-        return [available_ids[index] for index in sorted(chosen)]
-
-
-class FixedProbeStrategy:
-    """Always probe the same pre-selected subset."""
-
-    def __init__(self, sector_ids: Sequence[int]):
-        if len(set(sector_ids)) != len(sector_ids):
-            raise ValueError("fixed probe set must be unique")
-        self._sector_ids = list(sector_ids)
-
-    def choose(
-        self, n_probes: int, available_ids: Sequence[int], rng: np.random.Generator
-    ) -> List[int]:
-        subset = [s for s in self._sector_ids if s in set(available_ids)]
-        if n_probes > len(subset):
-            raise ValueError(
-                f"fixed set provides {len(subset)} usable sectors, {n_probes} requested"
-            )
-        return subset[:n_probes]
-
-
-class GainDiverseProbeStrategy:
-    """§7's idea: prefer probing sectors with *dissimilar* patterns.
-
-    Greedy max-min selection on the measured patterns: start from the
-    strongest sector, then repeatedly add the sector whose pattern has
-    the lowest maximum correlation with everything already selected.
-    A diverse probe set keeps the Eq. 2 correlation discriminative with
-    fewer probes than a random draw.
-    """
-
-    def __init__(self, pattern_table: PatternTable):
-        self._table = pattern_table
-        self._order_cache: Optional[List[int]] = None
-        self._cache_key: Optional[tuple] = None
-
-    def _selection_order(self, available_ids: Sequence[int]) -> List[int]:
-        key = tuple(available_ids)
-        if self._cache_key == key and self._order_cache is not None:
-            return self._order_cache
-
-        rows = []
-        for sector_id in available_ids:
-            pattern = to_linear_power(self._table.pattern(sector_id).ravel())
-            rows.append(pattern)
-        matrix = normalize_rows(np.asarray(rows))
-        similarity = matrix @ matrix.T  # cosine similarity of patterns
-
-        total_gain = matrix.sum(axis=1)
-        order = [int(np.argmax(total_gain))]
-        remaining = set(range(len(available_ids))) - set(order)
-        while remaining:
-            candidates = sorted(remaining)
-            # For each candidate: its worst-case similarity to the set.
-            worst = np.array(
-                [similarity[candidate, order].max() for candidate in candidates]
-            )
-            chosen = candidates[int(np.argmin(worst))]
-            order.append(chosen)
-            remaining.discard(chosen)
-
-        self._order_cache = [available_ids[index] for index in order]
-        self._cache_key = key
-        return self._order_cache
-
-    def choose(
-        self, n_probes: int, available_ids: Sequence[int], rng: np.random.Generator
-    ) -> List[int]:
-        _validate(n_probes, available_ids)
-        return self._selection_order(available_ids)[:n_probes]
-
-
-# ----------------------------------------------------------------------
-# Probe designers: the spec-addressable pipeline stage (DESIGN.md §13).
-# ----------------------------------------------------------------------
-
-
 class ProbeDesigner(Protocol):
     """Designs the probing subset — the sensing matrix — for a policy.
 
-    Unlike :class:`ProbeStrategy`, a designer is *spec-addressable*: it
-    is registered by name, constructed from JSON params via
+    A designer is *spec-addressable*: it is registered by name,
+    constructed from JSON params via
     :func:`repro.runtime.registry.build_probe_designer`, and its output
     for deterministic designers is cached across policies and
     processes (see :func:`design_cache_key`).
@@ -224,13 +122,11 @@ def clear_design_cache() -> None:
 class RandomProbeDesigner:
     """The paper's per-sweep uniform draw, as a designer.
 
-    Pinned bit-identical to the legacy default path: exactly one
+    ``CompressivePolicy``'s default.  Exactly one
     ``rng.choice(len(pool), size=M, replace=False)`` call per design —
     the same call as :func:`repro.experiments.common.random_probe_columns`
-    and ``CompressivePolicy``'s historical inline draw — and the chosen
-    order is **not** sorted.  Every experiment digest pinned before the
-    designer stage existed is therefore unchanged under
-    ``probe_design: {"designer": "random"}``.
+    — and the chosen order is **not** sorted.  Callers that emulate a
+    live sweep (per-probe noise drawn in sweep order) sort the result.
     """
 
     name = "random"
@@ -445,6 +341,37 @@ class GreedySubmodularDesigner(_DeterministicDesigner):
         return sorted(pool[index] for index in selected)
 
 
+class GainDiverseDesigner(_DeterministicDesigner):
+    """§7's idea: prefer probing sectors with *dissimilar* patterns.
+
+    Greedy max-min selection on the measured patterns: start from the
+    sector with the largest normalized total gain, then repeatedly add
+    the sector whose pattern has the lowest maximum cosine similarity
+    with everything already selected (ties on the lowest pool index).
+    A diverse probe set keeps the Eq. 2 correlation discriminative with
+    fewer probes than a random draw.  The subset keeps the greedy order
+    rather than being sorted, so a smaller budget's design is a prefix
+    of a larger one's.
+    """
+
+    name = "gain-diverse"
+
+    def _design(self, n_probes: int, pool: List[int]) -> List[int]:
+        matrix = normalize_rows(self._linear_rows(pool))
+        similarity = matrix @ matrix.T
+        selected = [int(np.argmax(matrix.sum(axis=1)))]
+        # Each candidate's worst-case similarity to the selected set;
+        # selected sectors are masked out with +inf.
+        worst = similarity[:, selected[0]].copy()
+        worst[selected[0]] = np.inf
+        while len(selected) < n_probes:
+            chosen = int(np.argmin(worst))
+            selected.append(chosen)
+            worst = np.maximum(worst, similarity[:, chosen])
+            worst[chosen] = np.inf
+        return [pool[index] for index in selected]
+
+
 def seed_designed_subsets(design, table: PatternTable, views) -> int:
     """Seed the design cache from published shared-memory views.
 
@@ -492,5 +419,6 @@ def register_builtin_designers() -> None:
         CoherenceMinDesigner,
         InSectorDesigner,
         GreedySubmodularDesigner,
+        GainDiverseDesigner,
     ):
         register_probe_designer(factory.name)(factory)

@@ -1,10 +1,11 @@
 """Continuous beam tracking: sweep → select → repeat.
 
-Stations re-train about once per second (§4.1); the tracker wires a
-probe strategy, an optional adaptive probe-count controller and a
-selector into that loop.  The channel is abstracted behind a *measure*
-callable so the tracker works against live protocol sessions, recorded
-sweeps, or synthetic data alike.
+Stations re-train about once per second (§4.1); the tracker wires the
+paper's random probe draw (sorted into sweep order), an optional
+adaptive probe-count controller and a selector into that loop.  The
+channel is abstracted behind a *measure* callable so the tracker works
+against live protocol sessions, recorded sweeps, or synthetic data
+alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..mac.timing import mutual_training_time_us
 from .adaptive import AdaptiveProbeController
 from .compressive import CompressiveSectorSelector
 from .measurements import ProbeMeasurement
-from .probes import ProbeStrategy, RandomProbeStrategy
+from .probes import RandomProbeDesigner
 from .selector import SelectionResult
 
 __all__ = ["TrackStep", "SectorTracker", "MeasureFn"]
@@ -42,22 +43,17 @@ class SectorTracker:
     def __init__(
         self,
         selector: CompressiveSectorSelector,
-        probe_strategy: Optional[ProbeStrategy] = None,
         n_probes: int = 14,
         adaptive: Optional[AdaptiveProbeController] = None,
     ):
         """
         Args:
             selector: the compressive selector (owns the patterns).
-            probe_strategy: subset policy; random, like the paper.
             n_probes: fixed probe budget (ignored when ``adaptive``).
             adaptive: optional §7 controller that scales the budget
                 with observed motion.
         """
         self.selector = selector
-        self.probe_strategy = (
-            probe_strategy if probe_strategy is not None else RandomProbeStrategy()
-        )
         self.n_probes = n_probes
         self.adaptive = adaptive
         self.history: List[TrackStep] = []
@@ -69,8 +65,11 @@ class SectorTracker:
     def step(self, measure: MeasureFn, rng: np.random.Generator) -> TrackStep:
         """Perform one training round and return what happened."""
         n_probes = self._budget()
-        probe_ids = self.probe_strategy.choose(
-            n_probes, self.selector.candidate_sector_ids, rng
+        # A live sweep probes in ascending sector order.
+        probe_ids = sorted(
+            RandomProbeDesigner().design(
+                n_probes, self.selector.candidate_sector_ids, rng
+            )
         )
         measurements = measure(probe_ids, rng)
         result = self.selector.select(measurements)

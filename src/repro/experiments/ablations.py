@@ -252,7 +252,7 @@ def _run_probe_set_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Ablat
         title=f"probe-set strategy @ {n_probes} probes",
         metric_name="mean azimuth error [deg]",
     )
-    for name, strategy in (
+    for name, designer in (
         ("random subsets", "random"),
         ("gain-diverse (greedy)", "gain-diverse"),
     ):
@@ -260,7 +260,9 @@ def _run_probe_set_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Ablat
             runner,
             spec.testbed,
             testbed,
-            PolicySpec("css", {"n_probes": n_probes, "probe_strategy": strategy}),
+            PolicySpec(
+                "css", {"n_probes": n_probes}, probe_design={"designer": designer}
+            ),
             recordings,
             rng,
             subsamples=1,

@@ -37,7 +37,7 @@ from ..core.adaptive import AdaptiveProbeController
 from ..core.compressive import CompressiveSectorSelector
 from ..core.measurements import ProbeMeasurement
 from ..core.paths import MultipathSelector
-from ..core.probes import RandomProbeStrategy
+from ..core.probes import RandomProbeDesigner
 from ..core.selector import SectorSweepSelector
 from ..geometry.rotation import Orientation
 from ..mac.timing import mutual_training_time_us
@@ -135,7 +135,9 @@ def run_blockage_recovery(config: BlockageConfig = BlockageConfig()) -> Blockage
     truth_clear = truth_for(clear_env)
     truth_blocked = truth_for(blocked_env)
 
-    strategy = RandomProbeStrategy()
+    # Sorted: a live sweep probes (and draws per-probe noise) in
+    # ascending sector order.
+    designer = RandomProbeDesigner()
     ssw = SectorSweepSelector()
     css = CompressiveSectorSelector(testbed.pattern_table)
     adaptive = AdaptiveProbeController(
@@ -167,7 +169,7 @@ def run_blockage_recovery(config: BlockageConfig = BlockageConfig()) -> Blockage
         timeline["SSW (every 2nd)"].append(float(truth[tx_ids.index(ssw_sector)]))
 
         # CSS: reduced sweep every interval at the same airtime budget.
-        probe_ids = strategy.choose(config.n_probes, tx_ids, rng)
+        probe_ids = sorted(designer.design(config.n_probes, tx_ids, rng))
         measurements = _observe_sweep(testbed, truth, probe_ids, rng)
         css_sector = css.select(measurements).sector_id
         airtime_us["CSS-14 (every)"] += mutual_training_time_us(config.n_probes)
@@ -175,7 +177,7 @@ def run_blockage_recovery(config: BlockageConfig = BlockageConfig()) -> Blockage
 
         # CSS adaptive + standby: §7 budget control plus fast fallback.
         budget = min(adaptive.n_probes, len(tx_ids))
-        probe_ids = strategy.choose(budget, tx_ids, rng)
+        probe_ids = sorted(designer.design(budget, tx_ids, rng))
         measurements = _observe_sweep(testbed, truth, probe_ids, rng)
         airtime_us["CSS adaptive + standby"] += mutual_training_time_us(budget)
         selection = adaptive_css.select(measurements)

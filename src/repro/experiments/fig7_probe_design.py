@@ -192,10 +192,9 @@ def _design_policy_spec(
 ) -> PolicySpec:
     """The css policy evaluating one (designer, M) grid point.
 
-    The ``random`` designer rides the probe_design block too (not the
-    legacy inline draw) — same rng calls, so the baseline numbers are
-    exactly what the undesigned policy would produce, while exercising
-    the designer path end-to-end.
+    The ``random`` designer rides the probe_design block too — the
+    designer an undesigned policy holds anyway, so the baseline numbers
+    are exactly what the undesigned policy would produce.
     """
     return PolicySpec(
         "css", {"n_probes": int(n_probes)}, probe_design=dict(design)

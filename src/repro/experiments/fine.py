@@ -29,7 +29,6 @@ from ..channel.batch import sweep_snr_matrix
 from ..channel.environment import conference_room
 from ..core.compressive import CompressiveSectorSelector
 from ..core.measurements import ProbeMeasurement
-from ..core.probes import FixedProbeStrategy, RandomProbeStrategy
 from ..core.selector import SectorSweepSelector
 from ..geometry.rotation import Orientation
 from ..mac.timing import mutual_training_time_us
@@ -156,7 +155,6 @@ def _run_fine_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> FineCodebo
     # CSS probes the codebook's dedicated broad probing sectors and
     # selects among *all* 63 (the paper's N >> M).
     probe_pool = probing_sector_ids(fine)
-    strategy = FixedProbeStrategy(probe_pool)
     n_probes = min(config.n_probes, len(probe_pool))
     snr_sink: Dict[str, List[float]] = {
         "stock + SSW (34 probes)": [],
@@ -184,7 +182,7 @@ def _run_fine_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> FineCodebo
                 float(fine_row[fine_ids.index(chosen)])
             )
 
-            probe_ids = strategy.choose(n_probes, fine_ids, rng)
+            probe_ids = probe_pool[:n_probes]
             chosen = fine_css.select(observe(fine_row, probe_ids, fine_ids)).sector_id
             snr_sink[f"fine + CSS ({config.n_probes} probes)"].append(
                 float(fine_row[fine_ids.index(chosen)])

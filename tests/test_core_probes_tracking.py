@@ -1,4 +1,4 @@
-"""Tests for probe strategies, adaptive control, and the tracking loop."""
+"""Tests for probe designers, adaptive control, and the tracking loop."""
 
 import numpy as np
 import pytest
@@ -7,76 +7,67 @@ from repro.core import (
     AdaptiveProbeController,
     AngleEstimate,
     CompressiveSectorSelector,
-    FixedProbeStrategy,
-    GainDiverseProbeStrategy,
+    GainDiverseDesigner,
     ProbeMeasurement,
-    RandomProbeStrategy,
+    RandomProbeDesigner,
     SectorTracker,
 )
 
 
-class TestRandomProbeStrategy:
+class TestRandomProbeDesigner:
     def test_size_and_uniqueness(self, rng):
-        strategy = RandomProbeStrategy()
-        chosen = strategy.choose(10, list(range(1, 35)), rng)
+        designer = RandomProbeDesigner()
+        chosen = designer.design(10, list(range(1, 35)), rng)
         assert len(chosen) == 10
         assert len(set(chosen)) == 10
         assert set(chosen) <= set(range(1, 35))
 
     def test_varies_between_sweeps(self, rng):
-        strategy = RandomProbeStrategy()
+        designer = RandomProbeDesigner()
         available = list(range(1, 35))
-        draws = {tuple(strategy.choose(10, available, rng)) for _ in range(10)}
+        draws = {tuple(designer.design(10, available, rng)) for _ in range(10)}
         assert len(draws) > 1
 
     def test_validation(self, rng):
-        strategy = RandomProbeStrategy()
+        designer = RandomProbeDesigner()
         with pytest.raises(ValueError):
-            strategy.choose(0, [1, 2], rng)
+            designer.design(0, [1, 2], rng)
         with pytest.raises(ValueError):
-            strategy.choose(3, [1, 2], rng)
+            designer.design(3, [1, 2], rng)
 
 
-class TestFixedProbeStrategy:
-    def test_stable_prefix(self, rng):
-        strategy = FixedProbeStrategy([5, 9, 13, 2])
-        assert strategy.choose(2, [2, 5, 9, 13], rng) == [5, 9]
-        assert strategy.choose(2, [2, 5, 9, 13], rng) == [5, 9]
-
-    def test_filters_unavailable(self, rng):
-        strategy = FixedProbeStrategy([5, 9, 13])
-        assert strategy.choose(2, [9, 13], rng) == [9, 13]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedProbeStrategy([1, 1])
-
-    def test_too_few_usable(self, rng):
-        strategy = FixedProbeStrategy([5])
-        with pytest.raises(ValueError):
-            strategy.choose(2, [5, 6], rng)
-
-
-class TestGainDiverseProbeStrategy:
+class TestGainDiverseDesigner:
     def test_deterministic_and_cached(self, pattern_table, rng):
-        strategy = GainDiverseProbeStrategy(pattern_table)
+        designer = GainDiverseDesigner(pattern_table)
         available = [s for s in pattern_table.sector_ids if s != 0]
-        first = strategy.choose(8, available, rng)
-        second = strategy.choose(8, available, rng)
+        first = designer.design(8, available, rng)
+        second = designer.design(8, available, rng)
         assert first == second
+
+    def test_pinned_greedy_order(self, pattern_table, rng):
+        """Literal subsets of the greedy max-min order on the default table."""
+        designer = GainDiverseDesigner(pattern_table)
+        available = [s for s in pattern_table.sector_ids if s != 0]
+        assert designer.design(8, available, rng) == [62, 20, 63, 8, 13, 5, 24, 21]
+        assert designer.design(12, available, rng) == [
+            62, 20, 63, 8, 13, 5, 24, 21, 2, 11, 18, 22,
+        ]
 
     def test_prefix_property(self, pattern_table, rng):
         """Smaller budgets are prefixes of larger ones (greedy order)."""
-        strategy = GainDiverseProbeStrategy(pattern_table)
+        designer = GainDiverseDesigner(pattern_table)
         available = [s for s in pattern_table.sector_ids if s != 0]
-        assert strategy.choose(6, available, rng) == strategy.choose(12, available, rng)[:6]
+        assert (
+            designer.design(6, available, rng)
+            == designer.design(12, available, rng)[:6]
+        )
 
     def test_diversity_beats_random_similarity(self, pattern_table, rng):
         """The greedy set's patterns overlap less than a random set's."""
         from repro.core import normalize_rows, to_linear_power
 
         available = [s for s in pattern_table.sector_ids if s != 0]
-        strategy = GainDiverseProbeStrategy(pattern_table)
+        designer = GainDiverseDesigner(pattern_table)
 
         def mean_similarity(ids):
             rows = normalize_rows(
@@ -86,9 +77,9 @@ class TestGainDiverseProbeStrategy:
             off_diagonal = similarity[~np.eye(len(ids), dtype=bool)]
             return float(off_diagonal.mean())
 
-        diverse = mean_similarity(strategy.choose(10, available, rng))
+        diverse = mean_similarity(designer.design(10, available, rng))
         random_sets = [
-            mean_similarity(RandomProbeStrategy().choose(10, available, rng))
+            mean_similarity(RandomProbeDesigner().design(10, available, rng))
             for _ in range(10)
         ]
         assert diverse < np.mean(random_sets)
@@ -164,6 +155,18 @@ class TestSectorTracker:
         assert step.training_time_us == pytest.approx(12 * 36.0 + 49.1)
         assert tracker.history == [step]
         assert tracker.selections == [step.result.sector_id]
+
+    def test_step_probes_in_ascending_sweep_order(self, pattern_table):
+        """The draw is sorted into sweep order; per-probe noise in the
+        blockage, mobility and live-protocol loops is drawn in it."""
+        tracker = SectorTracker(CompressiveSectorSelector(pattern_table), n_probes=10)
+        measure = self._measure_factory(pattern_table, 0.0)
+        rng = np.random.default_rng(2017)
+        steps = [tracker.step(measure, rng) for _ in range(2)]
+        assert [step.probe_ids for step in steps] == [
+            [2, 3, 11, 15, 25, 27, 29, 30, 61, 62],
+            [3, 9, 15, 17, 19, 22, 28, 29, 30, 31],
+        ]
 
     def test_run_accumulates(self, pattern_table, rng):
         tracker = SectorTracker(CompressiveSectorSelector(pattern_table), n_probes=10)

@@ -11,7 +11,7 @@ import pytest
 from repro.channel import MeasurementModel, anechoic_chamber, lab_environment
 from repro.core import (
     CompressiveSectorSelector,
-    RandomProbeStrategy,
+    RandomProbeDesigner,
     from_sweep_reports,
 )
 from repro.geometry import Orientation
@@ -54,12 +54,14 @@ class TestLiveCompressiveSelection:
         """Reduced sweeps + override: the paper's closed loop."""
         environment, dut, peer, table = deployment
         selector = CompressiveSectorSelector(table)
-        strategy = RandomProbeStrategy()
+        designer = RandomProbeDesigner()
         session = SweepSession(dut, peer, environment)
 
         chosen_sectors = []
         for _ in range(5):
-            probe_ids = strategy.choose(14, selector.candidate_sector_ids, rng)
+            probe_ids = sorted(
+                designer.design(14, selector.candidate_sector_ids, rng)
+            )
             # The DUT sweeps only the probing subset.
             result = session.run(rng, initiator_probe_ids=probe_ids)
             reports = peer.drain_sweep_reports()

@@ -44,7 +44,12 @@ from repro.runtime.registry import (
 from repro.runtime.runner import ScenarioRunner
 from repro.runtime.spec import PolicySpec, ScenarioSpec
 
-DETERMINISTIC_DESIGNERS = ("coherence-min", "greedy-submodular", "in-sector")
+DETERMINISTIC_DESIGNERS = (
+    "coherence-min",
+    "gain-diverse",
+    "greedy-submodular",
+    "in-sector",
+)
 ALL_DESIGNERS = DETERMINISTIC_DESIGNERS + ("random",)
 
 
@@ -178,31 +183,16 @@ class TestRandomDesignerPin:
 
 
 class TestPolicyRouting:
-    def test_probe_design_and_probe_strategy_are_mutually_exclusive(self, context):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CompressivePolicy(
-                context,
-                probe_strategy="gain-diverse",
-                probe_design={"designer": "random"},
-            )
-
-    @pytest.mark.parametrize("strategy", ["random", "gain-diverse"])
-    def test_oversized_budget_raises_on_strategy_path(self, context, strategy):
-        # Validation is hoisted above strategy dispatch: a too-small
-        # pool is the same ValueError on every path, not a downstream
-        # shape error from inside the strategy.
-        policy = CompressivePolicy(context, n_probes=4, probe_strategy=strategy)
-        with pytest.raises(ValueError, match="cannot probe more sectors"):
-            policy.probes_for_round(0, [1, 2, 3], np.random.default_rng(0))
-
-    def test_oversized_budget_raises_on_designer_path(self, context):
+    @pytest.mark.parametrize("name", available_probe_designers())
+    def test_oversized_budget_raises_on_designer_path(self, context, name):
+        # Pool-size validation lives in the designers alone: a too-small
+        # pool is the same ValueError for every designer, not a
+        # downstream shape error.
         policy = build_policy(
-            PolicySpec(
-                "css", {"n_probes": 4}, probe_design={"designer": "coherence-min"}
-            ),
+            PolicySpec("css", {"n_probes": 4}, probe_design={"designer": name}),
             context,
         )
-        with pytest.raises(ValueError, match="cannot probe more sectors"):
+        with pytest.raises(ValueError, match="cannot probe 4 sectors out of 3"):
             policy.probes_for_round(0, [1, 2, 3], np.random.default_rng(0))
 
     def test_designed_policy_round_trips_via_build_policy(self, context):
