@@ -15,7 +15,7 @@ strength reporting, all of which are modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -95,10 +95,20 @@ class MeasurementModel:
     def __post_init__(self) -> None:
         if self.snr_max_db <= self.snr_min_db:
             raise ValueError("snr_max_db must exceed snr_min_db")
+        for name in ("snr_step_db", "rssi_step_db", "decode_width_db"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.report_dropout_probability < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         if not 0.0 <= self.outlier_probability < 1.0:
             raise ValueError("outlier probability must be in [0, 1)")
+        # The draws numpy's normal/uniform would reject, rejected once
+        # here instead of at the first frame that reaches them.
+        if not (self.base_noise_std_db >= 0.0 and self.low_snr_extra_noise_db >= 0.0):
+            raise ValueError("noise standard deviations must be non-negative")
+        magnitude = self.outlier_magnitude_db
+        if not (magnitude >= 0.0 and np.isfinite(magnitude - -magnitude)):
+            raise ValueError("outlier magnitude must be non-negative, with a finite range")
 
     @classmethod
     def noiseless(cls) -> "MeasurementModel":
@@ -116,15 +126,48 @@ class MeasurementModel:
         argument = (true_snr_db - self.decode_threshold_db) / self.decode_width_db
         return float(1.0 / (1.0 + np.exp(-argument)))
 
-    def _noise_std_db(self, true_snr_db: float) -> float:
-        """Noise grows as the SNR approaches the sensitivity floor."""
-        low_snr_weight = 1.0 / (1.0 + np.exp((true_snr_db - 2.0) / 2.0))
-        return self.base_noise_std_db + self.low_snr_extra_noise_db * low_snr_weight
+    def _frame(
+        self,
+        truth: float,
+        decode_p: float,
+        noise_std: float,
+        noise_floor_dbm: float,
+        rng: np.random.Generator,
+    ) -> Optional[Tuple[float, float]]:
+        """One frame's ``(snr_db, rssi_dbm)`` report, or ``None``.
 
-    def _maybe_outlier(self, rng: np.random.Generator) -> float:
-        if rng.random() < self.outlier_probability:
-            return float(rng.uniform(-self.outlier_magnitude_db, self.outlier_magnitude_db))
-        return 0.0
+        The draws, in order: decode, dropout, SNR noise, SNR outlier
+        (+ offset), RSSI noise, RSSI outlier (+ offset).  ``rng.normal(0, s)``
+        and ``rng.uniform(-m, m)`` are written out as numpy computes them
+        (``0 + s * z`` and ``-m + (m - -m) * u``), which skips their
+        argument handling and leaves every value bit for bit the same.
+        NaN and +inf readings raise in ``round`` after their draws.
+        """
+        random = rng.random
+        if random() > decode_p:
+            return None
+        if random() < self.report_dropout_probability:
+            return None
+        low = -self.outlier_magnitude_db
+        span = self.outlier_magnitude_db - low
+        outlier_p = self.outlier_probability
+        snr = (
+            truth
+            + (0.0 + noise_std * rng.standard_normal())
+            + (low + span * random() if random() < outlier_p else 0.0)
+        )
+        step = self.snr_step_db
+        snr = float(min(max(round(snr / step) * step, self.snr_min_db), self.snr_max_db))
+        # RSSI: independently acquired estimate of the received power.
+        rssi = (
+            truth
+            + noise_floor_dbm
+            + self.rssi_offset_db
+            + (0.0 + noise_std * rng.standard_normal())
+            + (low + span * random() if random() < outlier_p else 0.0)
+        )
+        step = self.rssi_step_db
+        return snr, float(round(rssi / step) * step)
 
     def observe(
         self,
@@ -135,32 +178,55 @@ class MeasurementModel:
         """Produce the firmware's report for one frame, or ``None``.
 
         ``None`` models either a frame that failed to decode or a
-        decoded frame whose measurement the firmware dropped.
+        decoded frame whose measurement the firmware dropped.  Noise
+        grows as the SNR approaches the sensitivity floor.
         """
-        if rng.random() > self.decode_probability(true_snr_db):
+        low_snr_weight = 1.0 / (1.0 + np.exp((true_snr_db - 2.0) / 2.0))
+        noise_std = self.base_noise_std_db + self.low_snr_extra_noise_db * low_snr_weight
+        report = self._frame(
+            true_snr_db,
+            self.decode_probability(true_snr_db),
+            float(noise_std),
+            noise_floor_dbm,
+            rng,
+        )
+        if report is None:
             return None
-        if rng.random() < self.report_dropout_probability:
-            return None
+        return SignalObservation(snr_db=report[0], rssi_dbm=report[1])
 
-        noise_std = self._noise_std_db(true_snr_db)
-        snr_reading = true_snr_db + rng.normal(0.0, noise_std) + self._maybe_outlier(rng)
-        # min/max is np.clip on a scalar, without the array round trip.
-        snr_reading = float(
-            min(
-                max(quantize_to_step(snr_reading, self.snr_step_db), self.snr_min_db),
-                self.snr_max_db,
-            )
-        )
-        # RSSI: independently acquired estimate of the received power.
-        rssi_reading = (
-            true_snr_db
-            + noise_floor_dbm
-            + self.rssi_offset_db
-            + rng.normal(0.0, noise_std)
-            + self._maybe_outlier(rng)
-        )
-        rssi_reading = float(quantize_to_step(rssi_reading, self.rssi_step_db))
-        return SignalObservation(snr_db=snr_reading, rssi_dbm=rssi_reading)
+    def observe_frames(
+        self,
+        true_snr_db: np.ndarray,
+        noise_floor_dbm: float,
+        rng: np.random.Generator,
+    ) -> SignalObservationBatch:
+        """Reports for a block of frames, drawn frame by frame.
+
+        Bit for bit the reports — and the generator state — of one
+        :meth:`observe` call per frame, in order: only the decode
+        probabilities and noise levels are computed for the whole block
+        at once.  A NaN or +inf frame raises after its draws, as a
+        scalar loop would.
+        """
+        truth = np.ascontiguousarray(true_snr_db, dtype=float)
+        if truth.ndim != 1:
+            raise ValueError("true_snr_db must be a 1-D block of frames")
+        argument = (truth - self.decode_threshold_db) / self.decode_width_db
+        decode_p = 1.0 / (1.0 + np.exp(-argument))
+        low_snr_weight = 1.0 / (1.0 + np.exp((truth - 2.0) / 2.0))
+        noise_std = self.base_noise_std_db + self.low_snr_extra_noise_db * low_snr_weight
+        frame = self._frame
+        reports = [
+            frame(value, p, std, noise_floor_dbm, rng)
+            for value, p, std in zip(truth.tolist(), decode_p.tolist(), noise_std.tolist())
+        ]
+        reported = np.array([report is not None for report in reports], dtype=bool)
+        values = np.full((2, truth.size), np.nan)
+        if reported.any():
+            values[:, reported] = np.array(
+                [report for report in reports if report is not None]
+            ).T
+        return SignalObservationBatch(reported, values[0], values[1])
 
     def observe_batch(
         self,
@@ -186,8 +252,8 @@ class MeasurementModel:
         (the pinned regression test asserts this).  For larger blocks
         the draws are regrouped, so the *stream* differs from a scalar
         loop even though the per-frame distribution is identical —
-        which is why ``experiments.common.record_directions`` keeps the
-        scalar model its pinned outputs were recorded with.
+        which is why recordings and campaigns, whose outputs are pinned
+        to the scalar stream, use :meth:`observe_frames` instead.
         """
         true_snr = np.asarray(true_snr_db, dtype=float)
         if true_snr.ndim != 1:

@@ -97,7 +97,7 @@ def _estimator_azimuth_errors(
     truths: List[float] = []
     for recording in recordings:
         present, snr, rssi = recording.packed_sweeps(tx_ids)
-        for sweep_index in range(len(recording.sweeps)):
+        for sweep_index in range(recording.n_sweeps):
             for _ in range(subsamples):
                 columns = random_probe_columns(len(tx_ids), n_probes, rng)
                 trial_ids.append(id_row[columns])

@@ -14,9 +14,9 @@ experiment shares it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -172,51 +172,79 @@ def build_testbed(
 class RecordedDirection:
     """All sweep recordings for one physical path direction.
 
+    The firmware reports are held as (n_sweeps × n_tx) arrays: row
+    ``i`` is sweep ``i``, column ``j`` sector ``tx_sector_ids[j]``, and
+    an unreported slot holds False / NaN.  Recordings are immutable once
+    recorded (the arrays are read-only).
+
     Attributes:
         azimuth_deg / elevation_deg: nominal device-frame direction of
             the link (the ground truth for estimation errors).
         true_snr_db: ground-truth sweep SNR per TX sector.
-        sweeps: one dict per recorded sweep, mapping sector ID to the
-            firmware measurement (missing IDs were not reported).
+        tx_sector_ids: the swept sectors, one column each.
+        present / snr_db / rssi_dbm: the reports.
     """
 
     azimuth_deg: float
     elevation_deg: float
     true_snr_db: np.ndarray
-    sweeps: List[Dict[int, ProbeMeasurement]] = field(default_factory=list)
-    _packed: Optional[Tuple[tuple, np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    tx_sector_ids: Tuple[int, ...]
+    present: np.ndarray
+    snr_db: np.ndarray
+    rssi_dbm: np.ndarray
 
     def optimal_snr_db(self) -> float:
         return float(self.true_snr_db.max())
 
+    @property
+    def n_sweeps(self) -> int:
+        return self.present.shape[0]
+
+    @cached_property
+    def sweeps(self) -> List[Dict[int, ProbeMeasurement]]:
+        """One dict per sweep, mapping sector ID to its report.
+
+        Missing IDs were not reported.  Built on first use from the
+        arrays, for the consumers that walk reports one by one.
+        """
+        sweeps: List[Dict[int, ProbeMeasurement]] = []
+        for present, snr, rssi in zip(
+            self.present.tolist(), self.snr_db.tolist(), self.rssi_dbm.tolist()
+        ):
+            sweeps.append(
+                {
+                    sector_id: ProbeMeasurement(sector_id, snr[column], rssi[column])
+                    for column, sector_id in enumerate(self.tx_sector_ids)
+                    if present[column]
+                }
+            )
+        return sweeps
+
     def packed_sweeps(
         self, tx_sector_ids: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-packed view of the sweeps for the batched estimators.
+        """The reports by column of ``tx_sector_ids``, for the batched kernel.
 
         Returns ``(present, snr_db, rssi_dbm)``, each of shape
-        ``(n_sweeps, len(tx_sector_ids))`` with column ``j`` holding
-        sector ``tx_sector_ids[j]``; unreported slots are False / NaN.
-        The result is cached — recordings are immutable once recorded.
+        ``(n_sweeps, len(tx_sector_ids))``: the recorded arrays
+        themselves for the recording's own id list, a column gather for
+        any other (a sector the recording never swept stays False / NaN).
         """
-        key = tuple(tx_sector_ids)
-        if self._packed is not None and self._packed[0] == key:
-            return self._packed[1], self._packed[2], self._packed[3]
-        column_of = {sector_id: column for column, sector_id in enumerate(key)}
-        shape = (len(self.sweeps), len(key))
+        ids = tuple(tx_sector_ids)
+        if ids == self.tx_sector_ids:
+            return self.present, self.snr_db, self.rssi_dbm
+        column_of = {
+            sector_id: column for column, sector_id in enumerate(self.tx_sector_ids)
+        }
+        known = np.array([sector_id in column_of for sector_id in ids], dtype=bool)
+        columns = [column_of[sector_id] for sector_id in ids if sector_id in column_of]
+        shape = (self.n_sweeps, len(ids))
         present = np.zeros(shape, dtype=bool)
         snr = np.full(shape, np.nan)
         rssi = np.full(shape, np.nan)
-        for row, sweep in enumerate(self.sweeps):
-            for sector_id, measurement in sweep.items():
-                column = column_of.get(sector_id)
-                if column is not None:
-                    present[row, column] = True
-                    snr[row, column] = measurement.snr_db
-                    rssi[row, column] = measurement.rssi_dbm
-        self._packed = (key, present, snr, rssi)
+        present[:, known] = self.present[:, columns]
+        snr[:, known] = self.snr_db[:, columns]
+        rssi[:, known] = self.rssi_dbm[:, columns]
         return present, snr, rssi
 
 
@@ -233,12 +261,15 @@ def record_directions(
     The DUT rides the rotation head (with its mechanical tilt errors),
     the reference device listens quasi-omni at the environment's far
     endpoint.  Per-sweep slow fading is modelled as a common SNR offset
-    drawn from the environment's shadowing spread.  Each sector of each
-    sweep gets one scalar ``observe`` call — the random stream every
-    committed experiment output is pinned to.
+    drawn from the environment's shadowing spread.  Each sweep is one
+    ``observe_frames`` block over the TX sectors in order — the same
+    draws, in the same order, as one scalar ``observe`` per sector,
+    which is the random stream every committed experiment output is
+    pinned to.
     """
     head = RotationHead(np.random.default_rng(rng.integers(2**31)))
     tx_ids = testbed.tx_sector_ids
+    recorded_ids = tuple(tx_ids)
     noise_floor = testbed.budget.noise_floor_dbm
     recordings: List[RecordedDirection] = []
 
@@ -261,46 +292,50 @@ def record_directions(
         )
 
         for az_index, azimuth in enumerate(azimuths_deg):
-            recording = RecordedDirection(
-                azimuth_deg=wrap_azimuth(float(azimuth)),
-                elevation_deg=float(elevation),
-                true_snr_db=true_matrix[az_index].copy(),
+            truth = true_matrix[az_index].copy()
+            present, snr, rssi = _record_sweeps(
+                truth, testbed.measurement_model, environment, noise_floor, n_sweeps, rng
             )
-            _record_sweeps(
-                recording, testbed, environment, tx_ids, noise_floor, n_sweeps, rng
+            recordings.append(
+                RecordedDirection(
+                    azimuth_deg=wrap_azimuth(float(azimuth)),
+                    elevation_deg=float(elevation),
+                    true_snr_db=truth,
+                    tx_sector_ids=recorded_ids,
+                    present=present,
+                    snr_db=snr,
+                    rssi_dbm=rssi,
+                )
             )
-            recordings.append(recording)
     return recordings
 
 
 def _record_sweeps(
-    recording: RecordedDirection,
-    testbed: Testbed,
+    truth: np.ndarray,
+    model: MeasurementModel,
     environment: Environment,
-    tx_ids: Sequence[int],
     noise_floor: float,
     n_sweeps: int,
     rng: np.random.Generator,
-) -> None:
-    """One scalar ``observe`` per (sweep, sector) — the pinned stream."""
-    for _ in range(n_sweeps):
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fade draw, then one ``observe_frames`` row, per sweep."""
+    shape = (n_sweeps, truth.size)
+    present = np.zeros(shape, dtype=bool)
+    snr = np.full(shape, np.nan)
+    rssi = np.full(shape, np.nan)
+    for row in range(n_sweeps):
         fade_db = (
             rng.normal(0.0, environment.shadowing_std_db)
             if environment.shadowing_std_db > 0
             else 0.0
         )
-        sweep: Dict[int, ProbeMeasurement] = {}
-        for column, sector_id in enumerate(tx_ids):
-            observation = testbed.measurement_model.observe(
-                recording.true_snr_db[column] + fade_db, noise_floor, rng
-            )
-            if observation is not None:
-                sweep[sector_id] = ProbeMeasurement(
-                    sector_id=sector_id,
-                    snr_db=observation.snr_db,
-                    rssi_dbm=observation.rssi_dbm,
-                )
-        recording.sweeps.append(sweep)
+        reports = model.observe_frames(truth + fade_db, noise_floor, rng)
+        present[row] = reports.reported
+        snr[row] = reports.snr_db
+        rssi[row] = reports.rssi_dbm
+    for array in (present, snr, rssi):
+        array.flags.writeable = False
+    return present, snr, rssi
 
 
 def random_subsweep(

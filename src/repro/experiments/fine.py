@@ -141,16 +141,21 @@ def _run_fine_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> FineCodebo
     )
 
     def observe(truth_row, sector_ids, all_ids):
-        measurements = []
-        for sector_id in sector_ids:
-            observation = testbed.measurement_model.observe(
-                truth_row[all_ids.index(sector_id)], testbed.budget.noise_floor_dbm, rng
+        reports = testbed.measurement_model.observe_frames(
+            truth_row[[all_ids.index(sector_id) for sector_id in sector_ids]],
+            testbed.budget.noise_floor_dbm,
+            rng,
+        )
+        return [
+            ProbeMeasurement(sector_id, snr, rssi)
+            for sector_id, reported, snr, rssi in zip(
+                sector_ids,
+                reports.reported.tolist(),
+                reports.snr_db.tolist(),
+                reports.rssi_dbm.tolist(),
             )
-            if observation is not None:
-                measurements.append(
-                    ProbeMeasurement(sector_id, observation.snr_db, observation.rssi_dbm)
-                )
-        return measurements
+            if reported
+        ]
 
     # CSS probes the codebook's dedicated broad probing sectors and
     # selects among *all* 63 (the paper's N >> M).

@@ -18,7 +18,7 @@ as it did in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..geometry.grid import AngularGrid
 from ..phased_array.array import PhasedArray
 from ..phased_array.codebook import Codebook
 from .patterns import PatternTable
-from .processing import interpolate_gaps, robust_average
+from .processing import interpolate_gaps, robust_average_rows
 from .rotation_head import RotationHead
 
 __all__ = [
@@ -131,22 +131,27 @@ class PatternMeasurementCampaign:
         true_snr: np.ndarray,
         n_sweeps: int,
         rng: np.random.Generator,
-    ) -> List[List[List[float]]]:
-        """Collect per-(position, sector) sample lists from true SNRs."""
-        noise_floor = self.budget.noise_floor_dbm
-        n_positions, n_sectors = true_snr.shape
-        samples: List[List[List[float]]] = [
-            [[] for _ in range(n_sectors)] for _ in range(n_positions)
-        ]
-        for _ in range(n_sweeps):
-            for position in range(n_positions):
-                for sector in range(n_sectors):
-                    observation = self.measurement_model.observe(
-                        true_snr[position, sector], noise_floor, rng
-                    )
-                    if observation is not None:
-                        samples[position][sector].append(observation.snr_db)
+    ) -> np.ndarray:
+        """Reported SNR samples, (positions × sectors × sweeps), NaN = none.
+
+        A sweep reports every (position, sector) frame in row-major
+        order — one frame-major block per sweep.
+        """
+        samples = np.empty(true_snr.shape + (n_sweeps,))
+        frames = np.ascontiguousarray(true_snr, dtype=float).ravel()
+        for sweep in range(n_sweeps):
+            reports = self.measurement_model.observe_frames(
+                frames, self.budget.noise_floor_dbm, rng
+            )
+            samples[..., sweep] = reports.snr_db.reshape(true_snr.shape)
         return samples
+
+    def _averaged(
+        self, true_snr: np.ndarray, n_sweeps: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Outlier-rejected mean of each (position, sector)'s samples."""
+        samples = self._observe_matrix(true_snr, n_sweeps, rng)
+        return robust_average_rows(samples.reshape(-1, n_sweeps)).reshape(true_snr.shape)
 
     def run(self, config: CampaignConfig, rng: np.random.Generator) -> PatternTable:
         """Execute the campaign and return the processed table.
@@ -162,7 +167,6 @@ class PatternMeasurementCampaign:
         )
         tx_ids = self.dut_codebook.tx_sector_ids
         rx_id = self.dut_codebook.rx_sector_id
-        n_az = grid.n_azimuth
 
         raw: Dict[int, np.ndarray] = {
             sector_id: np.full(grid.shape, np.nan) for sector_id in [rx_id] + tx_ids
@@ -187,12 +191,9 @@ class PatternMeasurementCampaign:
                 self.reference_codebook.rx_sector.weights,
                 budget=self.budget,
             )
-            tx_samples = self._observe_matrix(true_tx, config.n_sweeps, rng)
-            for az_index in range(n_az):
-                for column, sector_id in enumerate(tx_ids):
-                    raw[sector_id][el_index, az_index] = robust_average(
-                        tx_samples[az_index][column]
-                    )
+            tx_means = self._averaged(true_tx, config.n_sweeps, rng)
+            for column, sector_id in enumerate(tx_ids):
+                raw[sector_id][el_index] = tx_means[:, column]
 
             # RX pattern: reference transmits sector 63; by reciprocity
             # this equals the DUT "transmitting" its RX weights toward a
@@ -207,9 +208,7 @@ class PatternMeasurementCampaign:
                 self.reference_codebook[_REFERENCE_TX_SECTOR].weights,
                 budget=self.budget,
             )
-            rx_samples = self._observe_matrix(true_rx, config.n_sweeps, rng)
-            for az_index in range(n_az):
-                raw[rx_id][el_index, az_index] = robust_average(rx_samples[az_index][0])
+            raw[rx_id][el_index] = self._averaged(true_rx, config.n_sweeps, rng)[:, 0]
 
         processed = {
             sector_id: interpolate_gaps(values) for sector_id, values in raw.items()

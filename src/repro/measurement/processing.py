@@ -9,11 +9,16 @@ same three steps live here, each independently testable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["reject_outliers", "robust_average", "interpolate_gaps"]
+__all__ = [
+    "reject_outliers",
+    "robust_average",
+    "robust_average_rows",
+    "interpolate_gaps",
+]
 
 
 def reject_outliers(samples: Sequence[float], max_deviation_db: float = 4.0) -> np.ndarray:
@@ -42,6 +47,50 @@ def robust_average(samples: Sequence[float], max_deviation_db: float = 4.0) -> f
     if values.size == 0:
         return float("nan")
     return float(np.mean(reject_outliers(values, max_deviation_db)))
+
+
+def _left_packed(values: np.ndarray, keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's kept values moved left in their order, and their counts."""
+    order = np.argsort(~keep, axis=-1, kind="stable")
+    return np.take_along_axis(values, order, axis=-1), keep.sum(axis=-1)
+
+
+def _by_count(counts: np.ndarray):
+    """``(count, rows)`` for every distinct count, rows ascending."""
+    for count in np.unique(counts):
+        yield int(count), np.flatnonzero(counts == count)
+
+
+def robust_average_rows(samples: np.ndarray, max_deviation_db: float = 4.0) -> np.ndarray:
+    """:func:`robust_average` of every row of a (rows × samples) array.
+
+    NaN marks a missing sample.  Each row's samples are compacted in
+    their order and rows with equal counts are averaged together, with
+    numpy's median and mean along the last axis: the same operations on
+    the same values in the same order as the per-row call, so every
+    result is bit for bit :func:`robust_average`'s.
+    """
+    values = np.asarray(samples, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("expected a (rows × samples) array")
+    values, counts = _left_packed(values, ~np.isnan(values))
+    out = np.full(values.shape[0], np.nan)
+    for count, rows in _by_count(counts):
+        if count == 0:
+            continue
+        group = values[rows, :count]
+        if count < 3:
+            out[rows] = np.mean(group, axis=-1)
+            continue
+        deviation = np.abs(group - np.median(group, axis=-1, keepdims=True))
+        keep = deviation <= max_deviation_db
+        # Never discard everything: the median sample always survives.
+        lost = ~keep.any(axis=-1)
+        keep[lost] = deviation[lost] == deviation[lost].min(axis=-1, keepdims=True)
+        kept, kept_counts = _left_packed(group, keep)
+        for kept_count, kept_rows in _by_count(kept_counts):
+            out[rows[kept_rows]] = np.mean(kept[kept_rows, :kept_count], axis=-1)
+    return out
 
 
 def interpolate_gaps(

@@ -8,6 +8,7 @@ alone (``repro-bench run spec.json`` with the same digest).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -18,11 +19,18 @@ from typing import Any, Dict
 __all__ = ["RunManifest", "git_revision", "result_digest"]
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision() -> str:
-    """The current git commit hash, or 'unknown' outside a checkout."""
+    """The commit of the checkout this code was loaded from, or 'unknown'.
+
+    Resolved on first use and kept for the life of the process: the
+    loaded code does not change under a running service, and one
+    ``git`` fork+exec per run would cost more than some runs.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=5.0,

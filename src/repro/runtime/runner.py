@@ -635,17 +635,62 @@ def _worker_run_chunks(
 def _pad_rows(
     rows: Sequence[np.ndarray], fill: float, dtype=None
 ) -> np.ndarray:
-    """Stack 1-D rows, padding shorter ones with ``fill`` on the right.
-
-    Equal-length rows (the common case — fixed probe budgets) stack
-    without any padding, so the arrays reaching ``select_batch`` are
-    exactly the ones the legacy loops built.
-    """
+    """Stack 1-D rows, padding shorter ones with ``fill`` on the right."""
     width = max((row.size for row in rows), default=0)
     out = np.full((len(rows), width), fill, dtype=dtype if dtype else float)
     for index, row in enumerate(rows):
         out[index, : row.size] = row
     return out
+
+
+def _gather_block(
+    recording_index: int,
+    trial_columns: List[List[int]],
+    subsamples_per_sweep: int,
+    id_row: np.ndarray,
+    present: np.ndarray,
+    snr: np.ndarray,
+    rssi: np.ndarray,
+) -> TrialBlock:
+    """One recording's trials, gathered from its packed sweeps.
+
+    Trial ``t`` reads sweep ``t // subsamples_per_sweep`` at its probe
+    columns.  Equal widths (fixed probe budgets) stack as they are;
+    ragged ones are padded on the right with id 0, NaN and False.
+    """
+    n_trials = len(trial_columns)
+    requested = np.asarray([len(columns) for columns in trial_columns], dtype=np.intp)
+    sweeps = np.arange(n_trials, dtype=np.intp) // subsamples_per_sweep
+    ragged = n_trials > 0 and requested.min() != requested.max()
+    if ragged:
+        columns = _pad_rows(
+            [np.asarray(row, dtype=np.intp) for row in trial_columns], 0, dtype=np.intp
+        )
+    else:
+        columns = np.array(trial_columns, dtype=np.intp).reshape(
+            n_trials, int(requested[0]) if n_trials else 0
+        )
+    rows = sweeps[:, np.newaxis]
+    sector_ids = id_row[columns]
+    snr_db = snr[rows, columns]
+    rssi_dbm = rssi[rows, columns]
+    mask = present[rows, columns]
+    if ragged:
+        pad = np.arange(columns.shape[1]) >= requested[:, np.newaxis]
+        sector_ids[pad] = 0
+        snr_db[pad] = np.nan
+        rssi_dbm[pad] = np.nan
+        mask[pad] = False
+    return TrialBlock(
+        recording_index=recording_index,
+        sector_ids=sector_ids,
+        snr_db=snr_db,
+        rssi_dbm=rssi_dbm,
+        mask=mask,
+        sweep_indices=sweeps,
+        subsample_indices=np.arange(n_trials, dtype=np.intp) % subsamples_per_sweep,
+        probes_requested=requested,
+    )
 
 
 class ScenarioRunner:
@@ -1019,44 +1064,26 @@ class ScenarioRunner:
         ):
             for recording_index, recording in enumerate(recordings):
                 present, snr, rssi = recording.packed_sweeps(tx_ids)
-                row_ids: List[np.ndarray] = []
-                row_snr: List[np.ndarray] = []
-                row_rssi: List[np.ndarray] = []
-                row_mask: List[np.ndarray] = []
-                sweep_ix: List[int] = []
-                sub_ix: List[int] = []
-                requested: List[int] = []
-                for sweep_index in range(len(recording.sweeps)):
-                    for subsample in range(subsamples_per_sweep):
-                        probe_ids = policy.probes_for_round(0, pool, rng)
-                        if probe_ids is None:
-                            raise ValueError(
-                                f"policy '{getattr(policy, 'name', policy)}' declined "
-                                f"round 0; multi-round policies need run_interactive"
-                            )
-                        columns = np.asarray(
-                            [column_of[sector_id] for sector_id in probe_ids],
-                            dtype=np.intp,
+                trial_columns: List[List[int]] = []
+                for _ in range(recording.n_sweeps * subsamples_per_sweep):
+                    probe_ids = policy.probes_for_round(0, pool, rng)
+                    if probe_ids is None:
+                        raise ValueError(
+                            f"policy '{getattr(policy, 'name', policy)}' declined "
+                            f"round 0; multi-round policies need run_interactive"
                         )
-                        row_ids.append(id_row[columns])
-                        row_snr.append(snr[sweep_index, columns])
-                        row_rssi.append(rssi[sweep_index, columns])
-                        row_mask.append(present[sweep_index, columns])
-                        sweep_ix.append(sweep_index)
-                        sub_ix.append(subsample)
-                        requested.append(len(probe_ids))
-                        _obs.observe("planner_probes_requested", len(probe_ids))
-                _obs.inc("planner_trials_total", len(requested))
+                    trial_columns.append([column_of[sector_id] for sector_id in probe_ids])
+                    _obs.observe("planner_probes_requested", len(probe_ids))
+                _obs.inc("planner_trials_total", len(trial_columns))
                 blocks.append(
-                    TrialBlock(
-                        recording_index=recording_index,
-                        sector_ids=_pad_rows(row_ids, 0, dtype=np.intp),
-                        snr_db=_pad_rows(row_snr, np.nan),
-                        rssi_dbm=_pad_rows(row_rssi, np.nan),
-                        mask=_pad_rows(row_mask, False, dtype=bool),
-                        sweep_indices=np.asarray(sweep_ix, dtype=np.intp),
-                        subsample_indices=np.asarray(sub_ix, dtype=np.intp),
-                        probes_requested=np.asarray(requested, dtype=np.intp),
+                    _gather_block(
+                        recording_index,
+                        trial_columns,
+                        subsamples_per_sweep,
+                        id_row,
+                        present,
+                        snr,
+                        rssi,
                     )
                 )
         return blocks

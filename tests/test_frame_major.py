@@ -1,0 +1,369 @@
+"""Frame-major reports, array-backed recordings, row-averaged campaigns.
+
+Each path is compared bit for bit with the frozen one-call-at-a-time
+reference in :mod:`tests.reference_observe`: the reports (signs of
+zeros included), the exception a NaN/+inf frame raises, and the
+generator state left behind.
+"""
+
+from typing import List, Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.channel import MeasurementModel
+from repro.channel.environment import conference_room
+from repro.experiments.common import _record_sweeps, record_directions
+from repro.measurement.campaign import PatternMeasurementCampaign
+from repro.measurement.processing import robust_average, robust_average_rows
+from repro.runtime import ScenarioRunner
+from tests import reference_observe as reference
+
+NOISE_FLOOR_DBM = -71.5
+
+#: Truth values: mostly finite, with NaN / ±inf frames mixed in.
+truths = st.one_of(
+    st.floats(-30.0, 40.0, allow_nan=False),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0]),
+)
+
+custom_models = st.builds(
+    MeasurementModel,
+    snr_step_db=st.sampled_from([0.25, 0.5, 1.0, 0.3]),
+    rssi_step_db=st.sampled_from([1.0, 0.25, 2.0]),
+    decode_threshold_db=st.floats(-12.0, 5.0),
+    decode_width_db=st.floats(0.1, 4.0),
+    report_dropout_probability=st.floats(0.0, 0.5),
+    base_noise_std_db=st.floats(0.0, 2.0),
+    low_snr_extra_noise_db=st.floats(0.0, 3.0),
+    outlier_probability=st.floats(0.0, 0.9),
+    outlier_magnitude_db=st.floats(0.0, 20.0),
+    rssi_offset_db=st.floats(-5.0, 5.0),
+)
+models = st.one_of(
+    st.just(MeasurementModel()), st.just(MeasurementModel.noiseless()), custom_models
+)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+def _reference_block(model, values, rng):
+    """Reports of one scalar reference call per frame, or the raised error."""
+    reports: List[Optional[tuple]] = []
+    for value in values:
+        try:
+            reports.append(reference.observe(model, value, NOISE_FLOOR_DBM, rng))
+        except (ValueError, OverflowError) as error:
+            return reports, type(error)
+    return reports, None
+
+
+class TestFrameBody:
+    @settings(max_examples=150, deadline=None)
+    @given(models, st.lists(truths, min_size=0, max_size=40), st.integers(0, 2**32 - 1))
+    def test_observe_frames_matches_the_scalar_reference(self, model, values, seed):
+        ours_rng = np.random.default_rng(seed)
+        theirs_rng = np.random.default_rng(seed)
+        expected, error = _reference_block(model, values, theirs_rng)
+        block = np.array(values, dtype=float)
+        if error is not None:
+            with pytest.raises(error):
+                model.observe_frames(block, NOISE_FLOOR_DBM, ours_rng)
+        else:
+            batch = model.observe_frames(block, NOISE_FLOOR_DBM, ours_rng)
+            assert len(batch) == len(values)
+            for index, report in enumerate(expected):
+                if report is None:
+                    assert not batch.reported[index]
+                    assert np.isnan(batch.snr_db[index]) and np.isnan(batch.rssi_dbm[index])
+                else:
+                    assert batch.reported[index]
+                    assert _same(batch.snr_db[index], report[0])
+                    assert _same(batch.rssi_dbm[index], report[1])
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(models, st.lists(truths, min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+    def test_observe_matches_the_scalar_reference(self, model, values, seed):
+        ours_rng = np.random.default_rng(seed)
+        theirs_rng = np.random.default_rng(seed)
+        for value in np.array(values, dtype=float):
+            try:
+                expected = reference.observe(model, value, NOISE_FLOOR_DBM, theirs_rng)
+            except (ValueError, OverflowError) as error:
+                with pytest.raises(type(error)):
+                    model.observe(value, NOISE_FLOOR_DBM, ours_rng)
+                break
+            observation = model.observe(value, NOISE_FLOOR_DBM, ours_rng)
+            if expected is None:
+                assert observation is None
+            else:
+                assert _same(observation.snr_db, expected[0])
+                assert _same(observation.rssi_dbm, expected[1])
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+
+    def test_rejects_non_1d_input(self, rng):
+        with pytest.raises(ValueError):
+            MeasurementModel().observe_frames(np.zeros((2, 3)), NOISE_FLOOR_DBM, rng)
+
+    def test_empty_block(self, rng):
+        state = rng.bit_generator.state
+        batch = MeasurementModel().observe_frames(np.array([]), NOISE_FLOOR_DBM, rng)
+        assert len(batch) == 0 and batch.reported.dtype == bool
+        assert rng.bit_generator.state == state
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("name", ["snr_step_db", "rssi_step_db", "decode_width_db"])
+    @pytest.mark.parametrize("value", [0.0, -0.25, float("nan")])
+    def test_non_positive_steps_and_width_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MeasurementModel(**{name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_noise_std_db": -0.1},
+            {"low_snr_extra_noise_db": -1.0},
+            {"outlier_magnitude_db": -10.0},
+            {"outlier_magnitude_db": float("inf")},
+            {"outlier_magnitude_db": 1e308},
+        ],
+    )
+    def test_draws_numpy_would_reject_are_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError):
+            MeasurementModel(**kwargs)
+
+
+class TestRowAverage:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(-20.0, 20.0, allow_nan=False),
+                        st.floats(-20.0, 20.0, allow_nan=False).map(
+                            lambda value: round(value / 0.25) * 0.25
+                        ),
+                        st.sampled_from([0.0, -0.0, 1.0, 5.0, 9.0, -4.0, float("nan")]),
+                    ),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        ),
+        st.sampled_from([4.0, 1.0, 0.0]),
+    )
+    def test_rows_match_the_per_cell_average(self, rows, max_deviation_db):
+        samples = np.array(rows, dtype=float).reshape(len(rows), -1)
+        got = robust_average_rows(samples, max_deviation_db)
+        for row, value in zip(samples, got):
+            expected = robust_average([x for x in row if not np.isnan(x)], max_deviation_db)
+            if np.isnan(expected):
+                assert np.isnan(value)
+            else:
+                assert _same(value, expected)
+
+    def test_all_rejected_row_keeps_the_median_ties(self):
+        samples = np.array([[0.0, 100.0, 200.0, np.nan], [1.0, 1.0, 9.0, 9.0]])
+        got = robust_average_rows(samples, max_deviation_db=1.0)
+        assert got[0] == robust_average([0.0, 100.0, 200.0], 1.0) == 100.0
+        assert got[1] == robust_average([1.0, 1.0, 9.0, 9.0], 1.0)
+
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(ValueError):
+            robust_average_rows(np.zeros(3))
+
+
+class TestCampaignAverage:
+    def test_averaged_matrix_matches_the_per_cell_loop(self, testbed):
+        campaign = PatternMeasurementCampaign(
+            testbed.dut_antenna,
+            testbed.dut_codebook,
+            measurement_model=testbed.measurement_model,
+        )
+        truth = np.random.default_rng(5).uniform(-12.0, 14.0, (7, 9))
+        n_sweeps = 4
+        ours_rng = np.random.default_rng(11)
+        got = campaign._averaged(truth, n_sweeps, ours_rng)
+
+        # The nested-list loop the campaign used: sweep, position, sector.
+        theirs_rng = np.random.default_rng(11)
+        noise_floor = campaign.budget.noise_floor_dbm
+        samples = [[[] for _ in range(truth.shape[1])] for _ in range(truth.shape[0])]
+        for _ in range(n_sweeps):
+            for position in range(truth.shape[0]):
+                for sector in range(truth.shape[1]):
+                    report = reference.observe(
+                        testbed.measurement_model,
+                        truth[position, sector],
+                        noise_floor,
+                        theirs_rng,
+                    )
+                    if report is not None:
+                        samples[position][sector].append(report[0])
+        expected = np.array([[robust_average(cell) for cell in row] for row in samples])
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def recordings(testbed):
+    return record_directions(
+        testbed, conference_room(6.0), [-30.0, 0.0, 25.0], [0.0, 8.0], 4,
+        np.random.default_rng(3),
+    )
+
+
+class TestRecordings:
+    def test_sweep_rows_match_the_scalar_reference(self, testbed):
+        environment = conference_room(6.0)
+        truth = np.random.default_rng(8).uniform(-12.0, 14.0, len(testbed.tx_sector_ids))
+        noise_floor = testbed.budget.noise_floor_dbm
+        ours_rng = np.random.default_rng(21)
+        present, snr, rssi = _record_sweeps(
+            truth, testbed.measurement_model, environment, noise_floor, 5, ours_rng
+        )
+        theirs_rng = np.random.default_rng(21)
+        sweeps = []
+        for _ in range(5):
+            fade_db = theirs_rng.normal(0.0, environment.shadowing_std_db)
+            sweeps.append(
+                reference.record_sweep(
+                    testbed.measurement_model,
+                    testbed.tx_sector_ids,
+                    truth + fade_db,
+                    noise_floor,
+                    theirs_rng,
+                )
+            )
+        expected = reference.packed_sweeps(sweeps, testbed.tx_sector_ids)
+        for ours, theirs in zip((present, snr, rssi), expected):
+            assert np.array_equal(ours, theirs, equal_nan=True)
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+
+    def test_recordings_are_read_only(self, recordings):
+        with pytest.raises(ValueError):
+            recordings[0].snr_db[0, 0] = 1.0
+
+    @pytest.mark.parametrize("order", ["own", "permuted", "subset", "unknown"])
+    def test_packed_sweeps_match_the_dict_walk(self, recordings, order):
+        for index, recording in enumerate(recordings):
+            ids = list(recording.tx_sector_ids)
+            if order == "permuted":
+                ids = list(np.random.default_rng(index).permutation(ids))
+            elif order == "subset":
+                ids = ids[::3][::-1]
+            elif order == "unknown":
+                ids = ids[:5] + [999, -1] + ids[5:9]
+            got = recording.packed_sweeps(ids)
+            expected = reference.packed_sweeps(recording.sweeps, ids)
+            for ours, theirs in zip(got, expected):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs, equal_nan=True)
+
+    def test_sweeps_view_round_trips_the_arrays(self, recordings):
+        for recording in recordings:
+            assert len(recording.sweeps) == recording.n_sweeps
+            assert recording.sweeps is recording.sweeps  # built once
+            for row, sweep in enumerate(recording.sweeps):
+                assert list(sweep) == [
+                    sector_id
+                    for column, sector_id in enumerate(recording.tx_sector_ids)
+                    if recording.present[row, column]
+                ]
+                for measurement in sweep.values():
+                    assert type(measurement.snr_db) is float
+
+
+class _RaggedPolicy:
+    """Asks for a different number of probes every round."""
+
+    name = "ragged"
+
+    def __init__(self, widths):
+        self.widths = widths
+
+    def probes_for_round(self, round_index, pool, rng):
+        width = int(rng.choice(self.widths))
+        return [pool[int(i)] for i in rng.choice(len(pool), size=width, replace=False)]
+
+
+def _pad(rows, fill, dtype=float):
+    width = max((row.size for row in rows), default=0)
+    out = np.full((len(rows), width), fill, dtype=dtype)
+    for index, row in enumerate(rows):
+        out[index, : row.size] = row
+    return out
+
+
+def _reference_plan(policy, recordings, tx_ids, rng, subsamples):
+    """The per-trial assembly the planner used: one gather and pad per trial."""
+    column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
+    id_row = np.asarray(tx_ids, dtype=np.intp)
+    pool = list(tx_ids)
+    blocks = []
+    for recording in recordings:
+        present, snr, rssi = reference.packed_sweeps(recording.sweeps, tx_ids)
+        rows = {"ids": [], "snr": [], "rssi": [], "mask": []}
+        sweep_ix, sub_ix, requested = [], [], []
+        for sweep_index in range(len(recording.sweeps)):
+            for subsample in range(subsamples):
+                probe_ids = policy.probes_for_round(0, pool, rng)
+                columns = np.asarray([column_of[s] for s in probe_ids], dtype=np.intp)
+                rows["ids"].append(id_row[columns])
+                rows["snr"].append(snr[sweep_index, columns])
+                rows["rssi"].append(rssi[sweep_index, columns])
+                rows["mask"].append(present[sweep_index, columns])
+                sweep_ix.append(sweep_index)
+                sub_ix.append(subsample)
+                requested.append(len(probe_ids))
+        blocks.append(
+            (
+                _pad(rows["ids"], 0, dtype=np.intp),
+                _pad(rows["snr"], np.nan),
+                _pad(rows["rssi"], np.nan),
+                _pad(rows["mask"], False, dtype=bool),
+                np.asarray(sweep_ix, dtype=np.intp),
+                np.asarray(sub_ix, dtype=np.intp),
+                np.asarray(requested, dtype=np.intp),
+            )
+        )
+    return blocks
+
+
+class TestPlannerGather:
+    @pytest.mark.parametrize(
+        "widths, subsamples", [((6, 14, 1, 0), 2), ((10,), 3), ((0,), 1), ((3, 34), 1)]
+    )
+    def test_blocks_match_the_per_trial_assembly(
+        self, testbed, recordings, widths, subsamples
+    ):
+        tx_ids = testbed.tx_sector_ids
+        ours_rng = np.random.default_rng(4)
+        theirs_rng = np.random.default_rng(4)
+        with ScenarioRunner() as runner:
+            blocks = runner.plan_trials(
+                _RaggedPolicy(widths), recordings, tx_ids, ours_rng, subsamples
+            )
+        expected = _reference_plan(
+            _RaggedPolicy(widths), recordings, tx_ids, theirs_rng, subsamples
+        )
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+        for index, (block, theirs) in enumerate(zip(blocks, expected)):
+            assert block.recording_index == index
+            ours = (
+                block.sector_ids, block.snr_db, block.rssi_dbm, block.mask,
+                block.sweep_indices, block.subsample_indices, block.probes_requested,
+            )
+            for mine, reference_array in zip(ours, theirs):
+                assert mine.dtype == reference_array.dtype
+                assert mine.shape == reference_array.shape
+                assert np.array_equal(mine, reference_array, equal_nan=True)

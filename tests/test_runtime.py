@@ -247,6 +247,28 @@ class TestManifest:
         data = json.loads(path.read_text())
         assert data["spec_digest"] == spec.digest()
 
+    def test_git_revision_is_resolved_once_per_process(self, monkeypatch):
+        import subprocess
+
+        from repro.runtime import manifest as manifest_module
+
+        calls = []
+
+        def fake_run(args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="abc123\n", stderr="")
+
+        monkeypatch.setattr(manifest_module.subprocess, "run", fake_run)
+        manifest_module.git_revision.cache_clear()
+        try:
+            with ScenarioRunner() as runner:
+                first = runner.run(scenario_spec("fig10")).manifest
+                second = runner.run(scenario_spec("fig10")).manifest
+        finally:
+            manifest_module.git_revision.cache_clear()
+        assert calls == [["git", "rev-parse", "HEAD"]]
+        assert first.git_rev == second.git_rev == "abc123"
+
 
 class TestCorrelationWarningClean:
     def test_degenerate_patterns_raise_no_runtime_warning(self):
