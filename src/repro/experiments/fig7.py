@@ -99,87 +99,87 @@ def _config_from_spec(spec: ScenarioSpec) -> Fig7Config:
     return Fig7Config(seed=spec.seed, **spec.params)
 
 
-def _evaluate_environment(
-    runner: ScenarioRunner,
-    spec: ScenarioSpec,
-    testbed,
-    recordings,
-    config: Fig7Config,
-    rng: np.random.Generator,
-    name: str,
-) -> EstimationErrorSeries:
-    # The runner replays the paper's offline emulation: one probe draw
-    # per recording × sweep × subsample in scalar order, one padded
-    # batch per recording, estimates bit-identical to the scalar path.
+def record_environments(testbed, config, rng: np.random.Generator):
+    """Yield ``(name, recordings)`` for the lab, then the conference room.
+
+    Lazy: the conference room is recorded only when the caller moves on
+    to it, so planning the lab's calls in between keeps the draw order
+    of one environment after the other.  ``config`` is a
+    :class:`Fig7Config` or any config with its grid fields.
+    """
+    azimuths = np.arange(-60.0, 60.0 + 1e-9, config.lab_azimuth_step_deg)
+    elevations = np.arange(
+        0.0, config.lab_max_elevation_deg + 1e-9, config.lab_elevation_step_deg
+    )
+    yield "lab", record_directions(
+        testbed, lab_environment(3.0), azimuths, elevations, config.n_sweeps, rng
+    )
+    azimuths = np.arange(-60.0, 60.0 + 1e-9, config.conference_azimuth_step_deg)
+    yield "conference-room", record_directions(
+        testbed, conference_room(6.0), azimuths, [0.0], config.n_sweeps, rng
+    )
+
+
+def _summarize(
+    series: EstimationErrorSeries, recordings, n_probes: int, records
+) -> None:
     # Rows that fell back (fewer than two reported probes) carry no
     # estimate — the trials the scalar loop skipped.
-    series = EstimationErrorSeries(environment_name=name)
-    context = runner.context(testbed)
-    tx_ids = testbed.tx_sector_ids
-    for n_probes in config.probe_counts:
-        policy_spec = PolicySpec("css", {"n_probes": int(n_probes)})
-        policy = runner.build_policy(policy_spec, context)
-        blocks = runner.plan_trials(
-            policy,
-            recordings,
-            tx_ids,
-            rng,
-            subsamples_per_sweep=config.subsamples_per_sweep,
+    azimuth_errors: List[float] = []
+    elevation_errors: List[float] = []
+    for record in records:
+        estimate = record.result.estimate
+        if estimate is None:
+            continue
+        recording = recordings[record.recording_index]
+        azimuth_errors.append(
+            abs(azimuth_difference(estimate.azimuth_deg, recording.azimuth_deg))
         )
-        records = runner.execute(
-            policy,
-            blocks,
-            reset="recording",
-            policy_spec=policy_spec,
-            testbed_spec=spec.testbed,
-        )
-        azimuth_errors: List[float] = []
-        elevation_errors: List[float] = []
-        for record in records:
-            estimate = record.result.estimate
-            if estimate is None:
-                continue
-            recording = recordings[record.recording_index]
-            azimuth_errors.append(
-                abs(azimuth_difference(estimate.azimuth_deg, recording.azimuth_deg))
-            )
-            elevation_errors.append(
-                abs(estimate.elevation_deg - recording.elevation_deg)
-            )
-        series.probe_counts.append(n_probes)
-        series.azimuth_stats.append(BoxStats.from_samples(azimuth_errors))
-        series.elevation_stats.append(BoxStats.from_samples(elevation_errors))
-    return series
+        elevation_errors.append(abs(estimate.elevation_deg - recording.elevation_deg))
+    series.probe_counts.append(n_probes)
+    series.azimuth_stats.append(BoxStats.from_samples(azimuth_errors))
+    series.elevation_stats.append(BoxStats.from_samples(elevation_errors))
 
 
 @register_scenario("fig7", default_spec=fig7_spec)
 def _run_fig7_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig7Result:
-    """Figure 7: angular estimation error vs. probe count."""
+    """Figure 7: angular estimation error vs. probe count.
+
+    The runner replays the paper's offline emulation: one probe draw
+    per recording × sweep × subsample in scalar order, one padded batch
+    per recording, estimates bit-identical to the scalar path.  Calls
+    are planned lazily, in the draw order of one environment after the
+    other — record the lab, plan its probe counts, record the
+    conference room, plan its probe counts — while earlier calls run.
+    """
     config = _config_from_spec(spec)
     testbed = spec.testbed.build()
+    context = runner.context(testbed)
+    tx_ids = testbed.tx_sector_ids
     rng = np.random.default_rng(config.seed)
+    series: List[EstimationErrorSeries] = []
+    grid = []  # (series, recordings, n_probes) of every planned call
 
-    lab_azimuths = np.arange(-60.0, 60.0 + 1e-9, config.lab_azimuth_step_deg)
-    lab_elevations = np.arange(
-        0.0, config.lab_max_elevation_deg + 1e-9, config.lab_elevation_step_deg
-    )
-    lab_recordings = record_directions(
-        testbed, lab_environment(3.0), lab_azimuths, lab_elevations, config.n_sweeps, rng
-    )
-    lab_series = _evaluate_environment(
-        runner, spec, testbed, lab_recordings, config, rng, "lab"
-    )
+    def calls():
+        for name, recordings in record_environments(testbed, config, rng):
+            series.append(EstimationErrorSeries(environment_name=name))
+            for n_probes in config.probe_counts:
+                policy_spec = PolicySpec("css", {"n_probes": int(n_probes)})
+                policy = runner.build_policy(policy_spec, context)
+                blocks = runner.plan_trials(
+                    policy,
+                    recordings,
+                    tx_ids,
+                    rng,
+                    subsamples_per_sweep=config.subsamples_per_sweep,
+                )
+                grid.append((series[-1], recordings, n_probes))
+                yield policy, blocks, policy_spec, spec.testbed
 
-    conference_azimuths = np.arange(
-        -60.0, 60.0 + 1e-9, config.conference_azimuth_step_deg
-    )
-    conference_recordings = record_directions(
-        testbed, conference_room(6.0), conference_azimuths, [0.0], config.n_sweeps, rng
-    )
-    conference_series = _evaluate_environment(
-        runner, spec, testbed, conference_recordings, config, rng, "conference-room"
-    )
-    return Fig7Result(lab=lab_series, conference=conference_series)
+    for index, records in enumerate(runner.execute_each(calls())):
+        _summarize(*grid[index], records)
+    lab, conference = series
+    return Fig7Result(lab=lab, conference=conference)
 
 
 def run_fig7(config: Fig7Config = Fig7Config(), jobs: int = 1) -> Fig7Result:

@@ -19,12 +19,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..channel.environment import conference_room, lab_environment
 from ..geometry.angles import azimuth_difference
 from ..runtime.registry import register_scenario
 from ..runtime.runner import ScenarioRunner
 from ..runtime.spec import PolicySpec, ScenarioSpec
-from .common import record_directions
+from .fig7 import record_environments
 
 __all__ = [
     "ProbeDesignConfig",
@@ -201,90 +200,64 @@ def _design_policy_spec(
     )
 
 
-def _evaluate_designers(
-    runner: ScenarioRunner,
-    spec: ScenarioSpec,
-    testbed,
-    recordings,
-    config: ProbeDesignConfig,
-    rng: np.random.Generator,
-    name: str,
-) -> List[DesignerSeries]:
-    context = runner.context(testbed)
-    tx_ids = testbed.tx_sector_ids
-    all_series: List[DesignerSeries] = []
-    for design in config.designs:
-        series = DesignerSeries(
-            environment_name=name, designer=str(design["designer"])
+def _summarize(series: DesignerSeries, recordings, n_probes: int, records) -> None:
+    azimuth_errors: List[float] = []
+    for record in records:
+        estimate = record.result.estimate
+        if estimate is None:
+            continue
+        recording = recordings[record.recording_index]
+        azimuth_errors.append(
+            abs(azimuth_difference(estimate.azimuth_deg, recording.azimuth_deg))
         )
-        for n_probes in config.probe_counts:
-            policy_spec = _design_policy_spec(design, n_probes)
-            policy = runner.build_policy(policy_spec, context)
-            blocks = runner.plan_trials(
-                policy,
-                recordings,
-                tx_ids,
-                rng,
-                subsamples_per_sweep=config.subsamples_per_sweep,
-            )
-            records = runner.execute(
-                policy,
-                blocks,
-                reset="recording",
-                policy_spec=policy_spec,
-                testbed_spec=spec.testbed,
-            )
-            azimuth_errors: List[float] = []
-            for record in records:
-                estimate = record.result.estimate
-                if estimate is None:
-                    continue
-                recording = recordings[record.recording_index]
-                azimuth_errors.append(
-                    abs(
-                        azimuth_difference(
-                            estimate.azimuth_deg, recording.azimuth_deg
-                        )
-                    )
-                )
-            series.probe_counts.append(int(n_probes))
-            series.mean_az_error.append(float(np.mean(azimuth_errors)))
-            series.median_az_error.append(float(np.median(azimuth_errors)))
-            series.trials.append(len(azimuth_errors))
-        all_series.append(series)
-    return all_series
+    series.probe_counts.append(int(n_probes))
+    series.mean_az_error.append(float(np.mean(azimuth_errors)))
+    series.median_az_error.append(float(np.median(azimuth_errors)))
+    series.trials.append(len(azimuth_errors))
 
 
 @register_scenario("fig7_probe_design", default_spec=probe_design_spec)
 def _run_probe_design_scenario(
     spec: ScenarioSpec, runner: ScenarioRunner
 ) -> ProbeDesignResult:
-    """Probe-design search: every designer × M × environment, ranked."""
+    """Probe-design search: every designer × M × environment, ranked.
+
+    Calls are planned lazily, environment by environment and designer
+    by designer, in the rng order of one execute per grid point.
+    """
     config = _config_from_spec(spec)
     testbed = spec.testbed.build()
+    context = runner.context(testbed)
+    tx_ids = testbed.tx_sector_ids
     rng = np.random.default_rng(config.seed)
+    environments: List[List[DesignerSeries]] = []
+    grid = []  # (series, recordings, n_probes) of every planned call
 
-    lab_azimuths = np.arange(-60.0, 60.0 + 1e-9, config.lab_azimuth_step_deg)
-    lab_elevations = np.arange(
-        0.0, config.lab_max_elevation_deg + 1e-9, config.lab_elevation_step_deg
-    )
-    lab_recordings = record_directions(
-        testbed, lab_environment(3.0), lab_azimuths, lab_elevations, config.n_sweeps, rng
-    )
-    lab_series = _evaluate_designers(
-        runner, spec, testbed, lab_recordings, config, rng, "lab"
-    )
+    def calls():
+        for name, recordings in record_environments(testbed, config, rng):
+            environments.append([])
+            for design in config.designs:
+                series = DesignerSeries(
+                    environment_name=name, designer=str(design["designer"])
+                )
+                environments[-1].append(series)
+                for n_probes in config.probe_counts:
+                    policy_spec = _design_policy_spec(design, n_probes)
+                    policy = runner.build_policy(policy_spec, context)
+                    blocks = runner.plan_trials(
+                        policy,
+                        recordings,
+                        tx_ids,
+                        rng,
+                        subsamples_per_sweep=config.subsamples_per_sweep,
+                    )
+                    grid.append((series, recordings, n_probes))
+                    yield policy, blocks, policy_spec, spec.testbed
 
-    conference_azimuths = np.arange(
-        -60.0, 60.0 + 1e-9, config.conference_azimuth_step_deg
-    )
-    conference_recordings = record_directions(
-        testbed, conference_room(6.0), conference_azimuths, [0.0], config.n_sweeps, rng
-    )
-    conference_series = _evaluate_designers(
-        runner, spec, testbed, conference_recordings, config, rng, "conference-room"
-    )
-    return ProbeDesignResult(lab=lab_series, conference=conference_series)
+    for index, records in enumerate(runner.execute_each(calls())):
+        _summarize(*grid[index], records)
+    lab, conference = environments
+    return ProbeDesignResult(lab=lab, conference=conference)
 
 
 def run_probe_design(

@@ -106,52 +106,34 @@ def _run_fig8_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig8Result
     )
     tx_ids = testbed.tx_sector_ids
 
-    # SSW: full-sweep argmax per recorded sweep.  The policy consumes
-    # no randomness, so planning it before the CSS draws leaves the
-    # pinned stream untouched.
-    ssw_spec = PolicySpec("full-sweep", {})
-    ssw = runner.build_policy(ssw_spec, context)
-    ssw_records = runner.execute(
-        ssw,
-        runner.plan_trials(ssw, recordings, tx_ids, rng),
-        reset="recording",
-        policy_spec=ssw_spec,
-        testbed_spec=spec.testbed,
-    )
-    ssw_stability = float(
-        np.mean(
-            [
-                stability_of_selections(selections)
-                for selections in _selections_by_recording(ssw_records, len(recordings))
-            ]
-        )
-    )
-
-    # CSS: per probe count, one probe draw per recording × sweep and a
-    # per-recording state reset — the legacy fresh-selector loop.
-    css_stability: List[float] = []
-    for n_probes in config.probe_counts:
-        policy_spec = PolicySpec("css", {"n_probes": int(n_probes)})
-        policy = runner.build_policy(policy_spec, context)
-        records = runner.execute(
-            policy,
-            runner.plan_trials(policy, recordings, tx_ids, rng),
-            reset="recording",
-            policy_spec=policy_spec,
-            testbed_spec=spec.testbed,
-        )
-        css_stability.append(
-            float(
-                np.mean(
-                    [
-                        stability_of_selections(selections)
-                        for selections in _selections_by_recording(
-                            records, len(recordings)
-                        )
-                    ]
-                )
+    def stability(records: Sequence[TrialRecord]) -> float:
+        return float(
+            np.mean(
+                [
+                    stability_of_selections(selections)
+                    for selections in _selections_by_recording(records, len(recordings))
+                ]
             )
         )
+
+    def calls():
+        # SSW: full-sweep argmax per recorded sweep.  The policy consumes
+        # no randomness, so planning it before the CSS draws leaves the
+        # pinned stream untouched.
+        ssw_spec = PolicySpec("full-sweep", {})
+        ssw = runner.build_policy(ssw_spec, context)
+        yield ssw, runner.plan_trials(ssw, recordings, tx_ids, rng), ssw_spec, spec.testbed
+        # CSS: per probe count, one probe draw per recording × sweep and
+        # a per-recording state reset — the legacy fresh-selector loop.
+        for n_probes in config.probe_counts:
+            policy_spec = PolicySpec("css", {"n_probes": int(n_probes)})
+            policy = runner.build_policy(policy_spec, context)
+            blocks = runner.plan_trials(policy, recordings, tx_ids, rng)
+            yield policy, blocks, policy_spec, spec.testbed
+
+    ssw_stability, *css_stability = [
+        stability(records) for records in runner.execute_each(calls())
+    ]
 
     return Fig8Result(
         probe_counts=list(config.probe_counts),

@@ -96,30 +96,21 @@ def _run_fig9_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig9Result
     tx_ids = testbed.tx_sector_ids
     column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
 
-    # SSW first (no randomness consumed), fresh state per recording.
-    ssw_spec = PolicySpec("full-sweep", {})
-    ssw = runner.build_policy(ssw_spec, context)
-    ssw_records = runner.execute(
-        ssw,
-        runner.plan_trials(ssw, recordings, tx_ids, rng),
-        reset="recording",
-        policy_spec=ssw_spec,
-        testbed_spec=spec.testbed,
-    )
-    ssw_loss_db = float(np.mean(_losses(ssw_records, recordings, column_of)))
+    def calls():
+        # SSW first (no randomness consumed), fresh state per recording.
+        ssw_spec = PolicySpec("full-sweep", {})
+        ssw = runner.build_policy(ssw_spec, context)
+        yield ssw, runner.plan_trials(ssw, recordings, tx_ids, rng), ssw_spec, spec.testbed
+        for n_probes in config.probe_counts:
+            policy_spec = PolicySpec("css", {"n_probes": int(n_probes)})
+            policy = runner.build_policy(policy_spec, context)
+            blocks = runner.plan_trials(policy, recordings, tx_ids, rng)
+            yield policy, blocks, policy_spec, spec.testbed
 
-    css_loss_db: List[float] = []
-    for n_probes in config.probe_counts:
-        policy_spec = PolicySpec("css", {"n_probes": int(n_probes)})
-        policy = runner.build_policy(policy_spec, context)
-        records = runner.execute(
-            policy,
-            runner.plan_trials(policy, recordings, tx_ids, rng),
-            reset="recording",
-            policy_spec=policy_spec,
-            testbed_spec=spec.testbed,
-        )
-        css_loss_db.append(float(np.mean(_losses(records, recordings, column_of))))
+    ssw_loss_db, *css_loss_db = [
+        float(np.mean(_losses(records, recordings, column_of)))
+        for records in runner.execute_each(calls())
+    ]
 
     return Fig9Result(
         probe_counts=list(config.probe_counts),

@@ -13,6 +13,10 @@ strategies.  :class:`ScenarioRunner` owns that shape once:
   kernel pass (``select_fused_stacked``) and journaled with one group
   commit; policies without a stacked kernel get one ``select_batch``
   call per block (or ``select`` per row, e.g. the oracle);
+* **execute_each** evaluates a lazily planned stream of such calls
+  and yields each call's records in call order; on the pool, calls
+  run ahead while the next ones are planned (``execute`` is a stream
+  of one);
 * **run_interactive** drives multi-round policies (hierarchical
   search) against a measure callable, round by round;
 * **run** resolves a :class:`~.spec.ScenarioSpec` through the registry,
@@ -29,7 +33,11 @@ It engages only when state resets per recording (blocks are then
 independent), the policy is batched, both the testbed and the policy
 are spec-described (workers rebuild them from JSON), and the host has
 two or more cores (or supervision needs process isolation); anything
-else degrades to the sequential path, same results.
+else degrades to the sequential path, same results.  Up to
+:data:`_MAX_INFLIGHT_CALLS` pooled calls are in flight at once, each
+with its own journal target and supervision state; they settle first
+in, first out, so journal commits, trace absorption and health
+accounting follow call order at any ``jobs``.
 
 Supervision (DESIGN.md §9): every ``reset="recording"`` block runs
 under a :class:`~.faults.RetryPolicy` — bounded attempts, seeded
@@ -48,7 +56,8 @@ it in the run manifest.
 Observability (DESIGN.md §10): constructed with an
 :class:`~repro.obs.ObsSession`, the runner activates it for the
 duration of :meth:`ScenarioRunner.run` and wraps the run, every
-``execute`` call and every block attempt in spans
+execute call (a pooled call's span covers its settle) and every block
+attempt in spans
 (``scenario.run`` → ``execute.policy`` → ``execute.block``), while the
 supervision counters mirror into metrics.  A stacked chunk records
 into its own session — in a pool worker or in-process alike — and
@@ -63,6 +72,7 @@ is bit-identical to an untraced one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import multiprocessing
@@ -70,19 +80,23 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from concurrent.futures import CancelledError as _FuturesCancelled
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Collection,
+    Deque,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -112,6 +126,7 @@ from .manifest import RunManifest, git_revision, result_digest
 from .policy import PolicyContext, PolicyOutcome
 from .shm import KernelPublisher, SharedKernelManifest
 from .shm import attach as _shm_attach
+from .shm import borrow as _shm_borrow
 from .shm import detach_all as _shm_detach_all
 from .spec import PolicySpec, ScenarioSpec, TestbedSpec
 
@@ -429,6 +444,64 @@ def _fresh_session():
 CHUNK_ROWS = 64
 
 
+#: Most pooled execute calls kept in flight (dispatched, not yet
+#: settled) by :meth:`ScenarioRunner.execute_each`.  fig7 makes 32
+#: calls of ~25 ms each per pass; while the parent plans the next call
+#: the workers run the queued ones.  Warm fig7 at jobs=2 on a 2-vCPU
+#: VM (medians of 10 fresh seeds, caps interleaved): 1.11 s with one
+#: call in flight, 0.84 s with 4, 0.88 s with 8, 0.89 s with 16 and
+#: 0.85 s unbounded — the same within noise from 4 on.  The cap bounds
+#: the blocks and block segments alive at once.
+_MAX_INFLIGHT_CALLS = 8
+
+
+@dataclass(eq=False)
+class _Call:
+    """One execute call, from the moment it is planned until it settles.
+
+    A pooled call carries its own journal target and supervision state
+    (the current round's tasks, attempts, failures), so several can be
+    in flight at once; ``index`` is its ordinal among the run's
+    recording-mode calls, the journal and trace key.
+    """
+
+    policy: Any
+    blocks: Sequence[TrialBlock]
+    reset: str
+    label: str
+    policy_spec: Optional[PolicySpec]
+    testbed_spec: Optional[TestbedSpec]
+    index: int = -1
+    store: Optional[CheckpointStore] = None
+    policy_key: Optional[str] = None
+    outputs: Dict[int, Sequence] = field(default_factory=dict)
+    hits: List[int] = field(default_factory=list)
+    pending: List[int] = field(default_factory=list)
+    pooled: bool = False
+    closed: bool = False
+    # Pool path only.
+    testbed_key: Optional[str] = None
+    kernels: Optional[SharedKernelManifest] = None
+    blocks_key: Optional[str] = None
+    blocks_manifest: Optional[SharedKernelManifest] = None
+    quality_meta: Optional[Mapping[str, Any]] = None
+    attempts: Dict[int, int] = field(default_factory=dict)
+    remaining: set = field(default_factory=set)
+    executed: Dict[int, Tuple[Sequence, Dict[str, Any]]] = field(default_factory=dict)
+    barren_rounds: int = 0
+    last_error: BaseException = field(
+        default_factory=lambda: BrokenProcessPool("process pool broken")
+    )
+    # The current round: (block indices, future, pool generation) per
+    # task, None until the first dispatch; the attempt number of every
+    # block dispatched, in block order.
+    tasks: Optional[List[Tuple[List[int], Any, int]]] = None
+    dispatch_attempt: Dict[int, int] = field(default_factory=dict)
+    directives: Dict[int, Optional[Dict[str, Any]]] = field(default_factory=dict)
+    failures: List[Tuple[int, BaseException]] = field(default_factory=list)
+    dispatched: bool = False
+
+
 def _plan_chunks(
     blocks: Sequence[TrialBlock],
     indices: Sequence[int],
@@ -570,6 +643,48 @@ def _worker_run_chunks(
     blocks lost to a pool death, so their retry budget is never charged
     for a chunkmate's sins.
     """
+    if blocks_manifest is None:
+        return _run_chunks(testbed_key, policy_key, chunks, obs_metas, manifest, directive)
+
+    def mapped(views: Mapping[str, np.ndarray]):
+        blocks = [
+            [
+                (
+                    index,
+                    TrialBlock(
+                        recording_index=recording_index,
+                        sector_ids=views[f"{index}.ids"],
+                        snr_db=views[f"{index}.snr"],
+                        rssi_dbm=views[f"{index}.rssi"],
+                        mask=views[f"{index}.mask"],
+                        sweep_indices=_EMPTY_INTP,
+                        subsample_indices=_EMPTY_INTP,
+                        probes_requested=_EMPTY_INTP,
+                    ),
+                )
+                for index, recording_index in chunk
+            ]
+            for chunk in chunks
+        ]
+        return _run_chunks(testbed_key, policy_key, blocks, obs_metas, manifest, directive)
+
+    # The block segment is mapped for this task only: it is unlinked
+    # when its execute call settles, so no worker keeps it attached.
+    try:
+        return _shm_borrow(blocks_manifest, mapped)
+    except Exception as error:
+        return {}, (chunks[0][0][0], error)
+
+
+def _run_chunks(
+    testbed_key: str,
+    policy_key: str,
+    chunks: Sequence[Sequence[Tuple[int, TrialBlock]]],
+    obs_metas: Optional[Dict[int, Dict[str, Any]]],
+    manifest: Optional[SharedKernelManifest],
+    directive: Optional[Dict[str, Any]],
+):
+    """The body of :func:`_worker_run_chunks` over in-memory blocks."""
     done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
 
     def evaluate(block: TrialBlock, quality_meta=None) -> List:
@@ -581,27 +696,6 @@ def _worker_run_chunks(
             return _eval_block(policy, block)
 
     try:
-        if blocks_manifest is not None:
-            views = _shm_attach(blocks_manifest)
-            chunks = [
-                [
-                    (
-                        index,
-                        TrialBlock(
-                            recording_index=recording_index,
-                            sector_ids=views[f"{index}.ids"],
-                            snr_db=views[f"{index}.snr"],
-                            rssi_dbm=views[f"{index}.rssi"],
-                            mask=views[f"{index}.mask"],
-                            sweep_indices=_EMPTY_INTP,
-                            subsample_indices=_EMPTY_INTP,
-                            probes_requested=_EMPTY_INTP,
-                        ),
-                    )
-                    for index, recording_index in chunk
-                ]
-                for chunk in chunks
-            ]
         policy = (
             _worker_policy(testbed_key, policy_key, manifest)
             if directive is None
@@ -745,17 +839,18 @@ class ScenarioRunner:
         self._resume = bool(resume)
         self._durable = bool(durable)
         self._store: Optional[CheckpointStore] = None
-        self._journal: Tuple[Optional[CheckpointStore], Optional[str], int] = (
-            None, None, 0,
-        )
         self._execute_calls = 0
         self._injected_seen: set = set()
         self._pool: Optional[ProcessPoolExecutor] = None
+        # Bumped whenever a pool is abandoned; every task carries the
+        # generation it was submitted to.
+        self._pool_generation = 0
+        # Pooled calls dispatched but not yet settled, in call order.
+        self._unsettled: List[_Call] = []
         self._shm = KernelPublisher()
-        self._run_digest: Optional[str] = None
+        self._block_segments = itertools.count()
         self._contexts: Dict[int, PolicyContext] = {}
         self._policy_timings: Dict[str, float] = {}
-        self._policy_span_id: Optional[str] = None
         self._quality_environment: Optional[str] = None
         # Cooperative abort plumbing: ``cancel()`` may be called from
         # any thread (the service's event loop) while ``run()`` executes
@@ -806,9 +901,20 @@ class ScenarioRunner:
         next chunk boundary (or mid-wait on a pool future / backoff
         sleep); in-flight pool tasks are abandoned without charging
         anyone's attempt budget, and everything already finished stays
-        journaled for a later retry-resume.
+        journaled for a later retry-resume.  A cancel that lands before
+        :meth:`run` starts cancels that run; the request is consumed
+        when the run ends.
         """
         self._cancel.set()
+
+    def clear_cancel(self) -> None:
+        """Forget a cancel request no run consumed.
+
+        A cancel that lands after a run ended, but before its caller
+        stopped routing cancels to this runner, would otherwise abort
+        the next run; the service clears it as it releases the runner.
+        """
+        self._cancel.clear()
 
     def _check_abort(self) -> None:
         """Raise if the run was cancelled or its deadline passed."""
@@ -882,7 +988,6 @@ class ScenarioRunner:
             self._resume = bool(resume)
         if obs is not _UNSET:
             self.obs = obs
-        self._cancel.clear()
         self._deadline_at = (
             time.monotonic() + float(deadline_s) if deadline_s is not None else None
         )
@@ -913,10 +1018,6 @@ class ScenarioRunner:
         previous_session = _obs.activate(self.obs) if traced else None
         if traced:
             self.obs.reset()
-        # The digest keys this run's published block segments — planning
-        # is deterministic in (spec, seed), so a repeat of the same spec
-        # re-uses the segments without copying a byte.
-        self._run_digest = spec.digest()
         # Quality exemplars label by environment; specs without one
         # (single-environment scenarios) fall back to the scenario name.
         self._quality_environment = str(
@@ -928,9 +1029,13 @@ class ScenarioRunner:
             ):
                 result = entry.executor(spec, self)
         finally:
-            # Only the per-run journal closes here; the worker pool and
-            # published kernels survive for the next run (see close()).
-            self._run_digest = None
+            # A scenario that raised while execute_each calls were in
+            # flight left them unsettled: journal what finished before
+            # the journal closes.  Only the per-run journal closes here;
+            # the worker pool and published kernels survive for the
+            # next run (see close()).
+            self._drop(self._unsettled)
+            self._cancel.clear()
             self._quality_environment = None
             self._deadline_at = None
             self._close_store()
@@ -1112,36 +1217,255 @@ class ScenarioRunner:
           blocks in order (the one-big-batch loops).  Always
           sequential; a mid-plan retry could replay against mutated
           state, so this mode stays fail-fast.
+
+        One call through :meth:`execute_each`'s code path.
         """
         if reset not in ("recording", "plan"):
             raise ValueError("reset must be 'recording' or 'plan'")
-        if label is None:
-            label = getattr(policy, "name", type(policy).__name__)
+        (records,) = self._each([(policy, blocks, policy_spec, testbed_spec)], reset, label)
+        return records
+
+    def execute_each(
+        self,
+        calls: Iterable[
+            Tuple[Any, Sequence[TrialBlock], Optional[PolicySpec], Optional[TestbedSpec]]
+        ],
+    ) -> Iterator[List[TrialRecord]]:
+        """Evaluate a stream of ``reset="recording"`` calls, yielding each
+        call's records in call order.
+
+        ``calls`` yields ``(policy, blocks, policy_spec, testbed_spec)``
+        and is pulled one item at a time, when the runner is ready for
+        the next call — so a scenario that plans inside it draws its
+        randomness exactly as it would before one :meth:`execute` per
+        call, and the records, journal keys, health and digests are
+        those of one :meth:`execute` per call.
+
+        Sequentially (``jobs=1``, or a call the pool does not take),
+        each call is pulled, executed and yielded in turn.  On the
+        pool, a call's first round is dispatched as soon as it is
+        pulled, and up to :data:`_MAX_INFLIGHT_CALLS` calls stay in
+        flight while the next ones are planned; they settle strictly
+        first in, first out.  With a fault plan or a per-block timeout
+        one call is in flight, as with :meth:`execute`.
+        """
+        return self._each(calls, "recording", None)
+
+    def _each(
+        self, calls: Iterable, reset: str, label: Optional[str]
+    ) -> Iterator[List[TrialRecord]]:
+        inflight: Deque[_Call] = deque()
+        depth = 1 if self._isolated() else _MAX_INFLIGHT_CALLS
+        try:
+            for policy, blocks, policy_spec, testbed_spec in calls:
+                call = self._open_call(
+                    policy, blocks, reset, policy_spec, testbed_spec, label
+                )
+                if not call.pooled:
+                    while inflight:
+                        yield self._settle_head(inflight)
+                    yield self._run_local(call)
+                    continue
+                inflight.append(call)
+                if depth > 1:
+                    # Dispatched outside the call's execute.policy span:
+                    # the next call is planned while this one runs.
+                    begin = time.perf_counter()
+                    try:
+                        self._dispatch(call)
+                    finally:
+                        self._note_time(call.label, time.perf_counter() - begin)
+                if len(inflight) >= depth:
+                    yield self._settle_head(inflight)
+            while inflight:
+                yield self._settle_head(inflight)
+        finally:
+            self._drop(inflight)
+
+    def _isolated(self) -> bool:
+        """Whether supervision needs process isolation: a fault plan, or
+        a per-block timeout that must be able to kill a hung worker."""
+        retry = self.retry or _FAIL_FAST
+        return self._injector is not None or retry.timeout_s is not None
+
+    def _lanes(self) -> int:
+        return max(1, min(self.jobs, os.cpu_count() or 1))
+
+    def _note_time(self, label: str, seconds: float) -> None:
+        self._policy_timings[label] = self._policy_timings.get(label, 0.0) + seconds
+
+    def _open_call(
+        self,
+        policy,
+        blocks: Sequence[TrialBlock],
+        reset: str,
+        policy_spec: Optional[PolicySpec],
+        testbed_spec: Optional[TestbedSpec],
+        label: Optional[str],
+    ) -> "_Call":
+        """Number a call, read its checkpointed blocks, pick its path."""
+        call = _Call(
+            policy=policy,
+            blocks=blocks,
+            reset=reset,
+            label=label or getattr(policy, "name", type(policy).__name__),
+            policy_spec=policy_spec,
+            testbed_spec=testbed_spec,
+        )
+        if reset == "plan":
+            return call
+        self.health.blocks += len(blocks)
+        # Journal keys carry this call's ordinal within the run:
+        # executors run deterministically, so the ordinal is stable
+        # across resume, and two evaluations of an identical policy
+        # spec (fig7's per-environment CSS runs) can never collide.
+        call.index = self._execute_calls
+        self._execute_calls += 1
+        if policy_spec is not None:
+            call.policy_key = policy_spec.key()
+            call.store = self._store
+        for index in range(len(blocks)):
+            cached = (
+                call.store.get(call.policy_key, call.index, index)
+                if call.store is not None
+                else None
+            )
+            if cached is not None:
+                call.outputs[index] = cached
+                call.hits.append(index)
+            else:
+                call.pending.append(index)
+        # The local path stacks chunks just like the pool, so with
+        # fewer than 2 parallel lanes (a single-core host) the pool
+        # only adds IPC — it runs there only when supervision semantics
+        # require process isolation.
+        call.pooled = (
+            bool(call.pending)
+            and self.jobs > 1
+            and len(blocks) > 1
+            and policy_spec is not None
+            and testbed_spec is not None
+            and hasattr(policy, "select_batch")
+            and (self._lanes() > 1 or self._isolated())
+        )
+        if call.pooled:
+            call.remaining = set(call.pending)
+            call.attempts = {index: 0 for index in call.pending}
+            self._unsettled.append(call)
+        return call
+
+    @contextmanager
+    def _call_scope(self, call: "_Call"):
+        """One call's ``execute.policy`` span, quality labels and timing.
+
+        Yields the span id that worker-trace payloads re-parent onto.
+        """
         begin = time.perf_counter()
-        quality = self._quality_context(label)
+        quality = self._quality_context(call.label)
         token = (
             _quality.activate_quality(quality) if quality is not None else None
         )
         try:
-            with _obs.span("execute.policy", policy=label, reset=reset) as span:
-                # Worker-trace payloads re-parent onto this span when
-                # the recording path absorbs them.
-                self._policy_span_id = getattr(span, "id", None)
-                try:
-                    if reset == "plan":
-                        records = self._execute_plan(policy, blocks)
-                    else:
-                        records = self._execute_recording(
-                            policy, blocks, policy_spec, testbed_spec, label
-                        )
-                finally:
-                    self._policy_span_id = None
+            with _obs.span(
+                "execute.policy", policy=call.label, reset=call.reset
+            ) as span:
+                yield getattr(span, "id", None)
         finally:
             if token is not None:
                 _quality.deactivate_quality(token)
-            elapsed = time.perf_counter() - begin
-            self._policy_timings[label] = self._policy_timings.get(label, 0.0) + elapsed
+            self._note_time(call.label, time.perf_counter() - begin)
+
+    def _run_local(self, call: "_Call") -> List[TrialRecord]:
+        """Execute a call in-process, start to finish."""
+        with self._call_scope(call) as span_id:
+            if call.reset == "plan":
+                return self._execute_plan(call.policy, call.blocks)
+            self._note_hits(call)
+            if call.pending:
+                # Completed blocks are journaled as their chunk
+                # finishes, not here: a killed or retry-exhausted
+                # campaign must leave every finished block behind for
+                # --resume.
+                self._absorb(call, self._execute_supervised_local(call), span_id)
+            return self._records(call)
+
+    def _settle_head(self, inflight: Deque["_Call"]) -> List[TrialRecord]:
+        records = self._settle(inflight[0])
+        inflight.popleft()
         return records
+
+    def _settle(self, call: "_Call") -> List[TrialRecord]:
+        """Finish a pooled call: collect and retry rounds, journal, trace,
+        health — dispatching its first round here unless that ran ahead."""
+        with self._call_scope(call) as span_id:
+            self._note_hits(call)
+            if call.tasks is None:
+                self._dispatch(call)
+            self._supervise_pool(call)
+            self._close(call)
+            self._absorb(call, call.executed, span_id)
+            return self._records(call)
+
+    def _note_hits(self, call: "_Call") -> None:
+        for index in call.hits:
+            self.health.note_checkpoint_hit(call.label, index, call.index)
+
+    def _absorb(
+        self,
+        call: "_Call",
+        executed: Mapping[int, Tuple[Sequence, Dict[str, Any]]],
+        span_id: Optional[str],
+    ) -> None:
+        """Take executed blocks' results, and their worker trace payloads.
+
+        Absorbed in sorted block order — worker trace payloads merge
+        keyed by (call, block) like the checkpoint journal, so the
+        merged trace never depends on pool scheduling.
+        """
+        session = _obs.active_session()
+        for index in sorted(executed):
+            results, info = executed[index]
+            call.outputs[index] = results
+            self.health.executed += 1
+            payload = info.pop("obs", None) if isinstance(info, dict) else None
+            if payload is not None and session is not None:
+                session.absorb_payload(payload, span_id, f"c{call.index}b{index}")
+
+    def _records(self, call: "_Call") -> List[TrialRecord]:
+        records: List[TrialRecord] = []
+        for index, block in enumerate(call.blocks):
+            records.extend(self._records_of(block, call.outputs[index]))
+        return records
+
+    def _close(self, call: "_Call") -> None:
+        """A pooled call is settled or dropped: unlink its block segment."""
+        call.closed = True
+        self._unsettled.remove(call)
+        if call.blocks_key is not None:
+            self._shm.release(call.blocks_key)
+
+    def _drop(self, calls: Iterable["_Call"]) -> None:
+        """Give up on unsettled pooled calls while the run raises.
+
+        Every block that already finished is journaled under its own
+        call's key, so ``--resume`` skips it; if any task is still
+        running, the pool is abandoned — killed tasks are charged to
+        nobody.
+        """
+        running = False
+        for call in list(calls):
+            if call.closed:
+                continue
+            if call.tasks:
+                self._harvest_done(call, None)
+                running = running or any(
+                    not future.done()
+                    for _, future, generation in call.tasks
+                    if generation == self._pool_generation
+                )
+            self._close(call)
+        if running:
+            self._abandon_pool()
 
     def _execute_plan(self, policy, blocks: Sequence[TrialBlock]) -> List[TrialRecord]:
         policy.reset()
@@ -1151,101 +1475,10 @@ class ScenarioRunner:
             records.extend(self._records_of(block, _eval_block(policy, block)))
         return records
 
-    def _execute_recording(
-        self,
-        policy,
-        blocks: Sequence[TrialBlock],
-        policy_spec: Optional[PolicySpec],
-        testbed_spec: Optional[TestbedSpec],
-        label: str,
-    ) -> List[TrialRecord]:
-        """Supervised fresh-state execution with checkpoint awareness."""
-        self.health.blocks += len(blocks)
-        policy_key = policy_spec.key() if policy_spec is not None else None
-        store = self._store if policy_key is not None else None
-        # Journal keys carry this call's ordinal within the run:
-        # executors run deterministically, so the ordinal is stable
-        # across resume, and two evaluations of an identical policy
-        # spec (fig7's per-environment CSS runs) can never collide.
-        call_index = self._execute_calls
-        self._execute_calls += 1
-
-        outputs: Dict[int, Sequence] = {}
-        pending: List[int] = []
-        for index in range(len(blocks)):
-            cached = (
-                store.get(policy_key, call_index, index) if store is not None else None
-            )
-            if cached is not None:
-                outputs[index] = cached
-                self.health.note_checkpoint_hit(label, index, call_index)
-            else:
-                pending.append(index)
-
-        if pending:
-            # The local path stacks chunks just like the pool, so with
-            # fewer than 2 parallel lanes (a single-core host) the pool
-            # only adds IPC — it runs there only when supervision
-            # semantics require process isolation (fault injection, or a
-            # retry timeout that must be able to terminate a hung
-            # worker).
-            lanes = max(1, min(self.jobs, os.cpu_count() or 1))
-            retry = self.retry or _FAIL_FAST
-            needs_isolation = (
-                self._injector is not None or retry.timeout_s is not None
-            )
-            use_pool = (
-                self.jobs > 1
-                and len(blocks) > 1
-                and policy_spec is not None
-                and testbed_spec is not None
-                and hasattr(policy, "select_batch")
-                and (lanes > 1 or needs_isolation)
-            )
-            # Completed blocks are journaled by the executors *as their
-            # chunk finishes*, not here: a killed or retry-exhausted
-            # campaign must leave every finished block behind for
-            # --resume.
-            self._journal = (store, policy_key, call_index)
-            if use_pool:
-                executed = self._execute_pool(
-                    policy, policy_spec, testbed_spec, blocks, pending, label,
-                    call_index=call_index,
-                )
-            else:
-                executed = self._execute_supervised_local(
-                    policy, blocks, pending, label,
-                    call_index=call_index, testbed_spec=testbed_spec,
-                )
-            # Absorb in sorted block order — worker trace payloads merge
-            # keyed by (call, block) like the checkpoint journal, so the
-            # merged trace never depends on pool scheduling.
-            session = _obs.active_session()
-            for index in sorted(executed):
-                results, info = executed[index]
-                outputs[index] = results
-                self.health.executed += 1
-                payload = info.pop("obs", None) if isinstance(info, dict) else None
-                if payload is not None and session is not None:
-                    session.absorb_payload(
-                        payload, self._policy_span_id, f"c{call_index}b{index}"
-                    )
-
-        records: List[TrialRecord] = []
-        for index, block in enumerate(blocks):
-            records.extend(self._records_of(block, outputs[index]))
-        return records
-
     # -- local (in-process) supervised path ------------------------------
 
     def _execute_supervised_local(
-        self,
-        policy,
-        blocks: Sequence[TrialBlock],
-        pending: Sequence[int],
-        label: str,
-        call_index: int = 0,
-        testbed_spec: Optional[TestbedSpec] = None,
+        self, call: "_Call"
     ) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
         """Evaluate pending blocks in-process, one planned chunk at a time.
 
@@ -1258,22 +1491,23 @@ class ScenarioRunner:
         land on chunk boundaries.
         """
         retry = self.retry or _FAIL_FAST
-        testbed_key = testbed_spec.key() if testbed_spec is not None else None
+        policy, blocks, label = call.policy, call.blocks, call.label
+        testbed_key = call.testbed_spec.key() if call.testbed_spec is not None else None
         injector = self._injector
         singles = {
-            index for index in pending
+            index for index in call.pending
             if injector is not None and injector.directive(index, 1) is not None
         }
         stackable = hasattr(policy, "select_fused_stacked")
         traced = _obs.enabled()
         out: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
-        for chunk in _plan_chunks(blocks, pending, singles):
+        for chunk in _plan_chunks(blocks, call.pending, singles):
             self._check_abort()
             done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
             if stackable and chunk[0] not in singles:
                 metas = (
                     {
-                        index: {"policy": label, "call": call_index,
+                        index: {"policy": label, "call": call.index,
                                 "block": index, "attempt": 1}
                         for index in chunk
                     }
@@ -1294,13 +1528,13 @@ class ScenarioRunner:
                 for index in chunk:
                     if index not in done:
                         done[index] = self._supervise_block(
-                            policy, blocks[index], index, label, call_index,
+                            policy, blocks[index], index, label, call.index,
                             testbed_key, retry,
                         )
             finally:
                 # Journal whatever finished, even when a block exhausts
                 # its retries or the run aborts mid-chunk.
-                self._commit(done)
+                self._commit(call, done)
                 out.update(done)
         return out
 
@@ -1359,13 +1593,16 @@ class ScenarioRunner:
                 _obs.observe("runner_retry_wait_seconds", wait)
                 self._abort_wait(wait)
 
-    def _commit(self, done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]) -> None:
-        """Journal finished blocks of this execute call in one group commit."""
-        store, policy_key, call_index = self._journal
-        if store is not None and done:
+    @staticmethod
+    def _commit(
+        call: "_Call", done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]
+    ) -> None:
+        """Journal finished blocks of one execute call in one group commit."""
+        if call.store is not None and done:
             indices = sorted(done)
-            store.put(
-                policy_key, call_index, indices, [done[index][0] for index in indices]
+            call.store.put(
+                call.policy_key, call.index, indices,
+                [done[index][0] for index in indices],
             )
 
     def _note_injected(self, label: str, index: int, attempt: int, kind: str) -> None:
@@ -1450,243 +1687,197 @@ class ScenarioRunner:
             return None
         return self._shm.publish(f"{testbed_key}::{policy_key}", kernels)
 
-    def _publish_blocks(
-        self,
-        blocks: Sequence[TrialBlock],
-        policy_key: str,
-        call_index: int,
-    ) -> Optional[SharedKernelManifest]:
-        """Publish an execute call's trial arrays over shared memory.
+    def _publish_blocks(self, call: "_Call") -> SharedKernelManifest:
+        """Publish a pooled call's trial arrays over shared memory.
 
         Chunk tasks then carry block *indices* instead of pickled
         arrays, and workers map read-only views — the zero-copy half of
-        the dispatch.  Keyed by (run digest, policy, call ordinal):
-        planning is deterministic in the spec, so repeated runs of the
-        same spec (the perf harness, service re-submissions) reuse the
-        published segment byte-for-byte.  Outside :meth:`run` there is
-        no digest to key on, and blocks fall back to pickling.
+        the dispatch.  The segment lives for this one call: it is
+        unlinked when the call settles (:meth:`_close`).
         """
-        if self._run_digest is None:
-            return None
         arrays: Dict[str, np.ndarray] = {}
-        for index, block in enumerate(blocks):
+        for index, block in enumerate(call.blocks):
             arrays[f"{index}.ids"] = block.sector_ids
             arrays[f"{index}.snr"] = block.snr_db
             arrays[f"{index}.rssi"] = block.rssi_dbm
             arrays[f"{index}.mask"] = block.mask
-        key = f"blocks::{self._run_digest}::{policy_key}::c{call_index}"
-        return self._shm.publish(key, arrays)
+        call.blocks_key = f"blocks::{next(self._block_segments)}"
+        return self._shm.publish(call.blocks_key, arrays)
 
-    def _execute_pool(
-        self,
-        policy,
-        policy_spec: PolicySpec,
-        testbed_spec: TestbedSpec,
-        blocks: Sequence[TrialBlock],
-        pending: Sequence[int],
-        label: str,
-        call_index: int = 0,
-    ) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
-        """Dispatch blocks to the pool under the supervision policy.
-
-        One round per pool lifetime: all remaining blocks are submitted,
-        results are collected in task order, and the first worker death
-        or hung task abandons the pool (harvesting whatever already
-        finished) and starts a fresh round for the survivors.  Only a
-        block's *own* failure counts against its attempt budget;
-        collaterally lost blocks are re-dispatched at their previous
-        attempt number, so injected faults replay identically.
+    def _dispatch(self, call: "_Call") -> None:
+        """Submit one round of a pooled call: every remaining block, at
+        its next attempt.
 
         Dispatch granularity: directive-carrying blocks are submitted
         one per task (fault attribution stays per-block exact); clean
         blocks are cut into the local path's chunks (:func:`_plan_chunks`)
         and whole chunks ride in at most ``min(jobs, cpu_count)`` tasks
         per round (:func:`_worker_run_chunks`), so a round costs
-        O(lanes) IPC round-trips instead of O(blocks) — a task per
-        worker is what parallel hardware can actually overlap.  A task's
-        wall-clock budget scales with its block count; a timed-out or
-        pool-breaking task charges its first block (the crash-directive
-        culprit search still wins when the harness injected one), and a
-        task's own partial results are harvested from its return value
-        and journaled with one commit.
+        O(lanes) IPC round-trips instead of O(blocks).  Every task is
+        stamped with the pool generation it was submitted to.
+        """
+        # Abort between rounds: nothing of this call is in flight here.
+        self._check_abort()
+        if call.testbed_key is None:
+            call.testbed_key = call.testbed_spec.key()
+            call.kernels = self._publish_kernels(
+                call.policy, call.testbed_key, call.policy_key
+            )
+            call.blocks_manifest = self._publish_blocks(call)
+            # Ship the call's quality context (if any) to workers inside
+            # obs_meta; the worker pops it back out before spanning, so
+            # traces stay attr-identical while worker exemplars carry
+            # the supervisor's labels.
+            quality = self._quality_context(call.label)
+            call.quality_meta = quality.to_meta() if quality is not None else None
+        traced = _obs.enabled()
+        pool = self._ensure_pool()
+        generation = self._pool_generation
+        blocks, label = call.blocks, call.label
+        batch = sorted(call.remaining)
+        call.dispatch_attempt = dispatch_attempt = {}
+        call.directives = directives = {}
+        call.tasks = []
+        call.failures = []
+        call.dispatched = True
+        try:
+            obs_meta_of: Dict[int, Dict[str, Any]] = {}
+            for index in batch:
+                dispatch_attempt[index] = call.attempts[index] + 1
+                directive = (
+                    self._injector.directive(index, dispatch_attempt[index])
+                    if self._injector is not None
+                    else None
+                )
+                directives[index] = directive
+                if directive is not None:
+                    self._note_injected(
+                        label, index, dispatch_attempt[index], directive.get("kind")
+                    )
+                if traced:
+                    obs_meta = {
+                        "policy": label, "call": call.index,
+                        "block": index, "attempt": dispatch_attempt[index],
+                    }
+                    if directive is not None:
+                        obs_meta["injected"] = True
+                    if call.quality_meta is not None:
+                        obs_meta["quality"] = call.quality_meta
+                    obs_meta_of[index] = obs_meta
+            singles = {index for index in batch if directives[index] is not None}
+            chunks = _plan_chunks(blocks, batch, singles)
+            # Directive carriers get a task each, submitted first;
+            # clean chunks share at most `lanes` tasks.
+            groups = [[chunk] for chunk in chunks if chunk[0] in singles]
+            groups += _lane_groups(
+                blocks, [chunk for chunk in chunks if chunk[0] not in singles],
+                self._lanes(),
+            )
+            for group in groups:
+                indices = [index for chunk in group for index in chunk]
+                # Shared-memory blocks travel as recording indices.
+                payload = [
+                    [(index, blocks[index].recording_index) for index in chunk]
+                    for chunk in group
+                ]
+                future = pool.submit(
+                    _worker_run_chunks,
+                    call.testbed_key,
+                    call.policy_key,
+                    payload,
+                    {index: obs_meta_of[index] for index in indices}
+                    if traced
+                    else None,
+                    call.kernels,
+                    call.blocks_manifest,
+                    directives[indices[0]],
+                )
+                call.tasks.append((indices, future, generation))
+        except _POOL_FAULTS as error:
+            # A worker died between rounds (e.g. the straggling tail of
+            # a crash that broke the previous pool).  Nothing rejected
+            # at submit has run, so nobody's attempt budget is charged:
+            # keep whatever did finish, replace the pool and redo the
+            # round at settle.
+            call.dispatched = False
+            call.last_error = error
+            self._harvest_done(call, None)
+            self._abandon_pool()
+            self.health.note_pool_replacement()
+
+    def _supervise_pool(self, call: "_Call") -> None:
+        """Collect a pooled call's rounds until every block is settled.
+
+        One round per pool lifetime: results are collected in task
+        order, and the first worker death or hung task abandons the
+        pool (harvesting whatever already finished) and starts a fresh
+        round for the survivors.  Only a block's *own* failure counts
+        against its attempt budget; collaterally lost blocks are
+        re-dispatched at their previous attempt number, so injected
+        faults replay identically.
         """
         retry = self.retry or _FAIL_FAST
-        testbed_key = testbed_spec.key()
-        worker_policy_key = policy_spec.key()
-        manifest = self._publish_kernels(policy, testbed_key, worker_policy_key)
-        blocks_manifest = self._publish_blocks(
-            blocks, worker_policy_key, call_index
-        )
-        traced = _obs.enabled()
-        # Ship the active quality context (if any) to workers inside
-        # obs_meta; the worker pops it back out before spanning, so
-        # traces stay attr-identical while worker exemplars carry the
-        # supervisor's labels.
-        quality_meta = (
-            _quality.quality_context().to_meta()
-            if _quality.quality_context() is not None
-            else None
-        )
-        lanes = max(1, min(self.jobs, os.cpu_count() or 1))
-        out: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        remaining = set(pending)
-        barren_rounds = 0
-        last_error: BaseException = BrokenProcessPool("process pool broken")
-        while remaining:
-            # Abort between rounds: nothing is in flight here, so a
-            # cancel or deadline expiry surfaces with the journal
-            # holding exactly the settled blocks and the pool healthy.
-            self._check_abort()
-            pool = self._ensure_pool()
-            batch = sorted(remaining)
-            before = len(remaining)
-            dispatch_attempt: Dict[int, int] = {}
-            directives: Dict[int, Optional[Dict[str, Any]]] = {}
-            tasks: List[Tuple[List[int], Any]] = []
-            failures: List[Tuple[int, BaseException]] = []
-            dispatched = True
-            try:
-                obs_meta_of: Dict[int, Dict[str, Any]] = {}
-                for index in batch:
-                    dispatch_attempt[index] = attempts[index] + 1
-                    directive = (
-                        self._injector.directive(index, dispatch_attempt[index])
-                        if self._injector is not None
-                        else None
-                    )
-                    directives[index] = directive
-                    if directive is not None:
-                        self._note_injected(
-                            label, index, dispatch_attempt[index],
-                            directive.get("kind"),
-                        )
-                    if traced:
-                        obs_meta = {
-                            "policy": label, "call": call_index,
-                            "block": index, "attempt": dispatch_attempt[index],
-                        }
-                        if directive is not None:
-                            obs_meta["injected"] = True
-                        if quality_meta is not None:
-                            obs_meta["quality"] = quality_meta
-                        obs_meta_of[index] = obs_meta
-                singles = {index for index in batch if directives[index] is not None}
-                chunks = _plan_chunks(blocks, batch, singles)
-                # Directive carriers get a task each, submitted first;
-                # clean chunks share at most `lanes` tasks.
-                groups = [[chunk] for chunk in chunks if chunk[0] in singles]
-                groups += _lane_groups(
-                    blocks, [chunk for chunk in chunks if chunk[0] not in singles], lanes
-                )
-                for group in groups:
-                    indices = [index for chunk in group for index in chunk]
-                    # Shared-memory blocks travel as recording indices.
-                    payload = [
-                        [
-                            (index, blocks[index].recording_index)
-                            if blocks_manifest is not None
-                            else (index, blocks[index])
-                            for index in chunk
-                        ]
-                        for chunk in group
-                    ]
-                    future = pool.submit(
-                        _worker_run_chunks,
-                        testbed_key,
-                        worker_policy_key,
-                        payload,
-                        {index: obs_meta_of[index] for index in indices}
-                        if traced
-                        else None,
-                        manifest,
-                        blocks_manifest,
-                        directives[indices[0]],
-                    )
-                    tasks.append((indices, future))
-            except _POOL_FAULTS as error:
-                # A worker died between rounds (e.g. the straggling tail
-                # of a crash that broke the previous pool).  Nothing
-                # rejected at submit has run, so nobody's attempt budget
-                # is charged: keep whatever did finish, replace the pool
-                # and redo the round.
-                dispatched = False
-                last_error = error
-                self._harvest_done(
-                    tasks, None, dispatch_attempt, attempts, remaining,
-                    out, failures, label,
-                )
-                self._abandon_pool()
-                self.health.note_pool_replacement()
-            if dispatched:
-                try:
-                    self._collect_round(
-                        tasks, retry, batch, directives, dispatch_attempt,
-                        attempts, remaining, out, failures, label,
-                    )
-                except RunAbortedError:
-                    # The run was cancelled or its deadline passed while
-                    # tasks were in flight: keep (and journal) whatever
-                    # already finished, abandon the rest un-charged, and
-                    # let the abort pierce every supervision layer.
-                    self._harvest_done(
-                        tasks, None, dispatch_attempt, attempts, remaining,
-                        out, failures, label,
-                    )
-                    self._abandon_pool()
-                    raise
-            if len(remaining) < before or failures:
-                barren_rounds = 0
+        while True:
+            if call.dispatched:
+                self._collect_round(call, retry)
+            if len(call.remaining) < len(call.dispatch_attempt) or call.failures:
+                call.barren_rounds = 0
             else:
                 # No completions and no chargeable failures: a pool that
                 # keeps breaking before running anything.  Give up after
                 # a few replacements rather than looping forever.
-                barren_rounds += 1
-                if barren_rounds > 5:
-                    stuck = min(remaining)
+                call.barren_rounds += 1
+                if call.barren_rounds > 5:
+                    stuck = min(call.remaining)
                     raise RetryExhaustedError(
-                        label, stuck, attempts[stuck] + 1, last_error
+                        call.label, stuck, call.attempts[stuck] + 1, call.last_error
                     )
-            for index, error in failures:
-                if attempts[index] >= retry.max_attempts:
-                    raise RetryExhaustedError(label, index, attempts[index], error)
-            if failures:
-                for index, error in failures:
-                    self.health.note_retry(label, index, error)
+            for index, error in call.failures:
+                if call.attempts[index] >= retry.max_attempts:
+                    raise RetryExhaustedError(
+                        call.label, index, call.attempts[index], error
+                    )
+            if call.failures:
+                for index, error in call.failures:
+                    self.health.note_retry(call.label, index, error)
                 _LOGGER.warning(
                     "retrying %d block(s) of '%s' after: %s",
-                    len(failures),
-                    label,
+                    len(call.failures),
+                    call.label,
                     "; ".join(
-                        f"block {i}: {type(e).__name__}" for i, e in failures
+                        f"block {i}: {type(e).__name__}" for i, e in call.failures
                     ),
                 )
                 wait = max(
-                    retry.backoff_s(index, attempts[index]) for index, _ in failures
+                    retry.backoff_s(index, call.attempts[index])
+                    for index, _ in call.failures
                 )
                 _obs.observe("runner_retry_wait_seconds", wait)
                 self._abort_wait(wait)
-        return out
+            if not call.remaining:
+                return
+            self._dispatch(call)
 
-    def _collect_round(
-        self,
-        tasks: List[Tuple[List[int], Any]],
-        retry: RetryPolicy,
-        batch: List[int],
-        directives: Dict[int, Optional[Dict[str, Any]]],
-        dispatch_attempt: Dict[int, int],
-        attempts: Dict[int, int],
-        remaining: set,
-        out: Dict[int, Tuple[Sequence, Dict[str, Any]]],
-        failures: List[Tuple[int, BaseException]],
-        label: str,
-    ) -> None:
-        """Collect one dispatched round's results in task order."""
-        abandoned = False
-        for task in tasks:
-            if abandoned:
-                break
-            indices, future = task
+    def _collect_round(self, call: "_Call", retry: RetryPolicy) -> None:
+        """Collect one dispatched round's results in task order.
+
+        A task's wall-clock budget scales with its block count, and
+        starts when the parent begins waiting on it.  A timed-out or
+        pool-breaking task charges its first block (the crash-directive
+        culprit search wins when the harness injected one), and a
+        task's own partial results are harvested from its return value
+        and journaled with one commit.
+        """
+        label = call.label
+        for task in call.tasks:
+            indices, future, generation = task
+            if generation != self._pool_generation:
+                # Submitted to a pool that was abandoned since (another
+                # call's settle found it broken): keep what finished;
+                # the rest is collateral and redispatches uncharged,
+                # without touching the pool that replaced it.
+                self._harvest(call, task)
+                continue
             budget = (
                 None if retry.timeout_s is None else retry.timeout_s * len(indices)
             )
@@ -1698,13 +1889,13 @@ class ScenarioRunner:
                 # (a single-block task charges itself).
                 charged = indices[0]
                 self.health.note_timeout(label, charged, budget)
-                attempts[charged] = dispatch_attempt[charged]
+                call.attempts[charged] = call.dispatch_attempt[charged]
                 noun = (
                     f"block {charged}"
                     if len(indices) == 1
                     else f"chunk of {len(indices)} blocks at {charged}"
                 )
-                failures.append(
+                call.failures.append(
                     (
                         charged,
                         BlockTimeoutError(
@@ -1713,13 +1904,10 @@ class ScenarioRunner:
                         ),
                     )
                 )
-                self._harvest_done(
-                    tasks, task, dispatch_attempt, attempts, remaining,
-                    out, failures, label,
-                )
+                self._harvest_done(call, task)
                 self._abandon_pool()
                 self.health.note_pool_replacement()
-                abandoned = True
+                return
             except _POOL_FAULTS as error:
                 # A worker died.  When the harness injected a crash
                 # this round the death IS the experiment: charge the
@@ -1729,17 +1917,17 @@ class ScenarioRunner:
                 # — replace the pool and redo the round without
                 # touching anyone's retry budget.
                 culprit = None
-                for candidate in batch:
+                for candidate in call.dispatch_attempt:
                     if (
-                        candidate in remaining
-                        and (directives.get(candidate) or {}).get("kind")
+                        candidate in call.remaining
+                        and (call.directives.get(candidate) or {}).get("kind")
                         == "crash"
                     ):
                         culprit = candidate
                         break
                 if culprit is not None:
-                    attempts[culprit] = dispatch_attempt[culprit]
-                    failures.append((culprit, error))
+                    call.attempts[culprit] = call.dispatch_attempt[culprit]
+                    call.failures.append((culprit, error))
                 else:
                     _LOGGER.warning(
                         "pool broke under '%s' (%s); replacing it and "
@@ -1747,107 +1935,84 @@ class ScenarioRunner:
                         label,
                         type(error).__name__,
                     )
-                self._harvest_done(
-                    tasks, task, dispatch_attempt, attempts, remaining,
-                    out, failures, label,
-                )
+                self._harvest_done(call, task)
                 self._abandon_pool()
                 self.health.note_pool_replacement()
-                abandoned = True
+                return
             except Exception as error:
                 # The worker raised (e.g. an injected transient
                 # exception); the pool itself is healthy.
                 charged = indices[0]
-                attempts[charged] = dispatch_attempt[charged]
-                failures.append((charged, error))
+                call.attempts[charged] = call.dispatch_attempt[charged]
+                call.failures.append((charged, error))
             else:
                 done, failure = payload
-                self._settle(done, dispatch_attempt, attempts, remaining, out, label)
+                self._settle_done(call, done)
                 if failure is not None:
                     failed_index, error = failure
-                    attempts[failed_index] = dispatch_attempt[failed_index]
-                    failures.append((failed_index, error))
+                    call.attempts[failed_index] = call.dispatch_attempt[failed_index]
+                    call.failures.append((failed_index, error))
                 # Task blocks neither done nor failed are collateral:
                 # untouched attempt budget.
 
-    def _settle(
-        self,
-        done: Mapping[int, Tuple[Sequence, Dict[str, Any]]],
-        dispatch_attempt: Dict[int, int],
-        attempts: Dict[int, int],
-        remaining: set,
-        out: Dict[int, Tuple[Sequence, Dict[str, Any]]],
-        label: str,
+    def _settle_done(
+        self, call: "_Call", done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]
     ) -> None:
         """Record one task's finished blocks: settle them, journal them once."""
         for index, payload in done.items():
-            attempts[index] = dispatch_attempt[index]
-            out[index] = payload
-            remaining.discard(index)
-            self.health.note_attempts(label, index, attempts[index])
-        self._commit(done)
+            call.attempts[index] = call.dispatch_attempt[index]
+            call.executed[index] = payload
+            call.remaining.discard(index)
+            self.health.note_attempts(call.label, index, call.attempts[index])
+        self._commit(call, done)
 
-    def _harvest_done(
-        self,
-        tasks: Sequence[Tuple[List[int], Any]],
-        skip_task: Optional[Tuple[List[int], Any]],
-        dispatch_attempt: Dict[int, int],
-        attempts: Dict[int, int],
-        remaining: set,
-        out: Dict[int, Tuple[Sequence, Dict[str, Any]]],
-        failures: List[Tuple[int, BaseException]],
-        label: str,
-    ) -> None:
-        """Before abandoning a pool, keep everything that already finished.
+    def _harvest_done(self, call: "_Call", skip_task) -> None:
+        """Before abandoning a pool, keep everything of ``call`` that
+        already finished.  ``skip_task`` is the task whose failure
+        triggered the abandon — already charged by the caller."""
+        for task in call.tasks:
+            if task is not skip_task:
+                self._harvest(call, task)
 
-        Tasks that died with the pool (broken / cancelled) are
-        *collateral*: their blocks stay in ``remaining`` at their
-        previous attempt number and do not count against their retry
-        budget.  A finished chunk task contributes every block of its
-        ``done`` map and charges its recorded first failure, if any.
-        ``skip_task`` is the task whose failure triggered the abandon —
-        already charged by the caller.
+    def _harvest(self, call: "_Call", task) -> None:
+        """Keep one task's finished blocks without waiting for it.
+
+        A task that died with its pool (broken / cancelled / still
+        pending) is *collateral*: its blocks stay in ``remaining`` at
+        their previous attempt number and do not count against their
+        retry budget.  A finished chunk task contributes every block of
+        its ``done`` map and charges its recorded first failure, if any.
         """
-        already_failed = {index for index, _ in failures}
-        for task in tasks:
-            if task is skip_task:
-                continue
-            indices, future = task
-            if future is None or not future.done():
-                continue
-            try:
-                payload = future.result(timeout=0)
-            except _POOL_FAULTS:
-                continue
-            except _FuturesCancelled:
-                # Cancelled with its pool — collateral, not a failure.
-                # (Subclasses BaseException, so the Exception clause
-                # below would not catch it.)
-                continue
-            except _FuturesTimeout:
-                continue
-            except Exception as error:
-                index = indices[0]
-                if index in remaining and index not in already_failed:
-                    attempts[index] = dispatch_attempt[index]
-                    failures.append((index, error))
-                    already_failed.add(index)
-            else:
-                done, failure = payload
-                self._settle(
-                    {
-                        index: block_payload
-                        for index, block_payload in done.items()
-                        if index in remaining and index not in already_failed
-                    },
-                    dispatch_attempt, attempts, remaining, out, label,
-                )
-                if failure is not None:
-                    failed_index, error = failure
-                    if failed_index in remaining and failed_index not in already_failed:
-                        attempts[failed_index] = dispatch_attempt[failed_index]
-                        failures.append((failed_index, error))
-                        already_failed.add(failed_index)
+        indices, future, _ = task
+        if not future.done():
+            return
+        already_failed = {index for index, _ in call.failures}
+        try:
+            payload = future.result(timeout=0)
+        except _POOL_FAULTS + (_FuturesCancelled, _FuturesTimeout):
+            # (CancelledError subclasses BaseException, so the
+            # Exception clause below would not catch it.)
+            return
+        except Exception as error:
+            index = indices[0]
+            if index in call.remaining and index not in already_failed:
+                call.attempts[index] = call.dispatch_attempt[index]
+                call.failures.append((index, error))
+            return
+        done, failure = payload
+        self._settle_done(
+            call,
+            {
+                index: block_payload
+                for index, block_payload in done.items()
+                if index in call.remaining and index not in already_failed
+            },
+        )
+        if failure is not None:
+            failed_index, error = failure
+            if failed_index in call.remaining and failed_index not in already_failed:
+                call.attempts[failed_index] = call.dispatch_attempt[failed_index]
+                call.failures.append((failed_index, error))
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -1869,11 +2034,13 @@ class ScenarioRunner:
         wedged inside a kernel (or an inherited signal handler) would
         otherwise survive terminate() and leave the executor's
         management thread joining it forever — including at
-        interpreter exit.
+        interpreter exit.  Tasks stamped with the old generation are
+        collateral from here on.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
+        self._pool_generation += 1
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except _POOL_FAULTS + (OSError,):

@@ -22,9 +22,14 @@ supervising process and attached **by name** by every worker:
   (construction is deterministic in the spec), so shared-kernel
   workers remain bit-for-bit identical to rebuild-from-spec workers.
 
-Lifecycle: the parent owns every segment and unlinks them all in
-:meth:`KernelPublisher.close` (the runner's ``close()``); workers only
-ever ``close()`` their mapping, never unlink.  Under the fork start
+The runner also publishes each pooled execute call's trial blocks
+here, one segment per call: it unlinks that segment with
+:meth:`KernelPublisher.release` when the call settles, and a worker
+maps it only for the task that reads it (:func:`borrow`).
+
+Lifecycle: the parent owns every segment and unlinks whatever is left
+in :meth:`KernelPublisher.close` (the runner's ``close()``); workers
+only ever ``close()`` their mapping, never unlink.  Under the fork start
 method parent and workers share one :mod:`multiprocessing.resource_tracker`
 process, so a worker's attach-time registration is a no-op set-add on
 the name the parent already registered at create — worker exits (even
@@ -42,7 +47,7 @@ import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -50,11 +55,14 @@ __all__ = [
     "SharedKernelManifest",
     "KernelPublisher",
     "attach",
+    "borrow",
     "leaked_segments",
     "sweep_leaked_segments",
 ]
 
 _LOGGER = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 #: Offset alignment for each array in a segment; keeps every view on a
 #: cache-line boundary regardless of the preceding array's size.
@@ -64,16 +72,17 @@ _ALIGN = 64
 _SEGMENT_PREFIX = "repro-kernels-"
 
 #: Publisher-side cap on live segments.  Long-lived runners (the
-#: service) publish one kernel segment per policy configuration and one
-#: block segment per (spec, policy, execute-call); beyond the cap the
-#: oldest segment is unlinked FIFO.  Eviction happens only inside
-#: ``publish`` — never while a round is in flight — so a manifest
-#: handed to the current dispatch always outlives it.
+#: service) keep one kernel segment per policy configuration; block
+#: segments live for one execute call, so at most a few are live at
+#: once.  Beyond the cap the oldest segment is unlinked FIFO; a call
+#: publishes at most two segments, so with the runner's few calls in
+#: flight a manifest handed to a dispatch always outlives it.
 _MAX_SEGMENTS = 128
 
-#: Worker-side cap on cached attachments, bounding mapped pages when a
-#: long-lived pool serves many distinct specs.  An evicted mapping is
-#: unmapped only once no view of it is alive (see ``_release``).
+#: Worker-side cap on cached kernel attachments, bounding mapped pages
+#: when a long-lived pool serves many distinct specs.  An evicted
+#: mapping is unmapped only once no view of it is alive (see
+#: ``_release``).
 _MAX_ATTACHED = 128
 
 
@@ -173,14 +182,7 @@ class KernelPublisher:
         self._segments[key] = segment
         self._manifests[key] = manifest
         while len(self._segments) > _MAX_SEGMENTS:
-            oldest = next(iter(self._segments))
-            evicted = self._segments.pop(oldest)
-            self._manifests.pop(oldest, None)
-            try:
-                evicted.close()
-                evicted.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reaped
-                pass
+            self.release(next(iter(self._segments)))
         _LOGGER.debug(
             "published %d shared kernel array(s) (%d bytes) as %s",
             len(entries),
@@ -189,16 +191,26 @@ class KernelPublisher:
         )
         return manifest
 
+    def release(self, key: str) -> None:
+        """Unmap and unlink the segment published under ``key``, if any.
+
+        Workers still reading it keep their mapping; only new attaches
+        fail.
+        """
+        segment = self._segments.pop(key, None)
+        self._manifests.pop(key, None)
+        if segment is None:
+            return
+        try:
+            segment.close()
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already reaped
+            pass
+
     def close(self) -> None:
         """Unmap and unlink every published segment (idempotent)."""
-        segments, self._segments = self._segments, {}
-        self._manifests = {}
-        for segment in segments.values():
-            try:
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reaped
-                pass
+        for key in list(self._segments):
+            self.release(key)
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +246,19 @@ def _release(segments: List[shared_memory.SharedMemory]) -> None:
     _RETIRED[:] = live
 
 
+def _views(
+    segment: shared_memory.SharedMemory, manifest: SharedKernelManifest
+) -> Dict[str, np.ndarray]:
+    views: Dict[str, np.ndarray] = {}
+    for name, (offset, shape, dtype) in manifest.entries.items():
+        count = int(np.prod(shape, dtype=np.int64))
+        view = np.frombuffer(segment.buf, dtype=dtype, count=count, offset=offset)
+        view = view.reshape(shape)
+        view.flags.writeable = False
+        views[name] = view
+    return views
+
+
 def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
     """Map a published segment and return read-only array views.
 
@@ -246,19 +271,30 @@ def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
     if cached is not None:
         return cached[1]
     segment = shared_memory.SharedMemory(name=manifest.segment, create=False)
-    views: Dict[str, np.ndarray] = {}
-    for name, (offset, shape, dtype) in manifest.entries.items():
-        count = int(np.prod(shape, dtype=np.int64))
-        view = np.frombuffer(segment.buf, dtype=dtype, count=count, offset=offset)
-        view = view.reshape(shape)
-        view.flags.writeable = False
-        views[name] = view
+    views = _views(segment, manifest)
     _ATTACHED[manifest.segment] = (segment, views)
     evicted = []
     while len(_ATTACHED) > _MAX_ATTACHED:
         evicted.append(_ATTACHED.pop(next(iter(_ATTACHED)))[0])
     _release(evicted)
     return views
+
+
+def borrow(
+    manifest: SharedKernelManifest, body: Callable[[Dict[str, np.ndarray]], _T]
+) -> _T:
+    """Return ``body(views)`` over a segment mapped for that call only.
+
+    For data one task reads once (an execute call's trial blocks):
+    nothing is cached, and the mapping is closed when ``body`` returns
+    — or retired until the last view something still holds is gone.
+    Raises ``FileNotFoundError`` when the segment no longer exists.
+    """
+    segment = shared_memory.SharedMemory(name=manifest.segment, create=False)
+    try:
+        return body(_views(segment, manifest))
+    finally:
+        _release([segment])
 
 
 def leaked_segments() -> List[str]:

@@ -1044,6 +1044,10 @@ class SelectionService:
                     self._discard_journal(record)
                 finally:
                     self._running.pop(record.id, None)
+                    # A DELETE that landed after the run ended, but
+                    # while it was still registered, must not abort the
+                    # runner's next run.
+                    runner.clear_cancel()
                     elapsed = time.perf_counter() - begin
                     self.metrics.observe(
                         "service_run_seconds",

@@ -228,6 +228,17 @@ class TestRunnerAbort:
             with pytest.raises(DeadlineExceededError):
                 runner.run(_spec(), deadline_s=1e-9)
 
+    def test_a_cancel_before_run_cancels_that_run_only(self):
+        with ScenarioRunner() as runner:
+            runner.cancel()
+            with pytest.raises(RunCancelledError):
+                runner.run(_spec())
+            # The run consumed the request; the next one is unaffected.
+            assert runner.run(_spec()).manifest.result_sha256
+            runner.cancel()
+            runner.clear_cancel()
+            assert runner.run(_spec()).manifest.result_sha256
+
     def test_cancel_lands_at_a_block_boundary(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         caught = []

@@ -409,6 +409,45 @@ class TestLifecycle:
             harness.client.wait(accepted["run"], timeout=240)["status"] == "done"
         )
 
+    def test_cancel_before_the_runner_starts_lands(self, make_service, monkeypatch):
+        # The worker registers the runner as running before the executor
+        # thread enters run(); a DELETE in that window was answered 202
+        # "cancelling" and then lost, and the run finished done.
+        entered, gate = threading.Event(), threading.Event()
+        original = SelectionService._execute
+
+        def gated(self, runner, record):
+            entered.set()
+            assert gate.wait(30)
+            return original(self, runner, record)
+
+        monkeypatch.setattr(SelectionService, "_execute", gated)
+        harness = make_service(workers=1)
+        accepted = harness.client.submit(_small_spec(seed=33).to_json())
+        assert entered.wait(30)
+        assert harness.client.cancel(accepted["run"])["status"] == "cancelling"
+        gate.set()
+        final = harness.client.wait(accepted["run"], timeout=120)
+        assert final["status"] == "cancelled"
+
+    def test_a_cancel_after_the_run_ended_never_aborts_the_next(
+        self, make_service, monkeypatch
+    ):
+        # A DELETE that lands after run() returned, while the worker
+        # still lists the run as running, reaches the runner too late.
+        original = SelectionService._execute
+
+        def late_cancel(self, runner, record):
+            out = original(self, runner, record)
+            runner.cancel()
+            return out
+
+        monkeypatch.setattr(SelectionService, "_execute", late_cancel)
+        harness = make_service(workers=1)
+        for seed in (34, 35):
+            accepted = harness.client.submit(_small_spec(seed=seed).to_json())
+            assert harness.client.wait(accepted["run"], timeout=120)["status"] == "done"
+
     def test_draining_service_rejects_with_503_and_retry_after(self, make_service):
         harness = make_service(workers=1)
         harness.service._draining = True
