@@ -19,7 +19,6 @@ is their simulator-side counterpart::
     repro-bench run fig9 --jobs 4   # any scenario, by name ...
     repro-bench run spec.json       # ... or from a pinned spec file
     repro-bench run fig7 --trace t.jsonl   # record a span trace
-    repro-bench run fig7 --profile p.pstats  # cProfile the serial path
     repro-bench run fig7 --profile-sampling p.collapsed  # sampling profiler
     repro-bench run fig7 --trace t.jsonl --quality  # quality telemetry
     repro-bench report t.jsonl      # per-stage latency breakdown
@@ -293,22 +292,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # telemetry lands in the manifest's metric snapshot.
         session = ObsSession(trace_path=args.trace, quality=args.quality)
 
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        if args.jobs != 1:
-            # cProfile instruments this process only; pool workers
-            # would run unprofiled and the numbers would lie.
-            print("profile: forcing --jobs 1 (cProfile cannot follow pool workers)")
-            args.jobs = 1
-        profiler = cProfile.Profile()
-        profiler.enable()
     sampling = None
     if args.profile_sampling:
-        # Unlike cProfile, the sampling profiler is fork-aware (worker
-        # aggregates ship home with the obs payloads), so --jobs stays
-        # untouched.
+        # The sampling profiler is fork-aware (worker aggregates ship
+        # home with the obs payloads), so it covers every --jobs.
         from .obs import profile as sampling
 
         sampling.start_profiling()
@@ -344,8 +331,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        if profiler is not None:
-            profiler.disable()
         # Stop after the manifest is finalized (the hotspot summary
         # embeds there) but on every exit path, so the itimer never
         # outlives the command.
@@ -360,21 +345,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _print_rows(outcome.manifest.format_rows())
     if args.trace:
         print(f"wrote trace to {args.trace} (inspect with 'repro-bench report')")
-    if profiler is not None:
-        import pstats
-        from pathlib import Path as _Path
-
-        profiler.dump_stats(args.profile)
-        entries = sorted(
-            pstats.Stats(profiler).stats.items(),
-            key=lambda item: item[1][3],  # cumulative seconds
-            reverse=True,
-        )
-        top = "; ".join(
-            f"{func} {_Path(filename).name}:{lineno} {cumulative:.2f}s"
-            for (filename, lineno, func), (_, _, _, cumulative, _) in entries[:10]
-        )
-        print(f"wrote profile to {args.profile} (top cumulative: {top})")
     if sampled_profile is not None:
         sampling.write_collapsed(
             args.profile_sampling,
@@ -598,6 +568,16 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -652,13 +632,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "exit nonzero on a >2x latency regression",
             )
             sub.add_argument(
-                "--repeats", type=int, default=20, help="timing passes per kernel"
+                "--repeats", type=_positive_int, default=20,
+                help="timing passes per kernel (at least 1)",
             )
         sub.set_defaults(handler=handler)
 
     # "run" speaks spec language: its --seed must default to None so a
     # spec file's pinned seed survives, hence it skips the common loop.
-    run_sub = subparsers.add_parser("run", help=_cmd_run.__doc__)
+    # No prefix matching: the removed --profile flag must be rejected,
+    # not silently read as --profile-sampling.
+    run_sub = subparsers.add_parser(
+        "run", help=_cmd_run.__doc__, allow_abbrev=False
+    )
     add_log_level(run_sub)
     run_sub.add_argument(
         "target", nargs="?", help="registered scenario name or spec JSON path"
@@ -724,11 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with 'repro-bench report')",
     )
     run_sub.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help="cProfile the run (forces --jobs 1), write pstats to PATH "
-        "and print the top-10 cumulative hotspots",
-    )
-    run_sub.add_argument(
         "--profile-sampling", metavar="PATH", default=None,
         help="continuously sample stacks (SIGPROF, ~200 Hz CPU time) "
         "across all threads and pool workers; write a collapsed-stack "
@@ -775,8 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_sub.add_argument(
         "--noise-pct", type=float, default=None, metavar="PCT",
-        help="significance threshold override (default: the widest "
-        "measured *_noise_pct on either side, floor 5%%)",
+        help="significance threshold in percent (default: 5%%)",
     )
     diff_sub.set_defaults(handler=_cmd_diff)
 

@@ -7,8 +7,8 @@ never holds a session: it calls the module-level helpers —
 :func:`set_gauge` — which dispatch to the *active* session or, when
 none is active (the default), do nothing.  The disabled path is one
 global read and an early return, cheap enough to leave instrumentation
-always-on in hot kernels; ``repro-bench perf --check`` gates the
-runner-level cost (``runner_obs_overhead_pct``).
+always-on in hot kernels; ``bench/run.py --trace 1`` measures what a
+recording session costs.
 
 Activation is explicit and scoped: :meth:`ScenarioRunner.run`
 activates its session for the duration of the run and restores the

@@ -4,11 +4,11 @@
 JSONL files, run manifests, or points out of a BENCH trajectory file —
 and emits a deterministic ranked report:
 
-* **Per-stage wall-time deltas** with noise-aware significance: a
+* **Per-stage wall-time deltas** with a significance threshold: a
   stage's relative change only counts as significant when it clears
-  the measured jitter (the ``*_noise_pct`` metrics the perf harness
-  records; the widest one present widens the threshold, the same
-  discipline ``perf --check`` applies to its gates).
+  ``noise_pct`` (:data:`DEFAULT_NOISE_PCT` unless overridden).  The
+  threshold is fixed, never widened by noise a point recorded, so a
+  noisy historical point cannot hide real drift.
 * **Metric drift** — counters and scalar metrics present on both
   sides, ranked by relative change; count mismatches on supposedly
   deterministic counters are flagged outright.
@@ -40,8 +40,7 @@ __all__ = [
     "DEFAULT_NOISE_PCT",
 ]
 
-#: Significance floor when neither side carries a measured noise
-#: metric — matches the perf harness's observed dev-box jitter.
+#: Significance threshold unless the caller overrides it.
 DEFAULT_NOISE_PCT = 5.0
 
 #: Pipeline order for first-divergence localization; stages absent
@@ -107,11 +106,6 @@ def _from_bench_point(path: str, point: dict) -> Dict[str, Any]:
         "counters": {},
         "metrics": metrics,
         "histograms": {},
-        "noise_pct": {
-            key: float(value)
-            for key, value in metrics.items()
-            if key.endswith("_noise_pct")
-        },
     }
 
 
@@ -138,7 +132,6 @@ def _from_report_payload(path: str, payload: Mapping[str, Any]) -> Dict[str, Any
         "counters": counters,
         "metrics": {},
         "histograms": histograms,
-        "noise_pct": {},
     }
 
 
@@ -203,18 +196,10 @@ def diff_targets(
 ) -> Dict[str, Any]:
     """Rank everything that changed between two loaded targets.
 
-    ``noise_pct`` overrides the significance threshold; otherwise the
-    widest measured ``*_noise_pct`` on either side applies, with
-    :data:`DEFAULT_NOISE_PCT` as the floor.
+    A relative change counts as significant above ``noise_pct``
+    percent, :data:`DEFAULT_NOISE_PCT` when not given.
     """
-    measured = list(a.get("noise_pct", {}).values()) + list(
-        b.get("noise_pct", {}).values()
-    )
-    threshold = (
-        float(noise_pct)
-        if noise_pct is not None
-        else max([DEFAULT_NOISE_PCT] + [float(v) for v in measured])
-    )
+    threshold = DEFAULT_NOISE_PCT if noise_pct is None else float(noise_pct)
 
     stage_rows: List[Dict[str, Any]] = []
     stages_a, stages_b = a.get("stages", {}), b.get("stages", {})
@@ -321,7 +306,7 @@ def format_diff_rows(diff: Mapping[str, Any], top: int = 10) -> List[str]:
     rows: List[str] = []
     rows.append(
         "diff: regression attribution "
-        f"(significance > {diff['threshold_pct']:.1f}% noise-widened)"
+        f"(significance > {diff['threshold_pct']:.1f}%)"
     )
     divergent = diff.get("first_divergent_stage")
     if divergent:

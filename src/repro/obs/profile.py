@@ -1,13 +1,13 @@
 """Continuous sampling profiler (DESIGN.md §15).
 
-A timer-signal statistical profiler with three properties the existing
-``--profile`` (cProfile) path cannot offer:
+The repo's one profiler (``run --profile-sampling``, ``serve
+--profile``): a timer-signal statistical profiler with three
+properties:
 
 * **Low overhead** — a ``SIGPROF`` handler fires every ``interval_s``
   of *consumed CPU time* and folds the interrupted stacks into a
   collapsed-stack counter; nothing is traced per call, so the cost is
-  a bounded number of frame walks per second (priced by the perf
-  gate ``runner_profile_overhead_pct``, budget <5 % + noise).
+  a bounded number of frame walks per second.
 * **Thread-safe** — every tick walks ``sys._current_frames()``, so
   executor threads (the service's run lane) are profiled alongside
   the main thread, one sample per live thread per tick; the counter

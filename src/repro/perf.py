@@ -1,37 +1,36 @@
-"""Performance-trajectory harness for the estimation hot paths.
+"""Kernel micro-benchmarks for the estimation hot paths.
 
 The paper's headline is *speed* — compressive selection beats the
 exhaustive sweep because the math is cheap (§6.4) — so this repo
-tracks the latency of its own hot kernels over time.  ``repro-bench
-perf`` times four workloads:
+tracks the cost of its own hot kernels over time.  ``repro-bench
+perf`` times:
 
 * one-sweep ``CompressiveSectorSelector.select`` and
   ``AngleEstimator.estimate`` latency (M=14 probes on the default 91×9
   search grid — one-row calls of the selection kernel),
 * the selection kernel's throughput (``select_fused_per_s``, the name
   it carries across the trajectory) over the same trials as one batch,
-* a reduced chamber campaign build (the ``build_testbed`` hot path),
-* ``record_directions`` recording throughput, plus the vectorized
-  ``MeasurementModel.observe_batch`` kernel.
+* cold-cache probe-design throughput (``probe_design_per_s``),
+* ``MeasurementModel.observe`` and ``observe_batch`` throughput,
+* ``record_directions`` recording, a reduced chamber campaign build
+  (the ``build_testbed`` hot path) and the testbed table load.
 
-Later layers add their own points when present: the scenario engine
-measured at ``jobs=1`` vs ``jobs=4`` against persistent warm runners —
-the sharded executor keeps its fork pool and published shared-memory
-kernels alive between runs, so the timed passes see the steady state
-the service sees, and ``--check`` gates the jobs4/jobs1 ratio at 1.0
-(noise-widened): sharded execution must never lose to serial.
+End-to-end cost — whole scenarios, the process pool, the service,
+tracing — is the ``bench/`` workloads' job, not this module's.
 
 Each run appends one machine-readable *trajectory point* to a JSON
 file (``BENCH_core.json`` at the repo root by convention), so the
 history of every optimization PR stays diffable.  ``repro-bench perf
---check`` compares the current latencies against the committed
-baseline point and exits nonzero on a >2× regression — the guard CI
-runs.
+--check`` compares the gated latencies against the committed baseline
+point and the gated throughputs against the most recent point that
+recorded them, and exits nonzero on a >2× regression or a non-finite
+reading — the guard CI runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pathlib
@@ -47,11 +46,7 @@ import numpy as np
 __all__ = [
     "BENCH_SCHEMA",
     "DEFAULT_TRAJECTORY",
-    "OBS_OVERHEAD_LIMIT_PCT",
-    "PARALLEL_RATIO_LIMIT",
-    "PROFILE_OVERHEAD_LIMIT_PCT",
     "REGRESSION_FACTOR",
-    "SUPERVISION_OVERHEAD_LIMIT_PCT",
     "PerfPoint",
     "append_point",
     "check_against_baseline",
@@ -70,42 +65,17 @@ DEFAULT_TRAJECTORY = "BENCH_core.json"
 #: ``--check`` fails when a latency metric exceeds baseline × this.
 REGRESSION_FACTOR = 2.0
 
-#: ``--check`` fails when the supervised runner costs more than this
-#: over the unsupervised path (absolute gate, not vs. baseline).
-SUPERVISION_OVERHEAD_LIMIT_PCT = 5.0
-
-#: ``--check`` fails when an in-memory-traced run costs more than this
-#: over the untraced default.  Untraced instrumentation is a no-op
-#: dispatch (one global read per site), so the traced-vs-untraced delta
-#: bounds the *whole* observability layer from above: if even recording
-#: fits the budget, the disabled path certainly does.
-OBS_OVERHEAD_LIMIT_PCT = 3.0
-
-#: ``--check`` fails when a run under the sampling profiler costs more
-#: than this over the unprofiled default.  The profiler fires a SIGPROF
-#: every 5ms of *CPU* time and walks the interrupted stack, so its cost
-#: scales with sampling rate, not workload size; this gate keeps
-#: "profile always on" a defensible production posture.
-PROFILE_OVERHEAD_LIMIT_PCT = 5.0
-
-#: ``--check`` fails when the jobs=4 scenario pass is slower than the
-#: jobs=1 pass by more than the observed measurement noise.  The
-#: sharded executor amortizes kernel publication and stacks chunk
-#: evaluation precisely so that ``--jobs 4`` never loses to serial;
-#: a ratio above 1.0 (noise-widened) means that invariant broke.
-PARALLEL_RATIO_LIMIT = 1.0
-
 #: Latency metrics (lower is better) compared by ``--check``.
 _LATENCY_METRICS = (
     "select_scalar_ms_median",
     "estimate_scalar_ms_median",
     "record_directions_s",
     "campaign_build_s",
-    "scenario_fig7_fig9_jobs1_s",
 )
 
 #: Throughput metrics (higher is better) compared by ``--check`` — a
-#: drop below baseline / ``REGRESSION_FACTOR`` fails the gate.
+#: drop below the most recent committed value / ``REGRESSION_FACTOR``
+#: fails the gate.
 _THROUGHPUT_METRICS = ("probe_design_per_s",)
 
 
@@ -254,7 +224,6 @@ def measure_metrics(
     All workloads are deterministic in ``seed``; the only variance
     between runs is machine noise.
     """
-    from . import obs as _obs_module
     from .channel.environment import conference_room
     from .core.compressive import CompressiveSectorSelector
     from .core.probes import clear_design_cache
@@ -264,10 +233,6 @@ def measure_metrics(
         record_directions,
         testbed_table_cache_info,
     )
-    from .experiments.fig7 import Fig7Config, fig7_spec
-    from .experiments.fig9 import Fig9Config, fig9_spec
-    from .obs import profile as _profile_module
-    from .runtime import FaultPlan, RetryPolicy, ScenarioRunner
     from .runtime.registry import available_probe_designers, build_probe_designer
 
     testbed = build_testbed()
@@ -366,177 +331,6 @@ def measure_metrics(
         lambda: campaign.run(config, np.random.default_rng(seed + 4))
     )
 
-    # -- scenario engine wall time -------------------------------------
-    scenario_specs = (
-        fig7_spec(
-            Fig7Config(
-                probe_counts=(8, 20),
-                lab_azimuth_step_deg=10.0,
-                lab_elevation_step_deg=15.0,
-                conference_azimuth_step_deg=10.0,
-                n_sweeps=1,
-                subsamples_per_sweep=1,
-            )
-        ),
-        fig9_spec(Fig9Config(probe_counts=(6, 14), azimuth_step_deg=10.0, n_sweeps=6)),
-    )
-    # One persistent runner per jobs level: the sharded executor
-    # keeps its fork pool and published shared-memory kernels warm
-    # between runs (the service's steady state), so a fresh runner
-    # per pass would charge pool spawn + kernel publication to
-    # jobs=4 only.  A throwaway warm-up pass per level pays those
-    # one-time costs off the clock, then the timed passes
-    # interleave the levels so machine drift hits both alike, with
-    # best-of across passes and the observed spread recorded for
-    # the noise-widened --check gate.
-    levels = ((1, "scenario_fig7_fig9_jobs1_s"), (4, "scenario_fig7_fig9_jobs4_s"))
-    runners = {name: ScenarioRunner(jobs=jobs) for jobs, name in levels}
-    level_times: Dict[str, List[float]] = {name: [] for _, name in levels}
-    try:
-        for _, name in levels:
-            for scenario_spec in scenario_specs:
-                runners[name].run(scenario_spec)
-        for _ in range(3):
-            for _, name in levels:
-                start = time.perf_counter()
-                for scenario_spec in scenario_specs:
-                    runners[name].run(scenario_spec)
-                level_times[name].append(time.perf_counter() - start)
-    finally:
-        for scenario_runner in runners.values():
-            scenario_runner.close()
-    for _, name in levels:
-        metrics[name] = float(min(level_times[name]))
-    jobs1 = metrics["scenario_fig7_fig9_jobs1_s"]
-    jobs4 = metrics["scenario_fig7_fig9_jobs4_s"]
-    metrics["scenario_jobs4_over_jobs1_ratio"] = jobs4 / jobs1
-    metrics["scenario_jobs_noise_pct"] = (
-        100.0
-        * float(
-            np.ptp(level_times["scenario_fig7_fig9_jobs1_s"])
-            + np.ptp(level_times["scenario_fig7_fig9_jobs4_s"])
-        )
-        / jobs1
-    )
-
-    # -- supervision overhead -------------------------------------------
-    # One small fig9 spec for the supervision, observability and
-    # profiler overheads below.
-    overhead_spec = fig9_spec(
-        Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-    )
-
-    def _run_plain():
-        # The shared baseline: no supervision, tracing or profiling.
-        with ScenarioRunner(jobs=1) as runner:
-            runner.run(overhead_spec)
-
-    def _run_supervised():
-        # Full supervision machinery engaged — retry accounting,
-        # an (empty) injector consulted per dispatch — minus any
-        # actual fault, so the delta is pure bookkeeping overhead.
-        with ScenarioRunner(
-            jobs=1,
-            retry=RetryPolicy(max_attempts=3, timeout_s=60.0),
-            faults=FaultPlan(),
-        ) as runner:
-            runner.run(overhead_spec)
-
-    # Interleave the two workloads so slow drift on a shared runner
-    # (thermal throttling, a noisy neighbour arriving mid-measure)
-    # hits both sides alike, take medians rather than single best
-    # passes, and record the observed run-to-run spread so the
-    # --check gate can widen itself on noisy machines instead of
-    # flaking on a small absolute threshold.
-    unsupervised_times: List[float] = []
-    supervised_times: List[float] = []
-    for _ in range(5):
-        start = time.perf_counter()
-        _run_plain()
-        unsupervised_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        _run_supervised()
-        supervised_times.append(time.perf_counter() - start)
-    unsupervised = float(np.median(unsupervised_times))
-    supervised = float(np.median(supervised_times))
-    metrics["runner_unsupervised_s"] = unsupervised
-    metrics["runner_supervised_s"] = supervised
-    metrics["runner_supervision_overhead_pct"] = (
-        100.0 * (supervised - unsupervised) / unsupervised
-    )
-    metrics["runner_supervision_noise_pct"] = (
-        100.0
-        * float(np.ptp(unsupervised_times) + np.ptp(supervised_times))
-        / unsupervised
-    )
-
-    # -- observability overhead -----------------------------------------
-    def _run_traced():
-        # Full recording engaged — every span opened, every counter
-        # bumped, the rollup computed — but in memory only, so the
-        # delta is the cost of the observability layer itself, not
-        # of file I/O.
-        with ScenarioRunner(jobs=1, obs=_obs_module.ObsSession()) as runner:
-            runner.run(overhead_spec)
-
-    # Same interleaved-medians discipline as the supervision
-    # overhead above: drift hits both sides alike, and the observed
-    # spread widens the --check gate on noisy machines.
-    untraced_times: List[float] = []
-    traced_times: List[float] = []
-    for _ in range(5):
-        start = time.perf_counter()
-        _run_plain()
-        untraced_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        _run_traced()
-        traced_times.append(time.perf_counter() - start)
-    untraced = float(np.median(untraced_times))
-    traced = float(np.median(traced_times))
-    metrics["runner_untraced_s"] = untraced
-    metrics["runner_traced_s"] = traced
-    metrics["runner_obs_overhead_pct"] = 100.0 * (traced - untraced) / untraced
-    metrics["runner_obs_noise_pct"] = (
-        100.0 * float(np.ptp(untraced_times) + np.ptp(traced_times)) / untraced
-    )
-
-    # -- sampling-profiler overhead -------------------------------------
-    def _run_profiled():
-        # The profiler is armed exactly as `run --profile-sampling`
-        # arms it — SIGPROF at the default interval, every sample
-        # walking the live stacks — so the delta is the cost a user
-        # pays for leaving continuous profiling on.
-        _profile_module.start_profiling()
-        try:
-            with ScenarioRunner(jobs=1) as runner:
-                runner.run(overhead_spec)
-        finally:
-            _profile_module.stop_profiling()
-
-    # Same interleaved-medians discipline as the supervision and
-    # observability overheads above.
-    unprofiled_times: List[float] = []
-    profiled_times: List[float] = []
-    for _ in range(5):
-        start = time.perf_counter()
-        _run_plain()
-        unprofiled_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        _run_profiled()
-        profiled_times.append(time.perf_counter() - start)
-    unprofiled = float(np.median(unprofiled_times))
-    profiled = float(np.median(profiled_times))
-    metrics["runner_unprofiled_s"] = unprofiled
-    metrics["runner_profiled_s"] = profiled
-    metrics["runner_profile_overhead_pct"] = (
-        100.0 * (profiled - unprofiled) / unprofiled
-    )
-    metrics["runner_profile_noise_pct"] = (
-        100.0
-        * float(np.ptp(unprofiled_times) + np.ptp(profiled_times))
-        / unprofiled
-    )
-
     # -- testbed disk cache ---------------------------------------------
     info = testbed_table_cache_info()
     if info.get("path") and pathlib.Path(info["path"]).is_file():
@@ -624,12 +418,17 @@ def check_against_baseline(
 
     Returns human-readable failure lines; empty means the check passed.
     Metrics missing on either side are skipped — the baseline predates
-    some kernels (e.g. the batched engine).
+    some kernels (e.g. the batched engine) — but a gated metric that is
+    present and not finite fails: NaN compares false against any limit.
     """
     baseline = _baseline_point(data)
     if baseline is None:
         return ["no baseline point in trajectory (run 'repro-bench perf' first)"]
-    failures = []
+    failures = [
+        f"{name}: {metrics[name]!r} is not a finite measurement"
+        for name in _LATENCY_METRICS + _THROUGHPUT_METRICS
+        if name in metrics and not math.isfinite(metrics[name])
+    ]
     for name in _LATENCY_METRICS:
         reference = baseline.metrics.get(name)
         current = metrics.get(name)
@@ -660,50 +459,6 @@ def check_against_baseline(
             failures.append(
                 f"{name}: {current:.4g} vs committed {reference:.4g} "
                 f"(<1/{factor:.1f}x throughput)"
-            )
-    overhead = metrics.get("runner_supervision_overhead_pct")
-    if overhead is not None:
-        # The 5% budget is small relative to wall-clock jitter on
-        # shared CI runners, so the gate widens by the spread the
-        # measurement itself observed: a real regression clears the
-        # noise floor, a noisy machine does not flake the job.
-        noise = max(0.0, float(metrics.get("runner_supervision_noise_pct", 0.0)))
-        if overhead > SUPERVISION_OVERHEAD_LIMIT_PCT + noise:
-            failures.append(
-                f"runner_supervision_overhead_pct: {overhead:.2f}% "
-                f"(limit {SUPERVISION_OVERHEAD_LIMIT_PCT:.0f}% over unsupervised "
-                f"+ {noise:.2f}% observed measurement noise)"
-            )
-    obs_overhead = metrics.get("runner_obs_overhead_pct")
-    if obs_overhead is not None:
-        noise = max(0.0, float(metrics.get("runner_obs_noise_pct", 0.0)))
-        if obs_overhead > OBS_OVERHEAD_LIMIT_PCT + noise:
-            failures.append(
-                f"runner_obs_overhead_pct: {obs_overhead:.2f}% "
-                f"(limit {OBS_OVERHEAD_LIMIT_PCT:.0f}% over untraced "
-                f"+ {noise:.2f}% observed measurement noise)"
-            )
-    profile_overhead = metrics.get("runner_profile_overhead_pct")
-    if profile_overhead is not None:
-        noise = max(0.0, float(metrics.get("runner_profile_noise_pct", 0.0)))
-        if profile_overhead > PROFILE_OVERHEAD_LIMIT_PCT + noise:
-            failures.append(
-                f"runner_profile_overhead_pct: {profile_overhead:.2f}% "
-                f"(limit {PROFILE_OVERHEAD_LIMIT_PCT:.0f}% over unprofiled "
-                f"+ {noise:.2f}% observed measurement noise)"
-            )
-    ratio = metrics.get("scenario_jobs4_over_jobs1_ratio")
-    if ratio is not None:
-        # Same noise-widening discipline as the overhead gates: the
-        # invariant is jobs4 <= jobs1, but both sides are wall-clock on
-        # a possibly-shared machine, so the gate admits the spread the
-        # interleaved measurement itself observed.
-        noise = max(0.0, float(metrics.get("scenario_jobs_noise_pct", 0.0)))
-        if ratio > PARALLEL_RATIO_LIMIT + noise / 100.0:
-            failures.append(
-                f"scenario_jobs4_over_jobs1_ratio: {ratio:.3f} "
-                f"(sharded jobs=4 lost to serial; limit "
-                f"{PARALLEL_RATIO_LIMIT:.2f} + {noise:.2f}% observed noise)"
             )
     return failures
 

@@ -65,9 +65,9 @@ ships the drained buffer back piggybacked on its first block's result;
 the runner absorbs payloads in deterministic ``(call, block)`` order,
 so a ``--jobs 4`` trace is bit-reproducible in everything but timing
 values.  With no session the
-instrumentation is a no-op (see ``runner_obs_overhead_pct`` in
-``repro-bench perf``), and tracing never touches results: a traced run
-is bit-identical to an untraced one.
+instrumentation is a no-op (``bench/run.py --trace 1`` measures what a
+session costs), and tracing never touches results: a traced run is
+bit-identical to an untraced one.
 """
 
 from __future__ import annotations

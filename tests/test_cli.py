@@ -38,6 +38,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_perf_repeats_below_one_is_a_usage_error(self):
+        # Zero passes would time nothing and report NaN medians.
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["perf", "--check", "--repeats", value])
+            assert excinfo.value.code == 2
+        assert build_parser().parse_args(["perf", "--repeats", "1"]).repeats == 1
+
+    def test_run_rejects_the_retired_cprofile_flag(self):
+        # --profile must not prefix-match --profile-sampling.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "fig10", "--profile", "p.pstats"])
+        assert excinfo.value.code == 2
+
     def test_seed_and_paper_flags(self):
         args = build_parser().parse_args(["fig10", "--seed", "7", "--paper"])
         assert args.seed == 7
@@ -56,17 +70,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "consistent=True" in output
         assert "Beacon" in output and "Sweep" in output
-
-    def test_run_profile_writes_pstats_and_forces_serial(self, tmp_path, capsys):
-        import pstats
-
-        path = tmp_path / "fig10.pstats"
-        assert main(["run", "fig10", "--jobs", "4", "--profile", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "forcing --jobs 1" in output
-        assert "top cumulative:" in output
-        stats = pstats.Stats(str(path))  # loadable pstats dump
-        assert stats.total_calls > 0
 
     def test_patterns_writes_npz(self, tmp_path, capsys):
         from repro.measurement import PatternTable

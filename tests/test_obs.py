@@ -13,7 +13,7 @@ The contracts under test (DESIGN.md §10):
   in the trace and the tag survives both the cross-process merge and a
   file round-trip.
 * **Disabled-by-default** — with no active session every dispatcher is
-  a no-op (the perf gate ``runner_obs_overhead_pct`` prices it).
+  a no-op.
 """
 
 import json
