@@ -420,22 +420,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .service.server import ServiceConfig, serve
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        jobs=args.jobs,
-        durable=not args.no_durable,
-        checkpoint_dir=args.checkpoint_dir,
-        state_dir=args.state_dir,
-        drain_timeout_s=args.drain_timeout,
-        sweep_shm=args.sweep_shm,
-        history_limit=args.history_limit,
-        trace_path=args.trace,
-        trace_max_mb=args.trace_max_mb,
-        profile_path=args.profile,
-    )
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_depth=args.queue_depth,
+            jobs=args.jobs,
+            durable=not args.no_durable,
+            checkpoint_dir=args.checkpoint_dir,
+            state_dir=args.state_dir,
+            drain_timeout_s=args.drain_timeout,
+            sweep_shm=args.sweep_shm,
+            history_limit=args.history_limit,
+            trace_path=args.trace,
+            trace_max_mb=args.trace_max_mb,
+            profile_path=args.profile,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         asyncio.run(serve(config))
     except KeyboardInterrupt:
@@ -770,7 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_sub.add_argument(
         "--workers", type=int, default=2,
-        help="scenario worker threads (each reuses one ScenarioRunner)",
+        help="workers, each running runs in one run process that reuses "
+        "one ScenarioRunner (>= 1)",
     )
     serve_sub.add_argument(
         "--queue-depth", type=int, default=64,
@@ -860,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_sub.add_argument(
         "--workers", type=int, default=2,
-        help="worker threads for the service under test",
+        help="serve workers (one run process each) for the service under test",
     )
     chaos_sub.add_argument(
         "--jobs", type=int, default=2,
@@ -902,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load_sub.add_argument(
         "--workers", type=int, default=4,
-        help="worker threads for the self-hosted service",
+        help="serve workers (one run process each) for the self-hosted service",
     )
     load_sub.add_argument(
         "--queue-depth", type=int, default=256,

@@ -9,7 +9,7 @@ properties:
   collapsed-stack counter; nothing is traced per call, so the cost is
   a bounded number of frame walks per second.
 * **Thread-safe** — every tick walks ``sys._current_frames()``, so
-  executor threads (the service's run lane) are profiled alongside
+  helper threads (a run process's pipe reader) are profiled alongside
   the main thread, one sample per live thread per tick; the counter
   dict is only mutated from the signal handler, which the interpreter
   serializes on the main thread.
@@ -59,7 +59,7 @@ DEFAULT_INTERVAL_S = 0.005
 
 #: Frames below (older than) any of these are the harness, not the
 #: workload; stacks are truncated at the first match so profiles stay
-#: comparable between CLI runs, pool workers, and service threads.
+#: comparable between CLI runs, pool workers, and run processes.
 _ROOT_NAMES = frozenset(
     {"_bootstrap", "_bootstrap_inner", "_worker", "run_forever", "<module>"}
 )

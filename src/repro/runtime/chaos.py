@@ -4,8 +4,10 @@
 through a deterministic, seeded campaign of failure events and checks
 the recovery invariants the design promises (DESIGN.md §14):
 
-* ``worker-kill``    — SIGKILL a fork-pool worker mid-run; supervision
-  replaces the pool and the run's digest still matches a clean local
+* ``worker-kill``    — SIGKILL the run's run process or one of its
+  fork-pool workers mid-run; the service replaces the run process and
+  resumes the run from its journal, or supervision replaces the pool;
+  the run shows the hit, and its digest still matches a clean local
   execution.
 * ``serve-restart``  — SIGKILL the whole service mid-run, restart it on
   the same ``--state-dir``; the run registry re-admits the interrupted
@@ -109,12 +111,12 @@ class ChaosReport:
         return rows
 
 
-def _all_children(pid: int) -> List[int]:
-    """Direct child processes of a service (resource tracker included).
+def _children(pid: int) -> List[int]:
+    """Direct child processes of ``pid``.
 
-    Children are listed per *thread*: the service forks its pool from
-    executor threads, so only walking every ``/proc/<pid>/task/<tid>``
-    sees them all.
+    Children are listed per *thread*, since a process may fork from
+    several threads: only walking every ``/proc/<pid>/task/<tid>`` sees
+    them all.
     """
     children: List[int] = []
     try:
@@ -130,8 +132,22 @@ def _all_children(pid: int) -> List[int]:
     return sorted(set(children))
 
 
+def _all_children(pid: int) -> List[int]:
+    """Every descendant process of a service: its run processes, their
+    pool workers and resource trackers."""
+    found: List[int] = []
+    pending = _children(pid)
+    while pending:
+        child = pending.pop()
+        if child not in found:
+            found.append(child)
+            pending.extend(_children(child))
+    return sorted(found)
+
+
 def _pool_children(pid: int) -> List[int]:
-    """Fork-pool worker processes of a service, resource tracker excluded."""
+    """Run processes and pool workers of a service, resource trackers
+    excluded: the processes a ``worker-kill`` may shoot."""
     children: List[int] = []
     for child in _all_children(pid):
         try:
@@ -147,6 +163,23 @@ def _pool_children(pid: int) -> List[int]:
             continue
         children.append(child)
     return children
+
+
+def _holder(path: Path, pids: List[int]) -> Optional[int]:
+    """The process among ``pids`` that holds ``path`` open, or None."""
+    target = os.path.realpath(path)
+    for pid in pids:
+        try:
+            fds = os.listdir(f"/proc/{pid}/fd")
+        except OSError:
+            continue
+        for fd in fds:
+            try:
+                if os.readlink(f"/proc/{pid}/fd/{fd}") == target:
+                    return pid
+            except OSError:
+                continue
+    return None
 
 
 def _journal_entries(path: Path) -> int:
@@ -236,10 +269,9 @@ class _ManagedService:
     def kill(self) -> None:
         """SIGKILL: the crash the durable state dir must survive.
 
-        Fork-pool children inherit the listening socket, so orphans
-        left by the parent's SIGKILL would keep the port bound — kill
-        them too, then wait for the port to actually free before the
-        restart (a real supervisor gets this for free from its cgroup).
+        Run processes and their pool workers die with the service; any
+        descendant still alive is killed too, then the restart waits
+        for the port to actually free.
         """
         assert self.proc is not None
         orphans = _all_children(self.proc.pid)
@@ -338,19 +370,28 @@ class _Campaign:
     # -- events ----------------------------------------------------------
 
     def event_worker_kill(self) -> Dict[str, Any]:
-        # Big enough that the pool phase outlives the victim-settle
-        # delay below, so the death lands while blocks are in flight.
-        spec = self.spec(1, n_sweeps=8)
+        # Three policies are three execute calls.  The shot comes after
+        # the run's first journal commit, and each call is long enough
+        # that the later ones still meet the death: the run resumes in
+        # a new run process, or supervision replaces the broken pool.
+        spec = self.spec(1, n_sweeps=256, probe_counts=(14, 10, 6))
         run_id = self.client.submit(spec.to_json())["run"]
+        journal = Path(self.client.status(run_id)["checkpoint"])
         killed = 0
+        victim_kind = ""
         deadline = time.monotonic() + self.config.run_timeout_s
         while time.monotonic() < deadline:
             payload = self.client.status(run_id)
             if payload["status"] in _TERMINAL:
                 break
-            children = _pool_children(self.service.proc.pid)
-            if payload["status"] == "running" and children:
-                victim = self.rng.choice(children)
+            # The run's own process is the one holding its journal (an
+            # idle worker's run process keeps a warm pool too).  Shoot
+            # once its pool is up, so it and its pool workers are all
+            # candidates.
+            run_process = _holder(journal, _children(self.service.proc.pid))
+            pool = [] if run_process is None else _pool_children(run_process)
+            if payload["status"] == "running" and pool and _journal_entries(journal):
+                victim = self.rng.choice([run_process, *pool])
                 # A helper mid-spawn (fork→exec window) still shows the
                 # parent's cmdline and can masquerade as a pool worker —
                 # SIGKILLing the half-born resource tracker is a
@@ -359,6 +400,7 @@ class _Campaign:
                 time.sleep(0.05)
                 if victim not in _pool_children(self.service.proc.pid):
                     continue
+                victim_kind = "run-process" if victim == run_process else "pool-worker"
                 os.kill(victim, signal.SIGKILL)
                 killed = 1
                 break
@@ -375,11 +417,23 @@ class _Campaign:
             final.get("result_sha256") == self.clean_digest(spec),
         )
         health = self.client.status(run_id)["manifest"].get("health", {})
+        replacements = health.get("pool_replacements", 0)
+        attempts = final.get("attempts", 0)
+        # The victim belonged to this run: it resumed in a new run
+        # process, or its pool was replaced.
+        self.check(
+            "worker_kill_hit_the_run",
+            killed == 1 and (attempts > 1 or replacements > 0),
+            f"killed={killed} victim={victim_kind or 'none'} "
+            f"attempts={attempts} pool_replacements={replacements}",
+        )
         return {
             "event": "worker-kill",
             "run": run_id,
             "killed": killed,
-            "pool_replacements": health.get("pool_replacements", 0),
+            "victim": victim_kind or "none",
+            "attempts": attempts,
+            "pool_replacements": replacements,
         }
 
     def _catch_midrun(self, label: str, offset: int):

@@ -853,8 +853,8 @@ class ScenarioRunner:
         self._policy_timings: Dict[str, float] = {}
         self._quality_environment: Optional[str] = None
         # Cooperative abort plumbing: ``cancel()`` may be called from
-        # any thread (the service's event loop) while ``run()`` executes
-        # on a worker thread; the deadline is a monotonic instant set
+        # any thread (a service run process's pipe reader) while ``run()``
+        # executes on another; the deadline is a monotonic instant set
         # per run.  Both are checked between chunks and block attempts,
         # never inside one — aborts land on whole-chunk boundaries, so
         # the journal stays a set of complete, verified entries.
@@ -970,7 +970,7 @@ class ScenarioRunner:
 
         The keyword overrides rebind the constructor's ``checkpoint`` /
         ``resume`` / ``obs`` settings for this and subsequent calls —
-        the service front-end reuses one runner per worker thread across
+        the service front-end reuses one runner per run process across
         requests, and each request needs its own journal path and
         :class:`~repro.obs.ObsSession`.  Omitted overrides keep the
         current settings, so existing single-run callers are unchanged.

@@ -7,13 +7,14 @@ front door on it:
 
 * :class:`~.server.SelectionService` — validates and digests incoming
   :class:`~repro.runtime.ScenarioSpec` JSON, admits it onto a bounded
-  queue (429 past the configured depth), schedules it onto a fixed pool
-  of worker threads that each *reuse* one ScenarioRunner across
-  requests, journals progress durably (fsync'd checkpoints) so an
-  in-flight request survives worker death, and retains a bounded
-  history of manifests.
-* :class:`~.server.ServiceConfig` — every operational knob (pool size,
-  queue depth, durability, retention) in one dataclass.
+  queue (429 past the configured depth), schedules it onto a fixed set
+  of workers that each own one run process *reusing* one ScenarioRunner
+  across requests, journals progress durably (fsync'd checkpoints) so
+  an in-flight request survives the death of its run process, and
+  retains a bounded history of manifests.
+* :class:`~.server.ServiceConfig` — every operational knob (workers,
+  queue depth, durability, retention) in one dataclass, validated at
+  construction.
 * :mod:`.registry` — the WAL-style durable run registry (DESIGN.md
   §14): every run state transition journaled with per-entry hashes and
   torn-tail truncation, replayed at startup so a crashed or redeployed

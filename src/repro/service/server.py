@@ -8,14 +8,19 @@ Architecture — three decoupled stages, each with an explicit bound:
   A full queue rejects with ``429 Too Many Requests`` + ``Retry-After``
   instead of buffering without limit — backpressure is the contract,
   not a failure mode.
-* **Execution** (worker pool): ``ServiceConfig.workers`` asyncio tasks
-  each own one long-lived :class:`~repro.runtime.ScenarioRunner` and
-  drain the queue, running each spec on a thread executor so the event
-  loop stays responsive while numpy crunches.  Every run gets its own
+* **Execution** (run processes): ``ServiceConfig.workers`` asyncio
+  tasks drain the queue, and each owns one long-lived *run process*,
+  forked from the event-loop thread once the program modules are
+  loaded and before the listening socket is bound.  The run process
+  owns the worker's :class:`~repro.runtime.ScenarioRunner` (and its
+  pool, at ``jobs >= 2``) and executes one run at a time, so runs on
+  different workers never share an interpreter lock.  Only the run
+  crosses the pipe: the request is the run id, spec JSON, journal path
+  and deadline; the reply is the manifest, result, metrics snapshot
+  and trace events, or how the run ended.  Every run gets its own
   fsync-durable checkpoint journal (keyed by *run id*, never by digest
   alone, so concurrent submissions of the same spec cannot collide)
-  and its own :class:`~repro.obs.ObsSession` (the session context is a
-  ``ContextVar``, so concurrent runs cannot interleave buffers).
+  and its own :class:`~repro.obs.ObsSession`.
 * **Retention** (event loop): finished records keep their manifest and
   sanitized result JSON in a bounded history (oldest evicted, journals
   unlinked), so a service hammered with thousands of submissions holds
@@ -37,30 +42,38 @@ SIGINT trigger a graceful drain (503 + ``Retry-After`` on admission,
 in-flight runs finish up to ``drain_timeout_s``, stragglers are
 cancelled back to ``queued`` so nothing is lost), ``DELETE
 /runs/<id>`` cancels cooperatively, and a per-submission
-``deadline_s`` bounds how long a run may be scheduled.
+``deadline_s`` bounds how long a run may be scheduled.  A run process
+that dies mid-run is replaced, and the run resumes from its journal in
+the new one; run processes die with the serve process, never orphaned.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import math
+import multiprocessing
 import os
+import queue
 import signal
+import stat
+import sys
+import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs as _obs
 from ..obs import profile as _profile
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import RotatingTraceWriter
-from ..runtime import RetryPolicy, ScenarioRunner, ScenarioSpec
+from ..runtime import RetryPolicy, ScenarioRunner, ScenarioSpec, load_builtin
 from ..runtime.checkpoint import sweep_orphaned_journals
 from ..runtime.faults import DeadlineExceededError, RunCancelledError
 from ..runtime.shm import sweep_leaked_segments
@@ -125,14 +138,17 @@ class ServiceConfig:
 
     Attributes:
         host / port: bind address (port 0 picks an ephemeral port).
-        workers: worker tasks (= concurrent in-flight runs); each owns
-            one reused :class:`~repro.runtime.ScenarioRunner`.
-        queue_depth: admission bound — submissions past this many
-            *queued* (not yet running) runs get 429.
-        jobs: process-pool width inside each run (1 = in-process; the
-            service's parallelism axis is across runs, not within one).
+        workers: worker tasks (= concurrent in-flight runs, >= 1); each
+            owns one run process with one reused
+            :class:`~repro.runtime.ScenarioRunner`.
+        queue_depth: admission bound (>= 1) — submissions past this
+            many *queued* (not yet running) runs get 429.
+        jobs: process-pool width inside each run (>= 1; 1 = inside the
+            run process; the service's parallelism axis is across runs,
+            not within one).
         max_attempts / backoff_s / timeout_s: per-block supervision
-            passed to every runner (see DESIGN.md §9).
+            passed to every runner (see DESIGN.md §9).  ``max_attempts``
+            also bounds how many run processes one run may outlive.
         durable: fsync checkpoint journals and the run registry (the
             service default; see
             :class:`~repro.runtime.checkpoint.CheckpointStore`).
@@ -142,13 +158,13 @@ class ServiceConfig:
             journals.  Restarting with the same state dir recovers
             queued and in-flight runs (default: the artifact cache dir
             under ``service/``).
-        drain_timeout_s: how long a graceful shutdown waits for
+        drain_timeout_s: how long a graceful shutdown waits (>= 0) for
             in-flight runs before cancelling them back to ``queued``.
         sweep_shm: sweep leaked ``repro-kernels-*`` /dev/shm segments
             at startup.  Off by default (another live process on the
             host may own them); ``repro-bench serve`` turns it on.
-        history_limit: finished runs retained in memory; older records
-            (and their journals) are evicted.
+        history_limit: finished runs retained in memory (>= 0); older
+            records (and their journals) are evicted.
         max_body_bytes: request-body cap (413 beyond it).
         trace_path: append every finished run's span events to a
             rotating JSONL sink here (None = no trace sink).  Every
@@ -178,6 +194,19 @@ class ServiceConfig:
     trace_path: Optional[str] = None
     trace_max_mb: float = 64.0
     profile_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name, floor in (
+            ("workers", 1),
+            ("jobs", 1),
+            ("queue_depth", 1),
+            ("history_limit", 0),
+            ("drain_timeout_s", 0),
+        ):
+            if not getattr(self, name) >= floor:
+                raise ValueError(
+                    f"{name} must be >= {floor}, got {getattr(self, name)!r}"
+                )
 
     def resolved_state_dir(self) -> Path:
         if self.state_dir is not None:
@@ -349,6 +378,325 @@ def _text_body(code: int, text: str) -> bytes:
 
 
 # ----------------------------------------------------------------------
+# Run processes.
+# ----------------------------------------------------------------------
+
+#: Run processes are forked, so they start with every program module
+#: the serve process loaded and import nothing twice.
+_FORK = multiprocessing.get_context("fork")
+
+#: ``prctl`` option: the signal the kernel sends when the parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+class RunProcessDied(RuntimeError):
+    """A run process died before it replied (killed, or exited)."""
+
+    def __init__(self, exitcode: Optional[int]):
+        if exitcode is not None and exitcode < 0:
+            try:
+                how = f"killed by {signal.Signals(-exitcode).name}"
+            except ValueError:
+                how = f"killed by signal {-exitcode}"
+        else:
+            how = f"exited with code {exitcode}"
+        super().__init__(f"run process {how}")
+
+
+class _RunRequest(NamedTuple):
+    """All of a run that crosses into its run process."""
+
+    id: str
+    spec_json: Dict[str, Any]
+    checkpoint_path: str
+    deadline_wall: Optional[float]
+
+
+def _libc_prctl() -> Optional[Callable[..., int]]:
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):  # pragma: no cover - not Linux
+        return None
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+def _die_with_parent(prctl: Optional[Callable[..., int]], parent_pid: int) -> None:
+    """Have the kernel SIGKILL this process when its parent dies.
+
+    Linux sends the signal when the *thread* that forked the process
+    exits, so every fork relying on it comes from a thread that lives as
+    long as its process: the serve process's event-loop thread, a run
+    process's main thread.  Re-checking the parent afterwards closes
+    the race with a parent that died before the request.
+    """
+    if prctl is None:  # pragma: no cover - not Linux
+        return
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent_pid:
+        os._exit(1)
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket a run process inherited except its own pipe
+    and the standard streams.
+
+    A replacement run process is forked after the listening socket was
+    bound; holding it, or a client connection, would keep the port
+    bound and connections open past the serve process.  Holding a
+    sibling's pipe would hide the serve process's hang-up from that
+    sibling.  Stdin, stdout and stderr stay: they may be sockets too
+    (a service manager's journal stream), and they are the process's.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # pragma: no cover - no procfs
+        return
+    for fd in fds:
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            pass
+
+
+def _make_runner(config: ServiceConfig) -> ScenarioRunner:
+    return ScenarioRunner(
+        jobs=config.jobs,
+        retry=RetryPolicy(
+            max_attempts=config.max_attempts,
+            backoff_base_s=config.backoff_s,
+            timeout_s=config.timeout_s,
+        ),
+        durable=config.durable,
+    )
+
+
+def _execute(
+    runner: ScenarioRunner, record: _RunRequest
+) -> Tuple[
+    Dict[str, Any],
+    Optional[Dict[str, Any]],
+    Dict[str, Any],
+    List[Dict[str, Any]],
+]:
+    """Run one request in the run process (the only place a run executes).
+
+    ``resume=True`` is unconditional: a fresh run id has no journal
+    (so it starts clean), while a retried record, or one whose previous
+    run process died, picks up exactly the blocks journaled before.
+    """
+    spec = ScenarioSpec.from_json(record.spec_json)
+    session = _obs.ObsSession()
+    deadline_s: Optional[float] = None
+    if record.deadline_wall is not None:
+        deadline_s = max(0.0, record.deadline_wall - time.time())
+    outcome = runner.run(
+        spec,
+        checkpoint=record.checkpoint_path,
+        resume=True,
+        obs=session,
+        deadline_s=deadline_s,
+    )
+    manifest = outcome.manifest.to_json()
+    result: Optional[Dict[str, Any]] = None
+    try:
+        from ..experiments.io import result_to_dict
+
+        result = result_to_dict(outcome.result)
+    except TypeError:
+        result = None
+    # The event buffer survives finalize (reset clears it); the serve
+    # process appends it to the rotating sink, if one is configured.
+    return manifest, result, session.metrics.snapshot(), list(session.tracer.events)
+
+
+class _RunLane:
+    """The run process's side of the pipe.
+
+    The main thread executes runs; a reader thread takes every message
+    off the pipe, so a cancel reaches a run while it executes.  The
+    serve process sends a run only after the previous one's reply, so
+    one run at a time is current here.  The reader makes a run current
+    as it arrives, re-arming the runner's cancel flag under the lock,
+    and applies a cancel only when it names the current run: a cancel
+    before ``run()`` starts lands, and a late one never aborts the next
+    run.
+    """
+
+    def __init__(self, conn, runner: ScenarioRunner):
+        self.conn = conn
+        self.runner = runner
+        self._lock = threading.Lock()
+        self._requests: "queue.SimpleQueue[Optional[_RunRequest]]" = queue.SimpleQueue()
+        self._current: Optional[str] = None
+
+    def _read(self) -> None:
+        while True:
+            try:
+                kind, payload = self.conn.recv()
+            except (EOFError, OSError):  # hung up: abort the run, exit
+                with self._lock:
+                    if self._current is not None:
+                        self.runner.cancel()
+                self._requests.put(None)
+                return
+            with self._lock:
+                if kind == "cancel":
+                    if payload == self._current:
+                        self.runner.cancel()
+                    continue
+                self._current = payload.id
+                self.runner.clear_cancel()
+            self._requests.put(payload)
+
+    def serve(self) -> None:
+        threading.Thread(target=self._read, name="repro-run-pipe", daemon=True).start()
+        while True:
+            request = self._requests.get()
+            if request is None:
+                return
+            try:
+                reply = self._outcome(request)
+            finally:
+                with self._lock:
+                    self._current = None
+            try:
+                self.conn.send(reply)
+            except OSError:  # the serve process hung up
+                return
+
+    def _outcome(self, request: _RunRequest) -> Dict[str, Any]:
+        reply: Dict[str, Any]
+        try:
+            manifest, result, metrics, events = _execute(self.runner, request)
+        except RunCancelledError:
+            reply = {"outcome": "cancelled"}
+        except DeadlineExceededError:
+            reply = {"outcome": "deadline"}
+        except Exception as error:
+            reply = {
+                "outcome": "failed",
+                "error": f"{type(error).__name__}: {error}",
+                "traceback": traceback.format_exc(),
+            }
+        else:
+            reply = {
+                "outcome": "done",
+                "manifest": manifest,
+                "result": result,
+                "metrics": metrics,
+                "events": events,
+            }
+        reply["shm_segments"] = len(self.runner._shm)
+        reply["profile"] = _profile.drain_profile()
+        return reply
+
+
+def _run_process_main(conn, config: ServiceConfig, parent_pid: int) -> None:
+    """Body of a run process: serve runs until the serve process hangs up.
+
+    The process dies with the serve process, and its pool workers die
+    with it.  It ignores SIGINT (the serve process alone decides how to
+    drain) and dies on SIGTERM.
+    """
+    prctl = _libc_prctl()
+    _die_with_parent(prctl, parent_pid)
+    os.register_at_fork(
+        after_in_child=functools.partial(_die_with_parent, prctl, os.getpid())
+    )
+    try:
+        signal.set_wakeup_fd(-1)
+    except (ValueError, OSError):  # pragma: no cover - non-main thread
+        pass
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _close_inherited_sockets(keep=conn.fileno())
+    with _make_runner(config) as runner:
+        _RunLane(conn, runner).serve()
+
+
+class _RunProcess:
+    """The serve process's handle on one worker's run process."""
+
+    def __init__(self, config: ServiceConfig, index: int):
+        conn, child_conn = _FORK.Pipe()
+        self.process = _FORK.Process(
+            target=_run_process_main,
+            args=(child_conn, config, os.getpid()),
+            name=f"repro-run-{index}",
+        )
+        self.process.start()
+        child_conn.close()
+        self.conn = conn
+
+    def is_alive(self) -> bool:
+        return self.process.is_alive()
+
+    def cancel(self, run_id: str) -> None:
+        try:
+            self.conn.send(("cancel", run_id))
+        except OSError:  # already dead; the waiting worker replaces it
+            pass
+
+    async def run(self, request: _RunRequest) -> Dict[str, Any]:
+        """Send one run and wait for its reply without holding a thread.
+
+        Raises :class:`RunProcessDied` when the process dies first.
+        """
+        try:
+            self.conn.send(("run", request))
+        except OSError:  # already dead; the wait below sees it
+            pass
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+
+        def wake() -> None:
+            if not ready.done():
+                ready.set_result(None)
+
+        fds = (self.conn.fileno(), self.process.sentinel)
+        for fd in fds:
+            loop.add_reader(fd, wake)
+        try:
+            await ready
+        finally:
+            for fd in fds:
+                loop.remove_reader(fd)
+        if self.conn.poll():
+            try:
+                return self.conn.recv()
+            except (EOFError, OSError):  # died mid-reply
+                pass
+        raise RunProcessDied(self.reap(5.0))
+
+    def reap(self, timeout_s: float) -> Optional[int]:
+        """Join the process (killing it past ``timeout_s``), free its fds."""
+        self.process.join(timeout_s)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        exitcode = self.process.exitcode
+        self.conn.close()
+        self.process.close()
+        return exitcode
+
+    async def close(self, timeout_s: float = 10.0) -> None:
+        """Hang up, which makes the process abort any run and exit, then
+        join it."""
+        self.conn.close()
+        deadline = time.monotonic() + timeout_s
+        while self.process.is_alive() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        self.reap(0.0)
+
+
+# ----------------------------------------------------------------------
 # The service.
 # ----------------------------------------------------------------------
 
@@ -364,16 +712,17 @@ class SelectionService:
         await service.stop()
 
     All shared state (records, queue, metric registries) is touched only
-    from the event-loop thread; executor threads hand results back
-    through the worker coroutines.
+    from the event-loop thread; run processes hand results back over
+    their pipes to the worker coroutines.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.port: int = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: List[asyncio.Task] = []
+        #: Each worker's run process, by worker index.
+        self._processes: List[_RunProcess] = []
         # Unbounded on purpose: admission control enforces
         # ``queue_depth`` explicitly in ``_submit``/``_retry`` (429),
         # while crash recovery must always be able to re-admit every
@@ -381,9 +730,11 @@ class SelectionService:
         self._queue: "asyncio.Queue[RunRecord]" = asyncio.Queue()
         self._runs: Dict[str, RunRecord] = {}
         self._finished: Deque[str] = deque()
-        #: Runners currently executing, keyed by run id — the cancel
-        #: endpoint's bridge from the event loop to the worker thread.
-        self._running: Dict[str, ScenarioRunner] = {}
+        #: Worker index of every executing run, keyed by run id — the
+        #: cancel endpoint's route to the run's process.
+        self._running: Dict[str, int] = {}
+        #: Executing runs a cancel was sent for (client or drain).
+        self._cancelling: Set[str] = set()
         self._registry: Optional[RunRegistry] = None
         self._sequence = 0
         self._inflight = 0
@@ -396,8 +747,8 @@ class SelectionService:
         #: Cumulative data-plane metrics folded from every finished
         #: run's ObsSession snapshot (counters/histograms add).
         self.run_metrics = MetricsRegistry()
-        #: Every worker's long-lived runner, for the shm-segment gauge.
-        self._runners: List[ScenarioRunner] = []
+        #: Live shm segments of each worker's runner, from its last reply.
+        self._shm_segments: List[int] = []
         #: Rotating span-trace sink (``--trace``), None when off.
         self._trace_writer: Optional[RotatingTraceWriter] = None
 
@@ -422,10 +773,13 @@ class SelectionService:
             _profile.start_profiling()
         self._recover()
         self._collect_garbage()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-service-run",
-        )
+        # Fork after the program modules are loaded (no run process
+        # imports them again) and before the socket is bound.
+        load_builtin()
+        self._processes = [
+            _RunProcess(self.config, index) for index in range(self.config.workers)
+        ]
+        self._shm_segments = [0] * self.config.workers
         self._workers = [
             asyncio.get_running_loop().create_task(self._worker_loop(index))
             for index in range(self.config.workers)
@@ -454,13 +808,12 @@ class SelectionService:
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        for process in self._processes:
+            await process.close()
+        self._processes = []
         if self._registry is not None:
             self._registry.close()
             self._registry = None
-        self._runners = []
         if self._trace_writer is not None:
             self._trace_writer.close()
             self._trace_writer = None
@@ -501,8 +854,8 @@ class SelectionService:
                 "drain timeout: cancelling %d in-flight run(s) back to queued",
                 self._inflight,
             )
-            for runner in list(self._running.values()):
-                runner.cancel()
+            for run_id in list(self._running):
+                self._send_cancel(run_id)
             # The cancel lands at the next chunk boundary; wait for the
             # workers to journal the interrupted runs back to queued.
             while self._inflight > 0:
@@ -659,7 +1012,9 @@ class SelectionService:
         if path == "/metrics" and method == "GET":
             return "metrics", _text_body(200, self._render_metrics())
         if path == "/runs" and method == "POST":
-            return "submit", self._submit(request.body)
+            response = self._submit(request.body)
+            await self._hand_off()
+            return "submit", response
         if path == "/runs" and method == "GET":
             return "list", _json_body(
                 200, {"runs": [self._runs[rid].summary() for rid in self._runs]}
@@ -667,7 +1022,9 @@ class SelectionService:
         if path.startswith("/runs/"):
             tail = path[len("/runs/"):]
             if tail.endswith("/retry") and method == "POST":
-                return "retry", self._retry(tail[: -len("/retry")], request.body)
+                response = self._retry(tail[: -len("/retry")], request.body)
+                await self._hand_off()
+                return "retry", response
             if tail.endswith("/result") and method == "GET":
                 return "result", self._result(tail[: -len("/result")])
             if method == "DELETE":
@@ -701,6 +1058,18 @@ class SelectionService:
 
     # -- admission -------------------------------------------------------
 
+    @staticmethod
+    async def _hand_off() -> None:
+        """Let an idle worker take a just-queued run before the 202 leaves.
+
+        ``put_nowait`` woke the worker; yielding once lets it journal
+        the run ``running`` and send it to its run process (all without
+        awaiting), so the run starts while the response is written, and
+        a client holding the 202 of a run an idle worker took finds its
+        ``running`` transition already journaled.
+        """
+        await asyncio.sleep(0)
+
     def _retry_after_s(self) -> float:
         """How long a rejected client should wait, from observed drain rate.
 
@@ -714,7 +1083,7 @@ class SelectionService:
         else:
             p50 = 1.0
         waiting = self._queue.qsize() + self._inflight
-        value = p50 * max(1, waiting) / max(1, self.config.workers)
+        value = p50 * max(1, waiting) / self.config.workers
         value = max(1.0, min(60.0, value))
         self.metrics.set_gauge("service_retry_after_s", value)
         return value
@@ -762,7 +1131,7 @@ class SelectionService:
         if self._draining:
             self.metrics.inc("service_submissions_total", outcome="drained")
             return self._reject(503, {"error": "service is draining"})
-        if self._queue.qsize() >= max(1, self.config.queue_depth):
+        if self._queue.qsize() >= self.config.queue_depth:
             self.metrics.inc("service_submissions_total", outcome="rejected")
             self._update_gauges()
             return self._reject(
@@ -829,7 +1198,7 @@ class SelectionService:
                 return _json_body(400, {"error": "retry body is not valid JSON"})
         if self._draining:
             return self._reject(503, {"error": "service is draining"})
-        if self._queue.qsize() >= max(1, self.config.queue_depth):
+        if self._queue.qsize() >= self.config.queue_depth:
             return self._reject(429, {"error": "run queue is full"})
         # A retry recovers from an interrupted/failed execution by
         # resuming the durable journal; an injected fault-plan overlay
@@ -867,8 +1236,9 @@ class SelectionService:
         """Cooperative cancellation of a queued or running run.
 
         A queued run is settled immediately (the worker skips its queue
-        entry).  A running run's runner is signalled; the abort lands
-        at the next chunk boundary and the worker finalizes the record.
+        entry).  A running run's process gets a cancel naming the run;
+        the abort lands at the next chunk boundary and the worker
+        finalizes the record.
         Either way the checkpoint journal is *kept* — ``POST
         /runs/<id>/retry`` resumes from exactly the blocks that
         finished before the cancel.
@@ -894,9 +1264,7 @@ class SelectionService:
             self._evict_history()
             self._update_gauges()
             return _json_body(200, {"run": run_id, "status": "cancelled"})
-        runner = self._running.get(run_id)
-        if runner is not None:
-            runner.cancel()
+        self._send_cancel(run_id)
         self.metrics.inc("service_cancellations_total", state="running")
         return _json_body(202, {"run": run_id, "status": "cancelling"})
 
@@ -913,21 +1281,57 @@ class SelectionService:
 
     # -- execution -------------------------------------------------------
 
-    def _make_runner(self) -> ScenarioRunner:
-        return ScenarioRunner(
-            jobs=self.config.jobs,
-            retry=RetryPolicy(
-                max_attempts=self.config.max_attempts,
-                backoff_base_s=self.config.backoff_s,
-                timeout_s=self.config.timeout_s,
-            ),
-            durable=self.config.durable,
+    def _send_cancel(self, run_id: str) -> None:
+        """Route a cancel, tagged with its run id, to the run's process."""
+        index = self._running.get(run_id)
+        if index is not None:
+            self._cancelling.add(run_id)
+            self._processes[index].cancel(run_id)
+
+    def _replace_process(self, index: int) -> _RunProcess:
+        """Fork a replacement run process (from the event-loop thread)."""
+        self._processes[index] = _RunProcess(self.config, index)
+        self._shm_segments[index] = 0
+        return self._processes[index]
+
+    async def _run_in_process(self, index: int, record: RunRecord) -> Dict[str, Any]:
+        """Execute ``record`` in worker ``index``'s run process.
+
+        A run process that dies is replaced, and the run resumes from
+        its checkpoint journal in the new one, journaled ``running``
+        with one more attempt — the resume ≡ clean path of restart
+        recovery.  After ``max_attempts`` deaths the run fails; a run
+        that was being cancelled ends cancelled instead.
+        """
+        request = _RunRequest(
+            record.id, record.spec_json, record.checkpoint_path, record.deadline_wall
         )
+        process = self._processes[index]
+        if not process.is_alive():  # died between runs: no attempt's cost
+            process.reap(0.0)
+            process = self._replace_process(index)
+        deaths = 0
+        while True:
+            try:
+                return await process.run(request)
+            except RunProcessDied as death:
+                deaths += 1
+                process = self._replace_process(index)
+                _LOGGER.warning(
+                    "run %s: %s (attempt %d)", record.id, death, record.attempts
+                )
+                if record.id in self._cancelling:
+                    return {"outcome": "cancelled"}
+                if deaths >= self.config.max_attempts:
+                    return {
+                        "outcome": "failed",
+                        "error": f"{type(death).__name__}: {death} "
+                        f"on all {deaths} attempt(s)",
+                    }
+                record.attempts += 1
+                self._journal_transition(record, "running", attempts=record.attempts)
 
     async def _worker_loop(self, index: int) -> None:
-        loop = asyncio.get_running_loop()
-        runner = self._make_runner()
-        self._runners.append(runner)
         try:
             while True:
                 record = await self._queue.get()
@@ -964,90 +1368,13 @@ class SelectionService:
                 self._update_gauges()
                 begin = time.perf_counter()
                 requeued = False
-                self._running[record.id] = runner
+                self._running[record.id] = index
                 try:
-                    (
-                        manifest, result, metrics_snapshot, events,
-                    ) = await loop.run_in_executor(
-                        self._executor, self._execute, runner, record
-                    )
-                except RunCancelledError:
-                    if self._draining:
-                        # Drain-timeout interruption is not a client
-                        # cancel: journal the run back to queued so the
-                        # next start resumes it — zero lost runs.
-                        record.status = "queued"
-                        record.started = ""
-                        self._journal_transition(
-                            record, "queued", attempts=record.attempts, started=""
-                        )
-                        requeued = True
-                        _LOGGER.warning(
-                            "run %s interrupted by drain; resumes on next start",
-                            record.id,
-                        )
-                    else:
-                        record.finished = _utcnow()
-                        self._settle_terminal(
-                            record, "cancelled", "cancelled while running",
-                            retain=False,
-                        )
-                except DeadlineExceededError:
-                    record.finished = _utcnow()
-                    self._settle_terminal(
-                        record, "deadline", "run deadline exceeded", retain=False
-                    )
-                except Exception as error:
-                    record.status = "failed"
-                    record.error = f"{type(error).__name__}: {error}"
-                    record.finished = _utcnow()
-                    self._journal_transition(
-                        record,
-                        "failed",
-                        error=record.error,
-                        finished=record.finished,
-                    )
-                    self.metrics.inc(
-                        "service_runs_total",
-                        scenario=record.scenario,
-                        status="failed",
-                    )
-                    _LOGGER.warning(
-                        "run %s (%s) failed: %s",
-                        record.id,
-                        record.scenario,
-                        record.error,
-                        exc_info=True,
-                    )
-                else:
-                    record.status = "done"
-                    record.manifest = manifest
-                    record.result = result
-                    record.finished = _utcnow()
-                    self.run_metrics.merge(metrics_snapshot)
-                    if self._trace_writer is not None and events:
-                        # One batch per run, stamped with the run id;
-                        # rotation happens between batches so a run's
-                        # trace never splits across segments.
-                        self._trace_writer.write(events, run=record.id)
-                    self.metrics.inc(
-                        "service_runs_total",
-                        scenario=record.scenario,
-                        status="done",
-                    )
-                    self._journal_transition(
-                        record,
-                        "done",
-                        finished=record.finished,
-                        manifest=record.manifest,
-                    )
-                    self._discard_journal(record)
+                    reply = await self._run_in_process(index, record)
+                    requeued = self._settle_reply(index, record, reply)
                 finally:
                     self._running.pop(record.id, None)
-                    # A DELETE that landed after the run ended, but
-                    # while it was still registered, must not abort the
-                    # runner's next run.
-                    runner.clear_cancel()
+                    self._cancelling.discard(record.id)
                     elapsed = time.perf_counter() - begin
                     self.metrics.observe(
                         "service_run_seconds",
@@ -1065,8 +1392,74 @@ class SelectionService:
                     self._queue.task_done()
         except asyncio.CancelledError:
             pass
-        finally:
-            runner.close()
+
+    def _settle_reply(
+        self, index: int, record: RunRecord, reply: Dict[str, Any]
+    ) -> bool:
+        """Journal how a run ended; True when it went back to ``queued``."""
+        if "shm_segments" in reply:
+            self._shm_segments[index] = reply["shm_segments"]
+        _profile.merge_profile(reply.get("profile"))
+        outcome = reply["outcome"]
+        if outcome == "cancelled":
+            if self._draining:
+                # Drain-timeout interruption is not a client cancel:
+                # journal the run back to queued so the next start
+                # resumes it — zero lost runs.
+                record.status = "queued"
+                record.started = ""
+                self._journal_transition(
+                    record, "queued", attempts=record.attempts, started=""
+                )
+                _LOGGER.warning(
+                    "run %s interrupted by drain; resumes on next start", record.id
+                )
+                return True
+            record.finished = _utcnow()
+            self._settle_terminal(
+                record, "cancelled", "cancelled while running", retain=False
+            )
+        elif outcome == "deadline":
+            record.finished = _utcnow()
+            self._settle_terminal(
+                record, "deadline", "run deadline exceeded", retain=False
+            )
+        elif outcome == "failed":
+            record.status = "failed"
+            record.error = reply["error"]
+            record.finished = _utcnow()
+            self._journal_transition(
+                record, "failed", error=record.error, finished=record.finished
+            )
+            self.metrics.inc(
+                "service_runs_total", scenario=record.scenario, status="failed"
+            )
+            _LOGGER.warning(
+                "run %s (%s) failed: %s\n%s",
+                record.id,
+                record.scenario,
+                record.error,
+                reply.get("traceback", ""),
+            )
+        else:
+            record.status = "done"
+            record.manifest = reply["manifest"]
+            record.result = reply["result"]
+            record.finished = _utcnow()
+            self.run_metrics.merge(reply["metrics"])
+            if self._trace_writer is not None and reply["events"]:
+                # One batch per run, stamped with the run id; rotation
+                # happens between batches so a run's trace never splits
+                # across segments.
+                self._trace_writer.write(reply["events"], run=record.id)
+            self.metrics.inc(
+                "service_runs_total", scenario=record.scenario, status="done"
+            )
+            self._journal_transition(
+                record, "done", finished=record.finished, manifest=record.manifest
+            )
+            self._discard_journal(record)
+        return False
 
     def _settle_terminal(
         self, record: RunRecord, status: str, error: str, retain: bool = True
@@ -1087,45 +1480,6 @@ class SelectionService:
             self._evict_history()
             self._update_gauges()
 
-    def _execute(
-        self, runner: ScenarioRunner, record: RunRecord
-    ) -> Tuple[
-        Dict[str, Any],
-        Optional[Dict[str, Any]],
-        Dict[str, Any],
-        List[Dict[str, Any]],
-    ]:
-        """Run one record on an executor thread (no shared-state access).
-
-        ``resume=True`` is unconditional: a fresh run id has no journal
-        (so it starts clean), while a retried record picks up exactly
-        the blocks its previous attempt journaled.
-        """
-        spec = ScenarioSpec.from_json(record.spec_json)
-        session = _obs.ObsSession()
-        deadline_s: Optional[float] = None
-        if record.deadline_wall is not None:
-            deadline_s = max(0.0, record.deadline_wall - time.time())
-        outcome = runner.run(
-            spec,
-            checkpoint=record.checkpoint_path,
-            resume=True,
-            obs=session,
-            deadline_s=deadline_s,
-        )
-        manifest = outcome.manifest.to_json()
-        result: Optional[Dict[str, Any]] = None
-        try:
-            from ..experiments.io import result_to_dict
-
-            result = result_to_dict(outcome.result)
-        except TypeError:
-            result = None
-        # The event buffer survives finalize (reset clears it); hand it
-        # to the worker coroutine so the rotating sink, if configured,
-        # appends it from the event-loop thread.
-        return manifest, result, session.metrics.snapshot(), list(session.tracer.events)
-
     # -- retention / introspection --------------------------------------
 
     def _journal_transition(self, record: RunRecord, to: str, **fields: Any) -> None:
@@ -1142,7 +1496,7 @@ class SelectionService:
             pass
 
     def _evict_history(self) -> None:
-        while len(self._finished) > max(0, self.config.history_limit):
+        while len(self._finished) > self.config.history_limit:
             run_id = self._finished.popleft()
             record = self._runs.pop(run_id, None)
             if record is not None:
@@ -1155,13 +1509,11 @@ class SelectionService:
         self.metrics.set_gauge("service_runs_retained", len(self._runs))
         self.metrics.set_gauge("service_draining", 1 if self._draining else 0)
         # Resource-plane gauges: live shared-memory segments across the
-        # worker runners, the registry WAL's size on disk, and how full
-        # the finished-run history is — the three quantities an operator
-        # had to infer from /dev/shm and du before.
-        self.metrics.set_gauge(
-            "service_shm_segments",
-            sum(len(runner._shm) for runner in self._runners),
-        )
+        # run processes' runners (as of each one's last reply), the
+        # registry WAL's size on disk, and how full the finished-run
+        # history is — the three quantities an operator had to infer
+        # from /dev/shm and du before.
+        self.metrics.set_gauge("service_shm_segments", sum(self._shm_segments))
         if self._registry is not None:
             try:
                 journal_bytes = self._registry.path.stat().st_size
@@ -1170,9 +1522,7 @@ class SelectionService:
             self.metrics.set_gauge("service_registry_journal_bytes", journal_bytes)
             self.metrics.set_gauge("service_registry_events", self._registry.events)
         self.metrics.set_gauge("service_history_occupancy", len(self._finished))
-        self.metrics.set_gauge(
-            "service_history_limit", max(0, self.config.history_limit)
-        )
+        self.metrics.set_gauge("service_history_limit", self.config.history_limit)
         sampler = _profile.active_sampler()
         if sampler is not None:
             self.metrics.set_gauge("service_profile_samples_total", sampler.samples)
@@ -1234,11 +1584,13 @@ async def serve(config: Optional[ServiceConfig] = None) -> None:
     """
     service = SelectionService(config)
     await service.start()
-    print(
+    # One write, so a run process logging meanwhile to the same pipe
+    # cannot split the line a supervisor parses the port from.
+    sys.stdout.write(
         f"selection service listening on "
-        f"http://{service.config.host}:{service.port}",
-        flush=True,
+        f"http://{service.config.host}:{service.port}\n"
     )
+    sys.stdout.flush()
     loop = asyncio.get_running_loop()
     shutdown = asyncio.Event()
     installed: List[int] = []

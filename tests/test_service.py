@@ -19,9 +19,15 @@ The contracts under test:
   clean run's digest.
 * **Bounded retention** — finished records and their journals are
   evicted past ``history_limit``.
+* **Run processes** — a run executes in its worker's run process, not
+  in the serve process; a run process that dies is replaced and the
+  run resumes from its journal, up to ``max_attempts`` deaths.
 """
 
 import asyncio
+import multiprocessing
+import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -35,8 +41,12 @@ from repro.runtime import (
     ScenarioRunner,
     ScenarioSpec,
 )
+from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import SelectionService, ServiceConfig
+
+#: Events shared with run processes, which the service forks.
+_FORK = multiprocessing.get_context("fork")
 
 
 def _small_spec(seed: int = 2017) -> ScenarioSpec:
@@ -134,6 +144,29 @@ class TestSubmission:
         final = harness.client.wait(accepted["run"])
         assert final["status"] == "done"
         assert final["result_sha256"] == _direct_digest(spec)
+
+    def test_an_idle_worker_journals_the_run_running_before_the_202(
+        self, make_service, monkeypatch
+    ):
+        # A slow ``running`` append would let a 202 written first reach
+        # the client before it; the hand-off orders them.
+        from repro.service.registry import RunRegistry
+
+        journaled = []
+        original = RunRegistry.record
+
+        def slow_running(self, run_id, to, **fields):
+            if to == "running":
+                time.sleep(0.2)
+            original(self, run_id, to, **fields)
+            journaled.append((run_id, to))
+
+        monkeypatch.setattr(RunRegistry, "record", slow_running)
+        harness = make_service(workers=1)
+        for seed in (47, 48):
+            accepted = harness.client.submit(_small_spec(seed).to_json())
+            assert (accepted["run"], "running") in journaled
+            assert harness.client.wait(accepted["run"])["status"] == "done"
 
     def test_invalid_submissions_answer_400(self, make_service):
         harness = make_service()
@@ -410,18 +443,18 @@ class TestLifecycle:
         )
 
     def test_cancel_before_the_runner_starts_lands(self, make_service, monkeypatch):
-        # The worker registers the runner as running before the executor
-        # thread enters run(); a DELETE in that window was answered 202
-        # "cancelling" and then lost, and the run finished done.
-        entered, gate = threading.Event(), threading.Event()
-        original = SelectionService._execute
+        # The run process has the request but has not entered run(); a
+        # DELETE in that window must land, not be answered 202
+        # "cancelling" and lost while the run finishes done.
+        entered, gate = _FORK.Event(), _FORK.Event()
+        original = server._execute
 
-        def gated(self, runner, record):
+        def gated(runner, record):
             entered.set()
             assert gate.wait(30)
-            return original(self, runner, record)
+            return original(runner, record)
 
-        monkeypatch.setattr(SelectionService, "_execute", gated)
+        monkeypatch.setattr(server, "_execute", gated)
         harness = make_service(workers=1)
         accepted = harness.client.submit(_small_spec(seed=33).to_json())
         assert entered.wait(30)
@@ -433,20 +466,26 @@ class TestLifecycle:
     def test_a_cancel_after_the_run_ended_never_aborts_the_next(
         self, make_service, monkeypatch
     ):
-        # A DELETE that lands after run() returned, while the worker
+        # A DELETE that lands after run() returned, while the service
         # still lists the run as running, reaches the runner too late.
-        original = SelectionService._execute
+        ended = _FORK.Event()
+        original = server._execute
 
-        def late_cancel(self, runner, record):
-            out = original(self, runner, record)
-            runner.cancel()
+        def late_cancel(runner, record):
+            out = original(runner, record)
+            if record.spec_json["seed"] == 34:
+                ended.set()
+                assert runner._cancel.wait(30), "the late cancel never arrived"
             return out
 
-        monkeypatch.setattr(SelectionService, "_execute", late_cancel)
+        monkeypatch.setattr(server, "_execute", late_cancel)
         harness = make_service(workers=1)
-        for seed in (34, 35):
-            accepted = harness.client.submit(_small_spec(seed=seed).to_json())
-            assert harness.client.wait(accepted["run"], timeout=120)["status"] == "done"
+        first = harness.client.submit(_small_spec(seed=34).to_json())
+        assert ended.wait(60)
+        assert harness.client.cancel(first["run"])["status"] == "cancelling"
+        assert harness.client.wait(first["run"], timeout=120)["status"] == "done"
+        second = harness.client.submit(_small_spec(seed=35).to_json())
+        assert harness.client.wait(second["run"], timeout=120)["status"] == "done"
 
     def test_draining_service_rejects_with_503_and_retry_after(self, make_service):
         harness = make_service(workers=1)
@@ -481,6 +520,318 @@ class TestLifecycle:
         finally:
             service._inflight = 0
             service._durations.clear()
+
+
+def _three_policy_spec(seed: int) -> ScenarioSpec:
+    # Three policies are three execute calls, each journaled as it
+    # ends: the run has journal entries well before it finishes.
+    return ScenarioSpec(
+        scenario="policy-eval",
+        seed=seed,
+        policies=tuple(PolicySpec("css", {"n_probes": m}) for m in (14, 10, 6)),
+        params={"azimuth_step_deg": 30.0, "distance_m": 6.0, "n_sweeps": 4},
+    )
+
+
+def _reduced_fig7_spec(seed: int) -> ScenarioSpec:
+    from repro.experiments.fig7 import Fig7Config, fig7_spec
+
+    return fig7_spec(
+        Fig7Config(
+            probe_counts=(8, 20),
+            lab_azimuth_step_deg=10.0,
+            lab_elevation_step_deg=15.0,
+            conference_azimuth_step_deg=10.0,
+            n_sweeps=1,
+            subsamples_per_sweep=1,
+        )
+    ).with_seed(seed)
+
+
+class TestRunProcesses:
+    def test_a_served_run_executes_outside_the_serve_process(
+        self, make_service, monkeypatch
+    ):
+        executed_in = _FORK.Value("i", 0)
+        original = server._execute
+
+        def recording(runner, record):
+            executed_in.value = os.getpid()
+            return original(runner, record)
+
+        monkeypatch.setattr(server, "_execute", recording)
+        harness = make_service(workers=1)
+        accepted = harness.client.submit(_small_spec().to_json())
+        assert harness.client.wait(accepted["run"])["status"] == "done"
+        assert executed_in.value not in (0, os.getpid())
+        assert executed_in.value == harness.service._processes[0].process.pid
+
+    def test_a_killed_run_process_resumes_the_run_from_its_journal(
+        self, make_service, monkeypatch
+    ):
+        # Hold the first attempt just after its first journal commit,
+        # SIGKILL its run process there, and the replacement resumes.
+        from repro.runtime.checkpoint import CheckpointStore
+
+        journaled = _FORK.Event()
+        original = CheckpointStore.put
+
+        def put_then_hold(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            if not journaled.is_set():
+                journaled.set()
+                time.sleep(60)
+
+        monkeypatch.setattr(CheckpointStore, "put", put_then_hold)
+        spec = _three_policy_spec(seed=36)
+        harness = make_service(workers=1)
+        accepted = harness.client.submit(spec.to_json())
+        assert journaled.wait(60)
+        victim = harness.service._processes[0].process.pid
+        os.kill(victim, signal.SIGKILL)
+        final = harness.client.wait(accepted["run"], timeout=120)
+        assert final["status"] == "done"
+        assert final["attempts"] == 2
+        assert final["result_sha256"] == _direct_digest(spec)
+        health = harness.client.status(accepted["run"])["manifest"]["health"]
+        assert health["checkpoint_hits"] > 0
+        replacement = harness.service._processes[0].process.pid
+        assert replacement != victim
+        # Forked after the port was bound, it holds no socket but its
+        # pipe (beside the standard streams, whatever they are).
+        fds = Path(f"/proc/{replacement}/fd")
+        sockets = [
+            fd for fd in fds.iterdir()
+            if int(fd.name) > 2 and os.readlink(fd).startswith("socket:")
+        ]
+        assert len(sockets) == 1
+
+    def test_a_run_that_kills_every_run_process_fails_naming_the_signal(
+        self, make_service, monkeypatch
+    ):
+        original = server._execute
+
+        def lethal(runner, record):
+            if record.spec_json["seed"] == 37:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(runner, record)
+
+        monkeypatch.setattr(server, "_execute", lethal)
+        harness = make_service(workers=1, max_attempts=3)
+        accepted = harness.client.submit(_small_spec(seed=37).to_json())
+        final = harness.client.wait(accepted["run"], timeout=120)
+        assert final["status"] == "failed"
+        assert final["attempts"] == 3
+        assert "SIGKILL" in final["error"]
+        # The worker carries on with a fresh run process.
+        healthy = harness.client.submit(_small_spec(seed=38).to_json())
+        assert harness.client.wait(healthy["run"], timeout=120)["status"] == "done"
+
+    def test_shm_gauge_counts_the_run_processes_segments(self, make_service):
+        harness = make_service(workers=1, jobs=2)
+        accepted = harness.client.submit(_reduced_fig7_spec(seed=39).to_json())
+        assert harness.client.wait(accepted["run"], timeout=240)["status"] == "done"
+        text = harness.client.metrics()
+        gauge = [
+            line for line in text.splitlines()
+            if line.startswith("service_shm_segments ")
+        ]
+        assert gauge and float(gauge[0].split()[1]) > 0
+
+    def test_profile_samples_kernel_frames_of_served_runs(self, tmp_path):
+        # The sampler's timer signal needs the event loop on the main
+        # thread, as under ``repro-bench serve --profile``.
+        from repro.obs import profile as profile_mod
+
+        collapsed = tmp_path / "serve.collapsed"
+        config = ServiceConfig(
+            port=0,
+            workers=1,
+            checkpoint_dir=str(tmp_path / "journals"),
+            profile_path=str(collapsed),
+        )
+
+        async def serve_two_runs():
+            service = SelectionService(config)
+            await service.start()
+            client = ServiceClient(port=service.port)
+
+            def drive():
+                for seed in (40, 41):
+                    accepted = client.submit(_reduced_fig7_spec(seed).to_json())
+                    final = client.wait(accepted["run"], timeout=240)
+                    assert final["status"] == "done"
+
+            try:
+                await asyncio.get_running_loop().run_in_executor(None, drive)
+            finally:
+                await service.stop()
+
+        asyncio.run(serve_two_runs())
+        assert profile_mod.active_sampler() is None
+        stacks = [
+            line for line in collapsed.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert any("repro.core.compressive:" in line for line in stacks)
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _survivors(pids, timeout_s: float = 10.0):
+    deadline = time.monotonic() + timeout_s
+    alive = list(pids)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _running(pid)]
+    return alive
+
+
+@pytest.fixture()
+def serve_process(tmp_path):
+    """``repro-bench serve`` as a subprocess: ``start(...)`` returns
+    ``(process, client)``."""
+    import subprocess
+    import sys
+
+    procs = []
+
+    def start(*args: str, prelude: str = "", stderr=subprocess.DEVNULL):
+        """Serve with ``args``, after running ``prelude`` in the process."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part
+            for part in (str(Path(server.__file__).parents[2]), env.get("PYTHONPATH"))
+            if part
+        )
+        argv = ["serve", "--port", "0", "--state-dir", str(tmp_path / "state"), *args]
+        program = (
+            f"{prelude}\nimport sys\nfrom repro.cli import main\n"
+            f"sys.exit(main({argv!r}))"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", program],
+            env=env, stdout=subprocess.PIPE, stderr=stderr, text=True,
+        )
+        procs.append(proc)
+        line = proc.stdout.readline()
+        assert "listening on http://" in line, line
+        return proc, ServiceClient(port=int(line.strip().rsplit(":", 1)[1]))
+
+    yield start
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+class TestNoOrphans:
+    def test_a_drained_serve_leaves_no_descendant(self, serve_process):
+        from repro.runtime.chaos import _all_children
+
+        proc, client = serve_process("--workers", "2", "--jobs", "2")
+        accepted = client.submit(_reduced_fig7_spec(seed=42).to_json())
+        assert client.wait(accepted["run"], timeout=120)["status"] == "done"
+        # Two run processes, the pool the run warmed and its tracker.
+        descendants = _all_children(proc.pid)
+        assert len(descendants) >= 4
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(60) == 0
+        assert _survivors(descendants) == []
+
+    def test_a_busy_run_process_dies_with_a_killed_serve(self, serve_process):
+        from repro.runtime.chaos import _all_children
+
+        # A run that never reaches a chunk boundary: no cancel lands
+        # there, only the parent-death signal ends its process.
+        proc, client = serve_process(
+            "--workers", "1",
+            prelude=(
+                "import time\n"
+                "from repro.service import server\n"
+                "server._execute = lambda runner, record: time.sleep(120)"
+            ),
+        )
+        accepted = client.submit(_small_spec(seed=43).to_json())
+        deadline = time.monotonic() + 60
+        while client.status(accepted["run"])["status"] != "running":
+            assert time.monotonic() < deadline, "run never started"
+            time.sleep(0.01)
+        descendants = _all_children(proc.pid)
+        assert descendants
+        proc.kill()
+        proc.wait(60)
+        assert _survivors(descendants) == []
+
+    def test_run_processes_keep_a_socket_stderr(self, serve_process):
+        # Under a service manager stderr may be a stream socket; a run
+        # process closes the sockets it inherited, but not that one.
+        import socket
+
+        from repro.runtime.chaos import _children
+
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            proc, client = serve_process("--workers", "1", stderr=theirs.fileno())
+            accepted = client.submit(_small_spec(seed=46).to_json())
+            assert client.wait(accepted["run"], timeout=120)["status"] == "done"
+            (run_process,) = _children(proc.pid)
+            stderr = os.readlink(f"/proc/{proc.pid}/fd/2")
+            assert stderr.startswith("socket:")
+            assert os.readlink(f"/proc/{run_process}/fd/2") == stderr
+
+    def test_pool_workers_die_with_their_run_process(self, serve_process):
+        from repro.runtime.chaos import _all_children, _children
+
+        proc, client = serve_process("--workers", "1", "--jobs", "2")
+        accepted = client.submit(_reduced_fig7_spec(seed=44).to_json())
+        assert client.wait(accepted["run"], timeout=120)["status"] == "done"
+        (run_process,) = _children(proc.pid)
+        pool = _all_children(run_process)
+        assert len(pool) >= 2
+        os.kill(run_process, signal.SIGKILL)
+        assert _survivors(pool) == []
+        # The worker forks a replacement for its next run.
+        again = client.submit(_reduced_fig7_spec(seed=45).to_json())
+        assert client.wait(again["run"], timeout=120)["status"] == "done"
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 0),
+            ("jobs", 0),
+            ("queue_depth", 0),
+            ("history_limit", -1),
+            ("drain_timeout_s", -0.5),
+        ],
+    )
+    def test_out_of_range_fields_are_refused_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_the_floors_themselves_are_accepted(self):
+        config = ServiceConfig(
+            workers=1, jobs=1, queue_depth=1, history_limit=0, drain_timeout_s=0
+        )
+        assert config.history_limit == 0
+
+    def test_serve_exits_2_with_one_line(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().count("\n") == 0
+        assert "workers must be >= 1" in err
 
 
 class TestLoadHarness:
