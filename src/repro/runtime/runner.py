@@ -28,12 +28,14 @@ and reset boundaries reproduce each legacy loop's selector lifetimes —
 so every experiment's output is bit-identical to its pre-runtime
 version, at any ``jobs`` count.
 
-Sharding (``jobs > 1``) fans the same chunks out to a process pool.
-It engages only when state resets per recording (blocks are then
-independent), the policy is batched, both the testbed and the policy
-are spec-described (workers rebuild them from JSON), and the host has
-two or more cores (or supervision needs process isolation); anything
-else degrades to the sequential path, same results.  Up to
+Sharding (``jobs > 1``) fans the same chunks out to a pool of ``jobs``
+long-lived children (:class:`~.proc.Child`: forked, dying with the
+runner's process, replaced one at a time).  It engages only when state
+resets per recording (blocks are then independent), the policy is
+batched, both the testbed and the policy are spec-described (workers
+rebuild them from JSON), and the host has two or more cores (or
+supervision needs process isolation); anything else degrades to the
+sequential path, same results.  Up to
 :data:`_MAX_INFLIGHT_CALLS` pooled calls are in flight at once, each
 with its own journal target and supervision state; they settle first
 in, first out, so journal commits, trace absorption and health
@@ -41,12 +43,12 @@ accounting follow call order at any ``jobs``.
 
 Supervision (DESIGN.md §9): every ``reset="recording"`` block runs
 under a :class:`~.faults.RetryPolicy` — bounded attempts, seeded
-backoff, optional per-block timeout.  A dead worker
-(``BrokenProcessPool``) or a hung block costs one pool replacement and
-a re-execution of only the lost blocks; a raising kernel is a failed
-attempt like any other (a raising stacked pass is re-run block by
-block, which retries the failing block, then raises a structured
-:class:`~.faults.RetryExhaustedError`); a
+backoff, optional per-block timeout.  A pool child that dies, or is
+killed because its task timed out, costs one replacement (that child
+only) and a re-execution of only the tasks sent to it; a raising
+kernel is a failed attempt like any other (a raising stacked pass is
+re-run block by block, which retries the failing block, then raises a
+structured :class:`~.faults.RetryExhaustedError`); a
 :class:`~.checkpoint.CheckpointStore` journals finished chunks so a
 killed campaign resumes where it died.
 Because block evaluation is pure, every recovery path is bit-invisible
@@ -75,17 +77,12 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import multiprocessing
 import os
-import signal
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from concurrent.futures import CancelledError as _FuturesCancelled
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -124,46 +121,12 @@ from .faults import (
 )
 from .manifest import RunManifest, git_revision, result_digest
 from .policy import PolicyContext, PolicyOutcome
+from .proc import Child, ChildDied
 from .shm import KernelPublisher, SharedKernelManifest
 from .shm import attach as _shm_attach
 from .shm import borrow as _shm_borrow
 from .shm import detach_all as _shm_detach_all
 from .spec import PolicySpec, ScenarioSpec, TestbedSpec
-
-#: Exceptions that mean "the pool died under us", not "the block
-#: failed".  An externally SIGKILLed worker (chaos campaigns, OOM
-#: kills) can surface as a raw BrokenPipeError/EOFError from the
-#: executor's feeder or wakeup pipes instead of BrokenProcessPool —
-#: all three cost one pool replacement, never a block's retry budget.
-_POOL_FAULTS = (BrokenProcessPool, BrokenPipeError, EOFError)
-
-
-def _reset_worker_signals() -> None:
-    """Detach a fork-pool worker from the parent's signal plumbing.
-
-    Forked children inherit the parent's Python-level signal handlers
-    AND its asyncio wakeup fd — the same socketpair, as a shared open
-    file description.  Left in place, a SIGTERM aimed at a worker is
-    (a) swallowed by the inherited handler, so terminate() never kills
-    it, and (b) echoed into the shared wakeup fd, which the parent's
-    event loop reads as *the service itself* receiving SIGTERM — a
-    spontaneous drain.  Workers must die on SIGTERM and stay silent on
-    the parent's wakeup pipe; SIGINT is ignored so a foreground Ctrl-C
-    reaches the parent's drain path instead of racing it.
-    """
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # ContextVars survive fork: a worker spawned mid-execute would
-    # inherit the supervisor's active quality context and record
-    # designer diagnostics at its own policy builds, double-counting
-    # them.  Workers record quality only under the context shipped in
-    # obs_meta, so start clean.
-    _quality.activate_quality(None)
-
 
 __all__ = [
     "TrialBlock",
@@ -232,13 +195,32 @@ class RunOutcome:
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker side.
+# Pool-child side.
 #
-# Workers rebuild the testbed and policy from their canonical-JSON spec
-# keys (build_testbed is lru_cached and disk-memoized, so under the
-# preferred fork start method this is a cache hit) and keep them in
-# module-level caches across block submissions.
+# Pool children (workers) rebuild the testbed and policy from their
+# canonical-JSON spec keys (build_testbed is lru_cached and
+# disk-memoized, and children are forked, so this is a cache hit) and
+# keep them in module-level caches across tasks.
 # ----------------------------------------------------------------------
+
+
+def _pool_child():
+    """Handler factory of a pool child: a request is ``(fn, args)``.
+
+    ContextVars survive fork: a child forked mid-execute would inherit
+    the supervisor's active quality context and record designer
+    diagnostics at its own policy builds, double-counting them.
+    Children record quality only under the context shipped in
+    obs_meta, so start clean.
+    """
+    _quality.activate_quality(None)
+    return _call
+
+
+def _call(request: Tuple[Callable[..., Any], tuple]) -> Any:
+    function, args = request
+    return function(*args)
+
 
 _WORKER_CONTEXTS: Dict[str, PolicyContext] = {}
 _WORKER_POLICIES: Dict[Tuple[str, str], Any] = {}
@@ -489,17 +471,15 @@ class _Call:
     remaining: set = field(default_factory=set)
     executed: Dict[int, Tuple[Sequence, Dict[str, Any]]] = field(default_factory=dict)
     barren_rounds: int = 0
-    last_error: BaseException = field(
-        default_factory=lambda: BrokenProcessPool("process pool broken")
-    )
-    # The current round: (block indices, future, pool generation) per
-    # task, None until the first dispatch; the attempt number of every
-    # block dispatched, in block order.
-    tasks: Optional[List[Tuple[List[int], Any, int]]] = None
+    last_error: BaseException = field(default_factory=lambda: ChildDied(None))
+    # The current round's unresolved tasks, in dispatch order:
+    # (block indices, future, child) per task, None until the first
+    # dispatch; the attempt number of every block dispatched, in block
+    # order.
+    tasks: Optional[List[Tuple[List[int], Any, Child]]] = None
     dispatch_attempt: Dict[int, int] = field(default_factory=dict)
     directives: Dict[int, Optional[Dict[str, Any]]] = field(default_factory=dict)
     failures: List[Tuple[int, BaseException]] = field(default_factory=list)
-    dispatched: bool = False
 
 
 def _plan_chunks(
@@ -812,7 +792,8 @@ class ScenarioRunner:
             instrumentation site a no-op.
 
     Use as a context manager (``with ScenarioRunner(jobs=4) as r:``)
-    so pool processes never leak on exceptions.
+    so pool children are reaped on exceptions too.  Pool children are
+    forked from the thread that calls :meth:`execute`, and die with it.
     """
 
     def __init__(
@@ -841,10 +822,7 @@ class ScenarioRunner:
         self._store: Optional[CheckpointStore] = None
         self._execute_calls = 0
         self._injected_seen: set = set()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        # Bumped whenever a pool is abandoned; every task carries the
-        # generation it was submitted to.
-        self._pool_generation = 0
+        self._children: List[Child] = []
         # Pooled calls dispatched but not yet settled, in call order.
         self._unsettled: List[_Call] = []
         self._shm = KernelPublisher()
@@ -872,17 +850,18 @@ class ScenarioRunner:
     def close(self) -> None:
         """Release the pool, shared segments and journal (idempotent).
 
-        This — not the end of :meth:`run` — is where the worker pool
+        This — not the end of :meth:`run` — is where the pool children
         and published shared-memory kernels are torn down: both stay
         warm across runs so repeated submissions through one runner
         (the service's steady state) skip pool spin-up and kernel
-        re-publication.  Always reached via the context-manager exit or
-        an explicit ``close()``; the shm segments' resource-tracker
-        registration covers the SIGKILL case.
+        re-publication.  Each child is hung up on and reaped.  Always
+        reached via the context-manager exit or an explicit
+        ``close()``; on SIGKILL the children die with this process and
+        the shm segments' resource-tracker registration unlinks them.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for child in self._children:
+            child.close()
+        self._children = []
         self._shm.close()
         self._close_store()
 
@@ -898,10 +877,10 @@ class ScenarioRunner:
         """Request cooperative cancellation of the in-flight run.
 
         Thread-safe.  The run raises :class:`RunCancelledError` at the
-        next chunk boundary (or mid-wait on a pool future / backoff
-        sleep); in-flight pool tasks are abandoned without charging
-        anyone's attempt budget, and everything already finished stays
-        journaled for a later retry-resume.  A cancel that lands before
+        next chunk boundary (or mid-wait on a pool task / backoff
+        sleep); the children running its pool tasks are killed without
+        charging anyone's attempt budget, and everything already
+        finished stays journaled for a later retry-resume.  A cancel that lands before
         :meth:`run` starts cancels that run; the request is consumed
         when the run ends.
         """
@@ -931,11 +910,10 @@ class ScenarioRunner:
             raise RunCancelledError()
         self._check_abort()
 
-    def _await_task(self, future, budget: Optional[float]):
-        """``future.result`` in short slices so aborts land mid-wait.
+    def _await_task(self, future, budget: Optional[float]) -> None:
+        """Wait for a task's future in short slices so aborts land mid-wait.
 
-        Preserves the supervision semantics exactly: a real budget
-        expiry re-raises :class:`_FuturesTimeout` for the caller's
+        A budget expiry raises :class:`_FuturesTimeout` for the caller's
         timeout-charging path, while an abort surfaces as the
         appropriate :class:`~.faults.RunAbortedError` subclass.
         """
@@ -950,10 +928,10 @@ class ScenarioRunner:
                     raise _FuturesTimeout()
                 slice_s = min(0.1, remaining)
             try:
-                return future.result(timeout=slice_s)
+                future.exception(timeout=slice_s)
+                return
             except _FuturesTimeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
+                pass
 
     # -- spec resolution ------------------------------------------------
 
@@ -1032,7 +1010,7 @@ class ScenarioRunner:
             # A scenario that raised while execute_each calls were in
             # flight left them unsettled: journal what finished before
             # the journal closes.  Only the per-run journal closes here;
-            # the worker pool and published kernels survive for the
+            # the pool children and published kernels survive for the
             # next run (see close()).
             self._drop(self._unsettled)
             self._cancel.clear()
@@ -1402,6 +1380,7 @@ class ScenarioRunner:
             if call.tasks is None:
                 self._dispatch(call)
             self._supervise_pool(call)
+            self._revive()
             self._close(call)
             self._absorb(call, call.executed, span_id)
             return self._records(call)
@@ -1447,25 +1426,21 @@ class ScenarioRunner:
     def _drop(self, calls: Iterable["_Call"]) -> None:
         """Give up on unsettled pooled calls while the run raises.
 
-        Every block that already finished is journaled under its own
-        call's key, so ``--resume`` skips it; if any task is still
-        running, the pool is abandoned — killed tasks are charged to
-        nobody.
+        A child still running one of their tasks is killed, and every
+        task resolves before the call closes: every block that already
+        finished is journaled under its own call's key, so ``--resume``
+        skips it, and killed tasks are charged to nobody.
         """
-        running = False
-        for call in list(calls):
-            if call.closed:
-                continue
-            if call.tasks:
-                self._harvest_done(call, None)
-                running = running or any(
-                    not future.done()
-                    for _, future, generation in call.tasks
-                    if generation == self._pool_generation
-                )
+        calls = [call for call in calls if not call.closed]
+        for call in calls:
+            for _, future, child in call.tasks or ():
+                if not future.done():
+                    child.kill()
+        for call in calls:
+            while call.tasks:
+                self._take(call, call.tasks.pop(0))
             self._close(call)
-        if running:
-            self._abandon_pool()
+        self._revive()
 
     def _execute_plan(self, policy, blocks: Sequence[TrialBlock]) -> List[TrialRecord]:
         policy.reset()
@@ -1705,16 +1680,17 @@ class ScenarioRunner:
         return self._shm.publish(call.blocks_key, arrays)
 
     def _dispatch(self, call: "_Call") -> None:
-        """Submit one round of a pooled call: every remaining block, at
+        """Send one round of a pooled call: every remaining block, at
         its next attempt.
 
-        Dispatch granularity: directive-carrying blocks are submitted
-        one per task (fault attribution stays per-block exact); clean
+        Dispatch granularity: directive-carrying blocks are sent one
+        per task (fault attribution stays per-block exact); clean
         blocks are cut into the local path's chunks (:func:`_plan_chunks`)
         and whole chunks ride in at most ``min(jobs, cpu_count)`` tasks
         per round (:func:`_worker_run_chunks`), so a round costs
-        O(lanes) IPC round-trips instead of O(blocks).  Every task is
-        stamped with the pool generation it was submitted to.
+        O(lanes) IPC round-trips instead of O(blocks).  Each task goes
+        to the child with the fewest unresolved tasks, so in a clean
+        round lane *i* goes to child *i*.
         """
         # Abort between rounds: nothing of this call is in flight here.
         self._check_abort()
@@ -1731,101 +1707,82 @@ class ScenarioRunner:
             quality = self._quality_context(call.label)
             call.quality_meta = quality.to_meta() if quality is not None else None
         traced = _obs.enabled()
-        pool = self._ensure_pool()
-        generation = self._pool_generation
+        children = self._pool()
         blocks, label = call.blocks, call.label
         batch = sorted(call.remaining)
         call.dispatch_attempt = dispatch_attempt = {}
         call.directives = directives = {}
         call.tasks = []
         call.failures = []
-        call.dispatched = True
-        try:
-            obs_meta_of: Dict[int, Dict[str, Any]] = {}
-            for index in batch:
-                dispatch_attempt[index] = call.attempts[index] + 1
-                directive = (
-                    self._injector.directive(index, dispatch_attempt[index])
-                    if self._injector is not None
-                    else None
-                )
-                directives[index] = directive
-                if directive is not None:
-                    self._note_injected(
-                        label, index, dispatch_attempt[index], directive.get("kind")
-                    )
-                if traced:
-                    obs_meta = {
-                        "policy": label, "call": call.index,
-                        "block": index, "attempt": dispatch_attempt[index],
-                    }
-                    if directive is not None:
-                        obs_meta["injected"] = True
-                    if call.quality_meta is not None:
-                        obs_meta["quality"] = call.quality_meta
-                    obs_meta_of[index] = obs_meta
-            singles = {index for index in batch if directives[index] is not None}
-            chunks = _plan_chunks(blocks, batch, singles)
-            # Directive carriers get a task each, submitted first;
-            # clean chunks share at most `lanes` tasks.
-            groups = [[chunk] for chunk in chunks if chunk[0] in singles]
-            groups += _lane_groups(
-                blocks, [chunk for chunk in chunks if chunk[0] not in singles],
-                self._lanes(),
+        obs_meta_of: Dict[int, Dict[str, Any]] = {}
+        for index in batch:
+            dispatch_attempt[index] = call.attempts[index] + 1
+            directive = (
+                self._injector.directive(index, dispatch_attempt[index])
+                if self._injector is not None
+                else None
             )
-            for group in groups:
-                indices = [index for chunk in group for index in chunk]
-                # Shared-memory blocks travel as recording indices.
-                payload = [
-                    [(index, blocks[index].recording_index) for index in chunk]
-                    for chunk in group
-                ]
-                future = pool.submit(
-                    _worker_run_chunks,
-                    call.testbed_key,
-                    call.policy_key,
-                    payload,
-                    {index: obs_meta_of[index] for index in indices}
-                    if traced
-                    else None,
-                    call.kernels,
-                    call.blocks_manifest,
-                    directives[indices[0]],
+            directives[index] = directive
+            if directive is not None:
+                self._note_injected(
+                    label, index, dispatch_attempt[index], directive.get("kind")
                 )
-                call.tasks.append((indices, future, generation))
-        except _POOL_FAULTS as error:
-            # A worker died between rounds (e.g. the straggling tail of
-            # a crash that broke the previous pool).  Nothing rejected
-            # at submit has run, so nobody's attempt budget is charged:
-            # keep whatever did finish, replace the pool and redo the
-            # round at settle.
-            call.dispatched = False
-            call.last_error = error
-            self._harvest_done(call, None)
-            self._abandon_pool()
-            self.health.note_pool_replacement()
+            if traced:
+                obs_meta = {
+                    "policy": label, "call": call.index,
+                    "block": index, "attempt": dispatch_attempt[index],
+                }
+                if directive is not None:
+                    obs_meta["injected"] = True
+                if call.quality_meta is not None:
+                    obs_meta["quality"] = call.quality_meta
+                obs_meta_of[index] = obs_meta
+        singles = {index for index in batch if directives[index] is not None}
+        chunks = _plan_chunks(blocks, batch, singles)
+        # Directive carriers get a task each, sent first; clean chunks
+        # share at most `lanes` tasks.
+        groups = [[chunk] for chunk in chunks if chunk[0] in singles]
+        groups += _lane_groups(
+            blocks, [chunk for chunk in chunks if chunk[0] not in singles],
+            self._lanes(),
+        )
+        for group in groups:
+            indices = [index for chunk in group for index in chunk]
+            # Shared-memory blocks travel as recording indices.
+            payload = [
+                [(index, blocks[index].recording_index) for index in chunk]
+                for chunk in group
+            ]
+            args = (
+                call.testbed_key,
+                call.policy_key,
+                payload,
+                {index: obs_meta_of[index] for index in indices} if traced else None,
+                call.kernels,
+                call.blocks_manifest,
+                directives[indices[0]],
+            )
+            child = min(children, key=lambda child: child.pending)
+            future = child.submit((_worker_run_chunks, args))
+            call.tasks.append((indices, future, child))
 
     def _supervise_pool(self, call: "_Call") -> None:
         """Collect a pooled call's rounds until every block is settled.
 
-        One round per pool lifetime: results are collected in task
-        order, and the first worker death or hung task abandons the
-        pool (harvesting whatever already finished) and starts a fresh
-        round for the survivors.  Only a block's *own* failure counts
-        against its attempt budget; collaterally lost blocks are
-        re-dispatched at their previous attempt number, so injected
-        faults replay identically.
+        Only a block's *own* failure counts against its attempt budget;
+        blocks lost with a child that died for another reason are
+        collateral, re-dispatched at their previous attempt number, so
+        injected faults replay identically.
         """
         retry = self.retry or _FAIL_FAST
         while True:
-            if call.dispatched:
-                self._collect_round(call, retry)
+            self._collect_round(call, retry)
             if len(call.remaining) < len(call.dispatch_attempt) or call.failures:
                 call.barren_rounds = 0
             else:
-                # No completions and no chargeable failures: a pool that
-                # keeps breaking before running anything.  Give up after
-                # a few replacements rather than looping forever.
+                # No completions and no chargeable failures: children
+                # that keep dying before running anything.  Give up
+                # after a few replacements rather than looping forever.
                 call.barren_rounds += 1
                 if call.barren_rounds > 5:
                     stuck = min(call.remaining)
@@ -1859,101 +1816,78 @@ class ScenarioRunner:
             self._dispatch(call)
 
     def _collect_round(self, call: "_Call", retry: RetryPolicy) -> None:
-        """Collect one dispatched round's results in task order.
+        """Wait for every task of the round, in dispatch order.
 
         A task's wall-clock budget scales with its block count, and
-        starts when the parent begins waiting on it.  A timed-out or
-        pool-breaking task charges its first block (the crash-directive
-        culprit search wins when the harness injected one), and a
-        task's own partial results are harvested from its return value
-        and journaled with one commit.
+        starts when the parent begins waiting on it (every earlier
+        task on its child has resolved by then).  A timed-out task
+        charges its first block, and its child is killed: the child's
+        other tasks are collateral, while tasks on live children finish
+        and are kept.  The round ends only when every task has resolved.
         """
         label = call.label
-        for task in call.tasks:
-            indices, future, generation = task
-            if generation != self._pool_generation:
-                # Submitted to a pool that was abandoned since (another
-                # call's settle found it broken): keep what finished;
-                # the rest is collateral and redispatches uncharged,
-                # without touching the pool that replaced it.
-                self._harvest(call, task)
-                continue
+        while call.tasks:
+            indices, future, child = call.tasks[0]
             budget = (
                 None if retry.timeout_s is None else retry.timeout_s * len(indices)
             )
             try:
-                payload = self._await_task(future, budget)
+                self._await_task(future, budget)
             except _FuturesTimeout:
-                # The hung block inside a task is unknowable
-                # from outside; charge the task's first block
-                # (a single-block task charges itself).
+                # The hung block inside a task is unknowable from
+                # outside; charge the task's first block (a
+                # single-block task charges itself).
                 charged = indices[0]
                 self.health.note_timeout(label, charged, budget)
-                call.attempts[charged] = call.dispatch_attempt[charged]
                 noun = (
                     f"block {charged}"
                     if len(indices) == 1
                     else f"chunk of {len(indices)} blocks at {charged}"
                 )
-                call.failures.append(
-                    (
-                        charged,
-                        BlockTimeoutError(
-                            f"{noun} of '{label}' exceeded its "
-                            f"{budget:.3g} s wall-clock budget"
-                        ),
-                    )
+                self._charge(
+                    call,
+                    charged,
+                    BlockTimeoutError(
+                        f"{noun} of '{label}' exceeded its "
+                        f"{budget:.3g} s wall-clock budget"
+                    ),
                 )
-                self._harvest_done(call, task)
-                self._abandon_pool()
-                self.health.note_pool_replacement()
-                return
-            except _POOL_FAULTS as error:
-                # A worker died.  When the harness injected a crash
-                # this round the death IS the experiment: charge the
-                # block carrying the directive so injection tests
-                # converge or exhaust.  An *external* death (OOM
-                # killer, chaos campaign, operator) is environmental
-                # — replace the pool and redo the round without
-                # touching anyone's retry budget.
-                culprit = None
-                for candidate in call.dispatch_attempt:
-                    if (
-                        candidate in call.remaining
-                        and (call.directives.get(candidate) or {}).get("kind")
-                        == "crash"
-                    ):
-                        culprit = candidate
-                        break
-                if culprit is not None:
-                    call.attempts[culprit] = call.dispatch_attempt[culprit]
-                    call.failures.append((culprit, error))
-                else:
-                    _LOGGER.warning(
-                        "pool broke under '%s' (%s); replacing it and "
-                        "redoing the round uncharged",
-                        label,
-                        type(error).__name__,
-                    )
-                self._harvest_done(call, task)
-                self._abandon_pool()
-                self.health.note_pool_replacement()
-                return
-            except Exception as error:
-                # The worker raised (e.g. an injected transient
-                # exception); the pool itself is healthy.
-                charged = indices[0]
-                call.attempts[charged] = call.dispatch_attempt[charged]
-                call.failures.append((charged, error))
-            else:
-                done, failure = payload
-                self._settle_done(call, done)
-                if failure is not None:
-                    failed_index, error = failure
-                    call.attempts[failed_index] = call.dispatch_attempt[failed_index]
-                    call.failures.append((failed_index, error))
-                # Task blocks neither done nor failed are collateral:
-                # untouched attempt budget.
+                child.kill()
+                future.exception()  # resolves once the child is reaped
+                call.tasks.pop(0)
+                continue
+            self._take(call, call.tasks.pop(0))
+
+    def _take(self, call: "_Call", task: Tuple[List[int], Any, Child]) -> None:
+        """Apply one resolved task to its call.
+
+        A finished task settles every block of its ``done`` map and
+        charges its recorded first failure, if any; blocks neither done
+        nor failed are collateral.  A task lost with its child is
+        charged only when it carried a ``crash`` directive itself — the
+        death *is* the experiment; any other lost task is collateral
+        (an external kill, the OOM killer, a chunkmate's timeout), its
+        blocks redispatched uncharged.
+        """
+        indices, future, _ = task
+        error = future.exception()
+        if error is None:
+            done, failure = future.result()
+            self._settle_done(call, done)
+            if failure is not None:
+                self._charge(call, *failure)
+        elif not isinstance(error, ChildDied):
+            self._charge(call, indices[0], error)
+        elif (call.directives.get(indices[0]) or {}).get("kind") == "crash":
+            self._charge(call, indices[0], error)
+        else:
+            call.last_error = error
+
+    @staticmethod
+    def _charge(call: "_Call", index: int, error: BaseException) -> None:
+        """A block's own failure: it costs the block this attempt."""
+        call.attempts[index] = call.dispatch_attempt[index]
+        call.failures.append((index, error))
 
     def _settle_done(
         self, call: "_Call", done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]
@@ -1966,94 +1900,29 @@ class ScenarioRunner:
             self.health.note_attempts(call.label, index, call.attempts[index])
         self._commit(call, done)
 
-    def _harvest_done(self, call: "_Call", skip_task) -> None:
-        """Before abandoning a pool, keep everything of ``call`` that
-        already finished.  ``skip_task`` is the task whose failure
-        triggered the abandon — already charged by the caller."""
-        for task in call.tasks:
-            if task is not skip_task:
-                self._harvest(call, task)
+    def _pool(self) -> List[Child]:
+        """The pool's ``jobs`` children, forked on first use."""
+        while len(self._children) < self.jobs:
+            self._children.append(Child(_pool_child))
+        self._revive()
+        return self._children
 
-    def _harvest(self, call: "_Call", task) -> None:
-        """Keep one task's finished blocks without waiting for it.
+    def _revive(self) -> None:
+        """Replace every dead pool child, counting each death once.
 
-        A task that died with its pool (broken / cancelled / still
-        pending) is *collateral*: its blocks stay in ``remaining`` at
-        their previous attempt number and do not count against their
-        retry budget.  A finished chunk task contributes every block of
-        its ``done`` map and charges its recorded first failure, if any.
+        Called on the thread that calls :meth:`execute`: a child dies
+        with the thread that forked it.  A death costs only the tasks
+        sent to that child, so only it is replaced.
         """
-        indices, future, _ = task
-        if not future.done():
-            return
-        already_failed = {index for index, _ in call.failures}
-        try:
-            payload = future.result(timeout=0)
-        except _POOL_FAULTS + (_FuturesCancelled, _FuturesTimeout):
-            # (CancelledError subclasses BaseException, so the
-            # Exception clause below would not catch it.)
-            return
-        except Exception as error:
-            index = indices[0]
-            if index in call.remaining and index not in already_failed:
-                call.attempts[index] = call.dispatch_attempt[index]
-                call.failures.append((index, error))
-            return
-        done, failure = payload
-        self._settle_done(
-            call,
-            {
-                index: block_payload
-                for index, block_payload in done.items()
-                if index in call.remaining and index not in already_failed
-            },
-        )
-        if failure is not None:
-            failed_index, error = failure
-            if failed_index in call.remaining and failed_index not in already_failed:
-                call.attempts[failed_index] = call.dispatch_attempt[failed_index]
-                call.failures.append((failed_index, error))
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            if "fork" in multiprocessing.get_all_start_methods():
-                mp_context = multiprocessing.get_context("fork")
-            else:  # pragma: no cover - non-POSIX fallback
-                mp_context = multiprocessing.get_context()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=mp_context,
-                initializer=_reset_worker_signals,
-            )
-        return self._pool
-
-    def _abandon_pool(self) -> None:
-        """Tear down a broken or hung pool without waiting on it.
-
-        SIGKILL, not SIGTERM: the pool is already broken, and a worker
-        wedged inside a kernel (or an inherited signal handler) would
-        otherwise survive terminate() and leave the executor's
-        management thread joining it forever — including at
-        interpreter exit.  Tasks stamped with the old generation are
-        collateral from here on.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        self._pool_generation += 1
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except _POOL_FAULTS + (OSError,):
-            # shutdown() pokes the executor's wakeup pipe; on a pool
-            # whose management thread already tore down, that poke can
-            # itself raise — exactly the state we're abandoning.
-            pass
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
+        for slot, child in enumerate(self._children):
+            if child.dead:
+                _LOGGER.warning(
+                    "pool child %d (pid %d) %s; forking a replacement",
+                    slot, child.pid, ChildDied(child.exitcode),
+                )
+                child.close()
+                self._children[slot] = Child(_pool_child)
+                self.health.note_pool_replacement()
 
     # -- interactive (multi-round) path ---------------------------------
 

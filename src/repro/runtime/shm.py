@@ -35,8 +35,10 @@ process, so a worker's attach-time registration is a no-op set-add on
 the name the parent already registered at create — worker exits (even
 ``os._exit`` crashes) never touch the segment, and the single
 registration means the tracker reaps the segment if the supervising
-process dies without ``close()`` (SIGKILL), so nothing leaks in
-``/dev/shm`` even on the crash paths.
+process dies without ``close()`` (SIGKILL).  The tracker reaps once
+every holder of its pipe has exited, workers included; workers die
+with the supervisor (:mod:`.proc`), so nothing leaks in ``/dev/shm``
+even on the crash paths (``tests/test_proc.py`` kills a CLI run).
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ Architecture — three decoupled stages, each with an explicit bound:
   instead of buffering without limit — backpressure is the contract,
   not a failure mode.
 * **Execution** (run processes): ``ServiceConfig.workers`` asyncio
-  tasks drain the queue, and each owns one long-lived *run process*,
-  forked from the event-loop thread once the program modules are
-  loaded and before the listening socket is bound.  The run process
-  owns the worker's :class:`~repro.runtime.ScenarioRunner` (and its
-  pool, at ``jobs >= 2``) and executes one run at a time, so runs on
-  different workers never share an interpreter lock.  Only the run
-  crosses the pipe: the request is the run id, spec JSON, journal path
-  and deadline; the reply is the manifest, result, metrics snapshot
-  and trace events, or how the run ended.  Every run gets its own
+  tasks drain the queue, and each owns one long-lived *run process*, a
+  :class:`~repro.runtime.proc.Child` forked from the event-loop thread
+  once the program modules are loaded and before the listening socket
+  is bound.  The run process owns the worker's
+  :class:`~repro.runtime.ScenarioRunner` (and its pool, at
+  ``jobs >= 2``) and executes one run at a time, so runs on different
+  workers never share an interpreter lock.  Only the run crosses the
+  pipe: the request is the run id, spec JSON, journal path and
+  deadline; the reply (awaited through ``asyncio.wrap_future``) is the
+  manifest, result, metrics snapshot and trace events, or how the run
+  ended.  Every run gets its own
   fsync-durable checkpoint journal (keyed by *run id*, never by digest
   alone, so concurrent submissions of the same spec cannot collide)
   and its own :class:`~repro.obs.ObsSession`.
@@ -43,8 +45,10 @@ in-flight runs finish up to ``drain_timeout_s``, stragglers are
 cancelled back to ``queued`` so nothing is lost), ``DELETE
 /runs/<id>`` cancels cooperatively, and a per-submission
 ``deadline_s`` bounds how long a run may be scheduled.  A run process
-that dies mid-run is replaced, and the run resumes from its journal in
-the new one; run processes die with the serve process, never orphaned.
+that dies mid-run fails its run's Future with
+:class:`~repro.runtime.proc.ChildDied`; it is replaced, and the run
+resumes from its journal in the new one.  Run processes and their pool
+children die with their parent, never orphaned.
 """
 
 from __future__ import annotations
@@ -54,11 +58,7 @@ import functools
 import json
 import logging
 import math
-import multiprocessing
-import os
-import queue
 import signal
-import stat
 import sys
 import threading
 import time
@@ -67,7 +67,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs as _obs
 from ..obs import profile as _profile
@@ -76,6 +76,7 @@ from ..obs.trace import RotatingTraceWriter
 from ..runtime import RetryPolicy, ScenarioRunner, ScenarioSpec, load_builtin
 from ..runtime.checkpoint import sweep_orphaned_journals
 from ..runtime.faults import DeadlineExceededError, RunCancelledError
+from ..runtime.proc import Child, ChildDied
 from ..runtime.shm import sweep_leaked_segments
 from .registry import RunRegistry
 
@@ -95,41 +96,6 @@ _MAX_HEADERS = 64
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-_FORK_GUARD_INSTALLED = False
-
-
-def _detach_inherited_signal_plumbing() -> None:
-    """Runs in every forked child of the serving process.
-
-    The event loop's signal handling is a no-op Python handler plus a
-    wakeup fd — the write end of the loop's self-socketpair.  A forked
-    child shares that socketpair as an open file description, so any
-    signal the *child* catches before it installs its own handlers is
-    echoed into the byte stream the parent's loop reads as its own
-    signals: a SIGTERM aimed at a half-started pool worker reads back
-    as "the service was told to drain".  The pool initializer
-    (:func:`repro.runtime.runner._reset_worker_signals`) can't close
-    that window — ProcessPoolExecutor forks workers lazily, and CPython
-    terminates a broken pool's survivors before a just-forked worker
-    reaches its initializer.  An at-fork hook runs before any child
-    bytecode, so the window closes for every fork off this process.
-    """
-    try:
-        had_wakeup = signal.set_wakeup_fd(-1) != -1
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        return
-    if had_wakeup:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-
-def _install_fork_guard() -> None:
-    global _FORK_GUARD_INSTALLED
-    if not _FORK_GUARD_INSTALLED:  # registrations are forever; add once
-        os.register_at_fork(after_in_child=_detach_inherited_signal_plumbing)
-        _FORK_GUARD_INSTALLED = True
 
 
 @dataclass(frozen=True)
@@ -381,28 +347,6 @@ def _text_body(code: int, text: str) -> bytes:
 # Run processes.
 # ----------------------------------------------------------------------
 
-#: Run processes are forked, so they start with every program module
-#: the serve process loaded and import nothing twice.
-_FORK = multiprocessing.get_context("fork")
-
-#: ``prctl`` option: the signal the kernel sends when the parent dies.
-_PR_SET_PDEATHSIG = 1
-
-
-class RunProcessDied(RuntimeError):
-    """A run process died before it replied (killed, or exited)."""
-
-    def __init__(self, exitcode: Optional[int]):
-        if exitcode is not None and exitcode < 0:
-            try:
-                how = f"killed by {signal.Signals(-exitcode).name}"
-            except ValueError:
-                how = f"killed by signal {-exitcode}"
-        else:
-            how = f"exited with code {exitcode}"
-        super().__init__(f"run process {how}")
-
-
 class _RunRequest(NamedTuple):
     """All of a run that crosses into its run process."""
 
@@ -410,59 +354,6 @@ class _RunRequest(NamedTuple):
     spec_json: Dict[str, Any]
     checkpoint_path: str
     deadline_wall: Optional[float]
-
-
-def _libc_prctl() -> Optional[Callable[..., int]]:
-    try:
-        import ctypes
-
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-    except (OSError, AttributeError):  # pragma: no cover - not Linux
-        return None
-    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-    prctl.restype = ctypes.c_int
-    return prctl
-
-
-def _die_with_parent(prctl: Optional[Callable[..., int]], parent_pid: int) -> None:
-    """Have the kernel SIGKILL this process when its parent dies.
-
-    Linux sends the signal when the *thread* that forked the process
-    exits, so every fork relying on it comes from a thread that lives as
-    long as its process: the serve process's event-loop thread, a run
-    process's main thread.  Re-checking the parent afterwards closes
-    the race with a parent that died before the request.
-    """
-    if prctl is None:  # pragma: no cover - not Linux
-        return
-    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-    if os.getppid() != parent_pid:
-        os._exit(1)
-
-
-def _close_inherited_sockets(keep: int) -> None:
-    """Close every socket a run process inherited except its own pipe
-    and the standard streams.
-
-    A replacement run process is forked after the listening socket was
-    bound; holding it, or a client connection, would keep the port
-    bound and connections open past the serve process.  Holding a
-    sibling's pipe would hide the serve process's hang-up from that
-    sibling.  Stdin, stdout and stderr stay: they may be sockets too
-    (a service manager's journal stream), and they are the process's.
-    """
-    try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
-    except OSError:  # pragma: no cover - no procfs
-        return
-    for fd in fds:
-        if fd <= 2 or fd == keep:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            pass
 
 
 def _make_runner(config: ServiceConfig) -> ScenarioRunner:
@@ -517,59 +408,40 @@ def _execute(
 
 
 class _RunLane:
-    """The run process's side of the pipe.
+    """A run process's handler (a :class:`~repro.runtime.proc.Child`).
 
-    The main thread executes runs; a reader thread takes every message
-    off the pipe, so a cancel reaches a run while it executes.  The
+    It owns the worker's runner, and its pool at ``jobs >= 2``.  The
     serve process sends a run only after the previous one's reply, so
-    one run at a time is current here.  The reader makes a run current
-    as it arrives, re-arming the runner's cancel flag under the lock,
-    and applies a cancel only when it names the current run: a cancel
-    before ``run()`` starts lands, and a late one never aborts the next
-    run.
+    one run at a time is current here.  The child's reader thread makes
+    a run current as it arrives, re-arming the runner's cancel flag
+    under the lock, and applies a cancel note only when it names the
+    current run: a cancel before ``run()`` starts lands, and a late one
+    never aborts the next run.  A hang-up aborts the current run.
     """
 
-    def __init__(self, conn, runner: ScenarioRunner):
-        self.conn = conn
-        self.runner = runner
+    def __init__(self, config: ServiceConfig):
+        self.runner = _make_runner(config)
         self._lock = threading.Lock()
-        self._requests: "queue.SimpleQueue[Optional[_RunRequest]]" = queue.SimpleQueue()
         self._current: Optional[str] = None
 
-    def _read(self) -> None:
-        while True:
-            try:
-                kind, payload = self.conn.recv()
-            except (EOFError, OSError):  # hung up: abort the run, exit
-                with self._lock:
-                    if self._current is not None:
-                        self.runner.cancel()
-                self._requests.put(None)
-                return
-            with self._lock:
-                if kind == "cancel":
-                    if payload == self._current:
-                        self.runner.cancel()
-                    continue
-                self._current = payload.id
+    def message(self, message: Any) -> None:
+        with self._lock:
+            if isinstance(message, _RunRequest):
+                self._current = message.id
                 self.runner.clear_cancel()
-            self._requests.put(payload)
+            elif self._current is not None and message in (None, self._current):
+                # The serve process hung up, or a cancel names this run.
+                self.runner.cancel()
 
-    def serve(self) -> None:
-        threading.Thread(target=self._read, name="repro-run-pipe", daemon=True).start()
-        while True:
-            request = self._requests.get()
-            if request is None:
-                return
-            try:
-                reply = self._outcome(request)
-            finally:
-                with self._lock:
-                    self._current = None
-            try:
-                self.conn.send(reply)
-            except OSError:  # the serve process hung up
-                return
+    def __call__(self, request: _RunRequest) -> Dict[str, Any]:
+        try:
+            return self._outcome(request)
+        finally:
+            with self._lock:
+                self._current = None
+
+    def close(self) -> None:
+        self.runner.close()
 
     def _outcome(self, request: _RunRequest) -> Dict[str, Any]:
         reply: Dict[str, Any]
@@ -598,104 +470,6 @@ class _RunLane:
         return reply
 
 
-def _run_process_main(conn, config: ServiceConfig, parent_pid: int) -> None:
-    """Body of a run process: serve runs until the serve process hangs up.
-
-    The process dies with the serve process, and its pool workers die
-    with it.  It ignores SIGINT (the serve process alone decides how to
-    drain) and dies on SIGTERM.
-    """
-    prctl = _libc_prctl()
-    _die_with_parent(prctl, parent_pid)
-    os.register_at_fork(
-        after_in_child=functools.partial(_die_with_parent, prctl, os.getpid())
-    )
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _close_inherited_sockets(keep=conn.fileno())
-    with _make_runner(config) as runner:
-        _RunLane(conn, runner).serve()
-
-
-class _RunProcess:
-    """The serve process's handle on one worker's run process."""
-
-    def __init__(self, config: ServiceConfig, index: int):
-        conn, child_conn = _FORK.Pipe()
-        self.process = _FORK.Process(
-            target=_run_process_main,
-            args=(child_conn, config, os.getpid()),
-            name=f"repro-run-{index}",
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = conn
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    def cancel(self, run_id: str) -> None:
-        try:
-            self.conn.send(("cancel", run_id))
-        except OSError:  # already dead; the waiting worker replaces it
-            pass
-
-    async def run(self, request: _RunRequest) -> Dict[str, Any]:
-        """Send one run and wait for its reply without holding a thread.
-
-        Raises :class:`RunProcessDied` when the process dies first.
-        """
-        try:
-            self.conn.send(("run", request))
-        except OSError:  # already dead; the wait below sees it
-            pass
-        loop = asyncio.get_running_loop()
-        ready = loop.create_future()
-
-        def wake() -> None:
-            if not ready.done():
-                ready.set_result(None)
-
-        fds = (self.conn.fileno(), self.process.sentinel)
-        for fd in fds:
-            loop.add_reader(fd, wake)
-        try:
-            await ready
-        finally:
-            for fd in fds:
-                loop.remove_reader(fd)
-        if self.conn.poll():
-            try:
-                return self.conn.recv()
-            except (EOFError, OSError):  # died mid-reply
-                pass
-        raise RunProcessDied(self.reap(5.0))
-
-    def reap(self, timeout_s: float) -> Optional[int]:
-        """Join the process (killing it past ``timeout_s``), free its fds."""
-        self.process.join(timeout_s)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-        exitcode = self.process.exitcode
-        self.conn.close()
-        self.process.close()
-        return exitcode
-
-    async def close(self, timeout_s: float = 10.0) -> None:
-        """Hang up, which makes the process abort any run and exit, then
-        join it."""
-        self.conn.close()
-        deadline = time.monotonic() + timeout_s
-        while self.process.is_alive() and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        self.reap(0.0)
-
-
 # ----------------------------------------------------------------------
 # The service.
 # ----------------------------------------------------------------------
@@ -722,7 +496,7 @@ class SelectionService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers: List[asyncio.Task] = []
         #: Each worker's run process, by worker index.
-        self._processes: List[_RunProcess] = []
+        self._children: List[Child] = []
         # Unbounded on purpose: admission control enforces
         # ``queue_depth`` explicitly in ``_submit``/``_retry`` (429),
         # while crash recovery must always be able to re-admit every
@@ -776,8 +550,9 @@ class SelectionService:
         # Fork after the program modules are loaded (no run process
         # imports them again) and before the socket is bound.
         load_builtin()
-        self._processes = [
-            _RunProcess(self.config, index) for index in range(self.config.workers)
+        self._children = [
+            Child(functools.partial(_RunLane, self.config))
+            for _ in range(self.config.workers)
         ]
         self._shm_segments = [0] * self.config.workers
         self._workers = [
@@ -808,9 +583,9 @@ class SelectionService:
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        for process in self._processes:
-            await process.close()
-        self._processes = []
+        for child in self._children:
+            child.close()
+        self._children = []
         if self._registry is not None:
             self._registry.close()
             self._registry = None
@@ -1286,13 +1061,15 @@ class SelectionService:
         index = self._running.get(run_id)
         if index is not None:
             self._cancelling.add(run_id)
-            self._processes[index].cancel(run_id)
+            self._children[index].note(run_id)
 
-    def _replace_process(self, index: int) -> _RunProcess:
-        """Fork a replacement run process (from the event-loop thread)."""
-        self._processes[index] = _RunProcess(self.config, index)
+    def _replace_child(self, index: int) -> Child:
+        """Reap worker ``index``'s dead run process and fork a
+        replacement (from the event-loop thread)."""
+        self._children[index].close()
+        self._children[index] = Child(functools.partial(_RunLane, self.config))
         self._shm_segments[index] = 0
-        return self._processes[index]
+        return self._children[index]
 
     async def _run_in_process(self, index: int, record: RunRecord) -> Dict[str, Any]:
         """Execute ``record`` in worker ``index``'s run process.
@@ -1306,17 +1083,16 @@ class SelectionService:
         request = _RunRequest(
             record.id, record.spec_json, record.checkpoint_path, record.deadline_wall
         )
-        process = self._processes[index]
-        if not process.is_alive():  # died between runs: no attempt's cost
-            process.reap(0.0)
-            process = self._replace_process(index)
+        child = self._children[index]
+        if child.dead:  # died between runs: no attempt's cost
+            child = self._replace_child(index)
         deaths = 0
         while True:
             try:
-                return await process.run(request)
-            except RunProcessDied as death:
+                return await asyncio.wrap_future(child.submit(request))
+            except ChildDied as death:
                 deaths += 1
-                process = self._replace_process(index)
+                child = self._replace_child(index)
                 _LOGGER.warning(
                     "run %s: %s (attempt %d)", record.id, death, record.attempts
                 )
@@ -1594,7 +1370,6 @@ async def serve(config: Optional[ServiceConfig] = None) -> None:
     loop = asyncio.get_running_loop()
     shutdown = asyncio.Event()
     installed: List[int] = []
-    _install_fork_guard()
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
             loop.add_signal_handler(signum, shutdown.set)

@@ -125,7 +125,7 @@ class TestCallsInFlight:
 
     def test_external_worker_kill_costs_one_replacement_and_no_retry(self, clean):
         def kill_a_worker(runner):
-            pid = next(iter(runner._pool._processes))
+            pid = runner._children[0].pid
             os.kill(pid, signal.SIGKILL)
 
         with ScenarioRunner(jobs=2, retry=RetryPolicy(max_attempts=2)) as runner:
@@ -184,8 +184,8 @@ class TestCallsInFlight:
             assert _kernel_segments() - before == {
                 f"/dev/shm/{name}" for name in kernels
             }
-            for _ in range(4):
-                attached, retired = runner._pool.submit(_worker_attachments).result()
+            for child in runner._children:
+                attached, retired = child.submit((_worker_attachments, ())).result()
                 assert set(attached) <= kernels
                 assert retired == 0
         assert outcome.manifest.result_sha256 == clean.manifest.result_sha256

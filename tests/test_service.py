@@ -564,7 +564,7 @@ class TestRunProcesses:
         accepted = harness.client.submit(_small_spec().to_json())
         assert harness.client.wait(accepted["run"])["status"] == "done"
         assert executed_in.value not in (0, os.getpid())
-        assert executed_in.value == harness.service._processes[0].process.pid
+        assert executed_in.value == harness.service._children[0].pid
 
     def test_a_killed_run_process_resumes_the_run_from_its_journal(
         self, make_service, monkeypatch
@@ -587,7 +587,7 @@ class TestRunProcesses:
         harness = make_service(workers=1)
         accepted = harness.client.submit(spec.to_json())
         assert journaled.wait(60)
-        victim = harness.service._processes[0].process.pid
+        victim = harness.service._children[0].pid
         os.kill(victim, signal.SIGKILL)
         final = harness.client.wait(accepted["run"], timeout=120)
         assert final["status"] == "done"
@@ -595,7 +595,7 @@ class TestRunProcesses:
         assert final["result_sha256"] == _direct_digest(spec)
         health = harness.client.status(accepted["run"])["manifest"]["health"]
         assert health["checkpoint_hits"] > 0
-        replacement = harness.service._processes[0].process.pid
+        replacement = harness.service._children[0].pid
         assert replacement != victim
         # Forked after the port was bound, it holds no socket but its
         # pipe (beside the standard streams, whatever they are).
