@@ -4,8 +4,9 @@ Pattern measurement campaigns and the evaluation experiments need the
 true SNR of every sector for hundreds of rotation-head poses.  Walking
 the frame-level protocol for each pose would repeat identical gain
 computations; this module batches them: the weight-independent
-direction terms are built once for all (pose, ray) pairs, then each
-sector costs one weighted gain evaluation over all of them.
+direction terms are built once for all (pose, ray) pairs, each sector
+costs one array-factor product over all of them, and the rest of the
+link budget runs once on the stacked (sectors, poses, rays) block.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ def sweep_snr_matrix(
         phases[index] = -2.0 * np.pi * ray.path_length_m / wavelength
 
     tx_terms = tx_antenna.direction_terms(tx_az, tx_el)
-    snr = np.empty((n_orientations, len(sector_ids)))
-    for column, sector_id in enumerate(sector_ids):
-        weights = codebook[sector_id].weights
-        tx_gain_db = tx_antenna.gain_db_at(weights, tx_terms)  # (n_orient, n_rays)
-        amplitude_db = tx_gain_db + fixed_db[np.newaxis, :] - shadowing_db
-        field = 10.0 ** (amplitude_db / 20.0) * np.exp(1j * phases[np.newaxis, :])
-        power = np.maximum(np.abs(field.sum(axis=1)) ** 2, 1e-30)
-        snr[:, column] = 10.0 * np.log10(power) - budget.noise_floor_dbm
-    return snr
+    # (n_sectors, n_orientations, n_rays), one array factor per sector.
+    tx_gain_db = tx_antenna.gains_db_at(
+        [codebook[sector_id].weights for sector_id in sector_ids], tx_terms
+    )
+    amplitude_db = tx_gain_db + fixed_db - shadowing_db
+    field = 10.0 ** (amplitude_db / 20.0) * np.exp(1j * phases)
+    power = np.maximum(np.abs(field.sum(axis=2)) ** 2, 1e-30)
+    snr = 10.0 * np.log10(power) - budget.noise_floor_dbm
+    return np.ascontiguousarray(snr.T)

@@ -27,7 +27,13 @@ from .. import obs as _obs
 from ..obs import quality as _quality
 from ..geometry.grid import AngularGrid
 from ..measurement.patterns import PatternTable
-from .correlation import _check_domain, _correlate_core, _to_domain, _unit_columns
+from .correlation import (
+    _EPSILON,
+    _check_domain,
+    _correlate_core,
+    _to_domain,
+    _unit_columns,
+)
 from .measurements import ProbeMeasurement
 
 __all__ = ["AngleEstimate", "AngleEstimator"]
@@ -37,13 +43,11 @@ __all__ = ["AngleEstimate", "AngleEstimator"]
 #: scale-invariant) but keeping numbers small avoids float overflow.
 _RSSI_REFERENCE_DBM = -71.5
 
-#: Bound on the per-estimator memo of normalized pattern sub-matrices.
-#: Probe schedules repeat the same sector subset across sweeps
-#: (deterministic probe designers, the fine-codebook experiment's fixed
-#: probing sectors, the perf workload), so the memo turns
-#: the per-call normalization into a dict hit; FIFO eviction keeps the
-#: worst case (all-unique random subsets) at ~64 × M×K floats.
-_UNIT_CACHE_LIMIT = 64
+#: Rows per stacked kernel pass.  Rows of equal usable-probe count are
+#: evaluated a few at a time as ``(R, M, K)`` blocks; on the 1,010-point
+#: grid four rows keep the unit-pattern temporaries in L2, and larger
+#: stacks spill and get slower (DESIGN.md §12).
+_STACK_ROWS = 4
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -177,7 +181,6 @@ class AngleEstimator:
         self._row_lookup = lookup
         self._needs_snr = fusion in ("product", "snr")
         self._needs_rssi = fusion in ("product", "rssi")
-        self._unit_cache: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def known_sector_ids(self) -> List[int]:
         """Sectors with a measured pattern (usable as probes)."""
@@ -186,26 +189,6 @@ class AngleEstimator:
     def has_sector(self, sector_id: int) -> bool:
         """O(1): does this sector have a measured pattern?"""
         return sector_id in self._known_sectors
-
-    def _pattern_unit(self, rows) -> np.ndarray:
-        """Unit-column pattern sub-matrix for these rows, memoized.
-
-        The memo value is exactly ``_unit_columns(self._prepared[rows])``
-        so hits are bitwise identical to recomputing; the caller must
-        not mutate the returned array.
-        """
-        key = tuple(rows.tolist()) if isinstance(rows, np.ndarray) else tuple(rows)
-        cache = self._unit_cache
-        unit = cache.get(key)
-        if unit is None:
-            _obs.inc("estimator_unit_cache_total", result="miss")
-            unit = _unit_columns(self._prepared[rows])
-            if len(cache) >= _UNIT_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            cache[key] = unit
-        else:
-            _obs.inc("estimator_unit_cache_total", result="hit")
-        return unit
 
     def _batch_arrays(
         self,
@@ -332,7 +315,7 @@ class AngleEstimator:
         index = np.flatnonzero(usable[0])
         with np.errstate(invalid="ignore", divide="ignore"):
             surface = _fused_surface(
-                self._pattern_unit(rows[0, index]),
+                _unit_columns(self._prepared[rows[0, index]]),
                 [values[0, index] for values in channels],
             )
         return surface, int(index.size)
@@ -409,11 +392,13 @@ class AngleEstimator:
         """The kernel: compact, correlate and take the finite argmax per row.
 
         One ``nonzero`` compacts every usable entry of the batch into
-        flat arrays up front; each row's slice is then correlated
-        against its memoized unit sub-matrix and reduced to its
-        finite-aware argmax immediately — no per-row fancy indexing, no
-        ``(T, K)`` surface materialization, and a single
-        ``np.errstate`` entry for the whole batch.
+        flat arrays up front.  A one-row batch is then one
+        :func:`_unit_columns` and one GEMV per channel; larger batches
+        group their rows by usable-probe count and evaluate each group
+        in stacks of at most :data:`_STACK_ROWS` rows
+        (:meth:`_argmax_stack`).  Per row, every reduction and BLAS call
+        is the one the one-row path makes, so both give the same bits.
+        A single ``np.errstate`` entry covers the whole batch.
         """
         _obs.inc("estimator_calls_total")
         _obs.inc("estimator_batch_rows_total", rows.shape[0])
@@ -422,29 +407,73 @@ class AngleEstimator:
         best_index = np.full(n_trials, -1, dtype=np.intp)
         best_corr = np.full(n_trials, np.nan)
         # Row-major nonzero visits each row's usable columns in
-        # ascending order, so basic slices of the flat gathers are each
-        # row's probes in slot order.
+        # ascending order, so each row's probes sit contiguously, in
+        # slot order, in the flat gathers.
         row_idx, col_idx = np.nonzero(usable)
-        ends = np.cumsum(n_probes)
         rows_c = rows[row_idx, col_idx]
         channels_c = [values[row_idx, col_idx] for values in channels]
-        pattern_unit_of = self._pattern_unit
         quality_on = _quality.quality_context() is not None
         with np.errstate(invalid="ignore", divide="ignore"):
-            start = 0
-            for trial in range(n_trials):
-                end = ends[trial]
-                if end - start < 2:
-                    start = end
-                    continue
-                surface = _fused_surface(
-                    pattern_unit_of(rows_c[start:end]),
-                    [values[start:end] for values in channels_c],
-                )
-                found = _finite_argmax(surface)
-                best_index[trial] = found
-                best_corr[trial] = surface[found]
-                if quality_on:
-                    _quality.record_peak_ratio(surface, found, int(end - start))
-                start = end
+            if n_trials == 1:
+                if n_probes[0] >= 2:
+                    surface = _fused_surface(
+                        _unit_columns(self._prepared[rows_c]), channels_c
+                    )
+                    found = _finite_argmax(surface)
+                    best_index[0] = found
+                    best_corr[0] = surface[found]
+                    if quality_on:
+                        _quality.record_peak_ratio(surface, found, int(n_probes[0]))
+                return n_probes, best_index, best_corr
+            starts = np.cumsum(n_probes) - n_probes
+            eligible = np.flatnonzero(n_probes >= 2)
+            # A stable sort keeps trial order within each count group.
+            order = eligible[np.argsort(n_probes[eligible], kind="stable")]
+            cuts = np.flatnonzero(np.diff(n_probes[order])) + 1
+            for group in np.split(order, cuts) if order.size else ():
+                offsets = np.arange(n_probes[group[0]])
+                for first in range(0, group.size, _STACK_ROWS):
+                    stack = group[first : first + _STACK_ROWS]
+                    flat = starts[stack, np.newaxis] + offsets
+                    found, surface = self._argmax_stack(
+                        rows_c[flat], [values[flat] for values in channels_c]
+                    )
+                    best_index[stack] = found
+                    best_corr[stack] = surface[np.arange(stack.size), found]
+                    if quality_on:
+                        for row, index in enumerate(found):
+                            _quality.record_peak_ratio(
+                                surface[row], int(index), offsets.size
+                            )
         return n_probes, best_index, best_corr
+
+    def _argmax_stack(
+        self, rows: np.ndarray, channels: List[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Finite argmax and fused surface of ``R`` rows of equal probe count.
+
+        ``rows`` is ``(R, M)`` pattern rows; ``channels`` are ``(R, M)``
+        domain-transformed probe values, SNR first.  Each row gets
+        :func:`_unit_columns`' reduction over its ``M`` probes, its
+        probe norm from ``dot`` and a GEMV per channel — stacked
+        ``matmul`` runs those BLAS calls row by row — so a stacked row
+        equals the one-row path bit for bit.  Rows with the same
+        pattern rows (a fixed design) share one unit matrix.
+        """
+        if (rows == rows[0]).all():
+            unit = _unit_columns(self._prepared[rows[0]])[np.newaxis]
+        else:
+            # The gather is a fresh array: normalize it in place.
+            unit = self._prepared[rows]
+            norms = np.sqrt(np.add.reduce(unit * unit, axis=1))
+            np.divide(unit, np.maximum(norms, _EPSILON)[:, np.newaxis, :], out=unit)
+        surface = None
+        for values in channels:
+            squares = np.matmul(values[:, np.newaxis, :], values[:, :, np.newaxis])
+            probe_unit = values / np.maximum(np.sqrt(squares[:, 0]), _EPSILON)
+            channel_surface = np.matmul(probe_unit[:, np.newaxis, :], unit)[:, 0] ** 2
+            surface = channel_surface if surface is None else surface * channel_surface
+        found = surface.argmax(axis=1)
+        for row in np.flatnonzero(np.isnan(surface[np.arange(found.size), found])):
+            found[row] = _finite_argmax(surface[row])
+        return found, surface

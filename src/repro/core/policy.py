@@ -14,7 +14,9 @@ Determinism notes (load-bearing — see DESIGN.md §7/§8):
   call — the same call as
   :func:`repro.experiments.common.random_probe_columns` — so plans
   drawn through the policy consume the pinned stream identically to
-  the legacy loops.
+  the legacy loops.  ``probe_positions`` draws a whole recording's
+  trials through the designer's ``design_positions``: the same calls,
+  in the same order.
 * ``FullSweepPolicy`` consumes no randomness and replicates the Python
   ``max`` semantics of :class:`SectorSweepSelector` (first element
   kept, replaced only on strictly greater SNR) in its batched kernel.
@@ -207,6 +209,18 @@ class CompressivePolicy:
         if round_index > 0:
             return None
         return self._designer.design(self.n_probes, pool, rng)
+
+    def probe_positions(
+        self, n_trials: int, pool: Sequence[int], rng: np.random.Generator
+    ) -> Optional[np.ndarray]:
+        """``n_trials`` round-0 designs at once, as an ``(n_trials, M)``
+        array of positions in ``pool`` — the same subsets and rng stream
+        as ``n_trials`` :meth:`probes_for_round` calls — or None when the
+        designer only designs one subset per call."""
+        design_positions = getattr(self._designer, "design_positions", None)
+        if design_positions is None:
+            return None
+        return design_positions(self.n_probes, n_trials, pool, rng)
 
     def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
         return self.selector.select(measurements)

@@ -67,6 +67,13 @@ class ProbeDesigner(Protocol):
         """Return ``n_probes`` distinct sector IDs to probe."""
         ...
 
+    # Optional: ``design_positions(n_probes, n_rows, available_ids, rng)``
+    # returns ``n_rows`` designs at once as an ``(n_rows, n_probes)``
+    # array of positions in ``available_ids`` — exactly ``n_rows``
+    # sequential :meth:`design` calls (same subsets, same rng stream,
+    # same telemetry).  The planner draws a recording's trials through
+    # it; designers without it are asked once per trial.
+
     def params(self) -> Dict[str, Any]:
         """The designer's resolved parameters (canonical JSON values)."""
         ...
@@ -146,6 +153,23 @@ class RandomProbeDesigner:
         chosen = rng.choice(len(available_ids), size=n_probes, replace=False)
         return [available_ids[index] for index in chosen]
 
+    def design_positions(
+        self,
+        n_probes: int,
+        n_rows: int,
+        available_ids: Sequence[int],
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``n_rows`` draws as pool positions: the same ``rng.choice``
+        calls as ``n_rows`` :meth:`design` calls, in the same order."""
+        positions = np.empty((n_rows, n_probes), dtype=np.intp)
+        if n_rows:
+            _validate(n_probes, available_ids)
+        size = len(available_ids)
+        for row in range(n_rows):
+            positions[row] = rng.choice(size, size=n_probes, replace=False)
+        return positions
+
 
 class _DeterministicDesigner:
     """Shared machinery of the rng-free structured designers.
@@ -181,6 +205,28 @@ class _DeterministicDesigner:
     def design(
         self, n_probes: int, available_ids: Sequence[int], rng: np.random.Generator
     ) -> List[int]:
+        return list(self._subset(n_probes, available_ids, 1))
+
+    def design_positions(
+        self,
+        n_probes: int,
+        n_rows: int,
+        available_ids: Sequence[int],
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``n_rows`` copies of the design as pool positions, looked up
+        (and its diagnostics recorded ``n_rows`` times) once."""
+        if not n_rows:
+            return np.empty((0, n_probes), dtype=np.intp)
+        subset = self._subset(n_probes, available_ids, n_rows)
+        position_of = {int(s): index for index, s in enumerate(available_ids)}
+        row = np.array([position_of[s] for s in subset], dtype=np.intp)
+        return np.tile(row, (n_rows, 1))
+
+    def _subset(
+        self, n_probes: int, available_ids: Sequence[int], uses: int
+    ) -> Tuple[int, ...]:
+        """The memoized design; its diagnostics count ``uses`` designs."""
         _validate(n_probes, available_ids)
         key = design_cache_key(
             self._table, self.name, self.params(), n_probes, available_ids
@@ -191,9 +237,7 @@ class _DeterministicDesigner:
                 int(s) for s in self._design(int(n_probes), list(available_ids))
             )
             _DESIGN_CACHE[key] = subset
-        self._designs[
-            (int(n_probes), tuple(int(s) for s in available_ids))
-        ] = subset
+        self._designs[(int(n_probes), key[-1])] = subset
         if _quality.quality_context() is not None:
             diagnostics = _DIAGNOSTICS_CACHE.get(key)
             if diagnostics is None:
@@ -201,8 +245,9 @@ class _DeterministicDesigner:
                     normalize_rows(self._linear_rows(subset))
                 )
                 _DIAGNOSTICS_CACHE[key] = diagnostics
-            _quality.record_design_diagnostics(self.name, diagnostics, n_probes)
-        return list(subset)
+            for _ in range(uses):
+                _quality.record_design_diagnostics(self.name, diagnostics, n_probes)
+        return subset
 
     def exported_designs(
         self,

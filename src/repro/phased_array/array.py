@@ -10,7 +10,7 @@ the simulated measurement campaign observe through noisy channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,6 +44,14 @@ class DirectionTerms:
     steering: np.ndarray
     element_power: np.ndarray
     attenuation_db: np.ndarray
+
+
+def _gain_db(array_factor: np.ndarray, terms: DirectionTerms) -> np.ndarray:
+    """Realized gain (dBi) from array factors over ``terms``' directions
+    (the last axis)."""
+    array_power = np.abs(array_factor) ** 2
+    power = np.maximum(array_power * terms.element_power, 1e-12)
+    return 10.0 * np.log10(power) - terms.attenuation_db
 
 
 @dataclass(frozen=True)
@@ -145,14 +153,28 @@ class PhasedArray:
             raise ValueError("weight vector length must match the array")
         effective = weights.weights * self.impairments.element_response()
         array_factor = terms.steering @ effective  # (k,)
-        array_power = np.abs(array_factor) ** 2
-        power = np.maximum(array_power * terms.element_power, 1e-12)
-        gain = 10.0 * np.log10(power)
-        gain = gain - terms.attenuation_db
-        gain = gain.reshape(terms.shape)
+        gain = _gain_db(array_factor, terms).reshape(terms.shape)
         if gain.ndim == 0:
             return float(gain)
         return gain
+
+    def gains_db_at(
+        self, weights: Sequence[WeightVector], terms: DirectionTerms
+    ) -> np.ndarray:
+        """:meth:`gain_db_at` for several weight vectors, stacked.
+
+        Shape ``(len(weights), *terms.shape)``.  Each array factor is
+        its own ``steering @ effective`` product; the rest is
+        elementwise and runs once on the stacked block, so row ``i``
+        equals ``gain_db_at(weights[i], terms)`` bit for bit.
+        """
+        response = self.impairments.element_response()
+        array_factor = np.empty((len(weights), terms.steering.shape[0]), dtype=complex)
+        for row, vector in enumerate(weights):
+            if vector.n_elements != self.n_elements:
+                raise ValueError("weight vector length must match the array")
+            array_factor[row] = terms.steering @ (vector.weights * response)
+        return _gain_db(array_factor, terms).reshape((len(weights),) + tuple(terms.shape))
 
     def gain_db(
         self,

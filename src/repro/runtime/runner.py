@@ -706,20 +706,36 @@ def _run_chunks(
     return done, None
 
 
-def _pad_rows(
-    rows: Sequence[np.ndarray], fill: float, dtype=None
-) -> np.ndarray:
-    """Stack 1-D rows, padding shorter ones with ``fill`` on the right."""
-    width = max((row.size for row in rows), default=0)
-    out = np.full((len(rows), width), fill, dtype=dtype if dtype else float)
+def _looped_columns(
+    policy, n_trials: int, pool: Sequence[int], rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(columns, requested)`` from one ``probes_for_round(0, ...)`` per trial.
+
+    For policies that cannot draw a recording at once.  Ragged rows
+    are padded on the right with column 0; ``requested[t]`` is trial
+    ``t``'s probe count.
+    """
+    column_of = {sector_id: column for column, sector_id in enumerate(pool)}
+    rows: List[List[int]] = []
+    for _ in range(n_trials):
+        probe_ids = policy.probes_for_round(0, pool, rng)
+        if probe_ids is None:
+            raise ValueError(
+                f"policy '{getattr(policy, 'name', policy)}' declined "
+                f"round 0; multi-round policies need run_interactive"
+            )
+        rows.append([column_of[sector_id] for sector_id in probe_ids])
+    requested = np.asarray([len(row) for row in rows], dtype=np.intp)
+    columns = np.zeros((n_trials, int(requested.max(initial=0))), dtype=np.intp)
     for index, row in enumerate(rows):
-        out[index, : row.size] = row
-    return out
+        columns[index, : len(row)] = row
+    return columns, requested
 
 
 def _gather_block(
     recording_index: int,
-    trial_columns: List[List[int]],
+    columns: np.ndarray,
+    requested: np.ndarray,
     subsamples_per_sweep: int,
     id_row: np.ndarray,
     present: np.ndarray,
@@ -728,28 +744,18 @@ def _gather_block(
 ) -> TrialBlock:
     """One recording's trials, gathered from its packed sweeps.
 
-    Trial ``t`` reads sweep ``t // subsamples_per_sweep`` at its probe
-    columns.  Equal widths (fixed probe budgets) stack as they are;
-    ragged ones are padded on the right with id 0, NaN and False.
+    Trial ``t`` reads sweep ``t // subsamples_per_sweep`` at the
+    columns ``columns[t, :requested[t]]``; the slots past a trial's
+    count are padding, set to id 0, NaN and False.
     """
-    n_trials = len(trial_columns)
-    requested = np.asarray([len(columns) for columns in trial_columns], dtype=np.intp)
+    n_trials = columns.shape[0]
     sweeps = np.arange(n_trials, dtype=np.intp) // subsamples_per_sweep
-    ragged = n_trials > 0 and requested.min() != requested.max()
-    if ragged:
-        columns = _pad_rows(
-            [np.asarray(row, dtype=np.intp) for row in trial_columns], 0, dtype=np.intp
-        )
-    else:
-        columns = np.array(trial_columns, dtype=np.intp).reshape(
-            n_trials, int(requested[0]) if n_trials else 0
-        )
     rows = sweeps[:, np.newaxis]
     sector_ids = id_row[columns]
     snr_db = snr[rows, columns]
     rssi_dbm = rssi[rows, columns]
     mask = present[rows, columns]
-    if ragged:
+    if n_trials and requested.min() != columns.shape[1]:
         pad = np.arange(columns.shape[1]) >= requested[:, np.newaxis]
         sector_ids[pad] = 0
         snr_db[pad] = np.nan
@@ -1136,9 +1142,9 @@ class ScenarioRunner:
         subsamples_per_sweep: int,
         label: str,
     ) -> List[TrialBlock]:
-        column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
         id_row = np.asarray(tx_ids, dtype=np.intp)
         pool = list(tx_ids)
+        draw = getattr(policy, "probe_positions", None)
         blocks: List[TrialBlock] = []
         with _obs.span(
             "plan.trials",
@@ -1147,21 +1153,23 @@ class ScenarioRunner:
         ):
             for recording_index, recording in enumerate(recordings):
                 present, snr, rssi = recording.packed_sweeps(tx_ids)
-                trial_columns: List[List[int]] = []
-                for _ in range(recording.n_sweeps * subsamples_per_sweep):
-                    probe_ids = policy.probes_for_round(0, pool, rng)
-                    if probe_ids is None:
-                        raise ValueError(
-                            f"policy '{getattr(policy, 'name', policy)}' declined "
-                            f"round 0; multi-round policies need run_interactive"
-                        )
-                    trial_columns.append([column_of[sector_id] for sector_id in probe_ids])
-                    _obs.observe("planner_probes_requested", len(probe_ids))
-                _obs.inc("planner_trials_total", len(trial_columns))
+                n_trials = recording.n_sweeps * subsamples_per_sweep
+                # Designed rows are pool positions, and the pool is
+                # tx_ids: they are the block's columns as they stand.
+                columns = draw(n_trials, pool, rng) if draw is not None else None
+                if columns is None:
+                    columns, requested = _looped_columns(policy, n_trials, pool, rng)
+                else:
+                    requested = np.full(n_trials, columns.shape[1], dtype=np.intp)
+                if _obs.enabled():
+                    for count in requested.tolist():
+                        _obs.observe("planner_probes_requested", count)
+                _obs.inc("planner_trials_total", n_trials)
                 blocks.append(
                     _gather_block(
                         recording_index,
-                        trial_columns,
+                        columns,
+                        requested,
                         subsamples_per_sweep,
                         id_row,
                         present,

@@ -44,6 +44,7 @@ even on the crash paths (``tests/test_proc.py`` kills a CLI run).
 from __future__ import annotations
 
 import logging
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -248,17 +249,47 @@ def _release(segments: List[shared_memory.SharedMemory]) -> None:
     _RETIRED[:] = live
 
 
+def _view(buffer, entry: Tuple[int, Tuple[int, ...], str]) -> np.ndarray:
+    """One read-only array view of a manifest entry over ``buffer``."""
+    offset, shape, dtype = entry
+    view = np.frombuffer(buffer, dtype=dtype, count=math.prod(shape), offset=offset)
+    view = view.reshape(shape)
+    view.flags.writeable = False
+    return view
+
+
 def _views(
     segment: shared_memory.SharedMemory, manifest: SharedKernelManifest
 ) -> Dict[str, np.ndarray]:
-    views: Dict[str, np.ndarray] = {}
-    for name, (offset, shape, dtype) in manifest.entries.items():
-        count = int(np.prod(shape, dtype=np.int64))
-        view = np.frombuffer(segment.buf, dtype=dtype, count=count, offset=offset)
-        view = view.reshape(shape)
-        view.flags.writeable = False
-        views[name] = view
-    return views
+    return {name: _view(segment.buf, entry) for name, entry in manifest.entries.items()}
+
+
+class _LazyViews(Mapping[str, np.ndarray]):
+    """A manifest's views, each built on its first read.
+
+    A pool task reads only its own blocks of a call's segment, so it
+    pays one ``frombuffer`` per entry it reads, not per entry
+    published.
+    """
+
+    def __init__(
+        self, segment: shared_memory.SharedMemory, manifest: SharedKernelManifest
+    ) -> None:
+        self._buffer = segment.buf
+        self._entries = manifest.entries
+        self._built: Dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        view = self._built.get(name)
+        if view is None:
+            view = self._built[name] = _view(self._buffer, self._entries[name])
+        return view
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
@@ -283,18 +314,19 @@ def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
 
 
 def borrow(
-    manifest: SharedKernelManifest, body: Callable[[Dict[str, np.ndarray]], _T]
+    manifest: SharedKernelManifest, body: Callable[[Mapping[str, np.ndarray]], _T]
 ) -> _T:
     """Return ``body(views)`` over a segment mapped for that call only.
 
     For data one task reads once (an execute call's trial blocks):
-    nothing is cached, and the mapping is closed when ``body`` returns
-    — or retired until the last view something still holds is gone.
+    nothing is cached, a view is built only for an entry ``body``
+    reads, and the mapping is closed when ``body`` returns — or
+    retired until the last view something still holds is gone.
     Raises ``FileNotFoundError`` when the segment no longer exists.
     """
     segment = shared_memory.SharedMemory(name=manifest.segment, create=False)
     try:
-        return body(_views(segment, manifest))
+        return body(_LazyViews(segment, manifest))
     finally:
         _release([segment])
 

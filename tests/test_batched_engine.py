@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import repro.core.correlation as correlation
 from repro.core.compressive import CompressiveSectorSelector
 from repro.core.correlation import correlation_map
-from repro.core.estimator import _UNIT_CACHE_LIMIT, AngleEstimator
+from repro.core.estimator import AngleEstimator
 from repro.core.measurements import ProbeMeasurement
 from repro.experiments.common import pack_probe_trials, random_probe_columns
 
@@ -228,18 +228,6 @@ class TestEstimatorHelpers:
         assert estimator.has_sector(N_SECTORS - 1)
         assert not estimator.has_sector(N_SECTORS)
         assert not estimator.has_sector(63)
-
-    def test_unit_cache_hits_are_bitwise_and_bounded(self):
-        estimator = AngleEstimator(TABLE)
-        rows = [0, 2, 4]
-        first = estimator._pattern_unit(rows)
-        again = estimator._pattern_unit(np.array(rows, dtype=np.intp))
-        assert again is first  # dict hit, list and array keys agree
-        fresh = correlation.normalize_rows(estimator._prepared[rows].T).T
-        assert np.allclose(first, fresh)
-        for extra in range(_UNIT_CACHE_LIMIT + 10):
-            estimator._pattern_unit([extra % N_SECTORS, (extra + 1) % N_SECTORS, extra % 2])
-        assert len(estimator._unit_cache) <= _UNIT_CACHE_LIMIT
 
 
 class TestPerfGuards:

@@ -230,23 +230,8 @@ class TestConcurrency:
         merged = MetricsRegistry()
         merged.merge(harness.service.run_metrics.snapshot())
         snapshot = merged.snapshot()
-        # The unit-cache hit/miss *split* legitimately depends on which
-        # reused runner a run landed on (a warm runner hits where a cold
-        # one misses) — only its total is structural.
-        cache_family = "estimator_unit_cache_total"
         for key, value in single["counters"].items():
-            if key.startswith(cache_family):
-                continue
             assert snapshot["counters"].get(key) == pytest.approx(n_runs * value), key
-        single_cache = sum(
-            value for key, value in single["counters"].items()
-            if key.startswith(cache_family)
-        )
-        merged_cache = sum(
-            value for key, value in snapshot["counters"].items()
-            if key.startswith(cache_family)
-        )
-        assert merged_cache == pytest.approx(n_runs * single_cache)
         for key, histogram in single["histograms"].items():
             assert snapshot["histograms"][key]["count"] == n_runs * histogram["count"]
 
