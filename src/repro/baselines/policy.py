@@ -20,7 +20,7 @@ import numpy as np
 from ..core.compressive import CompressiveSectorSelector
 from ..core.measurements import ProbeMeasurement
 from ..core.probes import RandomProbeDesigner
-from ..core.selector import SelectionResult
+from ..core.selector import SelectionResult, Selections
 from ..mac.timing import multi_round_training_time_us
 from ..runtime.policy import PolicyContext
 from ..runtime.registry import register_policy
@@ -209,7 +209,7 @@ class RandomBeamPolicy:
         snr_db: np.ndarray,
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
+    ) -> Selections:
         return self.selector.select_batch(
             sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask
         )

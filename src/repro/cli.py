@@ -13,7 +13,8 @@ is their simulator-side counterpart::
     repro-bench artifacts verify    # shipped-data integrity check
     repro-bench artifacts rebuild   # regenerate damaged data in place
     repro-bench artifacts info      # manifest + cache status
-    repro-bench perf                # hot-kernel timings -> BENCH_core.json
+    repro-bench perf                # hot-kernel timings (printed only)
+    repro-bench perf --output f.json  # ... appended to a trajectory file
     repro-bench perf --check        # fail on >2x latency regression
     repro-bench run --list          # registered scenarios
     repro-bench run fig9 --jobs 4   # any scenario, by name ...
@@ -545,7 +546,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    """Time the hot kernels and append a BENCH_core.json datapoint."""
+    """Time the hot kernels; append a datapoint to ``--output`` if named."""
     from .perf import run_perf
 
     return run_perf(
@@ -626,8 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--output",
-                default="BENCH_core.json",
-                help="trajectory file to append to (default: ./BENCH_core.json)",
+                default=None,
+                help="trajectory file to append to (default: append nowhere); "
+                "with --check, the baseline to read (default: ./BENCH_core.json)",
             )
             sub.add_argument(
                 "--check",

@@ -14,8 +14,7 @@ is bounded by the pattern knowledge, not the probe count.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Callable, ContextManager, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, ContextManager, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +24,36 @@ from ..geometry.grid import AngularGrid
 from ..measurement.patterns import PatternTable
 from .estimator import AngleEstimator, _one_row_arrays
 from .measurements import ProbeMeasurement
-from .selector import SelectionResult
+from .selector import (
+    SELECTION_DTYPE,
+    SelectionResult,
+    Selections,
+    first_max,
+    forward_fill,
+)
 
 __all__ = ["CompressiveSectorSelector"]
+
+
+#: The :data:`~.selector.SELECTION_DTYPE` fields of a row without an
+#: estimate, and their values.
+_NO_ESTIMATE = (
+    ("azimuth", np.nan),
+    ("elevation", np.nan),
+    ("correlation", np.nan),
+    ("probes_used", 0),
+    ("grid_index", -1),
+)
+
+
+#: The part starts of a batch that is one part.
+_ONE_PART = np.zeros(1, dtype=np.intp)
+_ONE_PART.flags.writeable = False
+
+
+def _count_fallbacks(count: int) -> None:
+    if count:
+        _obs.inc("selector_fallbacks_total", count)
 
 
 class _FusedBatch(NamedTuple):
@@ -36,7 +62,8 @@ class _FusedBatch(NamedTuple):
     Everything the stateful result builder needs, with no reference to
     selector state — rows are independent, so batches from several
     blocks may be stacked, run through :meth:`_fused_arrays` once, and
-    rebuilt per block (see the runner's chunked execution).
+    built once with each block as a part (see the runner's chunked
+    execution).
     """
 
     ids: np.ndarray          #: validated (T, M) intp sector ids
@@ -159,26 +186,6 @@ class CompressiveSectorSelector:
         )
         return int(self.candidate_sector_ids[int(np.argmax(gains))])
 
-    def _fallback(self, sub_ids: np.ndarray, sub_snr: np.ndarray) -> SelectionResult:
-        """Fall back to the plain argmax of the usable probes' SNR.
-
-        ``max(..., key=snr)`` semantics: the first element is kept and
-        replaced only on a strictly greater key, so ties — and NaN keys,
-        which never compare greater — resolve to the earliest probe.  A
-        plain ``np.argmax`` would resolve NaN differently, so the loop
-        is explicit.  With no usable probe the last choice stands.
-        """
-        _obs.inc("selector_fallbacks_total")
-        if sub_ids.size:
-            best = 0
-            for index in range(1, sub_ids.size):
-                if sub_snr[index] > sub_snr[best]:
-                    best = index
-            sector_id = int(sub_ids[best])
-            self._last_selection = sector_id
-            return SelectionResult(sector_id=sector_id, fallback=True)
-        return SelectionResult(sector_id=self._last_selection, fallback=True)
-
     def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
         """Run both steps on one sweep's measurements (a one-row batch)."""
         return self.select_batch(*_one_row_arrays(measurements))[0]
@@ -189,7 +196,7 @@ class CompressiveSectorSelector:
         snr_db: np.ndarray,
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
+    ) -> Selections:
         """Both steps over a padded batch of sweeps (correlate → argmax → Eq. 4).
 
         Row ``t`` holds one sweep's probes in slot order (``mask[t]``
@@ -198,14 +205,18 @@ class CompressiveSectorSelector:
         ``snr_db`` is always required — the fallback ranks probes by
         SNR regardless of the fusion mode — while ``rssi_dbm`` is only
         needed when the estimator's fusion uses it.  Rows update the
-        selection state in order, so the result list is the sequence of
+        selection state in order, so the result rows are the sequence of
         one-sweep selections.
 
         Raises:
             ValueError: a row had enough known-sector probes to attempt
                 estimation but fewer than two finite ones.
         """
-        return self._fused_build(self._fused_arrays(sector_ids, snr_db, rssi_dbm, mask))
+        return self._fused_build(
+            self._fused_arrays(sector_ids, snr_db, rssi_dbm, mask),
+            _ONE_PART,
+            self._last_selection,
+        )
 
     # The repo benchmark's per-layer wrappers (bench/layers.py) time
     # the kernel under this older name as well, so it stays an alias.
@@ -277,97 +288,141 @@ class CompressiveSectorSelector:
             ids, snr, sel_usable, need, n_probes, best_index, best_corr, sector_of
         )
 
-    def _fused_build(self, fused: _FusedBatch) -> List[SelectionResult]:
-        """Stateful result-building half of :meth:`select_batch`.
+    def _fused_build(
+        self, fused: _FusedBatch, starts: np.ndarray, entry: int
+    ) -> Selections:
+        """Stateful result-building half of :meth:`select_batch`, vectorized.
 
-        Rows are visited in order, threading ``_last_selection`` and
-        resolving fallbacks — the only part of the selection that must
-        run per block in submission order.
+        The stacked rows fall into parts beginning at the rows
+        ``starts`` (the first is 0), each entered with the selection
+        ``entry``.  A row that estimated selects its Eq. 4 winner; a row
+        short of ``min_probes`` — or below ``fallback_correlation`` —
+        falls back to the SNR argmax of its usable probes
+        (:func:`~.selector.first_max`), and with no usable probe keeps
+        the running selection of its part (:func:`~.selector.forward_fill`).
+        ``last_selection`` ends as the last row's sector.
+
+        Raises:
+            ValueError: the first row that met ``min_probes`` with fewer
+                than two finite probes, numbered within its part; the
+                selection state is left as it stood before that row.
         """
-        results: List[SelectionResult] = []
-        estimate_at = self.estimator._estimate_at
-        fallback_correlation = self.fallback_correlation
-        quality_on = _quality.quality_context() is not None
-        ids = fused.ids
-        snr = fused.snr
-        for trial in range(ids.shape[0]):
-            if not fused.need[trial]:
-                row_usable = fused.sel_usable[trial]
-                results.append(
-                    self._fallback(ids[trial, row_usable], snr[trial, row_usable])
-                )
-                continue
-            if fused.best_index[trial] < 0:
-                known = int(fused.sel_usable[trial].sum())
-                raise ValueError(
-                    f"trial {trial}: need at least two finite probe measurements "
-                    f"to correlate ({known - int(fused.n_probes[trial])} of "
-                    f"{known} were non-finite)"
-                )
-            correlation = float(fused.best_corr[trial])
-            if correlation < fallback_correlation:
-                row_usable = fused.sel_usable[trial]
-                results.append(
-                    self._fallback(ids[trial, row_usable], snr[trial, row_usable])
-                )
-                continue
-            grid_index = int(fused.best_index[trial])
-            estimate = estimate_at(grid_index, correlation, int(fused.n_probes[trial]))
-            if quality_on:
-                # Re-gather the Eq. 4 column (the stateless half does
-                # not retain it) so the margin is recorded only for
-                # rows that actually selected.
+        n_rows = fused.ids.shape[0]
+        need, best_index, n_probes = fused.need, fused.best_index, fused.n_probes
+        failed = need & (best_index < 0)
+        estimated = need & ~failed
+        if self.fallback_correlation > 0.0:
+            # A NaN correlation never compares below the threshold.
+            estimated &= ~(fused.best_corr < self.fallback_correlation)
+        all_estimated = bool(estimated.all())
+        if all_estimated:
+            # Every row estimated: no state to thread.
+            sector = fused.sector_of
+        else:
+            sector = self._running_selection(fused, estimated, failed, starts, entry)
+        if n_rows and starts[-1] < n_rows:
+            self._last_selection = int(sector[-1])
+        else:
+            self._last_selection = entry
+        grid = self.estimator.search_grid
+        if _quality.quality_context() is not None:
+            for row in np.flatnonzero(estimated):
                 _quality.record_selection_margin(
-                    self._candidate_matrix[:, grid_index],
-                    estimate.n_probes_used,
+                    self._candidate_matrix[:, best_index[row]], int(n_probes[row])
                 )
-            sector_id = int(fused.sector_of[trial])
-            self._last_selection = sector_id
-            results.append(SelectionResult(sector_id=sector_id, estimate=estimate))
-        return results
+        rows = np.empty(n_rows, dtype=SELECTION_DTYPE)
+        rows["sector"] = sector
+        rows["fallback"] = ~estimated
+        rows["estimated"] = estimated
+        rows["correlation"] = fused.best_corr
+        rows["probes_used"] = n_probes
+        rows["grid_index"] = best_index
+        el_index, az_index = np.divmod(best_index, grid.n_azimuth)
+        rows["azimuth"] = grid.azimuths_deg[az_index]
+        rows["elevation"] = grid.elevations_deg[el_index]
+        if not all_estimated:
+            # Rows without an estimate carry the no-estimate values.
+            plain = ~estimated
+            for name, value in _NO_ESTIMATE:
+                rows[name][plain] = value
+        return Selections(rows)
+
+    def _running_selection(
+        self,
+        fused: _FusedBatch,
+        estimated: np.ndarray,
+        failed: np.ndarray,
+        starts: np.ndarray,
+        entry: int,
+    ) -> np.ndarray:
+        """Each row's sector when some rows fall back (or fail).
+
+        A fallback row takes the SNR argmax of its usable probes
+        (:func:`~.selector.first_max`) and, with none, keeps the running
+        selection of its part (:func:`~.selector.forward_fill`).  A
+        failed row raises here, after the state before it is restored.
+        """
+        chosen = np.where(estimated, fused.sector_of, 0)
+        sets = estimated.copy()
+        backs = np.flatnonzero(~estimated & ~failed)
+        if backs.size:
+            picked = first_max(fused.snr[backs], fused.sel_usable[backs])
+            found = picked >= 0
+            chosen[backs[found]] = fused.ids[backs[found], picked[found]]
+            sets[backs[found]] = True
+        sector = forward_fill(chosen, sets, starts, entry)
+        if failed.any():
+            trial = int(np.argmax(failed))
+            start = int(starts[np.searchsorted(starts, trial, side="right") - 1])
+            self._last_selection = int(sector[trial - 1]) if trial > start else entry
+            _count_fallbacks(int(np.count_nonzero(backs < trial)))
+            known = int(fused.sel_usable[trial].sum())
+            raise ValueError(
+                f"trial {trial - start}: need at least two finite probe "
+                f"measurements to correlate ({known - int(fused.n_probes[trial])} "
+                f"of {known} were non-finite)"
+            )
+        _count_fallbacks(int(backs.size))
+        return sector
 
     def select_fused_stacked(
         self,
         parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
         around: Optional[Callable[[int], ContextManager]] = None,
-    ) -> List[List[SelectionResult]]:
+    ) -> Selections:
         """:meth:`select_batch` on several independent batches in one pass.
 
         ``parts`` is a sequence of ``(sector_ids, snr_db, rssi_dbm,
-        mask)`` tuples with equal probe widths.  Bit-for-bit equivalent
-        to ``reset(); select_batch(*part)`` per part: the
-        stateless half (:meth:`_fused_arrays`) is row-independent, so
-        the stacked rows produce exactly the per-part values, and the
-        stateful builder then runs per part against freshly reset
-        selection state.  Stacking amortizes the ~25 fixed-cost numpy
-        dispatches of the stateless half over every part — the lever
-        that makes chunked execution cheaper than one call per block.
+        mask)`` tuples with equal probe widths; the result holds every
+        part's rows in order.  Bit-for-bit equivalent to
+        ``reset(); select_batch(*part)`` per part: the stateless half
+        (:meth:`_fused_arrays`) is row-independent, and the one build
+        (:meth:`_fused_build`) starts every part from freshly reset
+        selection state.  Stacking amortizes the fixed-cost numpy
+        dispatches of both halves over every part — the lever that
+        makes chunked execution cheaper than one call per block.
 
         ``around(i)``, when given, returns a context manager entered
-        around part ``i``'s reset and build — the runner opens each
-        block's ``execute.block`` span there.
+        once per part ``i``, in order, after the build — the runner
+        opens each block's ``execute.block`` span there.
 
         Raises on width mismatch or any per-row validation error;
         callers degrade to per-part evaluation (which reproduces the
         exact per-part error behavior).
         """
-        counts = [part[0].shape[0] for part in parts]
+        counts = np.array([part[0].shape[0] for part in parts], dtype=np.intp)
         fused = self._fused_arrays(
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
-            np.concatenate([part[3] for part in parts]),
+            *(
+                np.concatenate([part[field] for part in parts])
+                for field in range(4)
+            )
         )
-        results: List[List[SelectionResult]] = []
-        start = 0
-        for index, count in enumerate(counts):
-            end = start + count
-            with around(index) if around is not None else nullcontext():
-                self.reset()
-                results.append(
-                    self._fused_build(
-                        _FusedBatch(*(field[start:end] for field in fused))
-                    )
-                )
-            start = end
-        return results
+        self.reset()
+        selections = self._fused_build(
+            fused, np.cumsum(counts) - counts, self._last_selection
+        )
+        if around is not None:
+            for index in range(len(parts)):
+                with around(index):
+                    pass
+        return selections

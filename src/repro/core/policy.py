@@ -19,7 +19,8 @@ Determinism notes (load-bearing — see DESIGN.md §7/§8):
   in the same order.
 * ``FullSweepPolicy`` consumes no randomness and replicates the Python
   ``max`` semantics of :class:`SectorSweepSelector` (first element
-  kept, replaced only on strictly greater SNR) in its batched kernel.
+  kept, replaced only on strictly greater SNR) in its batched kernel,
+  through the same :func:`~.selector.first_max` as the CSS fallback.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..runtime.registry import build_probe_designer, register_policy
 from .compressive import CompressiveSectorSelector
 from .measurements import ProbeMeasurement
 from .probes import register_builtin_designers, seed_designed_subsets
-from .selector import SelectionResult
+from .selector import SelectionResult, Selections, first_max, forward_fill
 
 __all__ = ["CompressivePolicy", "FullSweepPolicy", "seed_shared_selector"]
 
@@ -231,7 +232,7 @@ class CompressivePolicy:
         snr_db: np.ndarray,
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
+    ) -> Selections:
         return self.selector.select_batch(
             sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask
         )
@@ -309,36 +310,27 @@ class FullSweepPolicy:
         snr_db: np.ndarray,
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
-        """Row-sequential batched twin of :meth:`select`.
+    ) -> Selections:
+        """Batched twin of :meth:`select`, rows threading the state in order.
 
-        The per-row argmax is an explicit strictly-greater loop, not
+        The per-row argmax is :func:`~.selector.first_max`, not
         ``np.argmax``: Python's ``max`` keeps the first element on ties
         and never lets a NaN win, and the batched path must reproduce
-        the scalar decisions bit for bit.
+        the scalar decisions bit for bit.  A row without a report keeps
+        the previous selection.
         """
         ids = np.asarray(sector_ids)
         snr = np.asarray(snr_db, dtype=float)
-        if mask is None:
-            valid = np.ones(ids.shape, dtype=bool)
-        else:
-            valid = np.asarray(mask, dtype=bool)
-        results: List[SelectionResult] = []
-        for row in range(ids.shape[0]):
-            columns = np.flatnonzero(valid[row])
-            if columns.size == 0:
-                results.append(
-                    SelectionResult(sector_id=self._last_selection, fallback=True)
-                )
-                continue
-            best = columns[0]
-            for column in columns[1:]:
-                if snr[row, column] > snr[row, best]:
-                    best = column
-            sector_id = int(ids[row, best])
-            self._last_selection = sector_id
-            results.append(SelectionResult(sector_id=sector_id))
-        return results
+        valid = np.ones(ids.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        picked = first_max(snr, valid)
+        sets = picked >= 0
+        rows = np.flatnonzero(sets)
+        chosen = np.zeros(ids.shape[0], dtype=np.int64)
+        chosen[rows] = ids[rows, picked[rows]]
+        sector = forward_fill(chosen, sets, np.zeros(1, dtype=np.intp), self._last_selection)
+        if sector.size:
+            self._last_selection = int(sector[-1])
+        return Selections.from_columns(sector, ~sets)
 
     def training_time_us(self, probes_used: int, n_rounds: int = 1) -> float:
         return multi_round_training_time_us(probes_used, n_rounds)

@@ -41,10 +41,12 @@ from ..runtime.runner import ScenarioRunner
 from ..runtime.spec import PolicySpec, ScenarioSpec, TestbedSpec
 from .common import (
     Testbed,
+    estimate_errors,
     pack_probe_trials,
     random_probe_columns,
     random_subsweep,
     record_directions,
+    snr_losses,
 )
 
 __all__ = [
@@ -126,7 +128,7 @@ def _policy_azimuth_errors(
     recordings,
     rng: np.random.Generator,
     subsamples: int = 3,
-) -> List[float]:
+) -> np.ndarray:
     """Azimuth errors of one ``"css"`` policy variant over recordings."""
     context = runner.context(testbed)
     policy = runner.build_policy(policy_spec, context)
@@ -140,19 +142,7 @@ def _policy_azimuth_errors(
         policy_spec=policy_spec,
         testbed_spec=testbed_spec,
     )
-    errors: List[float] = []
-    for record in records:
-        estimate = record.result.estimate
-        if estimate is None:
-            continue
-        errors.append(
-            abs(
-                azimuth_difference(
-                    estimate.azimuth_deg, recordings[record.recording_index].azimuth_deg
-                )
-            )
-        )
-    return errors
+    return estimate_errors(records, recordings)[0]
 
 
 def _conference_recordings(testbed: Testbed, rng: np.random.Generator, n_sweeps: int = 4):
@@ -297,7 +287,6 @@ def _run_3d_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResu
         testbed, lab_environment(3.0), azimuths, [12.0, 24.0], 3, rng
     )
     tx_ids = testbed.tx_sector_ids
-    column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
     result = AblationResult(
         title=f"3D vs 2D estimation @ {n_probes} probes, tilted device",
         metric_name="mean SNR loss [dB]",
@@ -315,14 +304,7 @@ def _run_3d_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResu
             reset="plan",
             label=name,
         )
-        losses = [
-            recordings[record.recording_index].optimal_snr_db()
-            - recordings[record.recording_index].true_snr_db[
-                column_of[record.result.sector_id]
-            ]
-            for record in records
-        ]
-        result.variants[name] = float(np.mean(losses))
+        result.variants[name] = float(np.mean(snr_losses(records, recordings, tx_ids)))
     return result
 
 

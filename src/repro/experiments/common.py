@@ -25,7 +25,7 @@ from ..channel.environment import Environment
 from ..channel.link import LinkBudget
 from ..channel.observation import MeasurementModel
 from ..core.measurements import ProbeMeasurement
-from ..geometry.angles import wrap_azimuth
+from ..geometry.angles import azimuth_difference, wrap_azimuth
 from ..measurement.campaign import CampaignConfig, PatternMeasurementCampaign
 from ..measurement.patterns import PatternTable
 from ..measurement.rotation_head import RotationHead
@@ -43,6 +43,10 @@ __all__ = [
     "random_probe_columns",
     "pack_probe_trials",
     "BoxStats",
+    "estimate_errors",
+    "snr_losses",
+    "selected_snr_db",
+    "modal_counts",
 ]
 
 
@@ -420,3 +424,63 @@ class BoxStats:
             whisker_high=float(np.percentile(values, 99.5)),
             n_samples=int(values.size),
         )
+
+
+# ----------------------------------------------------------------------
+# Columnar summaries of a call's TrialRecords.
+#
+# Each applies, per row, the IEEE operations the per-record loops it
+# replaced applied, in the same row order — so summaries are
+# bit-identical — but over whole columns.
+# ----------------------------------------------------------------------
+
+
+def estimate_errors(records, recordings) -> Tuple[np.ndarray, np.ndarray]:
+    """Absolute azimuth and elevation errors of the rows that estimated.
+
+    Rows that fell back carry no estimate and are skipped.
+    """
+    estimated = records.estimated
+    owner = records.recording[estimated]
+    truth_az = np.array([recording.azimuth_deg for recording in recordings], dtype=float)
+    truth_el = np.array([recording.elevation_deg for recording in recordings], dtype=float)
+    azimuth = np.abs(azimuth_difference(records.azimuth[estimated], truth_az[owner]))
+    elevation = np.abs(records.elevation[estimated] - truth_el[owner])
+    return azimuth, elevation
+
+
+def selected_snr_db(records, recordings, tx_ids: Sequence[int]) -> np.ndarray:
+    """Each row's true SNR at the sector it selected (``tx_ids`` columns)."""
+    tx = np.asarray(tx_ids, dtype=np.intp)
+    sector = records.sector
+    lookup = np.full(max(int(tx.max(initial=0)), int(sector.max(initial=0))) + 1, -1)
+    lookup[tx] = np.arange(tx.size)
+    column = lookup[np.clip(sector, 0, None)]
+    unknown = (sector < 0) | (column < 0)
+    if unknown.any():
+        raise KeyError(int(sector[unknown][0]))
+    if not len(records):
+        return np.empty(0)
+    true_snr = np.stack([recording.true_snr_db for recording in recordings])
+    return true_snr[records.recording, column]
+
+
+def snr_losses(records, recordings, tx_ids: Sequence[int]) -> np.ndarray:
+    """Per row: the recording's optimal SNR minus the selected sector's."""
+    optimal = np.array([recording.optimal_snr_db() for recording in recordings])
+    return optimal[records.recording] - selected_snr_db(records, recordings, tx_ids)
+
+
+def modal_counts(records, n_recordings: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per recording: the trials that picked its most common sector, and
+    all its trials."""
+    sizes = np.bincount(records.recording, minlength=n_recordings)
+    modal = np.zeros(n_recordings, dtype=np.int64)
+    if len(records):
+        sector = records.sector - records.sector.min()
+        stride = int(sector.max()) + 1
+        keys, counts = np.unique(
+            records.recording * stride + sector, return_counts=True
+        )
+        np.maximum.at(modal, keys // stride, counts)
+    return modal, sizes

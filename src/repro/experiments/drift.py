@@ -21,7 +21,7 @@ from ..phased_array.impairments import HardwareImpairments
 from ..runtime.registry import register_scenario
 from ..runtime.runner import ScenarioRunner
 from ..runtime.spec import PolicySpec, ScenarioSpec
-from .common import record_directions
+from .common import record_directions, snr_losses
 
 __all__ = ["DriftConfig", "DriftResult", "run_pattern_drift", "drift_spec"]
 
@@ -92,7 +92,6 @@ def _run_drift_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> DriftResu
     rng = np.random.default_rng(config.seed)
     azimuths = np.arange(-60.0, 60.0 + 1e-9, config.azimuth_step_deg)
     tx_ids = testbed.tx_sector_ids
-    column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
 
     # One policy over the *original* table; `reset="plan"` inside each
     # level's execute reproduces the fresh-selector state per level
@@ -113,18 +112,8 @@ def _run_drift_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> DriftResu
             runner.plan_trials(policy, recordings, tx_ids, rng),
             reset="plan",
         )
-        level_losses: List[float] = []
-        fallback_count = 0
-        for record in records:
-            recording = recordings[record.recording_index]
-            if record.result.fallback:
-                fallback_count += 1
-            level_losses.append(
-                recording.optimal_snr_db()
-                - recording.true_snr_db[column_of[record.result.sector_id]]
-            )
-        losses.append(float(np.mean(level_losses)))
-        fallbacks.append(fallback_count / max(len(records), 1))
+        losses.append(float(np.mean(snr_losses(records, recordings, tx_ids))))
+        fallbacks.append(int(records.fallback.sum()) / max(len(records), 1))
 
     return DriftResult(
         drift_levels_rad=list(config.drift_levels_rad),

@@ -18,9 +18,9 @@ from ..channel.environment import conference_room
 from ..link.throughput import ThroughputModel
 from ..mac.timing import N_FULL_SWEEP_SECTORS
 from ..runtime.registry import register_scenario
-from ..runtime.runner import ScenarioRunner
+from ..runtime.runner import ScenarioRunner, TrialRecords
 from ..runtime.spec import PolicySpec, ScenarioSpec
-from .common import record_directions
+from .common import record_directions, selected_snr_db
 
 __all__ = ["Fig11Config", "Fig11Result", "run_fig11", "fig11_spec"]
 
@@ -58,6 +58,24 @@ def fig11_spec(config: Fig11Config = Fig11Config()) -> ScenarioSpec:
 
 def _config_from_spec(spec: ScenarioSpec) -> Fig11Config:
     return Fig11Config(seed=spec.seed, **spec.params)
+
+
+def goodputs(
+    model: ThroughputModel,
+    records: TrialRecords,
+    recordings,
+    tx_ids: Sequence[int],
+    n_probes: int,
+) -> List[float]:
+    """Each recording's expected goodput over its trials' selections."""
+    delivered = selected_snr_db(records, recordings, tx_ids)
+    sector = records.sector
+    return [
+        model.expected_goodput_gbps(
+            list(delivered[rows]), n_probes, sector[rows].tolist()
+        )
+        for rows in records.by_recording(len(recordings))
+    ]
 
 
 @register_scenario("fig11", default_spec=fig11_spec)
@@ -100,38 +118,12 @@ def _run_fig11_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig11Resu
         testbed_spec=spec.testbed,
     )
 
-    css_gbps: List[float] = []
-    ssw_gbps: List[float] = []
-    for index, recording in enumerate(recordings):
-        css_selections = [
-            record.result.sector_id
-            for record in css_records
-            if record.recording_index == index
-        ]
-        ssw_selections = [
-            record.result.sector_id
-            for record in ssw_records
-            if record.recording_index == index
-        ]
-        css_series = [
-            recording.true_snr_db[tx_ids.index(sector_id)]
-            for sector_id in css_selections
-        ]
-        ssw_series = [
-            recording.true_snr_db[tx_ids.index(sector_id)]
-            for sector_id in ssw_selections
-        ]
-        css_gbps.append(
-            model.expected_goodput_gbps(css_series, config.n_probes, css_selections)
-        )
-        ssw_gbps.append(
-            model.expected_goodput_gbps(ssw_series, N_FULL_SWEEP_SECTORS, ssw_selections)
-        )
-
     return Fig11Result(
         directions_deg=list(config.directions_deg),
-        css_gbps=css_gbps,
-        ssw_gbps=ssw_gbps,
+        css_gbps=goodputs(model, css_records, recordings, tx_ids, config.n_probes),
+        ssw_gbps=goodputs(
+            model, ssw_records, recordings, tx_ids, N_FULL_SWEEP_SECTORS
+        ),
         n_probes=config.n_probes,
     )
 

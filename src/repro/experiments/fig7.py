@@ -19,11 +19,10 @@ from typing import List, Sequence
 import numpy as np
 
 from ..channel.environment import conference_room, lab_environment
-from ..geometry.angles import azimuth_difference
 from ..runtime.registry import register_scenario
-from ..runtime.runner import ScenarioRunner
+from ..runtime.runner import ScenarioRunner, TrialRecords
 from ..runtime.spec import PolicySpec, ScenarioSpec
-from .common import BoxStats, record_directions
+from .common import BoxStats, estimate_errors, record_directions
 
 __all__ = [
     "Fig7Config",
@@ -121,21 +120,11 @@ def record_environments(testbed, config, rng: np.random.Generator):
 
 
 def _summarize(
-    series: EstimationErrorSeries, recordings, n_probes: int, records
+    series: EstimationErrorSeries, recordings, n_probes: int, records: TrialRecords
 ) -> None:
     # Rows that fell back (fewer than two reported probes) carry no
     # estimate — the trials the scalar loop skipped.
-    azimuth_errors: List[float] = []
-    elevation_errors: List[float] = []
-    for record in records:
-        estimate = record.result.estimate
-        if estimate is None:
-            continue
-        recording = recordings[record.recording_index]
-        azimuth_errors.append(
-            abs(azimuth_difference(estimate.azimuth_deg, recording.azimuth_deg))
-        )
-        elevation_errors.append(abs(estimate.elevation_deg - recording.elevation_deg))
+    azimuth_errors, elevation_errors = estimate_errors(records, recordings)
     series.probe_counts.append(n_probes)
     series.azimuth_stats.append(BoxStats.from_samples(azimuth_errors))
     series.elevation_stats.append(BoxStats.from_samples(elevation_errors))

@@ -19,10 +19,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..geometry.angles import azimuth_difference
 from ..runtime.registry import register_scenario
 from ..runtime.runner import ScenarioRunner
 from ..runtime.spec import PolicySpec, ScenarioSpec
+from .common import estimate_errors
 from .fig7 import record_environments
 
 __all__ = [
@@ -201,15 +201,7 @@ def _design_policy_spec(
 
 
 def _summarize(series: DesignerSeries, recordings, n_probes: int, records) -> None:
-    azimuth_errors: List[float] = []
-    for record in records:
-        estimate = record.result.estimate
-        if estimate is None:
-            continue
-        recording = recordings[record.recording_index]
-        azimuth_errors.append(
-            abs(azimuth_difference(estimate.azimuth_deg, recording.azimuth_deg))
-        )
+    azimuth_errors, _ = estimate_errors(records, recordings)
     series.probe_counts.append(int(n_probes))
     series.mean_az_error.append(float(np.mean(azimuth_errors)))
     series.median_az_error.append(float(np.median(azimuth_errors)))

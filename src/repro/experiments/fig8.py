@@ -17,9 +17,9 @@ import numpy as np
 
 from ..channel.environment import conference_room
 from ..runtime.registry import register_scenario
-from ..runtime.runner import ScenarioRunner, TrialRecord
+from ..runtime.runner import ScenarioRunner, TrialRecords
 from ..runtime.spec import PolicySpec, ScenarioSpec
-from .common import record_directions
+from .common import modal_counts, record_directions
 
 __all__ = [
     "Fig8Config",
@@ -74,13 +74,12 @@ def stability_of_selections(selections: Sequence[int]) -> float:
     return counts.most_common(1)[0][1] / len(selections)
 
 
-def _selections_by_recording(
-    records: Sequence[TrialRecord], n_recordings: int
-) -> List[List[int]]:
-    groups: List[List[int]] = [[] for _ in range(n_recordings)]
-    for record in records:
-        groups[record.recording_index].append(record.result.sector_id)
-    return groups
+def stability(records: TrialRecords, n_recordings: int) -> float:
+    """Mean over recordings of :func:`stability_of_selections`."""
+    modal, sizes = modal_counts(records, n_recordings)
+    if not sizes.all():
+        raise ValueError("need at least one selection")
+    return float(np.mean(modal / sizes))
 
 
 def fig8_spec(config: Fig8Config = Fig8Config()) -> ScenarioSpec:
@@ -106,16 +105,6 @@ def _run_fig8_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig8Result
     )
     tx_ids = testbed.tx_sector_ids
 
-    def stability(records: Sequence[TrialRecord]) -> float:
-        return float(
-            np.mean(
-                [
-                    stability_of_selections(selections)
-                    for selections in _selections_by_recording(records, len(recordings))
-                ]
-            )
-        )
-
     def calls():
         # SSW: full-sweep argmax per recorded sweep.  The policy consumes
         # no randomness, so planning it before the CSS draws leaves the
@@ -132,7 +121,7 @@ def _run_fig8_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig8Result
             yield policy, blocks, policy_spec, spec.testbed
 
     ssw_stability, *css_stability = [
-        stability(records) for records in runner.execute_each(calls())
+        stability(records, len(recordings)) for records in runner.execute_each(calls())
     ]
 
     return Fig8Result(

@@ -17,9 +17,9 @@ import numpy as np
 
 from ..channel.environment import conference_room
 from ..runtime.registry import register_scenario
-from ..runtime.runner import ScenarioRunner, TrialRecord
+from ..runtime.runner import ScenarioRunner
 from ..runtime.spec import PolicySpec, ScenarioSpec
-from .common import record_directions
+from .common import record_directions, snr_losses
 
 __all__ = ["Fig9Config", "Fig9Result", "run_fig9", "fig9_spec"]
 
@@ -70,18 +70,6 @@ def _config_from_spec(spec: ScenarioSpec) -> Fig9Config:
     return Fig9Config(seed=spec.seed, **spec.params)
 
 
-def _losses(records: Sequence[TrialRecord], recordings, column_of) -> List[float]:
-    return [
-        recordings[record.recording_index].optimal_snr_db()
-        - float(
-            recordings[record.recording_index].true_snr_db[
-                column_of[record.result.sector_id]
-            ]
-        )
-        for record in records
-    ]
-
-
 @register_scenario("fig9", default_spec=fig9_spec)
 def _run_fig9_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig9Result:
     """Figure 9: SNR loss vs. probe count in the conference room."""
@@ -94,7 +82,6 @@ def _run_fig9_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig9Result
         testbed, conference_room(6.0), azimuths, [0.0], config.n_sweeps, rng
     )
     tx_ids = testbed.tx_sector_ids
-    column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
 
     def calls():
         # SSW first (no randomness consumed), fresh state per recording.
@@ -108,7 +95,7 @@ def _run_fig9_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig9Result
             yield policy, blocks, policy_spec, spec.testbed
 
     ssw_loss_db, *css_loss_db = [
-        float(np.mean(_losses(records, recordings, column_of)))
+        float(np.mean(snr_losses(records, recordings, tx_ids)))
         for records in runner.execute_each(calls())
     ]
 

@@ -21,14 +21,13 @@ import numpy as np
 
 from ..channel.environment import conference_room
 from ..core.policy import CompressivePolicy
-from ..geometry.angles import azimuth_difference
 from ..measurement.campaign import CampaignConfig, PatternMeasurementCampaign
 from ..phased_array.array import PhasedArray
 from ..phased_array.talon import talon_codebook
 from ..runtime.registry import register_scenario
 from ..runtime.runner import ScenarioRunner
 from ..runtime.spec import ScenarioSpec
-from .common import record_directions
+from .common import estimate_errors, record_directions, snr_losses
 
 __all__ = ["TransferConfig", "TransferResult", "run_pattern_transfer", "transfer_spec"]
 
@@ -104,7 +103,6 @@ def _run_transfer_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Transf
         testbed_b, conference_room(6.0), azimuths, [0.0], config.n_sweeps, rng
     )
     tx_ids = codebook_b.tx_sector_ids
-    column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
 
     # Paired comparison: both tables judge the *same* probe draws, so
     # the plan is drawn once (scalar order) and each policy replays it
@@ -123,25 +121,12 @@ def _run_transfer_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Transf
     blocks = runner.plan_trials(
         next(iter(policies.values())), recordings, tx_ids, rng
     )
-    errors: Dict[str, List[float]] = {name: [] for name in policies}
-    losses: Dict[str, List[float]] = {name: [] for name in policies}
+    errors: Dict[str, np.ndarray] = {}
+    losses: Dict[str, np.ndarray] = {}
     for name, policy in policies.items():
         records = runner.execute(policy, blocks, reset="plan", label=name)
-        for record in records:
-            recording = recordings[record.recording_index]
-            result = record.result
-            if result.estimate is not None:
-                errors[name].append(
-                    abs(
-                        azimuth_difference(
-                            result.estimate.azimuth_deg, recording.azimuth_deg
-                        )
-                    )
-                )
-            losses[name].append(
-                recording.optimal_snr_db()
-                - recording.true_snr_db[column_of[result.sector_id]]
-            )
+        errors[name], _ = estimate_errors(records, recordings)
+        losses[name] = snr_losses(records, recordings, tx_ids)
 
     return TransferResult(
         azimuth_error_deg={name: float(np.mean(errors[name])) for name in policies},

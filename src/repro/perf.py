@@ -18,10 +18,11 @@ perf`` times:
 End-to-end cost — whole scenarios, the process pool, the service,
 tracing — is the ``bench/`` workloads' job, not this module's.
 
-Each run appends one machine-readable *trajectory point* to a JSON
-file (``BENCH_core.json`` at the repo root by convention), so the
-history of every optimization PR stays diffable.  ``repro-bench perf
---check`` compares the gated latencies against the committed baseline
+A run given ``--output FILE`` appends one machine-readable
+*trajectory point* to that JSON file (``BENCH_core.json`` at the repo
+root holds the committed history, so every optimization PR stays
+diffable); a plain run only prints.  ``repro-bench perf --check``
+compares the gated latencies against the committed baseline
 point and the gated throughputs against the most recent point that
 recorded them, and exits nonzero on a >2× regression or a non-finite
 reading — the guard CI runs.
@@ -465,13 +466,17 @@ def check_against_baseline(
 
 def run_perf(
     label: str = "dev",
-    output: Optional[str] = DEFAULT_TRAJECTORY,
+    output: Optional[str] = None,
     check: bool = False,
     repeats: int = 20,
 ) -> int:
-    """Measure, report, optionally append and/or regression-check.
+    """Measure, report, and append to or regression-check a trajectory.
 
-    Returns a process exit code (nonzero = regression detected).
+    Without ``check`` a point is appended only to a file ``output``
+    names, so measuring never rewrites the committed trajectory; with
+    ``check`` the baseline comes from ``output``, else
+    :data:`DEFAULT_TRAJECTORY`.  Returns a process exit code (nonzero =
+    regression detected).
     """
     metrics = measure_metrics(repeats=repeats)
     print("perf: hot-kernel trajectory point")
@@ -480,7 +485,7 @@ def run_perf(
 
     status = 0
     if check:
-        data = load_trajectory(output) if output else {"points": []}
+        data = load_trajectory(output or DEFAULT_TRAJECTORY)
         baseline = _baseline_point(data)
         if baseline is not None:
             for line in environment_mismatches(baseline.environment, _environment()):

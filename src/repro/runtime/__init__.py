@@ -38,7 +38,14 @@ from .registry import (
     register_scenario,
     scenario_spec,
 )
-from .runner import RunOutcome, ScenarioRunner, TrialBlock, TrialRecord
+from .runner import (
+    RunOutcome,
+    ScenarioRunner,
+    TrialBlock,
+    TrialPlan,
+    TrialRecord,
+    TrialRecords,
+)
 from .spec import PolicySpec, ScenarioSpec, TestbedSpec
 
 __all__ = [
@@ -72,6 +79,8 @@ __all__ = [
     "RunOutcome",
     "ScenarioRunner",
     "TrialBlock",
+    "TrialPlan",
+    "TrialRecords",
     "TrialRecord",
     "PolicySpec",
     "ScenarioSpec",

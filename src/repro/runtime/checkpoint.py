@@ -10,12 +10,17 @@ consumed only during planning), restored results are bit-identical to
 recomputed ones.
 
 File format: a :class:`~.journal.Journal` with header ``{"format":
-"repro-checkpoint", "version": 3, "spec_digest": ..., "seed": ...}`` and
+"repro-checkpoint", "version": 4, "spec_digest": ..., "seed": ...}`` and
 one entry per block, body ``{"key": "<policy-digest>:<call>:<block>",
-"payload": <base64 pickle of the block's results>}``; the entry digest
-covers the key too.  A header that does not match the resuming run is
+"payload": <base64 of the block's selection rows>}``; the entry digest
+covers the key too.  A payload is the raw bytes of the block's
+:class:`~repro.core.selector.Selections` rows — the fixed,
+little-endian :data:`~repro.core.selector.SELECTION_DTYPE`, 50 bytes a
+row — so reading one back is a ``np.frombuffer`` and never runs code
+from the file.  A header that does not match the resuming run is
 stale and the file starts fresh, so results never leak across specs,
-seeds or format versions.  ``call`` is the ordinal of the supervised
+seeds or format versions (v3 journals, which pickled their results,
+are recomputed).  ``call`` is the ordinal of the supervised
 ``execute()`` call within the run, so a scenario that evaluates the
 same policy spec twice (fig7 runs one CSS spec per environment)
 journals each evaluation under its own key.  A torn or corrupt tail
@@ -40,11 +45,11 @@ import base64
 import hashlib
 import logging
 import os
-import pickle
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from .. import obs as _obs
+from ..core.selector import SelectionResult, Selections
 from .journal import Journal, read_header
 
 __all__ = [
@@ -57,7 +62,7 @@ __all__ = [
 _LOGGER = logging.getLogger(__name__)
 
 _FORMAT = "repro-checkpoint"
-_VERSION = 3
+_VERSION = 4
 
 PathLike = Union[str, os.PathLike]
 
@@ -159,15 +164,19 @@ class CheckpointStore:
 
     def get(
         self, policy_key: str, call_index: int, block_index: int
-    ) -> Optional[Sequence[Any]]:
-        """The journaled results of one block, or None when absent."""
+    ) -> Optional[Selections]:
+        """The journaled selections of one block, or None when absent.
+
+        The caller checks the row count against its block: the entry
+        key does not carry it.
+        """
         payload = self._entries.get(self.entry_key(policy_key, call_index, block_index))
         if payload is None:
             _obs.inc("checkpoint_misses_total")
             return None
         try:
-            results = pickle.loads(base64.b64decode(payload))
-        except Exception as error:  # digest passed but unpickle failed
+            results = Selections.from_bytes(base64.b64decode(payload, validate=True))
+        except ValueError as error:  # digest passed, but not whole base64 rows
             _LOGGER.warning(
                 "checkpoint %s: undecodable entry for block %d (%s); recomputing",
                 self.path,
@@ -184,13 +193,15 @@ class CheckpointStore:
         policy_key: str,
         call_index: int,
         block_index: Union[int, Sequence[int]],
-        results: Sequence[Any],
+        results: Union[Sequence[SelectionResult], Sequence[Sequence[SelectionResult]]],
     ) -> None:
         """Journal completed blocks with one flush (one fsync when durable).
 
         ``block_index`` is one block's index and ``results`` its
-        results, or a sequence of indices and the matching sequence of
-        per-block results — a *group commit*: every entry is written,
+        selections, or a sequence of indices and the matching sequence
+        of per-block selections (:class:`~repro.core.selector.Selections`,
+        or any sequence of :class:`~repro.core.selector.SelectionResult`)
+        — a *group commit*: every entry is written,
         then the journal is flushed and synced once.  Each entry still
         carries its own digest, so a crash before the sync tears at
         most this group, and resume recomputes it.  Blocks already
@@ -202,7 +213,8 @@ class CheckpointStore:
         for index, block_results in zip(block_index, results):
             key = self.entry_key(policy_key, call_index, index)
             if key not in self._entries and key not in written:
-                written[key] = base64.b64encode(pickle.dumps(block_results)).decode("ascii")
+                rows = Selections.from_results(block_results).rows
+                written[key] = base64.b64encode(rows.tobytes()).decode("ascii")
         if self._journal.append(
             {"key": key, "payload": payload} for key, payload in written.items()
         ):

@@ -6,7 +6,7 @@ layer that reproduces those numbers holds itself to the same standard
 for degraded *infrastructure*.  This module is the vocabulary:
 
 * :class:`RetryPolicy` — how the runner supervises every dispatched
-  :class:`~.runner.TrialBlock`: bounded attempts, exponential backoff
+  :class:`~.trials.TrialBlock`: bounded attempts, exponential backoff
   with *deterministic* seeded jitter (two runs of the same spec retry
   at the same instants), and an optional per-block wall-clock timeout.
 * :class:`FaultSpec` / :class:`FaultPlan` — declarative, seed-stable

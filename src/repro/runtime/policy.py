@@ -100,23 +100,23 @@ class SelectionPolicy(Protocol):
     # Optional (not part of the Protocol's required surface):
     #
     # def select_batch(self, sector_ids, snr_db, rssi_dbm=None, mask=None)
-    #     -> List[SelectionResult]
+    #     -> Selections (or any Sequence[SelectionResult])
     #
     # `select` over padded (trials x probes) arrays, rows threading the
     # selection state in order: element-for-element the results of
     # calling `select` on each row's measurements.  When both exist,
-    # the runner calls only `select_batch`; a raising call is a failed
-    # block attempt (retried, then failed), never silently redone
-    # through `select`.
+    # the runner calls only `select_batch`, and packs a plain sequence
+    # with `Selections.from_results`; a raising call is a failed block
+    # attempt (retried, then failed), never silently redone through
+    # `select`.
     #
-    # def select_fused_stacked(self, parts, around=None)
-    #     -> List[List[SelectionResult]]
+    # def select_fused_stacked(self, parts, around=None) -> Selections
     #
     # `reset(); select_batch(*part)` for each (ids, snr, rssi, mask)
-    # part in one pass, `around(i)` wrapping part i's build.  When it
-    # exists, the runner evaluates whole chunks of per-recording blocks
-    # through it; if it raises, the chunk is re-run per block through
-    # `select_batch`.
+    # part in one pass, every part's rows in order, `around(i)` entered
+    # once per part after the pass.  When it exists, the runner
+    # evaluates whole chunks of per-recording blocks through it; if it
+    # raises, the chunk is re-run per block through `select_batch`.
 
 
 @dataclass(frozen=True)

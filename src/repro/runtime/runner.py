@@ -5,14 +5,17 @@ sweeps, probe a subset, select, score — instantiated for several
 strategies.  :class:`ScenarioRunner` owns that shape once:
 
 * **plan_trials** replays each policy's probe draws in the exact
-  scalar order (one draw per recording × sweep × subsample) and packs
-  them into per-recording :class:`TrialBlock` arrays;
+  scalar order (one draw per recording × sweep × subsample, all drawn
+  in one call) and gathers them into one :class:`~.trials.TrialPlan`,
+  whose blocks are the recordings' row ranges;
 * **execute** evaluates the blocks, resetting selection state per
   recording or per plan.  Per-recording blocks are cut into chunks of
   at most :data:`CHUNK_ROWS` rows, each evaluated in one stacked
   kernel pass (``select_fused_stacked``) and journaled with one group
   commit; policies without a stacked kernel get one ``select_batch``
-  call per block (or ``select`` per row, e.g. the oracle);
+  call per block (or ``select`` per row, e.g. the oracle).  Every
+  block's result is a :class:`~repro.core.selector.Selections` array,
+  and the call's records are one :class:`~.trials.TrialRecords`;
 * **execute_each** evaluates a lazily planned stream of such calls
   and yields each call's records in call order; on the pool, calls
   run ahead while the next ones are planned (``execute`` is a stream
@@ -105,6 +108,7 @@ from typing import (
 import numpy as np
 
 from .. import obs as _obs
+from ..core.selector import SELECTION_DTYPE, Selections
 from ..obs import quality as _quality
 from .checkpoint import CheckpointStore, default_checkpoint_path
 from .faults import (
@@ -127,10 +131,13 @@ from .shm import attach as _shm_attach
 from .shm import borrow as _shm_borrow
 from .shm import detach_all as _shm_detach_all
 from .spec import PolicySpec, ScenarioSpec, TestbedSpec
+from .trials import TrialBlock, TrialPlan, TrialRecord, TrialRecords
 
 __all__ = [
     "TrialBlock",
+    "TrialPlan",
     "TrialRecord",
+    "TrialRecords",
     "RunOutcome",
     "ScenarioRunner",
 ]
@@ -147,43 +154,6 @@ _UNSET = object()
 #: Placeholder for TrialBlock fields the evaluation path never reads —
 #: shared-memory block reconstruction ships only the four eval arrays.
 _EMPTY_INTP = np.empty(0, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class TrialBlock:
-    """All planned trials of one recording, padded into batch arrays.
-
-    Rows are trials in scalar order (sweep-major, then subsample).
-    ``sector_ids`` / ``snr_db`` / ``rssi_dbm`` / ``mask`` have shape
-    ``(n_trials, width)`` — the argument layout of ``select_batch`` —
-    and ``probes_requested[t]`` is the number of probes the policy
-    asked for in trial ``t`` (before padding and before reports went
-    missing), which prices the training airtime.
-    """
-
-    recording_index: int
-    sector_ids: np.ndarray
-    snr_db: np.ndarray
-    rssi_dbm: np.ndarray
-    mask: np.ndarray
-    sweep_indices: np.ndarray
-    subsample_indices: np.ndarray
-    probes_requested: np.ndarray
-
-    @property
-    def n_trials(self) -> int:
-        return self.sector_ids.shape[0]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One evaluated trial, tagged with its origin in the plan."""
-
-    recording_index: int
-    sweep_index: int
-    subsample: int
-    result: Any  # SelectionResult
-    probes_requested: int
 
 
 @dataclass(frozen=True)
@@ -339,13 +309,14 @@ def _apply_worker_directive(directive: Dict[str, Any], testbed_key: str) -> None
         _reset_worker_caches()
 
 
-def _eval_block(policy, block: TrialBlock) -> List:
+def _eval_block(policy, block: TrialBlock) -> Selections:
     """Evaluate one block against the policy's current selection state.
 
     A policy with ``select_batch`` evaluates the whole block in one
     call; any other (the oracle, plugins) gets its ``select`` called
-    per row on the row's measurement list.  A raising kernel is a
-    failed block attempt like any other error: it goes through the
+    per row on the row's measurement list, and the results are packed
+    into :class:`~repro.core.selector.Selections`.  A raising kernel is
+    a failed block attempt like any other error: it goes through the
     supervisor's retry/fail path.
     """
     select_batch = getattr(policy, "select_batch", None)
@@ -357,7 +328,7 @@ def _eval_block(policy, block: TrialBlock) -> List:
             mask=block.mask,
         )
         _obs.inc("runner_kernel_path_total", path="batched")
-        return results
+        return Selections.from_results(results)
     from ..core.measurements import ProbeMeasurement
 
     results = []
@@ -372,7 +343,7 @@ def _eval_block(policy, block: TrialBlock) -> List:
         ]
         results.append(policy.select(measurements))
     _obs.inc("runner_kernel_path_total", path="scalar")
-    return results
+    return Selections.from_results(results)
 
 
 def _split_meta(
@@ -448,7 +419,7 @@ class _Call:
     """
 
     policy: Any
-    blocks: Sequence[TrialBlock]
+    blocks: TrialPlan
     reset: str
     label: str
     policy_spec: Optional[PolicySpec]
@@ -456,7 +427,7 @@ class _Call:
     index: int = -1
     store: Optional[CheckpointStore] = None
     policy_key: Optional[str] = None
-    outputs: Dict[int, Sequence] = field(default_factory=dict)
+    outputs: Dict[int, Selections] = field(default_factory=dict)
     hits: List[int] = field(default_factory=list)
     pending: List[int] = field(default_factory=list)
     pooled: bool = False
@@ -469,7 +440,7 @@ class _Call:
     quality_meta: Optional[Mapping[str, Any]] = None
     attempts: Dict[int, int] = field(default_factory=dict)
     remaining: set = field(default_factory=set)
-    executed: Dict[int, Tuple[Sequence, Dict[str, Any]]] = field(default_factory=dict)
+    executed: Dict[int, Tuple[Selections, Dict[str, Any]]] = field(default_factory=dict)
     barren_rounds: int = 0
     last_error: BaseException = field(default_factory=lambda: ChildDied(None))
     # The current round's unresolved tasks, in dispatch order:
@@ -483,45 +454,47 @@ class _Call:
 
 
 def _plan_chunks(
-    blocks: Sequence[TrialBlock],
+    bounds: np.ndarray,
     indices: Sequence[int],
     alone: Collection[int] = (),
 ) -> List[List[int]]:
     """Cut ``indices`` into contiguous chunks of at most ``CHUNK_ROWS`` rows.
 
-    A block over the budget is a chunk of its own, and so is every
-    block in ``alone`` (fault-directive carriers, which run singly); a
-    change of probe width starts a new chunk (stacked rows must share a
-    width).  The cut depends only on the blocks, so the local path and
-    the pool — at any ``jobs`` — evaluate the same chunks with the same
-    kernel calls, in block order.
+    Block ``b`` spans rows ``bounds[b]:bounds[b + 1]`` of its plan.  A
+    block over the budget is a chunk of its own, and so is every block
+    in ``alone`` (fault-directive carriers, which run singly).  The cut
+    depends only on the plan, so the local path and the pool — at any
+    ``jobs`` — evaluate the same chunks with the same kernel calls, in
+    block order.  (Every block of a plan has the plan's width, so any
+    blocks may share a stacked pass.)
     """
+    sizes = np.diff(bounds).tolist()
     chunks: List[List[int]] = []
-    rows = width = 0
+    rows = 0
     extendable = False
     for index in indices:
-        n_rows, n_cols = blocks[index].sector_ids.shape
+        n_rows = sizes[index]
         single = index in alone
-        fits = n_cols == width and rows + n_rows <= CHUNK_ROWS
-        if extendable and fits and not single:
+        if extendable and not single and rows + n_rows <= CHUNK_ROWS:
             chunks[-1].append(index)
             rows += n_rows
         else:
             chunks.append([index])
-            rows, width = n_rows, n_cols
+            rows = n_rows
         extendable = not single
     return chunks
 
 
 def _lane_groups(
-    blocks: Sequence[TrialBlock], chunks: Sequence[List[int]], lanes: int
+    bounds: np.ndarray, chunks: Sequence[List[int]], lanes: int
 ) -> List[List[List[int]]]:
     """Deal contiguous runs of chunks to at most ``lanes`` pool tasks.
 
     Each chunk goes to the lane its middle row falls in, so every
     task's row count stays within one chunk of an even share.
     """
-    rows = [sum(blocks[index].n_trials for index in chunk) for chunk in chunks]
+    sizes = np.diff(bounds).tolist()
+    rows = [sum(sizes[index] for index in chunk) for chunk in chunks]
     total = max(1, sum(rows))
     groups: List[List[List[int]]] = [[] for _ in range(lanes)]
     before = 0
@@ -536,17 +509,19 @@ def _eval_chunk(
     policy,
     chunk: Sequence[Tuple[int, TrialBlock]],
     obs_metas: Optional[Mapping[int, Mapping[str, Any]]] = None,
-) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
+) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
     """Evaluate one planned chunk in a single stacked kernel pass.
 
     The one chunk evaluator of the local path and the pool workers.
     ``chunk`` holds ``(index, TrialBlock)`` pairs; each block is
     evaluated against freshly reset state (``select_fused_stacked``),
-    bit-identical to one ``select_batch`` per block.  Traced
-    (``obs_metas`` maps each index to its ``execute.block`` attrs), the
-    pass records into a fresh session — each block's build under its
-    own span — whose drained payload rides on the chunk's first block,
-    so the supervisor absorbs the same payloads at any ``jobs``.
+    bit-identical to one ``select_batch`` per block, and gets its rows
+    of the pass's :class:`~repro.core.selector.Selections` as a slice.
+    Traced (``obs_metas`` maps each index to its ``execute.block``
+    attrs), the pass records into a fresh session — each block's
+    ``execute.block`` span opened in block order — whose drained
+    payload rides on the chunk's first block, so the supervisor absorbs
+    the same payloads at any ``jobs``.
 
     Raises whatever the stacked pass raises, leaving no trace: callers
     then evaluate the chunk block by block, which attributes the error
@@ -557,8 +532,7 @@ def _eval_chunk(
         for _, block in chunk
     ]
     if obs_metas is None:
-        results = policy.select_fused_stacked(parts)
-        return {index: (out, {}) for (index, _), out in zip(chunk, results)}
+        return _split_rows(chunk, policy.select_fused_stacked(parts))
     split = [_split_meta(obs_metas[index]) for index, _ in chunk]
 
     @contextmanager
@@ -568,9 +542,22 @@ def _eval_chunk(
         _obs.inc("runner_kernel_path_total", path="batched")
 
     with _fresh_session() as session, _quality_scope(split[0][1]):
-        results = policy.select_fused_stacked(parts, around=block_span)
-    done = {index: (out, {}) for (index, _), out in zip(chunk, results)}
+        selections = policy.select_fused_stacked(parts, around=block_span)
+    done = _split_rows(chunk, selections)
     done[chunk[0][0]][1]["obs"] = session.drain_payload()
+    return done
+
+
+def _split_rows(
+    chunk: Sequence[Tuple[int, TrialBlock]], selections: Selections
+) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
+    """Each block's rows of a stacked pass's selections."""
+    done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
+    start = 0
+    for index, block in chunk:
+        stop = start + block.n_trials
+        done[index] = (selections[start:stop], {})
+        start = stop
     return done
 
 
@@ -588,7 +575,7 @@ def _log_stacked_failure(first: int, n_blocks: int, error: Exception) -> None:
 def _worker_run_chunks(
     testbed_key: str,
     policy_key: str,
-    chunks: Sequence[Sequence[Tuple[int, Any]]],
+    chunks: Sequence[Sequence[Tuple]],
     obs_metas: Optional[Dict[int, Dict[str, Any]]] = None,
     manifest: Optional[SharedKernelManifest] = None,
     blocks_manifest: Optional[SharedKernelManifest] = None,
@@ -605,17 +592,18 @@ def _worker_run_chunks(
     so crash/hang/exception attribution stays per-block exact.
 
     Chunks hold ``(index, TrialBlock)`` pairs, or — when
-    ``blocks_manifest`` names a published block segment —
-    ``(index, recording_index)`` pairs, and the trial arrays are
-    read-only views mapped from shared memory instead of pickled
-    copies (byte-identical by construction).  ``obs_metas`` doubles as
-    the observability enable flag and each block's ``execute.block``
+    ``blocks_manifest`` names a call's published plan segment (entries
+    ``ids``, ``snr``, ``rssi``, ``mask``) — ``(index, start, stop)``
+    row ranges, and each block's arrays are read-only row slices of
+    the views mapped from shared memory instead of pickled copies
+    (byte-identical by construction).  ``obs_metas`` doubles as the
+    observability enable flag and each block's ``execute.block``
     attrs; per-block evaluation records every block into its own fresh
     session, so the runner's ``(call, block)``-ordered absorption never
     shows pool scheduling.
 
     Returns ``(done, failure)``: ``done`` maps block index → the
-    ``(results, info)`` payload of every block that finished, and
+    ``(selections, info)`` payload of every block that finished, and
     ``failure`` is ``(index, error)`` for the first block that raised
     (or None).  A chunk whose stacked pass raises is re-run block by
     block, which finds the failing block; blocks after it are not
@@ -627,28 +615,29 @@ def _worker_run_chunks(
         return _run_chunks(testbed_key, policy_key, chunks, obs_metas, manifest, directive)
 
     def mapped(views: Mapping[str, np.ndarray]):
+        ids, snr, rssi, mask = views["ids"], views["snr"], views["rssi"], views["mask"]
         blocks = [
             [
                 (
                     index,
                     TrialBlock(
-                        recording_index=recording_index,
-                        sector_ids=views[f"{index}.ids"],
-                        snr_db=views[f"{index}.snr"],
-                        rssi_dbm=views[f"{index}.rssi"],
-                        mask=views[f"{index}.mask"],
+                        recording_index=-1,
+                        sector_ids=ids[start:stop],
+                        snr_db=snr[start:stop],
+                        rssi_dbm=rssi[start:stop],
+                        mask=mask[start:stop],
                         sweep_indices=_EMPTY_INTP,
                         subsample_indices=_EMPTY_INTP,
                         probes_requested=_EMPTY_INTP,
                     ),
                 )
-                for index, recording_index in chunk
+                for index, start, stop in chunk
             ]
             for chunk in chunks
         ]
         return _run_chunks(testbed_key, policy_key, blocks, obs_metas, manifest, directive)
 
-    # The block segment is mapped for this task only: it is unlinked
+    # The plan segment is mapped for this task only: it is unlinked
     # when its execute call settles, so no worker keeps it attached.
     try:
         return _shm_borrow(blocks_manifest, mapped)
@@ -665,9 +654,9 @@ def _run_chunks(
     directive: Optional[Dict[str, Any]],
 ):
     """The body of :func:`_worker_run_chunks` over in-memory blocks."""
-    done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
+    done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
 
-    def evaluate(block: TrialBlock, quality_meta=None) -> List:
+    def evaluate(block: TrialBlock, quality_meta=None) -> Selections:
         if directive is not None:
             _apply_worker_directive(directive, testbed_key)
         policy = _worker_policy(testbed_key, policy_key, manifest)
@@ -732,44 +721,57 @@ def _looped_columns(
     return columns, requested
 
 
-def _gather_block(
-    recording_index: int,
+def _gather_plan(
+    recordings: Sequence,
+    tx_ids: Sequence[int],
     columns: np.ndarray,
     requested: np.ndarray,
     subsamples_per_sweep: int,
-    id_row: np.ndarray,
-    present: np.ndarray,
-    snr: np.ndarray,
-    rssi: np.ndarray,
-) -> TrialBlock:
-    """One recording's trials, gathered from its packed sweeps.
+) -> TrialPlan:
+    """A call's trials, gathered at once from its recordings' packed sweeps.
 
-    Trial ``t`` reads sweep ``t // subsamples_per_sweep`` at the
-    columns ``columns[t, :requested[t]]``; the slots past a trial's
-    count are padding, set to id 0, NaN and False.
+    Recording ``r`` owns the next ``n_sweeps × subsamples_per_sweep``
+    rows; its trial ``t`` reads sweep ``t // subsamples_per_sweep`` at
+    the columns ``columns[row, :requested[row]]``.  The slots past a
+    row's count are padding, set to id 0, NaN and False.
     """
-    n_trials = columns.shape[0]
-    sweeps = np.arange(n_trials, dtype=np.intp) // subsamples_per_sweep
-    rows = sweeps[:, np.newaxis]
+    id_row = np.asarray(tx_ids, dtype=np.intp)
+    n_sweeps = np.array([recording.n_sweeps for recording in recordings], dtype=np.intp)
+    counts = n_sweeps * subsamples_per_sweep
+    bounds = np.zeros(len(recordings) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    owner = np.repeat(np.arange(len(recordings), dtype=np.intp), counts)
+    trial = np.arange(columns.shape[0], dtype=np.intp) - bounds[owner]
+    sweeps = trial // subsamples_per_sweep
+    packed = [recording.packed_sweeps(tx_ids) for recording in recordings]
+    if packed:
+        present, snr, rssi = (np.concatenate(arrays) for arrays in zip(*packed))
+    else:
+        present = np.zeros((0, id_row.size), dtype=bool)
+        snr = rssi = np.zeros((0, id_row.size))
+    first_sweep = np.cumsum(n_sweeps) - n_sweeps
+    rows = (first_sweep[owner] + sweeps)[:, np.newaxis]
     sector_ids = id_row[columns]
     snr_db = snr[rows, columns]
     rssi_dbm = rssi[rows, columns]
     mask = present[rows, columns]
-    if n_trials and requested.min() != columns.shape[1]:
+    if columns.shape[0] and requested.min() != columns.shape[1]:
         pad = np.arange(columns.shape[1]) >= requested[:, np.newaxis]
         sector_ids[pad] = 0
         snr_db[pad] = np.nan
         rssi_dbm[pad] = np.nan
         mask[pad] = False
-    return TrialBlock(
-        recording_index=recording_index,
+    return TrialPlan(
         sector_ids=sector_ids,
         snr_db=snr_db,
         rssi_dbm=rssi_dbm,
         mask=mask,
+        recording_indices=owner,
         sweep_indices=sweeps,
-        subsample_indices=np.arange(n_trials, dtype=np.intp) % subsamples_per_sweep,
+        subsample_indices=trial % subsamples_per_sweep,
         probes_requested=requested,
+        bounds=bounds,
+        block_recordings=np.arange(len(recordings), dtype=np.intp),
     )
 
 
@@ -1106,16 +1108,18 @@ class ScenarioRunner:
         tx_ids: Sequence[int],
         rng: np.random.Generator,
         subsamples_per_sweep: int = 1,
-    ) -> List[TrialBlock]:
-        """Pre-draw every trial's probes in scalar order, per recording.
+    ) -> TrialPlan:
+        """Pre-draw every trial's probes in scalar order, as one plan.
 
-        The single place randomness is consumed: one
-        ``probes_for_round(0, ...)`` call per recording × sweep ×
-        subsample, in exactly that nesting order — the draw order every
-        legacy experiment loop used.
+        The single place randomness is consumed: the trials of every
+        recording × sweep × subsample, in exactly that nesting order —
+        the draw order every legacy experiment loop used — drawn in one
+        ``probe_positions`` call (or one ``probes_for_round(0, ...)``
+        call per trial, for policies without it).  The plan's block
+        ``r`` holds recording ``r``'s trials.
 
         Planning is also where an attached probe designer actually
-        designs (blocks carry pre-drawn probes, so execution never
+        designs (plans carry pre-drawn probes, so execution never
         re-enters it), and planning always runs in the supervisor — so
         this is where designer quality diagnostics are recorded,
         jobs-invariantly.
@@ -1141,43 +1145,32 @@ class ScenarioRunner:
         rng: np.random.Generator,
         subsamples_per_sweep: int,
         label: str,
-    ) -> List[TrialBlock]:
-        id_row = np.asarray(tx_ids, dtype=np.intp)
+    ) -> TrialPlan:
         pool = list(tx_ids)
         draw = getattr(policy, "probe_positions", None)
-        blocks: List[TrialBlock] = []
         with _obs.span(
             "plan.trials",
             policy=getattr(policy, "name", type(policy).__name__),
             recordings=len(recordings),
         ):
-            for recording_index, recording in enumerate(recordings):
-                present, snr, rssi = recording.packed_sweeps(tx_ids)
-                n_trials = recording.n_sweeps * subsamples_per_sweep
-                # Designed rows are pool positions, and the pool is
-                # tx_ids: they are the block's columns as they stand.
-                columns = draw(n_trials, pool, rng) if draw is not None else None
-                if columns is None:
-                    columns, requested = _looped_columns(policy, n_trials, pool, rng)
-                else:
-                    requested = np.full(n_trials, columns.shape[1], dtype=np.intp)
-                if _obs.enabled():
-                    for count in requested.tolist():
-                        _obs.observe("planner_probes_requested", count)
+            n_trials = subsamples_per_sweep * sum(
+                recording.n_sweeps for recording in recordings
+            )
+            # Designed rows are pool positions, and the pool is
+            # tx_ids: they are the plan's columns as they stand.
+            columns = draw(n_trials, pool, rng) if draw is not None else None
+            if columns is None:
+                columns, requested = _looped_columns(policy, n_trials, pool, rng)
+            else:
+                requested = np.full(n_trials, columns.shape[1], dtype=np.intp)
+            if _obs.enabled():
+                for count in requested.tolist():
+                    _obs.observe("planner_probes_requested", count)
+            if recordings:
                 _obs.inc("planner_trials_total", n_trials)
-                blocks.append(
-                    _gather_block(
-                        recording_index,
-                        columns,
-                        requested,
-                        subsamples_per_sweep,
-                        id_row,
-                        present,
-                        snr,
-                        rssi,
-                    )
-                )
-        return blocks
+            return _gather_plan(
+                recordings, tx_ids, columns, requested, subsamples_per_sweep
+            )
 
     # -- execution ------------------------------------------------------
 
@@ -1189,8 +1182,12 @@ class ScenarioRunner:
         policy_spec: Optional[PolicySpec] = None,
         testbed_spec: Optional[TestbedSpec] = None,
         label: Optional[str] = None,
-    ) -> List[TrialRecord]:
+    ) -> TrialRecords:
         """Evaluate planned blocks through a policy.
+
+        ``blocks`` is a :class:`~.trials.TrialPlan` from
+        :meth:`plan_trials`, or any sequence of :class:`TrialBlock` s
+        (made into one plan, right-padded to the widest block).
 
         ``reset`` fixes the selection-state lifetime:
 
@@ -1216,7 +1213,7 @@ class ScenarioRunner:
         calls: Iterable[
             Tuple[Any, Sequence[TrialBlock], Optional[PolicySpec], Optional[TestbedSpec]]
         ],
-    ) -> Iterator[List[TrialRecord]]:
+    ) -> Iterator[TrialRecords]:
         """Evaluate a stream of ``reset="recording"`` calls, yielding each
         call's records in call order.
 
@@ -1239,7 +1236,7 @@ class ScenarioRunner:
 
     def _each(
         self, calls: Iterable, reset: str, label: Optional[str]
-    ) -> Iterator[List[TrialRecord]]:
+    ) -> Iterator[TrialRecords]:
         inflight: Deque[_Call] = deque()
         depth = 1 if self._isolated() else _MAX_INFLIGHT_CALLS
         try:
@@ -1292,7 +1289,7 @@ class ScenarioRunner:
         """Number a call, read its checkpointed blocks, pick its path."""
         call = _Call(
             policy=policy,
-            blocks=blocks,
+            blocks=TrialPlan.from_blocks(blocks),
             reset=reset,
             label=label or getattr(policy, "name", type(policy).__name__),
             policy_spec=policy_spec,
@@ -1310,12 +1307,20 @@ class ScenarioRunner:
         if policy_spec is not None:
             call.policy_key = policy_spec.key()
             call.store = self._store
-        for index in range(len(blocks)):
+        sizes = np.diff(call.blocks.bounds).tolist()
+        for index, size in enumerate(sizes):
             cached = (
                 call.store.get(call.policy_key, call.index, index)
                 if call.store is not None
                 else None
             )
+            if cached is not None and len(cached) != size:
+                _LOGGER.warning(
+                    "checkpoint entry of block %d of '%s' holds %d rows, the "
+                    "block %d; recomputing",
+                    index, call.label, len(cached), size,
+                )
+                cached = None
             if cached is not None:
                 call.outputs[index] = cached
                 call.hits.append(index)
@@ -1361,11 +1366,12 @@ class ScenarioRunner:
                 _quality.deactivate_quality(token)
             self._note_time(call.label, time.perf_counter() - begin)
 
-    def _run_local(self, call: "_Call") -> List[TrialRecord]:
+    def _run_local(self, call: "_Call") -> TrialRecords:
         """Execute a call in-process, start to finish."""
         with self._call_scope(call) as span_id:
             if call.reset == "plan":
-                return self._execute_plan(call.policy, call.blocks)
+                self._execute_plan(call)
+                return self._records(call)
             self._note_hits(call)
             if call.pending:
                 # Completed blocks are journaled as their chunk
@@ -1375,12 +1381,12 @@ class ScenarioRunner:
                 self._absorb(call, self._execute_supervised_local(call), span_id)
             return self._records(call)
 
-    def _settle_head(self, inflight: Deque["_Call"]) -> List[TrialRecord]:
+    def _settle_head(self, inflight: Deque["_Call"]) -> TrialRecords:
         records = self._settle(inflight[0])
         inflight.popleft()
         return records
 
-    def _settle(self, call: "_Call") -> List[TrialRecord]:
+    def _settle(self, call: "_Call") -> TrialRecords:
         """Finish a pooled call: collect and retry rounds, journal, trace,
         health — dispatching its first round here unless that ran ahead."""
         with self._call_scope(call) as span_id:
@@ -1400,7 +1406,7 @@ class ScenarioRunner:
     def _absorb(
         self,
         call: "_Call",
-        executed: Mapping[int, Tuple[Sequence, Dict[str, Any]]],
+        executed: Mapping[int, Tuple[Selections, Dict[str, Any]]],
         span_id: Optional[str],
     ) -> None:
         """Take executed blocks' results, and their worker trace payloads.
@@ -1418,11 +1424,25 @@ class ScenarioRunner:
             if payload is not None and session is not None:
                 session.absorb_payload(payload, span_id, f"c{call.index}b{index}")
 
-    def _records(self, call: "_Call") -> List[TrialRecord]:
-        records: List[TrialRecord] = []
-        for index, block in enumerate(call.blocks):
-            records.extend(self._records_of(block, call.outputs[index]))
-        return records
+    @staticmethod
+    def _records(call: "_Call") -> TrialRecords:
+        """The call's selections, block by block into one call-wide array.
+
+        Filled in place: ``np.concatenate`` promotes the structured
+        fields one by one and costs several times the copy.
+        """
+        plan = call.blocks
+        rows = np.empty(plan.n_rows, dtype=SELECTION_DTYPE)
+        bounds = plan.bounds.tolist()
+        for index in range(len(plan)):
+            rows[bounds[index] : bounds[index + 1]] = call.outputs[index].rows
+        return TrialRecords(
+            recording=plan.recording_indices,
+            sweep=plan.sweep_indices,
+            subsample=plan.subsample_indices,
+            probes_requested=plan.probes_requested,
+            selections=Selections(rows),
+        )
 
     def _close(self, call: "_Call") -> None:
         """A pooled call is settled or dropped: unlink its block segment."""
@@ -1450,19 +1470,18 @@ class ScenarioRunner:
             self._close(call)
         self._revive()
 
-    def _execute_plan(self, policy, blocks: Sequence[TrialBlock]) -> List[TrialRecord]:
-        policy.reset()
-        records: List[TrialRecord] = []
-        for block in blocks:
+    def _execute_plan(self, call: "_Call") -> None:
+        """``reset="plan"``: one reset, state threading through every block."""
+        call.policy.reset()
+        for index, block in enumerate(call.blocks):
             self._check_abort()
-            records.extend(self._records_of(block, _eval_block(policy, block)))
-        return records
+            call.outputs[index] = _eval_block(call.policy, block)
 
     # -- local (in-process) supervised path ------------------------------
 
     def _execute_supervised_local(
         self, call: "_Call"
-    ) -> Dict[int, Tuple[Sequence, Dict[str, Any]]]:
+    ) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
         """Evaluate pending blocks in-process, one planned chunk at a time.
 
         Blocks run in :func:`_plan_chunks` chunks, in block order:
@@ -1483,10 +1502,10 @@ class ScenarioRunner:
         }
         stackable = hasattr(policy, "select_fused_stacked")
         traced = _obs.enabled()
-        out: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
-        for chunk in _plan_chunks(blocks, call.pending, singles):
+        out: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
+        for chunk in _plan_chunks(blocks.bounds, call.pending, singles):
             self._check_abort()
-            done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
+            done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
             if stackable and chunk[0] not in singles:
                 metas = (
                     {
@@ -1530,7 +1549,7 @@ class ScenarioRunner:
         call_index: int,
         testbed_key: Optional[str],
         retry: RetryPolicy,
-    ) -> Tuple[Sequence, Dict[str, Any]]:
+    ) -> Tuple[Selections, Dict[str, Any]]:
         """One block in-process under the retry policy."""
         attempt = 0
         while True:
@@ -1578,7 +1597,7 @@ class ScenarioRunner:
 
     @staticmethod
     def _commit(
-        call: "_Call", done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]
+        call: "_Call", done: Mapping[int, Tuple[Selections, Dict[str, Any]]]
     ) -> None:
         """Journal finished blocks of one execute call in one group commit."""
         if call.store is not None and done:
@@ -1633,19 +1652,6 @@ class ScenarioRunner:
         if kind == "hang":
             time.sleep(float(directive.get("hang_s", 30.0)))
 
-    @staticmethod
-    def _records_of(block: TrialBlock, results: Sequence) -> List[TrialRecord]:
-        return [
-            TrialRecord(
-                recording_index=block.recording_index,
-                sweep_index=int(block.sweep_indices[index]),
-                subsample=int(block.subsample_indices[index]),
-                result=result,
-                probes_requested=int(block.probes_requested[index]),
-            )
-            for index, result in enumerate(results)
-        ]
-
     # -- process-pool supervised path ------------------------------------
 
     def _publish_kernels(self, policy, testbed_key: str, policy_key: str):
@@ -1671,21 +1677,25 @@ class ScenarioRunner:
         return self._shm.publish(f"{testbed_key}::{policy_key}", kernels)
 
     def _publish_blocks(self, call: "_Call") -> SharedKernelManifest:
-        """Publish a pooled call's trial arrays over shared memory.
+        """Publish a pooled call's plan arrays over shared memory.
 
-        Chunk tasks then carry block *indices* instead of pickled
-        arrays, and workers map read-only views — the zero-copy half of
-        the dispatch.  The segment lives for this one call: it is
-        unlinked when the call settles (:meth:`_close`).
+        One segment with four entries (``ids``, ``snr``, ``rssi``,
+        ``mask``) for the whole call: chunk tasks then carry row ranges
+        instead of pickled arrays, and workers slice read-only views —
+        the zero-copy half of the dispatch.  The segment lives for this
+        one call: it is unlinked when the call settles (:meth:`_close`).
         """
-        arrays: Dict[str, np.ndarray] = {}
-        for index, block in enumerate(call.blocks):
-            arrays[f"{index}.ids"] = block.sector_ids
-            arrays[f"{index}.snr"] = block.snr_db
-            arrays[f"{index}.rssi"] = block.rssi_dbm
-            arrays[f"{index}.mask"] = block.mask
+        plan = call.blocks
         call.blocks_key = f"blocks::{next(self._block_segments)}"
-        return self._shm.publish(call.blocks_key, arrays)
+        return self._shm.publish(
+            call.blocks_key,
+            {
+                "ids": plan.sector_ids,
+                "snr": plan.snr_db,
+                "rssi": plan.rssi_dbm,
+                "mask": plan.mask,
+            },
+        )
 
     def _dispatch(self, call: "_Call") -> None:
         """Send one round of a pooled call: every remaining block, at
@@ -1746,19 +1756,21 @@ class ScenarioRunner:
                     obs_meta["quality"] = call.quality_meta
                 obs_meta_of[index] = obs_meta
         singles = {index for index in batch if directives[index] is not None}
-        chunks = _plan_chunks(blocks, batch, singles)
+        bounds = blocks.bounds
+        chunks = _plan_chunks(bounds, batch, singles)
         # Directive carriers get a task each, sent first; clean chunks
         # share at most `lanes` tasks.
         groups = [[chunk] for chunk in chunks if chunk[0] in singles]
         groups += _lane_groups(
-            blocks, [chunk for chunk in chunks if chunk[0] not in singles],
+            bounds, [chunk for chunk in chunks if chunk[0] not in singles],
             self._lanes(),
         )
+        starts = bounds.tolist()
         for group in groups:
             indices = [index for chunk in group for index in chunk]
-            # Shared-memory blocks travel as recording indices.
+            # Shared-memory blocks travel as row ranges of the plan.
             payload = [
-                [(index, blocks[index].recording_index) for index in chunk]
+                [(index, starts[index], starts[index + 1]) for index in chunk]
                 for chunk in group
             ]
             args = (
@@ -1898,7 +1910,7 @@ class ScenarioRunner:
         call.failures.append((index, error))
 
     def _settle_done(
-        self, call: "_Call", done: Mapping[int, Tuple[Sequence, Dict[str, Any]]]
+        self, call: "_Call", done: Mapping[int, Tuple[Selections, Dict[str, Any]]]
     ) -> None:
         """Record one task's finished blocks: settle them, journal them once."""
         for index, payload in done.items():

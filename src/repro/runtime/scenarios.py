@@ -104,7 +104,7 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
     from ..channel.batch import sweep_snr_matrix
     from ..channel.environment import conference_room
     from ..core.measurements import ProbeMeasurement
-    from ..experiments.common import record_directions
+    from ..experiments.common import modal_counts, record_directions, snr_losses
     from ..geometry.rotation import Orientation
 
     testbed = spec.testbed.build()
@@ -143,26 +143,16 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
                 testbed_spec=spec.testbed,
                 label=policy_spec.name,
             )
-            losses = []
-            trainings = []
-            fallbacks = []
-            per_recording: Dict[int, List[int]] = {}
-            for record in records:
-                recording = recordings[record.recording_index]
-                sector_id = record.result.sector_id
-                achieved = float(recording.true_snr_db[column_of[sector_id]])
-                losses.append(recording.optimal_snr_db() - achieved)
-                trainings.append(
-                    policy.training_time_us(record.probes_requested, 1)
-                )
-                fallbacks.append(bool(record.result.fallback))
-                per_recording.setdefault(record.recording_index, []).append(
-                    sector_id
-                )
-            stabilities = [
-                _modal_share(per_recording.get(index, []))
-                for index in range(len(recordings))
-            ]
+            losses = snr_losses(records, recordings, tx_ids)
+            # One airtime per distinct probe count, spread to the rows.
+            counts, row_count = np.unique(records.probes_requested, return_inverse=True)
+            trainings = np.array(
+                [policy.training_time_us(int(count), 1) for count in counts.tolist()]
+            )[row_count]
+            fallbacks = records.fallback
+            modal, sizes = modal_counts(records, len(recordings))
+            # A recording without trials counts as stability 0.
+            stabilities = np.where(sizes > 0, modal / np.maximum(sizes, 1), 0.0)
             rows.append(
                 PolicyEvalRow(
                     policy=policy_spec.name,

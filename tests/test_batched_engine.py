@@ -160,7 +160,7 @@ class TestSelectBatch:
 
         batched = CompressiveSectorSelector(TABLE, **config)
         assert outcome(
-            lambda: batched.select_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask)
+            lambda: list(batched.select_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask))
         ) == expected
         if not isinstance(expected, type):
             assert batched.last_selection == reference.last_selection

@@ -46,6 +46,23 @@ class TestParser:
             assert excinfo.value.code == 2
         assert build_parser().parse_args(["perf", "--repeats", "1"]).repeats == 1
 
+    def test_plain_perf_leaves_the_committed_trajectory_alone(self, tmp_path, monkeypatch):
+        import json
+        import shutil
+        from pathlib import Path
+
+        committed = Path(__file__).resolve().parents[1] / "BENCH_core.json"
+        shutil.copy(committed, tmp_path / "BENCH_core.json")
+        before = (tmp_path / "BENCH_core.json").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["perf", "--repeats", "1"]) == 0
+        assert (tmp_path / "BENCH_core.json").read_bytes() == before
+        shutil.copy(committed, tmp_path / "f.json")
+        assert main(["perf", "--repeats", "1", "--output", "f.json"]) == 0
+        points = json.loads((tmp_path / "f.json").read_text())["points"]
+        assert len(points) == len(json.loads(before)["points"]) + 1
+        assert (tmp_path / "BENCH_core.json").read_bytes() == before
+
     def test_run_rejects_the_retired_cprofile_flag(self):
         # --profile must not prefix-match --profile-sampling.
         with pytest.raises(SystemExit) as excinfo:

@@ -21,6 +21,7 @@ import pytest
 
 import repro.runtime.runner as runner_module
 from repro.cli import main as cli_main
+from repro.core.selector import Selections
 from repro.runtime import (
     CheckpointStore,
     FaultInjectionError,
@@ -126,16 +127,23 @@ class TestFaultPlan:
         assert faulty.digest() == spec.digest()
 
 
+def _rows(*sectors):
+    """A block's selections: one row per sector id, no estimate."""
+    return Selections.from_columns(
+        np.array(sectors, dtype=np.int64), np.zeros(len(sectors), dtype=bool)
+    )
+
+
 class TestCheckpointStore:
     def test_round_trip_and_idempotent_put(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)
-        store.put("policy", 0, 0, [1, 2, 3])
-        store.put("policy", 0, 0, [9, 9, 9])  # second put is a no-op
+        store.put("policy", 0, 0, _rows(1, 2, 3))
+        store.put("policy", 0, 0, _rows(9, 9, 9))  # second put is a no-op
         store.close()
         resumed = CheckpointStore(path, "digest-a", 7, resume=True)
         assert resumed.restored == 1
-        assert resumed.get("policy", 0, 0) == [1, 2, 3]
+        assert resumed.get("policy", 0, 0) == _rows(1, 2, 3)
         assert resumed.get("policy", 0, 1) is None
         resumed.close()
 
@@ -146,20 +154,20 @@ class TestCheckpointStore:
         # environment's results can never be served as the other's.
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)
-        store.put("policy", 0, 0, ["lab"])
-        store.put("policy", 1, 0, ["conference"])
-        assert store.get("policy", 0, 0) == ["lab"]
-        assert store.get("policy", 1, 0) == ["conference"]
+        store.put("policy", 0, 0, _rows(11))
+        store.put("policy", 1, 0, _rows(12))
+        assert store.get("policy", 0, 0) == _rows(11)
+        assert store.get("policy", 1, 0) == _rows(12)
         store.close()
         resumed = CheckpointStore(path, "digest-a", 7, resume=True)
         assert resumed.restored == 2
-        assert resumed.get("policy", 1, 0) == ["conference"]
+        assert resumed.get("policy", 1, 0) == _rows(12)
         resumed.close()
 
     def test_stale_header_starts_fresh(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)
-        store.put("policy", 0, 0, ["kept"])
+        store.put("policy", 0, 0, _rows(13))
         store.close()
         other = CheckpointStore(path, "digest-B", 7, resume=True)
         assert other.restored == 0
@@ -169,7 +177,7 @@ class TestCheckpointStore:
     def test_fresh_open_refuses_a_matching_journal(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)
-        store.put("policy", 0, 0, ["precious"])
+        store.put("policy", 0, 0, _rows(14))
         store.close()
         before = path.read_bytes()
         # without resume, a journal this run could have resumed is
@@ -188,21 +196,23 @@ class TestCheckpointStore:
     def test_corrupt_tail_is_dropped(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)
-        store.put("policy", 0, 0, ["intact"])
-        store.put("policy", 0, 1, ["doomed"])
+        store.put("policy", 0, 0, _rows(15))
+        store.put("policy", 0, 1, _rows(16))
         store.close()
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
         resumed = CheckpointStore(path, "digest-a", 7, resume=True)
         assert resumed.restored == 1
-        assert resumed.get("policy", 0, 0) == ["intact"]
+        assert resumed.get("policy", 0, 0) == _rows(15)
         assert resumed.get("policy", 0, 1) is None
         resumed.close()
 
     def test_a_flipped_key_digit_is_never_served_as_another_block(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)
-        store.put("policy", 0, [0, 1, 2, 3], [["b0"], ["b1"], ["b2"], ["b3"]])
+        store.put(
+            "policy", 0, [0, 1, 2, 3], [_rows(20), _rows(21), _rows(22), _rows(23)]
+        )
         store.close()
         key = CheckpointStore.entry_key("policy", 0, 3).encode()
         data = bytearray(path.read_bytes())
@@ -211,7 +221,7 @@ class TestCheckpointStore:
         resumed = CheckpointStore(path, "digest-a", 7, resume=True)
         assert resumed.restored == 3
         assert [resumed.get("policy", 0, b) for b in range(4)] == [
-            ["b0"], ["b1"], ["b2"], None
+            _rows(20), _rows(21), _rows(22), None
         ]
         resumed.close()
 
@@ -226,17 +236,17 @@ class TestCheckpointStore:
         )
         path = tmp_path / "ck.jsonl"
         lax = CheckpointStore(path, "digest-a", 7)
-        lax.put("policy", 0, 0, [1])
+        lax.put("policy", 0, 0, _rows(1))
         lax.close()
         assert synced == []  # default stays flush-only
         durable = CheckpointStore(
             tmp_path / "ck2.jsonl", "digest-a", 7, durable=True
         )
         assert len(synced) == 1  # header
-        durable.put("policy", 0, 0, [1])
-        durable.put("policy", 0, 1, [2])
+        durable.put("policy", 0, 0, _rows(1))
+        durable.put("policy", 0, 1, _rows(2))
         assert len(synced) == 3
-        durable.put("policy", 0, 0, [9])  # idempotent no-op: no I/O
+        durable.put("policy", 0, 0, _rows(9))  # idempotent no-op: no I/O
         assert len(synced) == 3
         durable.close()
 
@@ -246,17 +256,17 @@ class TestCheckpointStore:
         # prefix entry and drop only the torn tail.
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7, durable=True)
-        store.put("policy", 0, 0, ["intact"])
-        store.put("policy", 0, 1, ["doomed"])
+        store.put("policy", 0, 0, _rows(15))
+        store.put("policy", 0, 1, _rows(16))
         store.close()
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
         resumed = CheckpointStore(path, "digest-a", 7, resume=True, durable=True)
         assert resumed.restored == 1
-        assert resumed.get("policy", 0, 0) == ["intact"]
+        assert resumed.get("policy", 0, 0) == _rows(15)
         assert resumed.get("policy", 0, 1) is None
         # the re-journaled replacement for the torn entry is durable too
-        resumed.put("policy", 0, 1, ["replayed"])
+        resumed.put("policy", 0, 1, _rows(17))
         resumed.close()
         final = CheckpointStore(path, "digest-a", 7, resume=True)
         assert final.restored == 2

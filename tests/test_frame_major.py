@@ -357,13 +357,26 @@ class TestPlannerGather:
             _RaggedPolicy(widths), recordings, tx_ids, theirs_rng, subsamples
         )
         assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+        # One plan per call: every block is right-padded to the call's
+        # widest block with id 0, NaN and False.
+        call_width = max(theirs[0].shape[1] for theirs in expected)
+        fills = (0, np.nan, np.nan, False)
         for index, (block, theirs) in enumerate(zip(blocks, expected)):
             assert block.recording_index == index
             ours = (
                 block.sector_ids, block.snr_db, block.rssi_dbm, block.mask,
                 block.sweep_indices, block.subsample_indices, block.probes_requested,
             )
-            for mine, reference_array in zip(ours, theirs):
+            for field, (mine, reference_array) in enumerate(zip(ours, theirs)):
                 assert mine.dtype == reference_array.dtype
+                if field < len(fills):
+                    width = reference_array.shape[1]
+                    assert mine.shape == (reference_array.shape[0], call_width)
+                    assert np.array_equal(
+                        mine[:, width:],
+                        np.full_like(mine[:, width:], fills[field]),
+                        equal_nan=True,
+                    )
+                    mine = mine[:, :width]
                 assert mine.shape == reference_array.shape
                 assert np.array_equal(mine, reference_array, equal_nan=True)

@@ -35,7 +35,7 @@ from repro.core.policy import CompressivePolicy, seed_shared_selector
 from repro.runtime import FaultPlan, RetryPolicy, ScenarioRunner
 from repro.runtime.faults import FaultSpec
 from repro.runtime.policy import PolicyContext
-from repro.runtime.runner import TrialBlock
+from repro.runtime.runner import TrialBlock, TrialPlan
 from repro.runtime.spec import PolicySpec, ScenarioSpec
 
 from tests.reference_kernel import (
@@ -67,7 +67,10 @@ def _check_against_reference(ids, snr, rssi, mask, **config):
     reference = ReferenceSelector(TABLE, **config)
     expected = outcome(lambda: reference.select_rows(rows))
     fused = CompressiveSectorSelector(TABLE, **config)
-    assert outcome(lambda: fused.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)) == expected
+    assert (
+        outcome(lambda: list(fused.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)))
+        == expected
+    )
     if not isinstance(expected, type):
         assert fused.last_selection == reference.last_selection
     one_row = CompressiveSectorSelector(TABLE, **config)
@@ -147,7 +150,7 @@ class TestFusedStacked:
             expected.append(ReferenceSelector(TABLE).select_rows(rows))
         stacked = CompressiveSectorSelector(TABLE)
         got = stacked.select_fused_stacked(parts)
-        assert got == expected
+        assert list(got) == [result for part in expected for result in part]
 
     def test_width_mismatch_raises(self):
         parts = self._parts([4, 3])
@@ -197,38 +200,36 @@ class TestChunkPlanner:
     @settings(max_examples=80, deadline=None)
     @given(shapes=_SHAPES, data=st.data())
     def test_chunks_partition_in_order_under_the_budget(self, shapes, data):
-        blocks = _blocks(shapes)
-        indices = list(range(len(blocks)))
+        plan = TrialPlan.from_blocks(_blocks(shapes))
+        indices = list(range(len(plan)))
         alone = set(data.draw(st.lists(st.sampled_from(indices), max_size=3)))
-        chunks = runner_module._plan_chunks(blocks, indices, alone)
+        chunks = runner_module._plan_chunks(plan.bounds, indices, alone)
         assert [index for chunk in chunks for index in chunk] == indices
+        # A plan has one width, the widest block's: any blocks may stack.
+        assert {plan[index].sector_ids.shape[1] for index in indices} == {
+            max(width for _, width in shapes)
+        }
         budget = runner_module.CHUNK_ROWS
         for chunk in chunks:
-            rows = sum(blocks[index].n_trials for index in chunk)
+            rows = sum(plan[index].n_trials for index in chunk)
             assert len(chunk) == 1 or rows <= budget
-            assert len({blocks[index].sector_ids.shape[1] for index in chunk}) == 1
             assert len(chunk) == 1 or not alone & set(chunk)
         # Greedy: no chunk could have taken the next chunk's first block.
         for chunk, following in zip(chunks, chunks[1:]):
             head = following[0]
-            rows = sum(blocks[index].n_trials for index in chunk + [head])
-            assert (
-                rows > budget
-                or blocks[head].sector_ids.shape[1]
-                != blocks[chunk[0]].sector_ids.shape[1]
-                or alone & {chunk[-1], head}
-            )
+            rows = sum(plan[index].n_trials for index in chunk + [head])
+            assert rows > budget or alone & {chunk[-1], head}
 
     @settings(max_examples=80, deadline=None)
     @given(shapes=_SHAPES, lanes=st.integers(1, 4))
     def test_lane_groups_are_contiguous_and_balanced(self, shapes, lanes):
-        blocks = _blocks(shapes)
-        chunks = runner_module._plan_chunks(blocks, range(len(blocks)))
-        groups = runner_module._lane_groups(blocks, chunks, lanes)
+        plan = TrialPlan.from_blocks(_blocks(shapes))
+        chunks = runner_module._plan_chunks(plan.bounds, range(len(plan)))
+        groups = runner_module._lane_groups(plan.bounds, chunks, lanes)
         assert 1 <= len(groups) <= lanes
         assert [chunk for group in groups for chunk in group] == chunks
         def rows(chunk):
-            return sum(blocks[index].n_trials for index in chunk)
+            return sum(plan[index].n_trials for index in chunk)
 
         share = sum(rows(chunk) for chunk in chunks) / lanes
         largest = max(rows(chunk) for chunk in chunks)

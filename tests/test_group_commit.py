@@ -19,21 +19,31 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.runner as runner_module
+from repro.core.selector import Selections
 from repro.runtime import CheckpointStore, PolicySpec, ScenarioRunner, ScenarioSpec
 
 _REAL_FSYNC = os.fsync
 
-# Lists of groups; each group is the list of its blocks' (tiny) results.
+# Lists of groups; each group is the list of its blocks' (tiny) results:
+# the selected sector ids of their rows.
 _GROUPS = st.lists(
     st.lists(st.lists(st.integers(0, 9), max_size=2), min_size=1, max_size=2),
     min_size=1,
     max_size=3,
 )
+
+
+def _rows(*sectors):
+    """A block's selections: one row per sector id, no estimate."""
+    return Selections.from_columns(
+        np.array(sectors, dtype=np.int64), np.zeros(len(sectors), dtype=bool)
+    )
 
 
 def _write_groups(path: Path, groups) -> int:
@@ -42,7 +52,7 @@ def _write_groups(path: Path, groups) -> int:
     block = 0
     for group in groups:
         indices = list(range(block, block + len(group)))
-        store.put("policy", 0, indices, group)
+        store.put("policy", 0, indices, [_rows(*sectors) for sectors in group])
         block += len(group)
     store.close()
     return block
@@ -70,25 +80,27 @@ class TestTornGroups:
                 store = CheckpointStore(torn, "digest-a", 7, resume=True)
                 assert store.restored == intact, offset
                 for block in range(len(results)):
-                    expected = results[block] if block < intact else None
+                    expected = _rows(*results[block]) if block < intact else None
                     assert store.get("policy", 0, block) == expected
                 # A group appended after the repair reads back whole.
-                store.put("policy", 1, [0, 1], [["after"], ["tear"]])
+                store.put("policy", 1, [0, 1], [_rows(40), _rows(41)])
                 store.close()
                 reopened = CheckpointStore(torn, "digest-a", 7, resume=True)
                 assert reopened.restored == intact + 2
-                assert reopened.get("policy", 1, 1) == ["tear"]
+                assert reopened.get("policy", 1, 1) == _rows(41)
                 reopened.close()
 
     def test_duplicate_blocks_in_a_group_are_written_once(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck.jsonl", "digest-a", 7)
-        store.put("policy", 0, [0, 1], [["a"], ["b"]])
-        store.put("policy", 0, [1, 2, 2], [["B"], ["c"], ["C"]])
+        store.put("policy", 0, [0, 1], [_rows(1), _rows(2)])
+        store.put("policy", 0, [1, 2, 2], [_rows(20), _rows(3), _rows(30)])
         store.close()
         lines = (tmp_path / "ck.jsonl").read_text().splitlines()
         assert len(lines) == 1 + 3
         resumed = CheckpointStore(tmp_path / "ck.jsonl", "digest-a", 7, resume=True)
-        assert [resumed.get("policy", 0, b) for b in range(3)] == [["a"], ["b"], ["c"]]
+        assert [resumed.get("policy", 0, b) for b in range(3)] == [
+            _rows(1), _rows(2), _rows(3)
+        ]
         resumed.close()
 
 

@@ -205,18 +205,19 @@ class TestCallsInFlight:
             blocks = runner.plan_trials(
                 policy, recordings, testbed.tx_sector_ids, np.random.default_rng(4)
             )
-        arrays = {}
-        for index, block in enumerate(blocks):
-            arrays[f"{index}.ids"] = block.sector_ids
-            arrays[f"{index}.snr"] = block.snr_db
-            arrays[f"{index}.rssi"] = block.rssi_dbm
-            arrays[f"{index}.mask"] = block.mask
+        arrays = {
+            "ids": blocks.sector_ids,
+            "snr": blocks.snr_db,
+            "rssi": blocks.rssi_dbm,
+            "mask": blocks.mask,
+        }
+        bounds = blocks.bounds.tolist()
         try:
             manifest = publisher.publish("blocks", arrays)
             done, failure = runner_module._worker_run_chunks(
                 testbed_spec.key(),
                 policy_spec.key(),
-                [[(index, block.recording_index) for index, block in enumerate(blocks)]],
+                [[(index, bounds[index], bounds[index + 1]) for index in range(len(blocks))]],
                 blocks_manifest=manifest,
             )
             assert failure is None and sorted(done) == list(range(len(blocks)))
