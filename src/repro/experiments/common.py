@@ -416,12 +416,18 @@ class BoxStats:
         values = np.asarray(list(samples), dtype=float)
         if values.size == 0:
             raise ValueError("cannot summarize an empty sample set")
+        # One partition pass for the four percentiles, bit-identical to
+        # four separate calls; the median stays np.median, whose
+        # midpoint rounds differently from np.percentile(values, 50).
+        box_low, box_high, whisker_low, whisker_high = np.percentile(
+            values, (25, 75, 0.5, 99.5)
+        ).tolist()
         return cls(
             median=float(np.median(values)),
-            box_low=float(np.percentile(values, 25)),
-            box_high=float(np.percentile(values, 75)),
-            whisker_low=float(np.percentile(values, 0.5)),
-            whisker_high=float(np.percentile(values, 99.5)),
+            box_low=box_low,
+            box_high=box_high,
+            whisker_low=whisker_low,
+            whisker_high=whisker_high,
             n_samples=int(values.size),
         )
 

@@ -297,8 +297,8 @@ class RunHealth:
             held their results.
         retries: block re-dispatches after an own failure.
         timeouts: per-block wall-clock budget violations.
-        pool_replacements: process pools torn down and rebuilt after a
-            worker death or a hung block.
+        pool_replacements: pool children replaced, one per child that
+            died or was killed because its task timed out.
         injected: fault-plan directives issued.
         attempts: attempts per block that needed more than one, keyed
             ``"label[index]"``.
@@ -345,7 +345,7 @@ class RunHealth:
         _obs.inc("runner_timeouts_total")
 
     def note_pool_replacement(self) -> None:
-        """A broken or hung process pool was torn down and rebuilt."""
+        """A dead pool child (crashed, or killed on a timeout) was replaced."""
         self.pool_replacements += 1
         _obs.event("pool.replaced")
         _obs.inc("runner_pool_replacements_total")
@@ -391,5 +391,7 @@ class RunHealth:
             "timeouts": self.timeouts,
             "pool_replacements": self.pool_replacements,
             "injected": self.injected,
-            "attempts": dict(self.attempts),
+            # Sorted: blocks settle in scheduling order, the section
+            # must not depend on it.
+            "attempts": dict(sorted(self.attempts.items())),
         }

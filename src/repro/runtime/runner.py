@@ -37,23 +37,27 @@ runner's process, replaced one at a time).  It engages only when state
 resets per recording (blocks are then independent), the policy is
 batched, both the testbed and the policy are spec-described (workers
 rebuild them from JSON), and the host has two or more cores (or
-supervision needs process isolation); anything else degrades to the
-sequential path, same results.  Up to
+supervision needs process isolation); anything else runs the same
+chunks as in-process tasks, same results.  Up to
 :data:`_MAX_INFLIGHT_CALLS` pooled calls are in flight at once, each
 with its own journal target and supervision state; they settle first
 in, first out, so journal commits, trace absorption and health
 accounting follow call order at any ``jobs``.
 
-Supervision (DESIGN.md §9): every ``reset="recording"`` block runs
-under a :class:`~.faults.RetryPolicy` — bounded attempts, seeded
-backoff, optional per-block timeout.  A pool child that dies, or is
-killed because its task timed out, costs one replacement (that child
-only) and a re-execution of only the tasks sent to it; a raising
-kernel is a failed attempt like any other (a raising stacked pass is
-re-run block by block, which retries the failing block, then raises a
-structured :class:`~.faults.RetryExhaustedError`); a
-:class:`~.checkpoint.CheckpointStore` journals finished chunks so a
-killed campaign resumes where it died.
+Supervision (DESIGN.md §9): every ``reset="recording"`` call runs
+through one loop of dispatch → collect → retry rounds under a
+:class:`~.faults.RetryPolicy` — bounded attempts, seeded backoff,
+optional per-block timeout (pool only).  A round's tasks are pool
+tasks or, for a call the pool does not take, in-process tasks (one per
+chunk, run on the calling thread); both run :func:`_run_chunks`.  A
+pool child that dies, or is killed because its task timed out, costs
+one replacement (that child only) and a re-execution of only the tasks
+sent to it; a raising kernel is a failed attempt like any other (a
+raising stacked pass is re-run block by block, which charges the
+failing block; exhausted, it raises a structured
+:class:`~.faults.RetryExhaustedError`); a
+:class:`~.checkpoint.CheckpointStore` journals each task's finished
+blocks so a killed campaign resumes where it died.
 Because block evaluation is pure, every recovery path is bit-invisible
 in the records, and :attr:`ScenarioRunner.health` accounts for all of
 it in the run manifest.
@@ -64,9 +68,10 @@ duration of :meth:`ScenarioRunner.run` and wraps the run, every
 execute call (a pooled call's span covers its settle) and every block
 attempt in spans
 (``scenario.run`` → ``execute.policy`` → ``execute.block``), while the
-supervision counters mirror into metrics.  A stacked chunk records
-into its own session — in a pool worker or in-process alike — and
-ships the drained buffer back piggybacked on its first block's result;
+supervision counters mirror into metrics.  A stacked chunk, or a
+block run alone, records into its own session — in a pool worker or
+in-process alike — and ships the drained buffer back piggybacked on
+its (first) block's result;
 the runner absorbs payloads in deterministic ``(call, block)`` order,
 so a ``--jobs 4`` trace is bit-reproducible in everything but timing
 values.  With no session the
@@ -295,16 +300,29 @@ def _corrupt_testbed_cache(testbed_key: str) -> None:
         path.write_bytes(data[: max(16, len(data) // 2)])
 
 
-def _apply_worker_directive(directive: Dict[str, Any], testbed_key: str) -> None:
-    """Execute one injected fault inside a pool worker."""
+def _apply_directive(
+    directive: Dict[str, Any], testbed_key: Optional[str], in_process: bool
+) -> None:
+    """Execute one injected fault inside a block attempt.
+
+    On ``crash`` a pool child exits; an in-process task cannot take
+    the runner down, so there it raises like ``exception``.  ``hang``
+    sleeps (timeouts exist only on the pool).  ``cache-corrupt``
+    truncates the on-disk testbed memo and drops the warm in-process
+    caches, so the next cold build takes the self-healing path; a call
+    without a testbed spec has no memo to corrupt, and the directive is
+    skipped (:meth:`ScenarioRunner._dispatch` does not count it).
+    """
     kind = directive.get("kind")
     if kind == "crash":
+        if in_process:
+            raise FaultInjectionError("injected crash (in-process: raised)")
         os._exit(3)
     elif kind == "hang":
         time.sleep(float(directive.get("hang_s", 30.0)))
     elif kind == "exception":
-        raise FaultInjectionError("injected transient worker exception")
-    elif kind == "cache-corrupt":
+        raise FaultInjectionError("injected transient exception")
+    elif kind == "cache-corrupt" and testbed_key is not None:
         _corrupt_testbed_cache(testbed_key)
         _reset_worker_caches()
 
@@ -352,8 +370,8 @@ def _split_meta(
     """``execute.block`` span attrs and the shipped quality context.
 
     The quality context rides inside obs_meta but is not a span
-    attribute — split off, worker spans stay attr-identical to the
-    local path's.  It scopes only evaluation (never a policy build):
+    attribute — split off, pool spans stay attr-identical to in-process
+    ones.  It scopes only evaluation (never a policy build):
     designer diagnostics are the supervisor's to record, so job counts
     never change what a worker contributes.
     """
@@ -412,10 +430,11 @@ _MAX_INFLIGHT_CALLS = 8
 class _Call:
     """One execute call, from the moment it is planned until it settles.
 
-    A pooled call carries its own journal target and supervision state
-    (the current round's tasks, attempts, failures), so several can be
-    in flight at once; ``index`` is its ordinal among the run's
-    recording-mode calls, the journal and trace key.
+    A recording-mode call carries its own journal target and
+    supervision state (the current round's tasks, attempts, failures),
+    so several pooled calls can be in flight at once; ``index`` is its
+    ordinal among the run's recording-mode calls, the journal and trace
+    key.
     """
 
     policy: Any
@@ -432,22 +451,23 @@ class _Call:
     pending: List[int] = field(default_factory=list)
     pooled: bool = False
     closed: bool = False
-    # Pool path only.
     testbed_key: Optional[str] = None
+    quality_meta: Optional[Mapping[str, Any]] = None
+    # Pooled calls only: the published kernels and plan segment.
     kernels: Optional[SharedKernelManifest] = None
     blocks_key: Optional[str] = None
     blocks_manifest: Optional[SharedKernelManifest] = None
-    quality_meta: Optional[Mapping[str, Any]] = None
     attempts: Dict[int, int] = field(default_factory=dict)
     remaining: set = field(default_factory=set)
     executed: Dict[int, Tuple[Selections, Dict[str, Any]]] = field(default_factory=dict)
     barren_rounds: int = 0
     last_error: BaseException = field(default_factory=lambda: ChildDied(None))
-    # The current round's unresolved tasks, in dispatch order:
-    # (block indices, future, child) per task, None until the first
-    # dispatch; the attempt number of every block dispatched, in block
+    # The current round's unresolved tasks, in dispatch order, None
+    # until the first dispatch: (block indices, future, child) per pool
+    # task, (block indices, _run_chunks arguments, None) per in-process
+    # task; the attempt number of every block dispatched, in block
     # order.
-    tasks: Optional[List[Tuple[List[int], Any, Child]]] = None
+    tasks: Optional[List[Tuple[List[int], Any, Optional[Child]]]] = None
     dispatch_attempt: Dict[int, int] = field(default_factory=dict)
     directives: Dict[int, Optional[Dict[str, Any]]] = field(default_factory=dict)
     failures: List[Tuple[int, BaseException]] = field(default_factory=list)
@@ -463,7 +483,7 @@ def _plan_chunks(
     Block ``b`` spans rows ``bounds[b]:bounds[b + 1]`` of its plan.  A
     block over the budget is a chunk of its own, and so is every block
     in ``alone`` (fault-directive carriers, which run singly).  The cut
-    depends only on the plan, so the local path and the pool — at any
+    depends only on the plan, so in-process tasks and the pool — at any
     ``jobs`` — evaluate the same chunks with the same kernel calls, in
     block order.  (Every block of a plan has the plan's width, so any
     blocks may share a stacked pass.)
@@ -512,7 +532,7 @@ def _eval_chunk(
 ) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
     """Evaluate one planned chunk in a single stacked kernel pass.
 
-    The one chunk evaluator of the local path and the pool workers.
+    The one chunk evaluator of every supervised task (:func:`_run_chunks`).
     ``chunk`` holds ``(index, TrialBlock)`` pairs; each block is
     evaluated against freshly reset state (``select_fused_stacked``),
     bit-identical to one ``select_batch`` per block, and gets its rows
@@ -523,9 +543,10 @@ def _eval_chunk(
     payload rides on the chunk's first block, so the supervisor absorbs
     the same payloads at any ``jobs``.
 
-    Raises whatever the stacked pass raises, leaving no trace: callers
-    then evaluate the chunk block by block, which attributes the error
-    and charges the retry; the stacked attempt itself is never charged.
+    Raises whatever the stacked pass raises, leaving no trace: the
+    caller then evaluates the chunk block by block, which attributes
+    the error and charges the retry; the stacked attempt itself is
+    never charged.
     """
     parts = [
         (block.sector_ids, block.snr_db, block.rssi_dbm, block.mask)
@@ -561,58 +582,24 @@ def _split_rows(
     return done
 
 
-def _log_stacked_failure(first: int, n_blocks: int, error: Exception) -> None:
-    _LOGGER.warning(
-        "stacked pass over %d block(s) from block %d failed (%s: %s); "
-        "re-running them block by block",
-        n_blocks,
-        first,
-        type(error).__name__,
-        error,
-    )
-
-
 def _worker_run_chunks(
     testbed_key: str,
     policy_key: str,
-    chunks: Sequence[Sequence[Tuple]],
+    chunks: Sequence[Sequence[Tuple[int, int, int]]],
+    blocks_manifest: SharedKernelManifest,
     obs_metas: Optional[Dict[int, Dict[str, Any]]] = None,
     manifest: Optional[SharedKernelManifest] = None,
-    blocks_manifest: Optional[SharedKernelManifest] = None,
     directive: Optional[Dict[str, Any]] = None,
 ):
-    """Evaluate whole planned chunks in one pool task.
+    """One pool task: :func:`_run_chunks` over a call's published plan.
 
-    A task carries several chunks to amortize the per-task IPC
-    round-trip (submit + pickle + result); each chunk is then one
-    stacked kernel pass (:func:`_eval_chunk`) — the same chunks and
-    calls the local path makes.  A block carrying a fault ``directive``
-    travels alone in its own task and runs through the per-block path,
-    the directive firing inside its attempt before the policy warm-up,
-    so crash/hang/exception attribution stays per-block exact.
-
-    Chunks hold ``(index, TrialBlock)`` pairs, or — when
-    ``blocks_manifest`` names a call's published plan segment (entries
-    ``ids``, ``snr``, ``rssi``, ``mask``) — ``(index, start, stop)``
-    row ranges, and each block's arrays are read-only row slices of
-    the views mapped from shared memory instead of pickled copies
-    (byte-identical by construction).  ``obs_metas`` doubles as the
-    observability enable flag and each block's ``execute.block``
-    attrs; per-block evaluation records every block into its own fresh
-    session, so the runner's ``(call, block)``-ordered absorption never
-    shows pool scheduling.
-
-    Returns ``(done, failure)``: ``done`` maps block index → the
-    ``(selections, info)`` payload of every block that finished, and
-    ``failure`` is ``(index, error)`` for the first block that raised
-    (or None).  A chunk whose stacked pass raises is re-run block by
-    block, which finds the failing block; blocks after it are not
-    attempted — the parent treats them as collateral, exactly like
-    blocks lost to a pool death, so their retry budget is never charged
-    for a chunkmate's sins.
+    Chunks hold ``(index, start, stop)`` row ranges of the plan segment
+    ``blocks_manifest`` names (entries ``ids``, ``snr``, ``rssi``,
+    ``mask``); each block's arrays are read-only row slices of the
+    views mapped from shared memory (byte-identical to the parent's by
+    construction).  The policy is rebuilt from its spec keys, warm
+    from ``manifest``'s shared kernels, and cached across tasks.
     """
-    if blocks_manifest is None:
-        return _run_chunks(testbed_key, policy_key, chunks, obs_metas, manifest, directive)
 
     def mapped(views: Mapping[str, np.ndarray]):
         ids, snr, rssi, mask = views["ids"], views["snr"], views["rssi"], views["mask"]
@@ -635,7 +622,10 @@ def _worker_run_chunks(
             ]
             for chunk in chunks
         ]
-        return _run_chunks(testbed_key, policy_key, blocks, obs_metas, manifest, directive)
+        return _run_chunks(
+            lambda: _worker_policy(testbed_key, policy_key, manifest),
+            blocks, obs_metas, directive, testbed_key, False,
+        )
 
     # The plan segment is mapped for this task only: it is unlinked
     # when its execute call settles, so no worker keeps it attached.
@@ -646,30 +636,48 @@ def _worker_run_chunks(
 
 
 def _run_chunks(
-    testbed_key: str,
-    policy_key: str,
+    policy_of: Callable[[], Any],
     chunks: Sequence[Sequence[Tuple[int, TrialBlock]]],
-    obs_metas: Optional[Dict[int, Dict[str, Any]]],
-    manifest: Optional[SharedKernelManifest],
+    obs_metas: Optional[Mapping[int, Mapping[str, Any]]],
     directive: Optional[Dict[str, Any]],
+    testbed_key: Optional[str],
+    in_process: bool,
 ):
-    """The body of :func:`_worker_run_chunks` over in-memory blocks."""
+    """Evaluate whole planned chunks: the body of every supervised task.
+
+    Pool children and the runner's in-process tasks both run this.
+    ``chunks`` hold ``(index, TrialBlock)`` pairs, and ``policy_of()``
+    returns the policy to evaluate them with.  Each chunk is one
+    stacked kernel pass (:func:`_eval_chunk`) when the policy has one;
+    a chunk that is not stacked, or whose stacked pass raised (nothing
+    of that pass is kept or charged), runs block by block.  A block
+    carrying a fault ``directive`` travels alone and runs block by
+    block, the directive firing inside its attempt before the policy
+    is fetched, so crash/hang/exception attribution stays per-block
+    exact.  ``obs_metas`` doubles as the observability enable flag and
+    each block's ``execute.block`` attrs; a block run on its own
+    records into its own fresh session, so the runner's ``(call,
+    block)``-ordered absorption never shows scheduling.
+
+    Returns ``(done, failure)``: ``done`` maps block index → the
+    ``(selections, info)`` payload of every block that finished, and
+    ``failure`` is ``(index, error)`` for the first block that raised
+    (or None).  Blocks after it are not attempted — the runner treats
+    them as collateral, exactly like blocks lost to a pool death, so
+    their retry budget is never charged for a chunkmate's sins.
+    """
     done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
 
     def evaluate(block: TrialBlock, quality_meta=None) -> Selections:
         if directive is not None:
-            _apply_worker_directive(directive, testbed_key)
-        policy = _worker_policy(testbed_key, policy_key, manifest)
+            _apply_directive(directive, testbed_key, in_process)
+        policy = policy_of()
         policy.reset()
         with _quality_scope(quality_meta):
             return _eval_block(policy, block)
 
     try:
-        policy = (
-            _worker_policy(testbed_key, policy_key, manifest)
-            if directive is None
-            else None
-        )
+        policy = policy_of() if directive is None else None
     except Exception as error:
         return done, (chunks[0][0][0], error)
     for chunk in chunks:
@@ -679,7 +687,11 @@ def _run_chunks(
                 continue
             except Exception as error:
                 # The per-block pass below attributes the error.
-                _log_stacked_failure(chunk[0][0], len(chunk), error)
+                _LOGGER.warning(
+                    "stacked pass over %d block(s) from block %d failed "
+                    "(%s: %s); re-running them block by block",
+                    len(chunk), chunk[0][0], type(error).__name__, error,
+                )
         for index, block in chunk:
             try:
                 if obs_metas is None:
@@ -1247,7 +1259,7 @@ class ScenarioRunner:
                 if not call.pooled:
                     while inflight:
                         yield self._settle_head(inflight)
-                    yield self._run_local(call)
+                    yield self._settle(call)
                     continue
                 inflight.append(call)
                 if depth > 1:
@@ -1326,7 +1338,7 @@ class ScenarioRunner:
                 call.hits.append(index)
             else:
                 call.pending.append(index)
-        # The local path stacks chunks just like the pool, so with
+        # In-process tasks stack chunks just like the pool, so with
         # fewer than 2 parallel lanes (a single-core host) the pool
         # only adds IPC — it runs there only when supervision semantics
         # require process isolation.
@@ -1339,9 +1351,9 @@ class ScenarioRunner:
             and hasattr(policy, "select_batch")
             and (self._lanes() > 1 or self._isolated())
         )
+        call.remaining = set(call.pending)
+        call.attempts = {index: 0 for index in call.pending}
         if call.pooled:
-            call.remaining = set(call.pending)
-            call.attempts = {index: 0 for index in call.pending}
             self._unsettled.append(call)
         return call
 
@@ -1366,36 +1378,32 @@ class ScenarioRunner:
                 _quality.deactivate_quality(token)
             self._note_time(call.label, time.perf_counter() - begin)
 
-    def _run_local(self, call: "_Call") -> TrialRecords:
-        """Execute a call in-process, start to finish."""
-        with self._call_scope(call) as span_id:
-            if call.reset == "plan":
-                self._execute_plan(call)
-                return self._records(call)
-            self._note_hits(call)
-            if call.pending:
-                # Completed blocks are journaled as their chunk
-                # finishes, not here: a killed or retry-exhausted
-                # campaign must leave every finished block behind for
-                # --resume.
-                self._absorb(call, self._execute_supervised_local(call), span_id)
-            return self._records(call)
-
     def _settle_head(self, inflight: Deque["_Call"]) -> TrialRecords:
         records = self._settle(inflight[0])
         inflight.popleft()
         return records
 
     def _settle(self, call: "_Call") -> TrialRecords:
-        """Finish a pooled call: collect and retry rounds, journal, trace,
-        health — dispatching its first round here unless that ran ahead."""
+        """Finish a call and return its records.
+
+        A plan-mode call runs its blocks in order.  A recording-mode
+        call runs collect and retry rounds until every pending block
+        has settled (dispatching its first round here unless that ran
+        ahead), then its results and trace payloads are absorbed;
+        finished blocks were journaled as their tasks resolved.
+        """
         with self._call_scope(call) as span_id:
+            if call.reset == "plan":
+                self._execute_plan(call)
+                return self._records(call)
             self._note_hits(call)
-            if call.tasks is None:
-                self._dispatch(call)
-            self._supervise_pool(call)
-            self._revive()
-            self._close(call)
+            if call.pending:
+                if call.tasks is None:
+                    self._dispatch(call)
+                self._supervise_pool(call)
+            if call.pooled:
+                self._revive()
+                self._close(call)
             self._absorb(call, call.executed, span_id)
             return self._records(call)
 
@@ -1477,124 +1485,6 @@ class ScenarioRunner:
             self._check_abort()
             call.outputs[index] = _eval_block(call.policy, block)
 
-    # -- local (in-process) supervised path ------------------------------
-
-    def _execute_supervised_local(
-        self, call: "_Call"
-    ) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
-        """Evaluate pending blocks in-process, one planned chunk at a time.
-
-        Blocks run in :func:`_plan_chunks` chunks, in block order:
-        fault-directive carriers alone (as in the pool), clean chunks
-        each in one stacked pass (:func:`_eval_chunk`) when the policy has a
-        stacked kernel.  A chunk that is not stacked, or whose stacked
-        pass raised, runs block by block under the retry policy.  Every
-        chunk is journaled with one commit, and cancel/deadline checks
-        land on chunk boundaries.
-        """
-        retry = self.retry or _FAIL_FAST
-        policy, blocks, label = call.policy, call.blocks, call.label
-        testbed_key = call.testbed_spec.key() if call.testbed_spec is not None else None
-        injector = self._injector
-        singles = {
-            index for index in call.pending
-            if injector is not None and injector.directive(index, 1) is not None
-        }
-        stackable = hasattr(policy, "select_fused_stacked")
-        traced = _obs.enabled()
-        out: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
-        for chunk in _plan_chunks(blocks.bounds, call.pending, singles):
-            self._check_abort()
-            done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
-            if stackable and chunk[0] not in singles:
-                metas = (
-                    {
-                        index: {"policy": label, "call": call.index,
-                                "block": index, "attempt": 1}
-                        for index in chunk
-                    }
-                    if traced
-                    else None
-                )
-                try:
-                    done = _eval_chunk(
-                        policy, [(index, blocks[index]) for index in chunk], metas
-                    )
-                except Exception as error:
-                    # The per-block pass below attributes the error.
-                    _log_stacked_failure(chunk[0], len(chunk), error)
-                else:
-                    for index in chunk:
-                        self.health.note_attempts(label, index, 1)
-            try:
-                for index in chunk:
-                    if index not in done:
-                        done[index] = self._supervise_block(
-                            policy, blocks[index], index, label, call.index,
-                            testbed_key, retry,
-                        )
-            finally:
-                # Journal whatever finished, even when a block exhausts
-                # its retries or the run aborts mid-chunk.
-                self._commit(call, done)
-                out.update(done)
-        return out
-
-    def _supervise_block(
-        self,
-        policy,
-        block: TrialBlock,
-        index: int,
-        label: str,
-        call_index: int,
-        testbed_key: Optional[str],
-        retry: RetryPolicy,
-    ) -> Tuple[Selections, Dict[str, Any]]:
-        """One block in-process under the retry policy."""
-        attempt = 0
-        while True:
-            self._check_abort()
-            attempt += 1
-            try:
-                directive = (
-                    self._injector.directive(index, attempt)
-                    if self._injector is not None
-                    else None
-                )
-                span_attrs: Dict[str, Any] = {
-                    "policy": label, "call": call_index,
-                    "block": index, "attempt": attempt,
-                }
-                if directive is not None:
-                    span_attrs["injected"] = True
-                # Same span name and attrs as the pool path emits
-                # worker-side: jobs=1 and jobs=N traces carry the
-                # same span set, differing only in timings.
-                with _obs.span("execute.block", **span_attrs):
-                    if directive is not None:
-                        self._apply_local_directive(
-                            directive, testbed_key, label, index, attempt
-                        )
-                    policy.reset()
-                    results = _eval_block(policy, block)
-                self.health.note_attempts(label, index, attempt)
-                return results, {}
-            except Exception as error:
-                if attempt >= retry.max_attempts:
-                    raise RetryExhaustedError(label, index, attempt, error)
-                _LOGGER.warning(
-                    "block %d of '%s' failed on attempt %d (%s: %s); retrying",
-                    index,
-                    label,
-                    attempt,
-                    type(error).__name__,
-                    error,
-                )
-                self.health.note_retry(label, index, error)
-                wait = retry.backoff_s(index, attempt)
-                _obs.observe("runner_retry_wait_seconds", wait)
-                self._abort_wait(wait)
-
     @staticmethod
     def _commit(
         call: "_Call", done: Mapping[int, Tuple[Selections, Dict[str, Any]]]
@@ -1620,39 +1510,7 @@ class ScenarioRunner:
             self._injected_seen.add(key)
             self.health.note_injected(label, index, attempt, kind)
 
-    def _apply_local_directive(
-        self,
-        directive: Dict[str, Any],
-        testbed_key: Optional[str],
-        label: str,
-        index: int,
-        attempt: int,
-    ) -> None:
-        """Injected faults in sequential mode.
-
-        Crashes cannot take the driving process down, so both ``crash``
-        and ``exception`` surface as transient errors; ``hang`` sleeps
-        (timeouts are enforced only on the pool path); ``cache-corrupt``
-        truncates the on-disk testbed memo and drops the warm in-process
-        caches so the next cold build takes the self-healing path — it
-        needs a spec-described testbed, and without one the directive is
-        skipped and *not* counted as injected.
-        """
-        kind = directive.get("kind")
-        if kind == "cache-corrupt":
-            if testbed_key is None:
-                return
-            self._note_injected(label, index, attempt, kind)
-            _corrupt_testbed_cache(testbed_key)
-            _reset_worker_caches()
-            return
-        self._note_injected(label, index, attempt, kind)
-        if kind in ("crash", "exception"):
-            raise FaultInjectionError(f"injected transient fault ({kind}, local mode)")
-        if kind == "hang":
-            time.sleep(float(directive.get("hang_s", 30.0)))
-
-    # -- process-pool supervised path ------------------------------------
+    # -- supervised rounds ------------------------------------------------
 
     def _publish_kernels(self, policy, testbed_key: str, policy_key: str):
         """Publish the policy's precomputed kernels over shared memory.
@@ -1698,34 +1556,39 @@ class ScenarioRunner:
         )
 
     def _dispatch(self, call: "_Call") -> None:
-        """Send one round of a pooled call: every remaining block, at
-        its next attempt.
+        """Send one round of a call: every remaining block, at its next
+        attempt.
 
-        Dispatch granularity: directive-carrying blocks are sent one
-        per task (fault attribution stays per-block exact); clean
-        blocks are cut into the local path's chunks (:func:`_plan_chunks`)
-        and whole chunks ride in at most ``min(jobs, cpu_count)`` tasks
-        per round (:func:`_worker_run_chunks`), so a round costs
-        O(lanes) IPC round-trips instead of O(blocks).  Each task goes
-        to the child with the fewest unresolved tasks, so in a clean
-        round lane *i* goes to child *i*.
+        Blocks are cut into :func:`_plan_chunks` chunks, with
+        directive-carrying blocks alone (fault attribution stays
+        per-block exact).  A call that is not pooled becomes one
+        in-process task per chunk, in block order, which
+        :meth:`_collect_round` runs on the calling thread.  A pooled
+        call sends directive carriers one task each, first, and packs
+        the clean chunks into at most ``min(jobs, cpu_count)`` tasks
+        (:func:`_worker_run_chunks`), so a round costs O(lanes) IPC
+        round-trips instead of O(blocks).  Each pool task goes to the
+        child with the fewest unresolved tasks, so in a clean round
+        lane *i* goes to child *i*.
         """
         # Abort between rounds: nothing of this call is in flight here.
         self._check_abort()
-        if call.testbed_key is None:
-            call.testbed_key = call.testbed_spec.key()
-            call.kernels = self._publish_kernels(
-                call.policy, call.testbed_key, call.policy_key
-            )
-            call.blocks_manifest = self._publish_blocks(call)
-            # Ship the call's quality context (if any) to workers inside
-            # obs_meta; the worker pops it back out before spanning, so
-            # traces stay attr-identical while worker exemplars carry
-            # the supervisor's labels.
+        if call.tasks is None:
+            if call.testbed_spec is not None:
+                call.testbed_key = call.testbed_spec.key()
+            if call.pooled:
+                call.kernels = self._publish_kernels(
+                    call.policy, call.testbed_key, call.policy_key
+                )
+                call.blocks_manifest = self._publish_blocks(call)
+            # Ship the call's quality context (if any) inside obs_meta;
+            # the task pops it back out before spanning, so traces stay
+            # attr-identical while pool exemplars carry the supervisor's
+            # labels.
             quality = self._quality_context(call.label)
             call.quality_meta = quality.to_meta() if quality is not None else None
         traced = _obs.enabled()
-        children = self._pool()
+        children = self._pool() if call.pooled else []
         blocks, label = call.blocks, call.label
         batch = sorted(call.remaining)
         call.dispatch_attempt = dispatch_attempt = {}
@@ -1741,10 +1604,10 @@ class ScenarioRunner:
                 else None
             )
             directives[index] = directive
-            if directive is not None:
-                self._note_injected(
-                    label, index, dispatch_attempt[index], directive.get("kind")
-                )
+            kind = directive.get("kind") if directive is not None else None
+            # A cache-corrupt without a testbed memo is skipped in the task.
+            if kind is not None and (kind != "cache-corrupt" or call.testbed_key):
+                self._note_injected(label, index, dispatch_attempt[index], kind)
             if traced:
                 obs_meta = {
                     "policy": label, "call": call.index,
@@ -1758,6 +1621,23 @@ class ScenarioRunner:
         singles = {index for index in batch if directives[index] is not None}
         bounds = blocks.bounds
         chunks = _plan_chunks(bounds, batch, singles)
+        if not call.pooled:
+            policy = call.policy
+
+            def policy_of():
+                return policy
+
+            for chunk in chunks:
+                args = (
+                    policy_of,
+                    [[(index, blocks[index]) for index in chunk]],
+                    {index: obs_meta_of[index] for index in chunk} if traced else None,
+                    directives[chunk[0]],
+                    call.testbed_key,
+                    True,
+                )
+                call.tasks.append((chunk, args, None))
+            return
         # Directive carriers get a task each, sent first; clean chunks
         # share at most `lanes` tasks.
         groups = [[chunk] for chunk in chunks if chunk[0] in singles]
@@ -1777,9 +1657,9 @@ class ScenarioRunner:
                 call.testbed_key,
                 call.policy_key,
                 payload,
+                call.blocks_manifest,
                 {index: obs_meta_of[index] for index in indices} if traced else None,
                 call.kernels,
-                call.blocks_manifest,
                 directives[indices[0]],
             )
             child = min(children, key=lambda child: child.pending)
@@ -1787,7 +1667,7 @@ class ScenarioRunner:
             call.tasks.append((indices, future, child))
 
     def _supervise_pool(self, call: "_Call") -> None:
-        """Collect a pooled call's rounds until every block is settled.
+        """Collect a call's rounds until every block is settled.
 
         Only a block's *own* failure counts against its attempt budget;
         blocks lost with a child that died for another reason are
@@ -1838,8 +1718,14 @@ class ScenarioRunner:
     def _collect_round(self, call: "_Call", retry: RetryPolicy) -> None:
         """Wait for every task of the round, in dispatch order.
 
-        A task's wall-clock budget scales with its block count, and
-        starts when the parent begins waiting on it (every earlier
+        An in-process task runs here, on the calling thread, after an
+        abort check and with no timeout; its finished blocks are
+        journaled with one commit before the next task starts.  A
+        failure that exhausts its block's attempt budget ends the round
+        at once (fail fast: no later chunk of the call runs).
+
+        A pool task's wall-clock budget scales with its block count,
+        and starts when the parent begins waiting on it (every earlier
         task on its child has resolved by then).  A timed-out task
         charges its first block, and its child is killed: the child's
         other tasks are collateral, while tasks on live children finish
@@ -1847,6 +1733,15 @@ class ScenarioRunner:
         """
         label = call.label
         while call.tasks:
+            if call.tasks[0][2] is None:
+                self._check_abort()
+                _, args, _ = call.tasks.pop(0)
+                self._settle_done(call, *_run_chunks(*args))
+                if call.failures and (
+                    call.attempts[call.failures[-1][0]] >= retry.max_attempts
+                ):
+                    call.tasks.clear()
+                continue
             indices, future, child = call.tasks[0]
             budget = (
                 None if retry.timeout_s is None else retry.timeout_s * len(indices)
@@ -1879,7 +1774,7 @@ class ScenarioRunner:
             self._take(call, call.tasks.pop(0))
 
     def _take(self, call: "_Call", task: Tuple[List[int], Any, Child]) -> None:
-        """Apply one resolved task to its call.
+        """Apply one resolved pool task to its call.
 
         A finished task settles every block of its ``done`` map and
         charges its recorded first failure, if any; blocks neither done
@@ -1892,10 +1787,7 @@ class ScenarioRunner:
         indices, future, _ = task
         error = future.exception()
         if error is None:
-            done, failure = future.result()
-            self._settle_done(call, done)
-            if failure is not None:
-                self._charge(call, *failure)
+            self._settle_done(call, *future.result())
         elif not isinstance(error, ChildDied):
             self._charge(call, indices[0], error)
         elif (call.directives.get(indices[0]) or {}).get("kind") == "crash":
@@ -1910,15 +1802,21 @@ class ScenarioRunner:
         call.failures.append((index, error))
 
     def _settle_done(
-        self, call: "_Call", done: Mapping[int, Tuple[Selections, Dict[str, Any]]]
+        self,
+        call: "_Call",
+        done: Mapping[int, Tuple[Selections, Dict[str, Any]]],
+        failure: Optional[Tuple[int, BaseException]],
     ) -> None:
-        """Record one task's finished blocks: settle them, journal them once."""
+        """Apply one task's ``(done, failure)`` reply: settle its finished
+        blocks, journal them with one commit, charge its first failure."""
         for index, payload in done.items():
             call.attempts[index] = call.dispatch_attempt[index]
             call.executed[index] = payload
             call.remaining.discard(index)
             self.health.note_attempts(call.label, index, call.attempts[index])
         self._commit(call, done)
+        if failure is not None:
+            self._charge(call, *failure)
 
     def _pool(self) -> List[Child]:
         """The pool's ``jobs`` children, forked on first use."""

@@ -18,6 +18,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.runtime.runner as runner_module
 from repro.cli import main as cli_main
@@ -336,6 +337,90 @@ class TestLocalSupervision:
         assert excinfo.value.attempts == 1
 
 
+@pytest.fixture(scope="class")
+def isolated_memo(tmp_path_factory):
+    """A private testbed cache: cache-corrupt directives truncate its memo."""
+    from repro.experiments.common import build_testbed
+
+    def forget():
+        build_testbed.cache_clear()
+        runner_module._WORKER_CONTEXTS.clear()
+        runner_module._WORKER_POLICIES.clear()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("memo")))
+        patch.delenv("REPRO_TESTBED_CACHE", raising=False)
+        forget()
+        yield
+    forget()
+
+
+class TestOneSupervisionLoop:
+    """jobs=1 runs its chunks as in-process tasks of the pool's rounds."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        faults=st.lists(
+            st.builds(
+                FaultSpec,
+                st.sampled_from(["exception", "crash", "cache-corrupt"]),
+                st.integers(0, 4),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # Block 2 is lost with block 0's crashing child at jobs=2 and
+    # settles a round later than at jobs=1: health must not show it.
+    @example(
+        faults=[
+            FaultSpec("crash", 0),
+            FaultSpec("exception", 1, times=2),
+            FaultSpec("exception", 2),
+        ]
+    )
+    def test_jobs1_and_jobs2_settle_a_plan_alike(
+        self, clean_result, isolated_memo, faults
+    ):
+        """A plan that completes gives the clean digest and the same
+        health bytes (pool replacements aside) at jobs 1 and 2; one that
+        exhausts a block raises the same structured error at both."""
+        retry = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
+        plan = FaultPlan(faults=tuple(faults))
+        settled = []
+        for jobs in (1, 2):
+            with ScenarioRunner(jobs=jobs, retry=retry, faults=plan) as runner:
+                try:
+                    manifest = runner.run(_small_spec()).manifest
+                except RetryExhaustedError as error:
+                    settled.append((error.label, error.block_index, error.attempts))
+                    continue
+            assert manifest.result_sha256 == clean_result.manifest.result_sha256
+            health = dict(manifest.health)
+            del health["pool_replacements"]
+            settled.append(json.dumps(health))
+        assert settled[0] == settled[1]
+
+    def test_default_runner_runs_no_chunk_after_the_failed_block(self, monkeypatch):
+        from repro.core.policy import CompressivePolicy
+
+        kernel_calls = []
+        for name in ("select_batch", "select_fused_stacked"):
+            def counted(self, *args, _real=getattr(CompressivePolicy, name), **kwargs):
+                kernel_calls.append(args)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(CompressivePolicy, name, counted)
+        spec = _small_spec().with_faults(FaultPlan.parse(["exception@0"]))
+        with ScenarioRunner() as runner:
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                runner.run(spec)
+        assert (excinfo.value.label, excinfo.value.block_index) == ("css", 0)
+        # Block 0 fails before its kernel; blocks 1-4 share a later chunk.
+        assert kernel_calls == []
+
+
 class TestRecoveryEquivalence:
     """The pinned acceptance test: crash + hang + exceptions at jobs=4."""
 
@@ -535,34 +620,42 @@ class TestWorkerCacheCorruption:
         assert healed is not policy
         assert memo.is_file() and memo.read_bytes() != data[: len(data) // 2]
 
-    def test_worker_block_runs_through_an_injected_corruption(self, isolated_cache):
+    def _planned(self, azimuths):
+        """``(testbed spec, policy spec, policy, plan)`` on the small testbed."""
         from repro.channel.environment import conference_room
         from repro.experiments.common import record_directions
 
         spec = self._small_testbed_spec()
-        testbed_key = spec.key()
         policy_spec = PolicySpec("css", {"n_probes": 6})
         testbed = spec.build()
         policy = build_policy(policy_spec, PolicyContext(testbed=testbed))
         recordings = record_directions(
-            testbed, conference_room(6.0), [0.0], [0.0], 2,
+            testbed, conference_room(6.0), azimuths, [0.0], 2,
             np.random.default_rng(3),
         )
         with ScenarioRunner() as planner:
-            (block,) = planner.plan_trials(
+            blocks = planner.plan_trials(
                 policy, recordings, testbed.tx_sector_ids,
                 np.random.default_rng(4),
             )
+        return spec, policy_spec, policy, blocks
 
-        done, failure = runner_module._worker_run_chunks(
-            testbed_key, policy_spec.key(), [[(0, block)]]
+    def test_worker_block_runs_through_an_injected_corruption(self, isolated_cache):
+        spec, policy_spec, _, (block,) = self._planned([0.0])
+        testbed_key = spec.key()
+
+        def worker_policy():
+            return runner_module._worker_policy(testbed_key, policy_spec.key())
+
+        done, failure = runner_module._run_chunks(
+            worker_policy, [[(0, block)]], None, None, testbed_key, False
         )
         assert failure is None
         clean, info = done[0]
         assert info == {}
-        done, failure = runner_module._worker_run_chunks(
-            testbed_key, policy_spec.key(), [[(0, block)]],
-            directive={"kind": "cache-corrupt"},
+        done, failure = runner_module._run_chunks(
+            worker_policy, [[(0, block)]], None, {"kind": "cache-corrupt"},
+            testbed_key, False,
         )
         assert failure is None
         corrupted, info = done[0]
@@ -570,17 +663,22 @@ class TestWorkerCacheCorruption:
         assert [r.sector_id for r in corrupted] == [r.sector_id for r in clean]
 
     def test_local_cache_corrupt_directive_truncates_the_memo(self, isolated_cache):
-        testbed_key = self._small_testbed_spec().key()
-        policy_key = PolicySpec("css", {"n_probes": 6}).key()
+        spec, policy_spec, policy, blocks = self._planned([-30.0, 30.0])
+        testbed_key = spec.key()
+        policy_key = policy_spec.key()
         runner_module._worker_policy(testbed_key, policy_key)
         memo = runner_module._memoized_testbed_path(testbed_key)
         data = memo.read_bytes()
 
         with ScenarioRunner() as runner:
-            runner._apply_local_directive(
-                {"kind": "cache-corrupt"}, testbed_key, "css", 0, 1
+            clean = runner.execute(policy, blocks)
+        plan = FaultPlan.parse(["cache-corrupt@1"])
+        with ScenarioRunner(faults=plan) as runner:
+            records = runner.execute(
+                policy, blocks, policy_spec=policy_spec, testbed_spec=spec
             )
             assert runner.health.injected == 1
+        assert records.selections == clean.selections
         assert memo.read_bytes() == data[: max(16, len(data) // 2)]
         # the warm caches were dropped with the memo: the next warm-up
         # takes the self-healing rebuild path
@@ -588,12 +686,17 @@ class TestWorkerCacheCorruption:
         assert healed is not None
         assert memo.read_bytes() != data[: max(16, len(data) // 2)]
 
-    def test_local_cache_corrupt_without_a_testbed_spec_is_not_counted(self):
-        with ScenarioRunner() as runner:
-            runner._apply_local_directive(
-                {"kind": "cache-corrupt"}, None, "css", 0, 1
-            )
+    def test_local_cache_corrupt_without_a_testbed_spec_is_not_counted(
+        self, isolated_cache
+    ):
+        spec, policy_spec, policy, blocks = self._planned([-30.0, 30.0])
+        memo = runner_module._memoized_testbed_path(spec.key())
+        data = memo.read_bytes()
+        plan = FaultPlan.parse(["cache-corrupt@1"])
+        with ScenarioRunner(faults=plan) as runner:
+            runner.execute(policy, blocks, policy_spec=policy_spec)
             assert runner.health.injected == 0
+        assert memo.read_bytes() == data
 
 
 class _BrokenBatch:
