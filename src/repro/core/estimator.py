@@ -18,6 +18,7 @@ arithmetic of their own.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,10 +45,15 @@ __all__ = ["AngleEstimate", "AngleEstimator"]
 _RSSI_REFERENCE_DBM = -71.5
 
 #: Rows per stacked kernel pass.  Rows of equal usable-probe count are
-#: evaluated a few at a time as ``(R, M, K)`` blocks; on the 1,010-point
-#: grid four rows keep the unit-pattern temporaries in L2, and larger
-#: stacks spill and get slower (DESIGN.md §12).
+#: evaluated a few at a time as ``(R, M, K)`` blocks in a per-thread
+#: scratch pair; on the 1,010-point grid four rows keep that pair in
+#: L2, and stacks of 8 double it for no measurable gain (DESIGN.md §12).
 _STACK_ROWS = 4
+
+#: Per-thread scratch of :meth:`AngleEstimator._argmax_stack`: two flat
+#: float64 buffers, grown on demand.  Module-level, so an estimator
+#: pickles without them and threads sharing one never share a buffer.
+_SCRATCH = threading.local()
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -71,6 +77,15 @@ def _finite_argmax(surface: np.ndarray) -> int:
     if valid.size == 0:
         return best
     return int(valid[surface[valid].argmax()])
+
+
+def _scratch_pair(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """This thread's two scratch buffers, each at least ``size`` floats."""
+    pair = getattr(_SCRATCH, "pair", None)
+    if pair is None or pair[0].size < size:
+        pair = (np.empty(size), np.empty(size))
+        _SCRATCH.pair = pair
+    return pair
 
 
 def _fused_surface(
@@ -396,8 +411,9 @@ class AngleEstimator:
         :func:`_unit_columns` and one GEMV per channel; larger batches
         group their rows by usable-probe count and evaluate each group
         in stacks of at most :data:`_STACK_ROWS` rows
-        (:meth:`_argmax_stack`).  Per row, every reduction and BLAS call
-        is the one the one-row path makes, so both give the same bits.
+        (:meth:`_argmax_stack`), the group's probe units computed once.
+        Per row, every reduction and BLAS call is the one the one-row
+        path makes, so both give the same bits.
         A single ``np.errstate`` entry covers the whole batch.
         """
         _obs.inc("estimator_calls_total")
@@ -431,46 +447,65 @@ class AngleEstimator:
             order = eligible[np.argsort(n_probes[eligible], kind="stable")]
             cuts = np.flatnonzero(np.diff(n_probes[order])) + 1
             for group in np.split(order, cuts) if order.size else ():
-                offsets = np.arange(n_probes[group[0]])
+                count = int(n_probes[group[0]])
+                flat = starts[group, np.newaxis] + np.arange(count)
+                group_rows = rows_c[flat]
+                # Each row's probe norm is its own BLAS ``dot``, as in
+                # the one-row path; stacking only batches the calls.
+                probe_units = []
+                for values in channels_c:
+                    values = values[flat]
+                    squares = np.matmul(values[:, np.newaxis, :], values[:, :, np.newaxis])
+                    probe_units.append(
+                        values / np.maximum(np.sqrt(squares[:, 0]), _EPSILON)
+                    )
                 for first in range(0, group.size, _STACK_ROWS):
-                    stack = group[first : first + _STACK_ROWS]
-                    flat = starts[stack, np.newaxis] + offsets
+                    stop = first + _STACK_ROWS
+                    stack = group[first:stop]
                     found, surface = self._argmax_stack(
-                        rows_c[flat], [values[flat] for values in channels_c]
+                        group_rows[first:stop], [unit[first:stop] for unit in probe_units]
                     )
                     best_index[stack] = found
                     best_corr[stack] = surface[np.arange(stack.size), found]
                     if quality_on:
                         for row, index in enumerate(found):
-                            _quality.record_peak_ratio(
-                                surface[row], int(index), offsets.size
-                            )
+                            _quality.record_peak_ratio(surface[row], int(index), count)
         return n_probes, best_index, best_corr
 
     def _argmax_stack(
-        self, rows: np.ndarray, channels: List[np.ndarray]
+        self, rows: np.ndarray, probe_units: List[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Finite argmax and fused surface of ``R`` rows of equal probe count.
 
-        ``rows`` is ``(R, M)`` pattern rows; ``channels`` are ``(R, M)``
-        domain-transformed probe values, SNR first.  Each row gets
-        :func:`_unit_columns`' reduction over its ``M`` probes, its
-        probe norm from ``dot`` and a GEMV per channel — stacked
-        ``matmul`` runs those BLAS calls row by row — so a stacked row
-        equals the one-row path bit for bit.  Rows with the same
-        pattern rows (a fixed design) share one unit matrix.
+        ``rows`` is ``(R, M)`` pattern rows; ``probe_units`` are the
+        ``(R, M)`` unit probe vectors per channel, SNR first.  Each row
+        gets :func:`_unit_columns`' reduction over its ``M`` probes and
+        a GEMV per channel — stacked ``matmul`` runs the GEMVs row by
+        row — so a stacked row equals the one-row path bit for bit.
+        The ``(R, M, K)`` gather and its squares live in this thread's
+        scratch pair (:func:`_scratch_pair`), so a stack allocates only
+        its ``(R, K)`` norms and surfaces.  Rows with the same pattern
+        rows (a fixed design) share one unit matrix.
         """
         if (rows == rows[0]).all():
             unit = _unit_columns(self._prepared[rows[0]])[np.newaxis]
         else:
-            # The gather is a fresh array: normalize it in place.
-            unit = self._prepared[rows]
-            norms = np.sqrt(np.add.reduce(unit * unit, axis=1))
-            np.divide(unit, np.maximum(norms, _EPSILON)[:, np.newaxis, :], out=unit)
+            shape = rows.shape + (self._prepared.shape[1],)
+            size = rows.size * shape[2]
+            first, second = _scratch_pair(size)
+            unit = first[:size].reshape(shape)
+            squares = second[:size].reshape(shape)
+            # ``mode="raise"`` would buffer ``out``; the rows are valid
+            # indices, so ``"wrap"`` gathers exactly the fancy index.
+            np.take(self._prepared, rows, axis=0, mode="wrap", out=unit)
+            # ``square`` is ``x * x`` bit for bit, at about half the cost.
+            np.square(unit, out=squares)
+            norms = np.add.reduce(squares, axis=1)
+            np.sqrt(norms, out=norms)
+            np.maximum(norms, _EPSILON, out=norms)
+            np.divide(unit, norms[:, np.newaxis, :], out=unit)
         surface = None
-        for values in channels:
-            squares = np.matmul(values[:, np.newaxis, :], values[:, :, np.newaxis])
-            probe_unit = values / np.maximum(np.sqrt(squares[:, 0]), _EPSILON)
+        for probe_unit in probe_units:
             channel_surface = np.matmul(probe_unit[:, np.newaxis, :], unit)[:, 0] ** 2
             surface = channel_surface if surface is None else surface * channel_surface
         found = surface.argmax(axis=1)

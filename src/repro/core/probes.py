@@ -7,7 +7,8 @@ pipeline stage (DESIGN.md §13): registered by name in
 :mod:`repro.runtime.registry`, declared in a ``probe_design`` block on
 a :class:`~repro.runtime.spec.PolicySpec`, and routed through
 ``CompressivePolicy.probes_for_round``.  The ``random`` designer is
-the paper's draw (one ``rng.choice`` call per design); the
+the paper's draw (one ``rng.choice`` call per design, one
+``rng.integers`` call per batch of designs); the
 deterministic designers (``coherence-min``, ``in-sector``,
 ``greedy-submodular``, ``gain-diverse``) compute a *structured sensing
 matrix* — a fixed M-of-N subset — once per (table, M, params, pool)
@@ -126,14 +127,23 @@ def clear_design_cache() -> None:
     _DIAGNOSTICS_CACHE.clear()
 
 
+#: Largest pool :meth:`RandomProbeDesigner.design_positions` replays:
+#: up to here numpy's ``Generator.choice(n, M, replace=False)`` runs
+#: Floyd's algorithm and a Fisher–Yates shuffle; above it, it may take
+#: a tail shuffle of the whole pool instead.
+_FLOYD_MAX_POOL = 10_000
+
+
 class RandomProbeDesigner:
     """The paper's per-sweep uniform draw, as a designer.
 
-    ``CompressivePolicy``'s default.  Exactly one
-    ``rng.choice(len(pool), size=M, replace=False)`` call per design —
-    the same call as :func:`repro.experiments.common.random_probe_columns`
-    — and the chosen order is **not** sorted.  Callers that emulate a
+    ``CompressivePolicy``'s default.  :meth:`design` is exactly one
+    ``rng.choice(len(pool), size=M, replace=False)`` call — the same
+    call as :func:`repro.experiments.common.random_probe_columns` —
+    and the chosen order is **not** sorted.  Callers that emulate a
     live sweep (per-probe noise drawn in sweep order) sort the result.
+    :meth:`design_positions` draws many designs in one generator call
+    with the same subsets and the same stream.
     """
 
     name = "random"
@@ -160,14 +170,50 @@ class RandomProbeDesigner:
         available_ids: Sequence[int],
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """``n_rows`` draws as pool positions: the same ``rng.choice``
-        calls as ``n_rows`` :meth:`design` calls, in the same order."""
-        positions = np.empty((n_rows, n_probes), dtype=np.intp)
-        if n_rows:
-            _validate(n_probes, available_ids)
+        """``n_rows`` draws as pool positions: the subsets and generator
+        state of ``n_rows`` sequential :meth:`design` calls, from one
+        ``rng.integers`` call.
+
+        For a pool of ``n`` ≤ 10,000, ``rng.choice(n, M,
+        replace=False)`` runs Floyd's algorithm — bounded draws on
+        ``[0, j]`` for ``j = n − M … n − 1``, taking ``j`` itself when
+        the draw is already chosen — then a Fisher–Yates shuffle, a
+        bounded draw on ``[0, i]`` for ``i = M − 1 … 1`` and a swap of
+        positions ``i`` and the draw.  Every bound depends on ``n`` and
+        ``M`` only, so one int64 ``integers`` call with the bounds tiled
+        ``n_rows`` times reads the same words in the same order; the
+        algorithm is then replayed a column at a time across all rows.
+
+        Raises:
+            ValueError: the pool is larger than 10,000 (numpy's Floyd
+                range), or :meth:`design` would raise.
+        """
+        if not n_rows:
+            return np.empty((0, n_probes), dtype=np.intp)
+        _validate(n_probes, available_ids)
         size = len(available_ids)
-        for row in range(n_rows):
-            positions[row] = rng.choice(size, size=n_probes, replace=False)
+        if size > _FLOYD_MAX_POOL:
+            raise ValueError(
+                f"a pool of {size} sectors is beyond numpy's Floyd range "
+                f"(at most {_FLOYD_MAX_POOL}) for batched random draws"
+            )
+        floyd = np.arange(size - n_probes, size)
+        bounds = np.concatenate((floyd, np.arange(n_probes - 1, 0, -1)))
+        draws = rng.integers(0, np.tile(bounds, n_rows) + 1, dtype=np.int64)
+        draws = draws.reshape(n_rows, bounds.size)
+        rows = np.arange(n_rows)
+        positions = np.empty((n_rows, n_probes), dtype=np.intp)
+        seen = np.zeros((n_rows, size), dtype=bool)
+        for column, top in enumerate(floyd.tolist()):
+            value = draws[:, column]
+            value = np.where(seen[rows, value], top, value)
+            positions[:, column] = value
+            seen[rows, value] = True
+        for column, slot in enumerate(range(n_probes - 1, 0, -1), n_probes):
+            target = draws[:, column]
+            held = positions[rows, target]
+            positions[rows, target] = positions[:, slot]
+            positions[:, slot] = held
         return positions
 
 

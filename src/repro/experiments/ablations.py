@@ -34,6 +34,7 @@ from ..channel.batch import sweep_snr_matrix
 from ..channel.environment import conference_room, lab_environment
 from ..core.estimator import AngleEstimator
 from ..core.measurements import ProbeMeasurement
+from ..core.probes import RandomProbeDesigner
 from ..geometry.angles import azimuth_difference
 from ..geometry.rotation import Orientation
 from ..runtime.registry import register_scenario
@@ -43,7 +44,6 @@ from .common import (
     Testbed,
     estimate_errors,
     pack_probe_trials,
-    random_probe_columns,
     random_subsweep,
     record_directions,
     snr_losses,
@@ -89,29 +89,24 @@ def _estimator_azimuth_errors(
     rng: np.random.Generator,
     subsamples: int = 3,
 ) -> List[float]:
-    # Batched trial loop for bodies that keep a raw estimator (same
-    # draw order and bit-identical estimates as the scalar one).
-    id_row = np.asarray(tx_ids, dtype=np.intp)
-    trial_ids: List[np.ndarray] = []
-    trial_snr: List[np.ndarray] = []
-    trial_rssi: List[np.ndarray] = []
-    trial_mask: List[np.ndarray] = []
-    truths: List[float] = []
-    for recording in recordings:
-        present, snr, rssi = recording.packed_sweeps(tx_ids)
-        for sweep_index in range(recording.n_sweeps):
-            for _ in range(subsamples):
-                columns = random_probe_columns(len(tx_ids), n_probes, rng)
-                trial_ids.append(id_row[columns])
-                trial_snr.append(snr[sweep_index, columns])
-                trial_rssi.append(rssi[sweep_index, columns])
-                trial_mask.append(present[sweep_index, columns])
-                truths.append(recording.azimuth_deg)
+    # Batched trials for bodies that keep a raw estimator: one draw for
+    # every recording × sweep × subsample, in that nesting order (the
+    # stream and estimates of one ``random_probe_columns`` per trial).
+    packed = [recording.packed_sweeps(tx_ids) for recording in recordings]
+    present, snr, rssi = (np.concatenate(arrays) for arrays in zip(*packed))
+    sweeps = np.repeat(np.arange(present.shape[0]), subsamples)[:, np.newaxis]
+    columns = RandomProbeDesigner().design_positions(
+        n_probes, sweeps.shape[0], tx_ids, rng
+    )
+    truths = np.repeat(
+        [recording.azimuth_deg for recording in recordings],
+        [recording.n_sweeps * subsamples for recording in recordings],
+    ).tolist()
     estimates = estimator.estimate_batch(
-        np.stack(trial_ids),
-        snr_db=np.stack(trial_snr),
-        rssi_dbm=np.stack(trial_rssi),
-        mask=np.stack(trial_mask),
+        np.asarray(tx_ids, dtype=np.intp)[columns],
+        snr_db=snr[sweeps, columns],
+        rssi_dbm=rssi[sweeps, columns],
+        mask=present[sweeps, columns],
     )
     return [
         abs(azimuth_difference(estimate.azimuth_deg, truth))

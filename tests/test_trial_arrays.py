@@ -7,13 +7,24 @@ invisible in the results:
   ``n`` rows at once: the same subsets, the same generator state and
   the same telemetry as ``n`` sequential ``design`` calls, and a plan
   drawn that way equals one drawn a trial at a time.
+  The ``random`` designer's rows come from one ``rng.integers`` call
+  and equal ``n`` sequential ``rng.choice`` calls, the numpy draw it
+  replays.
 * **Kernel** — rows of equal usable-probe count run in stacks of
   ``_STACK_ROWS``; the result equals the naive reference of
   :mod:`tests.reference_kernel` with ``==`` across stack boundaries,
   mixed counts, NaN-winner rows, all-NaN rows and one-row batches.
+  A stack's ``(R, M, K)`` arrays live in per-thread scratch buffers:
+  a warm call allocates less than one stack, threads sharing an
+  estimator get the serial results, and a buffer grown for one probe
+  count serves a smaller one.
 * **Pool workers** — :func:`repro.runtime.shm.borrow` builds a view
   only for the entries its body reads.
 """
+
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +35,7 @@ from repro import obs
 from repro.core import estimator as estimator_module
 from repro.core.estimator import AngleEstimator
 from repro.core.policy import CompressivePolicy
-from repro.core.probes import clear_design_cache
+from repro.core.probes import RandomProbeDesigner, clear_design_cache
 from repro.experiments.common import RecordedDirection
 from repro.geometry import AngularGrid
 from repro.measurement import PatternTable
@@ -92,6 +103,31 @@ class TestDesignPositions:
             return rows, rng.bit_generator.state, histograms
 
         assert draw(at_once=True) == draw(at_once=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_rows_equal_sequential_choice_calls(self, data):
+        pool_size = data.draw(st.integers(min_value=1, max_value=128))
+        n_probes = data.draw(
+            st.sampled_from([1, pool_size]) | st.integers(min_value=1, max_value=pool_size)
+        )
+        n_rows = data.draw(st.integers(min_value=0, max_value=300))
+        seed = data.draw(st.integers(min_value=0, max_value=2**63))
+        pool = list(range(100, 100 + pool_size))
+        batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+        positions = RandomProbeDesigner().design_positions(n_probes, n_rows, pool, batched)
+        expected = np.array(
+            [sequential.choice(pool_size, n_probes, replace=False) for _ in range(n_rows)]
+        ).reshape(n_rows, n_probes)
+        assert positions.dtype == np.intp
+        assert np.array_equal(positions, expected)
+        assert batched.bit_generator.state == sequential.bit_generator.state
+        assert batched.random() == sequential.random()
+
+    def test_random_rows_beyond_floyd_range_raise(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="Floyd"):
+            RandomProbeDesigner().design_positions(2, 3, list(range(10_001)), rng)
 
 
 class _OneTrialAtATime:
@@ -308,6 +344,85 @@ class TestStackedKernel:
             assert np.array_equal(field, np.concatenate(values), equal_nan=True)
         assert batch_histograms == row_histograms
         assert any(key.startswith("quality_peak_ratio") for key in batch_histograms)
+
+
+def _full_batch(table, n_rows, width, seed):
+    """``n_rows`` rows of ``width`` distinct random sectors, all usable."""
+    rng = np.random.default_rng(seed)
+    ids = np.array([rng.choice(table.sector_ids, width, replace=False) for _ in range(n_rows)])
+    return ids, rng.uniform(-5.0, 25.0, ids.shape), rng.uniform(-80.0, -50.0, ids.shape)
+
+
+class TestScratchBuffers:
+    def test_a_warm_stacked_call_allocates_less_than_one_stack(self, pattern_table):
+        estimator = AngleEstimator(pattern_table)
+        batch = _full_batch(pattern_table, 64, 34, seed=1)
+        estimator.estimate_fused_arrays(*batch)  # grows this thread's scratch
+        tracemalloc.start()
+        try:
+            estimator.estimate_fused_arrays(*batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack_bytes = estimator_module._STACK_ROWS * 34 * estimator.search_grid.n_points * 8
+        assert peak < stack_bytes
+
+    def test_threads_sharing_an_estimator_get_the_serial_results(self, pattern_table):
+        estimator = AngleEstimator(pattern_table)
+        batches = [
+            _full_batch(pattern_table, 24, width, seed)
+            for seed, width in enumerate((34, 6, 20, 12))
+        ]
+        serial = [estimator.estimate_fused_arrays(*batch) for batch in batches]
+        orders = [np.roll(np.arange(len(batches)), shift).tolist() for shift in range(4)]
+        barrier = threading.Barrier(len(orders), timeout=30)
+        results = {}
+
+        def work(order):
+            barrier.wait()
+            results[tuple(order)] = [
+                (index, estimator.estimate_fused_arrays(*batches[index]))
+                for _ in range(5)
+                for index in order
+            ]
+
+        # More threads than cores, switching often: a buffer shared
+        # between threads would be overwritten mid-stack.
+        threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(orders)
+        for runs in results.values():
+            for index, got in runs:
+                for mine, theirs in zip(got, serial[index]):
+                    assert np.array_equal(mine, theirs, equal_nan=True)
+
+    def test_a_buffer_grown_for_34_probes_serves_6(self, pattern_table):
+        estimator = AngleEstimator(pattern_table)
+        reference = ReferenceEstimator(pattern_table)
+        pairs = []
+        for width in (34, 6):
+            ids, snr, rssi = _full_batch(
+                pattern_table, 2 * estimator_module._STACK_ROWS + 1, width, seed=width
+            )
+            slots = [
+                [(int(s), float(a), float(b)) for s, a, b in zip(*row)]
+                for row in zip(ids, snr, rssi)
+            ]
+            assert _same(
+                estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi),
+                reference.estimate_rows(slots),
+            )
+            pairs.append(estimator_module._SCRATCH.pair)
+        assert pairs[0] is pairs[1]
 
 
 # ----------------------------------------------------------------------
