@@ -14,8 +14,10 @@ strength reporting, all of which are modelled here:
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +46,7 @@ class SignalObservation:
 
 @dataclass(frozen=True)
 class SignalObservationBatch:
-    """Vectorized firmware reports for a block of frames.
+    """Vectorized firmware reports for a block of frames (or of sweeps × frames).
 
     ``reported[i]`` is False when frame ``i`` failed to decode or its
     report was dropped; the corresponding ``snr_db[i]`` / ``rssi_dbm[i]``
@@ -200,108 +202,355 @@ class MeasurementModel:
         noise_floor_dbm: float,
         rng: np.random.Generator,
     ) -> SignalObservationBatch:
-        """Reports for a block of frames, drawn frame by frame.
+        """Reports for a block of frames: one :meth:`observe` call per frame.
 
-        Bit for bit the reports — and the generator state — of one
-        :meth:`observe` call per frame, in order: only the decode
-        probabilities and noise levels are computed for the whole block
-        at once.  A NaN or +inf frame raises after its draws, as a
-        scalar loop would.
+        Bit for bit the reports — and the generator state — of the
+        scalar loop, replayed from raw generator words (see
+        :meth:`observe_sweeps`).  A NaN or ±inf reading raises after
+        its frame's draws, as the loop would.
         """
-        truth = np.ascontiguousarray(true_snr_db, dtype=float)
+        truth = np.asarray(true_snr_db, dtype=float)
         if truth.ndim != 1:
             raise ValueError("true_snr_db must be a 1-D block of frames")
-        argument = (truth - self.decode_threshold_db) / self.decode_width_db
-        decode_p = 1.0 / (1.0 + np.exp(-argument))
-        low_snr_weight = 1.0 / (1.0 + np.exp((truth - 2.0) / 2.0))
-        noise_std = self.base_noise_std_db + self.low_snr_extra_noise_db * low_snr_weight
-        frame = self._frame
-        reports = [
-            frame(value, p, std, noise_floor_dbm, rng)
-            for value, p, std in zip(truth.tolist(), decode_p.tolist(), noise_std.tolist())
-        ]
-        reported = np.array([report is not None for report in reports], dtype=bool)
-        values = np.full((2, truth.size), np.nan)
-        if reported.any():
-            values[:, reported] = np.array(
-                [report for report in reports if report is not None]
-            ).T
-        return SignalObservationBatch(reported, values[0], values[1])
+        batch = self.observe_sweeps(truth[None], noise_floor_dbm, rng)
+        return SignalObservationBatch(batch.reported[0], batch.snr_db[0], batch.rssi_dbm[0])
 
-    def observe_batch(
+    def observe_sweeps(
         self,
         true_snr_db: np.ndarray,
         noise_floor_dbm: float,
         rng: np.random.Generator,
+        fade_std_db: float = 0.0,
     ) -> SignalObservationBatch:
-        """Firmware reports for a whole block of frames in a few draws.
+        """Reports for a block of sweeps (rows) of frames, with per-sweep fades.
 
-        The per-frame arithmetic matches :meth:`observe` exactly; the
-        random stream follows a fixed **stage-major** convention so the
-        result is deterministic given the injected generator:
+        Bit for bit the reports, the raised error and the generator
+        state of this scalar loop::
 
-        1. one decode uniform per frame,
-        2. one dropout uniform per *decoded* frame,
-        3. SNR noise normals for the reporting frames,
-        4. SNR outlier uniforms, then offsets for the outliers,
-        5. RSSI noise normals, 6. RSSI outlier uniforms + offsets.
+            for row in true_snr_db:
+                fade = rng.normal(0.0, fade_std_db) if fade_std_db > 0 else 0.0
+                for truth in row:
+                    observe(truth + fade, noise_floor_dbm, rng)
 
-        For a single frame this is the same draw order as the scalar
-        path, so ``observe_batch(np.array([x]), ...)`` reproduces
-        ``observe(x, ...)`` bit for bit from the same generator state
-        (the pinned regression test asserts this).  For larger blocks
-        the draws are regrouped, so the *stream* differs from a scalar
-        loop even though the per-frame distribution is identical —
-        which is why recordings and campaigns, whose outputs are pinned
-        to the scalar stream, use :meth:`observe_frames` instead.
+        but with no generator call per frame.  ``random()`` reads one
+        64-bit word and ``standard_normal()`` one word on its ziggurat
+        fast path, so the loop is replayed from blocks of raw words of
+        a private copy of the generator: decoded as doubles and
+        fast-path normals, each frame's first word found with one
+        comparison per frame, the reports computed as arrays with
+        :meth:`_frame`'s operations.  A normal off the fast path
+        (~1.5 %) is drawn by numpy itself.  ``rng`` is then advanced by
+        exactly the words the loop would have read.
+
+        Only a PCG64 generator (every ``default_rng``) can be replayed;
+        any other raises ``TypeError``.
         """
-        true_snr = np.asarray(true_snr_db, dtype=float)
-        if true_snr.ndim != 1:
-            raise ValueError("true_snr_db must be a 1-D block of frames")
-        n_frames = true_snr.size
-        snr_out = np.full(n_frames, np.nan)
-        rssi_out = np.full(n_frames, np.nan)
-        reported = np.zeros(n_frames, dtype=bool)
-        if n_frames == 0:
-            return SignalObservationBatch(reported, snr_out, rssi_out)
+        truth = np.ascontiguousarray(true_snr_db, dtype=float)
+        if truth.ndim != 2:
+            raise ValueError("true_snr_db must be a 2-D block of sweeps × frames")
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(
+                f"frame reports replay PCG64 words; got a {type(bit_generator).__name__} generator"
+            )
+        reported = np.zeros(truth.shape, dtype=bool)
+        snr = np.full(truth.shape, np.nan)
+        rssi = np.full(truth.shape, np.nan)
+        fading = fade_std_db > 0
+        if truth.shape[0] and (truth.shape[1] or fading):
+            replay = _Replay(
+                self, truth, noise_floor_dbm, bit_generator, fade_std_db if fading else None
+            )
+            replay.run(reported.reshape(-1), snr.reshape(-1), rssi.reshape(-1))
+        return SignalObservationBatch(reported, snr, rssi)
 
-        argument = (true_snr - self.decode_threshold_db) / self.decode_width_db
-        decode_p = 1.0 / (1.0 + np.exp(-argument))
-        decoded = np.flatnonzero(rng.random(n_frames) <= decode_p)
-        if decoded.size:
-            dropout = rng.random(decoded.size)
-            decoded = decoded[dropout >= self.report_dropout_probability]
-        if decoded.size == 0:
-            return SignalObservationBatch(reported, snr_out, rssi_out)
-        reported[decoded] = True
 
-        truth = true_snr[decoded]
+#: ``random()``'s scale: a word's top 53 bits times 2**-53.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+#: The most words a frame whose normals take the fast path reads.
+_FRAME_WORDS = 8
+
+#: Words decoded at a time; a window that runs short is extended.
+_WINDOW_WORDS = 4096
+
+#: ``rabs``: the 52 bits above a word's index and sign bits.
+_RABS_MASK = (1 << 52) - 1
+
+_private = threading.local()
+
+
+def _private_generators() -> Tuple[
+    np.random.PCG64, np.random.PCG64, Callable[[], float], np.random.PCG64
+]:
+    """This thread's private generators, reused across calls.
+
+    Every use sets a generator's state before drawing, so nothing
+    carries from one call to the next.  The window generator draws the
+    raw words; the cursor (with its normal sampler) and the reference
+    replay the normals off the fast path.
+    """
+    try:
+        return _private.generators
+    except AttributeError:
+        cursor = np.random.PCG64(0)
+        _private.generators = (
+            np.random.PCG64(0),
+            cursor,
+            np.random.Generator(cursor).standard_normal,
+            np.random.PCG64(0),
+        )
+        return _private.generators
+
+
+@functools.lru_cache(maxsize=None)
+def _ziggurat_tables() -> Tuple[np.ndarray, np.ndarray]:
+    # Imported on first use, so ``python -m repro.channel.ziggurat``
+    # does not find its own module already imported by the package.
+    from . import ziggurat
+
+    tables = np.array(ziggurat.WI), np.array(ziggurat.KI, dtype=np.uint64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+class _Replay:
+    """One :meth:`MeasurementModel.observe_sweeps` call's walk through raw words.
+
+    Positions are word indices local to the current window, whose first
+    word is word ``base`` of the call.  For every position ``p`` the
+    window knows where a decoded frame starting at ``p`` ends,
+    ``jump[p]``, assuming both its normals take the fast path: ``-end``
+    when the firmware drops the frame's report after two words, -1 when
+    a normal leaves the fast path and the frame is walked word by word.
+    """
+
+    def __init__(
+        self,
+        model: MeasurementModel,
+        truth: np.ndarray,
+        noise_floor_dbm: float,
+        bit_generator: np.random.PCG64,
+        fade_std_db: Optional[float],
+    ) -> None:
+        self.model = model
+        self.truth = truth
+        self.noise_floor_dbm = noise_floor_dbm
+        self.fade_std_db = fade_std_db
+        self.fades = np.zeros(truth.shape[0])  # each row's fade, as drawn
+        self.bit_generator = bit_generator
+        self.start_state = bit_generator.state
+        self.window, self.cursor, self.cursor_normal, self.reference = _private_generators()
+        self.window.state = self.start_state
+        self.cursor_at = -1  # the cursor's and the reference's word; -1 = not set
+        self.base = 0
+        self.first_frame = 0  # flat index of the window's first scanned frame
+        self.starts: List[int] = []  # per scanned frame: its first word, -1 = no report
+        self.slow: Dict[int, Tuple[float, int, float, int]] = {}  # frame -> normals, tests
+        self.words = np.empty(0, dtype=np.uint64)
+        self._fill(0, self._window_size())
+
+    # -- windows ---------------------------------------------------------
+
+    def _window_size(self) -> int:
+        rows, frames = self.truth.shape
+        left = rows * frames - self.first_frame
+        fades = rows if self.fade_std_db is not None else 0
+        return min(_WINDOW_WORDS, left * _FRAME_WORDS + fades + _FRAME_WORDS)
+
+    def _fill(self, keep_from: int, size: int) -> None:
+        """Make the window ``size`` words from local position ``keep_from`` on."""
+        kept = self.words[keep_from:]
+        if keep_from > self.words.size:  # a slow normal read past the window
+            self.window.random_raw(keep_from - self.words.size, output=False)
+        fresh = self.window.random_raw(max(size - kept.size, _FRAME_WORDS))
+        self.words = words = np.concatenate((kept, fresh)) if kept.size else fresh
+        wi, ki = _ziggurat_tables()
+        self.uniform = uniform = (words >> 11) * _DOUBLE_UNIT
+        index = words & 0xFF
+        rabs = (words >> 9) & _RABS_MASK
+        self.normal = rabs * wi[index]
+        self.normal.view(np.uint64)[...] |= (words & 0x100) << 55  # the sign bit
+        self.accepted = accepted = rabs < ki[index]
+
+        # Frame layout: decode, dropout, SNR normal, SNR outlier test
+        # (+ offset), RSSI normal, RSSI outlier test (+ offset).
+        model = self.model
+        n = words.size - _FRAME_WORDS + 1
+        outlier_p = model.outlier_probability
+        self.rssi_at = rssi_at = np.arange(4, n + 4) + (uniform[3 : n + 3] < outlier_p)
+        end = rssi_at + 2 + (uniform[rssi_at + 1] < outlier_p)
+        end[~(accepted[2 : n + 2] & accepted[rssi_at])] = -1
+        dropped = uniform[1 : n + 1] < model.report_dropout_probability
+        end[dropped] = -2 - np.flatnonzero(dropped)
+        # The walk reads these a few times per frame: element views, not
+        # lists of every word's Python object.
+        self.uniform_at = memoryview(uniform)
+        self.jump_at = memoryview(end)
+        self.limit = n - 1
+
+    def _roll(self, position: int, size: int = 0) -> int:
+        """Report the window's frames and start the next window at ``position``."""
+        self._flush()
+        self.base += position
+        self._fill(position, max(size, self._window_size()))
+        return 0
+
+    def _normal_at(self, position: int) -> Tuple[float, int]:
+        """The normal whose first word is at ``position``, and the next position."""
+        if self.accepted[position]:
+            return float(self.normal[position]), position + 1
+        value, used = self._replay_normal(self.base + position)
+        return value, position + used
+
+    def _replay_normal(self, word: int) -> Tuple[float, int]:
+        """numpy's own draw of the normal at ``word``, off the fast path.
+
+        A cursor advanced to the word draws it; the words it read are
+        counted by stepping a reference generator until the two states
+        agree, never by matching word values.  (``advance`` wraps a
+        negative step, which a frame walked again after a roll takes.)
+        """
+        cursor, reference = self.cursor, self.reference
+        if self.cursor_at < 0:
+            cursor.state = reference.state = self.start_state
+            self.cursor_at = 0
+        cursor.advance(word - self.cursor_at)
+        value = self.cursor_normal()
+        after = cursor.state["state"]["state"]
+        used = 2
+        reference.advance(word + used - self.cursor_at)
+        while reference.state["state"]["state"] != after:
+            reference.advance(1)
+            used += 1
+        self.cursor_at = word + used
+        return value, used
+
+    def _slow_frame(self, position: int) -> Tuple[int, int]:
+        """Walk a reported frame off the fast path; its ``(start, end)`` positions.
+
+        Rolls the window first when the frame does not fit in it.
+        """
+        outlier_p = self.model.outlier_probability
+        while True:
+            size = self.words.size
+            snr_normal, snr_test = self._normal_at(position + 2)
+            if snr_test + 3 <= size:
+                rssi_at = snr_test + 1 + (self.uniform_at[snr_test] < outlier_p)
+                rssi_normal, rssi_test = self._normal_at(rssi_at)
+                if rssi_test + 2 <= size:
+                    frame = self.first_frame + len(self.starts)
+                    self.slow[frame] = (snr_normal, snr_test, rssi_normal, rssi_test)
+                    return position, rssi_test + 1 + (self.uniform_at[rssi_test] < outlier_p)
+            position = self._roll(position, 2 * (size - position) + _WINDOW_WORDS)
+
+    # -- the walk --------------------------------------------------------
+
+    def run(self, reported: np.ndarray, snr: np.ndarray, rssi: np.ndarray) -> None:
+        """Walk every row, filling the flat output arrays, and advance the caller."""
+        model = self.model
+        self.out = (reported, snr, rssi)
+        threshold, width = model.decode_threshold_db, model.decode_width_db
+        fade_std = self.fade_std_db
+        if fade_std is None:
+            argument = (self.truth - threshold) / width
+            decode_p = 1.0 / (1.0 + np.exp(-argument))
+        p = 0
+        for row in range(self.truth.shape[0]):
+            if fade_std is not None:
+                if p > self.limit:
+                    p = self._roll(p)
+                fade, p = self._normal_at(p)
+                fade = self.fades[row] = 0.0 + fade_std * fade
+                argument = (self.truth[row] + fade - threshold) / width
+                row_p = (1.0 / (1.0 + np.exp(-argument))).tolist()
+            else:
+                row_p = decode_p[row].tolist()
+            uniform, jump, limit = self.uniform_at, self.jump_at, self.limit
+            append = self.starts.append
+            for frame_p in row_p:
+                if p > limit:
+                    p = self._roll(p)
+                    uniform, jump, limit = self.uniform_at, self.jump_at, self.limit
+                    append = self.starts.append
+                if uniform[p] > frame_p:  # not decoded
+                    append(-1)
+                    p += 1
+                    continue
+                end = jump[p]
+                if end < 0:
+                    if end < -1:  # report dropped
+                        append(-1)
+                        p = -end
+                        continue
+                    p, end = self._slow_frame(p)
+                    uniform, jump, limit = self.uniform_at, self.jump_at, self.limit
+                    append = self.starts.append
+                append(p)
+                p = end
+        self._flush()
+        self.bit_generator.random_raw(self.base + p, output=False)
+
+    def _flush(self) -> None:
+        """Compute the reports of the window's scanned frames."""
+        model = self.model
+        starts = np.array(self.starts, dtype=np.intp)
+        reported = starts >= 0
+        frames = self.first_frame + np.flatnonzero(reported)
+        at = starts[reported]
+        slow, self.slow = self.slow, {}
+        self.first_frame += starts.size
+        self.starts = []
+        if not frames.size:
+            return
+        # Rows: SNR, RSSI.  The word of each normal, then of its outlier test.
+        normal_at = np.empty((2, frames.size), dtype=np.intp)
+        np.add(at, 2, out=normal_at[0])
+        np.take(self.rssi_at, at, out=normal_at[1])
+        normals = self.normal[normal_at]
+        tests = normal_at + 1
+        if slow:
+            columns = np.searchsorted(frames, list(slow))
+            values = list(slow.values())
+            normals[:, columns] = np.array([(v[0], v[2]) for v in values]).T
+            tests[:, columns] = np.array([(v[1], v[3]) for v in values]).T
+        uniform = self.uniform
+        outlier = uniform[tests] < model.outlier_probability
+        low = -model.outlier_magnitude_db
+        span = model.outlier_magnitude_db - low
+        offsets = np.where(outlier, low + span * uniform[tests + 1], 0.0)
+
+        truth = self.truth.reshape(-1)[frames]
+        if self.fade_std_db is not None:
+            truth += self.fades[frames // self.truth.shape[1]]
         low_snr_weight = 1.0 / (1.0 + np.exp((truth - 2.0) / 2.0))
-        noise_std = self.base_noise_std_db + self.low_snr_extra_noise_db * low_snr_weight
+        noise_std = model.base_noise_std_db + model.low_snr_extra_noise_db * low_snr_weight
+        readings = np.empty_like(normals)
+        readings[0] = truth
+        np.add(truth, self.noise_floor_dbm, out=readings[1])
+        readings[1] += model.rssi_offset_db
+        readings += 0.0 + noise_std * normals
+        readings += offsets
+        steps = np.array([[model.snr_step_db], [model.rssi_step_db]])
+        readings /= steps
+        finite = np.isfinite(readings)
+        if not finite.all():
+            # The loop draws up to the reading that ``round`` rejects.
+            frame = int(np.flatnonzero(~finite.all(axis=0))[0])
+            kind = 0 if not finite[0, frame] else 1
+            consumed = self.base + tests[kind, frame] + 1 + outlier[kind, frame]
+            self.bit_generator.random_raw(int(consumed), output=False)
+            if np.isnan(readings[kind, frame]):
+                raise ValueError("cannot convert float NaN to integer")
+            raise OverflowError("cannot convert float infinity to integer")
 
-        def outlier_offsets(count: int) -> np.ndarray:
-            offsets = np.zeros(count)
-            hits = np.flatnonzero(rng.random(count) < self.outlier_probability)
-            if hits.size:
-                offsets[hits] = rng.uniform(
-                    -self.outlier_magnitude_db, self.outlier_magnitude_db, hits.size
-                )
-            return offsets
-
-        snr_noise = rng.normal(0.0, noise_std)
-        snr_reading = truth + snr_noise + outlier_offsets(decoded.size)
-        snr_out[decoded] = np.clip(
-            np.round(snr_reading / self.snr_step_db) * self.snr_step_db,
-            self.snr_min_db,
-            self.snr_max_db,
-        )
-        rssi_noise = rng.normal(0.0, noise_std)
-        rssi_reading = (
-            truth
-            + noise_floor_dbm
-            + self.rssi_offset_db
-            + rssi_noise
-            + outlier_offsets(decoded.size)
-        )
-        rssi_out[decoded] = np.round(rssi_reading / self.rssi_step_db) * self.rssi_step_db
-        return SignalObservationBatch(reported, snr_out, rssi_out)
+        # ``round`` returns an int, so the loop never reports -0.0; and
+        # ``min(max(v, lo), hi)`` keeps ``v`` on ties.
+        readings = (np.round(readings) + 0.0) * steps
+        value = readings[0]
+        value = np.where(model.snr_min_db > value, model.snr_min_db, value)
+        out_reported, out_snr, out_rssi = self.out
+        out_reported[frames] = True
+        out_snr[frames] = np.where(model.snr_max_db < value, model.snr_max_db, value)
+        out_rssi[frames] = readings[1]

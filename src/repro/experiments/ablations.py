@@ -43,6 +43,7 @@ from ..runtime.spec import PolicySpec, ScenarioSpec, TestbedSpec
 from .common import (
     Testbed,
     estimate_errors,
+    observe_probes,
     pack_probe_trials,
     random_subsweep,
     record_directions,
@@ -361,9 +362,9 @@ def _run_random_beam_scenario(
     theoretical = theoretical_pattern_table(
         random_codebook, testbed.pattern_table.grid, antenna=testbed.dut_antenna
     )
-    # The probing draws interleave `rng.choice` with per-frame scalar
-    # `observe` calls, so that part stays scalar to preserve the pinned
-    # stream; only the estimates are batched (bit-identical).
+    # Each trial's probe draw (`rng.choice`) precedes its sweep's
+    # reports, so the trials stay one report block each; only the
+    # estimates are batched (bit-identical).
     random_estimator = AngleEstimator(theoretical)
     noise_floor = testbed.budget.noise_floor_dbm
     random_trials: List[List[ProbeMeasurement]] = []
@@ -371,20 +372,15 @@ def _run_random_beam_scenario(
     for row, orientation in enumerate(orientations):
         for _ in range(4):
             chosen = rng.choice(len(random_ids), size=n_probes, replace=False)
-            measurements = []
-            for index in chosen:
-                observation = testbed.measurement_model.observe(
-                    random_truth[row, index], noise_floor, rng
+            random_trials.append(
+                observe_probes(
+                    testbed.measurement_model,
+                    random_truth[row, chosen],
+                    [random_ids[index] for index in chosen],
+                    noise_floor,
+                    rng,
                 )
-                if observation is not None:
-                    measurements.append(
-                        ProbeMeasurement(
-                            sector_id=random_ids[index],
-                            snr_db=observation.snr_db,
-                            rssi_dbm=observation.rssi_dbm,
-                        )
-                    )
-            random_trials.append(measurements)
+            )
             random_truth_azimuths.append(float(azimuths[row]))
     random_estimates = random_estimator.estimate_batch(*pack_probe_trials(random_trials))
     random_errors = [
@@ -455,18 +451,13 @@ def _run_adaptive_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Ablati
 
         def measure(sector_ids, generator):
             truth = truth_holder["snr"]
-            measurements = []
-            for sector_id in sector_ids:
-                observation = model.observe(
-                    truth[tx_ids.index(sector_id)], noise_floor, generator
-                )
-                if observation is not None:
-                    measurements.append(
-                        ProbeMeasurement(
-                            sector_id, observation.snr_db, observation.rssi_dbm
-                        )
-                    )
-            return measurements
+            return observe_probes(
+                model,
+                truth[[tx_ids.index(sector_id) for sector_id in sector_ids]],
+                sector_ids,
+                noise_floor,
+                generator,
+            )
 
         losses = []
         for step in range(n_steps):

@@ -41,7 +41,7 @@ from ..core.probes import RandomProbeDesigner
 from ..core.selector import SectorSweepSelector
 from ..geometry.rotation import Orientation
 from ..mac.timing import mutual_training_time_us
-from .common import Testbed, build_testbed
+from .common import Testbed, build_testbed, observe_probes
 
 __all__ = ["BlockageConfig", "BlockageResult", "run_blockage_recovery"]
 
@@ -97,16 +97,13 @@ def _observe_sweep(
     rng: np.random.Generator,
 ) -> List[ProbeMeasurement]:
     tx_ids = testbed.tx_sector_ids
-    measurements = []
-    for sector_id in sector_ids:
-        observation = testbed.measurement_model.observe(
-            truth[tx_ids.index(sector_id)], testbed.budget.noise_floor_dbm, rng
-        )
-        if observation is not None:
-            measurements.append(
-                ProbeMeasurement(sector_id, observation.snr_db, observation.rssi_dbm)
-            )
-    return measurements
+    return observe_probes(
+        testbed.measurement_model,
+        truth[[tx_ids.index(sector_id) for sector_id in sector_ids]],
+        sector_ids,
+        testbed.budget.noise_floor_dbm,
+        rng,
+    )
 
 
 def run_blockage_recovery(config: BlockageConfig = BlockageConfig()) -> BlockageResult:

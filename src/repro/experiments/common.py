@@ -265,81 +265,91 @@ def record_directions(
     The DUT rides the rotation head (with its mechanical tilt errors),
     the reference device listens quasi-omni at the environment's far
     endpoint.  Per-sweep slow fading is modelled as a common SNR offset
-    drawn from the environment's shadowing spread.  Each sweep is one
-    ``observe_frames`` block over the TX sectors in order — the same
-    draws, in the same order, as one scalar ``observe`` per sector,
-    which is the random stream every committed experiment output is
-    pinned to.
+    drawn from the environment's shadowing spread.  Every recording's
+    sweeps are one :meth:`~MeasurementModel.observe_sweeps` call — the
+    same draws, in the same order, as one fade draw then one scalar
+    ``observe`` per sector for each sweep, which is the random stream
+    every committed experiment output is pinned to.  The head draws
+    from a generator of its own, so the true SNRs are all computed
+    first.
     """
     head = RotationHead(np.random.default_rng(rng.integers(2**31)))
     tx_ids = testbed.tx_sector_ids
-    recorded_ids = tuple(tx_ids)
-    noise_floor = testbed.budget.noise_floor_dbm
-    recordings: List[RecordedDirection] = []
-
+    directions: List[Tuple[float, float]] = []
+    truths: List[np.ndarray] = []
     for elevation in elevations_deg:
         head.set_tilt(float(elevation))
         orientations = []
         for azimuth in azimuths_deg:
             head.set_azimuth(-float(azimuth))
             orientations.append(head.orientation())
-
-        true_matrix = sweep_snr_matrix(
-            environment,
-            testbed.dut_antenna,
-            testbed.dut_codebook,
-            tx_ids,
-            orientations,
-            testbed.ref_antenna,
-            testbed.ref_codebook.rx_sector.weights,
-            budget=testbed.budget,
-        )
-
-        for az_index, azimuth in enumerate(azimuths_deg):
-            truth = true_matrix[az_index].copy()
-            present, snr, rssi = _record_sweeps(
-                truth, testbed.measurement_model, environment, noise_floor, n_sweeps, rng
+        truths.append(
+            sweep_snr_matrix(
+                environment,
+                testbed.dut_antenna,
+                testbed.dut_codebook,
+                tx_ids,
+                orientations,
+                testbed.ref_antenna,
+                testbed.ref_codebook.rx_sector.weights,
+                budget=testbed.budget,
             )
-            recordings.append(
-                RecordedDirection(
-                    azimuth_deg=wrap_azimuth(float(azimuth)),
-                    elevation_deg=float(elevation),
-                    true_snr_db=truth,
-                    tx_sector_ids=recorded_ids,
-                    present=present,
-                    snr_db=snr,
-                    rssi_dbm=rssi,
-                )
-            )
-    return recordings
-
-
-def _record_sweeps(
-    truth: np.ndarray,
-    model: MeasurementModel,
-    environment: Environment,
-    noise_floor: float,
-    n_sweeps: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One fade draw, then one ``observe_frames`` row, per sweep."""
-    shape = (n_sweeps, truth.size)
-    present = np.zeros(shape, dtype=bool)
-    snr = np.full(shape, np.nan)
-    rssi = np.full(shape, np.nan)
-    for row in range(n_sweeps):
-        fade_db = (
-            rng.normal(0.0, environment.shadowing_std_db)
-            if environment.shadowing_std_db > 0
-            else 0.0
         )
-        reports = model.observe_frames(truth + fade_db, noise_floor, rng)
-        present[row] = reports.reported
-        snr[row] = reports.snr_db
-        rssi[row] = reports.rssi_dbm
-    for array in (present, snr, rssi):
+        directions += [(wrap_azimuth(float(az)), float(elevation)) for az in azimuths_deg]
+    if not directions:
+        return []
+
+    true_snr = np.concatenate(truths)
+    reports = testbed.measurement_model.observe_sweeps(
+        np.repeat(true_snr, n_sweeps, axis=0),
+        testbed.budget.noise_floor_dbm,
+        rng,
+        fade_std_db=environment.shadowing_std_db,
+    )
+    arrays = [
+        array.reshape(len(directions), n_sweeps, len(tx_ids))
+        for array in (reports.reported, reports.snr_db, reports.rssi_dbm)
+    ]
+    for array in arrays:
         array.flags.writeable = False
-    return present, snr, rssi
+    recorded_ids = tuple(tx_ids)
+    return [
+        RecordedDirection(
+            azimuth_deg=azimuth,
+            elevation_deg=elevation,
+            true_snr_db=true_snr[index].copy(),
+            tx_sector_ids=recorded_ids,
+            present=arrays[0][index],
+            snr_db=arrays[1][index],
+            rssi_dbm=arrays[2][index],
+        )
+        for index, (azimuth, elevation) in enumerate(directions)
+    ]
+
+
+def observe_probes(
+    model: MeasurementModel,
+    truth: np.ndarray,
+    sector_ids: Sequence[int],
+    noise_floor_dbm: float,
+    rng: np.random.Generator,
+) -> List[ProbeMeasurement]:
+    """The reported probes of one sweep over ``sector_ids`` (true SNRs ``truth``).
+
+    One ``observe_frames`` block: the same draws, in the same order, as
+    one scalar ``observe`` per probe.
+    """
+    reports = model.observe_frames(truth, noise_floor_dbm, rng)
+    return [
+        ProbeMeasurement(sector_id, snr_db, rssi_dbm)
+        for sector_id, reported, snr_db, rssi_dbm in zip(
+            sector_ids,
+            reports.reported.tolist(),
+            reports.snr_db.tolist(),
+            reports.rssi_dbm.tolist(),
+        )
+        if reported
+    ]
 
 
 def random_subsweep(

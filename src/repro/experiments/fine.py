@@ -89,9 +89,9 @@ def _config_from_spec(spec: ScenarioSpec) -> FineCodebookConfig:
 def _run_fine_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> FineCodebookResult:
     """Fine codebook (§7): more sectors under sweep vs. compressive training.
 
-    The draws interleave with per-frame ``observe`` calls across three
-    strategies, so the trial loop stays scalar; the scenario wrapper
-    adds the manifest and the CLI entry point.
+    The whole run's frames, every sweep of all three strategies, are
+    one report block; the scenario wrapper adds the manifest and the
+    CLI entry point.
     """
     config = _config_from_spec(spec)
     testbed = spec.testbed.build()
@@ -140,58 +140,56 @@ def _run_fine_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> FineCodebo
         budget=testbed.budget,
     )
 
-    def observe(truth_row, sector_ids, all_ids):
-        reports = testbed.measurement_model.observe_frames(
-            truth_row[[all_ids.index(sector_id) for sector_id in sector_ids]],
-            testbed.budget.noise_floor_dbm,
-            rng,
-        )
-        return [
-            ProbeMeasurement(sector_id, snr, rssi)
-            for sector_id, reported, snr, rssi in zip(
-                sector_ids,
-                reports.reported.tolist(),
-                reports.snr_db.tolist(),
-                reports.rssi_dbm.tolist(),
-            )
-            if reported
-        ]
-
     # CSS probes the codebook's dedicated broad probing sectors and
     # selects among *all* 63 (the paper's N >> M).
     probe_pool = probing_sector_ids(fine)
     n_probes = min(config.n_probes, len(probe_pool))
-    snr_sink: Dict[str, List[float]] = {
-        "stock + SSW (34 probes)": [],
-        "fine + SSW (63 probes)": [],
-        f"fine + CSS ({config.n_probes} probes)": [],
+    probe_ids = probe_pool[:n_probes]
+    stock_ids = testbed.tx_sector_ids
+    probe_columns = [fine_ids.index(sector_id) for sector_id in probe_ids]
+    # name: (selector, probed ids, their true SNRs, scored truth and ids)
+    strategies = {
+        "stock + SSW (34 probes)": (
+            SectorSweepSelector(), stock_ids, stock_truth, stock_truth, stock_ids
+        ),
+        "fine + SSW (63 probes)": (
+            SectorSweepSelector(), fine_ids, fine_truth, fine_truth, fine_ids
+        ),
+        f"fine + CSS ({config.n_probes} probes)": (
+            CompressiveSectorSelector(fine_table),
+            probe_ids,
+            fine_truth[:, probe_columns],
+            fine_truth,
+            fine_ids,
+        ),
     }
-    stock_ssw = SectorSweepSelector()
-    fine_ssw = SectorSweepSelector()
-    fine_css = CompressiveSectorSelector(fine_table)
 
-    for row_index in range(len(orientations)):
-        for _ in range(config.n_sweeps):
-            stock_row = stock_truth[row_index]
-            fine_row = fine_truth[row_index]
-
-            chosen = stock_ssw.select(
-                observe(stock_row, testbed.tx_sector_ids, testbed.tx_sector_ids)
-            ).sector_id
-            snr_sink["stock + SSW (34 probes)"].append(
-                float(stock_row[testbed.tx_sector_ids.index(chosen)])
-            )
-
-            chosen = fine_ssw.select(observe(fine_row, fine_ids, fine_ids)).sector_id
-            snr_sink["fine + SSW (63 probes)"].append(
-                float(fine_row[fine_ids.index(chosen)])
-            )
-
-            probe_ids = probe_pool[:n_probes]
-            chosen = fine_css.select(observe(fine_row, probe_ids, fine_ids)).sector_id
-            snr_sink[f"fine + CSS ({config.n_probes} probes)"].append(
-                float(fine_row[fine_ids.index(chosen)])
-            )
+    # Each sweep probes the three strategies' frames back to back and
+    # the selectors draw nothing, so the whole run is one report block.
+    frames = np.repeat(
+        np.hstack([probed for _, _, probed, _, _ in strategies.values()]),
+        config.n_sweeps,
+        axis=0,
+    )
+    reports = testbed.measurement_model.observe_sweeps(
+        frames, testbed.budget.noise_floor_dbm, rng
+    )
+    snr_sink: Dict[str, List[float]] = {name: [] for name in strategies}
+    for sweep in range(frames.shape[0]):
+        reported = reports.reported[sweep].tolist()
+        snr_db = reports.snr_db[sweep].tolist()
+        rssi_dbm = reports.rssi_dbm[sweep].tolist()
+        row_index = sweep // config.n_sweeps
+        column = 0
+        for name, (selector, sector_ids, _, truth, scored_ids) in strategies.items():
+            measurements = [
+                ProbeMeasurement(sector_id, snr_db[at], rssi_dbm[at])
+                for at, sector_id in enumerate(sector_ids, start=column)
+                if reported[at]
+            ]
+            column += len(sector_ids)
+            chosen = selector.select(measurements).sector_id
+            snr_sink[name].append(float(truth[row_index, scored_ids.index(chosen)]))
 
     return FineCodebookResult(
         mean_snr_db={name: float(np.mean(values)) for name, values in snr_sink.items()},

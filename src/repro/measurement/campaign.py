@@ -135,16 +135,13 @@ class PatternMeasurementCampaign:
         """Reported SNR samples, (positions × sectors × sweeps), NaN = none.
 
         A sweep reports every (position, sector) frame in row-major
-        order — one frame-major block per sweep.
+        order; all the sweeps are one frame-major block.
         """
-        samples = np.empty(true_snr.shape + (n_sweeps,))
-        frames = np.ascontiguousarray(true_snr, dtype=float).ravel()
-        for sweep in range(n_sweeps):
-            reports = self.measurement_model.observe_frames(
-                frames, self.budget.noise_floor_dbm, rng
-            )
-            samples[..., sweep] = reports.snr_db.reshape(true_snr.shape)
-        return samples
+        frames = np.ascontiguousarray(true_snr, dtype=float).reshape(1, -1)
+        reports = self.measurement_model.observe_sweeps(
+            np.repeat(frames, n_sweeps, axis=0), self.budget.noise_floor_dbm, rng
+        )
+        return reports.snr_db.T.reshape(true_snr.shape + (n_sweeps,))
 
     def _averaged(
         self, true_snr: np.ndarray, n_sweeps: int, rng: np.random.Generator

@@ -11,7 +11,7 @@ perf`` times:
 * the selection kernel's throughput (``select_fused_per_s``, the name
   it carries across the trajectory) over the same trials as one batch,
 * cold-cache probe-design throughput (``probe_design_per_s``),
-* ``MeasurementModel.observe`` and ``observe_batch`` throughput,
+* ``MeasurementModel.observe`` and ``observe_frames`` throughput,
 * ``record_directions`` recording, a reduced chamber campaign build
   (the ``build_testbed`` hot path) and the testbed table load.
 
@@ -304,13 +304,13 @@ def measure_metrics(
     for value in true_snr[:512]:
         model.observe(float(value), noise_floor, scalar_rng)
     metrics["observe_scalar_per_s"] = 512 / (time.perf_counter() - start)
-    batch_rng = np.random.default_rng(seed + 3)
+    block_rng = np.random.default_rng(seed + 3)
     start = time.perf_counter()
-    batch_repeats = 20
-    for _ in range(batch_repeats):
-        model.observe_batch(true_snr, noise_floor, batch_rng)
+    block_repeats = 20
+    for _ in range(block_repeats):
+        model.observe_frames(true_snr, noise_floor, block_rng)
     elapsed = time.perf_counter() - start
-    metrics["observe_batch_per_s"] = true_snr.size * batch_repeats / elapsed
+    metrics["observe_frames_per_s"] = true_snr.size * block_repeats / elapsed
 
     # -- campaign build (reduced grid, the build_testbed hot path) -----
     from .measurement.campaign import CampaignConfig, PatternMeasurementCampaign

@@ -103,8 +103,12 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
     """Compare registered policies on one conference-room arc."""
     from ..channel.batch import sweep_snr_matrix
     from ..channel.environment import conference_room
-    from ..core.measurements import ProbeMeasurement
-    from ..experiments.common import modal_counts, record_directions, snr_losses
+    from ..experiments.common import (
+        modal_counts,
+        observe_probes,
+        record_directions,
+        snr_losses,
+    )
     from ..geometry.rotation import Orientation
 
     testbed = spec.testbed.build()
@@ -199,22 +203,13 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
                 if own_pool is not None:
 
                     def measure(ids, generator, _row=rec_index):
-                        out = []
-                        for sector_id in ids:
-                            observation = testbed.measurement_model.observe(
-                                own_truth[_row, own_column[sector_id]],
-                                noise_floor,
-                                generator,
-                            )
-                            if observation is not None:
-                                out.append(
-                                    ProbeMeasurement(
-                                        sector_id=sector_id,
-                                        snr_db=observation.snr_db,
-                                        rssi_dbm=observation.rssi_dbm,
-                                    )
-                                )
-                        return out
+                        return observe_probes(
+                            testbed.measurement_model,
+                            own_truth[_row, [own_column[sector_id] for sector_id in ids]],
+                            ids,
+                            noise_floor,
+                            generator,
+                        )
 
                 else:
 

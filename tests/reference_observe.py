@@ -8,12 +8,14 @@ experiment output was recorded from this stream, so the program's
 report paths compare to it with ``==`` — and draw-for-draw, through the
 generator state left behind.
 
-``packed_sweeps`` is the dict walk recordings were packed with before
-they were held as arrays, and ``robust_average`` is imported from the
-program's per-cell specification unchanged.
+``observe_sweeps`` is the loop recordings were drawn with (a fade per
+sweep, then a frame at a time), ``packed_sweeps`` the dict walk
+recordings were packed with before they were held as arrays, and
+``robust_average`` is imported from the program's per-cell
+specification unchanged.
 """
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +80,30 @@ def record_sweep(
         if report is not None:
             sweep[sector_id] = ProbeMeasurement(sector_id, report[0], report[1])
     return sweep
+
+
+def observe_sweeps(
+    model: MeasurementModel,
+    truth: np.ndarray,
+    noise_floor_dbm: float,
+    fade_std_db: float,
+    rng: np.random.Generator,
+) -> Tuple[List[Optional[Tuple[float, float]]], Optional[type]]:
+    """The recording loop: per row one fade draw, then one ``observe`` per frame.
+
+    Returns the reports in row-major order and the type of the error a
+    NaN/±inf reading raised (None when none did); a raised error ends
+    the loop, as it ended the recording.
+    """
+    reports: List[Optional[Tuple[float, float]]] = []
+    for row in truth:
+        fade_db = rng.normal(0.0, fade_std_db) if fade_std_db > 0 else 0.0
+        for value in row + fade_db:
+            try:
+                reports.append(observe(model, value, noise_floor_dbm, rng))
+            except (ValueError, OverflowError) as error:
+                return reports, type(error)
+    return reports, None
 
 
 def packed_sweeps(

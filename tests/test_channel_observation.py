@@ -146,37 +146,14 @@ class TestMeasurementModel:
 
 
 class TestObserveBatch:
-    """The vectorized firmware-report kernel (stage-major draw order)."""
-
-    def test_pinned_values_regression(self):
-        """Frozen draw convention: these values must never change.
-
-        The batched kernel regroups the RNG stream stage-major (all
-        decode draws, then dropout, then noise, ...), so its outputs are
-        a contract of their own — pinned here exactly as produced when
-        the kernel landed.
-        """
-        model = MeasurementModel()
-        rng = np.random.default_rng(20170815)
-        batch = model.observe_batch(np.linspace(-6.0, 12.0, 10), -71.5, rng)
-        assert batch.reported.tolist() == [
-            False, True, True, True, True, True, True, True, True, True,
-        ]
-        expected_snr = [-2.0, 0.25, 8.25, 2.75, 3.5, 5.25, 8.0, 10.75, 12.0]
-        expected_rssi = [-76.0, -73.0, -72.0, -68.0, -70.0, -65.0, -61.0, -62.0, -66.0]
-        assert np.isnan(batch.snr_db[0]) and np.isnan(batch.rssi_dbm[0])
-        assert batch.snr_db[1:].tolist() == expected_snr
-        assert batch.rssi_dbm[1:].tolist() == expected_rssi
-        assert len(batch) == 10
+    """Block reports (``observe_frames``): one report per frame of the block."""
 
     def test_single_frame_matches_scalar_stream(self):
-        """With one frame the stage-major order degenerates to the
-        scalar order, so both paths consume the generator identically."""
         model = MeasurementModel()
         for seed in range(50):
             for true_snr in (-8.0, 0.0, 5.5, 11.0, 30.0):
                 scalar = model.observe(true_snr, -71.5, np.random.default_rng(seed))
-                batch = model.observe_batch(
+                batch = model.observe_frames(
                     np.array([true_snr]), -71.5, np.random.default_rng(seed)
                 )
                 if scalar is None:
@@ -190,8 +167,8 @@ class TestObserveBatch:
     def test_deterministic_given_generator(self):
         model = MeasurementModel()
         values = np.linspace(-5.0, 12.0, 64)
-        one = model.observe_batch(values, -71.5, np.random.default_rng(99))
-        two = model.observe_batch(values, -71.5, np.random.default_rng(99))
+        one = model.observe_frames(values, -71.5, np.random.default_rng(99))
+        two = model.observe_frames(values, -71.5, np.random.default_rng(99))
         assert np.array_equal(one.reported, two.reported)
         assert np.array_equal(one.snr_db, two.snr_db, equal_nan=True)
         assert np.array_equal(one.rssi_dbm, two.rssi_dbm, equal_nan=True)
@@ -199,18 +176,18 @@ class TestObserveBatch:
     def test_noiseless_batch_is_pure_quantization(self, rng):
         model = MeasurementModel.noiseless()
         values = np.array([5.13, -1.12, 3.0])
-        batch = model.observe_batch(values, -71.5, rng)
+        batch = model.observe_frames(values, -71.5, rng)
         assert batch.reported.all()
         for reading, true_snr in zip(batch.snr_db, values):
             assert reading == pytest.approx(quantize_to_step(float(true_snr), 0.25))
 
     def test_readings_stay_in_reporting_window(self, rng):
         model = MeasurementModel()
-        batch = model.observe_batch(np.linspace(-8.0, 30.0, 256), -71.5, rng)
+        batch = model.observe_frames(np.linspace(-8.0, 30.0, 256), -71.5, rng)
         reported = batch.snr_db[batch.reported]
         assert ((reported >= -7.0) & (reported <= 12.0)).all()
 
     def test_rejects_non_1d_input(self, rng):
         model = MeasurementModel()
         with pytest.raises(ValueError):
-            model.observe_batch(np.zeros((2, 3)), -71.5, rng)
+            model.observe_frames(np.zeros((2, 3)), -71.5, rng)

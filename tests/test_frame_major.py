@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel import MeasurementModel
+from repro.channel import MeasurementModel, observation, ziggurat
 from repro.channel.environment import conference_room
-from repro.experiments.common import _record_sweeps, record_directions
+from repro.experiments.common import record_directions
 from repro.measurement.campaign import PatternMeasurementCampaign
 from repro.measurement.processing import robust_average, robust_average_rows
 from repro.runtime import ScenarioRunner
@@ -115,6 +115,154 @@ class TestFrameBody:
         batch = MeasurementModel().observe_frames(np.array([]), NOISE_FLOOR_DBM, rng)
         assert len(batch) == 0 and batch.reported.dtype == bool
         assert rng.bit_generator.state == state
+
+
+#: A block of 0-20 sweeps of 0-40 frames each.
+sweep_blocks = st.tuples(st.integers(0, 20), st.integers(0, 40)).flatmap(
+    lambda shape: st.lists(
+        truths, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda values: np.array(values, dtype=float).reshape(shape))
+)
+fade_stds = st.one_of(
+    st.just(0.0), st.floats(0.0, 8.0), st.sampled_from([-1.0, float("nan")])
+)
+
+
+def _assert_block_matches(batch, expected):
+    reported = batch.reported.reshape(-1)
+    snr = batch.snr_db.reshape(-1)
+    rssi = batch.rssi_dbm.reshape(-1)
+    for index, report in enumerate(expected):
+        if report is None:
+            assert not reported[index]
+            assert np.isnan(snr[index]) and np.isnan(rssi[index])
+        else:
+            assert reported[index]
+            assert _same(snr[index], report[0])
+            assert _same(rssi[index], report[1])
+
+
+class _Counting:
+    """Counts the replay's windows and its normals replayed off the fast path."""
+
+    def __init__(self, monkeypatch):
+        self.windows = 0
+        self.slow_normals = 0
+        fill, replay = observation._Replay._fill, observation._Replay._replay_normal
+
+        def counted_fill(replay_self, *args):
+            self.windows += 1
+            return fill(replay_self, *args)
+
+        def counted_replay(replay_self, word):
+            self.slow_normals += 1
+            return replay(replay_self, word)
+
+        monkeypatch.setattr(observation._Replay, "_fill", counted_fill)
+        monkeypatch.setattr(observation._Replay, "_replay_normal", counted_replay)
+
+
+class TestSweepReplay:
+    """``observe_sweeps`` against the scalar fade-then-frames loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(models, sweep_blocks, fade_stds, st.integers(0, 2**32 - 1))
+    def test_matches_the_scalar_recording_loop(self, model, block, fade_std_db, seed):
+        ours_rng = np.random.default_rng(seed)
+        theirs_rng = np.random.default_rng(seed)
+        expected, error = reference.observe_sweeps(
+            model, block, NOISE_FLOOR_DBM, fade_std_db, theirs_rng
+        )
+        if error is not None:
+            with pytest.raises(error):
+                model.observe_sweeps(block, NOISE_FLOOR_DBM, ours_rng, fade_std_db)
+        else:
+            batch = model.observe_sweeps(block, NOISE_FLOOR_DBM, ours_rng, fade_std_db)
+            assert batch.reported.shape == batch.snr_db.shape == block.shape
+            _assert_block_matches(batch, expected)
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+
+    def test_long_stream_spans_windows_and_replays_slow_normals(self, monkeypatch):
+        counting = _Counting(monkeypatch)
+        model = MeasurementModel()
+        block = np.random.default_rng(1).uniform(-14.0, 16.0, (2500, 40))
+        ours_rng = np.random.default_rng(17)
+        theirs_rng = np.random.default_rng(17)
+        batch = model.observe_sweeps(block, NOISE_FLOOR_DBM, ours_rng, 3.0)
+        expected, error = reference.observe_sweeps(
+            model, block, NOISE_FLOOR_DBM, 3.0, theirs_rng
+        )
+        assert error is None
+        _assert_block_matches(batch, expected)
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+        assert counting.slow_normals > 500
+        assert counting.windows >= 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
+    def test_a_bad_reading_windows_in_raises_after_its_draws(self, bad):
+        model = MeasurementModel()
+        block = np.random.default_rng(2).uniform(-5.0, 16.0, (300, 34))
+        block[211, 17] = bad
+        ours_rng = np.random.default_rng(5)
+        theirs_rng = np.random.default_rng(5)
+        _, error = reference.observe_sweeps(model, block, NOISE_FLOOR_DBM, 2.0, theirs_rng)
+        assert error is not None
+        with pytest.raises(error):
+            model.observe_sweeps(block, NOISE_FLOOR_DBM, ours_rng, 2.0)
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+
+    def test_readings_that_round_to_zero_report_positive_zero(self):
+        model = MeasurementModel.noiseless()
+        block = np.array([[-0.1, -0.05, -0.0, 0.05, 0.1]])
+        ours_rng = np.random.default_rng(6)
+        theirs_rng = np.random.default_rng(6)
+        batch = model.observe_sweeps(block, 0.0, ours_rng)
+        expected, _ = reference.observe_sweeps(model, block, 0.0, 0.0, theirs_rng)
+        _assert_block_matches(batch, expected)
+        assert not np.signbit(batch.snr_db).any() and not np.signbit(batch.rssi_dbm).any()
+
+    def test_a_buffered_half_word_survives(self):
+        model = MeasurementModel()
+        block = np.random.default_rng(3).uniform(-10.0, 14.0, (6, 34))
+        ours_rng = np.random.default_rng(9)
+        theirs_rng = np.random.default_rng(9)
+        for generator in (ours_rng, theirs_rng):
+            generator.random(dtype=np.float32)  # leaves has_uint32 set
+        model.observe_sweeps(block, NOISE_FLOOR_DBM, ours_rng, 1.5)
+        reference.observe_sweeps(model, block, NOISE_FLOOR_DBM, 1.5, theirs_rng)
+        assert ours_rng.bit_generator.state["has_uint32"] == 1
+        assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+        assert ours_rng.random(dtype=np.float32) == theirs_rng.random(dtype=np.float32)
+
+    def test_other_bit_generators_are_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(4))
+        with pytest.raises(TypeError, match="PCG64"):
+            MeasurementModel().observe_frames(np.zeros(3), NOISE_FLOOR_DBM, rng)
+
+    def test_rejects_non_2d_input(self, rng):
+        with pytest.raises(ValueError):
+            MeasurementModel().observe_sweeps(np.zeros(3), NOISE_FLOOR_DBM, rng)
+
+
+class TestZigguratTables:
+    """The committed fast-path tables against the installed numpy's sampler."""
+
+    def test_anchors(self):
+        assert ziggurat.KI[0] == 0x000EF33D8025EF6A
+        assert ziggurat.KI[1] == 0
+        assert len(ziggurat.WI) == len(ziggurat.KI) == 256
+
+    def test_every_row_against_crafted_draws(self):
+        for idx in range(256):
+            ki = ziggurat.KI[idx]
+            # The largest accepted power of two; row 1 accepts none, and
+            # its slow path returns the product after the zero word.
+            rabs = 1 << (ki - 1).bit_length() - 1 if ki > 1 else 1
+            value, _ = ziggurat.normal_of_word(ziggurat.crafted_word(idx, rabs))
+            assert value == rabs * ziggurat.WI[idx], idx
+            if ki > 0:
+                assert ziggurat.normal_of_word(ziggurat.crafted_word(idx, ki - 1))[1] == 1
+            assert ziggurat.normal_of_word(ziggurat.crafted_word(idx, ki))[1] > 1
 
 
 class TestModelValidation:
@@ -228,9 +376,10 @@ class TestRecordings:
         truth = np.random.default_rng(8).uniform(-12.0, 14.0, len(testbed.tx_sector_ids))
         noise_floor = testbed.budget.noise_floor_dbm
         ours_rng = np.random.default_rng(21)
-        present, snr, rssi = _record_sweeps(
-            truth, testbed.measurement_model, environment, noise_floor, 5, ours_rng
+        reports = testbed.measurement_model.observe_sweeps(
+            np.tile(truth, (5, 1)), noise_floor, ours_rng, environment.shadowing_std_db
         )
+        present, snr, rssi = reports.reported, reports.snr_db, reports.rssi_dbm
         theirs_rng = np.random.default_rng(21)
         sweeps = []
         for _ in range(5):

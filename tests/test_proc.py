@@ -259,6 +259,22 @@ def _env():
     return env
 
 
+def _mapped_segments(pids):
+    """The ``repro-kernels-*`` segments any of ``pids`` has mapped."""
+    prefix = f"/dev/shm/{shm._SEGMENT_PREFIX}"
+    segments = set()
+    for pid in pids:
+        try:
+            maps = Path(f"/proc/{pid}/maps").read_text()
+        except OSError:
+            continue
+        for line in maps.splitlines():
+            fields = line.split(maxsplit=5)
+            if len(fields) == 6 and fields[5].startswith(prefix):
+                segments.add(fields[5].removesuffix(" (deleted)"))
+    return segments
+
+
 class TestNoOrphans:
     def test_children_and_grandchildren_die_with_a_sigkilled_parent(self):
         proc = subprocess.Popen(
@@ -278,7 +294,6 @@ class TestNoOrphans:
             proc.stdout.close()
 
     def test_no_pool_child_or_segment_outlives_a_killed_cli_run(self):
-        before = set(glob.glob(f"/dev/shm/{shm._SEGMENT_PREFIX}*"))
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "run", "policy-eval",
@@ -293,8 +308,14 @@ class TestNoOrphans:
                 assert proc.poll() is None, "the run ended before its pool started"
                 assert time.monotonic() < deadline, "the pool never started"
                 time.sleep(0.05)
+            # The run's own segments, by what its process tree maps: a
+            # concurrent run's segments in /dev/shm are not this run's.
             descendants = _all_children(proc.pid)
-            created = set(glob.glob(f"/dev/shm/{shm._SEGMENT_PREFIX}*")) - before
+            created = _mapped_segments([proc.pid, *descendants])
+            while not created and time.monotonic() < deadline:
+                time.sleep(0.05)
+                descendants = _all_children(proc.pid)
+                created = _mapped_segments([proc.pid, *descendants])
             assert created, "the run published no segment"
             proc.kill()
             proc.wait(30)
