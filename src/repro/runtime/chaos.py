@@ -199,6 +199,7 @@ class _ManagedService:
         self.port = 0
         self.proc: Optional[subprocess.Popen] = None
         self._lines: List[str] = []
+        self._client = None
 
     def start(self) -> None:
         argv = [
@@ -262,9 +263,14 @@ class _ManagedService:
 
     @property
     def client(self):
-        from ..service.client import ServiceClient
+        """One client for the whole campaign.  A restart keeps the port,
+        so the restarted service meets the connection its predecessor
+        closed: the client's stale-connection path."""
+        if self._client is None:
+            from ..service.client import ServiceClient
 
-        return ServiceClient(port=self.port, timeout=30.0)
+            self._client = ServiceClient(port=self.port, timeout=30.0)
+        return self._client
 
     def kill(self) -> None:
         """SIGKILL: the crash the durable state dir must survive.
@@ -309,6 +315,8 @@ class _ManagedService:
         return rc, "".join(self._lines)
 
     def reap(self) -> None:
+        if self._client is not None:
+            self._client.close()
         if self.proc is not None and self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait()

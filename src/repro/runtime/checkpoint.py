@@ -148,17 +148,22 @@ class CheckpointStore:
     # -- identity -------------------------------------------------------
 
     @staticmethod
-    def entry_key(policy_key: str, call_index: int, block_index: int) -> str:
-        """Journal key of one block.
+    def call_prefix(policy_key: str, call_index: int) -> str:
+        """The journal-key prefix every block of one call shares.
 
         ``call_index`` is the ordinal of the supervised ``execute()``
         call within the run — without it, two evaluations of an
         identical policy spec (same digest, same block indices) would
         collide and ``get`` would serve the first evaluation's results
-        as the second's.
+        as the second's.  The policy key is hashed here, once per call.
         """
         policy_digest = hashlib.sha256(policy_key.encode()).hexdigest()[:16]
-        return f"{policy_digest}:{int(call_index)}:{int(block_index)}"
+        return f"{policy_digest}:{int(call_index)}:"
+
+    @classmethod
+    def entry_key(cls, policy_key: str, call_index: int, block_index: int) -> str:
+        """Journal key of one block."""
+        return f"{cls.call_prefix(policy_key, call_index)}{int(block_index)}"
 
     # -- journal I/O ----------------------------------------------------
 
@@ -170,7 +175,28 @@ class CheckpointStore:
         The caller checks the row count against its block: the entry
         key does not carry it.
         """
-        payload = self._entries.get(self.entry_key(policy_key, call_index, block_index))
+        return self._lookup(
+            self.call_prefix(policy_key, call_index), int(block_index)
+        )
+
+    def get_call(
+        self, policy_key: str, call_index: int, n_blocks: int
+    ) -> List[Optional[Selections]]:
+        """:meth:`get` of blocks ``0 .. n_blocks - 1`` of one call.
+
+        A call journals only after it opened, and its keys carry its
+        ordinal, so only restored entries can answer it: with none
+        restored every block misses, counted in one step.
+        """
+        if not self.restored:
+            if n_blocks:
+                _obs.inc("checkpoint_misses_total", n_blocks)
+            return [None] * n_blocks
+        prefix = self.call_prefix(policy_key, call_index)
+        return [self._lookup(prefix, index) for index in range(n_blocks)]
+
+    def _lookup(self, prefix: str, block_index: int) -> Optional[Selections]:
+        payload = self._entries.get(f"{prefix}{block_index}")
         if payload is None:
             _obs.inc("checkpoint_misses_total")
             return None
@@ -210,8 +236,9 @@ class CheckpointStore:
         if not isinstance(block_index, (list, tuple)):
             block_index, results = [block_index], [results]
         written: Dict[str, str] = {}
+        prefix = self.call_prefix(policy_key, call_index)
         for index, block_results in zip(block_index, results):
-            key = self.entry_key(policy_key, call_index, index)
+            key = f"{prefix}{int(index)}"
             if key not in self._entries and key not in written:
                 rows = Selections.from_results(block_results).rows
                 written[key] = base64.b64encode(rows.tobytes()).decode("ascii")

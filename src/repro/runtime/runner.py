@@ -1320,12 +1320,12 @@ class ScenarioRunner:
             call.policy_key = policy_spec.key()
             call.store = self._store
         sizes = np.diff(call.blocks.bounds).tolist()
-        for index, size in enumerate(sizes):
-            cached = (
-                call.store.get(call.policy_key, call.index, index)
-                if call.store is not None
-                else None
-            )
+        journaled = (
+            call.store.get_call(call.policy_key, call.index, len(sizes))
+            if call.store is not None
+            else [None] * len(sizes)
+        )
+        for index, (size, cached) in enumerate(zip(sizes, journaled)):
             if cached is not None and len(cached) != size:
                 _LOGGER.warning(
                     "checkpoint entry of block %d of '%s' holds %d rows, the "

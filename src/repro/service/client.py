@@ -1,8 +1,17 @@
 """Small synchronous HTTP client for the selection service.
 
-Used by the CLI (``repro-bench load`` result checks), the CI smoke job
-and the tests.  Pure stdlib (:mod:`http.client`), one connection per
-call — the *asynchronous* many-connection path lives in :mod:`.load`.
+Used by the CLI (``repro-bench load`` result checks), the CI smoke job,
+the chaos drill and the tests.  Pure stdlib (:mod:`http.client`): each
+thread talks over one HTTP/1.1 keep-alive connection of its own, opened
+at its first call and reused by the next ones — the *asynchronous*
+many-connection path lives in :mod:`.load`.
+
+Before a connection is reused, a zero-timeout probe checks that the
+service has not closed it (it closes idle connections, and a restarted
+service closed all of them).  A GET or DELETE that still fails on a
+reused connection is resent once on a fresh one; a POST never is, so a
+run is never submitted twice.  :meth:`ServiceClient.close` (or leaving
+a ``with`` block) closes every thread's connection.
 
 Backpressure handling: the service answers 429 (queue full) and 503
 (draining) with a computed ``Retry-After`` header.  Pass ``retries=``
@@ -16,7 +25,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
+import socket
+import threading
 import time
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceError", "backoff_delay"]
@@ -31,6 +44,22 @@ _RETRYABLE = (429, 503)
 
 #: States the service will never leave — ``wait`` stops on any of them.
 TERMINAL_STATES = ("done", "failed", "cancelled", "deadline")
+
+#: Methods safe to resend after a reused connection turned out stale.
+_IDEMPOTENT = ("GET", "DELETE")
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """Whether an idle connection's socket is readable, i.e. at EOF.
+
+    The service never sends unprompted, so anything readable on an idle
+    connection means the peer closed it (or broke it).
+    """
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return True
+    return bool(readable)
 
 
 def backoff_delay(
@@ -69,8 +98,46 @@ class ServiceClient:
         self.timeout = timeout
         # Injection seam for the backoff tests; production uses time.sleep.
         self._sleep = time.sleep
+        self._local = threading.local()
+        # Weak, so a finished thread's connection goes with its
+        # thread-local slot instead of staying open here.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call opens a new one."""
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     # -- raw ------------------------------------------------------------
+
+    def _connection(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection, and whether it is a reused one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            if connection.sock is not None and not _peer_closed(connection.sock):
+                return connection, True
+            self._discard(connection)
+        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        self._local.connection = connection
+        with self._lock:
+            self._connections.add(connection)
+        return connection, False
+
+    def _discard(self, connection: http.client.HTTPConnection) -> None:
+        connection.close()
+        self._local.connection = None
+        with self._lock:
+            self._connections.discard(connection)
 
     def _round_trip(
         self,
@@ -79,28 +146,36 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
     ) -> Tuple[int, Any, Optional[float]]:
         """One HTTP exchange: (status, parsed payload, Retry-After or None)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            payload = None if body is None else json.dumps(body)
-            headers = {"Content-Type": "application/json"} if body is not None else {}
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            retry_after: Optional[float] = None
-            header = response.getheader("Retry-After")
-            if header is not None:
-                try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
-            content_type = response.getheader("Content-Type", "")
-            if content_type.startswith("application/json"):
-                return response.status, json.loads(raw.decode() or "null"), retry_after
-            return response.status, raw.decode(), retry_after
-        finally:
-            connection.close()
+        payload = None if body is None else json.dumps(body)
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        while True:
+            connection, reused = self._connection()
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+                raw = response.read()
+                break
+            except (ConnectionError, http.client.HTTPException):
+                # The service may close a reused connection between the
+                # probe and the send; only an idempotent call may go
+                # again, once, and then on a fresh connection.
+                self._discard(connection)
+                if not (reused and method in _IDEMPOTENT):
+                    raise
+            except BaseException:
+                self._discard(connection)
+                raise
+        retry_after: Optional[float] = None
+        header = response.getheader("Retry-After")
+        if header is not None:
+            try:
+                retry_after = float(header)
+            except ValueError:
+                retry_after = None
+        content_type = response.getheader("Content-Type", "")
+        if content_type.startswith("application/json"):
+            return response.status, json.loads(raw.decode() or "null"), retry_after
+        return response.status, raw.decode(), retry_after
 
     def request(
         self,

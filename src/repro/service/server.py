@@ -92,6 +92,9 @@ _LOGGER = logging.getLogger(__name__)
 _MAX_LINE_BYTES = 16 * 1024
 #: Protocol cap on the number of request headers.
 _MAX_HEADERS = 64
+#: A client connection that sends no request for this long is closed,
+#: so idle keep-alive sockets stay bounded like the queue and history.
+IDLE_CLOSE_S = 30.0
 
 
 def _utcnow() -> str:
@@ -525,12 +528,16 @@ class SelectionService:
         self._shm_segments: List[int] = []
         #: Rotating span-trace sink (``--trace``), None when off.
         self._trace_writer: Optional[RotatingTraceWriter] = None
+        #: Open client connections: each one's handler task and writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("service already started")
+        self._stopping = False
         self.config.resolved_state_dir().mkdir(parents=True, exist_ok=True)
         self.config.resolved_checkpoint_dir().mkdir(parents=True, exist_ok=True)
         self._registry = RunRegistry(
@@ -574,8 +581,10 @@ class SelectionService:
         )
 
     async def stop(self) -> None:
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+            await self._close_connections()
             await self._server.wait_closed()
             self._server = None
         for task in self._workers:
@@ -743,11 +752,29 @@ class SelectionService:
 
     # -- HTTP dispatch ---------------------------------------------------
 
+    async def _close_connections(self) -> None:
+        """Close every client connection and await its handler.
+
+        An idle connection's handler wakes at EOF and returns; one
+        mid-exchange loses its response, as it would at process exit.
+        """
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._stopping:  # accepted just before stop() closed the rest
+            writer.close()
+            return
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        loop = asyncio.get_running_loop()
         try:
             while True:
+                # Closing the transport ends a request wait at EOF.
+                idle = loop.call_later(IDLE_CLOSE_S, writer.close)
                 try:
                     request = await _read_request(reader, self.config.max_body_bytes)
                 except _ProtocolError as error:
@@ -758,6 +785,8 @@ class SelectionService:
                     break
                 except asyncio.IncompleteReadError:
                     break
+                finally:
+                    idle.cancel()
                 if request is None:
                     break
                 response = await self._dispatch(request)
@@ -768,6 +797,7 @@ class SelectionService:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

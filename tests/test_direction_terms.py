@@ -9,12 +9,22 @@ bodies below are the model as it was written before the split, and every
 comparison is exact (``np.array_equal`` / ``==``), never a tolerance.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel import LinkBudget, LinkSimulator, conference_room, lab_environment
+from repro.channel import (
+    HumanBlocker,
+    LinkBudget,
+    LinkSimulator,
+    anechoic_chamber,
+    conference_room,
+    lab_environment,
+)
+from repro.channel import batch
 from repro.channel.batch import sweep_snr_matrix
 from repro.channel.pathloss import path_loss_db
 from repro.geometry import Orientation
@@ -110,9 +120,9 @@ def naive_received_power_dbm(
 def naive_sweep_snr_matrix(
     environment, tx_antenna, codebook, sector_ids, tx_orientations,
     rx_antenna, rx_weights, budget, shadowing_db,
+    rx_orientation=Orientation(yaw_deg=180.0),
 ):
     """``sweep_snr_matrix`` with a full ``gain_db`` pass per sector."""
-    rx_orientation = Orientation(yaw_deg=180.0)
     rays = environment.rays()
     departure_world = np.stack([direction_vector(*ray.departure_direction()) for ray in rays])
     tx_az = np.empty((len(tx_orientations), len(rays)))
@@ -261,23 +271,27 @@ class TestGainSplit:
             antenna.gain_db(WeightVector.uniform(8), 0.0, 0.0)
 
 
-class TestSweepMatrix:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        yaws=st.lists(st.floats(-180.0, 180.0), min_size=1, max_size=6),
-        pitch=st.floats(-30.0, 30.0),
-        sectors=st.lists(st.integers(0, 63), min_size=1, max_size=8),
-        shadow_seed=st.integers(0, 2**16),
+def blocked_room():
+    return conference_room(6.0).with_blockers(
+        [HumanBlocker(position_m=np.array([3.0, 0.1, 0.0]))]
     )
-    def test_matches_per_sector_gain(self, testbed, yaws, pitch, sectors, shadow_seed):
-        environment = conference_room(6.0)
-        orientations = [Orientation(yaw_deg=yaw, pitch_deg=pitch) for yaw in yaws]
-        ids = testbed.dut_codebook.tx_sector_ids
-        sector_ids = [ids[index % len(ids)] for index in sectors]
-        shadowing = np.random.default_rng(shadow_seed).normal(
-            0.0, 0.8, (len(orientations), len(environment.rays()))
-        )
-        args = (
+
+
+ROOMS = {
+    "chamber": lambda: anechoic_chamber(3.0),
+    "lab": lambda: lab_environment(3.0),
+    "conference": lambda: conference_room(6.0),
+    "blocked": blocked_room,
+}
+
+
+class TestSweepMatrix:
+    """The memoized ray terms and the one-batch pose pass against the naive
+    per-pose, per-sector body, with ``==`` on every element."""
+
+    @staticmethod
+    def args(testbed, environment, orientations, sector_ids):
+        return (
             environment,
             testbed.dut_antenna,
             testbed.dut_codebook,
@@ -286,8 +300,154 @@ class TestSweepMatrix:
             testbed.ref_antenna,
             testbed.ref_codebook.rx_sector.weights,
         )
-        fast = sweep_snr_matrix(*args, budget=testbed.budget, shadowing_db=shadowing)
-        assert np.array_equal(fast, naive_sweep_snr_matrix(*args, testbed.budget, shadowing))
+
+    @staticmethod
+    def sectors(testbed, indices):
+        ids = testbed.dut_codebook.tx_sector_ids
+        return [ids[index % len(ids)] for index in indices]
+
+    def check(self, testbed, environment, orientations, sector_ids,
+              shadowing=None, rx_orientation=None):
+        args = self.args(testbed, environment, orientations, sector_ids)
+        fast = sweep_snr_matrix(
+            *args, rx_orientation=rx_orientation, budget=testbed.budget,
+            shadowing_db=shadowing,
+        )
+        if shadowing is None:
+            shadowing = np.zeros((len(orientations), len(environment.rays())))
+        naive = naive_sweep_snr_matrix(
+            *args, testbed.budget, shadowing,
+            rx_orientation=rx_orientation or Orientation(yaw_deg=180.0),
+        )
+        assert fast.shape == (len(orientations), len(sector_ids))
+        assert np.array_equal(fast, naive)
+        return fast
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        room=st.sampled_from(sorted(ROOMS)),
+        poses=st.lists(
+            st.tuples(st.floats(-180.0, 180.0), st.floats(-30.0, 30.0)),
+            min_size=0,
+            max_size=12,
+        ),
+        sectors=st.lists(st.integers(0, 63), min_size=1, max_size=8),
+        shadow_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+        rx_yaw=st.one_of(st.none(), st.floats(-180.0, 180.0)),
+    )
+    def test_matches_per_sector_gain(
+        self, testbed, room, poses, sectors, shadow_seed, rx_yaw
+    ):
+        environment = ROOMS[room]()
+        orientations = [Orientation(yaw_deg=yaw, pitch_deg=pitch) for yaw, pitch in poses]
+        shadowing = None
+        if shadow_seed is not None:
+            shadowing = np.random.default_rng(shadow_seed).normal(
+                0.0, 0.8, (len(orientations), len(environment.rays()))
+            )
+        rx_orientation = None if rx_yaw is None else Orientation(yaw_deg=rx_yaw, pitch_deg=5.0)
+        self.check(
+            testbed, environment, orientations, self.sectors(testbed, sectors),
+            shadowing, rx_orientation,
+        )
+
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_zero_poses(self, testbed, room):
+        fast = self.check(testbed, ROOMS[room](), [], self.sectors(testbed, range(5)))
+        assert fast.shape == (0, 5)
+
+    def test_rotation_head_grid(self, testbed):
+        """A lab grid with a pitch per pose, as the rotation head sets it."""
+        rng = np.random.default_rng(11)
+        orientations = [
+            Orientation(yaw_deg=-azimuth, pitch_deg=elevation + rng.normal(0.0, 0.5))
+            for elevation in (0.0, 15.0, 30.0)
+            for azimuth in np.arange(-90.0, 90.0 + 1e-9, 10.0)
+        ]
+        self.check(
+            testbed, lab_environment(3.0), orientations,
+            list(testbed.dut_codebook.tx_sector_ids),
+        )
+
+    def test_equal_environment_hits_the_memo(self, testbed):
+        batch._fixed_terms_of.cache_clear()
+        orientations = [Orientation(yaw_deg=20.0, pitch_deg=-4.0)]
+        sector_ids = self.sectors(testbed, range(4))
+        first = self.check(testbed, blocked_room(), orientations, sector_ids)
+        assert batch._fixed_terms_of.cache_info().misses == 1
+        # A new, equal-valued environment: same key, same terms.
+        again = self.check(testbed, blocked_room(), orientations, sector_ids)
+        info = batch._fixed_terms_of.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert np.array_equal(first, again)
+
+    def test_changed_blockers_miss_the_memo(self, testbed):
+        batch._fixed_terms_of.cache_clear()
+        orientations = [Orientation(yaw_deg=0.0)]
+        sector_ids = self.sectors(testbed, range(4))
+        clear = self.check(testbed, conference_room(6.0), orientations, sector_ids)
+        blocked = self.check(testbed, blocked_room(), orientations, sector_ids)
+        thinner = self.check(
+            testbed,
+            conference_room(6.0).with_blockers(
+                [HumanBlocker(position_m=np.array([3.0, 0.1, 0.0]), attenuation_db=10.0)]
+            ),
+            orientations,
+            sector_ids,
+        )
+        info = batch._fixed_terms_of.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
+        assert not np.array_equal(clear, blocked)
+        assert not np.array_equal(blocked, thinner)
+
+    def test_rx_device_and_budget_are_keyed(self, testbed):
+        batch._fixed_terms_of.cache_clear()
+        args = self.args(
+            testbed, lab_environment(3.0), [Orientation()], self.sectors(testbed, range(3))
+        )
+        base = sweep_snr_matrix(*args, budget=testbed.budget)
+        louder = sweep_snr_matrix(
+            *args, budget=LinkBudget(tx_power_dbm=testbed.budget.tx_power_dbm + 3.0)
+        )
+        turned = sweep_snr_matrix(
+            *args, rx_orientation=Orientation(yaw_deg=150.0), budget=testbed.budget
+        )
+        assert batch._fixed_terms_of.cache_info().misses == 3
+        assert not np.array_equal(base, louder)
+        assert not np.array_equal(base, turned)
+
+    def test_memo_is_bounded(self, testbed):
+        batch._fixed_terms_of.cache_clear()
+        sector_ids = self.sectors(testbed, range(2))
+        for index in range(batch.FIXED_TERMS_MEMO_SIZE + 5):
+            environment = conference_room(6.0).with_blockers(
+                [HumanBlocker(position_m=np.array([3.0, 0.01 * index, 0.0]))]
+            )
+            sweep_snr_matrix(
+                *self.args(testbed, environment, [Orientation()], sector_ids),
+                budget=testbed.budget,
+            )
+        info = batch._fixed_terms_of.cache_info()
+        assert info.currsize == batch.FIXED_TERMS_MEMO_SIZE
+        assert info.misses == batch.FIXED_TERMS_MEMO_SIZE + 5
+
+    def test_memoized_terms_are_read_only(self, testbed):
+        sweep_snr_matrix(
+            *self.args(testbed, lab_environment(3.0), [Orientation()], [0]),
+            budget=testbed.budget,
+        )
+        key = pickle.dumps(
+            (
+                lab_environment(3.0),
+                testbed.ref_antenna,
+                testbed.ref_codebook.rx_sector.weights,
+                Orientation(yaw_deg=180.0),
+                testbed.budget,
+            ),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        for array in batch._fixed_terms_of(key):
+            assert not array.flags.writeable
 
 
 class TestLinkPoseMemo:

@@ -165,6 +165,38 @@ class TestCheckpointStore:
         assert resumed.get("policy", 1, 0) == _rows(12)
         resumed.close()
 
+    def test_get_call_matches_per_block_gets_and_their_miss_count(self, tmp_path):
+        from repro import obs
+
+        def counted(read):
+            session = obs.ObsSession()
+            previous = obs.activate(session)
+            try:
+                answers = read()
+            finally:
+                obs.deactivate(previous)
+            return answers, session.metrics.snapshot()["counters"]
+
+        path = tmp_path / "ck.jsonl"
+        store = CheckpointStore(path, "digest-a", 7)
+        # Nothing restored: every block misses, counted in one step.
+        answers, counters = counted(lambda: store.get_call("policy", 0, 5))
+        assert answers == [None] * 5
+        assert counters == {"checkpoint_misses_total": 5}
+        assert counted(lambda: store.get_call("policy", 0, 0)) == ([], {})
+        store.put("policy", 0, [1, 3], [_rows(31), _rows(33)])
+        store.close()
+        resumed = CheckpointStore(path, "digest-a", 7, resume=True)
+        whole, whole_counters = counted(lambda: resumed.get_call("policy", 0, 5))
+        single, single_counters = counted(
+            lambda: [resumed.get("policy", 0, block) for block in range(5)]
+        )
+        assert whole == single == [None, _rows(31), None, _rows(33), None]
+        assert whole_counters == single_counters
+        assert whole_counters["checkpoint_misses_total"] == 3
+        assert counted(lambda: resumed.get_call("policy", 1, 2))[0] == [None, None]
+        resumed.close()
+
     def test_stale_header_starts_fresh(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, "digest-a", 7)

@@ -45,6 +45,8 @@ from repro.service.client import (
 )
 from repro.service.registry import RunRegistry
 
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+
 
 def _spec(seed: int = 2017, n_sweeps: int = 2) -> ScenarioSpec:
     return ScenarioSpec(

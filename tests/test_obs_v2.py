@@ -638,6 +638,7 @@ class _ServiceHarness:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join(10)
         self.loop.close()
+        self.client.close()
 
 
 @pytest.fixture()

@@ -22,12 +22,18 @@ The contracts under test:
 * **Run processes** — a run executes in its worker's run process, not
   in the serve process; a run process that dies is replaced and the
   run resumes from its journal, up to ``max_attempts`` deaths.
+* **Connections** — a client thread keeps one keep-alive connection,
+  resends only GET and DELETE after its connection went stale, and
+  ``stop()`` closes every open connection and awaits its handler, so a
+  leaked handler (an unraisable-exception warning) fails the test.
 """
 
 import asyncio
+import http.client
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from pathlib import Path
@@ -44,6 +50,8 @@ from repro.runtime import (
 from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import SelectionService, ServiceConfig
+
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
 #: Events shared with run processes, which the service forks.
 _FORK = multiprocessing.get_context("fork")
@@ -79,12 +87,24 @@ class _Harness:
         self.client = ServiceClient(port=self.service.port)
         return self
 
+    def call(self, function):
+        """Run ``function()`` on the service's event loop; its result."""
+
+        async def on_loop():
+            return function()
+
+        return asyncio.run_coroutine_threadsafe(on_loop(), self.loop).result(10)
+
     def stop(self):
+        if self.loop.is_closed():
+            return
+        # The client's idle connection stays open: stop() must close it.
         future = asyncio.run_coroutine_threadsafe(self.service.stop(), self.loop)
         future.result(20)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join(10)
         self.loop.close()
+        self.client.close()
 
 
 @pytest.fixture()
@@ -507,6 +527,211 @@ class TestLifecycle:
             service._durations.clear()
 
 
+@pytest.fixture()
+def connects(monkeypatch):
+    """How many TCP connections every client has opened so far."""
+    opened = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(connection):
+        opened.append(connection)
+        connect(connection)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return opened
+
+
+class _ScriptedPeer:
+    """A raw HTTP peer that answers each request or, when its script
+    says ``"drop"``, reads the request and closes without answering —
+    what a client sees when the service closes a connection it is about
+    to reuse."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []  # (connection number, method, path)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        number = 0
+        while self.script:
+            try:
+                connection, _ = self._listener.accept()
+            except OSError:
+                return
+            number += 1
+            with connection, connection.makefile("rb") as stream:
+                while self.script:
+                    line = stream.readline()
+                    if not line:
+                        break
+                    method, path, _ = line.decode().split(" ", 2)
+                    length = 0
+                    for header in iter(stream.readline, b"\r\n"):
+                        name, _, value = header.decode().partition(":")
+                        if name.lower() == "content-length":
+                            length = int(value)
+                    stream.read(length)
+                    self.requests.append((number, method, path))
+                    if self.script.pop(0) == "drop":
+                        break
+                    body = b'{"ok": true}'
+                    connection.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                    )
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(5)
+
+
+class TestKeepAlive:
+    def test_one_connection_per_thread(self, make_service, connects):
+        harness = make_service(workers=1)
+        client = ServiceClient(port=harness.service.port)
+        for _ in range(10):
+            client.healthz()
+        assert len(connects) == 1
+        assert harness.call(lambda: len(harness.service._connections)) == 1
+
+        barrier = threading.Barrier(2)
+
+        def poll():
+            barrier.wait(5)
+            for _ in range(5):
+                client.request("GET", "/runs")
+
+        threads = [threading.Thread(target=poll) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert len(connects) == 3
+        client.healthz()
+        assert len(connects) == 3, "the first thread's connection was dropped"
+        client.close()
+
+    def test_close_closes_every_connection(self, make_service, connects):
+        harness = make_service(workers=1)
+        client = ServiceClient(port=harness.service.port)
+        hold = threading.Event()
+
+        def poll():
+            client.healthz()
+            hold.wait(10)
+
+        thread = threading.Thread(target=poll)
+        thread.start()
+        with client:
+            client.healthz()
+        hold.set()
+        thread.join(10)
+        assert all(connection.sock is None for connection in connects)
+        deadline = time.monotonic() + 5
+        while harness.call(lambda: len(harness.service._connections)) > 0:
+            assert time.monotonic() < deadline, "the service never saw the close"
+            time.sleep(0.01)
+        client.healthz()  # a closed client reconnects on demand
+        assert len(connects) == 3
+        client.close()
+
+    def test_a_restart_on_the_same_port_is_met_with_a_fresh_connection(
+        self, make_service, connects
+    ):
+        first = make_service(workers=1)
+        port = first.service.port
+        client = ServiceClient(port=port)
+        client.healthz()
+        first.stop()
+        second = make_service(workers=1, port=port)
+        # The probe finds the closed connection before the POST is sent
+        # (a POST is never resent, so sending it there would fail).
+        code, _ = client.request("POST", "/runs", {"scenario": "no-such-scenario"})
+        assert code == 400
+        assert second.client.healthz()["status"] == "ok"
+        assert client.healthz()["status"] == "ok"
+        assert len(connects) == 3
+        client.close()
+
+    def test_the_service_closes_idle_connections(self, make_service, connects, monkeypatch):
+        monkeypatch.setattr(server, "IDLE_CLOSE_S", 0.2)
+        harness = make_service(workers=1)
+        client = ServiceClient(port=harness.service.port)
+        client.healthz()
+        deadline = time.monotonic() + 5
+        while harness.call(lambda: len(harness.service._connections)) > 0:
+            assert time.monotonic() < deadline, "an idle connection stayed open"
+            time.sleep(0.05)
+        client.healthz()
+        assert len(connects) == 2
+        client.close()
+
+    @pytest.mark.parametrize("method", ["GET", "DELETE"])
+    def test_an_idempotent_call_is_resent_once_on_a_fresh_connection(self, method):
+        peer = _ScriptedPeer(["answer", "drop", "answer"])
+        try:
+            with ServiceClient(port=peer.port, timeout=5) as client:
+                assert client.request("GET", "/healthz")[0] == 200
+                assert client.request(method, "/runs/r1")[0] == 200
+        finally:
+            peer.close()
+        assert peer.requests == [
+            (1, "GET", "/healthz"), (1, method, "/runs/r1"), (2, method, "/runs/r1"),
+        ]
+
+    def test_a_post_is_never_sent_twice(self):
+        peer = _ScriptedPeer(["answer", "drop", "answer"])
+        try:
+            with ServiceClient(port=peer.port, timeout=5) as client:
+                client.request("GET", "/healthz")
+                with pytest.raises((ConnectionError, http.client.HTTPException)):
+                    client.request("POST", "/runs", {"scenario": "fig10"})
+                # The failed connection is gone; the next call opens one.
+                assert client.request("GET", "/healthz")[0] == 200
+        finally:
+            peer.close()
+        assert [request[1] for request in peer.requests] == ["GET", "POST", "GET"]
+        assert [request[0] for request in peer.requests] == [1, 1, 2]
+
+    def test_a_failure_on_a_fresh_connection_is_not_resent(self):
+        peer = _ScriptedPeer(["drop", "answer"])
+        try:
+            with ServiceClient(port=peer.port, timeout=5) as client:
+                with pytest.raises((ConnectionError, http.client.HTTPException)):
+                    client.request("GET", "/healthz")
+        finally:
+            peer.close()
+        assert peer.requests == [(1, "GET", "/healthz")]
+
+    def test_stop_is_prompt_with_an_idle_connection_open(self, tmp_path):
+        async def scenario():
+            service = SelectionService(
+                ServiceConfig(port=0, workers=1, checkpoint_dir=str(tmp_path / "j"))
+            )
+            await service.start()
+            client = ServiceClient(port=service.port)
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, client.healthz)
+            assert len(service._connections) == 1
+            began = time.monotonic()
+            await service.stop()
+            elapsed = time.monotonic() - began
+            handlers = [
+                task for task in asyncio.all_tasks()
+                if "_handle_client" in repr(task.get_coro())
+            ]
+            client.close()
+            return elapsed, handlers, len(service._connections)
+
+        elapsed, handlers, still_open = asyncio.run(scenario())
+        assert elapsed < 5.0
+        assert handlers == [] and still_open == 0
+
+
 def _three_policy_spec(seed: int) -> ScenarioSpec:
     # Three policies are three execute calls, each journaled as it
     # ends: the run has journal entries well before it finishes.
@@ -651,6 +876,7 @@ class TestRunProcesses:
                 await asyncio.get_running_loop().run_in_executor(None, drive)
             finally:
                 await service.stop()
+                client.close()
 
         asyncio.run(serve_two_runs())
         assert profile_mod.active_sampler() is None
@@ -687,6 +913,7 @@ def serve_process(tmp_path):
     import sys
 
     procs = []
+    clients = []
 
     def start(*args: str, prelude: str = "", stderr=subprocess.DEVNULL):
         """Serve with ``args``, after running ``prelude`` in the process."""
@@ -708,9 +935,12 @@ def serve_process(tmp_path):
         procs.append(proc)
         line = proc.stdout.readline()
         assert "listening on http://" in line, line
-        return proc, ServiceClient(port=int(line.strip().rsplit(":", 1)[1]))
+        clients.append(ServiceClient(port=int(line.strip().rsplit(":", 1)[1])))
+        return proc, clients[-1]
 
     yield start
+    for client in clients:
+        client.close()
     for proc in procs:
         if proc.poll() is None:
             proc.kill()
