@@ -27,7 +27,6 @@ is their simulator-side counterpart::
     repro-bench serve --port 8780   # HTTP spec-submission service
     repro-bench load                # service saturation load harness
     repro-bench runs gc             # sweep orphaned journals/shm
-    repro-bench chaos               # crash-recovery chaos campaign
 
 ``--paper`` switches experiments from the fast default profile to the
 paper's full resolutions (minutes instead of seconds).  Every
@@ -486,39 +485,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Seeded chaos campaign against a live serve subprocess (DESIGN.md §14)."""
-    import tempfile
-
-    from .runtime.chaos import DEFAULT_EVENTS, ChaosConfig, run_chaos
-
-    if args.events:
-        events = tuple(
-            part.strip() for part in args.events.split(",") if part.strip()
-        )
-        unknown = [name for name in events if name not in DEFAULT_EVENTS]
-        if unknown:
-            print(
-                f"error: unknown chaos event(s): {', '.join(unknown)} "
-                f"(known: {', '.join(DEFAULT_EVENTS)})",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        events = DEFAULT_EVENTS
-    state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    config = ChaosConfig(
-        state_dir=state_dir,
-        seed=args.seed,
-        events=events,
-        workers=args.workers,
-        jobs=args.jobs,
-        drain_timeout_s=args.drain_timeout,
-        gate_recovery_s=args.gate_recovery_s,
-    )
-    return run_chaos(config, output=args.output, label=args.label)
-
-
 def _cmd_load(args: argparse.Namespace) -> int:
     """Drive the service to saturation; report and optionally gate on latency."""
     from .service.load import LoadConfig, run_load
@@ -849,47 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also reclaim leaked repro-kernels-* /dev/shm segments",
     )
     runs_sub.set_defaults(handler=_cmd_runs)
-
-    chaos_sub = subparsers.add_parser("chaos", help=_cmd_chaos.__doc__)
-    add_log_level(chaos_sub)
-    chaos_sub.add_argument(
-        "--seed", type=int, default=2017, help="campaign seed"
-    )
-    chaos_sub.add_argument(
-        "--events", default=None,
-        help="comma-separated event subset (default: "
-        "worker-kill,serve-restart,torn-tail,shm-evict,deadline-storm)",
-    )
-    chaos_sub.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="state dir for the service under test (default: a fresh "
-        "temp dir)",
-    )
-    chaos_sub.add_argument(
-        "--workers", type=int, default=2,
-        help="serve workers (one run process each) for the service under test",
-    )
-    chaos_sub.add_argument(
-        "--jobs", type=int, default=2,
-        help="fork-pool processes per run (>=2 so worker-kill has a "
-        "victim)",
-    )
-    chaos_sub.add_argument(
-        "--drain-timeout", type=float, default=30.0, metavar="S",
-        help="drain budget of the final graceful SIGTERM",
-    )
-    chaos_sub.add_argument(
-        "--gate-recovery-s", type=float, default=None, metavar="S",
-        help="fail (exit 1) if kill-to-recovered exceeds this budget",
-    )
-    chaos_sub.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="append service_recovery_s to this BENCH trajectory file",
-    )
-    chaos_sub.add_argument(
-        "--label", default="chaos", help="trajectory point label"
-    )
-    chaos_sub.set_defaults(handler=_cmd_chaos)
 
     load_sub = subparsers.add_parser("load", help=_cmd_load.__doc__)
     add_log_level(load_sub)

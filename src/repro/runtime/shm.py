@@ -74,6 +74,9 @@ _ALIGN = 64
 #: Prefix of every segment this module creates (greppable in /dev/shm).
 _SEGMENT_PREFIX = "repro-kernels-"
 
+#: Where Linux keeps POSIX shared-memory segments, one file each.
+_SHM_ROOT = Path("/dev/shm")
+
 #: Publisher-side cap on live segments.  Long-lived runners (the
 #: service) keep one kernel segment per policy configuration; block
 #: segments live for one execute call, so at most a few are live at
@@ -110,12 +113,13 @@ class SharedKernelManifest:
 def _revive_resource_tracker() -> None:
     """Respawn multiprocessing's resource tracker after it died.
 
-    Creating a segment registers it with the tracker over a pipe; if
-    the tracker process was killed (OOM killer, an over-eager
-    supervisor, a chaos campaign), every subsequent registration gets
-    EPIPE and would fail the run even though shared memory itself is
-    fine.  Forgetting the dead pipe makes ``ensure_running`` launch a
-    fresh tracker.
+    Creating a segment registers it with the tracker over a pipe.
+    ``ensure_running`` probes the pipe before each write and relaunches
+    a tracker it finds dead (Python 3.9–3.13, with a ``UserWarning``),
+    so a tracker killed between two creates costs nothing here.  Only
+    one that dies between the probe and the write fails the
+    registration with EPIPE.  Forgetting the dead pipe makes
+    ``ensure_running`` launch a fresh tracker.
     """
     from multiprocessing import resource_tracker
 
@@ -163,18 +167,18 @@ class KernelPublisher:
             offset = _aligned(offset)
             entries[name] = (offset, tuple(array.shape), array.dtype.str)
             offset += array.nbytes
+        segment_name = f"{_SEGMENT_PREFIX}{secrets.token_hex(8)}"
         try:
             segment = shared_memory.SharedMemory(
-                create=True,
-                size=max(offset, 1),
-                name=f"{_SEGMENT_PREFIX}{secrets.token_hex(8)}",
+                create=True, size=max(offset, 1), name=segment_name
             )
         except BrokenPipeError:
+            # The registration failed after the segment was created,
+            # sized and mapped: unlink it before creating it again.
+            os.unlink(_SHM_ROOT / segment_name)
             _revive_resource_tracker()
             segment = shared_memory.SharedMemory(
-                create=True,
-                size=max(offset, 1),
-                name=f"{_SEGMENT_PREFIX}{secrets.token_hex(8)}",
+                create=True, size=max(offset, 1), name=segment_name
             )
         for name, array in arrays.items():
             array = np.ascontiguousarray(array)
@@ -337,30 +341,32 @@ def leaked_segments() -> List[str]:
     Segment names are fresh random tokens per publication, so anything
     on disk when no supervising process is alive is a leak — the
     resource tracker normally reaps them even through SIGKILL, but a
-    tracker killed alongside its supervisor (the chaos harness's
-    kill-the-process-group case) leaves the files behind.  Returns an
-    empty list on platforms without a ``/dev/shm``.
+    tracker killed alongside its supervisor (a whole process group
+    SIGKILLed at once) leaves the files behind.  Returns an empty list
+    on platforms without a ``/dev/shm``.
     """
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-Linux
+    if not _SHM_ROOT.is_dir():  # pragma: no cover - non-Linux
         return []
-    return sorted(path.name for path in root.glob(f"{_SEGMENT_PREFIX}*"))
+    return sorted(path.name for path in _SHM_ROOT.glob(f"{_SEGMENT_PREFIX}*"))
 
 
 def sweep_leaked_segments() -> List[str]:
     """Unlink every leaked ``repro-kernels-*`` segment; return the names.
 
     Startup-time GC for the service: call this only when no other
-    publisher can be alive on the host (one service instance per
-    state dir).  A live segment swept by mistake degrades to workers
-    rebuilding kernels from the spec — bit-identical, just slower —
-    so the failure mode of an over-eager sweep is wasted work, never
-    wrong results.
+    publisher can be alive on the host, since it matches every
+    ``repro-kernels-*`` name, whoever published it.  A live segment swept by mistake costs by its kind.
+    A swept kernel segment makes each worker that maps it afterwards
+    rebuild the policy from its spec: bit-identical, just slower.  A
+    swept plan segment fails its execute call: a worker that cannot
+    map it fails its chunk, and each retry maps the same name, so the
+    run fails (at once under the fail-fast default) and its journal
+    keeps only the calls that settled before.
     """
     reclaimed: List[str] = []
     for name in leaked_segments():
         try:
-            os.unlink(Path("/dev/shm") / name)
+            os.unlink(_SHM_ROOT / name)
         except FileNotFoundError:  # pragma: no cover - raced with reaper
             continue
         reclaimed.append(name)

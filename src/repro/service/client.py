@@ -1,7 +1,7 @@
 """Small synchronous HTTP client for the selection service.
 
-Used by the CLI (``repro-bench load`` result checks), the CI smoke job,
-the chaos drill and the tests.  Pure stdlib (:mod:`http.client`): each
+Used by the CLI (``repro-bench load`` result checks), the CI smoke job
+and the tests.  Pure stdlib (:mod:`http.client`): each
 thread talks over one HTTP/1.1 keep-alive connection of its own, opened
 at its first call and reused by the next ones — the *asynchronous*
 many-connection path lives in :mod:`.load`.

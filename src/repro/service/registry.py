@@ -112,7 +112,7 @@ class RunRegistry:
         Returns ``run id → state`` where state holds every field any
         event carried plus ``status`` (the last transition).  Evicted
         runs are absent.  Replaying twice gives the same answer —
-        pinned by the chaos harness's registry-consistency invariant.
+        pinned after a SIGKILL and restart in ``tests/test_lifecycle.py``.
         """
         return {run_id: dict(state) for run_id, state in self._runs.items()}
 

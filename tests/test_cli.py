@@ -31,7 +31,6 @@ class TestParser:
             "serve",
             "load",
             "runs",
-            "chaos",
         }
 
     def test_requires_a_command(self):

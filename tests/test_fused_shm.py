@@ -33,7 +33,7 @@ from repro.core.compressive import CompressiveSectorSelector
 from repro.core.measurements import ProbeMeasurement
 from repro.core.policy import CompressivePolicy, seed_shared_selector
 from repro.runtime import FaultPlan, RetryPolicy, ScenarioRunner
-from repro.runtime.faults import FaultSpec
+from repro.runtime.faults import FaultSpec, RetryExhaustedError
 from repro.runtime.policy import PolicyContext
 from repro.runtime.runner import TrialBlock, TrialPlan
 from repro.runtime.spec import PolicySpec, ScenarioSpec
@@ -281,6 +281,36 @@ class TestShmModule:
             shm.attach(manifest)
         publisher.close()  # idempotent
 
+    def test_a_tracker_lost_mid_create_leaves_no_segment(self, monkeypatch):
+        # CPython creates, sizes and maps a segment before it registers
+        # the name with the resource tracker: a tracker that dies
+        # between its liveness probe and that write fails the create
+        # after the segment exists.  The real revive would replace this
+        # process's tracker under every other test, so it is counted.
+        from multiprocessing import resource_tracker
+
+        prefix = f"repro-publish-test-{os.getpid()}-"
+        monkeypatch.setattr(shm, "_SEGMENT_PREFIX", prefix)
+        revived = []
+        monkeypatch.setattr(shm, "_revive_resource_tracker", lambda: revived.append(1))
+        register = resource_tracker.register
+
+        def broken_once(name, rtype):
+            monkeypatch.setattr(resource_tracker, "register", register)
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(resource_tracker, "register", broken_once)
+        publisher = shm.KernelPublisher()
+        try:
+            manifest = publisher.publish("k", {"a": np.arange(4.0)})
+            assert revived == [1]
+            assert glob.glob(f"/dev/shm/{prefix}*") == [f"/dev/shm/{manifest.segment}"]
+            assert np.array_equal(shm.attach(manifest)["a"], np.arange(4.0))
+        finally:
+            shm.detach_all()
+            publisher.close()
+        assert glob.glob(f"/dev/shm/{prefix}*") == []
+
     def test_oldest_segment_evicted_past_cap(self, monkeypatch):
         monkeypatch.setattr(shm, "_MAX_SEGMENTS", 2)
         before = _kernel_segments()
@@ -432,6 +462,28 @@ class TestRunnerShmLifecycle:
         assert _kernel_segments() == before
         assert outcome.manifest.result_sha256 == reference.manifest.result_sha256
         assert repeat.manifest.result_sha256 == reference.manifest.result_sha256
+
+    def test_a_swept_plan_segment_fails_its_call(self, monkeypatch):
+        # A call's plan segment has no rebuild path: a worker that
+        # cannot map it fails its chunk, and every retry maps the same
+        # unlinked name, so the call fails once its attempts run out.
+        from multiprocessing import shared_memory
+
+        publish = ScenarioRunner._publish_blocks
+
+        def publish_then_sweep(self, call):
+            manifest = publish(self, call)
+            segment = shared_memory.SharedMemory(name=manifest.segment)
+            segment.close()
+            segment.unlink()
+            return manifest
+
+        monkeypatch.setattr(ScenarioRunner, "_publish_blocks", publish_then_sweep)
+        with ScenarioRunner(jobs=2, retry=RetryPolicy(max_attempts=2)) as runner:
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                runner.run(_css_spec())
+        assert excinfo.value.attempts == 2
+        assert isinstance(excinfo.value.cause, FileNotFoundError)
 
     def test_pool_crash_replacement_leaks_nothing(self):
         before = _kernel_segments()

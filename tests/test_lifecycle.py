@@ -13,14 +13,21 @@ The contracts under test:
 * **Client backoff** — the retry schedule is pure and bounded, and
   never sleeps less than the service's ``Retry-After``.
 * **GC** — ``repro-bench runs gc`` removes only orphaned checkpoint
-  journals (valid header, unreferenced by the registry).
-* **Recovery** — SIGKILL of a serving process mid-run, then a restart
-  on the same state dir, resumes the run from its journal and produces
-  a digest bit-identical to an uninterrupted run (driven through the
-  chaos harness's serve-restart event).
+  journals (valid header, unreferenced by the registry); the boot
+  sweep and ``runs gc --sweep-shm`` unlink leaked shm segments, and
+  only when asked to.
+* **Recovery** — a ``repro-bench serve`` subprocess SIGKILLed after
+  its run journaled a block, then restarted on the same state dir,
+  re-admits the run, answers for it within ``RECOVERY_S``, resumes it
+  from its journal to a digest bit-identical to an uninterrupted run,
+  and drains to exit 0 leaving only its registry behind.
 """
 
+import asyncio
 import json
+import os
+import secrets
+import signal
 import threading
 import time
 from pathlib import Path
@@ -36,6 +43,7 @@ from repro.runtime import (
     ScenarioRunner,
     ScenarioSpec,
 )
+from repro.runtime import shm
 from repro.runtime.checkpoint import CheckpointStore, journal_header
 from repro.service.client import (
     BACKOFF_BASE_S,
@@ -44,6 +52,8 @@ from repro.service.client import (
     backoff_delay,
 )
 from repro.service.registry import RunRegistry
+from repro.service.server import SelectionService, ServiceConfig
+from tests.process_tree import all_children, survivors
 
 pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
@@ -322,6 +332,39 @@ class TestRunnerAbort:
             assert outcome.manifest.result_sha256
 
 
+@pytest.fixture()
+def leaked_segment(monkeypatch):
+    """A stray segment under a prefix unique to this test.
+
+    The sweeps match ``shm._SEGMENT_PREFIX``; moving it here means a
+    concurrent test or bench run's live segments are never swept.
+    """
+    prefix = f"repro-gc-test-{os.getpid()}-{secrets.token_hex(4)}-"
+    monkeypatch.setattr(shm, "_SEGMENT_PREFIX", prefix)
+    path = Path("/dev/shm") / f"{prefix}leaked"
+    path.write_bytes(b"\0")
+    yield path
+    path.unlink(missing_ok=True)
+
+
+def _boot(tmp_path, **overrides) -> str:
+    """Start and stop one service; its metrics page."""
+
+    async def boot():
+        service = SelectionService(
+            ServiceConfig(
+                port=0, workers=1, state_dir=str(tmp_path / "state"), **overrides
+            )
+        )
+        await service.start()
+        try:
+            return service.metrics.render_prometheus()
+        finally:
+            await service.stop()
+
+    return asyncio.run(boot())
+
+
 class TestRunsGC:
     def _journal(self, path: Path, digest: str = "d0", seed: int = 1) -> None:
         CheckpointStore(path, spec_digest=digest, seed=seed).close()
@@ -348,6 +391,27 @@ class TestRunsGC:
         assert (state / "registry.jsonl").exists()
         assert "gc: reclaimed 1 journal(s)" in out
 
+    def test_boot_sweeps_a_leaked_segment_only_when_asked(
+        self, tmp_path, leaked_segment
+    ):
+        metrics = _boot(tmp_path, sweep_shm=False)
+        assert leaked_segment.exists()
+        assert 'service_gc_total{kind="shm"}' not in metrics
+        metrics = _boot(tmp_path, sweep_shm=True)
+        assert not leaked_segment.exists()
+        assert 'service_gc_total{kind="shm"} 1' in metrics
+
+    def test_runs_gc_sweep_shm_unlinks_a_leaked_segment(
+        self, tmp_path, leaked_segment, capsys
+    ):
+        state = tmp_path / "state"
+        state.mkdir()
+        assert main(["runs", "gc", "--state-dir", str(state)]) == 0
+        assert leaked_segment.exists()
+        assert main(["runs", "gc", "--sweep-shm", "--state-dir", str(state)]) == 0
+        assert not leaked_segment.exists()
+        assert "1 shm segment(s)" in capsys.readouterr().out
+
     def test_gc_of_missing_state_dir_is_an_error(self, tmp_path):
         assert main(["runs", "gc", "--state-dir", str(tmp_path / "nope")]) == 2
 
@@ -359,33 +423,84 @@ class TestRunsGC:
         assert args.state_dir == "/s" and args.drain_timeout == 5.0
         args = parser.parse_args(["runs", "gc", "--sweep-shm"])
         assert args.action == "gc" and args.sweep_shm
-        args = parser.parse_args(
-            ["chaos", "--seed", "3", "--events", "torn-tail,shm-evict"]
-        )
-        assert args.seed == 3 and args.events == "torn-tail,shm-evict"
-        assert main(["chaos", "--events", "nope"]) == 2
         args = parser.parse_args(["run", "--deadline", "1.5", "fig10"])
         assert args.deadline == 1.5
 
 
-class TestCrashRecovery:
-    def test_sigkill_restart_resumes_bit_identical(self, tmp_path):
-        # Drive the chaos harness's serve-restart event: a subprocess
-        # service is SIGKILLed mid-run (≥1 block journaled), restarted
-        # on the same state dir, and must resume the run to the clean
-        # local digest with checkpoint_hits > 0, then drain cleanly.
-        from repro.runtime.chaos import ChaosConfig, _Campaign
+#: Longest a restarted service may take to answer for the run it
+#: recovered, from the restart's fork to the first status reply.
+RECOVERY_S = 30.0
 
-        campaign = _Campaign(
-            ChaosConfig(
-                state_dir=str(tmp_path / "state"),
-                seed=11,
-                events=("serve-restart",),
-            )
+#: Serve prelude: every run process holds its run just after each
+#: checkpoint commit, so a kill lands with at least one block journaled.
+_HOLD_AFTER_COMMIT = """
+import time
+from repro.runtime.checkpoint import CheckpointStore
+_put = CheckpointStore.put
+def _put_then_hold(self, *args, **kwargs):
+    _put(self, *args, **kwargs)
+    time.sleep(120)
+CheckpointStore.put = _put_then_hold
+"""
+
+
+def _journal_entries(path: Path) -> int:
+    """Committed entries in a checkpoint journal (header excluded)."""
+    try:
+        return max(0, path.read_bytes().count(b"\n") - 1)
+    except OSError:
+        return 0
+
+
+class TestCrashRecovery:
+    def test_sigkill_restart_resumes_bit_identical(self, serve_process, tmp_path):
+        # Three policies are three execute calls, each journaled as it
+        # ends: the kill leaves two of them to the restarted service.
+        spec = ScenarioSpec(
+            scenario="policy-eval",
+            seed=11,
+            policies=tuple(PolicySpec("css", {"n_probes": m}) for m in (14, 10, 6)),
+            params={"azimuth_step_deg": 30.0, "distance_m": 6.0, "n_sweeps": 4},
         )
-        report = campaign.run()
-        assert report.ok(), "\n".join(report.format_rows())
-        assert report.metrics["service_recovery_s"] > 0.0
-        detail = report.events[0]
-        assert detail["caught"] == 1
-        assert detail["checkpoint_hits"] >= 1
+        with ScenarioRunner() as runner:
+            clean = runner.run(spec).manifest.result_sha256
+        serve = ("--workers", "2", "--jobs", "2")
+        proc, client = serve_process(*serve, prelude=_HOLD_AFTER_COMMIT)
+        run_id = client.submit(spec.to_json())["run"]
+        journal = Path(client.status(run_id)["checkpoint"])
+        deadline = time.monotonic() + 120
+        while _journal_entries(journal) < 1:
+            assert time.monotonic() < deadline, "the run never journaled a block"
+            time.sleep(0.01)
+        assert client.status(run_id)["status"] == "running"
+        descendants = all_children(proc.pid)
+        proc.kill()
+        proc.wait(30)
+        assert survivors(descendants) == []
+
+        begin = time.monotonic()
+        proc, client = serve_process(*serve)
+        payload = client.status(run_id)
+        assert time.monotonic() - begin <= RECOVERY_S
+        assert payload["status"] in ("queued", "running")
+        final = client.wait(run_id, timeout=120)
+        assert final["status"] == "done", final.get("error")
+        assert final["result_sha256"] == clean
+        health = client.status(run_id)["manifest"]["health"]
+        assert health["checkpoint_hits"] >= 1
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(60) == 0
+        assert "drain complete" in proc.stdout.read()
+        # The drained state dir holds the registry alone: the done run's
+        # journal went with it, and a replay answers the same twice.
+        state = tmp_path / "state"
+        assert sorted(path.name for path in state.iterdir()) == ["registry.jsonl"]
+        registry = RunRegistry(state / "registry.jsonl", durable=False)
+        try:
+            replayed = registry.replay()
+            assert registry.replay() == replayed
+        finally:
+            registry.close()
+        assert list(replayed) == [run_id]
+        assert replayed[run_id]["status"] == "done"

@@ -28,9 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import shm
-from repro.runtime.chaos import _all_children, _pool_children
 from repro.runtime.proc import Child, ChildDied
-from tests.test_service import _running, _survivors
+from tests.process_tree import (
+    all_children,
+    mapped_segments,
+    pool_children,
+    running,
+    survivors,
+)
 
 #: Longest any Future may take to resolve; a hang fails the test.
 _RESOLVE_S = 30.0
@@ -259,22 +264,6 @@ def _env():
     return env
 
 
-def _mapped_segments(pids):
-    """The ``repro-kernels-*`` segments any of ``pids`` has mapped."""
-    prefix = f"/dev/shm/{shm._SEGMENT_PREFIX}"
-    segments = set()
-    for pid in pids:
-        try:
-            maps = Path(f"/proc/{pid}/maps").read_text()
-        except OSError:
-            continue
-        for line in maps.splitlines():
-            fields = line.split(maxsplit=5)
-            if len(fields) == 6 and fields[5].startswith(prefix):
-                segments.add(fields[5].removesuffix(" (deleted)"))
-    return segments
-
-
 class TestNoOrphans:
     def test_children_and_grandchildren_die_with_a_sigkilled_parent(self):
         proc = subprocess.Popen(
@@ -283,10 +272,10 @@ class TestNoOrphans:
         )
         try:
             pids = [int(part) for part in proc.stdout.readline().split()]
-            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            assert len(pids) == 2 and all(running(pid) for pid in pids)
             proc.kill()
             proc.wait(30)
-            assert _survivors(pids) == []
+            assert survivors(pids) == []
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -304,22 +293,22 @@ class TestNoOrphans:
         )
         try:
             deadline = time.monotonic() + 120
-            while len(_pool_children(proc.pid)) < 2:
+            while len(pool_children(proc.pid)) < 2:
                 assert proc.poll() is None, "the run ended before its pool started"
                 assert time.monotonic() < deadline, "the pool never started"
                 time.sleep(0.05)
             # The run's own segments, by what its process tree maps: a
             # concurrent run's segments in /dev/shm are not this run's.
-            descendants = _all_children(proc.pid)
-            created = _mapped_segments([proc.pid, *descendants])
+            descendants = all_children(proc.pid)
+            created = mapped_segments([proc.pid, *descendants])
             while not created and time.monotonic() < deadline:
                 time.sleep(0.05)
-                descendants = _all_children(proc.pid)
-                created = _mapped_segments([proc.pid, *descendants])
+                descendants = all_children(proc.pid)
+                created = mapped_segments([proc.pid, *descendants])
             assert created, "the run published no segment"
             proc.kill()
             proc.wait(30)
-            assert _survivors(descendants) == []
+            assert survivors(descendants) == []
             assert created & set(glob.glob(f"/dev/shm/{shm._SEGMENT_PREFIX}*")) == set()
         finally:
             if proc.poll() is None:

@@ -50,6 +50,7 @@ from repro.runtime import (
 from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import SelectionService, ServiceConfig
+from tests.process_tree import all_children, children, mapped_segments, survivors
 
 pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
@@ -401,6 +402,25 @@ class TestLifecycle:
             _small_spec(seed=2018).to_json(), deadline_s=600.0
         )
         assert harness.client.wait(relaxed["run"])["status"] == "done"
+
+    def test_a_deadline_storm_settles_beside_a_healthy_run(self, make_service):
+        harness = make_service(workers=2)
+        storm = [
+            harness.client.submit(_small_spec(seed=60).to_json(), deadline_s=0.001)
+            for _ in range(4)
+        ]
+        bystander = harness.client.submit(_small_spec(seed=61).to_json())
+        for accepted in storm:
+            assert harness.client.wait(accepted["run"])["status"] == "deadline"
+        final = harness.client.wait(bystander["run"])
+        assert final["status"] == "done"
+        assert final["result_sha256"] == _direct_digest(_small_spec(seed=61))
+        # Every run settled, each counted once, in its own state.
+        counts = harness.client.healthz()["runs"]
+        assert {state: n for state, n in counts.items() if n} == {
+            "done": 1,
+            "deadline": 4,
+        }
 
     def test_invalid_deadline_is_rejected(self, make_service):
         harness = make_service(workers=1)
@@ -887,84 +907,44 @@ class TestRunProcesses:
         assert any("repro.core.compressive:" in line for line in stacks)
 
 
-def _running(pid: int) -> bool:
-    """Alive and not a zombie awaiting its reaper."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-def _survivors(pids, timeout_s: float = 10.0):
-    deadline = time.monotonic() + timeout_s
-    alive = list(pids)
-    while alive and time.monotonic() < deadline:
-        time.sleep(0.05)
-        alive = [pid for pid in alive if _running(pid)]
-    return alive
-
-
-@pytest.fixture()
-def serve_process(tmp_path):
-    """``repro-bench serve`` as a subprocess: ``start(...)`` returns
-    ``(process, client)``."""
-    import subprocess
-    import sys
-
-    procs = []
-    clients = []
-
-    def start(*args: str, prelude: str = "", stderr=subprocess.DEVNULL):
-        """Serve with ``args``, after running ``prelude`` in the process."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            part
-            for part in (str(Path(server.__file__).parents[2]), env.get("PYTHONPATH"))
-            if part
-        )
-        argv = ["serve", "--port", "0", "--state-dir", str(tmp_path / "state"), *args]
-        program = (
-            f"{prelude}\nimport sys\nfrom repro.cli import main\n"
-            f"sys.exit(main({argv!r}))"
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", program],
-            env=env, stdout=subprocess.PIPE, stderr=stderr, text=True,
-        )
-        procs.append(proc)
-        line = proc.stdout.readline()
-        assert "listening on http://" in line, line
-        clients.append(ServiceClient(port=int(line.strip().rsplit(":", 1)[1])))
-        return proc, clients[-1]
-
-    yield start
-    for client in clients:
-        client.close()
-    for proc in procs:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
-        proc.stdout.close()
-
-
 class TestNoOrphans:
     def test_a_drained_serve_leaves_no_descendant(self, serve_process):
-        from repro.runtime.chaos import _all_children
-
         proc, client = serve_process("--workers", "2", "--jobs", "2")
         accepted = client.submit(_reduced_fig7_spec(seed=42).to_json())
         assert client.wait(accepted["run"], timeout=120)["status"] == "done"
         # Two run processes, the pool the run warmed and its tracker.
-        descendants = _all_children(proc.pid)
+        descendants = all_children(proc.pid)
         assert len(descendants) >= 4
+        segments = mapped_segments([proc.pid, *descendants])
+        assert segments, "the pooled run published no segment"
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(60) == 0
-        assert _survivors(descendants) == []
+        assert "drain complete" in proc.stdout.read()
+        assert survivors(descendants) == []
+        assert [path for path in segments if os.path.exists(path)] == []
+
+    def test_a_sigtermed_run_process_dies_and_serve_keeps_serving(
+        self, serve_process
+    ):
+        # A replacement run process is forked after serve installed its
+        # asyncio SIGTERM handler and wakeup fd.  It must reset both:
+        # the handler would make it immune to SIGTERM, and the wakeup fd
+        # would echo its signal into serve's loop, which then drains.
+        proc, client = serve_process("--workers", "1")
+        (first,) = children(proc.pid)
+        os.kill(first, signal.SIGKILL)
+        assert survivors([first]) == []
+        accepted = client.submit(_small_spec(seed=47).to_json())
+        assert client.wait(accepted["run"], timeout=120)["status"] == "done"
+        (replacement,) = children(proc.pid)
+        assert replacement != first
+        os.kill(replacement, signal.SIGTERM)
+        assert survivors([replacement]) == []
+        again = client.submit(_small_spec(seed=48).to_json())
+        assert client.wait(again["run"], timeout=120)["status"] == "done"
+        assert client.healthz()["status"] != "draining"
 
     def test_a_busy_run_process_dies_with_a_killed_serve(self, serve_process):
-        from repro.runtime.chaos import _all_children
-
         # A run that never reaches a chunk boundary: no cancel lands
         # there, only the parent-death signal ends its process.
         proc, client = serve_process(
@@ -980,40 +960,36 @@ class TestNoOrphans:
         while client.status(accepted["run"])["status"] != "running":
             assert time.monotonic() < deadline, "run never started"
             time.sleep(0.01)
-        descendants = _all_children(proc.pid)
+        descendants = all_children(proc.pid)
         assert descendants
         proc.kill()
         proc.wait(60)
-        assert _survivors(descendants) == []
+        assert survivors(descendants) == []
 
     def test_run_processes_keep_a_socket_stderr(self, serve_process):
         # Under a service manager stderr may be a stream socket; a run
         # process closes the sockets it inherited, but not that one.
         import socket
 
-        from repro.runtime.chaos import _children
-
         ours, theirs = socket.socketpair()
         with ours, theirs:
             proc, client = serve_process("--workers", "1", stderr=theirs.fileno())
             accepted = client.submit(_small_spec(seed=46).to_json())
             assert client.wait(accepted["run"], timeout=120)["status"] == "done"
-            (run_process,) = _children(proc.pid)
+            (run_process,) = children(proc.pid)
             stderr = os.readlink(f"/proc/{proc.pid}/fd/2")
             assert stderr.startswith("socket:")
             assert os.readlink(f"/proc/{run_process}/fd/2") == stderr
 
     def test_pool_workers_die_with_their_run_process(self, serve_process):
-        from repro.runtime.chaos import _all_children, _children
-
         proc, client = serve_process("--workers", "1", "--jobs", "2")
         accepted = client.submit(_reduced_fig7_spec(seed=44).to_json())
         assert client.wait(accepted["run"], timeout=120)["status"] == "done"
-        (run_process,) = _children(proc.pid)
-        pool = _all_children(run_process)
+        (run_process,) = children(proc.pid)
+        pool = all_children(run_process)
         assert len(pool) >= 2
         os.kill(run_process, signal.SIGKILL)
-        assert _survivors(pool) == []
+        assert survivors(pool) == []
         # The worker forks a replacement for its next run.
         again = client.submit(_reduced_fig7_spec(seed=45).to_json())
         assert client.wait(again["run"], timeout=120)["status"] == "done"
