@@ -14,7 +14,9 @@ them, and the rest of the link budget runs once on the stacked
 
 from __future__ import annotations
 
+import copyreg
 import functools
+import io
 import pickle
 from typing import NamedTuple, Optional, Sequence
 
@@ -44,6 +46,34 @@ class _FixedTerms(NamedTuple):
     departure_world: np.ndarray  # (n_rays, 3) world-frame unit vectors
     fixed_db: np.ndarray  # (n_rays,) power + RX gain - path loss - extra loss
     phases: np.ndarray  # (n_rays,) propagation phase
+
+
+def _array_of(data: bytes, dtype: str, shape) -> np.ndarray:
+    """The array :func:`_reduce_array` pickled (writable, C order)."""
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+
+def _reduce_array(array: np.ndarray):
+    """An ndarray as ``(bytes, dtype, shape)``: its value and nothing else."""
+    if array.dtype.hasobject:
+        return array.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    return _array_of, (array.tobytes(), array.dtype.str, array.shape)
+
+
+#: The memo key's pickling: numpy's own array reduce pickles the dtype
+#: object and a buffer wrapper per array, which made up most of a key's
+#: cost (~16 arrays per geometry).
+_KEY_DISPATCH = copyreg.dispatch_table.copy()
+_KEY_DISPATCH[np.ndarray] = _reduce_array
+
+
+def _memo_key(inputs) -> bytes:
+    """The pickled value of ``inputs``, every array by its bytes, dtype and shape."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = _KEY_DISPATCH
+    pickler.dump(inputs)
+    return buffer.getvalue()
 
 
 @functools.lru_cache(maxsize=FIXED_TERMS_MEMO_SIZE)
@@ -135,10 +165,7 @@ def sweep_snr_matrix(
     if rx_orientation is None:
         rx_orientation = Orientation(yaw_deg=180.0)
     terms = _fixed_terms_of(
-        pickle.dumps(
-            (environment, rx_antenna, rx_weights, rx_orientation, budget),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        _memo_key((environment, rx_antenna, rx_weights, rx_orientation, budget))
     )
     n_orientations = len(tx_orientations)
     n_rays = len(terms.phases)

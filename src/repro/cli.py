@@ -774,8 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_sub.add_argument(
         "--sweep-shm", action="store_true",
-        help="reclaim leaked repro-kernels-* /dev/shm segments at "
-        "startup (only when no other repro process shares the host)",
+        help="reclaim leaked repro-kernels-* /dev/shm segments (those "
+        "whose publisher process is gone) at startup",
     )
     serve_sub.add_argument(
         "--history-limit", type=int, default=512,

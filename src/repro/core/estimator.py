@@ -7,18 +7,19 @@ firmware, so an outlier in one rarely coincides with an outlier in the
 other, and the product suppresses it.
 
 Hot-path layout: the pattern matrix is sampled on the search grid
-*and* converted to the correlation domain once at construction.  One
-array kernel (:meth:`AngleEstimator.estimate_fused_arrays`) evaluates a
-whole padded (trials × probes) batch; :meth:`AngleEstimator.estimate`,
-:meth:`AngleEstimator.estimate_batch` and
-:meth:`AngleEstimator.correlation_surface` are adapters over it with no
-arithmetic of their own.
+*and* converted to the correlation domain once at construction, with
+its elementwise square beside it.  One array kernel
+(:meth:`AngleEstimator.estimate_fused_arrays`) evaluates a whole
+padded (trials × probes) batch as two GEMMs and certifies each row's
+argmax against the exact one-row computation (DESIGN.md §12);
+:meth:`AngleEstimator.estimate`, :meth:`AngleEstimator.estimate_batch`
+and :meth:`AngleEstimator.correlation_surface` are adapters over it
+with no arithmetic of their own.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,16 +45,20 @@ __all__ = ["AngleEstimate", "AngleEstimator"]
 #: scale-invariant) but keeping numbers small avoids float overflow.
 _RSSI_REFERENCE_DBM = -71.5
 
-#: Rows per stacked kernel pass.  Rows of equal usable-probe count are
-#: evaluated a few at a time as ``(R, M, K)`` blocks in a per-thread
-#: scratch pair; on the 1,010-point grid four rows keep that pair in
-#: L2, and stacks of 8 double it for no measurable gain (DESIGN.md §12).
-_STACK_ROWS = 4
+#: Rows per dense pass of the certified kernel: bounds its (rows × grid)
+#: temporaries (~1 MB each on the 1,010-point grid) at any batch size.
+_BLOCK_ROWS = 128
 
-#: Per-thread scratch of :meth:`AngleEstimator._argmax_stack`: two flat
-#: float64 buffers, grown on demand.  Module-level, so an estimator
-#: pickles without them and threads sharing one never share a buffer.
-_SCRATCH = threading.local()
+#: The argmax certificate's threshold τ: a row whose dense-kernel top
+#: value beats its runner-up by more than this provably has the exact
+#: one-row computation's argmax (derivation in
+#: :meth:`AngleEstimator._argmax_rows`).
+_CERTIFIED_GAP = 1e-11
+
+#: The largest usable-probe count the certificate accepts; τ keeps a
+#: 21× margin over the rounding bound there.  Longer rows take the
+#: exact path.
+_CERTIFIED_MAX_PROBES = 128
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -77,15 +82,6 @@ def _finite_argmax(surface: np.ndarray) -> int:
     if valid.size == 0:
         return best
     return int(valid[surface[valid].argmax()])
-
-
-def _scratch_pair(size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """This thread's two scratch buffers, each at least ``size`` floats."""
-    pair = getattr(_SCRATCH, "pair", None)
-    if pair is None or pair[0].size < size:
-        pair = (np.empty(size), np.empty(size))
-        _SCRATCH.pair = pair
-    return pair
 
 
 def _fused_surface(
@@ -184,6 +180,8 @@ class AngleEstimator:
         else:
             self._matrix = pattern_table.sample_matrix(self.search_grid)
             self._prepared = _to_domain(self._matrix, domain)
+        # The dense kernel's denominators are a GEMM against P².
+        self._prepared_squares = self._prepared * self._prepared
         self._row_of_sector: Dict[int, int] = {
             sector_id: row for row, sector_id in enumerate(pattern_table.sector_ids)
         }
@@ -404,17 +402,45 @@ class AngleEstimator:
     def _argmax_rows(
         self, rows: np.ndarray, usable: np.ndarray, channels: List[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel: compact, correlate and take the finite argmax per row.
+        """The kernel: the finite argmax of Eq. 3/5 per row, and its correlation.
 
-        One ``nonzero`` compacts every usable entry of the batch into
-        flat arrays up front.  A one-row batch is then one
-        :func:`_unit_columns` and one GEMV per channel; larger batches
-        group their rows by usable-probe count and evaluate each group
-        in stacks of at most :data:`_STACK_ROWS` rows
-        (:meth:`_argmax_stack`), the group's probe units computed once.
-        Per row, every reduction and BLAS call is the one the one-row
-        path makes, so both give the same bits.
-        A single ``np.errstate`` entry covers the whole batch.
+        Rows with at least two usable probes get an argmax; the
+        reference for it is the exact one-row computation
+        (:meth:`_exact_argmax`: :func:`_unit_columns` and one GEMV per
+        channel, the path :meth:`correlation_surface` takes).  A
+        multi-row call computes every row's map at once in
+        :meth:`_dense_argmax` and keeps a row's argmax only when the
+        certificate below proves it equal to the exact path's.  Rows
+        that fail it (exact ties, near-ties, any NaN), one-row calls
+        and every row under a quality context (whose peak ratio needs
+        the full map) take the exact path.  The reported correlation
+        has one definition on both paths (:meth:`_winner_correlation`),
+        so every output of a row is a pure function of that row.
+
+        **The certificate.**  With ``u = 2**-53`` and ``M`` usable
+        probes, both paths compute ``W = Π_c (x̂_c·p̂)²``, where each
+        factor is a squared inner product of two unit vectors, so
+        ``0 ≤ W ≤ 1`` and every error below is absolute.  The exact
+        path's unit vectors carry a relative error of at most
+        ``(M/2 + 2)u`` (a sum of ``M`` squares, a square root, a
+        divide), its GEMV adds ``M·u·Σ|x̂_i p̂_i| ≤ M·u`` (Cauchy–Schwarz),
+        so each inner product is within ``(2M + 4)u``, each squared
+        factor within ``(4M + 9)u`` and the fused product within
+        ``(8M + 20)u`` of the exact real value.  The dense path's
+        numerator ``x̂·P`` is within ``(1.5M + 3)u·‖P‖`` (the scatter's
+        sums of repeated ids and the GEMM's sums are one summation tree
+        of ``M`` products), its denominator ``Σ P²`` within a relative
+        ``(M + 2)u``, and its fused quotient within ``(8M + 21)u``.
+        Neither bound depends on the domain: dB values may be negative,
+        which Cauchy–Schwarz absorbs, and the ``ε`` clamps only scale
+        ``W`` down.  So ``|W_dense − W_exact| ≤ (16M + 48)u`` (plus
+        subnormal rounding, below ``1e-300``), and a dense top value
+        that beats every other grid point by more than twice that,
+        ``(32M + 96)u``, is the exact path's unique maximum.  The
+        certificate demands a gap above ``τ =`` :data:`_CERTIFIED_GAP`
+        ``= 1e-11`` (no row with a NaN passes); at the largest accepted
+        ``M``, :data:`_CERTIFIED_MAX_PROBES` ``= 128``, the proof needs
+        ``4,192u ≈ 4.7e-13``, a 21× margin.
         """
         _obs.inc("estimator_calls_total")
         _obs.inc("estimator_batch_rows_total", rows.shape[0])
@@ -422,93 +448,136 @@ class AngleEstimator:
         n_probes = usable.sum(axis=1)
         best_index = np.full(n_trials, -1, dtype=np.intp)
         best_corr = np.full(n_trials, np.nan)
-        # Row-major nonzero visits each row's usable columns in
-        # ascending order, so each row's probes sit contiguously, in
-        # slot order, in the flat gathers.
-        row_idx, col_idx = np.nonzero(usable)
-        rows_c = rows[row_idx, col_idx]
-        channels_c = [values[row_idx, col_idx] for values in channels]
+        winners = np.flatnonzero(n_probes >= 2)
+        if not winners.size:
+            return n_probes, best_index, best_corr
         quality_on = _quality.quality_context() is not None
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if n_trials == 1:
-                if n_probes[0] >= 2:
-                    surface = _fused_surface(
-                        _unit_columns(self._prepared[rows_c]), channels_c
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+            if n_trials == 1 or quality_on:
+                exact = winners
+            else:
+                dense = winners[n_probes[winners] <= _CERTIFIED_MAX_PROBES]
+                exact = [winners[n_probes[winners] > _CERTIFIED_MAX_PROBES]]
+                for first in range(0, dense.size, _BLOCK_ROWS):
+                    block = dense[first : first + _BLOCK_ROWS]
+                    found, certified = self._dense_argmax(
+                        rows[block], usable[block], [values[block] for values in channels]
                     )
-                    found = _finite_argmax(surface)
-                    best_index[0] = found
-                    best_corr[0] = surface[found]
-                    if quality_on:
-                        _quality.record_peak_ratio(surface, found, int(n_probes[0]))
-                return n_probes, best_index, best_corr
-            starts = np.cumsum(n_probes) - n_probes
-            eligible = np.flatnonzero(n_probes >= 2)
-            # A stable sort keeps trial order within each count group.
-            order = eligible[np.argsort(n_probes[eligible], kind="stable")]
-            cuts = np.flatnonzero(np.diff(n_probes[order])) + 1
-            for group in np.split(order, cuts) if order.size else ():
-                count = int(n_probes[group[0]])
-                flat = starts[group, np.newaxis] + np.arange(count)
-                group_rows = rows_c[flat]
-                # Each row's probe norm is its own BLAS ``dot``, as in
-                # the one-row path; stacking only batches the calls.
-                probe_units = []
-                for values in channels_c:
-                    values = values[flat]
-                    squares = np.matmul(values[:, np.newaxis, :], values[:, :, np.newaxis])
-                    probe_units.append(
-                        values / np.maximum(np.sqrt(squares[:, 0]), _EPSILON)
-                    )
-                for first in range(0, group.size, _STACK_ROWS):
-                    stop = first + _STACK_ROWS
-                    stack = group[first:stop]
-                    found, surface = self._argmax_stack(
-                        group_rows[first:stop], [unit[first:stop] for unit in probe_units]
-                    )
-                    best_index[stack] = found
-                    best_corr[stack] = surface[np.arange(stack.size), found]
-                    if quality_on:
-                        for row, index in enumerate(found):
-                            _quality.record_peak_ratio(surface[row], int(index), count)
+                    best_index[block[certified]] = found[certified]
+                    exact.append(block[~certified])
+                exact = np.sort(np.concatenate(exact))
+            for row in exact:
+                best_index[row] = self._exact_argmax(
+                    rows[row], usable[row], [values[row] for values in channels],
+                    quality_on,
+                )
+            picked = slice(None) if winners.size == n_trials else winners
+            best_corr[picked] = self._winner_correlation(
+                rows[picked],
+                usable[picked],
+                [values[picked] for values in channels],
+                best_index[picked],
+            )
         return n_probes, best_index, best_corr
 
-    def _argmax_stack(
-        self, rows: np.ndarray, probe_units: List[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Finite argmax and fused surface of ``R`` rows of equal probe count.
+    def _exact_argmax(
+        self,
+        rows: np.ndarray,
+        usable: np.ndarray,
+        channels: List[np.ndarray],
+        quality_on: bool,
+    ) -> int:
+        """One row's finite argmax over its full map: one GEMV per channel.
 
-        ``rows`` is ``(R, M)`` pattern rows; ``probe_units`` are the
-        ``(R, M)`` unit probe vectors per channel, SNR first.  Each row
-        gets :func:`_unit_columns`' reduction over its ``M`` probes and
-        a GEMV per channel — stacked ``matmul`` runs the GEMVs row by
-        row — so a stacked row equals the one-row path bit for bit.
-        The ``(R, M, K)`` gather and its squares live in this thread's
-        scratch pair (:func:`_scratch_pair`), so a stack allocates only
-        its ``(R, K)`` norms and surfaces.  Rows with the same pattern
-        rows (a fixed design) share one unit matrix.
+        Records the row's peak ratio when quality telemetry is on.
         """
-        if (rows == rows[0]).all():
-            unit = _unit_columns(self._prepared[rows[0]])[np.newaxis]
-        else:
-            shape = rows.shape + (self._prepared.shape[1],)
-            size = rows.size * shape[2]
-            first, second = _scratch_pair(size)
-            unit = first[:size].reshape(shape)
-            squares = second[:size].reshape(shape)
-            # ``mode="raise"`` would buffer ``out``; the rows are valid
-            # indices, so ``"wrap"`` gathers exactly the fancy index.
-            np.take(self._prepared, rows, axis=0, mode="wrap", out=unit)
-            # ``square`` is ``x * x`` bit for bit, at about half the cost.
-            np.square(unit, out=squares)
-            norms = np.add.reduce(squares, axis=1)
-            np.sqrt(norms, out=norms)
-            np.maximum(norms, _EPSILON, out=norms)
-            np.divide(unit, norms[:, np.newaxis, :], out=unit)
-        surface = None
-        for probe_unit in probe_units:
-            channel_surface = np.matmul(probe_unit[:, np.newaxis, :], unit)[:, 0] ** 2
-            surface = channel_surface if surface is None else surface * channel_surface
+        index = np.flatnonzero(usable)
+        surface = _fused_surface(
+            _unit_columns(self._prepared[rows[index]]),
+            [values[index] for values in channels],
+        )
+        found = _finite_argmax(surface)
+        if quality_on:
+            _quality.record_peak_ratio(surface, found, int(index.size))
+        return found
+
+    def _dense_argmax(
+        self, rows: np.ndarray, usable: np.ndarray, channels: List[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's map as two GEMMs; its argmax and whether it is certified.
+
+        Each row's unit probe vector per channel, and its probe counts,
+        are scattered into ``(T, S)`` matrices over the table's ``S``
+        sectors (``bincount`` sums repeated ids).  The numerators
+        ``x̂·P`` of all channels are one GEMM against the prepared
+        matrix, the denominators ``Σ P²`` one GEMM of the counts
+        against its square, and ``W = Π_c num_c² / max(den, ε²)^C``.
+        A row is certified when its top value beats its runner-up by
+        more than :data:`_CERTIFIED_GAP`.
+        """
+        n_rows = rows.shape[0]
+        n_sectors = self._prepared.shape[0]
+        size = n_rows * n_sectors
+        row_idx, col_idx = np.nonzero(usable)
+        flat = row_idx * n_sectors + rows[row_idx, col_idx]
+        counts = np.bincount(flat, minlength=size).reshape(n_rows, n_sectors)
+        units = np.empty((len(channels) * n_rows, n_sectors))
+        for channel, values in enumerate(channels):
+            probes = np.where(usable, values, 0.0)
+            norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
+            unit = probes[row_idx, col_idx] / np.maximum(norms, _EPSILON)[row_idx]
+            units[channel * n_rows : (channel + 1) * n_rows] = np.bincount(
+                flat, weights=unit, minlength=size
+            ).reshape(n_rows, n_sectors)
+        numerators = units @ self._prepared
+        denominators = counts.astype(float) @ self._prepared_squares
+        np.square(numerators, out=numerators)
+        surface = numerators[:n_rows]
+        for channel in range(1, len(channels)):
+            surface *= numerators[channel * n_rows : (channel + 1) * n_rows]
+        np.maximum(denominators, _EPSILON * _EPSILON, out=denominators)
+        if len(channels) == 2:
+            np.square(denominators, out=denominators)
+        surface /= denominators
         found = surface.argmax(axis=1)
-        for row in np.flatnonzero(np.isnan(surface[np.arange(found.size), found])):
-            found[row] = _finite_argmax(surface[row])
-        return found, surface
+        every = np.arange(n_rows)
+        top = surface[every, found]
+        surface[every, found] = -np.inf
+        # A NaN anywhere in the row makes the gap NaN, which certifies nothing.
+        certified = top - surface.max(axis=1) > _CERTIFIED_GAP
+        return found, certified
+
+    def _winner_correlation(
+        self,
+        rows: np.ndarray,
+        usable: np.ndarray,
+        channels: List[np.ndarray],
+        best_index: np.ndarray,
+    ) -> np.ndarray:
+        """Eq. 2 / Eq. 5 at each row's winning grid point.
+
+        Per channel ``(Σ v·p / (max(√Σ v², ε)·max(√Σ p², ε)))²``, fused
+        by product in channel order, with every sum taken in slot order
+        over the row's usable probes: ``cumsum`` adds strictly in
+        sequence, and the unusable slots' exact zeros change no partial
+        sum.  So the value depends on the row's usable probes alone,
+        not on padding, batch size or the path that found the argmax.
+        """
+        n_channels = len(channels)
+        patterns = self._prepared[np.where(usable, rows, 0), best_index[:, np.newaxis]]
+        patterns[~usable] = 0.0
+        # Squares first (patterns, then each channel), inner products last.
+        terms = np.empty((1 + 2 * n_channels,) + rows.shape)
+        np.multiply(patterns, patterns, out=terms[0])
+        for channel, values in enumerate(channels):
+            values = np.where(usable, values, 0.0)
+            np.multiply(values, values, out=terms[1 + channel])
+            np.multiply(values, patterns, out=terms[1 + n_channels + channel])
+        sums = np.cumsum(terms, axis=2)[:, :, -1]
+        norms = np.maximum(np.sqrt(sums[: 1 + n_channels]), _EPSILON)
+        cosines = sums[1 + n_channels :] / (norms[1:] * norms[0])
+        factors = cosines * cosines
+        correlation = factors[0]
+        for factor in factors[1:]:
+            correlation = correlation * factor
+        return correlation

@@ -78,11 +78,14 @@ class PriorAidedEstimator:
 
         Validation and the argmax are the plain estimator's: non-finite
         probes are dropped (and not counted in ``n_probes_used``), and
-        a NaN grid point never wins.
+        a NaN grid point never wins.  Without a prior this *is* the
+        plain estimate; with one, the correlation reported is the
+        weighted map's value at its argmax.
         """
+        if prior is None:
+            return self.estimator.estimate(measurements)
         surface, n_probes = self.estimator._row_surface(measurements)
-        if prior is not None:
-            surface = surface * prior.weights_on(self.search_grid)
+        surface = surface * prior.weights_on(self.search_grid)
         best_index = _finite_argmax(surface)
         return self.estimator._estimate_at(
             best_index, float(surface[best_index]), n_probes

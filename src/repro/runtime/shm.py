@@ -167,7 +167,7 @@ class KernelPublisher:
             offset = _aligned(offset)
             entries[name] = (offset, tuple(array.shape), array.dtype.str)
             offset += array.nbytes
-        segment_name = f"{_SEGMENT_PREFIX}{secrets.token_hex(8)}"
+        segment_name = f"{_SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(8)}"
         try:
             segment = shared_memory.SharedMemory(
                 create=True, size=max(offset, 1), name=segment_name
@@ -335,33 +335,52 @@ def borrow(
         _release([segment])
 
 
-def leaked_segments() -> List[str]:
-    """Names of ``repro-kernels-*`` segments present in ``/dev/shm``.
+def _publisher_alive(name: str) -> bool:
+    """Is the process that published segment ``name`` still running?
 
-    Segment names are fresh random tokens per publication, so anything
-    on disk when no supervising process is alive is a leak — the
-    resource tracker normally reaps them even through SIGKILL, but a
-    tracker killed alongside its supervisor (a whole process group
-    SIGKILLed at once) leaves the files behind.  Returns an empty list
-    on platforms without a ``/dev/shm``.
+    A name is ``<prefix><publisher pid>-<token>``.  A zombie no longer
+    publishes or maps anything, so it counts as gone; a name without a
+    pid (an older layout) has no publisher to ask and counts as gone too.
+    """
+    pid, _, _ = name[len(_SEGMENT_PREFIX):].partition("-")
+    if not pid.isdigit():
+        return False
+    try:
+        stat = (Path("/proc") / pid / "stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - unreadable: assume it lives
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def leaked_segments() -> List[str]:
+    """Names of ``repro-kernels-*`` segments whose publisher is gone.
+
+    Each name carries its publisher's pid (:meth:`KernelPublisher.publish`),
+    and a live publisher unlinks its own segments, so a segment whose
+    publisher no longer runs is a leak — the resource tracker normally
+    reaps them even through SIGKILL, but a tracker killed alongside its
+    supervisor (a whole process group SIGKILLed at once) leaves the
+    files behind.  A live process's segments never count, whoever
+    asks.  Returns an empty list on platforms without a ``/dev/shm``.
     """
     if not _SHM_ROOT.is_dir():  # pragma: no cover - non-Linux
         return []
-    return sorted(path.name for path in _SHM_ROOT.glob(f"{_SEGMENT_PREFIX}*"))
+    return sorted(
+        path.name
+        for path in _SHM_ROOT.glob(f"{_SEGMENT_PREFIX}*")
+        if not _publisher_alive(path.name)
+    )
 
 
 def sweep_leaked_segments() -> List[str]:
     """Unlink every leaked ``repro-kernels-*`` segment; return the names.
 
-    Startup-time GC for the service: call this only when no other
-    publisher can be alive on the host, since it matches every
-    ``repro-kernels-*`` name, whoever published it.  A live segment swept by mistake costs by its kind.
-    A swept kernel segment makes each worker that maps it afterwards
-    rebuild the policy from its spec: bit-identical, just slower.  A
-    swept plan segment fails its execute call: a worker that cannot
-    map it fails its chunk, and each retry maps the same name, so the
-    run fails (at once under the fail-fast default) and its journal
-    keeps only the calls that settled before.
+    Startup-time GC for the service and ``runs gc --sweep-shm``.  Only
+    segments whose publisher pid no longer runs are swept
+    (:func:`leaked_segments`), so a sweep never fails another live
+    service's or CLI run's pooled call.
     """
     reclaimed: List[str] = []
     for name in leaked_segments():

@@ -130,8 +130,8 @@ class ServiceConfig:
         drain_timeout_s: how long a graceful shutdown waits (>= 0) for
             in-flight runs before cancelling them back to ``queued``.
         sweep_shm: sweep leaked ``repro-kernels-*`` /dev/shm segments
-            at startup.  Off by default (another live process on the
-            host may own them); ``repro-bench serve`` turns it on.
+            (those whose publisher pid no longer runs) at startup;
+            ``repro-bench serve --sweep-shm`` turns it on.
         history_limit: finished runs retained in memory (>= 0); older
             records (and their journals) are evicted.
         max_body_bytes: request-body cap (413 beyond it).
@@ -730,8 +730,8 @@ class SelectionService:
         * checkpoint journals in the journal dir that no retained run
           references (their runs were evicted, or the registry that
           knew them is gone);
-        * leaked ``repro-kernels-*`` /dev/shm segments, when
-          ``sweep_shm`` says this service owns the host.
+        * leaked ``repro-kernels-*`` /dev/shm segments (publisher
+          pid gone), when ``sweep_shm`` is set.
         """
         swept = sweep_orphaned_journals(
             self.config.resolved_checkpoint_dir(),

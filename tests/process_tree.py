@@ -1,7 +1,8 @@
 """Process-tree and shared-memory probes for the crash tests.
 
 Read from ``/proc`` only: who a process's children are, whether they
-still run, and which ``repro-kernels-*`` segments they map.  Children
+still run, which ``repro-kernels-*`` segments they map and which they
+published (the publisher pid is part of each name).  Children
 are forked, so they share their parent's command line; tell them apart
 by parent pid, as these helpers do.
 """
@@ -94,3 +95,10 @@ def mapped_segments(pids: Iterable[int]) -> Set[str]:
             if len(fields) == 6 and fields[5].startswith(prefix):
                 segments.add(fields[5].removesuffix(" (deleted)"))
     return segments
+
+
+def published_segments(pids: Iterable[int]) -> Set[str]:
+    """The ``repro-kernels-*`` segments in ``/dev/shm`` published by ``pids``."""
+    prefixes = tuple(f"{shm._SEGMENT_PREFIX}{pid}-" for pid in pids)
+    root = Path("/dev/shm")
+    return {path.name for path in root.iterdir() if path.name.startswith(prefixes)}

@@ -3,11 +3,17 @@
 Written from the paper's equations, independently of
 ``repro.core.correlation`` and the estimator/selector kernel: one sweep
 at a time, plain Python loops over the probes, no memo, no compaction,
-no padding.  Where it touches floats it applies the same operations in
-the same order as any implementation must (clamp, ``10 ** (x / 10)``,
-column norms, ``dot`` for the probe norm, ``@`` for the inner products,
-squaring, the fused product), so the kernel's results compare to it
-with ``==`` rather than a tolerance.
+no padding, no certificate.  The argmax is taken over the full map of
+Eq. 2/5, built with the operations of the kernel's exact one-row path
+(clamp, ``10 ** (x / 10)``, column norms, ``dot`` for the probe norm,
+``@`` for the inner products, squaring, the fused product).  The
+reported correlation is Eq. 2/5 at the winning grid point alone, each
+sum a plain running sum over the probes in slot order
+(:meth:`ReferenceEstimator.winner_correlation`), the kernel's one
+definition of it.  So every field of the kernel's results compares to
+this reference with ``==`` rather than a tolerance, the argmax
+included: rows the kernel's dense pass cannot certify, exact ties
+among them, take the exact path.
 
 The hypothesis strategies at the bottom generate the padded
 (trials × probes) batches the kernel consumes: NaN/±inf readings,
@@ -15,6 +21,7 @@ unknown and out-of-range sector ids, single-probe rows and masked
 slots.
 """
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,14 +113,47 @@ class ReferenceEstimator:
             raise ValueError("need at least two finite probe measurements")
         patterns = np.array([self.pattern_of[sector] for sector, _, _ in kept])
         surface = None
-        if self.fusion in ("product", "snr"):
-            surface = eq2([snr for _, snr, _ in kept], patterns, self.domain)
-        if self.fusion in ("product", "rssi"):
-            rssi_map = eq2(
-                [rssi - RSSI_REFERENCE_DBM for _, _, rssi in kept], patterns, self.domain
-            )
-            surface = rssi_map if surface is None else surface * rssi_map
+        for readings in self.channel_readings(kept):
+            channel_map = eq2(readings, patterns, self.domain)
+            surface = channel_map if surface is None else surface * channel_map
         return surface, len(kept)
+
+    def channel_readings(self, kept: Sequence[Slot]) -> List[List[float]]:
+        """Each used channel's dB readings over ``kept``, SNR first; RSSI
+        is referenced to the nominal noise floor."""
+        readings = []
+        if self.fusion in ("product", "snr"):
+            readings.append([snr for _, snr, _ in kept])
+        if self.fusion in ("product", "rssi"):
+            readings.append([rssi - RSSI_REFERENCE_DBM for _, _, rssi in kept])
+        return readings
+
+    def winner_correlation(self, slots: Sequence[Slot], index: int) -> float:
+        """Eq. 2 / Eq. 5 at grid point ``index``, with running sums in slot order.
+
+        Per channel ``(Σ v·p / (max(√Σ v², ε)·max(√Σ p², ε)))²`` over
+        the finite probes, fused by product (SNR first).
+        """
+        kept = self.finite(slots)
+        patterns = [
+            float(to_domain(self.pattern_of[sector], self.domain)[index])
+            for sector, _, _ in kept
+        ]
+        pattern_sq = 0.0
+        for pattern in patterns:
+            pattern_sq += pattern * pattern
+        pattern_norm = max(math.sqrt(pattern_sq), EPSILON)
+        correlation = None
+        for readings in self.channel_readings(kept):
+            values = [float(value) for value in to_domain(readings, self.domain)]
+            value_sq = inner = 0.0
+            for value, pattern in zip(values, patterns):
+                value_sq += value * value
+                inner += value * pattern
+            cosine = inner / (max(math.sqrt(value_sq), EPSILON) * pattern_norm)
+            factor = cosine * cosine
+            correlation = factor if correlation is None else correlation * factor
+        return correlation
 
     def estimate(self, slots: Sequence[Slot]) -> Optional[AngleEstimate]:
         """Eq. 3 / Eq. 5 argmax, or None with fewer than two finite probes."""
@@ -123,7 +163,9 @@ class ReferenceEstimator:
             return None
         index = finite_argmax(surface)
         azimuth, elevation = self.grid.index_to_angles(index)
-        return AngleEstimate(azimuth, elevation, float(surface[index]), n_used, index)
+        return AngleEstimate(
+            azimuth, elevation, self.winner_correlation(slots, index), n_used, index
+        )
 
     def estimate_rows(self, rows: Sequence[Sequence[Slot]]) -> List[Optional[AngleEstimate]]:
         """A whole batch: any row's unknown finite probe raises first."""

@@ -9,6 +9,8 @@ bodies below are the model as it was written before the split, and every
 comparison is exact (``np.array_equal`` / ``==``), never a tolerance.
 """
 
+import copy
+import io
 import pickle
 
 import numpy as np
@@ -436,18 +438,89 @@ class TestSweepMatrix:
             *self.args(testbed, lab_environment(3.0), [Orientation()], [0]),
             budget=testbed.budget,
         )
-        key = pickle.dumps(
+        key = batch._memo_key(
             (
                 lab_environment(3.0),
                 testbed.ref_antenna,
                 testbed.ref_codebook.rx_sector.weights,
                 Orientation(yaw_deg=180.0),
                 testbed.budget,
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            )
         )
         for array in batch._fixed_terms_of(key):
             assert not array.flags.writeable
+
+
+def _key_inputs(testbed, environment):
+    return (
+        environment,
+        testbed.ref_antenna,
+        testbed.ref_codebook.rx_sector.weights,
+        Orientation(yaw_deg=180.0),
+        testbed.budget,
+    )
+
+
+def _arrays_in(value):
+    """Every ndarray the pickling of ``value`` reaches, once each."""
+    found = {}
+
+    class Collector(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, np.ndarray):
+                found[id(obj)] = obj
+            return NotImplemented
+
+    Collector(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+    return list(found.values())
+
+
+class TestMemoKey:
+    """``sweep_snr_matrix``'s memo key pickles each array as its bytes,
+    dtype and shape: the key is the inputs' value, and nothing else."""
+
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_equal_inputs_give_equal_keys(self, testbed, room):
+        first = _key_inputs(testbed, ROOMS[room]())
+        again = copy.deepcopy(_key_inputs(testbed, ROOMS[room]()))
+        assert batch._memo_key(first) == batch._memo_key(again)
+        # An array's memory layout is not part of its value.
+        weights = testbed.ref_codebook.rx_sector.weights
+        strided = np.repeat(weights.weights, 2)[::2]
+        assert not strided.flags.c_contiguous
+        assert batch._memo_key(strided) == batch._memo_key(weights.weights.copy())
+
+    @pytest.mark.parametrize("room", ["chamber", "conference"])
+    def test_any_changed_array_value_changes_the_key(self, testbed, room):
+        inputs = copy.deepcopy(_key_inputs(testbed, ROOMS[room]()))
+        if room == "conference":
+            inputs = (blocked_room(),) + inputs[1:]
+        key = batch._memo_key(inputs)
+        arrays = [array for array in _arrays_in(inputs) if array.size]
+        assert len(arrays) >= 8
+        for array in arrays:
+            array.flags.writeable = True
+            flat = array.reshape(-1)
+            for position in {0, flat.size - 1}:
+                saved = flat[position].copy()
+                if array.dtype == bool:
+                    flat[position] = not saved
+                elif np.iscomplexobj(array):
+                    flat[position] = saved + 1e-9j
+                else:
+                    flat[position] = np.nextafter(saved, np.inf)
+                assert batch._memo_key(inputs) != key, (array.dtype, array.shape)
+                flat[position] = saved
+            assert batch._memo_key(inputs) == key
+
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_terms_rebuilt_from_a_key_equal_the_plain_pickles(self, testbed, room):
+        inputs = _key_inputs(testbed, ROOMS[room]())
+        trace = batch._fixed_terms_of.__wrapped__
+        plain = trace(pickle.dumps(inputs, protocol=pickle.HIGHEST_PROTOCOL))
+        for mine, theirs in zip(trace(batch._memo_key(inputs)), plain):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestLinkPoseMemo:

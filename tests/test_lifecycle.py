@@ -28,10 +28,13 @@ import json
 import os
 import secrets
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.runtime.runner as runner_module
@@ -332,19 +335,39 @@ class TestRunnerAbort:
             assert outcome.manifest.result_sha256
 
 
+def _dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
 @pytest.fixture()
-def leaked_segment(monkeypatch):
-    """A stray segment under a prefix unique to this test.
+def segment_prefix(monkeypatch):
+    """A segment prefix unique to this test.
 
     The sweeps match ``shm._SEGMENT_PREFIX``; moving it here means a
-    concurrent test or bench run's live segments are never swept.
+    concurrent test or bench run's segments are never even looked at.
     """
     prefix = f"repro-gc-test-{os.getpid()}-{secrets.token_hex(4)}-"
     monkeypatch.setattr(shm, "_SEGMENT_PREFIX", prefix)
-    path = Path("/dev/shm") / f"{prefix}leaked"
-    path.write_bytes(b"\0")
-    yield path
-    path.unlink(missing_ok=True)
+    made = []
+
+    def make(pid: int) -> Path:
+        path = Path("/dev/shm") / f"{prefix}{pid}-{secrets.token_hex(8)}"
+        path.write_bytes(b"\0")
+        made.append(path)
+        return path
+
+    yield make
+    for path in made:
+        path.unlink(missing_ok=True)
+
+
+@pytest.fixture()
+def leaked_segment(segment_prefix):
+    """A stray segment whose publisher pid is gone."""
+    return segment_prefix(_dead_pid())
 
 
 def _boot(tmp_path, **overrides) -> str:
@@ -411,6 +434,32 @@ class TestRunsGC:
         assert main(["runs", "gc", "--sweep-shm", "--state-dir", str(state)]) == 0
         assert not leaked_segment.exists()
         assert "1 shm segment(s)" in capsys.readouterr().out
+
+    def test_a_live_publishers_segment_survives_a_sweep(self, segment_prefix):
+        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            owned = segment_prefix(live.pid)
+            mine = segment_prefix(os.getpid())
+            leaked = segment_prefix(_dead_pid())
+            assert shm.leaked_segments() == [leaked.name]
+            assert shm.sweep_leaked_segments() == [leaked.name]
+            assert owned.exists() and mine.exists() and not leaked.exists()
+        finally:
+            live.kill()
+            live.wait()
+        # A publisher that died (and was reaped) leaves a leak.
+        assert shm.sweep_leaked_segments() == [owned.name]
+        assert mine.exists()
+
+    def test_a_published_segment_names_its_publisher(self):
+        publisher = shm.KernelPublisher()
+        try:
+            manifest = publisher.publish("k", {"a": np.zeros(4)})
+            pid, _, token = manifest.segment[len(shm._SEGMENT_PREFIX):].partition("-")
+            assert int(pid) == os.getpid() and token
+            assert manifest.segment not in shm.leaked_segments()
+        finally:
+            publisher.close()
 
     def test_gc_of_missing_state_dir_is_an_error(self, tmp_path):
         assert main(["runs", "gc", "--state-dir", str(tmp_path / "nope")]) == 2

@@ -14,7 +14,6 @@ the crash model is pinned here once:
   ``/dev/shm`` segment behind.
 """
 
-import glob
 import os
 import signal
 import subprocess
@@ -27,12 +26,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import shm
 from repro.runtime.proc import Child, ChildDied
 from tests.process_tree import (
     all_children,
-    mapped_segments,
     pool_children,
+    published_segments,
     running,
     survivors,
 )
@@ -297,19 +295,16 @@ class TestNoOrphans:
                 assert proc.poll() is None, "the run ended before its pool started"
                 assert time.monotonic() < deadline, "the pool never started"
                 time.sleep(0.05)
-            # The run's own segments, by what its process tree maps: a
-            # concurrent run's segments in /dev/shm are not this run's.
-            descendants = all_children(proc.pid)
-            created = mapped_segments([proc.pid, *descendants])
-            while not created and time.monotonic() < deadline:
+            # The run's own segments, by the publisher pid in their
+            # names: a concurrent run's segments are never counted.
+            while not published_segments([proc.pid]):
+                assert time.monotonic() < deadline, "the run published no segment"
                 time.sleep(0.05)
-                descendants = all_children(proc.pid)
-                created = mapped_segments([proc.pid, *descendants])
-            assert created, "the run published no segment"
+            descendants = all_children(proc.pid)
             proc.kill()
             proc.wait(30)
             assert survivors(descendants) == []
-            assert created & set(glob.glob(f"/dev/shm/{shm._SEGMENT_PREFIX}*")) == set()
+            assert published_segments([proc.pid, *descendants]) == set()
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -10,21 +10,21 @@ invisible in the results:
   The ``random`` designer's rows come from one ``rng.integers`` call
   and equal ``n`` sequential ``rng.choice`` calls, the numpy draw it
   replays.
-* **Kernel** — rows of equal usable-probe count run in stacks of
-  ``_STACK_ROWS``; the result equals the naive reference of
-  :mod:`tests.reference_kernel` with ``==`` across stack boundaries,
-  mixed counts, NaN-winner rows, all-NaN rows and one-row batches.
-  A stack's ``(R, M, K)`` arrays live in per-thread scratch buffers:
-  a warm call allocates less than one stack, threads sharing an
-  estimator get the serial results, and a buffer grown for one probe
-  count serves a smaller one.
+* **Kernel** — a batch's maps are two GEMMs, and a row keeps the dense
+  argmax only when its top-two gap certifies it; the result equals
+  the naive reference of :mod:`tests.reference_kernel` with ``==`` on
+  batches built to tie exactly (duplicated pattern rows, repeated ids
+  in a row, flat grid edges) and on NaN rows.  A row's outputs are
+  the same alone, at any position and at any block size, the
+  certificate forced off changes no bit, the reported correlation is
+  the full map's value at the winner to 1e-13, and threads sharing an
+  estimator get the serial results.
 * **Pool workers** — :func:`repro.runtime.shm.borrow` builds a view
   only for the entries its body reads.
 """
 
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,7 +207,7 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
-# Kernel: stacked equal-count passes against the reference.
+# Kernel: the certified dense pass against the reference.
 # ----------------------------------------------------------------------
 
 N_SECTORS = 7
@@ -225,85 +225,129 @@ def _nan_table() -> PatternTable:
     return PatternTable(grid, patterns)
 
 
+def _tie_table() -> PatternTable:
+    """Seven finite sectors on a 6 × 3 grid built to tie exactly.
+
+    Sector 1 duplicates sector 0's pattern, the top elevation row is
+    flat in azimuth for every sector (a pole: one direction, many grid
+    points), and azimuth columns 1 and 4 are equal.  So rows probing
+    sectors 0 and 1 alike, rows whose peak lands on the pole and rows
+    whose peak lands on either twin column all have exact ties.
+    """
+    grid = AngularGrid(np.linspace(-25.0, 25.0, 6), np.array([-10.0, 0.0, 10.0]))
+    rng = np.random.default_rng(11)
+    patterns = {}
+    for sector in range(N_SECTORS):
+        values = rng.uniform(-10.0, 12.0, grid.shape)
+        values[2, :] = values[2, 0]
+        values[:, 4] = values[:, 1]
+        patterns[sector] = values
+    patterns[1] = patterns[0].copy()
+    return PatternTable(grid, patterns)
+
+
 NAN_TABLE = _nan_table()
+TIE_TABLE = _tie_table()
+TABLES = {"nan": NAN_TABLE, "ties": TIE_TABLE}
 FUSIONS = ("product", "snr", "rssi")
 DOMAINS = ("linear", "db")
 KERNELS = {
-    (fusion, domain): (
-        AngleEstimator(NAN_TABLE, fusion=fusion, domain=domain),
-        ReferenceEstimator(NAN_TABLE, fusion=fusion, domain=domain),
+    (table, fusion, domain): (
+        AngleEstimator(TABLES[table], fusion=fusion, domain=domain),
+        ReferenceEstimator(TABLES[table], fusion=fusion, domain=domain),
     )
+    for table in TABLES
     for fusion in FUSIONS
     for domain in DOMAINS
 }
 
 
 @st.composite
-def stacked_batches(draw):
-    """Up to 3 stacks' worth of rows, widths 2–6, mostly-usable slots.
+def tied_batches(draw):
+    """Batches of 1–12 rows, widths 2–12, built to force exact ties.
 
-    Rows differ in usable count (masked and NaN slots), so groups of
-    equal count interleave; some batches repeat one row's sectors (a
-    fixed design, which shares one unit matrix per stack).
+    Rows may repeat a sector id (two readings of one pattern row), may
+    repeat an earlier row outright, and carry NaN readings and masked
+    slots; a row probing only sectors 0 and 1 of the tie table has an
+    exactly flat map up to rounding.
     """
-    n_rows = draw(st.integers(min_value=1, max_value=3 * estimator_module._STACK_ROWS + 2))
-    width = draw(st.integers(min_value=2, max_value=6))
-    fixed = draw(st.booleans())
+    n_rows = draw(st.integers(min_value=1, max_value=12))
+    width = draw(st.integers(min_value=2, max_value=12))
     sector_rows = st.lists(
-        st.integers(min_value=0, max_value=N_SECTORS - 1),
-        min_size=width,
-        max_size=width,
-        unique=True,
+        st.integers(min_value=0, max_value=N_SECTORS - 1), min_size=width, max_size=width
     )
-    first = draw(sector_rows)
-    ids = [first if fixed else draw(sector_rows) for _ in range(n_rows)]
     cells = st.lists(probe_value, min_size=width, max_size=width)
-    snr = [draw(cells) for _ in range(n_rows)]
-    rssi = [draw(cells) for _ in range(n_rows)]
-    mask = [draw(st.lists(st.booleans(), min_size=width, max_size=width)) for _ in range(n_rows)]
+    masks = st.lists(
+        st.integers(min_value=0, max_value=5).map(bool), min_size=width, max_size=width
+    )
+    ids, snr, rssi, mask = [], [], [], []
+    for _ in range(n_rows):
+        if ids and draw(st.integers(min_value=0, max_value=3)) == 0:
+            copied = draw(st.integers(min_value=0, max_value=len(ids) - 1))
+            row = (ids[copied], snr[copied], rssi[copied], mask[copied])
+        else:
+            row = (draw(sector_rows), draw(cells), draw(cells), draw(masks))
+        for column, value in zip((ids, snr, rssi, mask), row):
+            column.append(value)
     return np.array(ids), np.array(snr), np.array(rssi) - 60.0, np.array(mask)
+
+
+def _slots(batch):
+    ids, snr, rssi, mask = batch
+    return [
+        [
+            (int(ids[t, j]), float(snr[t, j]), float(rssi[t, j]))
+            for j in range(ids.shape[1])
+            if mask[t, j]
+        ]
+        for t in range(ids.shape[0])
+    ]
+
+
+def _key(estimate):
+    if estimate is None:
+        return None
+    return (
+        estimate.azimuth_deg,
+        estimate.elevation_deg,
+        estimate.n_probes_used,
+        estimate.grid_index,
+        np.float64(estimate.correlation).tobytes(),
+    )
 
 
 def _same(got, expected) -> bool:
     """Estimate lists equal field by field, a NaN correlation equal to NaN."""
-    def key(estimate):
-        if estimate is None:
-            return None
-        return (
-            estimate.azimuth_deg,
-            estimate.elevation_deg,
-            estimate.n_probes_used,
-            estimate.grid_index,
-            np.float64(estimate.correlation).tobytes(),
-        )
+    return [_key(e) for e in got] == [_key(e) for e in expected]
 
-    return [key(e) for e in got] == [key(e) for e in expected]
+
+def _arrays_equal(got, expected) -> bool:
+    return all(
+        np.array_equal(mine, theirs, equal_nan=True) for mine, theirs in zip(got, expected)
+    )
+
+
+KERNEL_CASES = [
+    (table, fusion, domain) for table in TABLES for fusion in FUSIONS for domain in DOMAINS
+]
 
 
 class TestStackedKernel:
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=60, deadline=None)
-    @given(batch=stacked_batches())
-    def test_stacked_rows_equal_reference(self, fusion, domain, batch):
-        estimator, reference = KERNELS[(fusion, domain)]
+    @given(batch=tied_batches(), table=st.sampled_from(sorted(TABLES)))
+    def test_stacked_rows_equal_reference(self, fusion, domain, batch, table):
+        estimator, reference = KERNELS[(table, fusion, domain)]
         ids, snr, rssi, mask = batch
-        slots = [
-            [
-                (int(ids[t, j]), float(snr[t, j]), float(rssi[t, j]))
-                for j in range(ids.shape[1])
-                if mask[t, j]
-            ]
-            for t in range(ids.shape[0])
-        ]
         assert _same(
             estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask),
-            reference.estimate_rows(slots),
+            reference.estimate_rows(_slots(batch)),
         )
 
     def test_nan_winner_and_all_nan_rows_take_the_finite_retake(self):
-        """Hand-built rows that hit both NaN paths inside one stack."""
-        estimator, reference = KERNELS[("snr", "linear")]
+        """Hand-built rows that hit both NaN paths inside one batch."""
+        estimator, reference = KERNELS[("nan", "snr", "linear")]
         ids = np.array([[5, 0, 1], [6, 2, 3], [0, 1, 2], [6, 5, 4], [5, 1, 3]])
         snr = np.tile([3.0, 9.0, 1.0], (5, 1))
         estimates = estimator.estimate_batch(ids, snr_db=snr)
@@ -318,16 +362,16 @@ class TestStackedKernel:
         assert np.isfinite(estimates[0].correlation)
 
     def test_quality_histograms_match_one_row_calls(self):
-        """Peak ratios are recorded per row, in trial order per count."""
-        estimator, _ = KERNELS[("product", "linear")]
+        """Peak ratios are recorded per row, in trial order."""
+        estimator, _ = KERNELS[("nan", "product", "linear")]
         rng = np.random.default_rng(8)
-        n_rows = 3 * estimator_module._STACK_ROWS + 1
+        n_rows = 13
         ids = np.array([rng.choice(5, 4, replace=False) for _ in range(n_rows)])
         snr = rng.uniform(-5.0, 25.0, ids.shape)
         rssi = rng.uniform(-80.0, -50.0, ids.shape)
         mask = rng.random(ids.shape) > 0.25
 
-        def stacked():
+        def batched():
             return estimator.estimate_fused_arrays(ids, snr, rssi, mask)
 
         def row_by_row():
@@ -338,7 +382,7 @@ class TestStackedKernel:
                 for t in range(n_rows)
             ]
 
-        batch, batch_histograms = _telemetry(stacked)
+        batch, batch_histograms = _telemetry(batched)
         rows, row_histograms = _telemetry(row_by_row)
         for field, values in zip(batch, zip(*rows)):
             assert np.array_equal(field, np.concatenate(values), equal_nan=True)
@@ -346,26 +390,85 @@ class TestStackedKernel:
         assert any(key.startswith("quality_peak_ratio") for key in batch_histograms)
 
 
-def _full_batch(table, n_rows, width, seed):
-    """``n_rows`` rows of ``width`` distinct random sectors, all usable."""
-    rng = np.random.default_rng(seed)
-    ids = np.array([rng.choice(table.sector_ids, width, replace=False) for _ in range(n_rows)])
-    return ids, rng.uniform(-5.0, 25.0, ids.shape), rng.uniform(-80.0, -50.0, ids.shape)
+class TestCertifiedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(KERNEL_CASES),
+        batch=tied_batches(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_a_row_is_the_same_alone_anywhere_and_at_any_batch_size(
+        self, case, batch, seed
+    ):
+        """Outputs are a pure function of the row: alone (padded, or
+        without its masked slots), shuffled into another position, or
+        split into dense blocks of any size."""
+        estimator, _ = KERNELS[case]
+        whole = estimator.estimate_fused_arrays(*batch)
+        n_rows = batch[0].shape[0]
+        for t in range(n_rows):
+            row = [field[t : t + 1] for field in whole]
+            alone = estimator.estimate_fused_arrays(*(part[t : t + 1] for part in batch))
+            assert _arrays_equal(row, alone)
+            kept = batch[3][t]
+            compact = estimator.estimate_fused_arrays(
+                *(part[t : t + 1, kept] for part in batch[:3])
+            )
+            assert _arrays_equal(row, compact)
+        order = np.random.default_rng(seed).permutation(n_rows)
+        shuffled = estimator.estimate_fused_arrays(*(part[order] for part in batch))
+        assert _arrays_equal([field[order] for field in whole], shuffled)
+        for block_rows in (1, 2, 5):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimator_module, "_BLOCK_ROWS", block_rows)
+                assert _arrays_equal(estimator.estimate_fused_arrays(*batch), whole)
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(KERNEL_CASES), batch=tied_batches())
+    def test_the_certificate_forced_off_changes_nothing(self, case, batch):
+        """Every row on the exact path gives the certified run's bits,
+        whether no gap is wide enough or no row is short enough."""
+        estimator, _ = KERNELS[case]
+        certified = estimator.estimate_fused_arrays(*batch)
+        for name, value in (("_CERTIFIED_GAP", np.inf), ("_CERTIFIED_MAX_PROBES", 1)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimator_module, name, value)
+                assert _arrays_equal(estimator.estimate_fused_arrays(*batch), certified)
 
-class TestScratchBuffers:
-    def test_a_warm_stacked_call_allocates_less_than_one_stack(self, pattern_table):
-        estimator = AngleEstimator(pattern_table)
-        batch = _full_batch(pattern_table, 64, 34, seed=1)
-        estimator.estimate_fused_arrays(*batch)  # grows this thread's scratch
-        tracemalloc.start()
-        try:
-            estimator.estimate_fused_arrays(*batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        stack_bytes = estimator_module._STACK_ROWS * 34 * estimator.search_grid.n_points * 8
-        assert peak < stack_bytes
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(KERNEL_CASES), batch=tied_batches())
+    def test_the_correlation_is_the_full_map_value_at_the_winner(self, case, batch):
+        estimator, reference = KERNELS[case]
+        n_probes, best_index, best_corr = estimator.estimate_fused_arrays(*batch)
+        for t, slots in enumerate(_slots(batch)):
+            if best_index[t] < 0:
+                continue
+            surface, _ = reference.surface(slots)
+            assert np.isclose(
+                best_corr[t], surface[best_index[t]], rtol=1e-13, atol=0.0, equal_nan=True
+            )
+
+    def test_ties_take_the_exact_path_and_the_rest_are_certified(self, monkeypatch):
+        estimator, reference = KERNELS[("ties", "product", "linear")]
+        exact_rows = []
+        original = AngleEstimator._exact_argmax
+
+        def counting(self, rows, *rest):
+            exact_rows.append(rows.tolist())
+            return original(self, rows, *rest)
+
+        monkeypatch.setattr(AngleEstimator, "_exact_argmax", counting)
+        rng = np.random.default_rng(4)
+        ids = np.array([rng.choice(np.arange(2, N_SECTORS), 4, replace=False) for _ in range(8)])
+        ids[2] = [0, 1, 0, 1]  # one pattern row four times: a flat map
+        ids[5] = [3, 3, 3, 3]
+        snr = rng.uniform(-5.0, 25.0, ids.shape)
+        rssi = rng.uniform(-80.0, -50.0, ids.shape)
+        batch = (ids, snr, rssi, np.ones(ids.shape, dtype=bool))
+        got = estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi)
+        assert _same(got, reference.estimate_rows(_slots(batch)))
+        assert [0, 1, 0, 1] in exact_rows and [3, 3, 3, 3] in exact_rows
+        assert len(exact_rows) < ids.shape[0]
 
     def test_threads_sharing_an_estimator_get_the_serial_results(self, pattern_table):
         estimator = AngleEstimator(pattern_table)
@@ -386,8 +489,8 @@ class TestScratchBuffers:
                 for index in order
             ]
 
-        # More threads than cores, switching often: a buffer shared
-        # between threads would be overwritten mid-stack.
+        # More threads than cores, switching often: any state shared
+        # between threads would be overwritten mid-call.
         threads = [threading.Thread(target=work, args=(order,)) for order in orders]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -402,17 +505,14 @@ class TestScratchBuffers:
         assert len(results) == len(orders)
         for runs in results.values():
             for index, got in runs:
-                for mine, theirs in zip(got, serial[index]):
-                    assert np.array_equal(mine, theirs, equal_nan=True)
+                assert _arrays_equal(got, serial[index])
 
-    def test_a_buffer_grown_for_34_probes_serves_6(self, pattern_table):
+    def test_real_table_rows_equal_reference(self, pattern_table):
+        """The measured table's 35 sectors on its own grid, M from 6 to 34."""
         estimator = AngleEstimator(pattern_table)
         reference = ReferenceEstimator(pattern_table)
-        pairs = []
-        for width in (34, 6):
-            ids, snr, rssi = _full_batch(
-                pattern_table, 2 * estimator_module._STACK_ROWS + 1, width, seed=width
-            )
+        for width in (6, 20, 34):
+            ids, snr, rssi = _full_batch(pattern_table, 9, width, seed=width)
             slots = [
                 [(int(s), float(a), float(b)) for s, a, b in zip(*row)]
                 for row in zip(ids, snr, rssi)
@@ -421,8 +521,13 @@ class TestScratchBuffers:
                 estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi),
                 reference.estimate_rows(slots),
             )
-            pairs.append(estimator_module._SCRATCH.pair)
-        assert pairs[0] is pairs[1]
+
+
+def _full_batch(table, n_rows, width, seed):
+    """``n_rows`` rows of ``width`` distinct random sectors, all usable."""
+    rng = np.random.default_rng(seed)
+    ids = np.array([rng.choice(table.sector_ids, width, replace=False) for _ in range(n_rows)])
+    return ids, rng.uniform(-5.0, 25.0, ids.shape), rng.uniform(-80.0, -50.0, ids.shape)
 
 
 # ----------------------------------------------------------------------
