@@ -431,7 +431,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             state_dir=args.state_dir,
             drain_timeout_s=args.drain_timeout,
-            sweep_shm=args.sweep_shm,
             history_limit=args.history_limit,
             trace_path=args.trace,
             trace_max_mb=args.trace_max_mb,
@@ -452,7 +451,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .runtime.checkpoint import sweep_orphaned_journals
-    from .runtime.shm import sweep_leaked_segments
     from .service.registry import RunRegistry
 
     if args.state_dir:
@@ -478,10 +476,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     swept = sweep_orphaned_journals(state_dir, referenced)
     for path in swept:
         print(f"gc: reclaimed orphaned checkpoint journal {path}")
-    segments = sweep_leaked_segments() if args.sweep_shm else []
-    for segment in segments:
-        print(f"gc: reclaimed leaked shm segment {segment}")
-    print(f"gc: reclaimed {len(swept)} journal(s), {len(segments)} shm segment(s)")
+    print(f"gc: reclaimed {len(swept)} journal(s)")
     return 0
 
 
@@ -773,11 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are cancelled back to queued (resumed on next start)",
     )
     serve_sub.add_argument(
-        "--sweep-shm", action="store_true",
-        help="reclaim leaked repro-kernels-* /dev/shm segments (those "
-        "whose publisher process is gone) at startup",
-    )
-    serve_sub.add_argument(
         "--history-limit", type=int, default=512,
         help="finished runs retained in memory before eviction",
     )
@@ -803,16 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_log_level(runs_sub)
     runs_sub.add_argument(
         "action", choices=("gc",),
-        help="gc: sweep orphaned checkpoint journals (and, with "
-        "--sweep-shm, leaked /dev/shm segments) from a state dir",
+        help="gc: sweep orphaned checkpoint journals from a state dir",
     )
     runs_sub.add_argument(
         "--state-dir", metavar="DIR", default=None,
         help="service state dir to sweep (default: <cache>/service)",
-    )
-    runs_sub.add_argument(
-        "--sweep-shm", action="store_true",
-        help="also reclaim leaked repro-kernels-* /dev/shm segments",
     )
     runs_sub.set_defaults(handler=_cmd_runs)
 

@@ -627,7 +627,7 @@ def _worker_run_chunks(
             blocks, obs_metas, directive, testbed_key, False,
         )
 
-    # The plan segment is mapped for this task only: it is unlinked
+    # The plan segment is mapped for this task only: it is released
     # when its execute call settles, so no worker keeps it attached.
     try:
         return _shm_borrow(blocks_manifest, mapped)
@@ -877,7 +877,7 @@ class ScenarioRunner:
         re-publication.  Each child is hung up on and reaped.  Always
         reached via the context-manager exit or an explicit
         ``close()``; on SIGKILL the children die with this process and
-        the shm segments' resource-tracker registration unlinks them.
+        the kernel frees the shm segments with their last holder.
         """
         for child in self._children:
             child.close()
@@ -1453,7 +1453,7 @@ class ScenarioRunner:
         )
 
     def _close(self, call: "_Call") -> None:
-        """A pooled call is settled or dropped: unlink its block segment."""
+        """A pooled call is settled or dropped: release its block segment."""
         call.closed = True
         self._unsettled.remove(call)
         if call.blocks_key is not None:
@@ -1541,7 +1541,7 @@ class ScenarioRunner:
         ``mask``) for the whole call: chunk tasks then carry row ranges
         instead of pickled arrays, and workers slice read-only views —
         the zero-copy half of the dispatch.  The segment lives for this
-        one call: it is unlinked when the call settles (:meth:`_close`).
+        one call: it is released when the call settles (:meth:`_close`).
         """
         plan = call.blocks
         call.blocks_key = f"blocks::{next(self._block_segments)}"

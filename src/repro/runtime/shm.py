@@ -6,62 +6,54 @@ selector then re-samples two full pattern matrices on the search grid
 — ~20 ms of bilinear interpolation *per worker per policy*, plus a
 private copy of arrays the parent already holds.
 
-This module moves those arrays into one POSIX shared-memory segment
-per (testbed, policy) configuration, published **once** by the
-supervising process and attached **by name** by every worker:
+This module moves those arrays into one anonymous shared-memory file
+(``memfd_create``) per (testbed, policy) configuration, published
+**once** by the supervising process and opened **through its fd** by
+every worker:
 
-* :class:`KernelPublisher` (parent side) lays the arrays out in a
-  single :class:`multiprocessing.shared_memory.SharedMemory` segment
-  (64-byte-aligned offsets) and hands out a picklable
-  :class:`SharedKernelManifest` describing the layout.  Segments are
-  memoized per publication key, so repeated runs over the same spec —
-  the service's warm-pool case — publish nothing new.
-* :func:`attach` (worker side) maps the segment and returns read-only
-  ``np.ndarray`` views over the shared buffer.  The views are byte
-  copies of exactly what the worker's own construction would compute
-  (construction is deterministic in the spec), so shared-kernel
-  workers remain bit-for-bit identical to rebuild-from-spec workers.
+* :class:`KernelPublisher` (parent side) writes the arrays into a
+  single memfd (64-byte-aligned offsets), keeps the fd open and hands
+  out a picklable :class:`SharedKernelManifest` describing the file
+  and its layout.  Segments are memoized per publication key, so
+  repeated runs over the same spec — the service's warm-pool case —
+  publish nothing new.
+* :func:`attach` (worker side) opens ``/proc/<publisher>/fd/<fd>``,
+  checks that the fd still names the published file, maps it
+  read-only and returns ``np.ndarray`` views over the mapping.  The
+  views are byte copies of exactly what the worker's own construction
+  would compute (construction is deterministic in the spec), so
+  shared-kernel workers remain bit-for-bit identical to
+  rebuild-from-spec workers.
 
 The runner also publishes each pooled execute call's trial blocks
-here, one segment per call: it unlinks that segment with
+here, one segment per call: it closes that segment with
 :meth:`KernelPublisher.release` when the call settles, and a worker
 maps it only for the task that reads it (:func:`borrow`).
 
-Lifecycle: the parent owns every segment and unlinks whatever is left
-in :meth:`KernelPublisher.close` (the runner's ``close()``); workers
-only ever ``close()`` their mapping, never unlink.  Under the fork start
-method parent and workers share one :mod:`multiprocessing.resource_tracker`
-process, so a worker's attach-time registration is a no-op set-add on
-the name the parent already registered at create — worker exits (even
-``os._exit`` crashes) never touch the segment, and the single
-registration means the tracker reaps the segment if the supervising
-process dies without ``close()`` (SIGKILL).  The tracker reaps once
-every holder of its pipe has exited, workers included; workers die
-with the supervisor (:mod:`.proc`), so nothing leaks in ``/dev/shm``
-even on the crash paths (``tests/test_proc.py`` kills a CLI run).
+Lifecycle: a segment has no name anywhere, so nothing is registered,
+tracked or swept.  The kernel frees it once its last holder lets go:
+the publisher's fd (closed by :meth:`KernelPublisher.release` and
+:meth:`KernelPublisher.close`, or by the publisher's death, SIGKILL
+included) and every worker mapping (closed after a :func:`borrow`, on
+eviction, or by the worker's death).  A child forked after a publish
+closes the fds it inherited (:func:`_close_inherited`), so a released
+segment never lives on in a pool child.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 import os
 import secrets
+import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
-__all__ = [
-    "SharedKernelManifest",
-    "KernelPublisher",
-    "attach",
-    "borrow",
-    "leaked_segments",
-    "sweep_leaked_segments",
-]
+__all__ = ["SharedKernelManifest", "KernelPublisher", "attach", "borrow"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -71,16 +63,14 @@ _T = TypeVar("_T")
 #: cache-line boundary regardless of the preceding array's size.
 _ALIGN = 64
 
-#: Prefix of every segment this module creates (greppable in /dev/shm).
+#: Prefix of every segment's memfd name (``/memfd:repro-kernels-*`` in
+#: ``/proc/<pid>/fd`` and ``/proc/<pid>/maps``).
 _SEGMENT_PREFIX = "repro-kernels-"
-
-#: Where Linux keeps POSIX shared-memory segments, one file each.
-_SHM_ROOT = Path("/dev/shm")
 
 #: Publisher-side cap on live segments.  Long-lived runners (the
 #: service) keep one kernel segment per policy configuration; block
 #: segments live for one execute call, so at most a few are live at
-#: once.  Beyond the cap the oldest segment is unlinked FIFO; a call
+#: once.  Beyond the cap the oldest segment is released FIFO; a call
 #: publishes at most two segments, so with the runner's few calls in
 #: flight a manifest handed to a dispatch always outlives it.
 _MAX_SEGMENTS = 128
@@ -96,10 +86,18 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
+def _identity(stat: os.stat_result) -> Tuple[int, int]:
+    return stat.st_dev, stat.st_ino
+
+
 @dataclass(frozen=True)
 class SharedKernelManifest:
-    """Picklable description of one published segment's layout.
+    """Picklable description of one published segment.
 
+    ``segment`` is the memfd's unique name, ``pid`` and ``fd`` the
+    publisher's process and open fd, ``inode`` the file's
+    ``(st_dev, st_ino)`` — what tells it apart from a later file that
+    reuses the fd number — and ``size`` its length in bytes.
     ``entries`` maps array name → ``(offset, shape, dtype-str)``; the
     manifest travels to workers inside task submissions (a few hundred
     bytes) instead of the arrays themselves (hundreds of kilobytes,
@@ -107,42 +105,26 @@ class SharedKernelManifest:
     """
 
     segment: str
+    pid: int
+    fd: int
+    inode: Tuple[int, int]
+    size: int
     entries: Mapping[str, Tuple[int, Tuple[int, ...], str]]
 
 
-def _revive_resource_tracker() -> None:
-    """Respawn multiprocessing's resource tracker after it died.
-
-    Creating a segment registers it with the tracker over a pipe.
-    ``ensure_running`` probes the pipe before each write and relaunches
-    a tracker it finds dead (Python 3.9–3.13, with a ``UserWarning``),
-    so a tracker killed between two creates costs nothing here.  Only
-    one that dies between the probe and the write fails the
-    registration with EPIPE.  Forgetting the dead pipe makes
-    ``ensure_running`` launch a fresh tracker.
-    """
-    from multiprocessing import resource_tracker
-
-    tracker = resource_tracker._resource_tracker
-    with tracker._lock:
-        if tracker._fd is not None:
-            try:
-                os.close(tracker._fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-            tracker._fd = None
-    tracker.ensure_running()
+#: Every live publisher, for the fork hook.
+_PUBLISHERS: "weakref.WeakSet[KernelPublisher]" = weakref.WeakSet()
 
 
 class KernelPublisher:
     """Parent-side registry of published shared-memory segments."""
 
     def __init__(self) -> None:
-        self._segments: Dict[str, shared_memory.SharedMemory] = {}
         self._manifests: Dict[str, SharedKernelManifest] = {}
+        _PUBLISHERS.add(self)
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._manifests)
 
     def manifest(self, key: str) -> Optional[SharedKernelManifest]:
         """The manifest published under ``key``, if any."""
@@ -160,64 +142,74 @@ class KernelPublisher:
         existing = self._manifests.get(key)
         if existing is not None:
             return existing
+        contiguous = {name: np.ascontiguousarray(array) for name, array in arrays.items()}
         entries: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
         offset = 0
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
+        for name, array in contiguous.items():
             offset = _aligned(offset)
             entries[name] = (offset, tuple(array.shape), array.dtype.str)
             offset += array.nbytes
-        segment_name = f"{_SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(8)}"
+        name = f"{_SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(8)}"
+        fd = os.memfd_create(name, os.MFD_CLOEXEC)
         try:
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(offset, 1), name=segment_name
-            )
-        except BrokenPipeError:
-            # The registration failed after the segment was created,
-            # sized and mapped: unlink it before creating it again.
-            os.unlink(_SHM_ROOT / segment_name)
-            _revive_resource_tracker()
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(offset, 1), name=segment_name
-            )
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            start, shape, dtype = entries[name]
-            view = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=start)
-            view[...] = array
-        manifest = SharedKernelManifest(segment=segment.name, entries=dict(entries))
-        self._segments[key] = segment
+            size = max(offset, 1)
+            os.ftruncate(fd, size)
+            for entry, array in contiguous.items():
+                written = os.pwrite(fd, array.reshape(-1).view(np.uint8), entries[entry][0])
+                if written != array.nbytes:
+                    raise OSError(f"short write to shared segment {name}")
+            stat = os.fstat(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        manifest = SharedKernelManifest(
+            segment=name,
+            pid=os.getpid(),
+            fd=fd,
+            inode=_identity(stat),
+            size=size,
+            entries=entries,
+        )
         self._manifests[key] = manifest
-        while len(self._segments) > _MAX_SEGMENTS:
-            self.release(next(iter(self._segments)))
+        while len(self._manifests) > _MAX_SEGMENTS:
+            self.release(next(iter(self._manifests)))
         _LOGGER.debug(
             "published %d shared kernel array(s) (%d bytes) as %s",
             len(entries),
-            segment.size,
-            segment.name,
+            size,
+            name,
         )
         return manifest
 
     def release(self, key: str) -> None:
-        """Unmap and unlink the segment published under ``key``, if any.
+        """Close the segment published under ``key``, if any.
 
         Workers still reading it keep their mapping; only new attaches
         fail.
         """
-        segment = self._segments.pop(key, None)
-        self._manifests.pop(key, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
+        manifest = self._manifests.pop(key, None)
+        if manifest is not None:
+            os.close(manifest.fd)
 
     def close(self) -> None:
-        """Unmap and unlink every published segment (idempotent)."""
-        for key in list(self._segments):
+        """Close every published segment (idempotent)."""
+        for key in list(self._manifests):
             self.release(key)
+
+
+def _close_inherited() -> None:
+    """In a freshly forked child: close the publisher fds it inherited.
+
+    The child's copies of the parent's publishers own nothing, so a
+    segment the parent releases is freed while the child lives on.
+    """
+    for publisher in list(_PUBLISHERS):
+        for manifest in publisher._manifests.values():
+            os.close(manifest.fd)
+        publisher._manifests.clear()
+
+
+os.register_at_fork(after_in_child=_close_inherited)
 
 
 # ----------------------------------------------------------------------
@@ -225,31 +217,49 @@ class KernelPublisher:
 # ----------------------------------------------------------------------
 
 #: Per-process cache of attached segments: segment name → (mapping,
-#: views).  Keeping the SharedMemory object referenced keeps the buffer
-#: mapped for the lifetime of the views.
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]] = {}
+#: views).  Keeping the mapping referenced keeps it alive for the
+#: lifetime of the views.
+_ATTACHED: Dict[str, Tuple[mmap.mmap, Dict[str, np.ndarray]]] = {}
 
 #: Mappings dropped from ``_ATTACHED`` while some view of them was still
 #: alive — a cached worker policy, selector or probe design keeps the
 #: kernel views it was seeded with.  Each is unmapped once its last
 #: view is gone.
-_RETIRED: List[shared_memory.SharedMemory] = []
+_RETIRED: List[mmap.mmap] = []
 
 
-def _release(segments: List[shared_memory.SharedMemory]) -> None:
+def _map(manifest: SharedKernelManifest) -> mmap.mmap:
+    """Map a published segment read-only through its publisher's fd.
+
+    Raises ``FileNotFoundError`` when the publisher released the
+    segment or died, or when its fd number now names another file —
+    which is checked before the file is opened, and again once it is.
+    """
+    path = f"/proc/{manifest.pid}/fd/{manifest.fd}"
+    if _identity(os.stat(path)) != manifest.inode:
+        raise FileNotFoundError(2, "segment released", manifest.segment)
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if _identity(os.fstat(fd)) != manifest.inode:
+            raise FileNotFoundError(2, "segment released", manifest.segment)
+        return mmap.mmap(fd, manifest.size, prot=mmap.PROT_READ)
+    finally:
+        os.close(fd)
+
+
+def _release(mappings: List[mmap.mmap]) -> None:
     """Unmap every dropped mapping no view still reads; retire the rest.
 
     Views come from ``np.frombuffer``, which holds a buffer export on
     the mapping, so ``close()`` raises ``BufferError`` instead of
-    unmapping memory a live view reads (``np.ndarray(buffer=...)``
-    holds no export, and ``close()`` would unmap under it).
+    unmapping memory a live view reads.
     """
     live = []
-    for segment in [*_RETIRED, *segments]:
+    for mapping in [*_RETIRED, *mappings]:
         try:
-            segment.close()
+            mapping.close()
         except BufferError:
-            live.append(segment)
+            live.append(mapping)
     _RETIRED[:] = live
 
 
@@ -262,12 +272,6 @@ def _view(buffer, entry: Tuple[int, Tuple[int, ...], str]) -> np.ndarray:
     return view
 
 
-def _views(
-    segment: shared_memory.SharedMemory, manifest: SharedKernelManifest
-) -> Dict[str, np.ndarray]:
-    return {name: _view(segment.buf, entry) for name, entry in manifest.entries.items()}
-
-
 class _LazyViews(Mapping[str, np.ndarray]):
     """A manifest's views, each built on its first read.
 
@@ -276,10 +280,8 @@ class _LazyViews(Mapping[str, np.ndarray]):
     published.
     """
 
-    def __init__(
-        self, segment: shared_memory.SharedMemory, manifest: SharedKernelManifest
-    ) -> None:
-        self._buffer = segment.buf
+    def __init__(self, mapping: mmap.mmap, manifest: SharedKernelManifest) -> None:
+        self._buffer = mapping
         self._entries = manifest.entries
         self._built: Dict[str, np.ndarray] = {}
 
@@ -301,15 +303,15 @@ def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
 
     Safe to call repeatedly — each process maps a segment once and
     reuses the views.  Raises ``FileNotFoundError`` when the segment
-    no longer exists (the publisher closed); callers degrade to
-    rebuilding from the spec.
+    is no longer published (released, or the publisher died); callers
+    degrade to rebuilding from the spec.
     """
     cached = _ATTACHED.get(manifest.segment)
     if cached is not None:
         return cached[1]
-    segment = shared_memory.SharedMemory(name=manifest.segment, create=False)
-    views = _views(segment, manifest)
-    _ATTACHED[manifest.segment] = (segment, views)
+    mapping = _map(manifest)
+    views = {name: _view(mapping, entry) for name, entry in manifest.entries.items()}
+    _ATTACHED[manifest.segment] = (mapping, views)
     evicted = []
     while len(_ATTACHED) > _MAX_ATTACHED:
         evicted.append(_ATTACHED.pop(next(iter(_ATTACHED)))[0])
@@ -326,76 +328,14 @@ def borrow(
     nothing is cached, a view is built only for an entry ``body``
     reads, and the mapping is closed when ``body`` returns — or
     retired until the last view something still holds is gone.
-    Raises ``FileNotFoundError`` when the segment no longer exists.
+    Raises ``FileNotFoundError`` when the segment is no longer
+    published.
     """
-    segment = shared_memory.SharedMemory(name=manifest.segment, create=False)
+    mapping = _map(manifest)
     try:
-        return body(_LazyViews(segment, manifest))
+        return body(_LazyViews(mapping, manifest))
     finally:
-        _release([segment])
-
-
-def _publisher_alive(name: str) -> bool:
-    """Is the process that published segment ``name`` still running?
-
-    A name is ``<prefix><publisher pid>-<token>``.  A zombie no longer
-    publishes or maps anything, so it counts as gone; a name without a
-    pid (an older layout) has no publisher to ask and counts as gone too.
-    """
-    pid, _, _ = name[len(_SEGMENT_PREFIX):].partition("-")
-    if not pid.isdigit():
-        return False
-    try:
-        stat = (Path("/proc") / pid / "stat").read_text()
-    except FileNotFoundError:
-        return False
-    except OSError:  # pragma: no cover - unreadable: assume it lives
-        return True
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-def leaked_segments() -> List[str]:
-    """Names of ``repro-kernels-*`` segments whose publisher is gone.
-
-    Each name carries its publisher's pid (:meth:`KernelPublisher.publish`),
-    and a live publisher unlinks its own segments, so a segment whose
-    publisher no longer runs is a leak — the resource tracker normally
-    reaps them even through SIGKILL, but a tracker killed alongside its
-    supervisor (a whole process group SIGKILLed at once) leaves the
-    files behind.  A live process's segments never count, whoever
-    asks.  Returns an empty list on platforms without a ``/dev/shm``.
-    """
-    if not _SHM_ROOT.is_dir():  # pragma: no cover - non-Linux
-        return []
-    return sorted(
-        path.name
-        for path in _SHM_ROOT.glob(f"{_SEGMENT_PREFIX}*")
-        if not _publisher_alive(path.name)
-    )
-
-
-def sweep_leaked_segments() -> List[str]:
-    """Unlink every leaked ``repro-kernels-*`` segment; return the names.
-
-    Startup-time GC for the service and ``runs gc --sweep-shm``.  Only
-    segments whose publisher pid no longer runs are swept
-    (:func:`leaked_segments`), so a sweep never fails another live
-    service's or CLI run's pooled call.
-    """
-    reclaimed: List[str] = []
-    for name in leaked_segments():
-        try:
-            os.unlink(_SHM_ROOT / name)
-        except FileNotFoundError:  # pragma: no cover - raced with reaper
-            continue
-        reclaimed.append(name)
-    if reclaimed:
-        _LOGGER.warning(
-            "swept %d leaked shared-memory segment(s): %s",
-            len(reclaimed),
-            ", ".join(reclaimed),
-        )
-    return reclaimed
+        _release([mapping])
 
 
 def detach_all() -> None:
@@ -405,6 +345,6 @@ def detach_all() -> None:
     until those views are gone; a later :func:`attach` re-maps from
     scratch.
     """
-    segments = [segment for segment, _views in _ATTACHED.values()]
+    mappings = [mapping for mapping, _views in _ATTACHED.values()]
     _ATTACHED.clear()
-    _release(segments)
+    _release(mappings)

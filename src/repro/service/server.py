@@ -77,7 +77,6 @@ from ..runtime import RetryPolicy, ScenarioRunner, ScenarioSpec, load_builtin
 from ..runtime.checkpoint import sweep_orphaned_journals
 from ..runtime.faults import DeadlineExceededError, RunCancelledError
 from ..runtime.proc import Child, ChildDied
-from ..runtime.shm import sweep_leaked_segments
 from .registry import RunRegistry
 
 __all__ = ["RunRecord", "SelectionService", "ServiceConfig", "serve"]
@@ -129,9 +128,6 @@ class ServiceConfig:
             under ``service/``).
         drain_timeout_s: how long a graceful shutdown waits (>= 0) for
             in-flight runs before cancelling them back to ``queued``.
-        sweep_shm: sweep leaked ``repro-kernels-*`` /dev/shm segments
-            (those whose publisher pid no longer runs) at startup;
-            ``repro-bench serve --sweep-shm`` turns it on.
         history_limit: finished runs retained in memory (>= 0); older
             records (and their journals) are evicted.
         max_body_bytes: request-body cap (413 beyond it).
@@ -157,7 +153,6 @@ class ServiceConfig:
     checkpoint_dir: Optional[str] = None
     state_dir: Optional[str] = None
     drain_timeout_s: float = 30.0
-    sweep_shm: bool = False
     history_limit: int = 512
     max_body_bytes: int = 1024 * 1024
     trace_path: Optional[str] = None
@@ -725,14 +720,10 @@ class SelectionService:
             _LOGGER.info("compacted run registry (%d events dropped)", compacted)
 
     def _collect_garbage(self) -> None:
-        """Sweep orphans a crashed predecessor left behind.
-
-        * checkpoint journals in the journal dir that no retained run
-          references (their runs were evicted, or the registry that
-          knew them is gone);
-        * leaked ``repro-kernels-*`` /dev/shm segments (publisher
-          pid gone), when ``sweep_shm`` is set.
-        """
+        """Sweep the checkpoint journals a crashed predecessor left
+        behind: those in the journal dir that no retained run
+        references (their runs were evicted, or the registry that knew
+        them is gone)."""
         swept = sweep_orphaned_journals(
             self.config.resolved_checkpoint_dir(),
             (record.checkpoint_path for record in self._runs.values()),
@@ -740,15 +731,6 @@ class SelectionService:
         for path in swept:
             self.metrics.inc("service_gc_total", kind="journal")
             _LOGGER.warning("gc: reclaimed orphaned checkpoint journal %s", path)
-        segments = sweep_leaked_segments() if self.config.sweep_shm else []
-        for _ in segments:
-            self.metrics.inc("service_gc_total", kind="shm")
-        if swept or segments:
-            _LOGGER.warning(
-                "startup gc reclaimed %d journal(s), %d shm segment(s)",
-                len(swept),
-                len(segments),
-            )
 
     # -- HTTP dispatch ---------------------------------------------------
 
@@ -1317,8 +1299,8 @@ class SelectionService:
         # Resource-plane gauges: live shared-memory segments across the
         # run processes' runners (as of each one's last reply), the
         # registry WAL's size on disk, and how full the finished-run
-        # history is — the three quantities an operator had to infer
-        # from /dev/shm and du before.
+        # history is.  The segments are anonymous, so this gauge is the
+        # only place an operator sees them counted.
         self.metrics.set_gauge("service_shm_segments", sum(self._shm_segments))
         if self._registry is not None:
             try:

@@ -1,12 +1,14 @@
 """Process-tree and shared-memory probes for the crash tests.
 
 Read from ``/proc`` only: who a process's children are, whether they
-still run, which ``repro-kernels-*`` segments they map and which they
+still run, which ``repro-kernels-*`` segments they hold an fd of or
+map (``/memfd:repro-kernels-*`` links and mappings) and which they
 published (the publisher pid is part of each name).  Children
 are forked, so they share their parent's command line; tell them apart
 by parent pid, as these helpers do.
 """
 
+import os
 import time
 from pathlib import Path
 from typing import Iterable, List, Set
@@ -36,8 +38,8 @@ def children(pid: int) -> List[int]:
 
 
 def all_children(pid: int) -> List[int]:
-    """Every descendant process of ``pid``: a service's run processes,
-    their pool workers and resource trackers."""
+    """Every descendant process of ``pid``: a service's run processes
+    and their pool workers."""
     found: List[int] = []
     pending = children(pid)
     while pending:
@@ -46,20 +48,6 @@ def all_children(pid: int) -> List[int]:
             found.append(child)
             pending.extend(children(child))
     return sorted(found)
-
-
-def pool_children(pid: int) -> List[int]:
-    """Descendants of ``pid`` without the resource trackers: run
-    processes and pool workers."""
-    found: List[int] = []
-    for child in all_children(pid):
-        try:
-            cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
-        except OSError:
-            continue
-        if b"resource_tracker" not in cmdline:
-            found.append(child)
-    return found
 
 
 def running(pid: int) -> bool:
@@ -81,9 +69,32 @@ def survivors(pids: Iterable[int], timeout_s: float = 10.0) -> List[int]:
     return alive
 
 
+def _memfd_name(target: str) -> str:
+    """The segment name in a ``/memfd:<name> (deleted)`` path, or ''."""
+    prefix = f"/memfd:{shm._SEGMENT_PREFIX}"
+    if not target.startswith(prefix):
+        return ""
+    return target[len("/memfd:"):].removesuffix(" (deleted)")
+
+
+def held_segments(pids: Iterable[int]) -> Set[str]:
+    """The ``repro-kernels-*`` segments any of ``pids`` holds an fd of."""
+    segments: Set[str] = set()
+    for pid in pids:
+        try:
+            fds = list(Path(f"/proc/{pid}/fd").iterdir())
+        except OSError:
+            continue
+        for fd in fds:
+            try:
+                segments.add(_memfd_name(os.readlink(fd)))
+            except OSError:  # closed meanwhile
+                continue
+    return segments - {""}
+
+
 def mapped_segments(pids: Iterable[int]) -> Set[str]:
     """The ``repro-kernels-*`` segments any of ``pids`` has mapped."""
-    prefix = f"/dev/shm/{shm._SEGMENT_PREFIX}"
     segments: Set[str] = set()
     for pid in pids:
         try:
@@ -92,13 +103,16 @@ def mapped_segments(pids: Iterable[int]) -> Set[str]:
             continue
         for line in maps.splitlines():
             fields = line.split(maxsplit=5)
-            if len(fields) == 6 and fields[5].startswith(prefix):
-                segments.add(fields[5].removesuffix(" (deleted)"))
-    return segments
+            if len(fields) == 6:
+                segments.add(_memfd_name(fields[5]))
+    return segments - {""}
 
 
 def published_segments(pids: Iterable[int]) -> Set[str]:
-    """The ``repro-kernels-*`` segments in ``/dev/shm`` published by ``pids``."""
+    """The ``repro-kernels-*`` segments ``pids`` published and still hold.
+
+    A segment's name carries its publisher's pid, so a concurrent
+    process's segments are never counted.
+    """
     prefixes = tuple(f"{shm._SEGMENT_PREFIX}{pid}-" for pid in pids)
-    root = Path("/dev/shm")
-    return {path.name for path in root.iterdir() if path.name.startswith(prefixes)}
+    return {name for name in held_segments(pids) if name.startswith(prefixes)}

@@ -9,13 +9,14 @@ Two promises from the sharded-execution layer (DESIGN.md §12):
   probe subsets — and so do one-sweep ``select`` calls;
 * shared-memory segments published for pool workers never outlive
   their :class:`~repro.runtime.shm.KernelPublisher` — runner close,
-  pool-crash replacement and eviction all leave ``/dev/shm`` clean,
-  and workers seeded from shared kernels return the same bits as
-  workers that rebuilt from the spec.
+  pool-crash replacement and eviction all leave no segment held, a
+  child forked after a publish holds none of the parent's, a released
+  segment (or a stale fd number) fails to attach, and workers seeded
+  from shared kernels return the same bits as workers that rebuilt
+  from the spec.
 """
 
 import contextlib
-import glob
 import os
 import subprocess
 import sys
@@ -35,9 +36,11 @@ from repro.core.policy import CompressivePolicy, seed_shared_selector
 from repro.runtime import FaultPlan, RetryPolicy, ScenarioRunner
 from repro.runtime.faults import FaultSpec, RetryExhaustedError
 from repro.runtime.policy import PolicyContext
+from repro.runtime.proc import Child
 from repro.runtime.runner import TrialBlock, TrialPlan
 from repro.runtime.spec import PolicySpec, ScenarioSpec
 
+from tests.process_tree import held_segments, mapped_segments
 from tests.reference_kernel import (
     N_SECTORS,
     ReferenceSelector,
@@ -238,7 +241,16 @@ class TestChunkPlanner:
 
 
 def _kernel_segments():
-    return set(glob.glob(f"/dev/shm/{shm._SEGMENT_PREFIX}*"))
+    """The segments this process holds an fd of or maps."""
+    return held_segments([os.getpid()]) | mapped_segments([os.getpid()])
+
+
+def _segments_around_a_borrow(manifest):
+    """In a forked child: the segments it holds before, during and after
+    a borrow of ``manifest``."""
+    before = _kernel_segments()
+    during = shm.borrow(manifest, lambda views: _kernel_segments())
+    return before, during, _kernel_segments()
 
 
 class TestShmModule:
@@ -271,6 +283,7 @@ class TestShmModule:
             publisher.close()
 
     def test_close_unlinks_every_segment(self):
+        # Nothing is named, so "unlinked" means no fd or mapping left.
         before = _kernel_segments()
         publisher = shm.KernelPublisher()
         manifest = publisher.publish("k", {"a": np.zeros(8)})
@@ -281,35 +294,37 @@ class TestShmModule:
             shm.attach(manifest)
         publisher.close()  # idempotent
 
-    def test_a_tracker_lost_mid_create_leaves_no_segment(self, monkeypatch):
-        # CPython creates, sizes and maps a segment before it registers
-        # the name with the resource tracker: a tracker that dies
-        # between its liveness probe and that write fails the create
-        # after the segment exists.  The real revive would replace this
-        # process's tracker under every other test, so it is counted.
-        from multiprocessing import resource_tracker
-
-        prefix = f"repro-publish-test-{os.getpid()}-"
-        monkeypatch.setattr(shm, "_SEGMENT_PREFIX", prefix)
-        revived = []
-        monkeypatch.setattr(shm, "_revive_resource_tracker", lambda: revived.append(1))
-        register = resource_tracker.register
-
-        def broken_once(name, rtype):
-            monkeypatch.setattr(resource_tracker, "register", register)
-            raise BrokenPipeError(32, "Broken pipe")
-
-        monkeypatch.setattr(resource_tracker, "register", broken_once)
+    def test_a_reused_fd_number_fails_a_stale_manifest(self):
         publisher = shm.KernelPublisher()
         try:
-            manifest = publisher.publish("k", {"a": np.arange(4.0)})
-            assert revived == [1]
-            assert glob.glob(f"/dev/shm/{prefix}*") == [f"/dev/shm/{manifest.segment}"]
-            assert np.array_equal(shm.attach(manifest)["a"], np.arange(4.0))
+            stale = publisher.publish("k0", {"a": np.zeros(4)})
+            publisher.release("k0")
+            fresh = publisher.publish("k1", {"a": np.ones(4)})
+            assert fresh.fd == stale.fd
+            with pytest.raises(FileNotFoundError):
+                shm.attach(stale)
+            with pytest.raises(FileNotFoundError):
+                shm.borrow(stale, dict)
+            assert np.array_equal(shm.attach(fresh)["a"], np.ones(4))
         finally:
             shm.detach_all()
             publisher.close()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+
+    def test_a_child_forked_after_a_publish_holds_no_segment(self):
+        # Only a borrow holds a segment in the child: one it inherited
+        # would live on after the parent released it.
+        publisher = shm.KernelPublisher()
+        try:
+            manifest = publisher.publish("k", {"a": np.arange(4.0)})
+            child = Child(lambda: _segments_around_a_borrow)
+            try:
+                before, during, after = child.submit(manifest).result(timeout=60)
+            finally:
+                child.close()
+            assert (before, during, after) == (set(), {manifest.segment}, set())
+            assert publisher.manifest("k") is manifest
+        finally:
+            publisher.close()
 
     def test_oldest_segment_evicted_past_cap(self, monkeypatch):
         monkeypatch.setattr(shm, "_MAX_SEGMENTS", 2)
@@ -458,27 +473,23 @@ class TestRunnerShmLifecycle:
             repeat = sharded.run(_css_spec())
             published = _kernel_segments() - before
             assert published
-        # ... and close() unlinks every one of them.
+        # ... and close() releases every one of them.
         assert _kernel_segments() == before
         assert outcome.manifest.result_sha256 == reference.manifest.result_sha256
         assert repeat.manifest.result_sha256 == reference.manifest.result_sha256
 
-    def test_a_swept_plan_segment_fails_its_call(self, monkeypatch):
+    def test_a_released_plan_segment_fails_its_call(self, monkeypatch):
         # A call's plan segment has no rebuild path: a worker that
         # cannot map it fails its chunk, and every retry maps the same
-        # unlinked name, so the call fails once its attempts run out.
-        from multiprocessing import shared_memory
-
+        # released segment, so the call fails once its attempts run out.
         publish = ScenarioRunner._publish_blocks
 
-        def publish_then_sweep(self, call):
+        def publish_then_release(self, call):
             manifest = publish(self, call)
-            segment = shared_memory.SharedMemory(name=manifest.segment)
-            segment.close()
-            segment.unlink()
+            self._shm.release(call.blocks_key)
             return manifest
 
-        monkeypatch.setattr(ScenarioRunner, "_publish_blocks", publish_then_sweep)
+        monkeypatch.setattr(ScenarioRunner, "_publish_blocks", publish_then_release)
         with ScenarioRunner(jobs=2, retry=RetryPolicy(max_attempts=2)) as runner:
             with pytest.raises(RetryExhaustedError) as excinfo:
                 runner.run(_css_spec())
@@ -495,7 +506,8 @@ class TestRunnerShmLifecycle:
         ) as sharded:
             outcome = sharded.run(_css_spec())
         # The crashed worker died holding attachments; the replacement
-        # re-attached by name, and the parent still owns every segment.
+        # re-attached through the parent's fds, and close() released
+        # every segment.
         assert _kernel_segments() == before
         assert outcome.manifest.result_sha256 == reference.manifest.result_sha256
         assert outcome.manifest.health != "clean"

@@ -13,11 +13,11 @@ first in, first out.  The contracts under test:
   deadline journals every finished block of every in-flight call, and
   a resume equals a clean run; injected faults (one call in flight)
   keep their health sections.
-* **Segment lifetime** — a call's block segment is unlinked when the
-  call settles, and a worker maps it only for the task that reads it.
+* **Segment lifetime** — a call's block segment is released when the
+  call settles, and a worker maps it only for the task that reads it;
+  a pool child holds no segment it did not attach.
 """
 
-import glob
 import os
 import signal
 import time
@@ -42,6 +42,7 @@ from repro.runtime import (
     ScenarioRunner,
 )
 from repro.runtime import spec as runtime_spec
+from tests.process_tree import held_segments
 
 #: 12 execute calls of 5–15 one- or two-row blocks each: more calls
 #: than the in-flight cap, so dispatching continues after the first
@@ -70,7 +71,7 @@ def clean():
 
 
 def _kernel_segments():
-    return set(glob.glob(f"/dev/shm/{shm._SEGMENT_PREFIX}*"))
+    return held_segments([os.getpid()])
 
 
 def _hook_first_settle(runner, before):
@@ -167,7 +168,7 @@ class TestCallsInFlight:
             with pytest.raises(error):
                 runner.run(fig7_spec(_SMALL))
             assert runner._unsettled == []
-            assert not any(key.startswith("blocks::") for key in runner._shm._segments)
+            assert not any(key.startswith("blocks::") for key in runner._shm._manifests)
         with ScenarioRunner(jobs=2, checkpoint=journal, resume=True) as runner:
             resumed = runner.run(fig7_spec(_SMALL))
         assert finished and finished[0] > 0
@@ -178,15 +179,16 @@ class TestCallsInFlight:
         before = _kernel_segments()
         with ScenarioRunner(jobs=2) as runner:
             outcome = runner.run(fig7_spec(_SMALL))
-            published = runner._shm._segments
+            published = runner._shm._manifests
             assert published and not any(key.startswith("blocks::") for key in published)
-            kernels = {segment.name for segment in published.values()}
-            assert _kernel_segments() - before == {
-                f"/dev/shm/{name}" for name in kernels
-            }
+            kernels = {manifest.segment for manifest in published.values()}
+            assert _kernel_segments() - before == kernels
             for child in runner._children:
-                attached, retired = child.submit((_worker_attachments, ())).result()
-                assert set(attached) <= kernels
+                attached, retired, held = child.submit((_worker_attachments, ())).result()
+                # Forked after the first call's publish, a child holds
+                # only the kernels it attached: no block segment, and
+                # no fd inherited from the parent.
+                assert set(attached) <= kernels and held == set(attached)
                 assert retired == 0
         assert outcome.manifest.result_sha256 == clean.manifest.result_sha256
         assert _kernel_segments() == before
@@ -228,7 +230,7 @@ class TestCallsInFlight:
 
 
 def _worker_attachments():
-    return sorted(shm._ATTACHED), len(shm._RETIRED)
+    return sorted(shm._ATTACHED), len(shm._RETIRED), held_segments([os.getpid()])
 
 
 # Health sections of the injected-fault runs below (two execute calls,
@@ -337,4 +339,4 @@ class TestExecuteEachProperty:
         ]
         assert each == one_by_one
         assert sharded._unsettled == []
-        assert not any(key.startswith("blocks::") for key in sharded._shm._segments)
+        assert not any(key.startswith("blocks::") for key in sharded._shm._manifests)

@@ -13,9 +13,7 @@ The contracts under test:
 * **Client backoff** — the retry schedule is pure and bounded, and
   never sleeps less than the service's ``Retry-After``.
 * **GC** — ``repro-bench runs gc`` removes only orphaned checkpoint
-  journals (valid header, unreferenced by the registry); the boot
-  sweep and ``runs gc --sweep-shm`` unlink leaked shm segments, and
-  only when asked to.
+  journals (valid header, unreferenced by the registry).
 * **Recovery** — a ``repro-bench serve`` subprocess SIGKILLed after
   its run journaled a block, then restarted on the same state dir,
   re-admits the run, answers for it within ``RECOVERY_S``, resumes it
@@ -23,10 +21,8 @@ The contracts under test:
   and drains to exit 0 leaving only its registry behind.
 """
 
-import asyncio
 import json
 import os
-import secrets
 import signal
 import subprocess
 import sys
@@ -34,7 +30,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.runtime.runner as runner_module
@@ -46,7 +41,6 @@ from repro.runtime import (
     ScenarioRunner,
     ScenarioSpec,
 )
-from repro.runtime import shm
 from repro.runtime.checkpoint import CheckpointStore, journal_header
 from repro.service.client import (
     BACKOFF_BASE_S,
@@ -55,7 +49,6 @@ from repro.service.client import (
     backoff_delay,
 )
 from repro.service.registry import RunRegistry
-from repro.service.server import SelectionService, ServiceConfig
 from tests.process_tree import all_children, survivors
 
 pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
@@ -335,59 +328,6 @@ class TestRunnerAbort:
             assert outcome.manifest.result_sha256
 
 
-def _dead_pid() -> int:
-    """The pid of a process that has exited and been reaped."""
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    return child.pid
-
-
-@pytest.fixture()
-def segment_prefix(monkeypatch):
-    """A segment prefix unique to this test.
-
-    The sweeps match ``shm._SEGMENT_PREFIX``; moving it here means a
-    concurrent test or bench run's segments are never even looked at.
-    """
-    prefix = f"repro-gc-test-{os.getpid()}-{secrets.token_hex(4)}-"
-    monkeypatch.setattr(shm, "_SEGMENT_PREFIX", prefix)
-    made = []
-
-    def make(pid: int) -> Path:
-        path = Path("/dev/shm") / f"{prefix}{pid}-{secrets.token_hex(8)}"
-        path.write_bytes(b"\0")
-        made.append(path)
-        return path
-
-    yield make
-    for path in made:
-        path.unlink(missing_ok=True)
-
-
-@pytest.fixture()
-def leaked_segment(segment_prefix):
-    """A stray segment whose publisher pid is gone."""
-    return segment_prefix(_dead_pid())
-
-
-def _boot(tmp_path, **overrides) -> str:
-    """Start and stop one service; its metrics page."""
-
-    async def boot():
-        service = SelectionService(
-            ServiceConfig(
-                port=0, workers=1, state_dir=str(tmp_path / "state"), **overrides
-            )
-        )
-        await service.start()
-        try:
-            return service.metrics.render_prometheus()
-        finally:
-            await service.stop()
-
-    return asyncio.run(boot())
-
-
 class TestRunsGC:
     def _journal(self, path: Path, digest: str = "d0", seed: int = 1) -> None:
         CheckpointStore(path, spec_digest=digest, seed=seed).close()
@@ -414,53 +354,6 @@ class TestRunsGC:
         assert (state / "registry.jsonl").exists()
         assert "gc: reclaimed 1 journal(s)" in out
 
-    def test_boot_sweeps_a_leaked_segment_only_when_asked(
-        self, tmp_path, leaked_segment
-    ):
-        metrics = _boot(tmp_path, sweep_shm=False)
-        assert leaked_segment.exists()
-        assert 'service_gc_total{kind="shm"}' not in metrics
-        metrics = _boot(tmp_path, sweep_shm=True)
-        assert not leaked_segment.exists()
-        assert 'service_gc_total{kind="shm"} 1' in metrics
-
-    def test_runs_gc_sweep_shm_unlinks_a_leaked_segment(
-        self, tmp_path, leaked_segment, capsys
-    ):
-        state = tmp_path / "state"
-        state.mkdir()
-        assert main(["runs", "gc", "--state-dir", str(state)]) == 0
-        assert leaked_segment.exists()
-        assert main(["runs", "gc", "--sweep-shm", "--state-dir", str(state)]) == 0
-        assert not leaked_segment.exists()
-        assert "1 shm segment(s)" in capsys.readouterr().out
-
-    def test_a_live_publishers_segment_survives_a_sweep(self, segment_prefix):
-        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-        try:
-            owned = segment_prefix(live.pid)
-            mine = segment_prefix(os.getpid())
-            leaked = segment_prefix(_dead_pid())
-            assert shm.leaked_segments() == [leaked.name]
-            assert shm.sweep_leaked_segments() == [leaked.name]
-            assert owned.exists() and mine.exists() and not leaked.exists()
-        finally:
-            live.kill()
-            live.wait()
-        # A publisher that died (and was reaped) leaves a leak.
-        assert shm.sweep_leaked_segments() == [owned.name]
-        assert mine.exists()
-
-    def test_a_published_segment_names_its_publisher(self):
-        publisher = shm.KernelPublisher()
-        try:
-            manifest = publisher.publish("k", {"a": np.zeros(4)})
-            pid, _, token = manifest.segment[len(shm._SEGMENT_PREFIX):].partition("-")
-            assert int(pid) == os.getpid() and token
-            assert manifest.segment not in shm.leaked_segments()
-        finally:
-            publisher.close()
-
     def test_gc_of_missing_state_dir_is_an_error(self, tmp_path):
         assert main(["runs", "gc", "--state-dir", str(tmp_path / "nope")]) == 2
 
@@ -470,8 +363,8 @@ class TestRunsGC:
         parser = build_parser()
         args = parser.parse_args(["serve", "--state-dir", "/s", "--drain-timeout", "5"])
         assert args.state_dir == "/s" and args.drain_timeout == 5.0
-        args = parser.parse_args(["runs", "gc", "--sweep-shm"])
-        assert args.action == "gc" and args.sweep_shm
+        args = parser.parse_args(["runs", "gc"])
+        assert args.action == "gc"
         args = parser.parse_args(["run", "--deadline", "1.5", "fig10"])
         assert args.deadline == 1.5
 

@@ -10,10 +10,12 @@ the crash model is pinned here once:
 * **No shared fds** — a sibling forked later holds no earlier child's
   pipe, so hanging up on a child makes it exit.
 * **No orphans** — children die with a SIGKILLed parent, and a killed
-  ``repro-bench run --jobs 2`` leaves no descendant and no
-  ``/dev/shm`` segment behind.
+  ``repro-bench run --jobs 2`` (alone, or with its whole process
+  group) leaves no descendant, no held segment and no ``/dev/shm``
+  entry behind.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -29,7 +31,8 @@ from hypothesis import strategies as st
 from repro.runtime.proc import Child, ChildDied
 from tests.process_tree import (
     all_children,
-    pool_children,
+    held_segments,
+    mapped_segments,
     published_segments,
     running,
     survivors,
@@ -262,6 +265,42 @@ def _env():
     return env
 
 
+def _shm_entries():
+    """The ``repro-*`` names in ``/dev/shm``: a named segment would
+    show up here."""
+    return {path.name for path in Path("/dev/shm").glob("repro-*")}
+
+
+@contextlib.contextmanager
+def _pooled_cli_run(**popen):
+    """A ``repro-bench run --jobs 2`` hung on its third block, once its
+    pool runs and it holds a segment it published."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "run", "policy-eval",
+            "--jobs", "2", "--inject", "hang@2", "--hang-s", "60",
+            "--timeout", "120",
+        ],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, **popen,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while len(all_children(proc.pid)) < 2:
+            assert proc.poll() is None, "the run ended before its pool started"
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.05)
+        # The run's own segments, by the publisher pid in their names:
+        # a concurrent run's segments are never counted.
+        while not published_segments([proc.pid]):
+            assert time.monotonic() < deadline, "the run published no segment"
+            time.sleep(0.05)
+        yield proc
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 class TestNoOrphans:
     def test_children_and_grandchildren_die_with_a_sigkilled_parent(self):
         proc = subprocess.Popen(
@@ -281,31 +320,21 @@ class TestNoOrphans:
             proc.stdout.close()
 
     def test_no_pool_child_or_segment_outlives_a_killed_cli_run(self):
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "run", "policy-eval",
-                "--jobs", "2", "--inject", "hang@2", "--hang-s", "60",
-                "--timeout", "120",
-            ],
-            env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            while len(pool_children(proc.pid)) < 2:
-                assert proc.poll() is None, "the run ended before its pool started"
-                assert time.monotonic() < deadline, "the pool never started"
-                time.sleep(0.05)
-            # The run's own segments, by the publisher pid in their
-            # names: a concurrent run's segments are never counted.
-            while not published_segments([proc.pid]):
-                assert time.monotonic() < deadline, "the run published no segment"
-                time.sleep(0.05)
+        with _pooled_cli_run() as proc:
             descendants = all_children(proc.pid)
             proc.kill()
             proc.wait(30)
             assert survivors(descendants) == []
-            assert published_segments([proc.pid, *descendants]) == set()
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+            pids = [proc.pid, *descendants]
+            assert held_segments(pids) == set() and mapped_segments(pids) == set()
+
+    def test_a_sigkilled_process_group_leaves_nothing_behind(self):
+        # Killing the whole group at once leaves no process alive to
+        # clean up after the run: only the kernel frees its segments.
+        before = _shm_entries()
+        with _pooled_cli_run(start_new_session=True) as proc:
+            descendants = all_children(proc.pid)
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(30)
+            assert survivors(descendants) == []
+        assert _shm_entries() - before == set()

@@ -50,7 +50,13 @@ from repro.runtime import (
 from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import SelectionService, ServiceConfig
-from tests.process_tree import all_children, children, mapped_segments, survivors
+from tests.process_tree import (
+    all_children,
+    children,
+    held_segments,
+    mapped_segments,
+    survivors,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
@@ -912,16 +918,16 @@ class TestNoOrphans:
         proc, client = serve_process("--workers", "2", "--jobs", "2")
         accepted = client.submit(_reduced_fig7_spec(seed=42).to_json())
         assert client.wait(accepted["run"], timeout=120)["status"] == "done"
-        # Two run processes, the pool the run warmed and its tracker.
+        # Two run processes and the pool the run warmed.
         descendants = all_children(proc.pid)
-        assert len(descendants) >= 4
-        segments = mapped_segments([proc.pid, *descendants])
-        assert segments, "the pooled run published no segment"
+        assert len(descendants) == 4
+        tree = [proc.pid, *descendants]
+        assert held_segments(tree), "the pooled run published no segment"
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(60) == 0
         assert "drain complete" in proc.stdout.read()
         assert survivors(descendants) == []
-        assert [path for path in segments if os.path.exists(path)] == []
+        assert held_segments(tree) | mapped_segments(tree) == set()
 
     def test_a_sigtermed_run_process_dies_and_serve_keeps_serving(
         self, serve_process
