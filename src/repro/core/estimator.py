@@ -414,8 +414,10 @@ class AngleEstimator:
         that fail it (exact ties, near-ties, any NaN), one-row calls
         and every row under a quality context (whose peak ratio needs
         the full map) take the exact path.  The reported correlation
-        has one definition on both paths (:meth:`_winner_correlation`),
-        so every output of a row is a pure function of that row.
+        has one definition on both paths (:func:`_slot_correlation`,
+        over the exact path's gathered slice or the padded rows of
+        :meth:`_winner_correlation`), so every output of a row is a
+        pure function of that row.
 
         **The certificate.**  With ``u = 2**-53`` and ``M`` usable
         probes, both paths compute ``W = Π_c (x̂_c·p̂)²``, where each
@@ -453,31 +455,36 @@ class AngleEstimator:
             return n_probes, best_index, best_corr
         quality_on = _quality.quality_context() is not None
         with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+            # Rows the dense pass certified; the exact path takes the rest.
+            dense = []
             if n_trials == 1 or quality_on:
                 exact = winners
             else:
-                dense = winners[n_probes[winners] <= _CERTIFIED_MAX_PROBES]
+                candidates = winners[n_probes[winners] <= _CERTIFIED_MAX_PROBES]
                 exact = [winners[n_probes[winners] > _CERTIFIED_MAX_PROBES]]
-                for first in range(0, dense.size, _BLOCK_ROWS):
-                    block = dense[first : first + _BLOCK_ROWS]
+                for first in range(0, candidates.size, _BLOCK_ROWS):
+                    block = candidates[first : first + _BLOCK_ROWS]
                     found, certified = self._dense_argmax(
                         rows[block], usable[block], [values[block] for values in channels]
                     )
                     best_index[block[certified]] = found[certified]
+                    dense.append(block[certified])
                     exact.append(block[~certified])
                 exact = np.sort(np.concatenate(exact))
             for row in exact:
-                best_index[row] = self._exact_argmax(
+                best_index[row], best_corr[row] = self._exact_argmax(
                     rows[row], usable[row], [values[row] for values in channels],
                     quality_on,
                 )
-            picked = slice(None) if winners.size == n_trials else winners
-            best_corr[picked] = self._winner_correlation(
-                rows[picked],
-                usable[picked],
-                [values[picked] for values in channels],
-                best_index[picked],
-            )
+            dense = np.concatenate(dense) if dense else ()
+            if len(dense):
+                picked = slice(None) if len(dense) == n_trials else dense
+                best_corr[picked] = self._winner_correlation(
+                    rows[picked],
+                    usable[picked],
+                    [values[picked] for values in channels],
+                    best_index[picked],
+                )
         return n_probes, best_index, best_corr
 
     def _exact_argmax(
@@ -486,20 +493,26 @@ class AngleEstimator:
         usable: np.ndarray,
         channels: List[np.ndarray],
         quality_on: bool,
-    ) -> int:
-        """One row's finite argmax over its full map: one GEMV per channel.
+    ) -> Tuple[int, float]:
+        """One row's finite argmax over its full map, and its correlation.
 
-        Records the row's peak ratio when quality telemetry is on.
+        One GEMV per channel over the row's gathered pattern slice; the
+        correlation at the winner is :func:`_slot_correlation` of that
+        slice's winning column and the row's usable values — the slots
+        :meth:`_winner_correlation` reads, without its padding.  Records
+        the row's peak ratio when quality telemetry is on.
         """
         index = np.flatnonzero(usable)
-        surface = _fused_surface(
-            _unit_columns(self._prepared[rows[index]]),
-            [values[index] for values in channels],
-        )
+        patterns = self._prepared[rows[index]]
+        values = [channel[index] for channel in channels]
+        surface = _fused_surface(_unit_columns(patterns), values)
         found = _finite_argmax(surface)
         if quality_on:
             _quality.record_peak_ratio(surface, found, int(index.size))
-        return found
+        correlation = _slot_correlation(
+            patterns[np.newaxis, :, found], [channel[np.newaxis] for channel in values]
+        )
+        return found, float(correlation[0])
 
     def _dense_argmax(
         self, rows: np.ndarray, usable: np.ndarray, channels: List[np.ndarray]
@@ -554,30 +567,44 @@ class AngleEstimator:
         channels: List[np.ndarray],
         best_index: np.ndarray,
     ) -> np.ndarray:
-        """Eq. 2 / Eq. 5 at each row's winning grid point.
+        """Eq. 2 / Eq. 5 at each row's winning grid point, over padded rows.
 
-        Per channel ``(Σ v·p / (max(√Σ v², ε)·max(√Σ p², ε)))²``, fused
-        by product in channel order, with every sum taken in slot order
-        over the row's usable probes: ``cumsum`` adds strictly in
-        sequence, and the unusable slots' exact zeros change no partial
-        sum.  So the value depends on the row's usable probes alone,
-        not on padding, batch size or the path that found the argmax.
+        :func:`_slot_correlation` of each row's winning pattern values
+        and channel values, with the unusable slots zeroed.
         """
-        n_channels = len(channels)
         patterns = self._prepared[np.where(usable, rows, 0), best_index[:, np.newaxis]]
         patterns[~usable] = 0.0
-        # Squares first (patterns, then each channel), inner products last.
-        terms = np.empty((1 + 2 * n_channels,) + rows.shape)
-        np.multiply(patterns, patterns, out=terms[0])
-        for channel, values in enumerate(channels):
-            values = np.where(usable, values, 0.0)
-            np.multiply(values, values, out=terms[1 + channel])
-            np.multiply(values, patterns, out=terms[1 + n_channels + channel])
-        sums = np.cumsum(terms, axis=2)[:, :, -1]
-        norms = np.maximum(np.sqrt(sums[: 1 + n_channels]), _EPSILON)
-        cosines = sums[1 + n_channels :] / (norms[1:] * norms[0])
-        factors = cosines * cosines
-        correlation = factors[0]
-        for factor in factors[1:]:
-            correlation = correlation * factor
-        return correlation
+        return _slot_correlation(
+            patterns, [np.where(usable, values, 0.0) for values in channels]
+        )
+
+
+def _slot_correlation(patterns: np.ndarray, channels: List[np.ndarray]) -> np.ndarray:
+    """Eq. 2 / Eq. 5 per row: the one definition of the reported correlation.
+
+    ``patterns`` and each of ``channels`` are ``(rows × slots)``: a
+    row's pattern values at its winning grid point and its channel
+    values, slot by slot, zero in slots that carry no usable probe.
+    Per channel ``(Σ v·p / (max(√Σ v², ε)·max(√Σ p², ε)))²``, fused by
+    product in channel order, with every sum taken in slot order:
+    ``cumsum`` adds strictly in sequence, and the zero slots' exact
+    zeros change no partial sum.  So the value depends on the row's
+    usable probes alone — not on padding, batch size or the path that
+    found the argmax — and a row's compacted slots give the same bits
+    as its padded ones.
+    """
+    n_channels = len(channels)
+    # Squares first (patterns, then each channel), inner products last.
+    terms = np.empty((1 + 2 * n_channels,) + patterns.shape)
+    np.multiply(patterns, patterns, out=terms[0])
+    for channel, values in enumerate(channels):
+        np.multiply(values, values, out=terms[1 + channel])
+        np.multiply(values, patterns, out=terms[1 + n_channels + channel])
+    sums = np.cumsum(terms, axis=2)[:, :, -1]
+    norms = np.maximum(np.sqrt(sums[: 1 + n_channels]), _EPSILON)
+    cosines = sums[1 + n_channels :] / (norms[1:] * norms[0])
+    factors = cosines * cosines
+    correlation = factors[0]
+    for factor in factors[1:]:
+        correlation = correlation * factor
+    return correlation

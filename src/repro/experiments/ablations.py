@@ -48,6 +48,7 @@ from .common import (
     random_subsweep,
     record_directions,
     snr_losses,
+    stack_sweeps,
 )
 
 __all__ = [
@@ -93,8 +94,7 @@ def _estimator_azimuth_errors(
     # Batched trials for bodies that keep a raw estimator: one draw for
     # every recording × sweep × subsample, in that nesting order (the
     # stream and estimates of one ``random_probe_columns`` per trial).
-    packed = [recording.packed_sweeps(tx_ids) for recording in recordings]
-    present, snr, rssi = (np.concatenate(arrays) for arrays in zip(*packed))
+    _, present, snr, rssi = stack_sweeps(recordings, tx_ids)
     sweeps = np.repeat(np.arange(present.shape[0]), subsamples)[:, np.newaxis]
     columns = RandomProbeDesigner().design_positions(
         n_probes, sweeps.shape[0], tx_ids, rng

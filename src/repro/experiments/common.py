@@ -14,6 +14,7 @@ experiment shares it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -38,7 +39,9 @@ __all__ = [
     "build_testbed",
     "testbed_table_cache_info",
     "RecordedDirection",
+    "RecordingSet",
     "record_directions",
+    "stack_sweeps",
     "random_subsweep",
     "random_probe_columns",
     "pack_probe_trials",
@@ -252,6 +255,71 @@ class RecordedDirection:
         return present, snr, rssi
 
 
+class RecordingSet(tuple):
+    """The recordings of one :func:`record_directions` call, with their
+    reports kept in one packed array per channel.
+
+    A tuple of :class:`RecordedDirection` s whose arrays are views of
+    ``present`` / ``snr_db`` / ``rssi_dbm``, each of shape
+    ``(n_recordings * n_sweeps, n_tx)``: row ``r * n_sweeps + s`` is
+    recording ``r``'s sweep ``s``.  The set is immutable, so the packed
+    arrays always describe its members; a slice or a hand-built list
+    of recordings is a plain sequence again.
+    """
+
+    tx_sector_ids: Tuple[int, ...]
+    present: np.ndarray
+    snr_db: np.ndarray
+    rssi_dbm: np.ndarray
+
+    @classmethod
+    def pack(
+        cls,
+        recordings: Sequence[RecordedDirection],
+        tx_sector_ids: Tuple[int, ...],
+        present: np.ndarray,
+        snr_db: np.ndarray,
+        rssi_dbm: np.ndarray,
+    ) -> "RecordingSet":
+        members = tuple.__new__(cls, recordings)
+        members.tx_sector_ids = tx_sector_ids
+        members.present = present
+        members.snr_db = snr_db
+        members.rssi_dbm = rssi_dbm
+        return members
+
+
+def stack_sweeps(
+    recordings: Sequence[RecordedDirection], tx_sector_ids: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every recording's sweeps, stacked in recording order, by column of
+    ``tx_sector_ids``.
+
+    Returns ``(n_sweeps, present, snr_db, rssi_dbm)``: each recording's
+    sweep count, then the reports with one row per sweep.  A
+    :class:`RecordingSet` swept in this id order hands over its packed
+    arrays as they stand; any other sequence, or id order, gathers each
+    recording's :meth:`~RecordedDirection.packed_sweeps`.
+    """
+    if (
+        isinstance(recordings, RecordingSet)
+        and recordings
+        and tuple(tx_sector_ids) == recordings.tx_sector_ids
+    ):
+        n_sweeps = np.full(
+            len(recordings), recordings.present.shape[0] // len(recordings), dtype=np.intp
+        )
+        return n_sweeps, recordings.present, recordings.snr_db, recordings.rssi_dbm
+    n_sweeps = np.array([recording.n_sweeps for recording in recordings], dtype=np.intp)
+    if not recordings:
+        width = len(tx_sector_ids)
+        empty = np.zeros((0, width))
+        return n_sweeps, np.zeros((0, width), dtype=bool), empty, empty.copy()
+    packed = [recording.packed_sweeps(tx_sector_ids) for recording in recordings]
+    present, snr_db, rssi_dbm = (np.concatenate(arrays) for arrays in zip(*packed))
+    return n_sweeps, present, snr_db, rssi_dbm
+
+
 def record_directions(
     testbed: Testbed,
     environment: Environment,
@@ -259,7 +327,7 @@ def record_directions(
     elevations_deg: Sequence[float],
     n_sweeps: int,
     rng: np.random.Generator,
-) -> List[RecordedDirection]:
+) -> Sequence[RecordedDirection]:
     """Record full 34-sector sweeps over a grid of path directions.
 
     The DUT rides the rotation head (with its mechanical tilt errors),
@@ -271,7 +339,8 @@ def record_directions(
     ``observe`` per sector for each sweep, which is the random stream
     every committed experiment output is pinned to.  The head draws
     from a generator of its own, so the true SNRs are all computed
-    first.
+    first.  The reports of that one call stay packed in the returned
+    :class:`RecordingSet`.
     """
     head = RotationHead(np.random.default_rng(rng.integers(2**31)))
     tx_ids = testbed.tx_sector_ids
@@ -306,25 +375,29 @@ def record_directions(
         rng,
         fade_std_db=environment.shadowing_std_db,
     )
-    arrays = [
-        array.reshape(len(directions), n_sweeps, len(tx_ids))
-        for array in (reports.reported, reports.snr_db, reports.rssi_dbm)
-    ]
-    for array in arrays:
+    packed = (reports.reported, reports.snr_db, reports.rssi_dbm)
+    for array in packed:
         array.flags.writeable = False
-    recorded_ids = tuple(tx_ids)
-    return [
-        RecordedDirection(
-            azimuth_deg=azimuth,
-            elevation_deg=elevation,
-            true_snr_db=true_snr[index].copy(),
-            tx_sector_ids=recorded_ids,
-            present=arrays[0][index],
-            snr_db=arrays[1][index],
-            rssi_dbm=arrays[2][index],
-        )
-        for index, (azimuth, elevation) in enumerate(directions)
+    arrays = [
+        array.reshape(len(directions), n_sweeps, len(tx_ids)) for array in packed
     ]
+    recorded_ids = tuple(tx_ids)
+    return RecordingSet.pack(
+        [
+            RecordedDirection(
+                azimuth_deg=azimuth,
+                elevation_deg=elevation,
+                true_snr_db=true_snr[index].copy(),
+                tx_sector_ids=recorded_ids,
+                present=arrays[0][index],
+                snr_db=arrays[1][index],
+                rssi_dbm=arrays[2][index],
+            )
+            for index, (azimuth, elevation) in enumerate(directions)
+        ],
+        recorded_ids,
+        *packed,
+    )
 
 
 def observe_probes(
@@ -410,6 +483,11 @@ def pack_probe_trials(
     return sector_ids, snr, rssi, mask
 
 
+#: Figure 7's box and whisker percentiles as quantiles, converted the
+#: way ``np.percentile`` converts them.
+_BOX_QUANTILES = np.true_divide((25, 75, 0.5, 99.5), 100).tolist()
+
+
 @dataclass(frozen=True)
 class BoxStats:
     """Median / 50 % box / 99 % whiskers, as drawn in Figure 7."""
@@ -423,22 +501,49 @@ class BoxStats:
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "BoxStats":
-        values = np.asarray(list(samples), dtype=float)
-        if values.size == 0:
+        """All five statistics from one sort of ``samples``.
+
+        Bit-identical to ``np.median`` and to ``np.percentile(values,
+        (25, 75, 0.5, 99.5))`` (numpy's default linear method): each
+        quantile takes numpy's steps — virtual index ``(n - 1) q``, its
+        floor and the next index (both the last one at or past the
+        end), then numpy's two-sided interpolation — in the same IEEE
+        operations, on the sorted values instead of a partition.  The
+        median is numpy's mean of the middle one or two.  Any NaN makes
+        every statistic NaN, as it does in numpy.
+        """
+        if not isinstance(samples, np.ndarray):
+            samples = list(samples)
+        values = np.sort(np.asarray(samples, dtype=float))
+        n = values.size
+        if n == 0:
             raise ValueError("cannot summarize an empty sample set")
-        # One partition pass for the four percentiles, bit-identical to
-        # four separate calls; the median stays np.median, whose
-        # midpoint rounds differently from np.percentile(values, 50).
-        box_low, box_high, whisker_low, whisker_high = np.percentile(
-            values, (25, 75, 0.5, 99.5)
-        ).tolist()
+        if np.isnan(values[-1]):
+            return cls(np.nan, np.nan, np.nan, np.nan, np.nan, n)
+        quantiles = []
+        for quantile in _BOX_QUANTILES:
+            virtual = (n - 1) * quantile
+            below = -1 if virtual >= n - 1 else math.floor(virtual)
+            low = float(values[below])
+            high = float(values[below + 1 if below >= 0 else -1])
+            gamma = virtual - below
+            step = high - low
+            quantiles.append(
+                high - step * (1 - gamma) if gamma >= 0.5 else low + step * gamma
+            )
+        middle = n // 2
+        if n % 2:
+            median = float(values[middle])
+        else:
+            median = (float(values[middle - 1]) + float(values[middle])) / 2
+        box_low, box_high, whisker_low, whisker_high = quantiles
         return cls(
-            median=float(np.median(values)),
+            median=median,
             box_low=box_low,
             box_high=box_high,
             whisker_low=whisker_low,
             whisker_high=whisker_high,
-            n_samples=int(values.size),
+            n_samples=int(n),
         )
 
 

@@ -9,13 +9,15 @@ strategies.  :class:`ScenarioRunner` owns that shape once:
   in one call) and gathers them into one :class:`~.trials.TrialPlan`,
   whose blocks are the recordings' row ranges;
 * **execute** evaluates the blocks, resetting selection state per
-  recording or per plan.  Per-recording blocks are cut into chunks of
-  at most :data:`CHUNK_ROWS` rows, each evaluated in one stacked
-  kernel pass (``select_fused_stacked``) and journaled with one group
-  commit; policies without a stacked kernel get one ``select_batch``
-  call per block (or ``select`` per row, e.g. the oracle).  Every
-  block's result is a :class:`~repro.core.selector.Selections` array,
-  and the call's records are one :class:`~.trials.TrialRecords`;
+  recording or per plan.  Per-recording blocks are cut into chunks:
+  runs of consecutive blocks of at most :data:`CHUNK_ROWS` rows, each
+  one row range of the plan, evaluated in one stacked kernel pass
+  (``select_fused_stacked``) and journaled with one group commit;
+  policies without a stacked kernel get one ``select_batch`` call per
+  block (or ``select`` per row, e.g. the oracle).  A chunk comes back
+  as one :class:`~repro.core.selector.Selections` array, written by
+  row range into the call's one selection array, and the call's
+  records are one :class:`~.trials.TrialRecords` over it;
 * **execute_each** evaluates a lazily planned stream of such calls
   and yields each call's records in call order; on the pool, calls
   run ahead while the next ones are planned (``execute`` is a stream
@@ -38,11 +40,18 @@ resets per recording (blocks are then independent), the policy is
 batched, both the testbed and the policy are spec-described (workers
 rebuild them from JSON), and the host has two or more cores (or
 supervision needs process isolation); anything else runs the same
-chunks as in-process tasks, same results.  Up to
+chunks as in-process tasks, same results.  A pooled call publishes its
+plan arrays once, in one shared segment; a task names its chunks as
+block ranges of that plan, the worker slices the kernel's parts
+straight from the mapped views, and each chunk's selections come back
+as one array.  Up to
 :data:`_MAX_INFLIGHT_CALLS` pooled calls are in flight at once, each
 with its own journal target and supervision state; they settle first
 in, first out, so journal commits, trace absorption and health
-accounting follow call order at any ``jobs``.
+accounting follow call order at any ``jobs``.  Per-block bookkeeping
+(attempt counts, fault directives, journal entries, ``execute.block``
+spans) is paid only where retries, a fault plan, a checkpoint store
+or tracing need it.
 
 Supervision (DESIGN.md §9): every ``reset="recording"`` call runs
 through one loop of dispatch → collect → retry rounds under a
@@ -70,8 +79,8 @@ attempt in spans
 (``scenario.run`` → ``execute.policy`` → ``execute.block``), while the
 supervision counters mirror into metrics.  A stacked chunk, or a
 block run alone, records into its own session — in a pool worker or
-in-process alike — and ships the drained buffer back piggybacked on
-its (first) block's result;
+in-process alike — and ships the drained buffer back beside its
+selections, keyed by its first block;
 the runner absorbs payloads in deterministic ``(call, block)`` order,
 so a ``--jobs 4`` trace is bit-reproducible in everything but timing
 values.  With no session the
@@ -156,9 +165,14 @@ _FAIL_FAST = RetryPolicy(max_attempts=1)
 #: Sentinel distinguishing "not passed" from an explicit None override.
 _UNSET = object()
 
-#: Placeholder for TrialBlock fields the evaluation path never reads —
-#: shared-memory block reconstruction ships only the four eval arrays.
-_EMPTY_INTP = np.empty(0, dtype=np.intp)
+#: The four kernel arrays of a plan — ``(sector_ids, snr_db, rssi_dbm,
+#: mask)`` — and one block's, or one chunk's, row range of them.
+_Arrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: A finished row range: ``(first block, stop block, selections, trace
+#: payload or None)``, the selections holding rows ``bounds[first]:
+#: bounds[stop]`` of the call.
+_Done = Tuple[int, int, Selections, Optional[Dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -327,9 +341,10 @@ def _apply_directive(
         _reset_worker_caches()
 
 
-def _eval_block(policy, block: TrialBlock) -> Selections:
+def _eval_block(policy, part: _Arrays) -> Selections:
     """Evaluate one block against the policy's current selection state.
 
+    ``part`` is the block's ``(sector_ids, snr_db, rssi_dbm, mask)``.
     A policy with ``select_batch`` evaluates the whole block in one
     call; any other (the oracle, plugins) gets its ``select`` called
     per row on the row's measurement list, and the results are packed
@@ -337,31 +352,39 @@ def _eval_block(policy, block: TrialBlock) -> Selections:
     a failed block attempt like any other error: it goes through the
     supervisor's retry/fail path.
     """
+    sector_ids, snr_db, rssi_dbm, mask = part
     select_batch = getattr(policy, "select_batch", None)
     if select_batch is not None:
-        results = select_batch(
-            block.sector_ids,
-            snr_db=block.snr_db,
-            rssi_dbm=block.rssi_dbm,
-            mask=block.mask,
-        )
+        results = select_batch(sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask)
         _obs.inc("runner_kernel_path_total", path="batched")
         return Selections.from_results(results)
     from ..core.measurements import ProbeMeasurement
 
     results = []
-    for row in range(block.n_trials):
+    for row in range(sector_ids.shape[0]):
         measurements = [
             ProbeMeasurement(
-                sector_id=int(block.sector_ids[row, column]),
-                snr_db=float(block.snr_db[row, column]),
-                rssi_dbm=float(block.rssi_dbm[row, column]),
+                sector_id=int(sector_ids[row, column]),
+                snr_db=float(snr_db[row, column]),
+                rssi_dbm=float(rssi_dbm[row, column]),
             )
-            for column in np.flatnonzero(block.mask[row])
+            for column in np.flatnonzero(mask[row])
         ]
         results.append(policy.select(measurements))
     _obs.inc("runner_kernel_path_total", path="scalar")
     return Selections.from_results(results)
+
+
+def _parts(arrays: _Arrays, bounds: Sequence[int], first: int, stop: int) -> List[_Arrays]:
+    """Blocks ``first .. stop - 1`` as row-range views of ``arrays``.
+
+    Block ``b`` spans rows ``bounds[b]:bounds[b + 1]``.
+    """
+    ids, snr, rssi, mask = arrays
+    return [
+        (ids[start:end], snr[start:end], rssi[start:end], mask[start:end])
+        for start, end in zip(bounds[first:stop], bounds[first + 1 : stop + 1])
+    ]
 
 
 def _split_meta(
@@ -403,16 +426,17 @@ def _fresh_session():
         _obs.deactivate(previous)
 
 
-#: Row budget of one stacked chunk (:func:`_plan_chunks`).  The stacked
-#: kernel's fixed cost is ~0.13 ms per call (2-vCPU Xeon VM), and a
-#: jobs=1 pass over every scenario spent the same kernel CPU time,
-#: within noise, with 64-, 128- and 256-row chunks (~3.7 s).  Smaller
-#: chunks balance the pool, which packs whole chunks into its lanes:
-#: fig7's 124-row conference-room calls need two chunks to fill two
-#: lanes, and with 256-row chunks fig7 at jobs=2 left a lane idle on
-#: those calls and ran ~6 % slower.  The budget also bounds how long a
-#: cancel or a deadline waits for the running chunk.
-CHUNK_ROWS = 64
+#: Row budget of one stacked chunk (:func:`_plan_chunks`).  On a 2-vCPU
+#: VM the stacked kernel costs ~0.31 ms per call plus ~12 µs per row
+#: (fig7's 4-row lab blocks, 14 probes, one BLAS thread): ~30 % of a
+#: 64-row chunk is fixed cost, ~9 % of a 256-row one.  fig7 at jobs=2,
+#: budgets alternating pass by pass in one warm runner (medians of 40
+#: passes): 234 ms at 64 rows, 208 at 128, 191 at 256 and 190 at 512.
+#: 256 is as fast as 512 and still cuts fig7's 408-row lab calls into
+#: two chunks, one per lane; the 124-row conference calls are one
+#: chunk, and calls in flight keep both lanes busy.  The budget also
+#: bounds how long a cancel or a deadline waits for the running chunk.
+CHUNK_ROWS = 256
 
 
 #: Most pooled execute calls kept in flight (dispatched, not yet
@@ -434,7 +458,9 @@ class _Call:
     supervision state (the current round's tasks, attempts, failures),
     so several pooled calls can be in flight at once; ``index`` is its
     ordinal among the run's recording-mode calls, the journal and trace
-    key.
+    key.  Per-block state lives in arrays indexed by block, and
+    finished row ranges are written straight into ``rows``, the call's
+    selections.
     """
 
     policy: Any
@@ -443,12 +469,12 @@ class _Call:
     label: str
     policy_spec: Optional[PolicySpec]
     testbed_spec: Optional[TestbedSpec]
+    rows: np.ndarray
     index: int = -1
     store: Optional[CheckpointStore] = None
     policy_key: Optional[str] = None
-    outputs: Dict[int, Selections] = field(default_factory=dict)
     hits: List[int] = field(default_factory=list)
-    pending: List[int] = field(default_factory=list)
+    pending: int = 0
     pooled: bool = False
     closed: bool = False
     testbed_key: Optional[str] = None
@@ -457,66 +483,80 @@ class _Call:
     kernels: Optional[SharedKernelManifest] = None
     blocks_key: Optional[str] = None
     blocks_manifest: Optional[SharedKernelManifest] = None
-    attempts: Dict[int, int] = field(default_factory=dict)
-    remaining: set = field(default_factory=set)
-    executed: Dict[int, Tuple[Selections, Dict[str, Any]]] = field(default_factory=dict)
+    # Per block: not settled yet; attempts charged so far; the attempt
+    # number this round sent it at (0: not sent).
+    left: Optional[np.ndarray] = None
+    attempts: Optional[np.ndarray] = None
+    sent: Optional[np.ndarray] = None
+    # This round: blocks sent, and whether any of them is a retry.
+    round_size: int = 0
+    retrying: bool = False
+    executed: int = 0
+    # Trace payloads of finished row ranges, by first block.
+    payloads: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     barren_rounds: int = 0
     last_error: BaseException = field(default_factory=lambda: ChildDied(None))
     # The current round's unresolved tasks, in dispatch order, None
-    # until the first dispatch: (block indices, future, child) per pool
-    # task, (block indices, _run_chunks arguments, None) per in-process
-    # task; the attempt number of every block dispatched, in block
-    # order.
-    tasks: Optional[List[Tuple[List[int], Any, Optional[Child]]]] = None
-    dispatch_attempt: Dict[int, int] = field(default_factory=dict)
-    directives: Dict[int, Optional[Dict[str, Any]]] = field(default_factory=dict)
+    # until the first dispatch: (first block, block count, future,
+    # child) per pool task, (first block, block count, _run_chunks
+    # arguments, None) per in-process task.
+    tasks: Optional[List[Tuple[int, int, Any, Optional[Child]]]] = None
+    # This round's fault directives, by block (carriers only).
+    directives: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     failures: List[Tuple[int, BaseException]] = field(default_factory=list)
 
 
 def _plan_chunks(
     bounds: np.ndarray,
-    indices: Sequence[int],
+    indices: np.ndarray,
     alone: Collection[int] = (),
-) -> List[List[int]]:
-    """Cut ``indices`` into contiguous chunks of at most ``CHUNK_ROWS`` rows.
+) -> List[Tuple[int, int]]:
+    """Cut sorted block ``indices`` into chunks, as block ranges.
 
-    Block ``b`` spans rows ``bounds[b]:bounds[b + 1]`` of its plan.  A
-    block over the budget is a chunk of its own, and so is every block
-    in ``alone`` (fault-directive carriers, which run singly).  The cut
-    depends only on the plan, so in-process tasks and the pool — at any
-    ``jobs`` — evaluate the same chunks with the same kernel calls, in
-    block order.  (Every block of a plan has the plan's width, so any
-    blocks may share a stacked pass.)
+    A chunk ``(first, stop)`` is blocks ``first .. stop - 1``, rows
+    ``bounds[first]:bounds[stop]`` of its plan: consecutive blocks of
+    at most ``CHUNK_ROWS`` rows, taken greedily.  A block over the
+    budget is a chunk of its own, and so is every block in ``alone``
+    (fault-directive carriers, which run singly); a block missing from
+    ``indices`` (already journaled) ends a chunk.  The cut depends only
+    on the plan, so in-process tasks and the pool — at any ``jobs`` —
+    evaluate the same chunks with the same kernel calls, in block
+    order.  (Every block of a plan has the plan's width, so any blocks
+    may share a stacked pass.)
     """
-    sizes = np.diff(bounds).tolist()
-    chunks: List[List[int]] = []
-    rows = 0
-    extendable = False
-    for index in indices:
-        n_rows = sizes[index]
-        single = index in alone
-        if extendable and not single and rows + n_rows <= CHUNK_ROWS:
-            chunks[-1].append(index)
-            rows += n_rows
-        else:
-            chunks.append([index])
-            rows = n_rows
-        extendable = not single
+    indices = np.asarray(indices, dtype=np.intp)
+    if not indices.size:
+        return []
+    single = np.isin(indices, list(alone))
+    # A run of consecutive blocks ends at a gap and around every single.
+    breaks = (np.diff(indices) != 1) | single[1:] | single[:-1]
+    heads = np.flatnonzero(np.concatenate(([True], breaks)))
+    firsts = indices[heads].tolist()
+    stops = (indices[np.append(heads[1:], indices.size) - 1] + 1).tolist()
+    ends = bounds.tolist()
+    chunks: List[Tuple[int, int]] = []
+    for first, stop in zip(firsts, stops):
+        while first < stop:
+            # The furthest block end within the budget, one block at least.
+            end = int(np.searchsorted(bounds, ends[first] + CHUNK_ROWS, side="right")) - 1
+            end = min(stop, max(end, first + 1))
+            chunks.append((first, end))
+            first = end
     return chunks
 
 
 def _lane_groups(
-    bounds: np.ndarray, chunks: Sequence[List[int]], lanes: int
-) -> List[List[List[int]]]:
+    bounds: np.ndarray, chunks: Sequence[Tuple[int, int]], lanes: int
+) -> List[List[Tuple[int, int]]]:
     """Deal contiguous runs of chunks to at most ``lanes`` pool tasks.
 
     Each chunk goes to the lane its middle row falls in, so every
     task's row count stays within one chunk of an even share.
     """
-    sizes = np.diff(bounds).tolist()
-    rows = [sum(sizes[index] for index in chunk) for chunk in chunks]
+    ends = bounds.tolist()
+    rows = [ends[stop] - ends[first] for first, stop in chunks]
     total = max(1, sum(rows))
-    groups: List[List[List[int]]] = [[] for _ in range(lanes)]
+    groups: List[List[Tuple[int, int]]] = [[] for _ in range(lanes)]
     before = 0
     for chunk, n_rows in zip(chunks, rows):
         lane = min(lanes - 1, int(lanes * (before + n_rows / 2) / total))
@@ -527,34 +567,36 @@ def _lane_groups(
 
 def _eval_chunk(
     policy,
-    chunk: Sequence[Tuple[int, TrialBlock]],
+    arrays: _Arrays,
+    bounds: Sequence[int],
+    chunk: Tuple[int, int],
     obs_metas: Optional[Mapping[int, Mapping[str, Any]]] = None,
-) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
+) -> _Done:
     """Evaluate one planned chunk in a single stacked kernel pass.
 
     The one chunk evaluator of every supervised task (:func:`_run_chunks`).
-    ``chunk`` holds ``(index, TrialBlock)`` pairs; each block is
+    ``chunk`` is the block range ``(first, stop)`` of the plan whose
+    kernel arrays are ``arrays`` and whose block bounds are ``bounds``;
+    its blocks are the pass's parts, row-range views of the plan, each
     evaluated against freshly reset state (``select_fused_stacked``),
-    bit-identical to one ``select_batch`` per block, and gets its rows
-    of the pass's :class:`~repro.core.selector.Selections` as a slice.
-    Traced (``obs_metas`` maps each index to its ``execute.block``
+    bit-identical to one ``select_batch`` per block.  Returns the
+    chunk's row range and its one :class:`~repro.core.selector.Selections`.
+    Traced (``obs_metas`` maps each block to its ``execute.block``
     attrs), the pass records into a fresh session — each block's
     ``execute.block`` span opened in block order — whose drained
-    payload rides on the chunk's first block, so the supervisor absorbs
-    the same payloads at any ``jobs``.
+    payload rides beside the selections, so the supervisor absorbs the
+    same payloads at any ``jobs``.
 
     Raises whatever the stacked pass raises, leaving no trace: the
     caller then evaluates the chunk block by block, which attributes
     the error and charges the retry; the stacked attempt itself is
     never charged.
     """
-    parts = [
-        (block.sector_ids, block.snr_db, block.rssi_dbm, block.mask)
-        for _, block in chunk
-    ]
+    first, stop = chunk
+    parts = _parts(arrays, bounds, first, stop)
     if obs_metas is None:
-        return _split_rows(chunk, policy.select_fused_stacked(parts))
-    split = [_split_meta(obs_metas[index]) for index, _ in chunk]
+        return first, stop, policy.select_fused_stacked(parts), None
+    split = [_split_meta(obs_metas[index]) for index in range(first, stop)]
 
     @contextmanager
     def block_span(part: int):
@@ -564,28 +606,13 @@ def _eval_chunk(
 
     with _fresh_session() as session, _quality_scope(split[0][1]):
         selections = policy.select_fused_stacked(parts, around=block_span)
-    done = _split_rows(chunk, selections)
-    done[chunk[0][0]][1]["obs"] = session.drain_payload()
-    return done
-
-
-def _split_rows(
-    chunk: Sequence[Tuple[int, TrialBlock]], selections: Selections
-) -> Dict[int, Tuple[Selections, Dict[str, Any]]]:
-    """Each block's rows of a stacked pass's selections."""
-    done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
-    start = 0
-    for index, block in chunk:
-        stop = start + block.n_trials
-        done[index] = (selections[start:stop], {})
-        start = stop
-    return done
+    return first, stop, selections, session.drain_payload()
 
 
 def _worker_run_chunks(
     testbed_key: str,
     policy_key: str,
-    chunks: Sequence[Sequence[Tuple[int, int, int]]],
+    chunks: Sequence[Tuple[int, int]],
     blocks_manifest: SharedKernelManifest,
     obs_metas: Optional[Dict[int, Dict[str, Any]]] = None,
     manifest: Optional[SharedKernelManifest] = None,
@@ -593,38 +620,21 @@ def _worker_run_chunks(
 ):
     """One pool task: :func:`_run_chunks` over a call's published plan.
 
-    Chunks hold ``(index, start, stop)`` row ranges of the plan segment
+    Chunks are ``(first, stop)`` block ranges of the plan segment
     ``blocks_manifest`` names (entries ``ids``, ``snr``, ``rssi``,
-    ``mask``); each block's arrays are read-only row slices of the
-    views mapped from shared memory (byte-identical to the parent's by
-    construction).  The policy is rebuilt from its spec keys, warm
-    from ``manifest``'s shared kernels, and cached across tasks.
+    ``mask`` and the block ``bounds``); the kernel's parts are
+    read-only row slices of the views mapped from shared memory
+    (byte-identical to the parent's by construction).  The policy is
+    rebuilt from its spec keys, warm from ``manifest``'s shared
+    kernels, and cached across tasks.
     """
 
     def mapped(views: Mapping[str, np.ndarray]):
-        ids, snr, rssi, mask = views["ids"], views["snr"], views["rssi"], views["mask"]
-        blocks = [
-            [
-                (
-                    index,
-                    TrialBlock(
-                        recording_index=-1,
-                        sector_ids=ids[start:stop],
-                        snr_db=snr[start:stop],
-                        rssi_dbm=rssi[start:stop],
-                        mask=mask[start:stop],
-                        sweep_indices=_EMPTY_INTP,
-                        subsample_indices=_EMPTY_INTP,
-                        probes_requested=_EMPTY_INTP,
-                    ),
-                )
-                for index, start, stop in chunk
-            ]
-            for chunk in chunks
-        ]
         return _run_chunks(
             lambda: _worker_policy(testbed_key, policy_key, manifest),
-            blocks, obs_metas, directive, testbed_key, False,
+            (views["ids"], views["snr"], views["rssi"], views["mask"]),
+            views["bounds"].tolist(),
+            chunks, obs_metas, directive, testbed_key, False,
         )
 
     # The plan segment is mapped for this task only: it is released
@@ -632,76 +642,80 @@ def _worker_run_chunks(
     try:
         return _shm_borrow(blocks_manifest, mapped)
     except Exception as error:
-        return {}, (chunks[0][0][0], error)
+        return [], (chunks[0][0], error)
 
 
 def _run_chunks(
     policy_of: Callable[[], Any],
-    chunks: Sequence[Sequence[Tuple[int, TrialBlock]]],
+    arrays: _Arrays,
+    bounds: Sequence[int],
+    chunks: Sequence[Tuple[int, int]],
     obs_metas: Optional[Mapping[int, Mapping[str, Any]]],
     directive: Optional[Dict[str, Any]],
     testbed_key: Optional[str],
     in_process: bool,
-):
+) -> Tuple[List[_Done], Optional[Tuple[int, BaseException]]]:
     """Evaluate whole planned chunks: the body of every supervised task.
 
     Pool children and the runner's in-process tasks both run this.
-    ``chunks`` hold ``(index, TrialBlock)`` pairs, and ``policy_of()``
-    returns the policy to evaluate them with.  Each chunk is one
-    stacked kernel pass (:func:`_eval_chunk`) when the policy has one;
-    a chunk that is not stacked, or whose stacked pass raised (nothing
-    of that pass is kept or charged), runs block by block.  A block
-    carrying a fault ``directive`` travels alone and runs block by
-    block, the directive firing inside its attempt before the policy
-    is fetched, so crash/hang/exception attribution stays per-block
-    exact.  ``obs_metas`` doubles as the observability enable flag and
-    each block's ``execute.block`` attrs; a block run on its own
-    records into its own fresh session, so the runner's ``(call,
+    ``chunks`` are ``(first, stop)`` block ranges of the plan whose
+    kernel arrays are ``arrays`` and block bounds ``bounds``, and
+    ``policy_of()`` returns the policy to evaluate them with.  Each
+    chunk is one stacked kernel pass (:func:`_eval_chunk`) when the
+    policy has one; a chunk that is not stacked, or whose stacked pass
+    raised (nothing of that pass is kept or charged), runs block by
+    block.  A block carrying a fault ``directive`` travels alone and
+    runs block by block, the directive firing inside its attempt before
+    the policy is fetched, so crash/hang/exception attribution stays
+    per-block exact.  ``obs_metas`` doubles as the observability enable
+    flag and each block's ``execute.block`` attrs; a block run on its
+    own records into its own fresh session, so the runner's ``(call,
     block)``-ordered absorption never shows scheduling.
 
-    Returns ``(done, failure)``: ``done`` maps block index → the
-    ``(selections, info)`` payload of every block that finished, and
-    ``failure`` is ``(index, error)`` for the first block that raised
-    (or None).  Blocks after it are not attempted — the runner treats
-    them as collateral, exactly like blocks lost to a pool death, so
-    their retry budget is never charged for a chunkmate's sins.
+    Returns ``(done, failure)``: ``done`` lists every finished row
+    range in block order (a chunk, or one block of a chunk run block by
+    block) with its selections and trace payload, and ``failure`` is
+    ``(index, error)`` for the first block that raised (or None).
+    Blocks after it are not attempted — the runner treats them as
+    collateral, exactly like blocks lost to a pool death, so their
+    retry budget is never charged for a chunkmate's sins.
     """
-    done: Dict[int, Tuple[Selections, Dict[str, Any]]] = {}
+    done: List[_Done] = []
 
-    def evaluate(block: TrialBlock, quality_meta=None) -> Selections:
+    def evaluate(part: _Arrays, quality_meta=None) -> Selections:
         if directive is not None:
             _apply_directive(directive, testbed_key, in_process)
         policy = policy_of()
         policy.reset()
         with _quality_scope(quality_meta):
-            return _eval_block(policy, block)
+            return _eval_block(policy, part)
 
     try:
         policy = policy_of() if directive is None else None
     except Exception as error:
-        return done, (chunks[0][0][0], error)
+        return done, (chunks[0][0], error)
     for chunk in chunks:
         if hasattr(policy, "select_fused_stacked"):
             try:
-                done.update(_eval_chunk(policy, chunk, obs_metas))
+                done.append(_eval_chunk(policy, arrays, bounds, chunk, obs_metas))
                 continue
             except Exception as error:
                 # The per-block pass below attributes the error.
                 _LOGGER.warning(
                     "stacked pass over %d block(s) from block %d failed "
                     "(%s: %s); re-running them block by block",
-                    len(chunk), chunk[0][0], type(error).__name__, error,
+                    chunk[1] - chunk[0], chunk[0], type(error).__name__, error,
                 )
-        for index, block in chunk:
+        for index, part in enumerate(_parts(arrays, bounds, *chunk), chunk[0]):
             try:
                 if obs_metas is None:
-                    done[index] = (evaluate(block), {})
+                    done.append((index, index + 1, evaluate(part), None))
                     continue
                 attrs, quality_meta = _split_meta(obs_metas[index])
                 with _fresh_session() as session:
                     with _obs.span("execute.block", **attrs):
-                        results = evaluate(block, quality_meta)
-                    done[index] = (results, {"obs": session.drain_payload()})
+                        results = evaluate(part, quality_meta)
+                    done.append((index, index + 1, results, session.drain_payload()))
             except Exception as error:
                 return done, (index, error)
     return done, None
@@ -734,39 +748,39 @@ def _looped_columns(
 
 
 def _gather_plan(
-    recordings: Sequence,
+    sweeps: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tx_ids: Sequence[int],
     columns: np.ndarray,
     requested: np.ndarray,
     subsamples_per_sweep: int,
 ) -> TrialPlan:
-    """A call's trials, gathered at once from its recordings' packed sweeps.
+    """A call's trials, gathered at once from its recordings' stacked sweeps.
 
-    Recording ``r`` owns the next ``n_sweeps × subsamples_per_sweep``
-    rows; its trial ``t`` reads sweep ``t // subsamples_per_sweep`` at
-    the columns ``columns[row, :requested[row]]``.  The slots past a
-    row's count are padding, set to id 0, NaN and False.
+    ``sweeps`` is :func:`~repro.experiments.common.stack_sweeps`' result
+    for the call's recordings and ``tx_ids``: each recording's sweep
+    count, and every sweep's reports, recording-major.  Recording ``r``
+    owns the next ``n_sweeps × subsamples_per_sweep`` rows; its trial
+    ``t`` reads sweep ``t // subsamples_per_sweep`` at the columns
+    ``columns[row, :requested[row]]``.  The slots past a row's count
+    are padding, set to id 0, NaN and False.
     """
+    n_sweeps, present, snr, rssi = sweeps
     id_row = np.asarray(tx_ids, dtype=np.intp)
-    n_sweeps = np.array([recording.n_sweeps for recording in recordings], dtype=np.intp)
     counts = n_sweeps * subsamples_per_sweep
-    bounds = np.zeros(len(recordings) + 1, dtype=np.intp)
+    bounds = np.zeros(n_sweeps.size + 1, dtype=np.intp)
     np.cumsum(counts, out=bounds[1:])
-    owner = np.repeat(np.arange(len(recordings), dtype=np.intp), counts)
+    owner = np.repeat(np.arange(n_sweeps.size, dtype=np.intp), counts)
     trial = np.arange(columns.shape[0], dtype=np.intp) - bounds[owner]
-    sweeps = trial // subsamples_per_sweep
-    packed = [recording.packed_sweeps(tx_ids) for recording in recordings]
-    if packed:
-        present, snr, rssi = (np.concatenate(arrays) for arrays in zip(*packed))
-    else:
-        present = np.zeros((0, id_row.size), dtype=bool)
-        snr = rssi = np.zeros((0, id_row.size))
+    sweep_indices = trial // subsamples_per_sweep
     first_sweep = np.cumsum(n_sweeps) - n_sweeps
-    rows = (first_sweep[owner] + sweeps)[:, np.newaxis]
-    sector_ids = id_row[columns]
-    snr_db = snr[rows, columns]
-    rssi_dbm = rssi[rows, columns]
-    mask = present[rows, columns]
+    rows = (first_sweep[owner] + sweep_indices)[:, np.newaxis]
+    # One flat index serves all three gathers (a 2-D fancy index
+    # broadcasts its row and column indices on every gather).
+    flat = rows * present.shape[1] + columns
+    sector_ids = np.take(id_row, columns)
+    snr_db = np.take(snr, flat)
+    rssi_dbm = np.take(rssi, flat)
+    mask = np.take(present, flat)
     if columns.shape[0] and requested.min() != columns.shape[1]:
         pad = np.arange(columns.shape[1]) >= requested[:, np.newaxis]
         sector_ids[pad] = 0
@@ -779,11 +793,11 @@ def _gather_plan(
         rssi_dbm=rssi_dbm,
         mask=mask,
         recording_indices=owner,
-        sweep_indices=sweeps,
+        sweep_indices=sweep_indices,
         subsample_indices=trial % subsamples_per_sweep,
         probes_requested=requested,
         bounds=bounds,
-        block_recordings=np.arange(len(recordings), dtype=np.intp),
+        block_recordings=np.arange(n_sweeps.size, dtype=np.intp),
     )
 
 
@@ -843,6 +857,7 @@ class ScenarioRunner:
         self._execute_calls = 0
         self._injected_seen: set = set()
         self._children: List[Child] = []
+        self._cores = os.cpu_count() or 1
         # Pooled calls dispatched but not yet settled, in call order.
         self._unsettled: List[_Call] = []
         self._shm = KernelPublisher()
@@ -1158,6 +1173,8 @@ class ScenarioRunner:
         subsamples_per_sweep: int,
         label: str,
     ) -> TrialPlan:
+        from ..experiments.common import stack_sweeps
+
         pool = list(tx_ids)
         draw = getattr(policy, "probe_positions", None)
         with _obs.span(
@@ -1165,9 +1182,9 @@ class ScenarioRunner:
             policy=getattr(policy, "name", type(policy).__name__),
             recordings=len(recordings),
         ):
-            n_trials = subsamples_per_sweep * sum(
-                recording.n_sweeps for recording in recordings
-            )
+            # Stacking the sweeps draws nothing: the draw order stands.
+            sweeps = stack_sweeps(recordings, tx_ids)
+            n_trials = subsamples_per_sweep * int(sweeps[0].sum())
             # Designed rows are pool positions, and the pool is
             # tx_ids: they are the plan's columns as they stand.
             columns = draw(n_trials, pool, rng) if draw is not None else None
@@ -1181,7 +1198,7 @@ class ScenarioRunner:
             if recordings:
                 _obs.inc("planner_trials_total", n_trials)
             return _gather_plan(
-                recordings, tx_ids, columns, requested, subsamples_per_sweep
+                sweeps, tx_ids, columns, requested, subsamples_per_sweep
             )
 
     # -- execution ------------------------------------------------------
@@ -1284,7 +1301,7 @@ class ScenarioRunner:
         return self._injector is not None or retry.timeout_s is not None
 
     def _lanes(self) -> int:
-        return max(1, min(self.jobs, os.cpu_count() or 1))
+        return max(1, min(self.jobs, self._cores))
 
     def _note_time(self, label: str, seconds: float) -> None:
         self._policy_timings[label] = self._policy_timings.get(label, 0.0) + seconds
@@ -1299,17 +1316,20 @@ class ScenarioRunner:
         label: Optional[str],
     ) -> "_Call":
         """Number a call, read its checkpointed blocks, pick its path."""
+        plan = TrialPlan.from_blocks(blocks)
         call = _Call(
             policy=policy,
-            blocks=TrialPlan.from_blocks(blocks),
+            blocks=plan,
             reset=reset,
             label=label or getattr(policy, "name", type(policy).__name__),
             policy_spec=policy_spec,
             testbed_spec=testbed_spec,
+            rows=np.empty(plan.n_rows, dtype=SELECTION_DTYPE),
         )
         if reset == "plan":
             return call
-        self.health.blocks += len(blocks)
+        n_blocks = len(plan)
+        self.health.blocks += n_blocks
         # Journal keys carry this call's ordinal within the run:
         # executors run deterministically, so the ordinal is stable
         # across resume, and two evaluations of an identical policy
@@ -1319,40 +1339,39 @@ class ScenarioRunner:
         if policy_spec is not None:
             call.policy_key = policy_spec.key()
             call.store = self._store
-        sizes = np.diff(call.blocks.bounds).tolist()
-        journaled = (
-            call.store.get_call(call.policy_key, call.index, len(sizes))
-            if call.store is not None
-            else [None] * len(sizes)
-        )
-        for index, (size, cached) in enumerate(zip(sizes, journaled)):
-            if cached is not None and len(cached) != size:
-                _LOGGER.warning(
-                    "checkpoint entry of block %d of '%s' holds %d rows, the "
-                    "block %d; recomputing",
-                    index, call.label, len(cached), size,
-                )
-                cached = None
-            if cached is not None:
-                call.outputs[index] = cached
+        call.left = np.ones(n_blocks, dtype=bool)
+        call.attempts = np.zeros(n_blocks, dtype=np.intp)
+        if call.store is not None:
+            bounds = plan.bounds.tolist()
+            journaled = call.store.get_call(call.policy_key, call.index, n_blocks)
+            for index, cached in enumerate(journaled):
+                if cached is None:
+                    continue
+                start, stop = bounds[index], bounds[index + 1]
+                if len(cached) != stop - start:
+                    _LOGGER.warning(
+                        "checkpoint entry of block %d of '%s' holds %d rows, the "
+                        "block %d; recomputing",
+                        index, call.label, len(cached), stop - start,
+                    )
+                    continue
+                call.rows[start:stop] = cached.rows
+                call.left[index] = False
                 call.hits.append(index)
-            else:
-                call.pending.append(index)
+        call.pending = n_blocks - len(call.hits)
         # In-process tasks stack chunks just like the pool, so with
         # fewer than 2 parallel lanes (a single-core host) the pool
         # only adds IPC — it runs there only when supervision semantics
         # require process isolation.
         call.pooled = (
-            bool(call.pending)
+            call.pending > 0
             and self.jobs > 1
-            and len(blocks) > 1
+            and n_blocks > 1
             and policy_spec is not None
             and testbed_spec is not None
             and hasattr(policy, "select_batch")
             and (self._lanes() > 1 or self._isolated())
         )
-        call.remaining = set(call.pending)
-        call.attempts = {index: 0 for index in call.pending}
         if call.pooled:
             self._unsettled.append(call)
         return call
@@ -1389,8 +1408,9 @@ class ScenarioRunner:
         A plan-mode call runs its blocks in order.  A recording-mode
         call runs collect and retry rounds until every pending block
         has settled (dispatching its first round here unless that ran
-        ahead), then its results and trace payloads are absorbed;
-        finished blocks were journaled as their tasks resolved.
+        ahead), then its trace payloads are absorbed; finished row
+        ranges were written into the call's selections, and journaled,
+        as their tasks resolved.
         """
         with self._call_scope(call) as span_id:
             if call.reset == "plan":
@@ -1404,52 +1424,39 @@ class ScenarioRunner:
             if call.pooled:
                 self._revive()
                 self._close(call)
-            self._absorb(call, call.executed, span_id)
+            self._absorb(call, span_id)
             return self._records(call)
 
     def _note_hits(self, call: "_Call") -> None:
         for index in call.hits:
             self.health.note_checkpoint_hit(call.label, index, call.index)
 
-    def _absorb(
-        self,
-        call: "_Call",
-        executed: Mapping[int, Tuple[Selections, Dict[str, Any]]],
-        span_id: Optional[str],
-    ) -> None:
-        """Take executed blocks' results, and their worker trace payloads.
+    def _absorb(self, call: "_Call", span_id: Optional[str]) -> None:
+        """Count the executed blocks and take their worker trace payloads.
 
-        Absorbed in sorted block order — worker trace payloads merge
-        keyed by (call, block) like the checkpoint journal, so the
-        merged trace never depends on pool scheduling.
+        Payloads are absorbed in sorted block order — keyed by (call,
+        first block) like the checkpoint journal — so the merged trace
+        never depends on pool scheduling.
         """
+        self.health.executed += call.executed
         session = _obs.active_session()
-        for index in sorted(executed):
-            results, info = executed[index]
-            call.outputs[index] = results
-            self.health.executed += 1
-            payload = info.pop("obs", None) if isinstance(info, dict) else None
-            if payload is not None and session is not None:
-                session.absorb_payload(payload, span_id, f"c{call.index}b{index}")
+        if session is None:
+            return
+        for first in sorted(call.payloads):
+            session.absorb_payload(
+                call.payloads[first], span_id, f"c{call.index}b{first}"
+            )
 
     @staticmethod
     def _records(call: "_Call") -> TrialRecords:
-        """The call's selections, block by block into one call-wide array.
-
-        Filled in place: ``np.concatenate`` promotes the structured
-        fields one by one and costs several times the copy.
-        """
+        """The call's records: the plan's row columns beside its selections."""
         plan = call.blocks
-        rows = np.empty(plan.n_rows, dtype=SELECTION_DTYPE)
-        bounds = plan.bounds.tolist()
-        for index in range(len(plan)):
-            rows[bounds[index] : bounds[index + 1]] = call.outputs[index].rows
         return TrialRecords(
             recording=plan.recording_indices,
             sweep=plan.sweep_indices,
             subsample=plan.subsample_indices,
             probes_requested=plan.probes_requested,
-            selections=Selections(rows),
+            selections=Selections(call.rows),
         )
 
     def _close(self, call: "_Call") -> None:
@@ -1469,7 +1476,7 @@ class ScenarioRunner:
         """
         calls = [call for call in calls if not call.closed]
         for call in calls:
-            for _, future, child in call.tasks or ():
+            for _, _, future, child in call.tasks or ():
                 if not future.done():
                     child.kill()
         for call in calls:
@@ -1480,22 +1487,31 @@ class ScenarioRunner:
 
     def _execute_plan(self, call: "_Call") -> None:
         """``reset="plan"``: one reset, state threading through every block."""
+        plan = call.blocks
+        bounds = plan.bounds.tolist()
+        arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
         call.policy.reset()
-        for index, block in enumerate(call.blocks):
+        for index, part in enumerate(_parts(arrays, bounds, 0, len(plan))):
             self._check_abort()
-            call.outputs[index] = _eval_block(call.policy, block)
+            selections = _eval_block(call.policy, part)
+            call.rows[bounds[index] : bounds[index + 1]] = selections.rows
 
     @staticmethod
-    def _commit(
-        call: "_Call", done: Mapping[int, Tuple[Selections, Dict[str, Any]]]
-    ) -> None:
+    def _commit(call: "_Call", done: Sequence[_Done]) -> None:
         """Journal finished blocks of one execute call in one group commit."""
-        if call.store is not None and done:
-            indices = sorted(done)
-            call.store.put(
-                call.policy_key, call.index, indices,
-                [done[index][0] for index in indices],
-            )
+        if call.store is None or not done:
+            return
+        bounds = call.blocks.bounds.tolist()
+        indices: List[int] = []
+        results: List[Selections] = []
+        for first, stop, selections, _ in done:
+            base = bounds[first]
+            for index in range(first, stop):
+                indices.append(index)
+                results.append(
+                    selections[bounds[index] - base : bounds[index + 1] - base]
+                )
+        call.store.put(call.policy_key, call.index, indices, results)
 
     def _note_injected(self, label: str, index: int, attempt: int, kind: str) -> None:
         """Count a directive once per (label, block, attempt).
@@ -1537,11 +1553,12 @@ class ScenarioRunner:
     def _publish_blocks(self, call: "_Call") -> SharedKernelManifest:
         """Publish a pooled call's plan arrays over shared memory.
 
-        One segment with four entries (``ids``, ``snr``, ``rssi``,
-        ``mask``) for the whole call: chunk tasks then carry row ranges
-        instead of pickled arrays, and workers slice read-only views —
-        the zero-copy half of the dispatch.  The segment lives for this
-        one call: it is released when the call settles (:meth:`_close`).
+        One segment for the whole call, with the four kernel arrays
+        (``ids``, ``snr``, ``rssi``, ``mask``) and the block ``bounds``:
+        chunk tasks then carry block ranges instead of pickled arrays,
+        and workers slice read-only views — the zero-copy half of the
+        dispatch.  The segment lives for this one call: it is released
+        when the call settles (:meth:`_close`).
         """
         plan = call.blocks
         call.blocks_key = f"blocks::{next(self._block_segments)}"
@@ -1552,6 +1569,7 @@ class ScenarioRunner:
                 "snr": plan.snr_db,
                 "rssi": plan.rssi_dbm,
                 "mask": plan.mask,
+                "bounds": plan.bounds,
             },
         )
 
@@ -1589,82 +1607,90 @@ class ScenarioRunner:
             call.quality_meta = quality.to_meta() if quality is not None else None
         traced = _obs.enabled()
         children = self._pool() if call.pooled else []
-        blocks, label = call.blocks, call.label
-        batch = sorted(call.remaining)
-        call.dispatch_attempt = dispatch_attempt = {}
+        plan, label = call.blocks, call.label
+        batch = np.flatnonzero(call.left)
+        call.sent = np.zeros(call.left.size, dtype=np.intp)
+        call.sent[batch] = call.attempts[batch] + 1
+        call.round_size = int(batch.size)
+        call.retrying = bool(call.attempts[batch].any())
         call.directives = directives = {}
         call.tasks = []
         call.failures = []
         obs_meta_of: Dict[int, Dict[str, Any]] = {}
-        for index in batch:
-            dispatch_attempt[index] = call.attempts[index] + 1
-            directive = (
-                self._injector.directive(index, dispatch_attempt[index])
-                if self._injector is not None
-                else None
-            )
-            directives[index] = directive
-            kind = directive.get("kind") if directive is not None else None
-            # A cache-corrupt without a testbed memo is skipped in the task.
-            if kind is not None and (kind != "cache-corrupt" or call.testbed_key):
-                self._note_injected(label, index, dispatch_attempt[index], kind)
-            if traced:
-                obs_meta = {
-                    "policy": label, "call": call.index,
-                    "block": index, "attempt": dispatch_attempt[index],
-                }
+        if self._injector is not None or traced:
+            sent = call.sent.tolist()
+            for index in batch.tolist():
+                directive = (
+                    self._injector.directive(index, sent[index])
+                    if self._injector is not None
+                    else None
+                )
                 if directive is not None:
-                    obs_meta["injected"] = True
-                if call.quality_meta is not None:
-                    obs_meta["quality"] = call.quality_meta
-                obs_meta_of[index] = obs_meta
-        singles = {index for index in batch if directives[index] is not None}
-        bounds = blocks.bounds
-        chunks = _plan_chunks(bounds, batch, singles)
+                    directives[index] = directive
+                    kind = directive.get("kind")
+                    # A cache-corrupt without a testbed memo is skipped
+                    # in the task.
+                    if kind is not None and (kind != "cache-corrupt" or call.testbed_key):
+                        self._note_injected(label, index, sent[index], kind)
+                if traced:
+                    obs_meta = {
+                        "policy": label, "call": call.index,
+                        "block": index, "attempt": sent[index],
+                    }
+                    if directive is not None:
+                        obs_meta["injected"] = True
+                    if call.quality_meta is not None:
+                        obs_meta["quality"] = call.quality_meta
+                    obs_meta_of[index] = obs_meta
+
+        def metas(chunks: Sequence[Tuple[int, int]]):
+            if not traced:
+                return None
+            return {
+                index: obs_meta_of[index]
+                for first, stop in chunks
+                for index in range(first, stop)
+            }
+
+        bounds = plan.bounds
+        chunks = _plan_chunks(bounds, batch, directives)
         if not call.pooled:
             policy = call.policy
 
             def policy_of():
                 return policy
 
+            arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
+            starts = bounds.tolist()
             for chunk in chunks:
                 args = (
-                    policy_of,
-                    [[(index, blocks[index]) for index in chunk]],
-                    {index: obs_meta_of[index] for index in chunk} if traced else None,
-                    directives[chunk[0]],
-                    call.testbed_key,
-                    True,
+                    policy_of, arrays, starts, [chunk], metas([chunk]),
+                    directives.get(chunk[0]), call.testbed_key, True,
                 )
-                call.tasks.append((chunk, args, None))
+                call.tasks.append((chunk[0], chunk[1] - chunk[0], args, None))
             return
         # Directive carriers get a task each, sent first; clean chunks
         # share at most `lanes` tasks.
-        groups = [[chunk] for chunk in chunks if chunk[0] in singles]
+        groups = [[chunk] for chunk in chunks if chunk[0] in directives]
         groups += _lane_groups(
-            bounds, [chunk for chunk in chunks if chunk[0] not in singles],
+            bounds, [chunk for chunk in chunks if chunk[0] not in directives],
             self._lanes(),
         )
-        starts = bounds.tolist()
         for group in groups:
-            indices = [index for chunk in group for index in chunk]
-            # Shared-memory blocks travel as row ranges of the plan.
-            payload = [
-                [(index, starts[index], starts[index + 1]) for index in chunk]
-                for chunk in group
-            ]
+            first = group[0][0]
             args = (
                 call.testbed_key,
                 call.policy_key,
-                payload,
+                group,
                 call.blocks_manifest,
-                {index: obs_meta_of[index] for index in indices} if traced else None,
+                metas(group),
                 call.kernels,
-                directives[indices[0]],
+                directives.get(first),
             )
             child = min(children, key=lambda child: child.pending)
             future = child.submit((_worker_run_chunks, args))
-            call.tasks.append((indices, future, child))
+            n_blocks = sum(stop - start for start, stop in group)
+            call.tasks.append((first, n_blocks, future, child))
 
     def _supervise_pool(self, call: "_Call") -> None:
         """Collect a call's rounds until every block is settled.
@@ -1677,7 +1703,8 @@ class ScenarioRunner:
         retry = self.retry or _FAIL_FAST
         while True:
             self._collect_round(call, retry)
-            if len(call.remaining) < len(call.dispatch_attempt) or call.failures:
+            left = int(np.count_nonzero(call.left))
+            if left < call.round_size or call.failures:
                 call.barren_rounds = 0
             else:
                 # No completions and no chargeable failures: children
@@ -1685,14 +1712,15 @@ class ScenarioRunner:
                 # after a few replacements rather than looping forever.
                 call.barren_rounds += 1
                 if call.barren_rounds > 5:
-                    stuck = min(call.remaining)
+                    stuck = int(np.flatnonzero(call.left)[0])
                     raise RetryExhaustedError(
-                        call.label, stuck, call.attempts[stuck] + 1, call.last_error
+                        call.label, stuck, int(call.attempts[stuck]) + 1,
+                        call.last_error,
                     )
             for index, error in call.failures:
                 if call.attempts[index] >= retry.max_attempts:
                     raise RetryExhaustedError(
-                        call.label, index, call.attempts[index], error
+                        call.label, index, int(call.attempts[index]), error
                     )
             if call.failures:
                 for index, error in call.failures:
@@ -1706,12 +1734,12 @@ class ScenarioRunner:
                     ),
                 )
                 wait = max(
-                    retry.backoff_s(index, call.attempts[index])
+                    retry.backoff_s(index, int(call.attempts[index]))
                     for index, _ in call.failures
                 )
                 _obs.observe("runner_retry_wait_seconds", wait)
                 self._abort_wait(wait)
-            if not call.remaining:
+            if not left:
                 return
             self._dispatch(call)
 
@@ -1733,87 +1761,93 @@ class ScenarioRunner:
         """
         label = call.label
         while call.tasks:
-            if call.tasks[0][2] is None:
+            first, n_blocks, work, child = call.tasks[0]
+            if child is None:
                 self._check_abort()
-                _, args, _ = call.tasks.pop(0)
-                self._settle_done(call, *_run_chunks(*args))
+                call.tasks.pop(0)
+                self._settle_done(call, *_run_chunks(*work))
                 if call.failures and (
                     call.attempts[call.failures[-1][0]] >= retry.max_attempts
                 ):
                     call.tasks.clear()
                 continue
-            indices, future, child = call.tasks[0]
-            budget = (
-                None if retry.timeout_s is None else retry.timeout_s * len(indices)
-            )
+            budget = None if retry.timeout_s is None else retry.timeout_s * n_blocks
             try:
-                self._await_task(future, budget)
+                self._await_task(work, budget)
             except _FuturesTimeout:
                 # The hung block inside a task is unknowable from
                 # outside; charge the task's first block (a
                 # single-block task charges itself).
-                charged = indices[0]
-                self.health.note_timeout(label, charged, budget)
+                self.health.note_timeout(label, first, budget)
                 noun = (
-                    f"block {charged}"
-                    if len(indices) == 1
-                    else f"chunk of {len(indices)} blocks at {charged}"
+                    f"block {first}"
+                    if n_blocks == 1
+                    else f"chunk of {n_blocks} blocks at {first}"
                 )
                 self._charge(
                     call,
-                    charged,
+                    first,
                     BlockTimeoutError(
                         f"{noun} of '{label}' exceeded its "
                         f"{budget:.3g} s wall-clock budget"
                     ),
                 )
                 child.kill()
-                future.exception()  # resolves once the child is reaped
+                work.exception()  # resolves once the child is reaped
                 call.tasks.pop(0)
                 continue
             self._take(call, call.tasks.pop(0))
 
-    def _take(self, call: "_Call", task: Tuple[List[int], Any, Child]) -> None:
+    def _take(self, call: "_Call", task: Tuple[int, int, Any, Child]) -> None:
         """Apply one resolved pool task to its call.
 
-        A finished task settles every block of its ``done`` map and
-        charges its recorded first failure, if any; blocks neither done
-        nor failed are collateral.  A task lost with its child is
+        A finished task settles every row range of its ``done`` list
+        and charges its recorded first failure, if any; blocks neither
+        done nor failed are collateral.  A task lost with its child is
         charged only when it carried a ``crash`` directive itself — the
         death *is* the experiment; any other lost task is collateral
         (an external kill, the OOM killer, a chunkmate's timeout), its
         blocks redispatched uncharged.
         """
-        indices, future, _ = task
+        first, _, future, _ = task
         error = future.exception()
         if error is None:
             self._settle_done(call, *future.result())
         elif not isinstance(error, ChildDied):
-            self._charge(call, indices[0], error)
-        elif (call.directives.get(indices[0]) or {}).get("kind") == "crash":
-            self._charge(call, indices[0], error)
+            self._charge(call, first, error)
+        elif (call.directives.get(first) or {}).get("kind") == "crash":
+            self._charge(call, first, error)
         else:
             call.last_error = error
 
     @staticmethod
     def _charge(call: "_Call", index: int, error: BaseException) -> None:
         """A block's own failure: it costs the block this attempt."""
-        call.attempts[index] = call.dispatch_attempt[index]
+        call.attempts[index] = call.sent[index]
         call.failures.append((index, error))
 
     def _settle_done(
         self,
         call: "_Call",
-        done: Mapping[int, Tuple[Selections, Dict[str, Any]]],
+        done: Sequence[_Done],
         failure: Optional[Tuple[int, BaseException]],
     ) -> None:
-        """Apply one task's ``(done, failure)`` reply: settle its finished
-        blocks, journal them with one commit, charge its first failure."""
-        for index, payload in done.items():
-            call.attempts[index] = call.dispatch_attempt[index]
-            call.executed[index] = payload
-            call.remaining.discard(index)
-            self.health.note_attempts(call.label, index, call.attempts[index])
+        """Apply one task's ``(done, failure)`` reply: write each finished
+        row range into the call's selections, journal its blocks with one
+        commit, charge its first failure."""
+        bounds = call.blocks.bounds
+        for first, stop, selections, payload in done:
+            call.rows[bounds[first] : bounds[stop]] = selections.rows
+            call.attempts[first:stop] = call.sent[first:stop]
+            call.left[first:stop] = False
+            call.executed += stop - first
+            if payload is not None:
+                call.payloads[first] = payload
+            if call.retrying:
+                for index in range(first, stop):
+                    self.health.note_attempts(
+                        call.label, index, int(call.attempts[index])
+                    )
         self._commit(call, done)
         if failure is not None:
             self._charge(call, *failure)

@@ -36,10 +36,14 @@ from repro.core.measurements import ProbeMeasurement
 from repro.core.policy import CompressivePolicy, FullSweepPolicy
 from repro.core.probes import clear_design_cache
 from repro.core.selector import SELECTION_DTYPE, SelectionResult, Selections
+from repro.channel.environment import conference_room
 from repro.experiments.common import (
     RecordedDirection,
+    RecordingSet,
     estimate_errors,
+    record_directions,
     snr_losses,
+    stack_sweeps,
 )
 from repro.experiments.fig8 import stability, stability_of_selections
 from repro.experiments.fig11 import goodputs
@@ -436,6 +440,80 @@ class TestCallWidePlan:
             evaluator.reset()
             expected.extend(evaluator.select_batch(ids, snr, rssi, mask))
         assert list(records.selections) == expected
+
+
+_PLAN_FIELDS = (
+    "sector_ids", "snr_db", "rssi_dbm", "mask", "recording_indices",
+    "sweep_indices", "subsample_indices", "probes_requested", "bounds",
+    "block_recordings",
+)
+
+
+def _id_order(tx_ids, order):
+    """``tx_ids`` in the recordings' order or another one."""
+    ids = list(tx_ids)
+    if order == "permuted":
+        return list(np.random.default_rng(4).permutation(ids))
+    if order == "subset":
+        return ids[::3][::-1]
+    if order == "unknown":
+        return ids[:5] + [999, -1] + ids[5:9]
+    return ids
+
+
+class TestPackedRecordingSet:
+    """``record_directions`` keeps its reports packed, and the planner's
+    gather of that packed storage equals the per-recording gather."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, testbed):
+        return record_directions(
+            testbed, conference_room(6.0), [-40.0, -10.0, 15.0, 50.0], [0.0, 6.0], 3,
+            np.random.default_rng(5),
+        )
+
+    def test_members_are_views_of_the_packed_arrays(self, recorded):
+        assert isinstance(recorded, RecordingSet) and len(recorded) == 8
+        packed = (recorded.present, recorded.snr_db, recorded.rssi_dbm)
+        for index, recording in enumerate(recorded):
+            rows = slice(3 * index, 3 * index + 3)
+            own = (recording.present, recording.snr_db, recording.rssi_dbm)
+            for mine, whole in zip(own, packed):
+                assert np.shares_memory(mine, whole)
+                assert np.array_equal(mine, whole[rows], equal_nan=True)
+        for whole in packed:
+            with pytest.raises(ValueError):
+                whole[0, 0] = 0
+        # A slice is a plain sequence: its gather is per recording.
+        assert type(recorded[1:3]) is tuple
+
+    @pytest.mark.parametrize("order", ["own", "permuted", "subset", "unknown"])
+    def test_packed_gather_equals_the_per_recording_gather(self, recorded, testbed, order):
+        ids = _id_order(recorded.tx_sector_ids, order)
+        ours = stack_sweeps(recorded, ids)
+        theirs = stack_sweeps(list(recorded), ids)
+        reference = [recording.packed_sweeps(ids) for recording in recorded]
+        assert np.array_equal(ours[0], [3] * len(recorded))
+        for field, (got, expected) in enumerate(zip(ours, theirs)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected, equal_nan=True)
+            if field:
+                stacked = np.concatenate([arrays[field - 1] for arrays in reference])
+                assert np.array_equal(got, stacked, equal_nan=True)
+        if order == "own":
+            assert ours[1] is recorded.present  # handed over as it stands
+
+        context = PolicyContext(testbed=testbed, cache={})
+        plans = []
+        for recordings in (recorded, list(recorded)):
+            rng = np.random.default_rng(9)
+            policy = CompressivePolicy(context, n_probes=min(9, len(ids)))
+            with ScenarioRunner() as runner:
+                plans.append(runner.plan_trials(policy, recordings, ids, rng, 2))
+        for name in _PLAN_FIELDS:
+            got, expected = (getattr(plan, name) for plan in plans)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected, equal_nan=True), name
 
 
 # ----------------------------------------------------------------------

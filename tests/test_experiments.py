@@ -1,7 +1,11 @@
 """Tests for the experiment harness (reduced configs, full code paths)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (
     BoxStats,
@@ -45,6 +49,51 @@ class TestBoxStats:
     def test_constant_samples(self):
         stats = BoxStats.from_samples([3.0, 3.0, 3.0])
         assert stats.median == stats.whisker_high == 3.0
+
+    # Few distinct values make ties common; signed zeros are one value
+    # (their order among ties is unspecified in numpy too).
+    _SAMPLES = st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5, -7.0, 1e308, -1e308, 5e-324]),
+            st.floats(allow_nan=False, allow_infinity=True).map(lambda x: x + 0.0),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=_SAMPLES, as_array=st.booleans())
+    @example(samples=[4.0], as_array=False)  # n = 1
+    @example(samples=[1.0, 3.0, 2.0], as_array=True)  # odd n
+    @example(samples=[4.0, 1.0, 3.0, 2.0], as_array=False)  # even n
+    @example(samples=[2.0, 2.0, 1.0, 2.0, 2.0, 5.0], as_array=True)  # ties
+    def test_one_sort_equals_numpy_bit_for_bit(self, samples, as_array):
+        values = np.asarray(samples, dtype=float)
+        with np.errstate(all="ignore"):
+            expected = [float(np.median(values))] + np.percentile(
+                values, (25, 75, 0.5, 99.5)
+            ).tolist()
+            stats = BoxStats.from_samples(values if as_array else samples)
+        got = [
+            stats.median, stats.box_low, stats.box_high,
+            stats.whisker_low, stats.whisker_high,
+        ]
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert stats.n_samples == len(samples)
+
+    def test_a_nan_sample_makes_every_statistic_nan(self):
+        stats = BoxStats.from_samples([1.0, np.nan, 2.0])
+        with np.errstate(all="ignore"):
+            median = np.median([1.0, np.nan, 2.0])
+            percentiles = np.percentile([1.0, np.nan, 2.0], (25, 75, 0.5, 99.5))
+        assert np.isnan(median) and np.isnan(percentiles).all()
+        assert all(
+            math.isnan(value)
+            for value in (
+                stats.median, stats.box_low, stats.box_high,
+                stats.whisker_low, stats.whisker_high,
+            )
+        )
 
 
 class TestStability:

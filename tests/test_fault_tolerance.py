@@ -673,25 +673,27 @@ class TestWorkerCacheCorruption:
         return spec, policy_spec, policy, blocks
 
     def test_worker_block_runs_through_an_injected_corruption(self, isolated_cache):
-        spec, policy_spec, _, (block,) = self._planned([0.0])
+        spec, policy_spec, _, plan = self._planned([0.0])
         testbed_key = spec.key()
+        arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
+        bounds = plan.bounds.tolist()
 
         def worker_policy():
             return runner_module._worker_policy(testbed_key, policy_spec.key())
 
         done, failure = runner_module._run_chunks(
-            worker_policy, [[(0, block)]], None, None, testbed_key, False
+            worker_policy, arrays, bounds, [(0, 1)], None, None, testbed_key, False
         )
         assert failure is None
-        clean, info = done[0]
-        assert info == {}
+        ((first, stop, clean, payload),) = done
+        assert (first, stop, payload) == (0, 1, None)
         done, failure = runner_module._run_chunks(
-            worker_policy, [[(0, block)]], None, {"kind": "cache-corrupt"},
+            worker_policy, arrays, bounds, [(0, 1)], None, {"kind": "cache-corrupt"},
             testbed_key, False,
         )
         assert failure is None
-        corrupted, info = done[0]
-        assert info == {}
+        ((first, stop, corrupted, payload),) = done
+        assert (first, stop, payload) == (0, 1, None)
         assert [r.sector_id for r in corrupted] == [r.sector_id for r in clean]
 
     def test_local_cache_corrupt_directive_truncates_the_memo(self, isolated_cache):

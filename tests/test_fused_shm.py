@@ -22,6 +22,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,12 +33,16 @@ import repro.runtime.runner as runner_module
 import repro.runtime.shm as shm
 from repro.core.compressive import CompressiveSectorSelector
 from repro.core.measurements import ProbeMeasurement
+from repro.channel.environment import conference_room
 from repro.core.policy import CompressivePolicy, seed_shared_selector
+from repro.core.selector import SELECTION_DTYPE
+from repro.experiments.common import record_directions
 from repro.runtime import FaultPlan, RetryPolicy, ScenarioRunner
 from repro.runtime.faults import FaultSpec, RetryExhaustedError
 from repro.runtime.policy import PolicyContext
 from repro.runtime.proc import Child
 from repro.runtime.runner import TrialBlock, TrialPlan
+from repro.runtime import spec as runtime_spec
 from repro.runtime.spec import PolicySpec, ScenarioSpec
 
 from tests.process_tree import held_segments, mapped_segments
@@ -204,40 +209,104 @@ class TestChunkPlanner:
     @given(shapes=_SHAPES, data=st.data())
     def test_chunks_partition_in_order_under_the_budget(self, shapes, data):
         plan = TrialPlan.from_blocks(_blocks(shapes))
-        indices = list(range(len(plan)))
+        every = list(range(len(plan)))
+        # Journaled blocks drop out of a round: a gap ends a chunk.
+        indices = sorted(data.draw(st.sets(st.sampled_from(every), min_size=1)))
         alone = set(data.draw(st.lists(st.sampled_from(indices), max_size=3)))
-        chunks = runner_module._plan_chunks(plan.bounds, indices, alone)
-        assert [index for chunk in chunks for index in chunk] == indices
+        chunks = runner_module._plan_chunks(plan.bounds, np.array(indices), alone)
+        assert [i for first, stop in chunks for i in range(first, stop)] == indices
         # A plan has one width, the widest block's: any blocks may stack.
         assert {plan[index].sector_ids.shape[1] for index in indices} == {
             max(width for _, width in shapes)
         }
         budget = runner_module.CHUNK_ROWS
-        for chunk in chunks:
-            rows = sum(plan[index].n_trials for index in chunk)
-            assert len(chunk) == 1 or rows <= budget
-            assert len(chunk) == 1 or not alone & set(chunk)
+        for first, stop in chunks:
+            rows = int(plan.bounds[stop] - plan.bounds[first])
+            assert stop - first == 1 or rows <= budget
+            assert stop - first == 1 or not alone & set(range(first, stop))
         # Greedy: no chunk could have taken the next chunk's first block.
-        for chunk, following in zip(chunks, chunks[1:]):
-            head = following[0]
-            rows = sum(plan[index].n_trials for index in chunk + [head])
-            assert rows > budget or alone & {chunk[-1], head}
+        for (first, stop), (head, _) in zip(chunks, chunks[1:]):
+            rows = int(plan.bounds[head + 1] - plan.bounds[first])
+            assert head != stop or rows > budget or alone & {stop - 1, head}
 
     @settings(max_examples=80, deadline=None)
     @given(shapes=_SHAPES, lanes=st.integers(1, 4))
     def test_lane_groups_are_contiguous_and_balanced(self, shapes, lanes):
         plan = TrialPlan.from_blocks(_blocks(shapes))
-        chunks = runner_module._plan_chunks(plan.bounds, range(len(plan)))
+        chunks = runner_module._plan_chunks(plan.bounds, np.arange(len(plan)))
         groups = runner_module._lane_groups(plan.bounds, chunks, lanes)
         assert 1 <= len(groups) <= lanes
         assert [chunk for group in groups for chunk in group] == chunks
+
         def rows(chunk):
-            return sum(plan[index].n_trials for index in chunk)
+            return int(plan.bounds[chunk[1]] - plan.bounds[chunk[0]])
 
         share = sum(rows(chunk) for chunk in chunks) / lanes
         largest = max(rows(chunk) for chunk in chunks)
         for group in groups:
             assert sum(rows(chunk) for chunk in group) <= share + largest
+
+
+@pytest.fixture(scope="module")
+def budget_runners():
+    """A jobs=1 runner and a jobs=2 runner whose calls go to the pool
+    (two lanes, even on a one-core host)."""
+    with mock.patch("os.cpu_count", return_value=2):
+        pooled = ScenarioRunner(jobs=2)
+    with ScenarioRunner(jobs=1) as serial, pooled:
+        yield {1: serial, 2: pooled}
+
+
+@pytest.fixture(scope="module")
+def budget_recordings():
+    testbed = runtime_spec.TestbedSpec().build()
+    return testbed, record_directions(
+        testbed, conference_room(6.0), np.arange(-60.0, 61.0, 10.0), [0.0], 2,
+        np.random.default_rng(3),
+    )
+
+
+class TestChunkBudget:
+    """A call's records do not depend on how its blocks are chunked."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n_probes=st.sampled_from([2, 6, 14, 34]),
+        subsamples=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_records_are_bit_identical_at_every_budget_and_jobs(
+        self, budget_runners, budget_recordings, n_probes, subsamples, seed
+    ):
+        testbed, recordings = budget_recordings
+        testbed_spec = runtime_spec.TestbedSpec()
+        policy_spec = PolicySpec("css", {"n_probes": n_probes})
+        expected = None
+        for jobs, runner in budget_runners.items():
+            policy = runner.build_policy(policy_spec, runner.context(testbed))
+            plan = runner.plan_trials(
+                policy, recordings, testbed.tx_sector_ids,
+                np.random.default_rng(seed), subsamples,
+            )
+            if expected is None:
+                # The definition: each block alone, from reset state.
+                parts = []
+                for block in plan:
+                    policy.reset()
+                    parts.append(
+                        policy.select_batch(
+                            block.sector_ids, block.snr_db, block.rssi_dbm, block.mask
+                        ).rows
+                    )
+                expected = np.concatenate(parts).astype(SELECTION_DTYPE).tobytes()
+            # 1 row: every block alone; the whole call: one chunk.
+            for budget in (1, 64, 256, plan.n_rows):
+                with mock.patch.object(runner_module, "CHUNK_ROWS", budget):
+                    records = runner.execute(
+                        policy, plan, policy_spec=policy_spec, testbed_spec=testbed_spec
+                    )
+                assert records.selections.rows.tobytes() == expected, (jobs, budget)
+        assert budget_runners[2]._children, "the jobs=2 calls ran on the pool"
 
 
 def _kernel_segments():

@@ -93,7 +93,7 @@ def _hook_first_settle(runner, before):
 def _wait_for_inflight_tasks(runner):
     deadline = time.monotonic() + 60
     for call in runner._unsettled:
-        for _, future, _ in call.tasks:
+        for _, _, future, _ in call.tasks:
             while not future.done():
                 assert time.monotonic() < deadline, "task never finished"
                 time.sleep(0.005)
@@ -212,17 +212,20 @@ class TestCallsInFlight:
             "snr": blocks.snr_db,
             "rssi": blocks.rssi_dbm,
             "mask": blocks.mask,
+            "bounds": blocks.bounds,
         }
-        bounds = blocks.bounds.tolist()
         try:
             manifest = publisher.publish("blocks", arrays)
             done, failure = runner_module._worker_run_chunks(
                 testbed_spec.key(),
                 policy_spec.key(),
-                [[(index, bounds[index], bounds[index + 1]) for index in range(len(blocks))]],
+                [(0, len(blocks))],
                 blocks_manifest=manifest,
             )
-            assert failure is None and sorted(done) == list(range(len(blocks)))
+            # One chunk, one stacked pass: one row range, every block's rows.
+            assert failure is None
+            assert [(first, stop) for first, stop, _, _ in done] == [(0, len(blocks))]
+            assert len(done[0][2]) == blocks.n_rows
             assert manifest.segment not in shm._ATTACHED
             assert shm._RETIRED == []
         finally:

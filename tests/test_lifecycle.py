@@ -276,16 +276,16 @@ class TestRunnerAbort:
         assert journal_header(journal) is not None
 
     def test_cancel_with_hundreds_of_one_row_blocks(self, tmp_path):
-        # One sweep per recording on a fine azimuth grid: hundreds of
-        # one-row blocks, which run as several stacked chunks.  The
-        # cancel lands on a chunk boundary, so only whole chunks are
-        # journaled and most blocks never run.
+        # One sweep per recording on a fine azimuth grid: thousands of
+        # one-row blocks (2,401), which run as several stacked chunks.
+        # The cancel lands on a chunk boundary, so only whole chunks
+        # are journaled and most blocks never run.
         journal = tmp_path / "j.jsonl"
         spec = ScenarioSpec(
             scenario="policy-eval",
             seed=78,
             policies=(PolicySpec("css", {"n_probes": 14}),),
-            params={"azimuth_step_deg": 0.1, "distance_m": 6.0, "n_sweeps": 1},
+            params={"azimuth_step_deg": 0.05, "distance_m": 6.0, "n_sweeps": 1},
         )
         caught = []
         with ScenarioRunner(checkpoint=journal) as runner:
