@@ -40,11 +40,13 @@ resets per recording (blocks are then independent), the policy is
 batched, both the testbed and the policy are spec-described (workers
 rebuild them from JSON), and the host has two or more cores (or
 supervision needs process isolation); anything else runs the same
-chunks as in-process tasks, same results.  A pooled call publishes its
-plan arrays once, in one shared segment; a task names its chunks as
-block ranges of that plan, the worker slices the kernel's parts
-straight from the mapped views, and each chunk's selections come back
-as one array.  Up to
+chunks as in-process tasks, same results.  Every task has one shape,
+:data:`_Task`: its chunks as block ranges, the one contiguous row range
+of the plan they span, those blocks' row bounds and what tracing and
+fault injection need.  A pool task carries it over the child's pipe,
+pickled the way each chunk's one selection array comes back; only the
+policy's precomputed kernels travel through shared memory
+(:mod:`.shm`).  Up to
 :data:`_MAX_INFLIGHT_CALLS` pooled calls are in flight at once, each
 with its own journal target and supervision state; they settle first
 in, first out, so journal commits, trace absorption and health
@@ -91,7 +93,6 @@ bit-identical to an untraced one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import os
@@ -142,7 +143,6 @@ from .policy import PolicyContext, PolicyOutcome
 from .proc import Child, ChildDied
 from .shm import KernelPublisher, SharedKernelManifest
 from .shm import attach as _shm_attach
-from .shm import borrow as _shm_borrow
 from .shm import detach_all as _shm_detach_all
 from .spec import PolicySpec, ScenarioSpec, TestbedSpec
 from .trials import TrialBlock, TrialPlan, TrialRecord, TrialRecords
@@ -173,6 +173,21 @@ _Arrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: payload or None)``, the selections holding rows ``bounds[first]:
 #: bounds[stop]`` of the call.
 _Done = Tuple[int, int, Selections, Optional[Dict[str, Any]]]
+
+#: One supervised task, in-process or pooled (:func:`_task`):
+#: ``(chunks, arrays, bounds, obs metas, directive)``.  ``chunks`` are
+#: ``(first, stop)`` block ranges of a plan, ``arrays`` its rows from the
+#: first chunk's first block to the last chunk's stop, ``bounds`` the row
+#: bounds of those blocks within ``arrays`` (starting at 0), ``obs
+#: metas`` each block's ``execute.block`` attrs (None: untraced) and
+#: ``directive`` the fault of a single-block task (or None).
+_Task = Tuple[
+    Sequence[Tuple[int, int]],
+    _Arrays,
+    List[int],
+    Optional[Mapping[int, Mapping[str, Any]]],
+    Optional[Dict[str, Any]],
+]
 
 
 @dataclass(frozen=True)
@@ -375,21 +390,39 @@ def _eval_block(policy, part: _Arrays) -> Selections:
     return Selections.from_results(results)
 
 
-def _parts(arrays: _Arrays, bounds: Sequence[int], first: int, stop: int) -> List[_Arrays]:
-    """Blocks ``first .. stop - 1`` as row-range views of ``arrays``.
+def _parts(arrays: _Arrays, bounds: Sequence[int]) -> List[_Arrays]:
+    """The blocks with row bounds ``bounds``, as row-range views of ``arrays``.
 
     Block ``b`` spans rows ``bounds[b]:bounds[b + 1]``.
     """
     ids, snr, rssi, mask = arrays
     return [
         (ids[start:end], snr[start:end], rssi[start:end], mask[start:end])
-        for start, end in zip(bounds[first:stop], bounds[first + 1 : stop + 1])
+        for start, end in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def _task(
+    plan: TrialPlan,
+    chunks: Sequence[Tuple[int, int]],
+    obs_metas: Optional[Mapping[int, Mapping[str, Any]]] = None,
+    directive: Optional[Dict[str, Any]] = None,
+) -> _Task:
+    """The :data:`_Task` over ``chunks`` of ``plan``, carrying its own rows.
+
+    The rows are views of the plan's arrays: in process they cost
+    nothing, and a pool task pickles only its own row range.
+    """
+    first, stop = chunks[0][0], chunks[-1][1]
+    bounds = plan.bounds[first : stop + 1]
+    rows = slice(int(bounds[0]), int(bounds[-1]))
+    arrays = (plan.sector_ids[rows], plan.snr_db[rows], plan.rssi_dbm[rows], plan.mask[rows])
+    return chunks, arrays, (bounds - bounds[0]).tolist(), obs_metas, directive
 
 
 def _split_meta(
     meta: Mapping[str, Any]
-) -> Tuple[Dict[str, Any], Optional[Mapping[str, Any]]]:
+) -> Tuple[Dict[str, Any], Optional[_quality.QualityContext]]:
     """``execute.block`` span attrs and the shipped quality context.
 
     The quality context rides inside obs_meta but is not a span
@@ -399,16 +432,17 @@ def _split_meta(
     never change what a worker contributes.
     """
     attrs = dict(meta)
-    return attrs, attrs.pop("quality", None)
+    quality = attrs.pop("quality", None)
+    return attrs, None if quality is None else _quality.QualityContext.from_meta(quality)
 
 
 @contextmanager
-def _quality_scope(quality_meta: Optional[Mapping[str, Any]]):
-    """Activate a shipped quality context (if any) for the body."""
-    if quality_meta is None:
+def _quality_scope(quality: Optional[_quality.QualityContext]):
+    """Activate quality labels (if any) for the body."""
+    if quality is None:
         yield
         return
-    token = _quality.activate_quality(_quality.QualityContext.from_meta(quality_meta))
+    token = _quality.activate_quality(quality)
     try:
         yield
     finally:
@@ -446,7 +480,7 @@ CHUNK_ROWS = 256
 #: VM (medians of 10 fresh seeds, caps interleaved): 1.11 s with one
 #: call in flight, 0.84 s with 4, 0.88 s with 8, 0.89 s with 16 and
 #: 0.85 s unbounded — the same within noise from 4 on.  The cap bounds
-#: the blocks and block segments alive at once.
+#: the plans alive at once, and the task rows queued in the pool's pipes.
 _MAX_INFLIGHT_CALLS = 8
 
 
@@ -479,10 +513,8 @@ class _Call:
     closed: bool = False
     testbed_key: Optional[str] = None
     quality_meta: Optional[Mapping[str, Any]] = None
-    # Pooled calls only: the published kernels and plan segment.
+    # Pooled calls only: the published kernels.
     kernels: Optional[SharedKernelManifest] = None
-    blocks_key: Optional[str] = None
-    blocks_manifest: Optional[SharedKernelManifest] = None
     # Per block: not settled yet; attempts charged so far; the attempt
     # number this round sent it at (0: not sent).
     left: Optional[np.ndarray] = None
@@ -498,8 +530,8 @@ class _Call:
     last_error: BaseException = field(default_factory=lambda: ChildDied(None))
     # The current round's unresolved tasks, in dispatch order, None
     # until the first dispatch: (first block, block count, future,
-    # child) per pool task, (first block, block count, _run_chunks
-    # arguments, None) per in-process task.
+    # child) per pool task, (first block, block count, _Task, None) per
+    # in-process task.
     tasks: Optional[List[Tuple[int, int, Any, Optional[Child]]]] = None
     # This round's fault directives, by block (carriers only).
     directives: Dict[int, Dict[str, Any]] = field(default_factory=dict)
@@ -567,20 +599,18 @@ def _lane_groups(
 
 def _eval_chunk(
     policy,
-    arrays: _Arrays,
-    bounds: Sequence[int],
-    chunk: Tuple[int, int],
+    parts: List[_Arrays],
+    first: int,
     obs_metas: Optional[Mapping[int, Mapping[str, Any]]] = None,
 ) -> _Done:
     """Evaluate one planned chunk in a single stacked kernel pass.
 
     The one chunk evaluator of every supervised task (:func:`_run_chunks`).
-    ``chunk`` is the block range ``(first, stop)`` of the plan whose
-    kernel arrays are ``arrays`` and whose block bounds are ``bounds``;
-    its blocks are the pass's parts, row-range views of the plan, each
-    evaluated against freshly reset state (``select_fused_stacked``),
-    bit-identical to one ``select_batch`` per block.  Returns the
-    chunk's row range and its one :class:`~repro.core.selector.Selections`.
+    ``parts`` are the chunk's blocks ``first, first + 1, …``, row-range
+    views of its task's rows, each evaluated against freshly reset
+    state (``select_fused_stacked``), bit-identical to one
+    ``select_batch`` per block.  Returns the chunk's block range and its
+    one :class:`~repro.core.selector.Selections`.
     Traced (``obs_metas`` maps each block to its ``execute.block``
     attrs), the pass records into a fresh session — each block's
     ``execute.block`` span opened in block order — whose drained
@@ -592,8 +622,7 @@ def _eval_chunk(
     the error and charges the retry; the stacked attempt itself is
     never charged.
     """
-    first, stop = chunk
-    parts = _parts(arrays, bounds, first, stop)
+    stop = first + len(parts)
     if obs_metas is None:
         return first, stop, policy.select_fused_stacked(parts), None
     split = [_split_meta(obs_metas[index]) for index in range(first, stop)]
@@ -612,65 +641,41 @@ def _eval_chunk(
 def _worker_run_chunks(
     testbed_key: str,
     policy_key: str,
-    chunks: Sequence[Tuple[int, int]],
-    blocks_manifest: SharedKernelManifest,
-    obs_metas: Optional[Dict[int, Dict[str, Any]]] = None,
-    manifest: Optional[SharedKernelManifest] = None,
-    directive: Optional[Dict[str, Any]] = None,
+    kernels: Optional[SharedKernelManifest],
+    task: _Task,
 ):
-    """One pool task: :func:`_run_chunks` over a call's published plan.
+    """One pool task: :func:`_run_chunks` with the worker's policy.
 
-    Chunks are ``(first, stop)`` block ranges of the plan segment
-    ``blocks_manifest`` names (entries ``ids``, ``snr``, ``rssi``,
-    ``mask`` and the block ``bounds``); the kernel's parts are
-    read-only row slices of the views mapped from shared memory
-    (byte-identical to the parent's by construction).  The policy is
-    rebuilt from its spec keys, warm from ``manifest``'s shared
-    kernels, and cached across tasks.
+    The policy is cached across tasks, or rebuilt from its spec keys,
+    warm from the shared ``kernels`` when the parent published any.
     """
-
-    def mapped(views: Mapping[str, np.ndarray]):
-        return _run_chunks(
-            lambda: _worker_policy(testbed_key, policy_key, manifest),
-            (views["ids"], views["snr"], views["rssi"], views["mask"]),
-            views["bounds"].tolist(),
-            chunks, obs_metas, directive, testbed_key, False,
-        )
-
-    # The plan segment is mapped for this task only: it is released
-    # when its execute call settles, so no worker keeps it attached.
-    try:
-        return _shm_borrow(blocks_manifest, mapped)
-    except Exception as error:
-        return [], (chunks[0][0], error)
+    return _run_chunks(
+        lambda: _worker_policy(testbed_key, policy_key, kernels),
+        task, testbed_key, False,
+    )
 
 
 def _run_chunks(
     policy_of: Callable[[], Any],
-    arrays: _Arrays,
-    bounds: Sequence[int],
-    chunks: Sequence[Tuple[int, int]],
-    obs_metas: Optional[Mapping[int, Mapping[str, Any]]],
-    directive: Optional[Dict[str, Any]],
+    task: _Task,
     testbed_key: Optional[str],
     in_process: bool,
 ) -> Tuple[List[_Done], Optional[Tuple[int, BaseException]]]:
     """Evaluate whole planned chunks: the body of every supervised task.
 
-    Pool children and the runner's in-process tasks both run this.
-    ``chunks`` are ``(first, stop)`` block ranges of the plan whose
-    kernel arrays are ``arrays`` and block bounds ``bounds``, and
-    ``policy_of()`` returns the policy to evaluate them with.  Each
-    chunk is one stacked kernel pass (:func:`_eval_chunk`) when the
-    policy has one; a chunk that is not stacked, or whose stacked pass
-    raised (nothing of that pass is kept or charged), runs block by
-    block.  A block carrying a fault ``directive`` travels alone and
-    runs block by block, the directive firing inside its attempt before
-    the policy is fetched, so crash/hang/exception attribution stays
-    per-block exact.  ``obs_metas`` doubles as the observability enable
-    flag and each block's ``execute.block`` attrs; a block run on its
-    own records into its own fresh session, so the runner's ``(call,
-    block)``-ordered absorption never shows scheduling.
+    Pool children and the runner's in-process tasks both run this, on
+    a :data:`_Task`; ``policy_of()`` returns the policy to evaluate its
+    chunks with.  Each chunk is one stacked kernel pass
+    (:func:`_eval_chunk`) when the policy has one; a chunk that is not
+    stacked, or whose stacked pass raised (nothing of that pass is kept
+    or charged), runs block by block.  A block carrying a fault
+    directive travels alone and runs block by block, the directive
+    firing inside its attempt before the policy is fetched, so
+    crash/hang/exception attribution stays per-block exact.  The obs
+    metas double as the observability enable flag and each block's
+    ``execute.block`` attrs; a block run on its own records into its
+    own fresh session, so the runner's ``(call, block)``-ordered
+    absorption never shows scheduling.
 
     Returns ``(done, failure)``: ``done`` lists every finished row
     range in block order (a chunk, or one block of a chunk run block by
@@ -680,41 +685,44 @@ def _run_chunks(
     collateral, exactly like blocks lost to a pool death, so their
     retry budget is never charged for a chunkmate's sins.
     """
+    chunks, arrays, bounds, obs_metas, directive = task
+    base = chunks[0][0]
     done: List[_Done] = []
 
-    def evaluate(part: _Arrays, quality_meta=None) -> Selections:
+    def evaluate(part: _Arrays, quality=None) -> Selections:
         if directive is not None:
             _apply_directive(directive, testbed_key, in_process)
         policy = policy_of()
         policy.reset()
-        with _quality_scope(quality_meta):
+        with _quality_scope(quality):
             return _eval_block(policy, part)
 
     try:
         policy = policy_of() if directive is None else None
     except Exception as error:
-        return done, (chunks[0][0], error)
-    for chunk in chunks:
+        return done, (base, error)
+    for first, stop in chunks:
+        parts = _parts(arrays, bounds[first - base : stop - base + 1])
         if hasattr(policy, "select_fused_stacked"):
             try:
-                done.append(_eval_chunk(policy, arrays, bounds, chunk, obs_metas))
+                done.append(_eval_chunk(policy, parts, first, obs_metas))
                 continue
             except Exception as error:
                 # The per-block pass below attributes the error.
                 _LOGGER.warning(
                     "stacked pass over %d block(s) from block %d failed "
                     "(%s: %s); re-running them block by block",
-                    chunk[1] - chunk[0], chunk[0], type(error).__name__, error,
+                    stop - first, first, type(error).__name__, error,
                 )
-        for index, part in enumerate(_parts(arrays, bounds, *chunk), chunk[0]):
+        for index, part in enumerate(parts, first):
             try:
                 if obs_metas is None:
                     done.append((index, index + 1, evaluate(part), None))
                     continue
-                attrs, quality_meta = _split_meta(obs_metas[index])
+                attrs, quality = _split_meta(obs_metas[index])
                 with _fresh_session() as session:
                     with _obs.span("execute.block", **attrs):
-                        results = evaluate(part, quality_meta)
+                        results = evaluate(part, quality)
                     done.append((index, index + 1, results, session.drain_payload()))
             except Exception as error:
                 return done, (index, error)
@@ -861,7 +869,6 @@ class ScenarioRunner:
         # Pooled calls dispatched but not yet settled, in call order.
         self._unsettled: List[_Call] = []
         self._shm = KernelPublisher()
-        self._block_segments = itertools.count()
         self._contexts: Dict[int, PolicyContext] = {}
         self._policy_timings: Dict[str, float] = {}
         self._quality_environment: Optional[str] = None
@@ -1117,14 +1124,8 @@ class ScenarioRunner:
         """
         from .registry import build_policy
 
-        quality = self._quality_context(policy_spec.name)
-        if quality is None:
+        with _quality_scope(self._quality_context(policy_spec.name)):
             return build_policy(policy_spec, context)
-        token = _quality.activate_quality(quality)
-        try:
-            return build_policy(policy_spec, context)
-        finally:
-            _quality.deactivate_quality(token)
 
     # -- planning -------------------------------------------------------
 
@@ -1151,36 +1152,13 @@ class ScenarioRunner:
         this is where designer quality diagnostics are recorded,
         jobs-invariantly.
         """
-        label = getattr(policy, "name", type(policy).__name__)
-        quality = self._quality_context(label)
-        token = (
-            _quality.activate_quality(quality) if quality is not None else None
-        )
-        try:
-            return self._plan_trials_inner(
-                policy, recordings, tx_ids, rng, subsamples_per_sweep, label
-            )
-        finally:
-            if token is not None:
-                _quality.deactivate_quality(token)
-
-    def _plan_trials_inner(
-        self,
-        policy,
-        recordings: Sequence,
-        tx_ids: Sequence[int],
-        rng: np.random.Generator,
-        subsamples_per_sweep: int,
-        label: str,
-    ) -> TrialPlan:
         from ..experiments.common import stack_sweeps
 
+        label = getattr(policy, "name", type(policy).__name__)
         pool = list(tx_ids)
         draw = getattr(policy, "probe_positions", None)
-        with _obs.span(
-            "plan.trials",
-            policy=getattr(policy, "name", type(policy).__name__),
-            recordings=len(recordings),
+        with _quality_scope(self._quality_context(label)), _obs.span(
+            "plan.trials", policy=label, recordings=len(recordings)
         ):
             # Stacking the sweeps draws nothing: the draw order stands.
             sweeps = stack_sweeps(recordings, tx_ids)
@@ -1383,18 +1361,12 @@ class ScenarioRunner:
         Yields the span id that worker-trace payloads re-parent onto.
         """
         begin = time.perf_counter()
-        quality = self._quality_context(call.label)
-        token = (
-            _quality.activate_quality(quality) if quality is not None else None
-        )
         try:
-            with _obs.span(
+            with _quality_scope(self._quality_context(call.label)), _obs.span(
                 "execute.policy", policy=call.label, reset=call.reset
             ) as span:
                 yield getattr(span, "id", None)
         finally:
-            if token is not None:
-                _quality.deactivate_quality(token)
             self._note_time(call.label, time.perf_counter() - begin)
 
     def _settle_head(self, inflight: Deque["_Call"]) -> TrialRecords:
@@ -1460,11 +1432,9 @@ class ScenarioRunner:
         )
 
     def _close(self, call: "_Call") -> None:
-        """A pooled call is settled or dropped: release its block segment."""
+        """A pooled call is settled or dropped: it is no longer unsettled."""
         call.closed = True
         self._unsettled.remove(call)
-        if call.blocks_key is not None:
-            self._shm.release(call.blocks_key)
 
     def _drop(self, calls: Iterable["_Call"]) -> None:
         """Give up on unsettled pooled calls while the run raises.
@@ -1491,7 +1461,7 @@ class ScenarioRunner:
         bounds = plan.bounds.tolist()
         arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
         call.policy.reset()
-        for index, part in enumerate(_parts(arrays, bounds, 0, len(plan))):
+        for index, part in enumerate(_parts(arrays, bounds)):
             self._check_abort()
             selections = _eval_block(call.policy, part)
             call.rows[bounds[index] : bounds[index + 1]] = selections.rows
@@ -1550,29 +1520,6 @@ class ScenarioRunner:
             return None
         return self._shm.publish(f"{testbed_key}::{policy_key}", kernels)
 
-    def _publish_blocks(self, call: "_Call") -> SharedKernelManifest:
-        """Publish a pooled call's plan arrays over shared memory.
-
-        One segment for the whole call, with the four kernel arrays
-        (``ids``, ``snr``, ``rssi``, ``mask``) and the block ``bounds``:
-        chunk tasks then carry block ranges instead of pickled arrays,
-        and workers slice read-only views — the zero-copy half of the
-        dispatch.  The segment lives for this one call: it is released
-        when the call settles (:meth:`_close`).
-        """
-        plan = call.blocks
-        call.blocks_key = f"blocks::{next(self._block_segments)}"
-        return self._shm.publish(
-            call.blocks_key,
-            {
-                "ids": plan.sector_ids,
-                "snr": plan.snr_db,
-                "rssi": plan.rssi_dbm,
-                "mask": plan.mask,
-                "bounds": plan.bounds,
-            },
-        )
-
     def _dispatch(self, call: "_Call") -> None:
         """Send one round of a call: every remaining block, at its next
         attempt.
@@ -1584,8 +1531,9 @@ class ScenarioRunner:
         :meth:`_collect_round` runs on the calling thread.  A pooled
         call sends directive carriers one task each, first, and packs
         the clean chunks into at most ``min(jobs, cpu_count)`` tasks
-        (:func:`_worker_run_chunks`), so a round costs O(lanes) IPC
-        round-trips instead of O(blocks).  Each pool task goes to the
+        (:func:`_worker_run_chunks`), each carrying its own rows
+        (:func:`_task`), so a round costs O(lanes) IPC round-trips
+        instead of O(blocks).  Each pool task goes to the
         child with the fewest unresolved tasks, so in a clean round
         lane *i* goes to child *i*.
         """
@@ -1598,7 +1546,6 @@ class ScenarioRunner:
                 call.kernels = self._publish_kernels(
                     call.policy, call.testbed_key, call.policy_key
                 )
-                call.blocks_manifest = self._publish_blocks(call)
             # Ship the call's quality context (if any) inside obs_meta;
             # the task pops it back out before spanning, so traces stay
             # attr-identical while pool exemplars carry the supervisor's
@@ -1652,41 +1599,23 @@ class ScenarioRunner:
                 for index in range(first, stop)
             }
 
-        bounds = plan.bounds
-        chunks = _plan_chunks(bounds, batch, directives)
+        chunks = _plan_chunks(plan.bounds, batch, directives)
         if not call.pooled:
-            policy = call.policy
-
-            def policy_of():
-                return policy
-
-            arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
-            starts = bounds.tolist()
             for chunk in chunks:
-                args = (
-                    policy_of, arrays, starts, [chunk], metas([chunk]),
-                    directives.get(chunk[0]), call.testbed_key, True,
-                )
-                call.tasks.append((chunk[0], chunk[1] - chunk[0], args, None))
+                task = _task(plan, [chunk], metas([chunk]), directives.get(chunk[0]))
+                call.tasks.append((chunk[0], chunk[1] - chunk[0], task, None))
             return
         # Directive carriers get a task each, sent first; clean chunks
         # share at most `lanes` tasks.
         groups = [[chunk] for chunk in chunks if chunk[0] in directives]
         groups += _lane_groups(
-            bounds, [chunk for chunk in chunks if chunk[0] not in directives],
+            plan.bounds, [chunk for chunk in chunks if chunk[0] not in directives],
             self._lanes(),
         )
         for group in groups:
             first = group[0][0]
-            args = (
-                call.testbed_key,
-                call.policy_key,
-                group,
-                call.blocks_manifest,
-                metas(group),
-                call.kernels,
-                directives.get(first),
-            )
+            task = _task(plan, group, metas(group), directives.get(first))
+            args = (call.testbed_key, call.policy_key, call.kernels, task)
             child = min(children, key=lambda child: child.pending)
             future = child.submit((_worker_run_chunks, args))
             n_blocks = sum(stop - start for start, stop in group)
@@ -1765,7 +1694,9 @@ class ScenarioRunner:
             if child is None:
                 self._check_abort()
                 call.tasks.pop(0)
-                self._settle_done(call, *_run_chunks(*work))
+                self._settle_done(
+                    call, *_run_chunks(lambda: call.policy, work, call.testbed_key, True)
+                )
                 if call.failures and (
                     call.attempts[call.failures[-1][0]] >= retry.max_attempts
                 ):
@@ -1896,12 +1827,10 @@ class ScenarioRunner:
         if label is None:
             label = getattr(policy, "name", type(policy).__name__)
         begin = time.perf_counter()
-        quality = self._quality_context(label)
-        token = (
-            _quality.activate_quality(quality) if quality is not None else None
-        )
         try:
-            with _obs.span("execute.interactive", policy=label):
+            with _quality_scope(self._quality_context(label)), _obs.span(
+                "execute.interactive", policy=label
+            ):
                 result = None
                 probes_used = 0
                 round_index = 0
@@ -1924,7 +1853,4 @@ class ScenarioRunner:
                     training_time_us=policy.training_time_us(probes_used, round_index),
                 )
         finally:
-            if token is not None:
-                _quality.deactivate_quality(token)
-            elapsed = time.perf_counter() - begin
-            self._policy_timings[label] = self._policy_timings.get(label, 0.0) + elapsed
+            self._note_time(label, time.perf_counter() - begin)

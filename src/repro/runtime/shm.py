@@ -25,19 +25,18 @@ every worker:
   shared-kernel workers remain bit-for-bit identical to
   rebuild-from-spec workers.
 
-The runner also publishes each pooled execute call's trial blocks
-here, one segment per call: it closes that segment with
-:meth:`KernelPublisher.release` when the call settles, and a worker
-maps it only for the task that reads it (:func:`borrow`).
+Only kernels travel this way.  A pool task's trial rows are read once,
+by that task alone, so they ride the task's request over its child's
+pipe instead (``runtime/runner.py``).
 
 Lifecycle: a segment has no name anywhere, so nothing is registered,
 tracked or swept.  The kernel frees it once its last holder lets go:
 the publisher's fd (closed by :meth:`KernelPublisher.release` and
 :meth:`KernelPublisher.close`, or by the publisher's death, SIGKILL
-included) and every worker mapping (closed after a :func:`borrow`, on
-eviction, or by the worker's death).  A child forked after a publish
-closes the fds it inherited (:func:`_close_inherited`), so a released
-segment never lives on in a pool child.
+included) and every worker mapping (closed on eviction, by
+:func:`detach_all`, or by the worker's death).  A child forked after a
+publish closes the fds it inherited (:func:`_close_inherited`), so a
+released segment never lives on in a pool child.
 """
 
 from __future__ import annotations
@@ -49,15 +48,13 @@ import os
 import secrets
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SharedKernelManifest", "KernelPublisher", "attach", "borrow"]
+__all__ = ["SharedKernelManifest", "KernelPublisher", "attach"]
 
 _LOGGER = logging.getLogger(__name__)
-
-_T = TypeVar("_T")
 
 #: Offset alignment for each array in a segment; keeps every view on a
 #: cache-line boundary regardless of the preceding array's size.
@@ -68,11 +65,10 @@ _ALIGN = 64
 _SEGMENT_PREFIX = "repro-kernels-"
 
 #: Publisher-side cap on live segments.  Long-lived runners (the
-#: service) keep one kernel segment per policy configuration; block
-#: segments live for one execute call, so at most a few are live at
-#: once.  Beyond the cap the oldest segment is released FIFO; a call
-#: publishes at most two segments, so with the runner's few calls in
-#: flight a manifest handed to a dispatch always outlives it.
+#: service) keep one kernel segment per policy configuration.  Beyond
+#: the cap the oldest segment is released FIFO; a worker that has not
+#: attached it yet then rebuilds its policy from the spec (slower,
+#: bit-identical).
 _MAX_SEGMENTS = 128
 
 #: Worker-side cap on cached kernel attachments, bounding mapped pages
@@ -100,8 +96,9 @@ class SharedKernelManifest:
     reuses the fd number — and ``size`` its length in bytes.
     ``entries`` maps array name → ``(offset, shape, dtype-str)``; the
     manifest travels to workers inside task submissions (a few hundred
-    bytes) instead of the arrays themselves (hundreds of kilobytes,
-    per block, per attempt).
+    bytes) instead of the kernels themselves, which every task of a
+    policy would otherwise carry and every worker would hold a private
+    copy of.
     """
 
     segment: str
@@ -272,32 +269,6 @@ def _view(buffer, entry: Tuple[int, Tuple[int, ...], str]) -> np.ndarray:
     return view
 
 
-class _LazyViews(Mapping[str, np.ndarray]):
-    """A manifest's views, each built on its first read.
-
-    A pool task reads only its own blocks of a call's segment, so it
-    pays one ``frombuffer`` per entry it reads, not per entry
-    published.
-    """
-
-    def __init__(self, mapping: mmap.mmap, manifest: SharedKernelManifest) -> None:
-        self._buffer = mapping
-        self._entries = manifest.entries
-        self._built: Dict[str, np.ndarray] = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        view = self._built.get(name)
-        if view is None:
-            view = self._built[name] = _view(self._buffer, self._entries[name])
-        return view
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
     """Map a published segment and return read-only array views.
 
@@ -317,25 +288,6 @@ def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
         evicted.append(_ATTACHED.pop(next(iter(_ATTACHED)))[0])
     _release(evicted)
     return views
-
-
-def borrow(
-    manifest: SharedKernelManifest, body: Callable[[Mapping[str, np.ndarray]], _T]
-) -> _T:
-    """Return ``body(views)`` over a segment mapped for that call only.
-
-    For data one task reads once (an execute call's trial blocks):
-    nothing is cached, a view is built only for an entry ``body``
-    reads, and the mapping is closed when ``body`` returns — or
-    retired until the last view something still holds is gone.
-    Raises ``FileNotFoundError`` when the segment is no longer
-    published.
-    """
-    mapping = _map(manifest)
-    try:
-        return body(_LazyViews(mapping, manifest))
-    finally:
-        _release([mapping])
 
 
 def detach_all() -> None:

@@ -116,3 +116,11 @@ def published_segments(pids: Iterable[int]) -> Set[str]:
     """
     prefixes = tuple(f"{shm._SEGMENT_PREFIX}{pid}-" for pid in pids)
     return {name for name in held_segments(pids) if name.startswith(prefixes)}
+
+
+def published_kernels(publisher: "shm.KernelPublisher") -> Set[str]:
+    """The segments ``publisher`` holds, each checked to be a policy's
+    kernels: trial rows travel with their tasks, never as a segment."""
+    manifests = list(publisher._manifests.values())
+    assert all("pattern_matrix" in manifest.entries for manifest in manifests)
+    return {manifest.segment for manifest in manifests}

@@ -675,20 +675,19 @@ class TestWorkerCacheCorruption:
     def test_worker_block_runs_through_an_injected_corruption(self, isolated_cache):
         spec, policy_spec, _, plan = self._planned([0.0])
         testbed_key = spec.key()
-        arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
-        bounds = plan.bounds.tolist()
 
         def worker_policy():
             return runner_module._worker_policy(testbed_key, policy_spec.key())
 
         done, failure = runner_module._run_chunks(
-            worker_policy, arrays, bounds, [(0, 1)], None, None, testbed_key, False
+            worker_policy, runner_module._task(plan, [(0, 1)]), testbed_key, False
         )
         assert failure is None
         ((first, stop, clean, payload),) = done
         assert (first, stop, payload) == (0, 1, None)
         done, failure = runner_module._run_chunks(
-            worker_policy, arrays, bounds, [(0, 1)], None, {"kind": "cache-corrupt"},
+            worker_policy,
+            runner_module._task(plan, [(0, 1)], directive={"kind": "cache-corrupt"}),
             testbed_key, False,
         )
         assert failure is None

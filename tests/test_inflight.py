@@ -13,9 +13,9 @@ first in, first out.  The contracts under test:
   deadline journals every finished block of every in-flight call, and
   a resume equals a clean run; injected faults (one call in flight)
   keep their health sections.
-* **Segment lifetime** — a call's block segment is released when the
-  call settles, and a worker maps it only for the task that reads it;
-  a pool child holds no segment it did not attach.
+* **Segments** — tasks carry their own rows, so the runner publishes
+  only kernels, whatever calls settled or were dropped; a pool child
+  holds no segment it did not attach.
 """
 
 import os
@@ -42,7 +42,7 @@ from repro.runtime import (
     ScenarioRunner,
 )
 from repro.runtime import spec as runtime_spec
-from tests.process_tree import held_segments
+from tests.process_tree import held_segments, published_kernels
 
 #: 12 execute calls of 5–15 one- or two-row blocks each: more calls
 #: than the in-flight cap, so dispatching continues after the first
@@ -168,7 +168,7 @@ class TestCallsInFlight:
             with pytest.raises(error):
                 runner.run(fig7_spec(_SMALL))
             assert runner._unsettled == []
-            assert not any(key.startswith("blocks::") for key in runner._shm._manifests)
+            assert published_kernels(runner._shm)
         with ScenarioRunner(jobs=2, checkpoint=journal, resume=True) as runner:
             resumed = runner.run(fig7_spec(_SMALL))
         assert finished and finished[0] > 0
@@ -179,57 +179,17 @@ class TestCallsInFlight:
         before = _kernel_segments()
         with ScenarioRunner(jobs=2) as runner:
             outcome = runner.run(fig7_spec(_SMALL))
-            published = runner._shm._manifests
-            assert published and not any(key.startswith("blocks::") for key in published)
-            kernels = {manifest.segment for manifest in published.values()}
-            assert _kernel_segments() - before == kernels
+            kernels = published_kernels(runner._shm)
+            assert kernels and _kernel_segments() - before == kernels
             for child in runner._children:
                 attached, retired, held = child.submit((_worker_attachments, ())).result()
                 # Forked after the first call's publish, a child holds
-                # only the kernels it attached: no block segment, and
-                # no fd inherited from the parent.
+                # only the kernels it attached: no fd inherited from the
+                # parent.
                 assert set(attached) <= kernels and held == set(attached)
                 assert retired == 0
         assert outcome.manifest.result_sha256 == clean.manifest.result_sha256
         assert _kernel_segments() == before
-
-    def test_a_worker_task_drops_its_block_mapping(self):
-        testbed_spec = runtime_spec.TestbedSpec()
-        testbed = testbed_spec.build()
-        recordings = record_directions(
-            testbed, conference_room(6.0), [-30.0, 0.0, 30.0], [0.0], 2,
-            np.random.default_rng(3),
-        )
-        policy_spec = PolicySpec("css", {"n_probes": 12})
-        publisher = shm.KernelPublisher()
-        with ScenarioRunner() as runner:
-            policy = runner.build_policy(policy_spec, runner.context(testbed))
-            blocks = runner.plan_trials(
-                policy, recordings, testbed.tx_sector_ids, np.random.default_rng(4)
-            )
-        arrays = {
-            "ids": blocks.sector_ids,
-            "snr": blocks.snr_db,
-            "rssi": blocks.rssi_dbm,
-            "mask": blocks.mask,
-            "bounds": blocks.bounds,
-        }
-        try:
-            manifest = publisher.publish("blocks", arrays)
-            done, failure = runner_module._worker_run_chunks(
-                testbed_spec.key(),
-                policy_spec.key(),
-                [(0, len(blocks))],
-                blocks_manifest=manifest,
-            )
-            # One chunk, one stacked pass: one row range, every block's rows.
-            assert failure is None
-            assert [(first, stop) for first, stop, _, _ in done] == [(0, len(blocks))]
-            assert len(done[0][2]) == blocks.n_rows
-            assert manifest.segment not in shm._ATTACHED
-            assert shm._RETIRED == []
-        finally:
-            publisher.close()
 
 
 def _worker_attachments():
@@ -342,4 +302,4 @@ class TestExecuteEachProperty:
         ]
         assert each == one_by_one
         assert sharded._unsettled == []
-        assert not any(key.startswith("blocks::") for key in sharded._shm._manifests)
+        published_kernels(sharded._shm)  # asserts each segment is a kernel

@@ -30,6 +30,7 @@ The contracts under test:
 
 import asyncio
 import http.client
+import json
 import multiprocessing
 import os
 import signal
@@ -369,9 +370,18 @@ class TestRetention:
             if path.name != "registry.jsonl"
         ]
         assert leftover == []
-        # The evicted earliest run no longer resolves.
-        code, _ = harness.client.request("GET", f"/runs/{accepted[0]['run']}")
-        assert code == 404
+        # History is FIFO by finish order, which two workers need not
+        # keep in submission order: the registry journals each run's
+        # `done` and `evicted` events in the order they happened.
+        lines = (journal_dir / "registry.jsonl").read_text().splitlines()[1:]
+        events = [json.loads(line)["event"] for line in lines]
+        finished = [event["run"] for event in events if event["to"] == "done"]
+        evicted = [event["run"] for event in events if event["to"] == "evicted"]
+        assert sorted(finished) == sorted(entry["run"] for entry in accepted)
+        assert evicted == finished[:3]
+        for run_id in finished:
+            code, _ = harness.client.request("GET", f"/runs/{run_id}")
+            assert code == (404 if run_id in evicted else 200), run_id
 
 
 class TestLifecycle:
@@ -644,14 +654,18 @@ class TestKeepAlive:
     def test_close_closes_every_connection(self, make_service, connects):
         harness = make_service(workers=1)
         client = ServiceClient(port=harness.service.port)
-        hold = threading.Event()
+        polled, hold = threading.Event(), threading.Event()
 
         def poll():
             client.healthz()
+            polled.set()
             hold.wait(10)
 
         thread = threading.Thread(target=poll)
         thread.start()
+        # The other thread's connection is idle, not mid-request, when
+        # the close lands.
+        assert polled.wait(10)
         with client:
             client.healthz()
         hold.set()

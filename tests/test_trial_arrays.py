@@ -19,8 +19,6 @@ invisible in the results:
   certificate forced off changes no bit, the reported correlation is
   the full map's value at the winner to 1e-13, and threads sharing an
   estimator get the serial results.
-* **Pool workers** — :func:`repro.runtime.shm.borrow` builds a view
-  only for the entries its body reads.
 """
 
 import sys
@@ -41,7 +39,6 @@ from repro.geometry import AngularGrid
 from repro.measurement import PatternTable
 from repro.obs import quality as quality_mod
 from repro.obs.quality import QualityContext
-from repro.runtime import shm
 from repro.runtime.policy import PolicyContext
 from repro.runtime.registry import available_probe_designers, build_probe_designer
 from repro.runtime.runner import ScenarioRunner
@@ -528,44 +525,3 @@ def _full_batch(table, n_rows, width, seed):
     rng = np.random.default_rng(seed)
     ids = np.array([rng.choice(table.sector_ids, width, replace=False) for _ in range(n_rows)])
     return ids, rng.uniform(-5.0, 25.0, ids.shape), rng.uniform(-80.0, -50.0, ids.shape)
-
-
-# ----------------------------------------------------------------------
-# Pool workers: only the entries a task reads are mapped.
-# ----------------------------------------------------------------------
-
-
-class TestBorrow:
-    def test_borrow_builds_only_the_views_the_body_reads(self, monkeypatch):
-        publisher = shm.KernelPublisher()
-        arrays = {f"{index}.ids": np.arange(6, dtype=np.intp) + index for index in range(5)}
-        built = []
-        original = shm._view
-
-        def counting_view(buffer, entry):
-            built.append(entry)
-            return original(buffer, entry)
-
-        monkeypatch.setattr(shm, "_view", counting_view)
-        try:
-            manifest = publisher.publish("blocks", arrays)
-            retired = len(shm._RETIRED)
-
-            def body(views):
-                assert set(views) == set(arrays) and len(views) == len(arrays)
-                first = views["1.ids"]
-                assert views["1.ids"] is first  # built once
-                assert not first.flags.writeable
-                with pytest.raises(ValueError):
-                    first[0] = 0
-                return first.copy(), np.array_equal(views["3.ids"], arrays["3.ids"])
-
-            copied, third_equal = shm.borrow(manifest, body)
-            assert np.array_equal(copied, arrays["1.ids"]) and third_equal
-            assert built == [manifest.entries["1.ids"], manifest.entries["3.ids"]]
-            # The mapping is released once the body returns: nothing is
-            # cached, and nothing is retired (no view outlived the body).
-            assert manifest.segment not in shm._ATTACHED
-            assert len(shm._RETIRED) <= retired
-        finally:
-            publisher.close()
