@@ -26,7 +26,7 @@ is their simulator-side counterpart::
     repro-bench diff a.json b.json  # rank what changed between two runs
     repro-bench serve --port 8780   # HTTP spec-submission service
     repro-bench load                # service saturation load harness
-    repro-bench runs gc             # sweep orphaned journals/shm
+    repro-bench runs gc             # sweep orphaned checkpoint journals
 
 ``--paper`` switches experiments from the fast default profile to the
 paper's full resolutions (minutes instead of seconds).  Every

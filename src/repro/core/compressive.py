@@ -114,7 +114,7 @@ class CompressiveSectorSelector:
             precomputed: optional dict of ``pattern_matrix`` /
                 ``prepared_matrix`` / ``candidate_matrix`` arrays to
                 adopt instead of re-sampling the table on the grid —
-                the zero-copy path for pool workers attaching a
+                how a pool worker adopts the kernels it read from a
                 published shared-memory segment (byte copies of what
                 construction would compute, so bit-invisible).
         """

@@ -148,8 +148,8 @@ class AngleEstimator:
                 ``"snr"`` / ``"rssi"`` use one map alone (Eq. 3).
             precomputed: optional ``pattern_matrix`` / ``prepared_matrix``
                 arrays to adopt instead of sampling the table on the
-                grid — the zero-copy path for pool workers attaching a
-                published shared-memory segment (see
+                grid — how a pool worker adopts the kernels it read
+                from a published shared-memory segment (see
                 :mod:`repro.runtime.shm`).  Arrays must be byte copies
                 of what construction would compute (deterministic in
                 the table + grid), so adopting them is bit-invisible.

@@ -127,12 +127,14 @@ def register_probe_designer(
     return decorator
 
 
-def build_policy(spec: PolicySpec, context: PolicyContext):
+def build_policy(spec: PolicySpec, context: PolicyContext, **extra: Any):
     """Resolve a policy spec to a live policy instance.
 
     A spec carrying a ``probe_design`` block forwards it as the
     ``probe_design`` kwarg — factories that do not take the stage
     (e.g. ``full-sweep``) reject it with the usual ``TypeError``.
+    ``extra`` kwargs reach the factory without being part of the spec
+    (a pool worker's kernel reader).
     """
     load_builtin()
     factory = _POLICIES.get(spec.name)
@@ -143,7 +145,7 @@ def build_policy(spec: PolicySpec, context: PolicyContext):
     kwargs = dict(spec.kwargs)
     if spec.probe_design is not None:
         kwargs["probe_design"] = dict(spec.probe_design)
-    return factory(context, **kwargs)
+    return factory(context, **kwargs, **extra)
 
 
 def build_probe_designer(

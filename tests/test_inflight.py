@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.runner as runner_module
-import repro.runtime.shm as shm
 from repro import obs
 from repro.channel.environment import conference_room
 from repro.experiments.common import record_directions
@@ -42,7 +41,7 @@ from repro.runtime import (
     ScenarioRunner,
 )
 from repro.runtime import spec as runtime_spec
-from tests.process_tree import held_segments, published_kernels
+from tests.process_tree import held_segments, mapped_segments, published_kernels
 
 #: 12 execute calls of 5–15 one- or two-row blocks each: more calls
 #: than the in-flight cap, so dispatching continues after the first
@@ -182,18 +181,16 @@ class TestCallsInFlight:
             kernels = published_kernels(runner._shm)
             assert kernels and _kernel_segments() - before == kernels
             for child in runner._children:
-                attached, retired, held = child.submit((_worker_attachments, ())).result()
-                # Forked after the first call's publish, a child holds
-                # only the kernels it attached: no fd inherited from the
-                # parent.
-                assert set(attached) <= kernels and held == set(attached)
-                assert retired == 0
+                # Forked after the first call's publish, a child holds no
+                # fd inherited from the parent, and keeps no fd or
+                # mapping of the kernels it read.
+                assert child.submit((_worker_segments, ())).result() == (set(), set())
         assert outcome.manifest.result_sha256 == clean.manifest.result_sha256
         assert _kernel_segments() == before
 
 
-def _worker_attachments():
-    return sorted(shm._ATTACHED), len(shm._RETIRED), held_segments([os.getpid()])
+def _worker_segments():
+    return held_segments([os.getpid()]), mapped_segments([os.getpid()])
 
 
 # Health sections of the injected-fault runs below (two execute calls,
