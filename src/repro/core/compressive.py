@@ -25,10 +25,10 @@ from ..measurement.patterns import PatternTable
 from .estimator import AngleEstimator, _one_row_arrays
 from .measurements import ProbeMeasurement
 from .selector import (
+    INITIAL_SECTOR,
     SELECTION_DTYPE,
     SelectionResult,
     Selections,
-    first_max,
     forward_fill,
 )
 
@@ -67,9 +67,8 @@ class _FusedBatch(NamedTuple):
     """
 
     ids: np.ndarray          #: validated (T, M) intp sector ids
-    snr: np.ndarray          #: validated (T, M) float SNR values
     sel_usable: np.ndarray   #: (T, M) bool — valid and known-sector
-    need: np.ndarray         #: (T,) bool — row met ``min_probes``
+    need: np.ndarray         #: (T,) bool — row has two usable probes
     n_probes: np.ndarray     #: (T,) intp — finite usable count per row
     best_index: np.ndarray   #: (T,) intp — Eq. 3/5 argmax (-1 = none)
     best_corr: np.ndarray    #: (T,) float — correlation at the argmax
@@ -82,69 +81,45 @@ class CompressiveSectorSelector:
     def __init__(
         self,
         pattern_table: PatternTable,
-        candidate_sector_ids: Optional[Sequence[int]] = None,
         search_grid: Optional[AngularGrid] = None,
         fusion: str = "product",
-        domain: str = "linear",
-        initial_sector_id: int = 1,
-        min_probes: int = 2,
-        fallback_correlation: float = 0.0,
         precomputed=None,
     ):
         """
         Args:
             pattern_table: measured patterns of every available sector.
-            candidate_sector_ids: the ``N`` sectors eligible for the
-                final selection (default: every table sector except the
-                quasi-omni RX sector 0, i.e. all TX sectors).
+                The ``N`` sectors eligible for the final selection are
+                all of them but the quasi-omni RX sector 0, i.e. every
+                TX sector.
             search_grid: angular grid for the Eq. 3 argmax.
             fusion: correlation fusion mode — ``"product"`` applies the
                 Eq. 5 SNR×RSSI robustification (§5); ``"snr"`` and
                 ``"rssi"`` use a single map (for the ablation study).
-            domain: correlation domain, ``"linear"`` or ``"db"``.
-            initial_sector_id: selection before any sweep succeeds.
-            min_probes: below this many usable reports the selector
-                falls back (argmax of what it has, else last choice).
-            fallback_correlation: when the Eq. 3/5 peak correlation
-                drops below this value the measured patterns clearly no
-                longer describe the channel (e.g. a blocked LOS), and
-                the selector falls back to the plain argmax of the
-                probes.  0 (default) disables the fallback — the
-                paper's protocol always trusts the patterns.
-            precomputed: optional dict of ``pattern_matrix`` /
-                ``prepared_matrix`` / ``candidate_matrix`` arrays to
-                adopt instead of re-sampling the table on the grid —
-                how a pool worker adopts the kernels it read from a
-                published shared-memory segment (byte copies of what
-                construction would compute, so bit-invisible).
-        """
-        if candidate_sector_ids is None:
-            candidate_sector_ids = [
-                sector_id for sector_id in pattern_table.sector_ids if sector_id != 0
-            ]
-        unknown = [s for s in candidate_sector_ids if s not in pattern_table.sector_ids]
-        if unknown:
-            raise ValueError(f"candidate sectors without measured patterns: {unknown}")
-        if min_probes < 2:
-            raise ValueError("correlation needs at least two probes")
+            precomputed: optional dict of ``prepared_matrix`` /
+                ``candidate_matrix`` arrays to adopt instead of
+                re-sampling the table on the grid — how a pool worker
+                adopts the kernels it read from a published
+                shared-memory segment (byte copies of what construction
+                would compute, so bit-invisible).
 
+        Before any sweep succeeds the selection is sector
+        :data:`~.selector.INITIAL_SECTOR`; a sweep with fewer than two
+        usable reports falls back (to its one report, else the last
+        choice).
+        """
         self.pattern_table = pattern_table
-        self.candidate_sector_ids = list(candidate_sector_ids)
+        self.candidate_sector_ids = [
+            sector_id for sector_id in pattern_table.sector_ids if sector_id != 0
+        ]
         self.estimator = AngleEstimator(
             pattern_table,
             search_grid=search_grid,
-            domain=domain,
             fusion=fusion,
             precomputed=precomputed,
         )
-        if not 0.0 <= fallback_correlation <= 1.0:
-            raise ValueError("fallback correlation must be in [0, 1]")
-        self.min_probes = min_probes
-        self.fallback_correlation = fallback_correlation
-        self.initial_sector_id = initial_sector_id
-        self._last_selection = initial_sector_id
+        self._last_selection = INITIAL_SECTOR
         # Candidate gains on the search grid, for the Eq. 4 lookup.
-        if precomputed is not None and "candidate_matrix" in precomputed:
+        if precomputed is not None:
             candidate_matrix = precomputed["candidate_matrix"]
             expected = (
                 len(self.candidate_sector_ids),
@@ -173,7 +148,7 @@ class CompressiveSectorSelector:
         selector (construction samples two full grid matrices) and call
         this between recordings instead of rebuilding it.
         """
-        self._last_selection = self.initial_sector_id
+        self._last_selection = INITIAL_SECTOR
 
     @property
     def n_candidates(self) -> int:
@@ -202,8 +177,7 @@ class CompressiveSectorSelector:
         Row ``t`` holds one sweep's probes in slot order (``mask[t]``
         flags slots carrying a report; padded slots may hold anything).
         Probes of sectors without a measured pattern are ignored.
-        ``snr_db`` is always required — the fallback ranks probes by
-        SNR regardless of the fusion mode — while ``rssi_dbm`` is only
+        ``snr_db`` is always required, while ``rssi_dbm`` is only
         needed when the estimator's fusion uses it.  Rows update the
         selection state in order, so the result rows are the sequence of
         one-sweep selections.
@@ -265,9 +239,9 @@ class CompressiveSectorSelector:
         known[in_range] = lookup[ids[in_range]] >= 0
         sel_usable = valid & known
         counts = sel_usable.sum(axis=1)
-        need = counts >= self.min_probes
+        need = counts >= 2
 
-        # The estimator only sees rows that met min_probes; zeroing
+        # The estimator only sees rows with two usable probes; zeroing
         # short rows' masks instead of slicing keeps the batch layout
         # intact for the kernel's single-nonzero compaction.
         estimate_mask = sel_usable if bool(need.all()) else sel_usable & need[:, None]
@@ -284,9 +258,7 @@ class CompressiveSectorSelector:
             sector_of[have] = self._candidate_ids_array[
                 np.argmax(candidate_gains, axis=0)
             ]
-        return _FusedBatch(
-            ids, snr, sel_usable, need, n_probes, best_index, best_corr, sector_of
-        )
+        return _FusedBatch(ids, sel_usable, need, n_probes, best_index, best_corr, sector_of)
 
     def _fused_build(
         self, fused: _FusedBatch, starts: np.ndarray, entry: int
@@ -296,24 +268,20 @@ class CompressiveSectorSelector:
         The stacked rows fall into parts beginning at the rows
         ``starts`` (the first is 0), each entered with the selection
         ``entry``.  A row that estimated selects its Eq. 4 winner; a row
-        short of ``min_probes`` — or below ``fallback_correlation`` —
-        falls back to the SNR argmax of its usable probes
-        (:func:`~.selector.first_max`), and with no usable probe keeps
-        the running selection of its part (:func:`~.selector.forward_fill`).
-        ``last_selection`` ends as the last row's sector.
+        with one usable probe falls back to that probe's sector, and
+        with none keeps the running selection of its part
+        (:func:`~.selector.forward_fill`).  ``last_selection`` ends as
+        the last row's sector.
 
         Raises:
-            ValueError: the first row that met ``min_probes`` with fewer
-                than two finite probes, numbered within its part; the
+            ValueError: the first row with two usable probes but fewer
+                than two finite ones, numbered within its part; the
                 selection state is left as it stood before that row.
         """
         n_rows = fused.ids.shape[0]
         need, best_index, n_probes = fused.need, fused.best_index, fused.n_probes
         failed = need & (best_index < 0)
         estimated = need & ~failed
-        if self.fallback_correlation > 0.0:
-            # A NaN correlation never compares below the threshold.
-            estimated &= ~(fused.best_corr < self.fallback_correlation)
         all_estimated = bool(estimated.all())
         if all_estimated:
             # Every row estimated: no state to thread.
@@ -357,19 +325,19 @@ class CompressiveSectorSelector:
     ) -> np.ndarray:
         """Each row's sector when some rows fall back (or fail).
 
-        A fallback row takes the SNR argmax of its usable probes
-        (:func:`~.selector.first_max`) and, with none, keeps the running
+        A fallback row has fewer than two usable probes: it takes the
+        sector of its one usable probe and, with none, keeps the running
         selection of its part (:func:`~.selector.forward_fill`).  A
         failed row raises here, after the state before it is restored.
         """
         chosen = np.where(estimated, fused.sector_of, 0)
         sets = estimated.copy()
         backs = np.flatnonzero(~estimated & ~failed)
-        if backs.size:
-            picked = first_max(fused.snr[backs], fused.sel_usable[backs])
-            found = picked >= 0
-            chosen[backs[found]] = fused.ids[backs[found], picked[found]]
-            sets[backs[found]] = True
+        # At most one usable slot per fallback row: nonzero finds each.
+        rows, slots = np.nonzero(fused.sel_usable[backs])
+        found = backs[rows]
+        chosen[found] = fused.ids[found, slots]
+        sets[found] = True
         sector = forward_fill(chosen, sets, starts, entry)
         if failed.any():
             trial = int(np.argmax(failed))

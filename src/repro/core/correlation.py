@@ -5,20 +5,19 @@ the expected per-direction pattern vectors, the correlation map is::
 
     W(φ, θ) = ⟨ p/‖p‖ , x(φ,θ)/‖x(φ,θ)‖ ⟩²
 
-Correlation is computed in the **linear power domain** by default:
-signal strengths in dB shift additively with link distance, which would
-break the scale-invariant normalized inner product, whereas in linear
-power the shift becomes a pure scale that normalization removes.  The
-dB domain remains available for the ablation study.
+Correlation is computed in the **linear power domain**: signal
+strengths in dB shift additively with link distance, which would break
+the scale-invariant normalized inner product, whereas in linear power
+the shift becomes a pure scale that normalization removes.
 
 Two callers share one arithmetic core (:func:`_correlate_core`):
-:func:`correlation_map`, the public reference helper, which transforms
+:func:`correlation_map`, the public reference helper, which converts
 probes and patterns on every call, and the selection kernel
 (:meth:`repro.core.estimator.AngleEstimator.estimate_fused_arrays`),
 which converts the fixed pattern matrix once at construction and
-correlates every row of a padded batch against it.  The domain
-transform is elementwise (transform-then-gather equals
-gather-then-transform), so both produce the same bits.
+correlates every row of a padded batch against it.  The conversion is
+elementwise (convert-then-gather equals gather-then-convert), so both
+produce the same bits.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ __all__ = [
 ]
 
 _EPSILON = 1e-12
-
-_DOMAINS = ("linear", "db")
 
 
 def to_linear_power(values_db: np.ndarray) -> np.ndarray:
@@ -58,18 +55,6 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.maximum(norms, _EPSILON)
 
 
-def _check_domain(domain: str) -> None:
-    if domain not in _DOMAINS:
-        raise ValueError("domain must be 'linear' or 'db'")
-
-
-def _to_domain(values_db: np.ndarray, domain: str) -> np.ndarray:
-    """Elementwise transform into the correlation domain."""
-    if domain == "linear":
-        return to_linear_power(values_db)
-    return np.asarray(values_db, dtype=float)
-
-
 def _unit_columns(patterns: np.ndarray) -> np.ndarray:
     """Normalize each grid point's pattern vector (a column) to unit norm.
 
@@ -84,7 +69,7 @@ def _unit_columns(patterns: np.ndarray) -> np.ndarray:
 
 
 def _correlate_core(probes: np.ndarray, pattern_unit: np.ndarray) -> np.ndarray:
-    """Eq. 2 on domain-transformed probes and unit-column patterns.
+    """Eq. 2 on linear-power probes and unit-column patterns.
 
     ``sqrt(x.dot(x))`` is ``np.linalg.norm``'s own 1-D real-input
     branch, inlined for the same reason as in :func:`_unit_columns`.
@@ -101,7 +86,6 @@ def _correlate_core(probes: np.ndarray, pattern_unit: np.ndarray) -> np.ndarray:
 def correlation_map(
     probe_values_db: np.ndarray,
     pattern_matrix_db: np.ndarray,
-    domain: str = "linear",
 ) -> np.ndarray:
     """Eq. 2 evaluated on every grid point at once.
 
@@ -110,7 +94,6 @@ def correlation_map(
             per probed sector that produced a report.
         pattern_matrix_db: expected patterns of those same sectors on
             the search grid, shape ``(M, K)``.
-        domain: ``"linear"`` (default, offset-invariant) or ``"db"``.
 
     Returns:
         Correlation ``W`` per grid point, shape ``(K,)``, in ``[0, 1]``.
@@ -124,8 +107,7 @@ def correlation_map(
             f"pattern matrix shape {patterns.shape} does not match "
             f"{probes.size} probe values"
         )
-    _check_domain(domain)
     with np.errstate(invalid="ignore", divide="ignore"):
         return _correlate_core(
-            _to_domain(probes, domain), _unit_columns(_to_domain(patterns, domain))
+            to_linear_power(probes), _unit_columns(to_linear_power(patterns))
         )

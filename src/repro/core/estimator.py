@@ -7,8 +7,8 @@ firmware, so an outlier in one rarely coincides with an outlier in the
 other, and the product suppresses it.
 
 Hot-path layout: the pattern matrix is sampled on the search grid
-*and* converted to the correlation domain once at construction, with
-its elementwise square beside it.  One array kernel
+*and* converted to linear power once at construction, with its
+elementwise square beside it.  One array kernel
 (:meth:`AngleEstimator.estimate_fused_arrays`) evaluates a whole
 padded (trials × probes) batch as two GEMMs and certifies each row's
 argmax against the exact one-row computation (DESIGN.md §12);
@@ -29,13 +29,7 @@ from .. import obs as _obs
 from ..obs import quality as _quality
 from ..geometry.grid import AngularGrid
 from ..measurement.patterns import PatternTable
-from .correlation import (
-    _EPSILON,
-    _check_domain,
-    _correlate_core,
-    _to_domain,
-    _unit_columns,
-)
+from .correlation import _EPSILON, _correlate_core, _unit_columns, to_linear_power
 from .measurements import ProbeMeasurement
 
 __all__ = ["AngleEstimate", "AngleEstimator"]
@@ -89,8 +83,8 @@ def _fused_surface(
 ) -> np.ndarray:
     """One row's correlation map: Eq. 3 for one channel, Eq. 5 for two.
 
-    ``channels`` are the row's domain-transformed probe values, SNR
-    first; the fused map is their per-channel maps multiplied.
+    ``channels`` are the row's linear-power probe values, SNR first;
+    the fused map is their per-channel maps multiplied.
     """
     surface = None
     for values in channels:
@@ -134,7 +128,6 @@ class AngleEstimator:
         self,
         pattern_table: PatternTable,
         search_grid: Optional[AngularGrid] = None,
-        domain: str = "linear",
         fusion: str = "product",
         precomputed: Optional[Dict[str, np.ndarray]] = None,
     ):
@@ -143,43 +136,38 @@ class AngleEstimator:
             pattern_table: measured sector patterns (Figures 5/6 data).
             search_grid: grid for the numeric argmax of Eq. 3; defaults
                 to the table's own measurement grid.
-            domain: correlation domain (see :mod:`.correlation`).
             fusion: ``"product"`` fuses the SNR and RSSI maps (Eq. 5);
                 ``"snr"`` / ``"rssi"`` use one map alone (Eq. 3).
-            precomputed: optional ``pattern_matrix`` / ``prepared_matrix``
-                arrays to adopt instead of sampling the table on the
-                grid — how a pool worker adopts the kernels it read
-                from a published shared-memory segment (see
-                :mod:`repro.runtime.shm`).  Arrays must be byte copies
-                of what construction would compute (deterministic in
-                the table + grid), so adopting them is bit-invisible.
+            precomputed: optional ``prepared_matrix`` array (the
+                linear-power pattern matrix) to adopt instead of
+                sampling the table on the grid — how a pool worker
+                adopts the kernels it read from a published
+                shared-memory segment (see :mod:`repro.runtime.shm`).
+                It must be a byte copy of what construction would
+                compute (deterministic in the table + grid), so
+                adopting it is bit-invisible.
         """
         if fusion not in ("product", "snr", "rssi"):
             raise ValueError("fusion must be 'product', 'snr' or 'rssi'")
-        _check_domain(domain)
         self.pattern_table = pattern_table
         self.search_grid = search_grid if search_grid is not None else pattern_table.grid
-        self.domain = domain
         self.fusion = fusion
-        # Precompute the (n_sectors, n_grid_points) matrix once, in both
-        # the native dB domain and the correlation domain.  Gathering
-        # rows of the pre-transformed matrix is bitwise identical to
-        # transforming the gathered rows (the transform is elementwise),
-        # so per-estimate work never touches the (M, K) pattern slice.
-        expected_shape = (len(pattern_table.sector_ids), self.search_grid.n_points)
+        # Precompute the (n_sectors, n_grid_points) matrix once, in
+        # linear power.  Gathering rows of the converted matrix is
+        # bitwise identical to converting the gathered rows (the
+        # conversion is elementwise), so per-estimate work never touches
+        # the (M, K) pattern slice.
         if precomputed is not None:
-            matrix = precomputed["pattern_matrix"]
             prepared = precomputed["prepared_matrix"]
-            if matrix.shape != expected_shape or prepared.shape != expected_shape:
+            expected_shape = (len(pattern_table.sector_ids), self.search_grid.n_points)
+            if prepared.shape != expected_shape:
                 raise ValueError(
-                    f"precomputed kernel shape {matrix.shape}/{prepared.shape} "
+                    f"precomputed kernel shape {prepared.shape} "
                     f"does not match {expected_shape}"
                 )
-            self._matrix = matrix
             self._prepared = prepared
         else:
-            self._matrix = pattern_table.sample_matrix(self.search_grid)
-            self._prepared = _to_domain(self._matrix, domain)
+            self._prepared = to_linear_power(pattern_table.sample_matrix(self.search_grid))
         # The dense kernel's denominators are a GEMM against P².
         self._prepared_squares = self._prepared * self._prepared
         self._row_of_sector: Dict[int, int] = {
@@ -194,10 +182,6 @@ class AngleEstimator:
         self._row_lookup = lookup
         self._needs_snr = fusion in ("product", "snr")
         self._needs_rssi = fusion in ("product", "rssi")
-
-    def known_sector_ids(self) -> List[int]:
-        """Sectors with a measured pattern (usable as probes)."""
-        return list(self._row_of_sector)
 
     def has_sector(self, sector_id: int) -> bool:
         """O(1): does this sector have a measured pattern?"""
@@ -215,8 +199,8 @@ class AngleEstimator:
         ``usable`` marks entries that are both valid (per ``mask``) and
         finite in every channel the fusion mode uses.  ``channels``
         holds those channels — SNR first, then RSSI — already
-        transformed into the correlation domain (garbage in masked-out
-        slots, which is never gathered).
+        converted to linear power (garbage in masked-out slots, which is
+        never gathered).
 
         Raises:
             KeyError: a usable entry names a sector without a measured
@@ -267,9 +251,9 @@ class AngleEstimator:
         channels = []
         with np.errstate(invalid="ignore", over="ignore"):
             if snr is not None:
-                channels.append(_to_domain(snr, self.domain))
+                channels.append(to_linear_power(snr))
             if rssi is not None:
-                channels.append(_to_domain(rssi - _RSSI_REFERENCE_DBM, self.domain))
+                channels.append(to_linear_power(rssi - _RSSI_REFERENCE_DBM))
         return rows, usable, channels
 
     def _one_row(
@@ -433,9 +417,7 @@ class AngleEstimator:
         sums of repeated ids and the GEMM's sums are one summation tree
         of ``M`` products), its denominator ``Σ P²`` within a relative
         ``(M + 2)u``, and its fused quotient within ``(8M + 21)u``.
-        Neither bound depends on the domain: dB values may be negative,
-        which Cauchy–Schwarz absorbs, and the ``ε`` clamps only scale
-        ``W`` down.  So ``|W_dense − W_exact| ≤ (16M + 48)u`` (plus
+        The ``ε`` clamps only scale ``W`` down.  So ``|W_dense − W_exact| ≤ (16M + 48)u`` (plus
         subnormal rounding, below ``1e-300``), and a dense top value
         that beats every other grid point by more than twice that,
         ``(32M + 96)u``, is the exact path's unique maximum.  The

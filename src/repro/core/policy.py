@@ -20,7 +20,7 @@ Determinism notes (load-bearing — see DESIGN.md §7/§8):
 * ``FullSweepPolicy`` consumes no randomness and replicates the Python
   ``max`` semantics of :class:`SectorSweepSelector` (first element
   kept, replaced only on strictly greater SNR) in its batched kernel,
-  through the same :func:`~.selector.first_max` as the CSS fallback.
+  through :func:`~.selector.first_max`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..runtime.registry import build_probe_designer, register_policy
 from .compressive import CompressiveSectorSelector
 from .measurements import ProbeMeasurement
 from .probes import register_builtin_designers
-from .selector import SelectionResult, Selections, first_max, forward_fill
+from .selector import INITIAL_SECTOR, SelectionResult, Selections, first_max, forward_fill
 
 __all__ = ["CompressivePolicy", "FullSweepPolicy"]
 
@@ -71,9 +71,9 @@ def _resolve_table(context: PolicyContext, patterns: str):
 def _selector_cache_key(table, config):
     """The shared-selector cache key (one selector per configuration).
 
-    ``config`` is ``(fusion, domain, search, fallback_correlation)``:
-    everything a selector is built from besides its table.  It also
-    names the selector's published kernels (``kernel_key``).
+    ``config`` is ``(fusion, search)``: everything a selector is built
+    from besides its table.  It also names the selector's published
+    kernels (``kernel_key``).
     """
     return ("css-selector", id(table), *config)
 
@@ -95,10 +95,8 @@ class CompressivePolicy:
         context: PolicyContext,
         n_probes: int = 14,
         fusion: str = "product",
-        domain: str = "linear",
         search: str = "3d",
         patterns: str = "measured",
-        fallback_correlation: float = 0.0,
         pattern_table=None,
         probe_design=None,
         kernels: Optional[Callable[[], Optional[Mapping[str, np.ndarray]]]] = None,
@@ -107,8 +105,7 @@ class CompressivePolicy:
         Args:
             context: shared testbed + cache.
             n_probes: probes per training (M).
-            fusion / domain / fallback_correlation: forwarded to
-                :class:`CompressiveSectorSelector`.
+            fusion: forwarded to :class:`CompressiveSectorSelector`.
             search: ``"3d"`` (full table grid) or ``"2d"``
                 (azimuth-only — the ablation's degraded variant).
             patterns: ``"measured"`` or ``"theoretical"``.
@@ -135,7 +132,7 @@ class CompressivePolicy:
         # Selectors sample two full grid matrices at construction, and
         # policies that differ only in probe count are state-compatible
         # (execute() resets before use) — share one per configuration.
-        config = (fusion, domain, search, float(fallback_correlation))
+        config = (fusion, search)
         # Only spec-describable measured-pattern selectors may ship
         # their kernels over shared memory: workers rebuild the same
         # configuration from the spec kwargs alone.
@@ -148,8 +145,6 @@ class CompressivePolicy:
                 table,
                 search_grid=_selector_search_grid(table, search),
                 fusion=fusion,
-                domain=domain,
-                fallback_correlation=fallback_correlation,
                 precomputed=kernels() if kernels is not None else None,
             )
             context.cache[key] = selector
@@ -170,15 +165,11 @@ class CompressivePolicy:
 
     def probe_positions(
         self, n_trials: int, pool: Sequence[int], rng: np.random.Generator
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """``n_trials`` round-0 designs at once, as an ``(n_trials, M)``
         array of positions in ``pool`` — the same subsets and rng stream
-        as ``n_trials`` :meth:`probes_for_round` calls — or None when the
-        designer only designs one subset per call."""
-        design_positions = getattr(self._designer, "design_positions", None)
-        if design_positions is None:
-            return None
-        return design_positions(self.n_probes, n_trials, pool, rng)
+        as ``n_trials`` :meth:`probes_for_round` calls."""
+        return self._designer.design_positions(self.n_probes, n_trials, pool, rng)
 
     def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
         return self.selector.select(measurements)
@@ -207,10 +198,8 @@ class CompressivePolicy:
         theoretical patterns)."""
         if self.kernel_key is None:
             return None
-        estimator = self.selector.estimator
         return {
-            "pattern_matrix": estimator._matrix,
-            "prepared_matrix": estimator._prepared,
+            "prepared_matrix": self.selector.estimator._prepared,
             "candidate_matrix": self.selector._candidate_matrix,
         }
 
@@ -224,13 +213,12 @@ class FullSweepPolicy:
 
     multi_round = False
 
-    def __init__(self, context: PolicyContext, initial_sector_id: int = 1):
+    def __init__(self, context: PolicyContext):
         self.name = "full-sweep"
-        self.initial_sector_id = int(initial_sector_id)
-        self._last_selection = self.initial_sector_id
+        self._last_selection = INITIAL_SECTOR
 
     def reset(self) -> None:
-        self._last_selection = self.initial_sector_id
+        self._last_selection = INITIAL_SECTOR
 
     def probes_for_round(
         self, round_index: int, pool: Sequence[int], rng: np.random.Generator

@@ -67,12 +67,18 @@ class ProbeDesigner(Protocol):
         """Return ``n_probes`` distinct sector IDs to probe."""
         ...
 
-    # Optional: ``design_positions(n_probes, n_rows, available_ids, rng)``
-    # returns ``n_rows`` designs at once as an ``(n_rows, n_probes)``
-    # array of positions in ``available_ids`` — exactly ``n_rows``
-    # sequential :meth:`design` calls (same subsets, same rng stream,
-    # same telemetry).  The planner draws a recording's trials through
-    # it; designers without it are asked once per trial.
+    def design_positions(
+        self,
+        n_probes: int,
+        n_rows: int,
+        available_ids: Sequence[int],
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``n_rows`` designs at once, as an ``(n_rows, n_probes)`` array
+        of positions in ``available_ids`` — exactly ``n_rows`` sequential
+        :meth:`design` calls (same subsets, same rng stream, same
+        telemetry).  The planner draws a recording's trials through it."""
+        ...
 
     def params(self) -> Dict[str, Any]:
         """The designer's resolved parameters (canonical JSON values)."""

@@ -22,6 +22,7 @@ from .estimator import AngleEstimate
 from .measurements import ProbeMeasurement
 
 __all__ = [
+    "INITIAL_SECTOR",
     "SELECTION_DTYPE",
     "SelectionResult",
     "Selections",
@@ -30,6 +31,10 @@ __all__ = [
     "first_max",
     "forward_fill",
 ]
+
+
+#: The selection a stateful selector holds before any sweep yields one.
+INITIAL_SECTOR = 1
 
 
 @dataclass(frozen=True)
@@ -262,11 +267,11 @@ class SectorSweepSelector:
     """The standard's exhaustive selection: ``argmax_n p_n`` (Eq. 1).
 
     Stateful like the firmware: when a sweep yields no usable report,
-    the previous selection is kept.
+    the previous selection (at first :data:`INITIAL_SECTOR`) is kept.
     """
 
-    def __init__(self, initial_sector_id: int = 1):
-        self._last_selection = initial_sector_id
+    def __init__(self):
+        self._last_selection = INITIAL_SECTOR
 
     @property
     def last_selection(self) -> int:

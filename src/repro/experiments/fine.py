@@ -142,9 +142,9 @@ def _run_fine_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> FineCodebo
 
     # CSS probes the codebook's dedicated broad probing sectors and
     # selects among *all* 63 (the paper's N >> M).
-    probe_pool = probing_sector_ids(fine)
-    n_probes = min(config.n_probes, len(probe_pool))
-    probe_ids = probe_pool[:n_probes]
+    probing_ids = probing_sector_ids(fine)
+    n_probes = min(config.n_probes, len(probing_ids))
+    probe_ids = probing_ids[:n_probes]
     stock_ids = testbed.tx_sector_ids
     probe_columns = [fine_ids.index(sector_id) for sector_id in probe_ids]
     # name: (selector, probed ids, their true SNRs, scored truth and ids)

@@ -26,17 +26,11 @@ returning a :class:`~repro.core.probes.ProbeDesigner`.
 Built-in registrations live next to the code they adapt
 (``core/policy.py``, ``baselines/policy.py``, the experiment modules)
 and are imported lazily by :func:`load_builtin` to keep import cycles
-out of the package graph.  :func:`load_builtin` additionally scans the
-``repro.policies`` and ``repro.probe_designers`` entry-point groups,
-so third-party strategies *install* (``pip install``) rather than
-import-register: an entry point may name a module whose import runs
-the ``@register_*`` decorators, or a factory object directly (then
-the entry-point name becomes the registry name).
+out of the package graph.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
@@ -58,14 +52,8 @@ __all__ = [
     "load_builtin",
 ]
 
-_LOGGER = logging.getLogger(__name__)
-
 PolicyFactory = Callable[..., Any]
 DesignerFactory = Callable[..., Any]
-
-#: Entry-point groups scanned by :func:`load_builtin`, mapped to the
-#: registry a directly-exported factory lands in.
-_ENTRY_POINT_GROUPS = ("repro.policies", "repro.probe_designers")
 
 _POLICIES: Dict[str, PolicyFactory] = {}
 _SCENARIOS: Dict[str, "ScenarioEntry"] = {}
@@ -217,40 +205,6 @@ def available_probe_designers() -> List[str]:
     return sorted(_PROBE_DESIGNERS)
 
 
-def _scan_entry_points() -> None:
-    """Load ``repro.policies`` / ``repro.probe_designers`` entry points.
-
-    A broken third-party plugin must never take the core registries
-    down, so load failures are logged and skipped.  Entries exporting a
-    callable that the import itself did not register are registered
-    under the entry-point name (without clobbering built-ins).
-    """
-    from importlib import metadata
-
-    for group in _ENTRY_POINT_GROUPS:
-        try:
-            entries = list(metadata.entry_points(group=group))
-        except TypeError:  # pragma: no cover - pre-3.10 select API
-            entries = list(metadata.entry_points().get(group, ()))
-        for entry in entries:
-            try:
-                loaded = entry.load()
-            except Exception as error:
-                _LOGGER.warning(
-                    "failed to load entry point %s (group %s): %s: %s",
-                    entry.name,
-                    group,
-                    type(error).__name__,
-                    error,
-                )
-                continue
-            if callable(loaded):
-                table = (
-                    _POLICIES if group == "repro.policies" else _PROBE_DESIGNERS
-                )
-                table.setdefault(entry.name, loaded)
-
-
 def load_builtin() -> None:
     """Import the modules that carry built-in registrations (idempotent)."""
     global _BUILTIN_LOADED
@@ -264,5 +218,3 @@ def load_builtin() -> None:
     from ..baselines import policy as _baseline_policy  # noqa: F401
     from .. import experiments as _experiments  # noqa: F401
     from . import scenarios as _scenarios  # noqa: F401
-    # Installed third-party plugins last: built-in names always win.
-    _scan_entry_points()

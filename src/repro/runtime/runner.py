@@ -360,9 +360,9 @@ def _eval_block(policy, part: _Arrays) -> Selections:
 
     ``part`` is the block's ``(sector_ids, snr_db, rssi_dbm, mask)``.
     A policy with ``select_batch`` evaluates the whole block in one
-    call; any other (the oracle, plugins) gets its ``select`` called
-    per row on the row's measurement list, and the results are packed
-    into :class:`~repro.core.selector.Selections`.  A raising kernel is
+    call; any other (one registered with ``select`` alone) gets its
+    ``select`` called per row on the row's measurement list, and the
+    results are packed into :class:`~repro.core.selector.Selections`.  A raising kernel is
     a failed block attempt like any other error: it goes through the
     supervisor's retry/fail path.
     """

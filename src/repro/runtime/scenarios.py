@@ -83,8 +83,7 @@ def _block_eligible(policy) -> bool:
     """Can this policy take the planned (shardable, supervised) path?
 
     Single-round policies that draw probes up front, need no ground
-    truth, probe the shared sweep codebook and expose the batched
-    kernel consume randomness exactly like the interactive loop (one
+    truth and expose the batched kernel consume randomness exactly like the interactive loop (one
     ``probes_for_round`` draw per recording × sweep) while evaluation
     stays pure — so routing them through ``plan_trials``/``execute``
     changes nothing in the records but makes them shardable,
@@ -93,7 +92,6 @@ def _block_eligible(policy) -> bool:
     return (
         not getattr(policy, "multi_round", True)
         and not getattr(policy, "needs_truth", False)
-        and getattr(policy, "probe_pool", None) is None
         and hasattr(policy, "select_batch")
     )
 
@@ -101,15 +99,8 @@ def _block_eligible(policy) -> bool:
 @register_scenario("policy-eval", default_spec=policy_eval_spec)
 def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
     """Compare registered policies on one conference-room arc."""
-    from ..channel.batch import sweep_snr_matrix
     from ..channel.environment import conference_room
-    from ..experiments.common import (
-        modal_counts,
-        observe_probes,
-        record_directions,
-        snr_losses,
-    )
-    from ..geometry.rotation import Orientation
+    from ..experiments.common import modal_counts, record_directions, snr_losses
 
     testbed = spec.testbed.build()
     context = runner.context(testbed)
@@ -130,7 +121,6 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
     )
     tx_ids = testbed.tx_sector_ids
     column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
-    noise_floor = testbed.budget.noise_floor_dbm
 
     rows: List[PolicyEvalRow] = []
     for policy_spec in spec.policies:
@@ -168,71 +158,23 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
             )
             continue
 
-        # Policies probing their own codebook (random beams) need truth
-        # for those beams; the nominal orientations are close enough for
-        # a comparison scenario (no pinned values ride on it).
-        own_pool = getattr(policy, "probe_pool", None)
-        own_truth = None
-        if own_pool is not None:
-            orientations = [
-                Orientation(yaw_deg=-recording.azimuth_deg)
-                for recording in recordings
-            ]
-            own_truth = sweep_snr_matrix(
-                environment,
-                testbed.dut_antenna,
-                policy.codebook,
-                own_pool,
-                orientations,
-                testbed.ref_antenna,
-                testbed.ref_codebook.rx_sector.weights,
-                budget=testbed.budget,
-            )
-            own_column = {sector_id: c for c, sector_id in enumerate(own_pool)}
-
         losses: List[float] = []
         trainings: List[float] = []
         fallbacks: List[bool] = []
         stabilities: List[float] = []
-        for rec_index, recording in enumerate(recordings):
+        for recording in recordings:
             policy.reset()
             if getattr(policy, "needs_truth", False):
                 policy.set_truth(recording.true_snr_db)
             selections: List[int] = []
             for sweep in recording.sweeps:
-                if own_pool is not None:
 
-                    def measure(ids, generator, _row=rec_index):
-                        return observe_probes(
-                            testbed.measurement_model,
-                            own_truth[_row, [own_column[sector_id] for sector_id in ids]],
-                            ids,
-                            noise_floor,
-                            generator,
-                        )
-
-                else:
-
-                    def measure(ids, generator, _sweep=sweep):
-                        return [
-                            _sweep[sector_id]
-                            for sector_id in ids
-                            if sector_id in _sweep
-                        ]
+                def measure(ids, generator, _sweep=sweep):
+                    return [_sweep[sector_id] for sector_id in ids if sector_id in _sweep]
 
                 outcome = runner.run_interactive(policy, tx_ids, measure, rng)
                 sector_id = outcome.result.sector_id
-                if own_pool is not None:
-                    column = own_column.get(sector_id)
-                    if column is None:
-                        # Fallback landed outside the beam pool (nothing
-                        # decoded on a fresh selector); score the worst
-                        # beam rather than crash the comparison.
-                        achieved = float(own_truth[rec_index].min())
-                    else:
-                        achieved = float(own_truth[rec_index, column])
-                else:
-                    achieved = float(recording.true_snr_db[column_of[sector_id]])
+                achieved = float(recording.true_snr_db[column_of[sector_id]])
                 losses.append(recording.optimal_snr_db() - achieved)
                 trainings.append(outcome.training_time_us)
                 fallbacks.append(bool(outcome.result.fallback))

@@ -87,7 +87,7 @@ class SharedKernelManifest:
     reuses the fd number — and ``size`` its length in bytes.
     ``entries`` maps array name → ``(offset, shape, dtype-str)``; the
     manifest travels to workers inside task submissions (a few hundred
-    bytes) instead of the kernels themselves (0.68 MB for the default
+    bytes) instead of the kernels themselves (0.45 MB for the default
     testbed), which every task would otherwise carry.
     """
 

@@ -119,8 +119,12 @@ def published_segments(pids: Iterable[int]) -> Set[str]:
 
 
 def published_kernels(publisher: "shm.KernelPublisher") -> Set[str]:
-    """The segments ``publisher`` holds, each checked to be a policy's
-    kernels: trial rows travel with their tasks, never as a segment."""
+    """The segments ``publisher`` holds, each checked to hold exactly a
+    policy's kernels: trial rows travel with their tasks, never as a
+    segment."""
     manifests = list(publisher._manifests.values())
-    assert all("pattern_matrix" in manifest.entries for manifest in manifests)
+    assert all(
+        set(manifest.entries) == {"prepared_matrix", "candidate_matrix"}
+        for manifest in manifests
+    )
     return {manifest.segment for manifest in manifests}

@@ -40,21 +40,19 @@ RSSI_REFERENCE_DBM = -71.5
 Slot = Tuple[int, float, float]
 
 
-def to_domain(values_db, domain: str) -> np.ndarray:
-    """dB → correlation domain: linear power clamped to ±200 dB, or dB."""
+def to_linear(values_db) -> np.ndarray:
+    """dB → linear power, clamped to ±200 dB."""
     values = np.asarray(values_db, dtype=float)
-    if domain == "db":
-        return values
     return 10.0 ** (np.clip(values, -200.0, 200.0) / 10.0)
 
 
-def eq2(probes_db, patterns_db, domain: str) -> np.ndarray:
-    """Eq. 2: ``W = ⟨p/‖p‖, x/‖x‖⟩²`` per grid point.
+def eq2(probes_db, patterns_db) -> np.ndarray:
+    """Eq. 2: ``W = ⟨p/‖p‖, x/‖x‖⟩²`` per grid point, in linear power.
 
     ``probes_db`` has shape ``(M,)`` and ``patterns_db`` ``(M, K)``.
     """
-    probes = to_domain(probes_db, domain)
-    patterns = to_domain(patterns_db, domain)
+    probes = to_linear(probes_db)
+    patterns = to_linear(patterns_db)
     with np.errstate(invalid="ignore", divide="ignore"):
         column_norms = np.sqrt(np.sum(patterns * patterns, axis=0))
         unit_columns = patterns / np.maximum(column_norms, EPSILON)
@@ -83,11 +81,10 @@ def first_argmax(values: Sequence[float]) -> int:
 class ReferenceEstimator:
     """Eqs. 3 and 5 over one sweep's valid probes, straight from the paper."""
 
-    def __init__(self, table: PatternTable, fusion: str = "product", domain: str = "linear"):
+    def __init__(self, table: PatternTable, fusion: str = "product"):
         self.table = table
         self.grid: AngularGrid = table.grid
         self.fusion = fusion
-        self.domain = domain
         matrix = table.sample_matrix(self.grid)
         self.pattern_of = {sector: matrix[row] for row, sector in enumerate(table.sector_ids)}
 
@@ -114,7 +111,7 @@ class ReferenceEstimator:
         patterns = np.array([self.pattern_of[sector] for sector, _, _ in kept])
         surface = None
         for readings in self.channel_readings(kept):
-            channel_map = eq2(readings, patterns, self.domain)
+            channel_map = eq2(readings, patterns)
             surface = channel_map if surface is None else surface * channel_map
         return surface, len(kept)
 
@@ -136,7 +133,7 @@ class ReferenceEstimator:
         """
         kept = self.finite(slots)
         patterns = [
-            float(to_domain(self.pattern_of[sector], self.domain)[index])
+            float(to_linear(self.pattern_of[sector])[index])
             for sector, _, _ in kept
         ]
         pattern_sq = 0.0
@@ -145,7 +142,7 @@ class ReferenceEstimator:
         pattern_norm = max(math.sqrt(pattern_sq), EPSILON)
         correlation = None
         for readings in self.channel_readings(kept):
-            values = [float(value) for value in to_domain(readings, self.domain)]
+            values = [float(value) for value in to_linear(readings)]
             value_sq = inner = 0.0
             for value, pattern in zip(values, patterns):
                 value_sq += value * value
@@ -177,21 +174,11 @@ class ReferenceEstimator:
 class ReferenceSelector:
     """Eq. 4 on top of :class:`ReferenceEstimator`, with the SNR fallback."""
 
-    def __init__(
-        self,
-        table: PatternTable,
-        fusion: str = "product",
-        domain: str = "linear",
-        initial_sector_id: int = 1,
-        min_probes: int = 2,
-        fallback_correlation: float = 0.0,
-    ):
-        self.estimator = ReferenceEstimator(table, fusion, domain)
+    def __init__(self, table: PatternTable, fusion: str = "product"):
+        self.estimator = ReferenceEstimator(table, fusion)
         self.candidates = [s for s in table.sector_ids if s != 0]
         self.candidate_matrix = table.sample_matrix(table.grid, self.candidates)
-        self.min_probes = min_probes
-        self.fallback_correlation = fallback_correlation
-        self.last_selection = initial_sector_id
+        self.last_selection = 1
 
     def fallback(self, slots: Sequence[Slot]) -> SelectionResult:
         if slots:
@@ -201,13 +188,11 @@ class ReferenceSelector:
 
     def select(self, slots: Sequence[Slot]) -> SelectionResult:
         usable = [s for s in slots if s[0] in self.estimator.pattern_of]
-        if len(usable) < self.min_probes:
+        if len(usable) < 2:
             return self.fallback(usable)
         estimate = self.estimator.estimate(usable)
         if estimate is None:
             raise ValueError("need at least two finite probe measurements")
-        if estimate.correlation < self.fallback_correlation:
-            return self.fallback(usable)
         gains = self.candidate_matrix[:, estimate.grid_index]
         self.last_selection = self.candidates[first_argmax(gains)]
         return SelectionResult(sector_id=self.last_selection, estimate=estimate)

@@ -6,7 +6,7 @@ and result builder of ``CompressiveSectorSelector.select_batch``); the
 one-sweep ``estimate`` / ``select`` / ``correlation_surface`` calls are
 adapters over it.  These tests drive the kernel and its adapters over
 hypothesis-generated ragged, NaN-ridden batches in every fusion mode
-and correlation domain and assert **exact** equality with the
+and assert **exact** equality with the
 deliberately naive reference in :mod:`tests.reference_kernel` — the
 pinned experiment outputs depend on every bit.  Also here: the perf
 guards (the pattern matrix is never transformed per estimate, and
@@ -16,9 +16,8 @@ guards (the pattern matrix is never transformed per estimate, and
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.core.correlation as correlation
+import repro.core.estimator as estimator_module
 from repro.core.compressive import CompressiveSectorSelector
 from repro.core.correlation import correlation_map
 from repro.core.estimator import AngleEstimator
@@ -42,27 +41,17 @@ from tests.reference_kernel import (
 TABLE = small_table()
 
 FUSIONS = ("product", "snr", "rssi")
-DOMAINS = ("linear", "db")
 
-# One estimator per (fusion, domain), shared across hypothesis examples
+# One estimator per fusion mode, shared across hypothesis examples
 # (estimators are stateless; selectors are not and are built per example).
-ESTIMATORS = {
-    (fusion, domain): AngleEstimator(TABLE, domain=domain, fusion=fusion)
-    for fusion in FUSIONS
-    for domain in DOMAINS
-}
-REFERENCES = {
-    (fusion, domain): ReferenceEstimator(TABLE, fusion=fusion, domain=domain)
-    for fusion in FUSIONS
-    for domain in DOMAINS
-}
+ESTIMATORS = {fusion: AngleEstimator(TABLE, fusion=fusion) for fusion in FUSIONS}
+REFERENCES = {fusion: ReferenceEstimator(TABLE, fusion=fusion) for fusion in FUSIONS}
 
 
 class TestCorrelationMapBatch:
-    @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=60, deadline=None)
     @given(batch=batches(min_width=2))
-    def test_rows_match_reference_bitwise(self, domain, batch):
+    def test_rows_match_reference_bitwise(self, batch):
         """The public Eq. 2 helper, row by row over a padded batch."""
         _, snr, _, mask = unpack(batch)
         patterns = TABLE.sample_matrix(TABLE.grid)[: snr.shape[1]]
@@ -70,20 +59,19 @@ class TestCorrelationMapBatch:
             keep = mask[row]
             if not keep.any():
                 continue
-            got = correlation_map(snr[row][keep], patterns[keep], domain=domain)
-            expected = eq2(snr[row][keep], patterns[keep], domain)
+            got = correlation_map(snr[row][keep], patterns[keep])
+            expected = eq2(snr[row][keep], patterns[keep])
             assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestEstimateBatch:
     @pytest.mark.parametrize("fusion", FUSIONS)
-    @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=40, deadline=None)
     @given(batch=batches(sectors=any_sector))
-    def test_rows_match_scalar_bitwise(self, fusion, domain, batch):
+    def test_rows_match_scalar_bitwise(self, fusion, batch):
         """Batch rows and one-sweep calls both equal the reference."""
-        estimator = ESTIMATORS[(fusion, domain)]
-        reference = REFERENCES[(fusion, domain)]
+        estimator = ESTIMATORS[fusion]
+        reference = REFERENCES[fusion]
         ids, snr, rssi, mask = unpack(batch)
         rows = [valid_slots(trial) for trial in batch]
         assert outcome(
@@ -109,14 +97,14 @@ class TestEstimateBatch:
                 assert np.array_equal(got_surface, expected_surface[0], equal_nan=True)
 
     def test_mask_shape_mismatch_rejected(self):
-        estimator = ESTIMATORS[("snr", "linear")]
+        estimator = ESTIMATORS["snr"]
         with pytest.raises(ValueError, match="mask shape"):
             estimator.estimate_batch(
                 np.zeros((2, 3), dtype=int), np.zeros((2, 3)), mask=np.ones((2, 4), bool)
             )
 
     def test_underfilled_row_is_none_not_error(self):
-        estimator = ESTIMATORS[("product", "linear")]
+        estimator = ESTIMATORS["product"]
         ids = np.array([[0, 1, 2], [0, 1, 2]])
         snr = np.array([[5.0, np.nan, np.nan], [5.0, 4.0, 3.0]])
         rssi = np.full((2, 3), -60.0)
@@ -125,13 +113,13 @@ class TestEstimateBatch:
         assert estimates[1] is not None
 
     def test_unknown_usable_sector_raises(self):
-        estimator = ESTIMATORS[("snr", "linear")]
+        estimator = ESTIMATORS["snr"]
         ids = np.array([[0, 63]])
         with pytest.raises(KeyError, match="no measured pattern"):
             estimator.estimate_batch(ids, snr_db=np.array([[1.0, 2.0]]))
 
     def test_grid_index_matches_nearest_lookup(self):
-        estimator = ESTIMATORS[("product", "linear")]
+        estimator = ESTIMATORS["product"]
         measurements = [
             ProbeMeasurement(sector_id=s, snr_db=5.0 - s, rssi_dbm=-60.0 - s)
             for s in range(4)
@@ -144,21 +132,16 @@ class TestEstimateBatch:
 
 class TestSelectBatch:
     @settings(max_examples=60, deadline=None)
-    @given(
-        batch=batches(sectors=any_sector),
-        min_probes=st.integers(min_value=2, max_value=4),
-        fallback_correlation=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_sequence_matches_scalar_bitwise(self, batch, min_probes, fallback_correlation):
+    @given(batch=batches(sectors=any_sector))
+    def test_sequence_matches_scalar_bitwise(self, batch):
         """A batch call and a sequence of one-sweep calls both equal the
         reference's sweep-by-sweep selections, state included."""
-        config = dict(min_probes=min_probes, fallback_correlation=fallback_correlation)
         ids, snr, rssi, mask = unpack(batch)
         rows = [valid_slots(trial) for trial in batch]
-        reference = ReferenceSelector(TABLE, **config)
+        reference = ReferenceSelector(TABLE)
         expected = outcome(lambda: reference.select_rows(rows))
 
-        batched = CompressiveSectorSelector(TABLE, **config)
+        batched = CompressiveSectorSelector(TABLE)
         assert outcome(
             lambda: list(batched.select_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask))
         ) == expected
@@ -168,32 +151,21 @@ class TestSelectBatch:
         measurements = [measurements_of(slots) for slots in rows]
         if any(m is None for m in measurements):
             return
-        one_row = CompressiveSectorSelector(TABLE, **config)
+        one_row = CompressiveSectorSelector(TABLE)
         assert outcome(lambda: [one_row.select(m) for m in measurements]) == expected
 
     def test_reset_restores_initial_selection(self):
-        selector = CompressiveSectorSelector(TABLE, initial_sector_id=3)
+        selector = CompressiveSectorSelector(TABLE)
         selector.select([])  # fallback with nothing: keeps initial
-        assert selector.last_selection == 3
+        assert selector.last_selection == 1
         selector.select_batch(
-            np.array([[1, 2, 3]]),
-            snr_db=np.array([[1.0, 9.0, 2.0]]),
-            rssi_dbm=np.array([[-60.0, -55.0, -58.0]]),
+            np.array([[3]]), snr_db=np.array([[9.0]]), rssi_dbm=np.array([[-55.0]])
         )
+        assert selector.last_selection == 3  # a one-probe fallback
         selector.reset()
-        assert selector.last_selection == 3
+        assert selector.last_selection == 1
         # The fallback-with-nothing result reflects the reset state.
-        assert selector.select([]).sector_id == 3
-
-    def test_fallback_tie_keeps_first_like_python_max(self):
-        selector = CompressiveSectorSelector(TABLE, min_probes=4)
-        results = selector.select_batch(
-            np.array([[1, 2, 3]]),
-            snr_db=np.array([[7.0, 7.0, 7.0]]),
-            rssi_dbm=np.array([[-60.0, -60.0, -60.0]]),
-        )
-        assert results[0].fallback
-        assert results[0].sector_id == 1
+        assert selector.select([]).sector_id == 1
 
 
 class TestPackProbeTrials:
@@ -208,7 +180,7 @@ class TestPackProbeTrials:
         assert mask.tolist() == [[True, True], [True, False]]
         assert np.isnan(snr[1, 1]) and np.isnan(rssi[1, 1])
         # The tuple is in estimate_batch/select_batch argument order.
-        estimator = ESTIMATORS[("product", "linear")]
+        estimator = ESTIMATORS["product"]
         estimates = estimator.estimate_batch(ids, snr, rssi, mask)
         assert estimates[0] is not None and estimates[1] is None
 
@@ -223,7 +195,7 @@ class TestPackProbeTrials:
 
 class TestEstimatorHelpers:
     def test_has_sector(self):
-        estimator = ESTIMATORS[("product", "linear")]
+        estimator = ESTIMATORS["product"]
         assert estimator.has_sector(0)
         assert estimator.has_sector(N_SECTORS - 1)
         assert not estimator.has_sector(N_SECTORS)
@@ -239,13 +211,13 @@ class TestPerfGuards:
         selector = CompressiveSectorSelector(TABLE)
         grid_points = TABLE.grid.n_points
         seen = []
-        original = correlation.to_linear_power
+        original = estimator_module.to_linear_power
 
         def counting(values_db):
             seen.append(np.asarray(values_db).shape)
             return original(values_db)
 
-        monkeypatch.setattr(correlation, "to_linear_power", counting)
+        monkeypatch.setattr(estimator_module, "to_linear_power", counting)
         measurements = [
             ProbeMeasurement(sector_id=s, snr_db=5.0 + s, rssi_dbm=-60.0 + s)
             for s in range(4)
@@ -253,7 +225,7 @@ class TestPerfGuards:
         for _ in range(3):
             estimator.estimate(measurements)
             selector.select(measurements)
-        assert seen, "the linear domain must still transform probe vectors"
+        assert seen, "probe vectors must still be converted to linear power"
         assert all(shape[-1] != grid_points for shape in seen)
 
         seen.clear()

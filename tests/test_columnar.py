@@ -6,7 +6,7 @@ in the results, and each is checked against a per-row reference:
 * **Build** — the stacked selector's one vectorized build equals the
   naive :class:`tests.reference_kernel.ReferenceSelector` part by part
   (fallbacks with and without usable probes, NaN/±inf and tied SNRs,
-  ``fallback_correlation``, consecutive calls), error message and
+  consecutive calls), error message and
   selection state included; ``FullSweepPolicy.select_batch`` equals its
   own ``select`` row by row.
 * **Planner** — one draw and one gather per call equal the former
@@ -123,21 +123,16 @@ def _reference_part(reference, rows):
     return results
 
 
-_FALLBACK_CORRELATION = st.sampled_from([0.0, 0.0, 0.2, 0.6, 0.95, 1.0])
-
-
 class TestVectorizedBuild:
     @settings(max_examples=120, deadline=None)
-    @given(parts=_parts(), fallback_correlation=_FALLBACK_CORRELATION)
-    def test_stacked_build_equals_reference_per_part(self, parts, fallback_correlation):
+    @given(parts=_parts())
+    def test_stacked_build_equals_reference_per_part(self, parts):
         width = max((len(row) for part in parts for row in part), default=1)
         arrays = [_arrays(part, width) for part in parts]
-        selector = CompressiveSectorSelector(
-            TABLE, fallback_correlation=fallback_correlation
-        )
+        selector = CompressiveSectorSelector(TABLE)
         expected = []
         error = None
-        reference = ReferenceSelector(TABLE, fallback_correlation=fallback_correlation)
+        reference = ReferenceSelector(TABLE)
         for part in parts:
             reference.last_selection = 1
             got = _reference_part(reference, part)
@@ -157,14 +152,12 @@ class TestVectorizedBuild:
             assert selector.last_selection == reference.last_selection
 
     @settings(max_examples=120, deadline=None)
-    @given(parts=_parts(max_parts=2), fallback_correlation=_FALLBACK_CORRELATION)
-    def test_consecutive_batches_thread_the_state(self, parts, fallback_correlation):
+    @given(parts=_parts(max_parts=2))
+    def test_consecutive_batches_thread_the_state(self, parts):
         """A second ``select_batch`` starts from the first one's state."""
         width = max((len(row) for part in parts for row in part), default=1)
-        selector = CompressiveSectorSelector(
-            TABLE, fallback_correlation=fallback_correlation
-        )
-        reference = ReferenceSelector(TABLE, fallback_correlation=fallback_correlation)
+        selector = CompressiveSectorSelector(TABLE)
+        reference = ReferenceSelector(TABLE)
         for part in parts:
             expected = _reference_part(reference, part)
             if isinstance(expected, str):
@@ -192,24 +185,6 @@ class TestVectorizedBuild:
         assert selections.rows["sector"].tolist() == [2, 2, 1, 5]
         assert selections.rows["fallback"].all()
 
-    def test_a_correlation_at_the_threshold_is_trusted(self):
-        """Only a peak strictly below ``fallback_correlation`` falls back."""
-        part = (
-            np.array([[0, 1, 2, 3]]),
-            np.array([[4.0, 9.0, -2.0, 1.0]]),
-            np.array([[-61.0, -55.0, -66.0, -60.0]]),
-            np.ones((1, 4), dtype=bool),
-        )
-        peak = CompressiveSectorSelector(TABLE).select_batch(*part)[0].estimate.correlation
-        assert 0.0 < peak < 1.0
-        at = CompressiveSectorSelector(TABLE, fallback_correlation=peak)
-        assert not at.select_batch(*part)[0].fallback
-        above = CompressiveSectorSelector(
-            TABLE, fallback_correlation=float(np.nextafter(peak, 1.0))
-        )
-        assert above.select_batch(*part).rows["sector"].tolist() == [1]
-        assert above.select_batch(*part)[0].fallback
-
 
 _KNOWN_SLOT = st.tuples(st.integers(min_value=0, max_value=63), _READING, st.booleans())
 
@@ -225,8 +200,8 @@ class TestFullSweepBatch:
     @settings(max_examples=150, deadline=None)
     @given(batches=st.lists(_sweep_batches(), min_size=1, max_size=2))
     def test_select_batch_equals_select_per_row(self, batches):
-        batched = FullSweepPolicy(PolicyContext(testbed=None), initial_sector_id=7)
-        scalar = FullSweepPolicy(PolicyContext(testbed=None), initial_sector_id=7)
+        batched = FullSweepPolicy(PolicyContext(testbed=None))
+        scalar = FullSweepPolicy(PolicyContext(testbed=None))
         for width, rows in batches:
             shape = (len(rows), width)
             ids = np.array([[s[0] for s in row] for row in rows], dtype=np.intp)

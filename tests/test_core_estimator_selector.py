@@ -55,9 +55,9 @@ class TestSectorSweepSelector:
         assert selector.select(measurements).sector_id == 2
 
     def test_empty_sweep_keeps_last(self):
-        selector = SectorSweepSelector(initial_sector_id=4)
+        selector = SectorSweepSelector()
         result = selector.select([])
-        assert result.sector_id == 4
+        assert result.sector_id == 1
         assert result.fallback
         selector.select([ProbeMeasurement(7, 1.0, -70.0)])
         assert selector.select([]).sector_id == 7
@@ -275,21 +275,13 @@ class TestCompressiveSectorSelector:
         assert winners - set(probed), "some winner should come from outside the probes"
 
     def test_fallback_on_too_few_probes(self, pattern_table):
-        selector = CompressiveSectorSelector(pattern_table, initial_sector_id=3)
+        selector = CompressiveSectorSelector(pattern_table)
         empty = selector.select([])
-        assert empty.fallback and empty.sector_id == 3
+        assert empty.fallback and empty.sector_id == 1
         single = selector.select([ProbeMeasurement(5, 9.0, -60.0)])
         assert single.fallback and single.sector_id == 5
         # The fallback updates the remembered selection.
         assert selector.select([]).sector_id == 5
-
-    def test_unknown_candidate_rejected(self, pattern_table):
-        with pytest.raises(ValueError):
-            CompressiveSectorSelector(pattern_table, candidate_sector_ids=[1, 40])
-
-    def test_min_probes_validated(self, pattern_table):
-        with pytest.raises(ValueError):
-            CompressiveSectorSelector(pattern_table, min_probes=1)
 
     def test_probes_outside_table_ignored(self, pattern_table):
         selector = CompressiveSectorSelector(pattern_table)

@@ -33,7 +33,6 @@ from repro.core.probes import (
 )
 from repro.experiments import ProbeDesignConfig, probe_design_spec, run_probe_design
 from repro.experiments.common import random_probe_columns
-from repro.runtime import registry
 from repro.runtime.policy import PolicyContext
 from repro.runtime.registry import (
     available_probe_designers,
@@ -241,71 +240,6 @@ class TestSpecSurface:
         restored = ScenarioSpec.from_json(scenario_designed.to_json())
         assert restored.policies[0].probe_design == {"designer": "random"}
         assert restored.digest() == scenario_designed.digest()
-
-
-class TestEntryPointDiscovery:
-    class _Entry:
-        def __init__(self, name, loaded):
-            self.name = name
-            self._loaded = loaded
-
-        def load(self):
-            if isinstance(self._loaded, Exception):
-                raise self._loaded
-            return self._loaded
-
-    def _patch_entry_points(self, monkeypatch, mapping):
-        from importlib import metadata
-
-        def fake_entry_points(group=None):
-            return list(mapping.get(group, ()))
-
-        monkeypatch.setattr(metadata, "entry_points", fake_entry_points)
-
-    def test_installed_factories_register_under_entry_name(self, monkeypatch):
-        sentinel = object()
-
-        def factory(pattern_table, **params):
-            return sentinel
-
-        self._patch_entry_points(
-            monkeypatch,
-            {
-                "repro.probe_designers": (self._Entry("acme-designer", factory),),
-                "repro.policies": (self._Entry("acme-policy", factory),),
-            },
-        )
-        registry._scan_entry_points()
-        try:
-            assert "acme-designer" in available_probe_designers()
-            assert "acme-policy" in registry.available_policies()
-            assert build_probe_designer("acme-designer", None) is sentinel
-        finally:
-            registry._PROBE_DESIGNERS.pop("acme-designer", None)
-            registry._POLICIES.pop("acme-policy", None)
-
-    def test_broken_plugin_is_skipped_and_builtins_survive(
-        self, monkeypatch, caplog
-    ):
-        self._patch_entry_points(
-            monkeypatch,
-            {
-                "repro.probe_designers": (
-                    self._Entry("broken", ImportError("boom")),
-                    # A plugin may not shadow a built-in name.
-                    self._Entry("random", lambda table, **params: None),
-                ),
-            },
-        )
-        import logging
-
-        registry.load_builtin()
-        with caplog.at_level(logging.WARNING, logger="repro.runtime.registry"):
-            registry._scan_entry_points()
-        assert any("broken" in record.message for record in caplog.records)
-        from repro.core.probes import RandomProbeDesigner
-
-        assert registry._PROBE_DESIGNERS["random"] is RandomProbeDesigner
 
 
 def _small_config() -> ProbeDesignConfig:

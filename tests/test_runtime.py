@@ -30,6 +30,7 @@ from repro.runtime import (
     scenario_spec,
 )
 from repro.runtime import TestbedSpec as _TestbedSpec  # alias: not a test class
+from repro.runtime import registry
 
 
 class TestScenarioSpec:
@@ -77,9 +78,7 @@ class TestScenarioSpec:
 
 class TestRegistry:
     def test_builtin_policies_present(self):
-        assert {"css", "full-sweep", "hierarchical", "oracle", "random-beams"} <= set(
-            available_policies()
-        )
+        assert available_policies() == ["css", "full-sweep", "hierarchical", "oracle"]
 
     def test_builtin_scenarios_present(self):
         assert {"fig7", "fig8", "fig9", "fig10", "fig11", "policy-eval"} <= set(
@@ -93,13 +92,35 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scenario 'nope'"):
             scenario_spec("nope")
 
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (PolicySpec("css", {"domain": "db"}), TypeError),
+            (PolicySpec("css", {"fallback_correlation": 0.5}), TypeError),
+            (PolicySpec("css", {"min_probes": 3}), TypeError),
+            (PolicySpec("full-sweep", {"initial_sector_id": 5}), TypeError),
+            (PolicySpec("hierarchical", {"n_groups": 4}), TypeError),
+            (PolicySpec("random-beams", {}), KeyError),
+        ],
+        ids=[
+            "css-domain",
+            "css-fallback_correlation",
+            "css-min_probes",
+            "full-sweep-initial_sector_id",
+            "hierarchical-n_groups",
+            "random-beams",
+        ],
+    )
+    def test_removed_inputs_are_rejected_not_ignored(self, spec, error):
+        with pytest.raises(error):
+            build_policy(spec, PolicyContext(testbed=None))
+
     def test_default_spec_lookup(self):
         spec = scenario_spec("fig9")
         assert spec.scenario == "fig9"
         assert spec.testbed == _TestbedSpec()
 
 
-@register_policy("toy-loudest")
 class ToyLoudestPolicy:
     """Probe the first ``n_probes`` sectors, keep the loudest one."""
 
@@ -130,6 +151,14 @@ class ToyLoudestPolicy:
 
 
 class TestToyPolicyEndToEnd:
+    @pytest.fixture(autouse=True)
+    def _registered(self):
+        """The toy policy is registered for these tests alone, so the
+        registry's inventory holds exactly the built-ins elsewhere."""
+        register_policy("toy-loudest")(ToyLoudestPolicy)
+        yield
+        registry._POLICIES.pop("toy-loudest")
+
     def _spec(self):
         return ScenarioSpec(
             scenario="policy-eval",
@@ -205,9 +234,9 @@ class TestRunInteractive:
         testbed = build_testbed()
         runner = ScenarioRunner()  # interactive path: no pool to manage
         policy = build_policy(
-            PolicySpec("hierarchical", {"n_groups": 6}), runner.context(testbed)
+            PolicySpec("hierarchical", {}), runner.context(testbed)
         )
-        search = HierarchicalSearch(testbed.pattern_table, n_groups=6)
+        search = HierarchicalSearch(testbed.pattern_table)
         table = testbed.pattern_table
 
         def measure(sector_ids, rng):

@@ -247,15 +247,13 @@ NAN_TABLE = _nan_table()
 TIE_TABLE = _tie_table()
 TABLES = {"nan": NAN_TABLE, "ties": TIE_TABLE}
 FUSIONS = ("product", "snr", "rssi")
-DOMAINS = ("linear", "db")
 KERNELS = {
-    (table, fusion, domain): (
-        AngleEstimator(TABLES[table], fusion=fusion, domain=domain),
-        ReferenceEstimator(TABLES[table], fusion=fusion, domain=domain),
+    (table, fusion): (
+        AngleEstimator(TABLES[table], fusion=fusion),
+        ReferenceEstimator(TABLES[table], fusion=fusion),
     )
     for table in TABLES
     for fusion in FUSIONS
-    for domain in DOMAINS
 }
 
 
@@ -324,18 +322,15 @@ def _arrays_equal(got, expected) -> bool:
     )
 
 
-KERNEL_CASES = [
-    (table, fusion, domain) for table in TABLES for fusion in FUSIONS for domain in DOMAINS
-]
+KERNEL_CASES = [(table, fusion) for table in TABLES for fusion in FUSIONS]
 
 
 class TestStackedKernel:
     @pytest.mark.parametrize("fusion", FUSIONS)
-    @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=60, deadline=None)
     @given(batch=tied_batches(), table=st.sampled_from(sorted(TABLES)))
-    def test_stacked_rows_equal_reference(self, fusion, domain, batch, table):
-        estimator, reference = KERNELS[(table, fusion, domain)]
+    def test_stacked_rows_equal_reference(self, fusion, batch, table):
+        estimator, reference = KERNELS[(table, fusion)]
         ids, snr, rssi, mask = batch
         assert _same(
             estimator.estimate_batch(ids, snr_db=snr, rssi_dbm=rssi, mask=mask),
@@ -344,7 +339,7 @@ class TestStackedKernel:
 
     def test_nan_winner_and_all_nan_rows_take_the_finite_retake(self):
         """Hand-built rows that hit both NaN paths inside one batch."""
-        estimator, reference = KERNELS[("nan", "snr", "linear")]
+        estimator, reference = KERNELS[("nan", "snr")]
         ids = np.array([[5, 0, 1], [6, 2, 3], [0, 1, 2], [6, 5, 4], [5, 1, 3]])
         snr = np.tile([3.0, 9.0, 1.0], (5, 1))
         estimates = estimator.estimate_batch(ids, snr_db=snr)
@@ -360,7 +355,7 @@ class TestStackedKernel:
 
     def test_quality_histograms_match_one_row_calls(self):
         """Peak ratios are recorded per row, in trial order."""
-        estimator, _ = KERNELS[("nan", "product", "linear")]
+        estimator, _ = KERNELS[("nan", "product")]
         rng = np.random.default_rng(8)
         n_rows = 13
         ids = np.array([rng.choice(5, 4, replace=False) for _ in range(n_rows)])
@@ -446,7 +441,7 @@ class TestCertifiedKernel:
             )
 
     def test_ties_take_the_exact_path_and_the_rest_are_certified(self, monkeypatch):
-        estimator, reference = KERNELS[("ties", "product", "linear")]
+        estimator, reference = KERNELS[("ties", "product")]
         exact_rows = []
         original = AngleEstimator._exact_argmax
 
