@@ -32,8 +32,6 @@ __all__ = ["HierarchicalPolicy", "OraclePolicy"]
 class HierarchicalPolicy:
     """Two-level beam search as a multi-round runtime policy."""
 
-    multi_round = True
-
     def __init__(self, context: PolicyContext):
         table = context.testbed.pattern_table
         key = ("hierarchical-groups", id(table))
@@ -103,7 +101,6 @@ class OraclePolicy:
     they discover that requirement.
     """
 
-    multi_round = False
     needs_truth = True
 
     def __init__(self, context: PolicyContext):

@@ -150,17 +150,6 @@ class CompressiveSectorSelector:
         """
         self._last_selection = INITIAL_SECTOR
 
-    @property
-    def n_candidates(self) -> int:
-        return len(self.candidate_sector_ids)
-
-    def best_sector_at(self, azimuth_deg: float, elevation_deg: float) -> int:
-        """Eq. 4: the candidate with maximum measured gain there."""
-        gains = self.pattern_table.vector(
-            azimuth_deg, elevation_deg, self.candidate_sector_ids
-        )
-        return int(self.candidate_sector_ids[int(np.argmax(gains))])
-
     def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
         """Run both steps on one sweep's measurements (a one-row batch)."""
         return self.select_batch(*_one_row_arrays(measurements))[0]

@@ -7,25 +7,24 @@ name them.
 
 Determinism notes (load-bearing — see DESIGN.md §7/§8):
 
-* ``CompressivePolicy.probes_for_round`` asks the policy's probe
+* ``CompressivePolicy.probe_positions`` asks the policy's probe
   designer — the ``random`` designer unless a ``probe_design`` block
-  names another — and nothing else.  The ``random`` designer makes
-  exactly one ``rng.choice(len(pool), size=n_probes, replace=False)``
-  call — the same call as
+  names another — and nothing else.  The ``random`` designer draws
+  the stream of one ``rng.choice(len(pool), size=n_probes,
+  replace=False)`` call per trial — the same call as
   :func:`repro.experiments.common.random_probe_columns` — so plans
   drawn through the policy consume the pinned stream identically to
-  the legacy loops.  ``probe_positions`` draws a whole recording's
-  trials through the designer's ``design_positions``: the same calls,
-  in the same order.
-* ``FullSweepPolicy`` consumes no randomness and replicates the Python
-  ``max`` semantics of :class:`SectorSweepSelector` (first element
-  kept, replaced only on strictly greater SNR) in its batched kernel,
-  through :func:`~.selector.first_max`.
+  the legacy loops.
+* ``FullSweepPolicy`` probes the whole pool, consumes no randomness
+  and replicates the Python ``max`` semantics of
+  :class:`SectorSweepSelector` (first element kept, replaced only on
+  strictly greater SNR) in its batched kernel, through
+  :func:`~.selector.first_max`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +33,8 @@ from ..mac.timing import multi_round_training_time_us
 from ..runtime.policy import PolicyContext
 from ..runtime.registry import build_probe_designer, register_policy
 from .compressive import CompressiveSectorSelector
-from .measurements import ProbeMeasurement
 from .probes import register_builtin_designers
-from .selector import INITIAL_SECTOR, SelectionResult, Selections, first_max, forward_fill
+from .selector import INITIAL_SECTOR, Selections, first_max, forward_fill
 
 __all__ = ["CompressivePolicy", "FullSweepPolicy"]
 
@@ -87,8 +85,6 @@ def _selector_search_grid(table, search):
 @register_policy("css")
 class CompressivePolicy:
     """Compressive sector selection (§2.2) as a runtime policy."""
-
-    multi_round = False
 
     def __init__(
         self,
@@ -156,23 +152,13 @@ class CompressivePolicy:
     def reset(self) -> None:
         self.selector.reset()
 
-    def probes_for_round(
-        self, round_index: int, pool: Sequence[int], rng: np.random.Generator
-    ) -> Optional[List[int]]:
-        if round_index > 0:
-            return None
-        return self._designer.design(self.n_probes, pool, rng)
-
     def probe_positions(
         self, n_trials: int, pool: Sequence[int], rng: np.random.Generator
     ) -> np.ndarray:
-        """``n_trials`` round-0 designs at once, as an ``(n_trials, M)``
-        array of positions in ``pool`` — the same subsets and rng stream
-        as ``n_trials`` :meth:`probes_for_round` calls."""
+        """``n_trials`` designs at once, as an ``(n_trials, M)`` array of
+        positions in ``pool`` — the same subsets and rng stream as
+        ``n_trials`` calls of the designer's ``design``."""
         return self._designer.design_positions(self.n_probes, n_trials, pool, rng)
-
-    def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
-        return self.selector.select(measurements)
 
     def select_batch(
         self,
@@ -211,8 +197,6 @@ class CompressivePolicy:
 class FullSweepPolicy:
     """The IEEE 802.11ad exhaustive sweep (Eq. 1) as a runtime policy."""
 
-    multi_round = False
-
     def __init__(self, context: PolicyContext):
         self.name = "full-sweep"
         self._last_selection = INITIAL_SECTOR
@@ -220,19 +204,11 @@ class FullSweepPolicy:
     def reset(self) -> None:
         self._last_selection = INITIAL_SECTOR
 
-    def probes_for_round(
-        self, round_index: int, pool: Sequence[int], rng: np.random.Generator
-    ) -> Optional[List[int]]:
-        if round_index > 0:
-            return None
-        return list(pool)
-
-    def select(self, measurements: Sequence[ProbeMeasurement]) -> SelectionResult:
-        if not measurements:
-            return SelectionResult(sector_id=self._last_selection, fallback=True)
-        best = max(measurements, key=lambda m: m.snr_db)
-        self._last_selection = best.sector_id
-        return SelectionResult(sector_id=best.sector_id)
+    def probe_positions(
+        self, n_trials: int, pool: Sequence[int], rng: np.random.Generator
+    ) -> np.ndarray:
+        """Every trial probes the whole pool; nothing is drawn."""
+        return np.tile(np.arange(len(pool), dtype=np.intp), (n_trials, 1))
 
     def select_batch(
         self,
@@ -241,7 +217,8 @@ class FullSweepPolicy:
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> Selections:
-        """Batched twin of :meth:`select`, rows threading the state in order.
+        """Batched :meth:`~.selector.SectorSweepSelector.select`, rows
+        threading the state in order.
 
         The per-row argmax is :func:`~.selector.first_max`, not
         ``np.argmax``: Python's ``max`` keeps the first element on ties

@@ -6,7 +6,7 @@ package comes from a :class:`ProbeDesigner` — the spec-addressable
 pipeline stage (DESIGN.md §13): registered by name in
 :mod:`repro.runtime.registry`, declared in a ``probe_design`` block on
 a :class:`~repro.runtime.spec.PolicySpec`, and routed through
-``CompressivePolicy.probes_for_round``.  The ``random`` designer is
+``CompressivePolicy.probe_positions``.  The ``random`` designer is
 the paper's draw (one ``rng.choice`` call per design, one
 ``rng.integers`` call per batch of designs); the
 deterministic designers (``coherence-min``, ``in-sector``,

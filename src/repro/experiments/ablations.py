@@ -134,7 +134,6 @@ def _policy_azimuth_errors(
     records = runner.execute(
         policy,
         blocks,
-        reset="recording",
         policy_spec=policy_spec,
         testbed_spec=testbed_spec,
     )
@@ -288,16 +287,15 @@ def _run_3d_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResu
         metric_name="mean SNR loss [dB]",
     )
     # The legacy loop reused one selector across all recordings without
-    # a reset; `reset="plan"` threads the state through every trial the
-    # same way (the probe draws happen in the scalar order, selection
+    # a reset; one block threads the state through every trial the same
+    # way (the probe draws happen in the scalar order, selection
     # consumes no rng).
     for name, search in (("3D search grid", "3d"), ("2D (azimuth-only) grid", "2d")):
         policy_spec = PolicySpec("css", {"n_probes": n_probes, "search": search})
         policy = runner.build_policy(policy_spec, context)
         records = runner.execute(
             policy,
-            runner.plan_trials(policy, recordings, tx_ids, rng),
-            reset="plan",
+            runner.plan_trials(policy, recordings, tx_ids, rng).as_one_block(),
             label=name,
         )
         result.variants[name] = float(np.mean(snr_losses(records, recordings, tx_ids)))

@@ -93,8 +93,8 @@ def _run_drift_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> DriftResu
     azimuths = np.arange(-60.0, 60.0 + 1e-9, config.azimuth_step_deg)
     tx_ids = testbed.tx_sector_ids
 
-    # One policy over the *original* table; `reset="plan"` inside each
-    # level's execute reproduces the fresh-selector state per level
+    # One policy over the *original* table; each level's plan runs as
+    # one block, which reproduces the fresh-selector state per level
     # while the state threads through that level's trials in order.
     policy_spec = PolicySpec("css", {"n_probes": int(config.n_probes)})
     policy = runner.build_policy(policy_spec, context)
@@ -108,9 +108,7 @@ def _run_drift_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> DriftResu
             aged_testbed, conference_room(6.0), azimuths, [0.0], config.n_sweeps, rng
         )
         records = runner.execute(
-            policy,
-            runner.plan_trials(policy, recordings, tx_ids, rng),
-            reset="plan",
+            policy, runner.plan_trials(policy, recordings, tx_ids, rng).as_one_block()
         )
         losses.append(float(np.mean(snr_losses(records, recordings, tx_ids))))
         fallbacks.append(int(records.fallback.sum()) / max(len(records), 1))

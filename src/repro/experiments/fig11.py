@@ -104,7 +104,6 @@ def _run_fig11_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig11Resu
     css_records = runner.execute(
         css,
         runner.plan_trials(css, recordings, tx_ids, rng),
-        reset="recording",
         policy_spec=css_spec,
         testbed_spec=spec.testbed,
     )
@@ -113,7 +112,6 @@ def _run_fig11_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Fig11Resu
     ssw_records = runner.execute(
         ssw,
         runner.plan_trials(ssw, recordings, tx_ids, rng),
-        reset="recording",
         policy_spec=ssw_spec,
         testbed_spec=spec.testbed,
     )

@@ -107,7 +107,7 @@ def _run_transfer_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Transf
     # Paired comparison: both tables judge the *same* probe draws, so
     # the plan is drawn once (scalar order) and each policy replays it
     # in sequence.  Live pattern tables are not spec-serializable, so
-    # the policies are built directly — `reset="plan"` keeps each one's
+    # the policies are built directly — one block keeps each one's
     # state threading through all trials like the one-big-batch loop.
     context = runner.context(testbed_b)
     policies = {
@@ -120,11 +120,11 @@ def _run_transfer_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> Transf
     }
     blocks = runner.plan_trials(
         next(iter(policies.values())), recordings, tx_ids, rng
-    )
+    ).as_one_block()
     errors: Dict[str, np.ndarray] = {}
     losses: Dict[str, np.ndarray] = {}
     for name, policy in policies.items():
-        records = runner.execute(policy, blocks, reset="plan", label=name)
+        records = runner.execute(policy, blocks, label=name)
         errors[name], _ = estimate_errors(records, recordings)
         losses[name] = snr_losses(records, recordings, tx_ids)
 

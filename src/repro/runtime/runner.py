@@ -6,15 +6,17 @@ strategies.  :class:`ScenarioRunner` owns that shape once:
 
 * **plan_trials** replays each policy's probe draws in the exact
   scalar order (one draw per recording × sweep × subsample, all drawn
-  in one call) and gathers them into one :class:`~.trials.TrialPlan`,
-  whose blocks are the recordings' row ranges;
-* **execute** evaluates the blocks, resetting selection state per
-  recording or per plan.  Per-recording blocks are cut into chunks:
-  runs of consecutive blocks of at most :data:`CHUNK_ROWS` rows, each
-  one row range of the plan, evaluated in one stacked kernel pass
-  (``select_fused_stacked``) and journaled with one group commit;
-  policies without a stacked kernel get one ``select_batch`` call per
-  block (or ``select`` per row, e.g. the oracle).  A chunk comes back
+  in one ``probe_positions`` call) and gathers them into one
+  :class:`~.trials.TrialPlan`, whose blocks are the recordings' row
+  ranges;
+* **execute** evaluates the blocks, resetting selection state at every
+  block boundary (a call whose state threads through every trial passes
+  its plan as one block, :meth:`~.trials.TrialPlan.as_one_block`).
+  Blocks are cut into chunks: runs of consecutive blocks of at most
+  :data:`CHUNK_ROWS` rows, each one row range of the plan, evaluated in
+  one stacked kernel pass (``select_fused_stacked``) and journaled with
+  one group commit; policies without a stacked kernel get one
+  ``select_batch`` call per block.  A chunk comes back
   as one :class:`~repro.core.selector.Selections` array, written by
   row range into the call's one selection array, and the call's
   records are one :class:`~.trials.TrialRecords` over it;
@@ -22,8 +24,8 @@ strategies.  :class:`ScenarioRunner` owns that shape once:
   and yields each call's records in call order; on the pool, calls
   run ahead while the next ones are planned (``execute`` is a stream
   of one);
-* **run_interactive** drives multi-round policies (hierarchical
-  search) against a measure callable, round by round;
+* **run_interactive** drives interactive policies (hierarchical
+  search, the oracle) against a measure callable, round by round;
 * **run** resolves a :class:`~.spec.ScenarioSpec` through the registry,
   times every policy, and emits a :class:`~.manifest.RunManifest`.
 
@@ -35,12 +37,11 @@ version, at any ``jobs`` count.
 
 Sharding (``jobs > 1``) fans the same chunks out to a pool of ``jobs``
 long-lived children (:class:`~.proc.Child`: forked, dying with the
-runner's process, replaced one at a time).  It engages only when state
-resets per recording (blocks are then independent), the policy is
-batched, both the testbed and the policy are spec-described (workers
-rebuild them from JSON), and the host has two or more cores (or
-supervision needs process isolation); anything else runs the same
-chunks as in-process tasks, same results.  Every task has one shape,
+runner's process, replaced one at a time).  It engages only when a call
+has two or more blocks, both the testbed and the policy are
+spec-described (workers rebuild them from JSON), and the host has two
+or more cores (or supervision needs process isolation); anything else
+runs the same chunks as in-process tasks, same results.  Every task has one shape,
 :data:`_Task`: its chunks as block ranges, the one contiguous row range
 of the plan they span, those blocks' row bounds and what tracing and
 fault injection need.  A pool task carries it over the child's pipe,
@@ -56,8 +57,8 @@ accounting follow call order at any ``jobs``.  Per-block bookkeeping
 spans) is paid only where retries, a fault plan, a checkpoint store
 or tracing need it.
 
-Supervision (DESIGN.md §9): every ``reset="recording"`` call runs
-through one loop of dispatch → collect → retry rounds under a
+Supervision (DESIGN.md §9): every execute call runs through one loop
+of dispatch → collect → retry rounds under a
 :class:`~.faults.RetryPolicy` — bounded attempts, seeded backoff,
 optional per-block timeout (pool only).  A round's tasks are pool
 tasks or, for a call the pool does not take, in-process tasks (one per
@@ -358,34 +359,14 @@ def _apply_directive(
 def _eval_block(policy, part: _Arrays) -> Selections:
     """Evaluate one block against the policy's current selection state.
 
-    ``part`` is the block's ``(sector_ids, snr_db, rssi_dbm, mask)``.
-    A policy with ``select_batch`` evaluates the whole block in one
-    call; any other (one registered with ``select`` alone) gets its
-    ``select`` called per row on the row's measurement list, and the
-    results are packed into :class:`~repro.core.selector.Selections`.  A raising kernel is
-    a failed block attempt like any other error: it goes through the
+    ``part`` is the block's ``(sector_ids, snr_db, rssi_dbm, mask)``,
+    evaluated in one ``select_batch`` call.  A raising kernel is a
+    failed block attempt like any other error: it goes through the
     supervisor's retry/fail path.
     """
     sector_ids, snr_db, rssi_dbm, mask = part
-    select_batch = getattr(policy, "select_batch", None)
-    if select_batch is not None:
-        results = select_batch(sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask)
-        _obs.inc("runner_kernel_path_total", path="batched")
-        return Selections.from_results(results)
-    from ..core.measurements import ProbeMeasurement
-
-    results = []
-    for row in range(sector_ids.shape[0]):
-        measurements = [
-            ProbeMeasurement(
-                sector_id=int(sector_ids[row, column]),
-                snr_db=float(snr_db[row, column]),
-                rssi_dbm=float(rssi_dbm[row, column]),
-            )
-            for column in np.flatnonzero(mask[row])
-        ]
-        results.append(policy.select(measurements))
-    _obs.inc("runner_kernel_path_total", path="scalar")
+    results = policy.select_batch(sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask)
+    _obs.inc("runner_kernel_path_total", path="batched")
     return Selections.from_results(results)
 
 
@@ -487,18 +468,16 @@ _MAX_INFLIGHT_CALLS = 8
 class _Call:
     """One execute call, from the moment it is planned until it settles.
 
-    A recording-mode call carries its own journal target and
-    supervision state (the current round's tasks, attempts, failures),
-    so several pooled calls can be in flight at once; ``index`` is its
-    ordinal among the run's recording-mode calls, the journal and trace
-    key.  Per-block state lives in arrays indexed by block, and
-    finished row ranges are written straight into ``rows``, the call's
-    selections.
+    A call carries its own journal target and supervision state (the
+    current round's tasks, attempts, failures), so several pooled calls
+    can be in flight at once; ``index`` is its ordinal among the run's
+    execute calls, the journal and trace key.  Per-block state lives in
+    arrays indexed by block, and finished row ranges are written
+    straight into ``rows``, the call's selections.
     """
 
     policy: Any
     blocks: TrialPlan
-    reset: str
     label: str
     policy_spec: Optional[PolicySpec]
     testbed_spec: Optional[TestbedSpec]
@@ -728,37 +707,10 @@ def _run_chunks(
     return done, None
 
 
-def _looped_columns(
-    policy, n_trials: int, pool: Sequence[int], rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(columns, requested)`` from one ``probes_for_round(0, ...)`` per trial.
-
-    For policies that cannot draw a recording at once.  Ragged rows
-    are padded on the right with column 0; ``requested[t]`` is trial
-    ``t``'s probe count.
-    """
-    column_of = {sector_id: column for column, sector_id in enumerate(pool)}
-    rows: List[List[int]] = []
-    for _ in range(n_trials):
-        probe_ids = policy.probes_for_round(0, pool, rng)
-        if probe_ids is None:
-            raise ValueError(
-                f"policy '{getattr(policy, 'name', policy)}' declined "
-                f"round 0; multi-round policies need run_interactive"
-            )
-        rows.append([column_of[sector_id] for sector_id in probe_ids])
-    requested = np.asarray([len(row) for row in rows], dtype=np.intp)
-    columns = np.zeros((n_trials, int(requested.max(initial=0))), dtype=np.intp)
-    for index, row in enumerate(rows):
-        columns[index, : len(row)] = row
-    return columns, requested
-
-
 def _gather_plan(
     sweeps: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tx_ids: Sequence[int],
     columns: np.ndarray,
-    requested: np.ndarray,
     subsamples_per_sweep: int,
 ) -> TrialPlan:
     """A call's trials, gathered at once from its recordings' stacked sweeps.
@@ -768,8 +720,7 @@ def _gather_plan(
     count, and every sweep's reports, recording-major.  Recording ``r``
     owns the next ``n_sweeps × subsamples_per_sweep`` rows; its trial
     ``t`` reads sweep ``t // subsamples_per_sweep`` at the columns
-    ``columns[row, :requested[row]]``.  The slots past a row's count
-    are padding, set to id 0, NaN and False.
+    ``columns[row]``.
     """
     n_sweeps, present, snr, rssi = sweeps
     id_row = np.asarray(tx_ids, dtype=np.intp)
@@ -788,12 +739,6 @@ def _gather_plan(
     snr_db = np.take(snr, flat)
     rssi_dbm = np.take(rssi, flat)
     mask = np.take(present, flat)
-    if columns.shape[0] and requested.min() != columns.shape[1]:
-        pad = np.arange(columns.shape[1]) >= requested[:, np.newaxis]
-        sector_ids[pad] = 0
-        snr_db[pad] = np.nan
-        rssi_dbm[pad] = np.nan
-        mask[pad] = False
     return TrialPlan(
         sector_ids=sector_ids,
         snr_db=snr_db,
@@ -802,7 +747,7 @@ def _gather_plan(
         recording_indices=owner,
         sweep_indices=sweep_indices,
         subsample_indices=trial % subsamples_per_sweep,
-        probes_requested=requested,
+        probes_requested=np.full(columns.shape[0], columns.shape[1], dtype=np.intp),
         bounds=bounds,
         block_recordings=np.arange(n_sweeps.size, dtype=np.intp),
     )
@@ -813,8 +758,8 @@ class ScenarioRunner:
 
     Args:
         jobs: worker processes for recording-parallel execution.
-        retry: supervision policy applied to every ``reset="recording"``
-            block (None = fail fast, the legacy semantics).
+        retry: supervision policy applied to every block (None = fail
+            fast, the legacy semantics).
         faults: deterministic fault-injection overlay; a plan on the
             executed spec is used when this is None.
         checkpoint: ``True`` journals completed blocks to the default
@@ -1141,9 +1086,8 @@ class ScenarioRunner:
         The single place randomness is consumed: the trials of every
         recording × sweep × subsample, in exactly that nesting order —
         the draw order every legacy experiment loop used — drawn in one
-        ``probe_positions`` call (or one ``probes_for_round(0, ...)``
-        call per trial, for policies without it).  The plan's block
-        ``r`` holds recording ``r``'s trials.
+        ``probe_positions`` call.  The plan's block ``r`` holds
+        recording ``r``'s trials.
 
         Planning is also where an attached probe designer actually
         designs (plans carry pre-drawn probes, so execution never
@@ -1155,7 +1099,6 @@ class ScenarioRunner:
 
         label = getattr(policy, "name", type(policy).__name__)
         pool = list(tx_ids)
-        draw = getattr(policy, "probe_positions", None)
         with _quality_scope(self._quality_context(label)), _obs.span(
             "plan.trials", policy=label, recordings=len(recordings)
         ):
@@ -1164,19 +1107,13 @@ class ScenarioRunner:
             n_trials = subsamples_per_sweep * int(sweeps[0].sum())
             # Designed rows are pool positions, and the pool is
             # tx_ids: they are the plan's columns as they stand.
-            columns = draw(n_trials, pool, rng) if draw is not None else None
-            if columns is None:
-                columns, requested = _looped_columns(policy, n_trials, pool, rng)
-            else:
-                requested = np.full(n_trials, columns.shape[1], dtype=np.intp)
+            columns = policy.probe_positions(n_trials, pool, rng)
             if _obs.enabled():
-                for count in requested.tolist():
-                    _obs.observe("planner_probes_requested", count)
+                for _ in range(n_trials):
+                    _obs.observe("planner_probes_requested", columns.shape[1])
             if recordings:
                 _obs.inc("planner_trials_total", n_trials)
-            return _gather_plan(
-                sweeps, tx_ids, columns, requested, subsamples_per_sweep
-            )
+            return _gather_plan(sweeps, tx_ids, columns, subsamples_per_sweep)
 
     # -- execution ------------------------------------------------------
 
@@ -1184,7 +1121,6 @@ class ScenarioRunner:
         self,
         policy,
         blocks: Sequence[TrialBlock],
-        reset: str = "recording",
         policy_spec: Optional[PolicySpec] = None,
         testbed_spec: Optional[TestbedSpec] = None,
         label: Optional[str] = None,
@@ -1194,24 +1130,16 @@ class ScenarioRunner:
         ``blocks`` is a :class:`~.trials.TrialPlan` from
         :meth:`plan_trials`, or any sequence of :class:`TrialBlock` s
         (made into one plan, right-padded to the widest block).
-
-        ``reset`` fixes the selection-state lifetime:
-
-        * ``"recording"`` — state resets at every block boundary (the
-          fresh-selector-per-recording loops).  Blocks are independent,
-          so this mode is eligible for process-pool sharding,
-          supervision (retry / timeout / pool replacement) and
-          checkpoint–resume.
-        * ``"plan"`` — one reset up front, state threads through all
-          blocks in order (the one-big-batch loops).  Always
-          sequential; a mid-plan retry could replay against mutated
-          state, so this mode stays fail-fast.
+        Selection state resets at every block boundary, so blocks are
+        independent: eligible for process-pool sharding, supervision
+        (retry / timeout / pool replacement) and checkpoint–resume.  A
+        loop whose state threads through every trial (the
+        one-big-batch loops) passes its plan as one block
+        (:meth:`~.trials.TrialPlan.as_one_block`).
 
         One call through :meth:`execute_each`'s code path.
         """
-        if reset not in ("recording", "plan"):
-            raise ValueError("reset must be 'recording' or 'plan'")
-        (records,) = self._each([(policy, blocks, policy_spec, testbed_spec)], reset, label)
+        (records,) = self._each([(policy, blocks, policy_spec, testbed_spec)], label)
         return records
 
     def execute_each(
@@ -1220,8 +1148,8 @@ class ScenarioRunner:
             Tuple[Any, Sequence[TrialBlock], Optional[PolicySpec], Optional[TestbedSpec]]
         ],
     ) -> Iterator[TrialRecords]:
-        """Evaluate a stream of ``reset="recording"`` calls, yielding each
-        call's records in call order.
+        """Evaluate a stream of execute calls, yielding each call's
+        records in call order.
 
         ``calls`` yields ``(policy, blocks, policy_spec, testbed_spec)``
         and is pulled one item at a time, when the runner is ready for
@@ -1238,18 +1166,14 @@ class ScenarioRunner:
         first in, first out.  With a fault plan or a per-block timeout
         one call is in flight, as with :meth:`execute`.
         """
-        return self._each(calls, "recording", None)
+        return self._each(calls, None)
 
-    def _each(
-        self, calls: Iterable, reset: str, label: Optional[str]
-    ) -> Iterator[TrialRecords]:
+    def _each(self, calls: Iterable, label: Optional[str]) -> Iterator[TrialRecords]:
         inflight: Deque[_Call] = deque()
         depth = 1 if self._isolated() else _MAX_INFLIGHT_CALLS
         try:
             for policy, blocks, policy_spec, testbed_spec in calls:
-                call = self._open_call(
-                    policy, blocks, reset, policy_spec, testbed_spec, label
-                )
+                call = self._open_call(policy, blocks, policy_spec, testbed_spec, label)
                 if not call.pooled:
                     while inflight:
                         yield self._settle_head(inflight)
@@ -1287,7 +1211,6 @@ class ScenarioRunner:
         self,
         policy,
         blocks: Sequence[TrialBlock],
-        reset: str,
         policy_spec: Optional[PolicySpec],
         testbed_spec: Optional[TestbedSpec],
         label: Optional[str],
@@ -1297,14 +1220,11 @@ class ScenarioRunner:
         call = _Call(
             policy=policy,
             blocks=plan,
-            reset=reset,
             label=label or getattr(policy, "name", type(policy).__name__),
             policy_spec=policy_spec,
             testbed_spec=testbed_spec,
             rows=np.empty(plan.n_rows, dtype=SELECTION_DTYPE),
         )
-        if reset == "plan":
-            return call
         n_blocks = len(plan)
         self.health.blocks += n_blocks
         # Journal keys carry this call's ordinal within the run:
@@ -1346,7 +1266,6 @@ class ScenarioRunner:
             and n_blocks > 1
             and policy_spec is not None
             and testbed_spec is not None
-            and hasattr(policy, "select_batch")
             and (self._lanes() > 1 or self._isolated())
         )
         if call.pooled:
@@ -1362,7 +1281,7 @@ class ScenarioRunner:
         begin = time.perf_counter()
         try:
             with _quality_scope(self._quality_context(call.label)), _obs.span(
-                "execute.policy", policy=call.label, reset=call.reset
+                "execute.policy", policy=call.label
             ) as span:
                 yield getattr(span, "id", None)
         finally:
@@ -1376,17 +1295,13 @@ class ScenarioRunner:
     def _settle(self, call: "_Call") -> TrialRecords:
         """Finish a call and return its records.
 
-        A plan-mode call runs its blocks in order.  A recording-mode
-        call runs collect and retry rounds until every pending block
+        The call runs collect and retry rounds until every pending block
         has settled (dispatching its first round here unless that ran
         ahead), then its trace payloads are absorbed; finished row
         ranges were written into the call's selections, and journaled,
         as their tasks resolved.
         """
         with self._call_scope(call) as span_id:
-            if call.reset == "plan":
-                self._execute_plan(call)
-                return self._records(call)
             self._note_hits(call)
             if call.pending:
                 if call.tasks is None:
@@ -1453,17 +1368,6 @@ class ScenarioRunner:
                 self._take(call, call.tasks.pop(0))
             self._close(call)
         self._revive()
-
-    def _execute_plan(self, call: "_Call") -> None:
-        """``reset="plan"``: one reset, state threading through every block."""
-        plan = call.blocks
-        bounds = plan.bounds.tolist()
-        arrays = (plan.sector_ids, plan.snr_db, plan.rssi_dbm, plan.mask)
-        call.policy.reset()
-        for index, part in enumerate(_parts(arrays, bounds)):
-            self._check_abort()
-            selections = _eval_block(call.policy, part)
-            call.rows[bounds[index] : bounds[index + 1]] = selections.rows
 
     @staticmethod
     def _commit(call: "_Call", done: Sequence[_Done]) -> None:

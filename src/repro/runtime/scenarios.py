@@ -82,18 +82,14 @@ def policy_eval_spec() -> ScenarioSpec:
 def _block_eligible(policy) -> bool:
     """Can this policy take the planned (shardable, supervised) path?
 
-    Single-round policies that draw probes up front, need no ground
-    truth and expose the batched kernel consume randomness exactly like the interactive loop (one
-    ``probes_for_round`` draw per recording × sweep) while evaluation
-    stays pure — so routing them through ``plan_trials``/``execute``
-    changes nothing in the records but makes them shardable,
-    checkpointable and fault-injectable.
+    Planned policies draw every trial's probes up front
+    (``probe_positions``, one draw per recording × sweep, the stream
+    the interactive loop would consume) while evaluation stays pure —
+    so routing them through ``plan_trials``/``execute`` changes nothing
+    in the records but makes them shardable, checkpointable and
+    fault-injectable.  Interactive policies run round by round.
     """
-    return (
-        not getattr(policy, "multi_round", True)
-        and not getattr(policy, "needs_truth", False)
-        and hasattr(policy, "select_batch")
-    )
+    return hasattr(policy, "probe_positions")
 
 
 @register_scenario("policy-eval", default_spec=policy_eval_spec)
@@ -132,7 +128,6 @@ def run_policy_eval(spec: ScenarioSpec, runner) -> PolicyEvalResult:
             records = runner.execute(
                 policy,
                 blocks,
-                reset="recording",
                 policy_spec=policy_spec,
                 testbed_spec=spec.testbed,
                 label=policy_spec.name,

@@ -12,7 +12,7 @@ columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, List, Sequence
 
 import numpy as np
@@ -116,6 +116,21 @@ class TrialPlan(Sequence[TrialBlock]):
     @property
     def n_rows(self) -> int:
         return self.sector_ids.shape[0]
+
+    def as_one_block(self) -> "TrialPlan":
+        """The same rows as one block, bounds ``[0, n_rows]``.
+
+        Execution resets selection state at block boundaries only, so
+        this is the plan of a loop whose state threads through every
+        trial in order.  A plan with at most one block is returned as is.
+        """
+        if len(self) <= 1:
+            return self
+        return replace(
+            self,
+            bounds=np.array([0, self.n_rows], dtype=np.intp),
+            block_recordings=self.block_recordings[:1],
+        )
 
     def __len__(self) -> int:
         return self.bounds.shape[0] - 1

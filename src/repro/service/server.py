@@ -89,6 +89,8 @@ _LOGGER = logging.getLogger(__name__)
 
 #: Protocol cap on one request head line / header line.
 _MAX_LINE_BYTES = 16 * 1024
+#: Protocol cap on one request body (413 beyond it).
+_MAX_BODY_BYTES = 1024 * 1024
 #: Protocol cap on the number of request headers.
 _MAX_HEADERS = 64
 #: A client connection that sends no request for this long is closed,
@@ -130,7 +132,6 @@ class ServiceConfig:
             in-flight runs before cancelling them back to ``queued``.
         history_limit: finished runs retained in memory (>= 0); older
             records (and their journals) are evicted.
-        max_body_bytes: request-body cap (413 beyond it).
         trace_path: append every finished run's span events to a
             rotating JSONL sink here (None = no trace sink).  Every
             segment carries its own ``repro-trace`` header, so any
@@ -154,7 +155,6 @@ class ServiceConfig:
     state_dir: Optional[str] = None
     drain_timeout_s: float = 30.0
     history_limit: int = 512
-    max_body_bytes: int = 1024 * 1024
     trace_path: Optional[str] = None
     trace_max_mb: float = 64.0
     profile_path: Optional[str] = None
@@ -270,9 +270,7 @@ class _ProtocolError(Exception):
         self.code = code
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, max_body: int
-) -> Optional[_Request]:
+async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
     """Parse one HTTP/1.1 request, or None on a clean EOF."""
     try:
         line = await reader.readline()
@@ -308,8 +306,8 @@ async def _read_request(
         raise _ProtocolError(400, "bad content-length") from None
     if length < 0:
         raise _ProtocolError(400, "bad content-length")
-    if length > max_body:
-        raise _ProtocolError(413, f"request body exceeds {max_body} bytes")
+    if length > _MAX_BODY_BYTES:
+        raise _ProtocolError(413, f"request body exceeds {_MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
     return _Request(method=method, path=path, headers=headers, body=body)
 
@@ -758,7 +756,7 @@ class SelectionService:
                 # Closing the transport ends a request wait at EOF.
                 idle = loop.call_later(IDLE_CLOSE_S, writer.close)
                 try:
-                    request = await _read_request(reader, self.config.max_body_bytes)
+                    request = await _read_request(reader)
                 except _ProtocolError as error:
                     writer.write(
                         _json_body(error.code, {"error": str(error)})

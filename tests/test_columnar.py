@@ -7,11 +7,11 @@ in the results, and each is checked against a per-row reference:
   naive :class:`tests.reference_kernel.ReferenceSelector` part by part
   (fallbacks with and without usable probes, NaN/±inf and tied SNRs,
   consecutive calls), error message and
-  selection state included; ``FullSweepPolicy.select_batch`` equals its
-  own ``select`` row by row.
+  selection state included; ``FullSweepPolicy.select_batch`` equals
+  :class:`~repro.core.selector.SectorSweepSelector` row by row.
 * **Planner** — one draw and one gather per call equal the former
-  per-recording planner (frozen below): the same views up to
-  right-padding, generator state, planner telemetry and selections.
+  per-recording planner (frozen below): the same views, generator
+  state, planner telemetry and selections.
 * **Summaries** — the columnar figure summaries equal frozen copies of
   the per-record loops they replaced, over random records.
 * **Journal v4** — raw selection rows round-trip; a v3 journal or a
@@ -35,7 +35,12 @@ from repro.core.estimator import AngleEstimate
 from repro.core.measurements import ProbeMeasurement
 from repro.core.policy import CompressivePolicy, FullSweepPolicy
 from repro.core.probes import clear_design_cache
-from repro.core.selector import SELECTION_DTYPE, SelectionResult, Selections
+from repro.core.selector import (
+    SELECTION_DTYPE,
+    SectorSweepSelector,
+    SelectionResult,
+    Selections,
+)
 from repro.channel.environment import conference_room
 from repro.experiments.common import (
     RecordedDirection,
@@ -55,7 +60,7 @@ from repro.runtime import CheckpointStore, PolicySpec, ScenarioRunner, ScenarioS
 from repro.runtime.journal import Journal
 from repro.runtime.policy import PolicyContext
 from repro.runtime.registry import available_probe_designers
-from repro.runtime.trials import TrialRecords
+from repro.runtime.trials import TrialBlock, TrialPlan, TrialRecords
 
 from tests.reference_kernel import ReferenceSelector, small_table
 
@@ -201,7 +206,7 @@ class TestFullSweepBatch:
     @given(batches=st.lists(_sweep_batches(), min_size=1, max_size=2))
     def test_select_batch_equals_select_per_row(self, batches):
         batched = FullSweepPolicy(PolicyContext(testbed=None))
-        scalar = FullSweepPolicy(PolicyContext(testbed=None))
+        scalar = SectorSweepSelector()
         for width, rows in batches:
             shape = (len(rows), width)
             ids = np.array([[s[0] for s in row] for row in rows], dtype=np.intp)
@@ -218,7 +223,7 @@ class TestFullSweepBatch:
             ]
             assert isinstance(got, Selections)
             assert list(got) == expected
-            assert batched._last_selection == scalar._last_selection
+            assert batched._last_selection == scalar.last_selection
 
     def test_ties_keep_the_first_and_nan_never_wins(self):
         nan, inf = float("nan"), float("inf")
@@ -239,18 +244,9 @@ def _gather_block(index, columns, requested, subsamples, id_row, present, snr, r
     n_trials = columns.shape[0]
     sweeps = np.arange(n_trials, dtype=np.intp) // subsamples
     rows = sweeps[:, np.newaxis]
-    sector_ids = id_row[columns]
-    snr_db = snr[rows, columns]
-    rssi_dbm = rssi[rows, columns]
-    mask = present[rows, columns]
-    if n_trials and requested.min() != columns.shape[1]:
-        pad = np.arange(columns.shape[1]) >= requested[:, np.newaxis]
-        sector_ids[pad] = 0
-        snr_db[pad] = np.nan
-        rssi_dbm[pad] = np.nan
-        mask[pad] = False
     return (
-        index, sector_ids, snr_db, rssi_dbm, mask, sweeps,
+        index, id_row[columns], snr[rows, columns], rssi[rows, columns],
+        present[rows, columns], sweeps,
         np.arange(n_trials, dtype=np.intp) % subsamples, requested,
     )
 
@@ -259,27 +255,13 @@ def _per_recording_plan(policy, recordings, tx_ids, rng, subsamples):
     """The planner before one draw per call: one draw and gather per recording."""
     id_row = np.asarray(tx_ids, dtype=np.intp)
     pool = list(tx_ids)
-    draw = getattr(policy, "probe_positions", None)
-    column_of = {sector_id: column for column, sector_id in enumerate(pool)}
     blocks = []
     with obs.span("plan.trials", policy=policy.name, recordings=len(recordings)):
         for index, recording in enumerate(recordings):
             present, snr, rssi = recording.packed_sweeps(tx_ids)
             n_trials = recording.n_sweeps * subsamples
-            columns = draw(n_trials, pool, rng) if draw is not None else None
-            if columns is None:
-                rows = [
-                    [column_of[s] for s in policy.probes_for_round(0, pool, rng)]
-                    for _ in range(n_trials)
-                ]
-                requested = np.asarray([len(row) for row in rows], dtype=np.intp)
-                columns = np.zeros(
-                    (n_trials, int(requested.max(initial=0))), dtype=np.intp
-                )
-                for row_index, row in enumerate(rows):
-                    columns[row_index, : len(row)] = row
-            else:
-                requested = np.full(n_trials, columns.shape[1], dtype=np.intp)
+            columns = policy.probe_positions(n_trials, pool, rng)
+            requested = np.full(n_trials, columns.shape[1], dtype=np.intp)
             if obs.enabled():
                 for count in requested.tolist():
                     obs.observe("planner_probes_requested", count)
@@ -292,18 +274,18 @@ def _per_recording_plan(policy, recordings, tx_ids, rng, subsamples):
     return blocks
 
 
-class _Ragged:
-    """A looped policy: ragged probe counts (zero included), full-sweep
-    selection over whatever it probed."""
+class _Looped:
+    """Draws each trial's subset with its own ``rng.choice`` call (no
+    designer), full-sweep selection over whatever it probed."""
 
     name = "p"
 
     def __init__(self):
         self._select = FullSweepPolicy(PolicyContext(testbed=None))
 
-    def probes_for_round(self, round_index, pool, rng):
-        width = int(rng.choice([0, 3, 7, 12]))
-        return [pool[int(i)] for i in rng.choice(len(pool), size=width, replace=False)]
+    def probe_positions(self, n_trials, pool, rng):
+        rows = [rng.choice(len(pool), size=7, replace=False) for _ in range(n_trials)]
+        return np.array(rows, dtype=np.intp).reshape(n_trials, 7)
 
     def reset(self):
         self._select.reset()
@@ -344,9 +326,6 @@ def _telemetry(body):
     return value, snapshot["counters"], snapshot["histograms"]
 
 
-_FILLS = (0, np.nan, np.nan, False)
-
-
 class TestCallWidePlan:
     @pytest.fixture(autouse=True)
     def _fresh_design_cache(self):
@@ -366,7 +345,7 @@ class TestCallWidePlan:
 
         def policy():
             if name == "looped":
-                return _Ragged()
+                return _Looped()
             policy = CompressivePolicy(context, n_probes=9, probe_design=name)
             policy.name = "p"
             return policy
@@ -394,15 +373,8 @@ class TestCallWidePlan:
                 block.sector_ids, block.snr_db, block.rssi_dbm, block.mask,
                 block.sweep_indices, block.subsample_indices, block.probes_requested,
             )
-            for field, (got, expected) in enumerate(zip(mine, arrays)):
+            for got, expected in zip(mine, arrays):
                 assert got.dtype == expected.dtype
-                if field < len(_FILLS):
-                    width = expected.shape[1]
-                    padding = got[:, width:]
-                    assert np.array_equal(
-                        padding, np.full_like(padding, _FILLS[field]), equal_nan=True
-                    )
-                    got = got[:, :width]
                 assert got.shape == expected.shape
                 assert np.array_equal(got, expected, equal_nan=True)
 
@@ -415,6 +387,84 @@ class TestCallWidePlan:
             evaluator.reset()
             expected.extend(evaluator.select_batch(ids, snr, rssi, mask))
         assert list(records.selections) == expected
+
+
+#: Finite readings, ties included: a CSS row then raises only when it
+#: has too few usable probes, and falls back instead.
+_FINITE_SLOT = st.tuples(
+    _SECTOR, st.sampled_from([1.0, 2.0, 2.0, -3.0]) | st.floats(-30.0, 30.0),
+    st.floats(-30.0, 30.0), st.booleans() | st.just(False),
+)
+
+
+@st.composite
+def _plans(draw):
+    """A plan of 2–4 equal-width blocks of 0–5 rows, each row's mask
+    random (all-False rows fall back)."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(_FINITE_SLOT, min_size=width, max_size=width)
+    blocks = []
+    for index in range(draw(st.integers(min_value=2, max_value=4))):
+        rows = draw(st.lists(row, min_size=0, max_size=5))
+        ids, snr, rssi, mask = _arrays(rows, width)
+        n_rows = len(rows)
+        blocks.append(
+            TrialBlock(
+                recording_index=index, sector_ids=ids, snr_db=snr, rssi_dbm=rssi,
+                mask=mask, sweep_indices=np.arange(n_rows, dtype=np.intp),
+                subsample_indices=np.zeros(n_rows, dtype=np.intp),
+                probes_requested=np.full(n_rows, width, dtype=np.intp),
+            )
+        )
+    return TrialPlan.from_blocks(blocks)
+
+
+def _threaded_reference(policy, plan):
+    """The former plan mode: one reset, then ``select_batch`` per block
+    in order, the state threading across block boundaries."""
+    policy.reset()
+    rows = [
+        policy.select_batch(block.sector_ids, block.snr_db, block.rssi_dbm, block.mask).rows
+        for block in plan
+    ]
+    return np.concatenate(rows)
+
+
+class TestOneBlockPlan:
+    """A loop whose state threads through every trial is a plan of one
+    block: it selects what the former plan mode selected, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["css", "full-sweep"])
+    @settings(max_examples=80, deadline=None)
+    @given(plan=_plans())
+    def test_one_block_equals_the_threaded_reference(self, name, plan):
+        def policy():
+            context = PolicyContext(testbed=None)
+            if name == "css":
+                return CompressivePolicy(context, pattern_table=TABLE)
+            return FullSweepPolicy(context)
+
+        one_block = plan.as_one_block()
+        assert len(one_block) == 1
+        for field in ("sector_ids", "snr_db", "rssi_dbm", "mask", "recording_indices"):
+            assert getattr(one_block, field) is getattr(plan, field)
+        expected = _threaded_reference(policy(), plan)
+        with ScenarioRunner() as runner:
+            records = runner.execute(policy(), one_block)
+        assert records.selections.rows.tobytes() == expected.tobytes()
+        assert np.array_equal(records.recording, plan.recording_indices)
+
+    def test_full_sweep_plans_the_whole_pool_and_draws_nothing(self):
+        tx_ids = [5, 9, 2, 7, 11]
+        recordings = _recordings(tx_ids, n_sweeps=(3, 0, 2), seed=2)
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        policy = FullSweepPolicy(PolicyContext(testbed=None))
+        plan = ScenarioRunner().plan_trials(policy, recordings, tx_ids, rng, 2)
+        assert rng.bit_generator.state == state
+        assert plan.n_rows == 10
+        assert np.array_equal(plan.sector_ids, np.tile(tx_ids, (10, 1)))
+        assert np.array_equal(plan.probes_requested, np.full(10, len(tx_ids)))
 
 
 _PLAN_FIELDS = (

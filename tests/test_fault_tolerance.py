@@ -573,20 +573,16 @@ class TestRepeatedPolicyCheckpointing:
             policy = build_policy(policy_spec, reference.context(testbed))
             blocks_a = self._blocks(reference, policy, testbed, [-20.0, 20.0], 11)
             blocks_b = self._blocks(reference, policy, testbed, [-40.0, 40.0], 12)
-            want_a = reference.execute(policy, blocks_a, reset="recording")
-            want_b = reference.execute(policy, blocks_b, reset="recording")
+            want_a = reference.execute(policy, blocks_a)
+            want_b = reference.execute(policy, blocks_b)
         assert [r.result for r in want_a] != [r.result for r in want_b]
 
         ckpt = tmp_path / "ck.jsonl"
         with ScenarioRunner() as runner:
             runner._store = CheckpointStore(ckpt, "digest", 7)
             policy = build_policy(policy_spec, runner.context(testbed))
-            got_a = runner.execute(
-                policy, blocks_a, reset="recording", policy_spec=policy_spec
-            )
-            got_b = runner.execute(
-                policy, blocks_b, reset="recording", policy_spec=policy_spec
-            )
+            got_a = runner.execute(policy, blocks_a, policy_spec=policy_spec)
+            got_b = runner.execute(policy, blocks_b, policy_spec=policy_spec)
             # within one run, the second call must not be fed the first
             # call's freshly journaled blocks
             assert runner.health.checkpoint_hits == 0
@@ -597,12 +593,8 @@ class TestRepeatedPolicyCheckpointing:
         with ScenarioRunner() as resumed:
             resumed._store = CheckpointStore(ckpt, "digest", 7, resume=True)
             policy = build_policy(policy_spec, resumed.context(testbed))
-            re_a = resumed.execute(
-                policy, blocks_a, reset="recording", policy_spec=policy_spec
-            )
-            re_b = resumed.execute(
-                policy, blocks_b, reset="recording", policy_spec=policy_spec
-            )
+            re_a = resumed.execute(policy, blocks_a, policy_spec=policy_spec)
+            re_b = resumed.execute(policy, blocks_b, policy_spec=policy_spec)
             assert resumed.health.checkpoint_hits == len(blocks_a) + len(blocks_b)
         assert [r.result for r in re_a] == [r.result for r in want_a]
         assert [r.result for r in re_b] == [r.result for r in want_b]
@@ -735,22 +727,15 @@ class TestWorkerCacheCorruption:
 class _BrokenBatch:
     """A policy whose batched kernel always fails."""
 
-    multi_round = False
-
     def __init__(self, inner):
         self._inner = inner
         self.name = "broken-batch"
-        self.select_calls = 0
 
     def reset(self):
         self._inner.reset()
 
-    def probes_for_round(self, round_index, pool, rng):
-        return self._inner.probes_for_round(round_index, pool, rng)
-
-    def select(self, measurements):
-        self.select_calls += 1
-        return self._inner.select(measurements)
+    def probe_positions(self, n_trials, pool, rng):
+        return self._inner.probe_positions(n_trials, pool, rng)
 
     def select_batch(self, *args, **kwargs):
         raise RuntimeError("batched kernel rejected")
@@ -762,8 +747,7 @@ class _BrokenBatch:
 class TestKernelFailure:
     def test_failing_kernel_is_retried_then_fails(self, testbed):
         """A raising kernel is a failed block attempt: retried, then a
-        structured retry-exhaustion error — never silently redone
-        through the policy's per-row ``select``."""
+        structured retry-exhaustion error."""
         from repro.channel.environment import conference_room
         from repro.experiments.common import record_directions
 
@@ -779,13 +763,12 @@ class TestKernelFailure:
                 broken, recordings, testbed.tx_sector_ids, np.random.default_rng(6),
             )
             with pytest.raises(RetryExhaustedError) as excinfo:
-                runner.execute(broken, blocks, reset="recording")
+                runner.execute(broken, blocks)
             assert runner.health.retries == 1
 
         error = excinfo.value
         assert (error.label, error.block_index, error.attempts) == ("broken-batch", 0, 2)
         assert isinstance(error.cause, RuntimeError)
-        assert broken.select_calls == 0
 
 
 class TestStackedPassFailure:

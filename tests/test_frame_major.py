@@ -432,32 +432,26 @@ class TestRecordings:
                     assert type(measurement.snr_db) is float
 
 
-class _RaggedPolicy:
-    """Asks for a different number of probes every round."""
+class _PerTrialPolicy:
+    """Draws the call's probe count from ``widths``, then each trial's
+    subset with its own ``rng.choice`` call."""
 
-    name = "ragged"
+    name = "per-trial"
 
     def __init__(self, widths):
         self.widths = widths
 
-    def probes_for_round(self, round_index, pool, rng):
+    def probe_positions(self, n_trials, pool, rng):
         width = int(rng.choice(self.widths))
-        return [pool[int(i)] for i in rng.choice(len(pool), size=width, replace=False)]
-
-
-def _pad(rows, fill, dtype=float):
-    width = max((row.size for row in rows), default=0)
-    out = np.full((len(rows), width), fill, dtype=dtype)
-    for index, row in enumerate(rows):
-        out[index, : row.size] = row
-    return out
+        rows = [rng.choice(len(pool), size=width, replace=False) for _ in range(n_trials)]
+        return np.array(rows, dtype=np.intp).reshape(n_trials, width)
 
 
 def _reference_plan(policy, recordings, tx_ids, rng, subsamples):
-    """The per-trial assembly the planner used: one gather and pad per trial."""
-    column_of = {sector_id: column for column, sector_id in enumerate(tx_ids)}
+    """The per-trial assembly the planner used: one gather per trial."""
     id_row = np.asarray(tx_ids, dtype=np.intp)
-    pool = list(tx_ids)
+    n_trials = subsamples * sum(len(recording.sweeps) for recording in recordings)
+    drawn = iter(policy.probe_positions(n_trials, list(tx_ids), rng))
     blocks = []
     for recording in recordings:
         present, snr, rssi = reference.packed_sweeps(recording.sweeps, tx_ids)
@@ -465,21 +459,20 @@ def _reference_plan(policy, recordings, tx_ids, rng, subsamples):
         sweep_ix, sub_ix, requested = [], [], []
         for sweep_index in range(len(recording.sweeps)):
             for subsample in range(subsamples):
-                probe_ids = policy.probes_for_round(0, pool, rng)
-                columns = np.asarray([column_of[s] for s in probe_ids], dtype=np.intp)
+                columns = next(drawn)
                 rows["ids"].append(id_row[columns])
                 rows["snr"].append(snr[sweep_index, columns])
                 rows["rssi"].append(rssi[sweep_index, columns])
                 rows["mask"].append(present[sweep_index, columns])
                 sweep_ix.append(sweep_index)
                 sub_ix.append(subsample)
-                requested.append(len(probe_ids))
+                requested.append(columns.size)
         blocks.append(
             (
-                _pad(rows["ids"], 0, dtype=np.intp),
-                _pad(rows["snr"], np.nan),
-                _pad(rows["rssi"], np.nan),
-                _pad(rows["mask"], False, dtype=bool),
+                np.array(rows["ids"], dtype=np.intp),
+                np.array(rows["snr"], dtype=float),
+                np.array(rows["rssi"], dtype=float),
+                np.array(rows["mask"], dtype=bool),
                 np.asarray(sweep_ix, dtype=np.intp),
                 np.asarray(sub_ix, dtype=np.intp),
                 np.asarray(requested, dtype=np.intp),
@@ -500,32 +493,19 @@ class TestPlannerGather:
         theirs_rng = np.random.default_rng(4)
         with ScenarioRunner() as runner:
             blocks = runner.plan_trials(
-                _RaggedPolicy(widths), recordings, tx_ids, ours_rng, subsamples
+                _PerTrialPolicy(widths), recordings, tx_ids, ours_rng, subsamples
             )
         expected = _reference_plan(
-            _RaggedPolicy(widths), recordings, tx_ids, theirs_rng, subsamples
+            _PerTrialPolicy(widths), recordings, tx_ids, theirs_rng, subsamples
         )
         assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
-        # One plan per call: every block is right-padded to the call's
-        # widest block with id 0, NaN and False.
-        call_width = max(theirs[0].shape[1] for theirs in expected)
-        fills = (0, np.nan, np.nan, False)
         for index, (block, theirs) in enumerate(zip(blocks, expected)):
             assert block.recording_index == index
             ours = (
                 block.sector_ids, block.snr_db, block.rssi_dbm, block.mask,
                 block.sweep_indices, block.subsample_indices, block.probes_requested,
             )
-            for field, (mine, reference_array) in enumerate(zip(ours, theirs)):
+            for mine, reference_array in zip(ours, theirs):
                 assert mine.dtype == reference_array.dtype
-                if field < len(fills):
-                    width = reference_array.shape[1]
-                    assert mine.shape == (reference_array.shape[0], call_width)
-                    assert np.array_equal(
-                        mine[:, width:],
-                        np.full_like(mine[:, width:], fills[field]),
-                        equal_nan=True,
-                    )
-                    mine = mine[:, :width]
                 assert mine.shape == reference_array.shape
                 assert np.array_equal(mine, reference_array, equal_nan=True)

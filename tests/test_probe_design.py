@@ -175,9 +175,10 @@ class TestRandomDesignerPin:
             context,
         )
         pool = list(context.testbed.tx_sector_ids)
-        assert undesigned.probes_for_round(
-            0, pool, np.random.default_rng(5)
-        ) == designed.probes_for_round(0, pool, np.random.default_rng(5))
+        assert np.array_equal(
+            undesigned.probe_positions(3, pool, np.random.default_rng(5)),
+            designed.probe_positions(3, pool, np.random.default_rng(5)),
+        )
 
 
 class TestPolicyRouting:
@@ -191,7 +192,7 @@ class TestPolicyRouting:
             context,
         )
         with pytest.raises(ValueError, match="cannot probe 4 sectors out of 3"):
-            policy.probes_for_round(0, [1, 2, 3], np.random.default_rng(0))
+            policy.probe_positions(1, [1, 2, 3], np.random.default_rng(0))
 
     def test_designed_policy_round_trips_via_build_policy(self, context):
         spec = PolicySpec(
@@ -206,8 +207,8 @@ class TestPolicyRouting:
         pool = list(context.testbed.tx_sector_ids)
         direct = build_policy(spec, context)
         rng = np.random.default_rng(0)
-        assert direct.probes_for_round(0, pool, rng) == rebuilt.probes_for_round(
-            0, pool, rng
+        assert np.array_equal(
+            direct.probe_positions(2, pool, rng), rebuilt.probe_positions(2, pool, rng)
         )
 
 

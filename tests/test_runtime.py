@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.hierarchical import HierarchicalSearch
-from repro.channel.environment import conference_room
 from repro.core import ProbeMeasurement
 from repro.core.selector import SelectionResult
-from repro.experiments.common import build_testbed, record_directions
+from repro.experiments.common import build_testbed
 from repro.runtime import (
     PolicyContext,
     PolicySpec,
@@ -122,9 +121,8 @@ class TestRegistry:
 
 
 class ToyLoudestPolicy:
-    """Probe the first ``n_probes`` sectors, keep the loudest one."""
-
-    multi_round = False
+    """Probe the first ``n_probes`` sectors, keep the loudest one: an
+    interactive policy of one round."""
 
     def __init__(self, context, n_probes=8):
         self.name = "toy-loudest"
@@ -192,41 +190,38 @@ class TestToyPolicyEndToEnd:
         assert "toy-loudest" in output
         assert "manifest: scenario=policy-eval" in output
 
+    def test_policy_eval_routes_by_shape(self, monkeypatch):
+        """Planned policies go through ``execute``; interactive ones,
+        the select-only toy included, through ``run_interactive``."""
+        routes = set()
+        execute, interactive = ScenarioRunner.execute, ScenarioRunner.run_interactive
 
-class TestExecuteBatchScalarIdentity:
-    class _ScalarOnly:
-        """Proxy hiding ``select_batch`` to force per-row ``select`` calls."""
+        def planned(self, policy, *args, **kwargs):
+            routes.add(("execute", policy.name))
+            return execute(self, policy, *args, **kwargs)
 
-        def __init__(self, inner):
-            object.__setattr__(self, "_inner", inner)
+        def rounds(self, policy, *args, **kwargs):
+            routes.add(("interactive", policy.name))
+            return interactive(self, policy, *args, **kwargs)
 
-        def __getattr__(self, name):
-            if name == "select_batch":
-                raise AttributeError(name)
-            return getattr(self._inner, name)
-
-    def test_fallback_path_matches_batched_path(self):
-        testbed = build_testbed()
+        monkeypatch.setattr(ScenarioRunner, "execute", planned)
+        monkeypatch.setattr(ScenarioRunner, "run_interactive", rounds)
+        names = ("css", "full-sweep", "hierarchical", "oracle", "toy-loudest")
+        spec = ScenarioSpec(
+            scenario="policy-eval",
+            seed=3,
+            policies=tuple(PolicySpec(name, {}) for name in names),
+            params={"azimuth_step_deg": 60.0, "n_sweeps": 1},
+        )
         with ScenarioRunner() as runner:
-            context = runner.context(testbed)
-            policy = build_policy(PolicySpec("css", {"n_probes": 10}), context)
-            recordings = record_directions(
-                testbed,
-                conference_room(6.0),
-                [-30.0, 15.0],
-                [0.0],
-                2,
-                np.random.default_rng(13),
-            )
-            blocks = runner.plan_trials(
-                policy, recordings, testbed.tx_sector_ids, np.random.default_rng(14)
-            )
-            batched = runner.execute(policy, blocks, reset="recording")
-            scalar = runner.execute(
-                self._ScalarOnly(policy), blocks, reset="recording"
-            )
-        assert [r.result for r in scalar] == [r.result for r in batched]
-        assert [r.sweep_index for r in scalar] == [r.sweep_index for r in batched]
+            runner.run(spec)
+        assert sorted(routes) == [
+            ("execute", "css"),
+            ("execute", "full-sweep"),
+            ("interactive", "hierarchical"),
+            ("interactive", "oracle"),
+            ("interactive", "toy-loudest"),
+        ]
 
 
 class TestRunInteractive:

@@ -206,6 +206,27 @@ class TestSubmission:
         )
         assert connection_code == 404
 
+    def test_an_oversized_body_answers_413(self, make_service):
+        # The head announces one byte over the cap and the client then
+        # stops sending: only the cap check answers before the body.
+        harness = make_service()
+        head = (
+            "POST /runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {server._MAX_BODY_BYTES + 1}\r\n\r\n{{"
+        )
+        reply = b""
+        with socket.create_connection(
+            ("127.0.0.1", harness.service.port), timeout=10
+        ) as sock:
+            sock.sendall(head.encode("latin-1"))
+            sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert body["error"] == f"request body exceeds {server._MAX_BODY_BYTES} bytes"
+
     def test_metrics_and_healthz_expose_service_and_run_planes(self, make_service):
         harness = make_service(workers=1)
         accepted = harness.client.submit(_small_spec().to_json())

@@ -128,14 +128,21 @@ class TestDesignPositions:
 
 
 class _OneTrialAtATime:
-    """A policy's round-0 draw without its per-recording entry."""
+    """A policy whose plan is drawn one designer ``design`` call per
+    trial: the scalar draw its ``probe_positions`` replays."""
 
     def __init__(self, policy):
         self._policy = policy
         self.name = policy.name
 
-    def probes_for_round(self, round_index, pool, rng):
-        return self._policy.probes_for_round(round_index, pool, rng)
+    def probe_positions(self, n_trials, pool, rng):
+        column_of = {sector_id: column for column, sector_id in enumerate(pool)}
+        n_probes = self._policy.n_probes
+        rows = [
+            [column_of[s] for s in self._policy._designer.design(n_probes, pool, rng)]
+            for _ in range(n_trials)
+        ]
+        return np.array(rows, dtype=np.intp).reshape(n_trials, n_probes)
 
 
 def _recordings(tx_ids, n_recordings, n_sweeps, seed):
