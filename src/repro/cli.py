@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -518,19 +518,29 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     )
 
 
-_COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
-    "table1": _cmd_table1,
-    "patterns": _cmd_patterns,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "fig10": _cmd_fig10,
-    "fig11": _cmd_fig11,
-    "summary": _cmd_summary,
-    "ablations": _cmd_ablations,
-    "extensions": _cmd_extensions,
-    "artifacts": _cmd_artifacts,
-    "perf": _cmd_perf,
+_EXPERIMENT_FLAGS = ("--seed", "--paper", "--json")
+
+#: Legacy subcommands, each with the shared flags it reads: argparse
+#: rejects a flag a subcommand would ignore.
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], None], Tuple[str, ...]]] = {
+    "table1": (_cmd_table1, ("--seed", "--json")),
+    "patterns": (_cmd_patterns, ("--seed", "--paper")),
+    "fig7": (_cmd_fig7, _EXPERIMENT_FLAGS),
+    "fig8": (_cmd_fig8, _EXPERIMENT_FLAGS),
+    "fig9": (_cmd_fig9, _EXPERIMENT_FLAGS),
+    "fig10": (_cmd_fig10, ("--json",)),
+    "fig11": (_cmd_fig11, _EXPERIMENT_FLAGS),
+    "summary": (_cmd_summary, ("--json",)),
+    "ablations": (_cmd_ablations, ()),
+    "extensions": (_cmd_extensions, ()),
+    "artifacts": (_cmd_artifacts, ()),
+    "perf": (_cmd_perf, ()),
+}
+
+_SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--seed": {"type": int, "default": 2017, "help": "experiment seed"},
+    "--paper": {"action": "store_true", "help": "use the paper's full resolutions (slow)"},
+    "--json": {"metavar": "PATH", "help": "also archive the result as JSON"},
 }
 
 
@@ -559,18 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
             "default: $REPRO_LOG_LEVEL or warning)",
         )
 
-    for name, handler in _COMMANDS.items():
+    for name, (handler, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=handler.__doc__)
         add_log_level(sub)
-        sub.add_argument("--seed", type=int, default=2017, help="experiment seed")
-        sub.add_argument(
-            "--paper",
-            action="store_true",
-            help="use the paper's full resolutions (slow)",
-        )
-        sub.add_argument(
-            "--json", metavar="PATH", help="also archive the result as JSON"
-        )
+        for flag in flags:
+            sub.add_argument(flag, **_SHARED_FLAGS[flag])
         if name == "patterns":
             sub.add_argument("output", help="output .npz path")
         if name == "artifacts":

@@ -1,6 +1,6 @@
 """Ablations of the design choices DESIGN.md calls out.
 
-Each function isolates one decision the paper makes (or argues against)
+Each study isolates one decision the paper makes (or argues against)
 and quantifies its effect with everything else held fixed:
 
 * **fusion** — Eq. 3 (SNR only) vs. Eq. 5 (SNR×RSSI product), §5;
@@ -14,9 +14,12 @@ and quantifies its effect with everything else held fixed:
 * **random beams** — probing with the codebook's tuned sectors vs.
   pseudo-random beams (Rasekh et al.), §2.1's preliminary experiment.
 
-The batched estimator ablations (fusion / patterns / probe sets / 3D)
-route through :class:`~repro.runtime.runner.ScenarioRunner` with
-``"css"`` policy variants; the remaining studies keep their scalar
+The first four each flip one knob of the ``"css"`` policy, so they are
+rows of one table, :data:`_KNOB_ABLATIONS`, served by one executor: a
+baseline plus one variant per knob value, planned from the scenario's
+generator in table order and run through
+:meth:`~repro.runtime.runner.ScenarioRunner.execute_each` as one
+supervised, journaled batch.  The remaining studies keep their own
 bodies (their draws interleave with per-frame ``observe`` calls, which
 is exactly the stream their pinned values ride on) but still run as
 registered scenarios so they emit manifests.
@@ -25,7 +28,7 @@ registered scenarios so they emit manifests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,12 +37,11 @@ from ..channel.batch import sweep_snr_matrix
 from ..channel.environment import conference_room, lab_environment
 from ..core.estimator import AngleEstimator
 from ..core.measurements import ProbeMeasurement
-from ..core.probes import RandomProbeDesigner
 from ..geometry.angles import azimuth_difference
 from ..geometry.rotation import Orientation
 from ..runtime.registry import register_scenario
 from ..runtime.runner import ScenarioRunner
-from ..runtime.spec import PolicySpec, ScenarioSpec, TestbedSpec
+from ..runtime.spec import PolicySpec, ScenarioSpec
 from .common import (
     Testbed,
     estimate_errors,
@@ -48,7 +50,6 @@ from .common import (
     random_subsweep,
     record_directions,
     snr_losses,
-    stack_sweeps,
 )
 
 __all__ = [
@@ -62,6 +63,9 @@ __all__ = [
     "run_oob_prior_ablation",
     "run_refinement_ablation",
 ]
+
+#: a knob ablation's M or seed; None takes its table row's default.
+_Int = Optional[int]
 
 
 @dataclass
@@ -83,68 +87,92 @@ class AblationResult:
         return rows
 
 
-def _estimator_azimuth_errors(
-    estimator: AngleEstimator,
-    recordings,
-    tx_ids: Sequence[int],
-    n_probes: int,
-    rng: np.random.Generator,
-    subsamples: int = 3,
-) -> List[float]:
-    # Batched trials for bodies that keep a raw estimator: one draw for
-    # every recording × sweep × subsample, in that nesting order (the
-    # stream and estimates of one ``random_probe_columns`` per trial).
-    _, present, snr, rssi = stack_sweeps(recordings, tx_ids)
-    sweeps = np.repeat(np.arange(present.shape[0]), subsamples)[:, np.newaxis]
-    columns = RandomProbeDesigner().design_positions(
-        n_probes, sweeps.shape[0], tx_ids, rng
-    )
-    truths = np.repeat(
-        [recording.azimuth_deg for recording in recordings],
-        [recording.n_sweeps * subsamples for recording in recordings],
-    ).tolist()
-    estimates = estimator.estimate_batch(
-        np.asarray(tx_ids, dtype=np.intp)[columns],
-        snr_db=snr[sweeps, columns],
-        rssi_dbm=rssi[sweeps, columns],
-        mask=present[sweeps, columns],
-    )
-    return [
-        abs(azimuth_difference(estimate.azimuth_deg, truth))
-        for estimate, truth in zip(estimates, truths)
-        if estimate is not None
-    ]
-
-
-def _policy_azimuth_errors(
-    runner: ScenarioRunner,
-    testbed_spec: TestbedSpec,
-    testbed: Testbed,
-    policy_spec: PolicySpec,
-    recordings,
-    rng: np.random.Generator,
-    subsamples: int = 3,
-) -> np.ndarray:
-    """Azimuth errors of one ``"css"`` policy variant over recordings."""
-    context = runner.context(testbed)
-    policy = runner.build_policy(policy_spec, context)
-    blocks = runner.plan_trials(
-        policy, recordings, testbed.tx_sector_ids, rng, subsamples_per_sweep=subsamples
-    )
-    records = runner.execute(
-        policy,
-        blocks,
-        policy_spec=policy_spec,
-        testbed_spec=testbed_spec,
-    )
-    return estimate_errors(records, recordings)[0]
-
-
 def _conference_recordings(testbed: Testbed, rng: np.random.Generator, n_sweeps: int = 4):
     azimuths = np.arange(-60.0, 60.0 + 1e-9, 7.5)
     return record_directions(
         testbed, conference_room(6.0), azimuths, [0.0], n_sweeps, rng
     )
+
+
+def _tilted_lab_recordings(testbed: Testbed, rng: np.random.Generator):
+    # The device is tilted (elevation 12–24°): a selector that assumes
+    # everything happens in the azimuth plane picks worse sectors.
+    azimuths = np.arange(-45.0, 45.0 + 1e-9, 7.5)
+    return record_directions(
+        testbed, lab_environment(3.0), azimuths, [12.0, 24.0], 3, rng
+    )
+
+
+_AZIMUTH_ERROR = "mean azimuth error [deg]"
+_SNR_LOSS = "mean SNR loss [dB]"
+
+#: metric name → per-row values of one variant's records.
+_METRICS: Dict[str, Callable] = {
+    _AZIMUTH_ERROR: lambda records, recordings, _: estimate_errors(records, recordings)[0],
+    _SNR_LOSS: snr_losses,
+}
+
+
+@dataclass(frozen=True)
+class _KnobAblation:
+    """One scenario of the ``css`` baseline with one knob flipped.
+
+    ``knob`` is a ``css`` kwarg, or ``"probe_design"`` for the policy's
+    designer block; ``variants`` are its ``(label, value)`` pairs in
+    run and print order.  ``one_block`` threads selection state through
+    every trial, as a loop that never reset its selector did.
+    """
+
+    question: str
+    seed: int
+    n_probes: int
+    title: str
+    metric: str
+    recordings: Callable[[Testbed, np.random.Generator], Sequence]
+    subsamples: int
+    one_block: bool
+    knob: str
+    variants: Tuple[Tuple[str, str], ...]
+
+    def policy_spec(self, value: str, n_probes: int) -> PolicySpec:
+        if self.knob == "probe_design":
+            return PolicySpec("css", {"n_probes": n_probes}, probe_design={"designer": value})
+        return PolicySpec("css", {"n_probes": n_probes, self.knob: value})
+
+
+_KNOB_ABLATIONS: Dict[str, _KnobAblation] = {
+    "ablate-fusion": _KnobAblation(
+        "Eq. 3 vs Eq. 5: does the SNR×RSSI product help against outliers?",
+        seed=21, n_probes=14, title="correlation fusion @ {} probes",
+        metric=_AZIMUTH_ERROR, recordings=_conference_recordings,
+        subsamples=3, one_block=False, knob="fusion",
+        variants=(("fusion=snr", "snr"), ("fusion=rssi", "rssi"),
+                  ("fusion=product", "product")),
+    ),
+    "ablate-patterns": _KnobAblation(
+        "Measured patterns vs. the ideal-array theoretical prediction.",
+        seed=22, n_probes=14, title="pattern knowledge @ {} probes",
+        metric=_AZIMUTH_ERROR, recordings=_conference_recordings,
+        subsamples=3, one_block=False, knob="patterns",
+        variants=(("measured patterns", "measured"),
+                  ("theoretical patterns", "theoretical")),
+    ),
+    "ablate-probe-set": _KnobAblation(
+        "Random probe subsets vs. §7's gain-diverse pre-selection.",
+        seed=23, n_probes=10, title="probe-set strategy @ {} probes",
+        metric=_AZIMUTH_ERROR, recordings=_conference_recordings,
+        subsamples=1, one_block=False, knob="probe_design",
+        variants=(("random subsets", "random"),
+                  ("gain-diverse (greedy)", "gain-diverse")),
+    ),
+    "ablate-3d": _KnobAblation(
+        "Full 3D estimation vs. azimuth-only search on a tilted link.",
+        seed=24, n_probes=14, title="3D vs 2D estimation @ {} probes, tilted device",
+        metric=_SNR_LOSS, recordings=_tilted_lab_recordings,
+        subsamples=1, one_block=True, knob="search",
+        variants=(("3D search grid", "3d"), ("2D (azimuth-only) grid", "2d")),
+    ),
+}
 
 
 def _ablation_spec(scenario: str, n_probes: int, seed: int) -> ScenarioSpec:
@@ -153,158 +181,63 @@ def _ablation_spec(scenario: str, n_probes: int, seed: int) -> ScenarioSpec:
     )
 
 
-def fusion_ablation_spec(n_probes: int = 14, seed: int = 21) -> ScenarioSpec:
-    return _ablation_spec("ablate-fusion", n_probes, seed)
-
-
-@register_scenario("ablate-fusion", default_spec=fusion_ablation_spec)
-def _run_fusion_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResult:
-    """Eq. 3 vs Eq. 5: does the SNR×RSSI product help against outliers?"""
-    n_probes = int(spec.params["n_probes"])
-    testbed = spec.testbed.build()
-    rng = np.random.default_rng(spec.seed)
-    recordings = _conference_recordings(testbed, rng)
-    result = AblationResult(
-        title=f"correlation fusion @ {n_probes} probes",
-        metric_name="mean azimuth error [deg]",
-    )
-    for fusion in ("snr", "rssi", "product"):
-        errors = _policy_azimuth_errors(
-            runner,
-            spec.testbed,
-            testbed,
-            PolicySpec("css", {"n_probes": n_probes, "fusion": fusion}),
-            recordings,
-            rng,
-        )
-        result.variants[f"fusion={fusion}"] = float(np.mean(errors))
-    return result
-
-
-def run_fusion_ablation(n_probes: int = 14, seed: int = 21) -> AblationResult:
-    """Eq. 3 vs Eq. 5: does the SNR×RSSI product help against outliers?"""
-    return ScenarioRunner().run(fusion_ablation_spec(n_probes, seed)).result
-
-
-def pattern_ablation_spec(n_probes: int = 14, seed: int = 22) -> ScenarioSpec:
-    return _ablation_spec("ablate-patterns", n_probes, seed)
-
-
-@register_scenario("ablate-patterns", default_spec=pattern_ablation_spec)
-def _run_pattern_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResult:
-    """Measured patterns vs. the ideal-array theoretical prediction."""
-    n_probes = int(spec.params["n_probes"])
-    testbed = spec.testbed.build()
-    rng = np.random.default_rng(spec.seed)
-    recordings = _conference_recordings(testbed, rng)
-    result = AblationResult(
-        title=f"pattern knowledge @ {n_probes} probes",
-        metric_name="mean azimuth error [deg]",
-    )
-    for name, patterns in (
-        ("measured patterns", "measured"),
-        ("theoretical patterns", "theoretical"),
-    ):
-        errors = _policy_azimuth_errors(
-            runner,
-            spec.testbed,
-            testbed,
-            PolicySpec("css", {"n_probes": n_probes, "patterns": patterns}),
-            recordings,
-            rng,
-        )
-        result.variants[name] = float(np.mean(errors))
-    return result
-
-
-def run_pattern_ablation(n_probes: int = 14, seed: int = 22) -> AblationResult:
-    """Measured patterns vs. the ideal-array theoretical prediction."""
-    return ScenarioRunner().run(pattern_ablation_spec(n_probes, seed)).result
-
-
-def probe_set_ablation_spec(n_probes: int = 10, seed: int = 23) -> ScenarioSpec:
-    return _ablation_spec("ablate-probe-set", n_probes, seed)
-
-
-@register_scenario("ablate-probe-set", default_spec=probe_set_ablation_spec)
-def _run_probe_set_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResult:
-    """Random probe subsets vs. §7's gain-diverse pre-selection."""
-    n_probes = int(spec.params["n_probes"])
-    testbed = spec.testbed.build()
-    rng = np.random.default_rng(spec.seed)
-    recordings = _conference_recordings(testbed, rng)
-    result = AblationResult(
-        title=f"probe-set strategy @ {n_probes} probes",
-        metric_name="mean azimuth error [deg]",
-    )
-    for name, designer in (
-        ("random subsets", "random"),
-        ("gain-diverse (greedy)", "gain-diverse"),
-    ):
-        errors = _policy_azimuth_errors(
-            runner,
-            spec.testbed,
-            testbed,
-            PolicySpec(
-                "css", {"n_probes": n_probes}, probe_design={"designer": designer}
-            ),
-            recordings,
-            rng,
-            subsamples=1,
-        )
-        result.variants[name] = float(np.mean(errors))
-    return result
-
-
-def run_probe_set_ablation(n_probes: int = 10, seed: int = 23) -> AblationResult:
-    """Random probe subsets vs. §7's gain-diverse pre-selection."""
-    return ScenarioRunner().run(probe_set_ablation_spec(n_probes, seed)).result
-
-
-def ablation_3d_spec(n_probes: int = 14, seed: int = 24) -> ScenarioSpec:
-    return _ablation_spec("ablate-3d", n_probes, seed)
-
-
-@register_scenario("ablate-3d", default_spec=ablation_3d_spec)
-def _run_3d_scenario(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResult:
-    """Full 3D estimation vs. azimuth-only search on a tilted link.
-
-    The device is tilted (elevation 12–24°); a 2D selector that assumes
-    everything happens in the azimuth plane picks systematically worse
-    sectors — the paper's argument for extending path tracking to 3D.
-    """
+def _run_knob_ablation(spec: ScenarioSpec, runner: ScenarioRunner) -> AblationResult:
+    """One variant per knob value, run through ``execute_each`` as one batch."""
+    row = _KNOB_ABLATIONS[spec.scenario]
     n_probes = int(spec.params["n_probes"])
     testbed = spec.testbed.build()
     context = runner.context(testbed)
-    rng = np.random.default_rng(spec.seed)
-    azimuths = np.arange(-45.0, 45.0 + 1e-9, 7.5)
-    recordings = record_directions(
-        testbed, lab_environment(3.0), azimuths, [12.0, 24.0], 3, rng
-    )
     tx_ids = testbed.tx_sector_ids
-    result = AblationResult(
-        title=f"3D vs 2D estimation @ {n_probes} probes, tilted device",
-        metric_name="mean SNR loss [dB]",
-    )
-    # The legacy loop reused one selector across all recordings without
-    # a reset; one block threads the state through every trial the same
-    # way (the probe draws happen in the scalar order, selection
-    # consumes no rng).
-    for name, search in (("3D search grid", "3d"), ("2D (azimuth-only) grid", "2d")):
-        policy_spec = PolicySpec("css", {"n_probes": n_probes, "search": search})
-        policy = runner.build_policy(policy_spec, context)
-        records = runner.execute(
-            policy,
-            runner.plan_trials(policy, recordings, tx_ids, rng).as_one_block(),
-            label=name,
-        )
-        result.variants[name] = float(np.mean(snr_losses(records, recordings, tx_ids)))
+    rng = np.random.default_rng(spec.seed)
+    recordings = row.recordings(testbed, rng)
+
+    def calls():
+        # A variant is planned when the runner pulls it, so the probe
+        # draws stay in table order (selection consumes no rng).
+        for _, value in row.variants:
+            policy_spec = row.policy_spec(value, n_probes)
+            policy = runner.build_policy(policy_spec, context)
+            plan = runner.plan_trials(
+                policy, recordings, tx_ids, rng, subsamples_per_sweep=row.subsamples
+            )
+            blocks = plan.as_one_block() if row.one_block else plan
+            yield policy, blocks, policy_spec, spec.testbed
+
+    score = _METRICS[row.metric]
+    result = AblationResult(title=row.title.format(n_probes), metric_name=row.metric)
+    for (label, _), records in zip(row.variants, runner.execute_each(calls())):
+        result.variants[label] = float(np.mean(score(records, recordings, tx_ids)))
     return result
 
 
-def run_3d_ablation(n_probes: int = 14, seed: int = 24) -> AblationResult:
-    """Full 3D estimation vs. azimuth-only search on a tilted link."""
-    return ScenarioRunner().run(ablation_3d_spec(n_probes, seed)).result
+def _register_knob_ablation(scenario: str):
+    """Register a knob ablation; return its public spec builder and
+    in-process runner, whose M and seed default to its table row."""
+    row = _KNOB_ABLATIONS[scenario]
+
+    def spec(n_probes: _Int = None, seed: _Int = None) -> ScenarioSpec:
+        return _ablation_spec(
+            scenario,
+            row.n_probes if n_probes is None else n_probes,
+            row.seed if seed is None else seed,
+        )
+
+    def run(n_probes: _Int = None, seed: _Int = None) -> AblationResult:
+        return ScenarioRunner().run(spec(n_probes, seed)).result
+
+    register_scenario(scenario, default_spec=spec, description=row.question)(
+        _run_knob_ablation
+    )
+    run.__doc__ = row.question
+    return spec, run
+
+
+fusion_ablation_spec, run_fusion_ablation = _register_knob_ablation("ablate-fusion")
+pattern_ablation_spec, run_pattern_ablation = _register_knob_ablation("ablate-patterns")
+probe_set_ablation_spec, run_probe_set_ablation = _register_knob_ablation(
+    "ablate-probe-set"
+)
+ablation_3d_spec, run_3d_ablation = _register_knob_ablation("ablate-3d")
 
 
 def random_beam_ablation_spec(n_probes: int = 14, seed: int = 25) -> ScenarioSpec:
@@ -350,12 +283,17 @@ def _run_random_beam_scenario(
 
     # Metric 2: azimuth estimation error.  Random beams are correlated
     # against their *theoretical* (ideal-array) patterns — a designer
-    # has nothing else — while the sectors use the measured table.
-    sector_estimator = AngleEstimator(testbed.pattern_table)
-    sector_errors = _estimator_azimuth_errors(
-        sector_estimator, sector_recordings, testbed.tx_sector_ids, n_probes, rng,
-        subsamples=1,
+    # has nothing else — while the sectors are the css baseline, with
+    # the measured table.
+    sector_spec = PolicySpec("css", {"n_probes": n_probes})
+    sector_policy = runner.build_policy(sector_spec, runner.context(testbed))
+    sector_records = runner.execute(
+        sector_policy,
+        runner.plan_trials(sector_policy, sector_recordings, testbed.tx_sector_ids, rng),
+        policy_spec=sector_spec,
+        testbed_spec=spec.testbed,
     )
+    sector_errors = estimate_errors(sector_records, sector_recordings)[0]
 
     theoretical = theoretical_pattern_table(
         random_codebook, testbed.pattern_table.grid, antenna=testbed.dut_antenna

@@ -339,6 +339,11 @@ def _text_body(code: int, text: str) -> bytes:
     )
 
 
+def _valid_deadline(deadline_s: Any) -> bool:
+    """Absent, or a positive JSON number (``true`` is not one)."""
+    return deadline_s is None or (type(deadline_s) in (int, float) and deadline_s > 0)
+
+
 # ----------------------------------------------------------------------
 # Run processes.
 # ----------------------------------------------------------------------
@@ -892,18 +897,11 @@ class SelectionService:
         # Two accepted shapes: a bare spec object (optionally carrying a
         # top-level ``deadline_s``, which the spec parser ignores), or
         # an envelope ``{"spec": {...}, "deadline_s": ...}``.
-        if isinstance(data.get("spec"), dict):
-            spec_data = data["spec"]
-            deadline_s = data.get("deadline_s")
-        else:
-            spec_data = data
-            deadline_s = data.get("deadline_s")
-        if deadline_s is not None:
-            if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
-                self.metrics.inc("service_submissions_total", outcome="invalid")
-                return _json_body(
-                    400, {"error": "deadline_s must be a positive number"}
-                )
+        spec_data = data["spec"] if isinstance(data.get("spec"), dict) else data
+        deadline_s = data.get("deadline_s")
+        if not _valid_deadline(deadline_s):
+            self.metrics.inc("service_submissions_total", outcome="invalid")
+            return _json_body(400, {"error": "deadline_s must be a positive number"})
         try:
             spec = ScenarioSpec.from_json(spec_data)
             from ..runtime.registry import get_scenario
@@ -981,6 +979,11 @@ class SelectionService:
                 options = json.loads(body.decode())
             except (json.JSONDecodeError, UnicodeDecodeError):
                 return _json_body(400, {"error": "retry body is not valid JSON"})
+        if not isinstance(options, dict):
+            return _json_body(400, {"error": "retry body must be an object"})
+        deadline_s = options.get("deadline_s")
+        if not _valid_deadline(deadline_s):
+            return _json_body(400, {"error": "deadline_s must be a positive number"})
         if self._draining:
             return self._reject(503, {"error": "service is draining"})
         if self._queue.qsize() >= self.config.queue_depth:
@@ -995,11 +998,8 @@ class SelectionService:
         record.error = ""
         # A retried run gets a fresh deadline budget only if the caller
         # provides one; the original (likely already blown) is cleared.
-        deadline_s = options.get("deadline_s")
         record.deadline_wall = (
-            time.time() + float(deadline_s)
-            if isinstance(deadline_s, (int, float)) and deadline_s > 0
-            else None
+            time.time() + float(deadline_s) if deadline_s is not None else None
         )
         self._journal_transition(
             record,

@@ -6,6 +6,21 @@ import pytest
 from repro.cli import build_parser, main
 
 
+_SEED, _PAPER, _JSON = ["--seed", "7"], ["--paper"], ["--json", "r.json"]
+
+#: Every shared flag a legacy subcommand would ignore.
+_IGNORED_FLAGS = [
+    *(
+        [*command, *flag]
+        for command in (["ablations"], ["extensions"], ["perf"], ["artifacts", "verify"])
+        for flag in (_SEED, _PAPER, _JSON)
+    ),
+    *([command, *flag] for command in ("fig10", "summary") for flag in (_SEED, _PAPER)),
+    ["table1", *_PAPER],
+    ["patterns", "out.npz", *_JSON],
+]
+
+
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
@@ -69,9 +84,15 @@ class TestParser:
         assert excinfo.value.code == 2
 
     def test_seed_and_paper_flags(self):
-        args = build_parser().parse_args(["fig10", "--seed", "7", "--paper"])
+        args = build_parser().parse_args(["fig8", "--seed", "7", "--paper"])
         assert args.seed == 7
         assert args.paper is True
+
+    @pytest.mark.parametrize("argv", _IGNORED_FLAGS, ids=" ".join)
+    def test_a_flag_the_subcommand_ignores_exits_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCommands:

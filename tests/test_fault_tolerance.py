@@ -37,6 +37,7 @@ from repro.runtime import (
     ScenarioSpec,
     TestbedSpec as _TestbedSpec,
     build_policy,
+    scenario_spec,
 )
 
 # A narrow policy-eval arc: 5 recordings x 3 sweeps per policy, both
@@ -532,6 +533,18 @@ class TestKillResume:
             outcome = runner.run(spec)
         assert outcome.result.rows == clean_result.result.rows
         assert outcome.manifest.health["checkpoint_hits"] == 10
+        assert outcome.manifest.health["executed"] == 0
+
+    def test_the_3d_ablation_resumes_from_its_journal(self, tmp_path):
+        # Each variant is one block: both come back from the journal.
+        spec = scenario_spec("ablate-3d")
+        ckpt = tmp_path / "ablate-3d.jsonl"
+        with ScenarioRunner(checkpoint=ckpt) as runner:
+            clean = runner.run(spec)
+        with ScenarioRunner(checkpoint=ckpt, resume=True) as runner:
+            outcome = runner.run(spec)
+        assert outcome.manifest.result_sha256 == clean.manifest.result_sha256
+        assert outcome.manifest.health["checkpoint_hits"] == 2
         assert outcome.manifest.health["executed"] == 0
 
     def test_checkpoint_without_resume_refuses_to_destroy_a_journal(self, tmp_path):

@@ -28,10 +28,13 @@ from repro.experiments import (
     run_fig9,
     run_fig11,
     run_fusion_ablation,
+    run_pattern_ablation,
     run_pattern_drift,
     run_pattern_transfer,
     run_probe_set_ablation,
+    run_random_beam_ablation,
 )
+from repro.runtime import ScenarioRunner, scenario_spec
 
 FIG7_CONFIG = Fig7Config(
     probe_counts=(8, 20),
@@ -101,27 +104,45 @@ class TestPinnedExtensions:
 
 
 class TestPinnedAblations:
+    """Values and variant order (the order the CLI prints) are pinned."""
+
     def test_fusion_pinned(self):
         result = run_fusion_ablation()
-        assert result.variants == {
-            "fusion=snr": 7.4068627450980395,
-            "fusion=rssi": 8.387254901960784,
-            "fusion=product": 5.122549019607843,
-        }
+        assert list(result.variants.items()) == [
+            ("fusion=snr", 7.4068627450980395),
+            ("fusion=rssi", 8.387254901960784),
+            ("fusion=product", 5.122549019607843),
+        ]
+
+    def test_patterns_pinned(self):
+        result = run_pattern_ablation()
+        assert list(result.variants.items()) == [
+            ("measured patterns", 4.514705882352941),
+            ("theoretical patterns", 6.612745098039215),
+        ]
 
     def test_probe_set_pinned(self):
         result = run_probe_set_ablation()
-        assert result.variants == {
-            "random subsets": 7.264705882352941,
-            "gain-diverse (greedy)": 5.0588235294117645,
-        }
+        assert list(result.variants.items()) == [
+            ("random subsets", 7.264705882352941),
+            ("gain-diverse (greedy)", 5.0588235294117645),
+        ]
 
     def test_3d_pinned(self):
         result = run_3d_ablation()
-        assert result.variants == {
-            "3D search grid": 1.7276792510238987,
-            "2D (azimuth-only) grid": 8.957683358603218,
-        }
+        assert list(result.variants.items()) == [
+            ("3D search grid", 1.7276792510238987),
+            ("2D (azimuth-only) grid", 8.957683358603218),
+        ]
+
+    def test_random_beams_pinned(self):
+        result = run_random_beam_ablation()
+        assert list(result.variants.items()) == [
+            ("sectors: best-beam SNR", 13.473381073086406),
+            ("random beams: best-beam SNR", 4.802193945956963),
+            ("sectors: az error", 2.7142857142857144),
+            ("random beams: az error", 14.857142857142858),
+        ]
 
 
 class TestParallelBitExactness:
@@ -133,3 +154,15 @@ class TestParallelBitExactness:
 
     def test_fig7_jobs_equal(self):
         assert asdict(run_fig7(FIG7_CONFIG, jobs=4)) == asdict(run_fig7(FIG7_CONFIG))
+
+    @pytest.mark.parametrize(
+        "name", ["ablate-fusion", "ablate-patterns", "ablate-probe-set", "ablate-3d"]
+    )
+    def test_knob_ablations_jobs_equal(self, name):
+        # At jobs=2 a knob ablation's variants are execute calls in flight.
+        def variants(jobs):
+            with ScenarioRunner(jobs=jobs) as runner:
+                result = runner.run(scenario_spec(name)).result
+            return result.title, list(result.variants.items())
+
+        assert variants(2) == variants(1)

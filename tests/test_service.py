@@ -349,6 +349,26 @@ class TestResume:
         assert code == 409
         assert harness.client.wait(accepted["run"])["status"] == "done"
 
+    def test_a_malformed_retry_body_answers_400_and_changes_nothing(
+        self, make_service
+    ):
+        harness = make_service(workers=1)
+        accepted = harness.client.submit(_small_spec().to_json())
+        assert harness.client.wait(accepted["run"])["status"] == "done"
+        path = f"/runs/{accepted['run']}/retry"
+        for body in ([], 5, "x"):
+            code, payload = harness.client.request("POST", path, body)
+            assert code == 400
+            assert "object" in payload["error"]
+        for bad in (0, -1.5, "soon", True, [60]):
+            code, payload = harness.client.request("POST", path, {"deadline_s": bad})
+            assert code == 400
+            assert "deadline_s" in payload["error"]
+        assert harness.client.status(accepted["run"])["status"] == "done"
+        code, _ = harness.client.request("POST", path, {"deadline_s": 600})
+        assert code == 202
+        assert harness.client.wait(accepted["run"])["status"] == "done"
+
     def test_pool_worker_crash_mid_run_is_survived(self, make_service):
         # jobs=2 runs blocks on a fork pool; an injected crash kills one
         # worker process mid-run and supervision replaces it, so the
@@ -461,7 +481,8 @@ class TestLifecycle:
 
     def test_invalid_deadline_is_rejected(self, make_service):
         harness = make_service(workers=1)
-        for bad in (0, -1.5, "soon"):
+        # JSON ``true`` is a bool, not a one-second budget.
+        for bad in (0, -1.5, "soon", True):
             code, payload = harness.client.request(
                 "POST", "/runs", {"spec": _small_spec().to_json(), "deadline_s": bad}
             )
